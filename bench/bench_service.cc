@@ -5,8 +5,8 @@
  *
  * Two numbers per worker count:
  *  - modeled ops/s: the simulated hardware's throughput (per-worker
- *    modeled clocks incl. transfers, key DMA and the batch-amortised
- *    dispatch overhead) — deterministic, and the scaling criterion:
+ *    modeled clocks; each Mult costs its fused program's compute plus
+ *    one Arm dispatch, key DMA and transfers) — the scaling criterion:
  *    it must grow monotonically from 1 to 4 workers;
  *  - wall ops/s: host wall-clock throughput of the functional
  *    simulation itself (bounded by the machine's cores, reported for

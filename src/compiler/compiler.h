@@ -3,8 +3,8 @@
  * Circuit compiler: lowers a whole ciphertext expression DAG into one
  * fused coprocessor program with coprocessor-resident intermediates.
  *
- * The single-op serving path round-trips every ciphertext through the
- * host: upload operands, dispatch each instruction from the Arm, and
+ * Submitting operations one at a time round-trips every ciphertext
+ * through the host: upload operands, dispatch from the Arm, and
  * download the result — per operation. compileCircuit() instead
  * schedules the circuit's nodes topologically into segments of one
  * straight-line hw::Program each, allocating memory-file slots by
@@ -252,6 +252,15 @@ CompiledCircuit compileCircuit(std::shared_ptr<const fv::FvParams> params,
                                const Circuit &circuit,
                                const CompilerOptions &options = {});
 
+/**
+ * Check that @p ct can enter a compiled circuit over @p params: a
+ * size-2, level-0, coefficient-form ciphertext of the parameter set's
+ * degree and q base. Throws FatalError naming the first violation —
+ * the serving layer calls this on the submitting thread, so malformed
+ * operands are rejected synchronously.
+ */
+void validateInput(const fv::FvParams &params, const fv::Ciphertext &ct);
+
 /** Modeled cost of one circuit execution. */
 struct CircuitRunStats
 {
@@ -312,7 +321,7 @@ std::vector<fv::Ciphertext> runCompiledCircuitWarm(
  * Reference execution model of the *unfused* serving path: every node
  * becomes its own host round trip (operands uploaded, the node's
  * program dispatched per instruction, results downloaded), with a
- * kRelin folded into its producer like the single-op Mult plan.
+ * kRelin folded into its producer as in a one-node mult(x, y) circuit.
  * Functionally identical to runCompiledCircuit(); the modeled time is
  * what circuit fusion is benchmarked against.
  */

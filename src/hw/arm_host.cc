@@ -50,12 +50,6 @@ ArmHostModel::receiveCiphertextUs() const
 }
 
 double
-ArmHostModel::receiveCiphertextsUs(size_t count) const
-{
-    return receivePolysUs(2 * count);
-}
-
-double
 ArmHostModel::softwareAddUs() const
 {
     // One modular add per coefficient per residue per polynomial, at

@@ -49,9 +49,6 @@ class ArmHostModel
     /** Time to receive one result ciphertext (us). */
     double receiveCiphertextUs() const;
 
-    /** Time to receive @p count result ciphertexts back-to-back (us). */
-    double receiveCiphertextsUs(size_t count) const;
-
     /** Software FV.Add on one Arm core (us) — the Table I baseline. */
     double softwareAddUs() const;
 

@@ -141,11 +141,12 @@ struct Instruction
  *
  * The paper's measured per-instruction times (Table II) include the
  * Arm-side dispatch + completion overhead on every instruction — the
- * kPerInstruction mode, and the cost model of the single-op serving
- * path. A fused program compiled from a whole circuit is queued once:
- * the coprocessor streams the instruction sequence back-to-back and the
- * dispatch overhead is charged once per program (kFusedProgram), which
- * is where instruction-level fusion gets its throughput win.
+ * kPerInstruction mode, which the paper tables and the op-by-op
+ * reference (compiler::runCircuitOpByOp) use. A compiled program is
+ * queued once: the coprocessor streams the instruction sequence
+ * back-to-back and the dispatch overhead is charged once per program
+ * (kFusedProgram). Every job the serving layer runs, a single
+ * operation included, is priced this way.
  */
 enum class DispatchMode : uint8_t
 {

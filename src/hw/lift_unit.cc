@@ -19,7 +19,7 @@ LiftUnit::run(MemoryFile &memory, PolyId id) const
     const size_t kp = params_->pBase()->size();
     const auto &conv = params_->liftConverter(level);
 
-    // The ProgramBuilder pre-extends the record at build time (static
+    // Compiled programs pre-extend the record in their slot log (static
     // slot accounting); a standalone caller may pass a plain q record.
     if (memory.record(id).base == BaseTag::kQ)
         memory.extendToFull(id);

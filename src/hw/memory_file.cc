@@ -40,9 +40,18 @@ MemoryFile::residueCount(BaseTag tag) const
 }
 
 void
+MemoryFile::dropRecordsFrom(size_t keep)
+{
+    while (records_.size() > keep) {
+        spare_.push_back(std::move(records_.back().data));
+        records_.pop_back();
+    }
+}
+
+void
 MemoryFile::reset()
 {
-    records_.clear();
+    dropRecordsFrom(0);
     in_use_ = 0;
     peak_ = 0;
     level_ = 0;
@@ -74,7 +83,7 @@ MemoryFile::resetToPinned()
         reset();
         return;
     }
-    records_.resize(pinned_records_);
+    dropRecordsFrom(pinned_records_);
     in_use_ = pinned_slots_;
     peak_ = in_use_;
     level_ = 0;
@@ -108,6 +117,10 @@ MemoryFile::allocateAt(BaseTag tag, Layout layout, size_t level,
     rec.base = tag;
     rec.level = level;
     rec.layout.assign(live, layout);
+    if (!spare_.empty()) {
+        rec.data = std::move(spare_.back());
+        spare_.pop_back();
+    }
     rec.data.assign(live * params_->degree(), 0);
     rec.valid = true;
     records_.push_back(std::move(rec));

@@ -241,10 +241,11 @@ class MemoryFile : public SlotAllocator
 
     /**
      * Drop every record and return all slots: the reprogramming step
-     * between op schedules (a Mult program alone peaks at 78 of the 84
-     * slots, so plans for different operations cannot stay resident
-     * simultaneously). Also clears the peak-slot watermark and any
-     * pinned prefix.
+     * before each compiled-circuit run (a Mult program alone peaks at 78
+     * of the 84 slots, so programs cannot stay resident side by side).
+     * Also clears the peak-slot watermark and any pinned prefix. The
+     * dropped records' coefficient buffers are kept for reuse by later
+     * allocations, which still read as zero.
      */
     void reset();
 
@@ -271,7 +272,8 @@ class MemoryFile : public SlotAllocator
      * the pinned prefix, whose ids, slots and data survive. Subsequent
      * allocation continues at id pinnedRecords() — exactly the state a
      * resident-compiled circuit's slot replay expects. Equivalent to
-     * reset() when nothing is pinned.
+     * reset() when nothing is pinned; the dropped records' buffers are
+     * kept for reuse, as there.
      */
     void resetToPinned();
 
@@ -335,6 +337,9 @@ class MemoryFile : public SlotAllocator
   private:
     PolyId allocateAt(BaseTag tag, Layout layout, size_t level,
                       const char *what);
+    /** Drop the records from id @p keep on, keeping their coefficient
+     *  buffers in spare_. */
+    void dropRecordsFrom(size_t keep);
 
     std::shared_ptr<const fv::FvParams> params_;
     size_t capacity_;
@@ -345,6 +350,13 @@ class MemoryFile : public SlotAllocator
     size_t pinned_records_ = 0;
     size_t pinned_slots_ = 0;
     std::vector<PolyRecord> records_;
+    /**
+     * Coefficient buffers of dropped records, stacked so the next
+     * allocation takes the buffer of the lowest dropped id: replaying
+     * the same slot log hands every record its previous buffer back,
+     * already sized and already paged in.
+     */
+    std::vector<std::vector<uint64_t>> spare_;
 };
 
 /**

@@ -20,57 +20,7 @@ make(Opcode op, PolyId dst, PolyId src0 = kNoPoly, PolyId src1 = kNoPoly,
     return i;
 }
 
-OpPlan
-makePlan(Coprocessor &cp, OpPlan::Kind kind)
-{
-    OpPlan plan;
-    plan.kind = kind;
-    ntt::RnsPoly zero(cp.params().qBase(), cp.params().degree());
-    plan.in_a = {cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    plan.in_b = {cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    ProgramBuilder builder(cp);
-    plan.program = kind == OpPlan::Kind::kAdd
-                       ? builder.buildAdd(plan.in_a, plan.in_b)
-                       : builder.buildMult(plan.in_a, plan.in_b);
-    return plan;
-}
-
 } // namespace
-
-OpPlan
-makeAddPlan(Coprocessor &cp)
-{
-    return makePlan(cp, OpPlan::Kind::kAdd);
-}
-
-OpPlan
-makeMultPlan(Coprocessor &cp)
-{
-    return makePlan(cp, OpPlan::Kind::kMult);
-}
-
-void
-preparePlanSlots(Coprocessor &cp, const OpPlan &plan)
-{
-    const OpPlan replay = plan.kind == OpPlan::Kind::kAdd
-                              ? makeAddPlan(cp)
-                              : makeMultPlan(cp);
-    panicIf(!(replay == plan),
-            "preparePlanSlots: replayed allocation diverges from the "
-            "plan; the coprocessor was not freshly constructed with the "
-            "plan's parameters");
-}
-
-void
-uploadPlanInputs(Coprocessor &cp, const OpPlan &plan,
-                 const std::array<const ntt::RnsPoly *, 2> &a,
-                 const std::array<const ntt::RnsPoly *, 2> &b)
-{
-    for (int i = 0; i < 2; ++i) {
-        cp.uploadInto(plan.in_a[i], *a[i]);
-        cp.uploadInto(plan.in_b[i], *b[i]);
-    }
-}
 
 OpEmitter::OpEmitter(const fv::FvParams &params, SlotAllocator &alloc,
                      Program &program)
@@ -637,31 +587,6 @@ OpEmitter::emitRotateSum(std::array<PolyId, 2> a)
         fold(fv::galoisElementForStep(static_cast<int>(step), n));
     fold(static_cast<uint32_t>(2 * n - 1));
     return acc;
-}
-
-Program
-ProgramBuilder::buildAdd(std::array<PolyId, 2> a, std::array<PolyId, 2> b)
-{
-    Program p;
-    OpEmitter emitter(cp_.params(), cp_.memory(), p);
-    const std::array<PolyId, 2> out =
-        emitter.emitAdd(a, b, /*consume_a=*/false);
-    p.outputs = {out[0], out[1]};
-    return p;
-}
-
-Program
-ProgramBuilder::buildMult(std::array<PolyId, 2> a, std::array<PolyId, 2> b)
-{
-    Program p;
-    OpEmitter emitter(cp_.params(), cp_.memory(), p);
-    OpEmitter::MultResult tensor =
-        emitter.emitMult(a, b, /*consume_a=*/true, /*consume_b=*/true,
-                         /*want_digits=*/true, /*want_c2=*/false);
-    const std::array<PolyId, 2> out = emitter.emitRelin(
-        tensor.ct[0], tensor.ct[1], tensor.digits, /*consume_c01=*/true);
-    p.outputs = {out[0], out[1]};
-    return p;
 }
 
 } // namespace heat::hw

@@ -8,17 +8,38 @@
 
 namespace heat::hw {
 
+Program
+multJobProgram(const fv::FvParams &params, const HwConfig &config)
+{
+    CountingAllocator alloc(params, config);
+    Program program;
+    OpEmitter emitter(params, alloc, program);
+    const std::array<PolyId, 2> a{alloc.allocate(BaseTag::kQ),
+                                  alloc.allocate(BaseTag::kQ)};
+    const std::array<PolyId, 2> b{alloc.allocate(BaseTag::kQ),
+                                  alloc.allocate(BaseTag::kQ)};
+    const OpEmitter::MultResult tensor =
+        emitter.emitMult(a, b, /*consume_a=*/true, /*consume_b=*/true,
+                         /*want_digits=*/true, /*want_c2=*/false);
+    const std::array<PolyId, 2> out = emitter.emitRelin(
+        tensor.ct[0], tensor.ct[1], tensor.digits, /*consume_c01=*/true);
+    program.outputs = {out[0], out[1]};
+    return program;
+}
+
 MultJobProfile
 profileMultJob(const std::shared_ptr<const fv::FvParams> &params,
                const HwConfig &config, DispatchMode dispatch)
 {
     const bool fused = dispatch == DispatchMode::kFusedProgram;
     MultJobProfile profile;
-    Coprocessor scratch(params, config);
-    OpPlan plan = makeMultPlan(scratch);
+    // Cost queries only: no record exists, so every instruction is
+    // priced at level 0 — the level a served Mult runs at.
+    const Coprocessor scratch(params, config);
+    const Program program = multJobProgram(*params, config);
 
     Cycle compute_cycles = 0;
-    for (const Instruction &instr : plan.program.instrs) {
+    for (const Instruction &instr : program.instrs) {
         compute_cycles += fused
                               ? scratch.instructionComputeCycles(instr)
                               : scratch.instructionCycles(instr);
@@ -27,7 +48,7 @@ profileMultJob(const std::shared_ptr<const fv::FvParams> &params,
             profile.key_dma_us = scratch.instructionDmaUs(instr);
         }
     }
-    if (fused && !plan.program.instrs.empty())
+    if (fused && !program.instrs.empty())
         compute_cycles += static_cast<Cycle>(config.dispatch_overhead);
     profile.compute_us = config.cyclesToUs(compute_cycles);
 

@@ -49,11 +49,20 @@ struct MultJobProfile
 };
 
 /**
- * Price one FV.Mult job: build (without executing) the Mult program
- * against a scratch coprocessor and sum the per-instruction block-model
- * costs plus the host-side transfer times. Pure function of its inputs;
- * callers that construct many systems or service workers can compute
- * the profile once and share it.
+ * The FV.Mult-with-relinearization job program: two operand pairs
+ * allocated first, then the tensor + Scale and the relinearization
+ * tail. This is the schedule the circuit compiler lowers a one-node
+ * mult(x, y) circuit to, so what profileMultJob prices is exactly what
+ * ExecutionService::submit(Op::kMult) runs. Slots are counted, not
+ * materialized.
+ */
+Program multJobProgram(const fv::FvParams &params, const HwConfig &config);
+
+/**
+ * Price one FV.Mult job: sum the per-instruction block-model costs of
+ * multJobProgram() plus the host-side transfer times. Pure function of
+ * its inputs; callers that construct many systems or service workers
+ * can compute the profile once and share it.
  *
  * @param dispatch kPerInstruction reproduces the paper's measured cost
  *        (every instruction pays the Arm dispatch overhead);

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <optional>
 #include <utility>
 
-#include "hw/arm_host.h"
 #include "hw/coprocessor.h"
 #include "obs/trace.h"
 #include "verify/verify.h"
@@ -46,16 +44,25 @@ ExecutionService::ExecutionService(
     registerSession("default", std::move(rlk), std::move(gkeys),
                     /*weight=*/1);
 
-    // Build the prototype plans once; this also proves each program
-    // fits the memory file before any worker starts. Each plan assumes
-    // a freshly-reprogrammed memory file (a Mult alone peaks at 78 of
-    // 84 slots, so plans are installed one at a time). Plans are slot
-    // schedules — key-set independent — so any session's keys work.
-    Session &def = sessions_.front();
-    hw::Coprocessor prototype(params_, config_.hw, &def.rlk, &def.gkeys);
-    add_plan_ = hw::makeAddPlan(prototype);
-    prototype.reset();
-    mult_plan_ = hw::makeMultPlan(prototype);
+    // Compile the single-op circuits once; this also proves each fits
+    // the memory file before any worker starts. They are level-0 slot
+    // schedules with no rotations, so any session's keys work; the
+    // configured compiler options are not applied, so a served op
+    // always returns a level-0 ciphertext. Admission verifies each on
+    // its first submission, like any other compiled circuit.
+    compiler::CompilerOptions options;
+    options.hw = config_.hw;
+    options.noise_check = compiler::NoiseCheck::kOff;
+    options.verify = compiler::VerifyCheck::kOff;
+    for (const Op op : {Op::kAdd, Op::kMult}) {
+        compiler::CircuitBuilder b;
+        const compiler::ValueId x = b.input();
+        const compiler::ValueId y = b.input();
+        b.output(op == Op::kAdd ? b.add(x, y) : b.mult(x, y));
+        op_circuits_[static_cast<size_t>(op)] =
+            std::make_shared<const compiler::CompiledCircuit>(
+                compiler::compileCircuit(params_, b.build(), options));
+    }
 
     started_ = !config_.start_paused;
     worker_clock_us_.assign(config_.workers, 0.0);
@@ -148,28 +155,10 @@ ExecutionService::tenantCount() const
     return sessions_.size();
 }
 
-void
-ExecutionService::validateOperand(const fv::Ciphertext &ct) const
-{
-    fatalIf(ct.size() != 2, "service operands must be size-2 "
-                            "ciphertexts (relinearize first)");
-    fatalIf(ct.level != 0,
-            "service operands enter at level 0 — compiled circuits "
-            "carry their own mod-switches; got level ", ct.level);
-    for (size_t i = 0; i < ct.size(); ++i) {
-        fatalIf(ct[i].degree() != params_->degree() ||
-                    ct[i].residueCount() != params_->qBase()->size(),
-                "operand polynomial does not match the parameter set");
-        fatalIf(ct[i].form() != ntt::PolyForm::kCoeff,
-                "operands must be in coefficient form (what the DMA "
-                "streams to the accelerator)");
-    }
-}
-
 PinnedHandle
 ExecutionService::pinInput(TenantId tenant, fv::Ciphertext ct)
 {
-    validateOperand(ct);
+    compiler::validateInput(*params_, ct);
     Session &s = session(tenant);
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_)
@@ -190,15 +179,19 @@ ExecutionService::submit(TenantId tenant, Op op, fv::Ciphertext a,
                          fv::Ciphertext b, double arrival_us)
 {
     Session &s = session(tenant);
-    validateOperand(a);
-    validateOperand(b);
+    const auto &circuit = op_circuits_[static_cast<size_t>(op)];
+    verifySubmission(circuit);
+    compiler::validateInput(*params_, a);
+    compiler::validateInput(*params_, b);
 
     Job job;
     job.session = &s;
     job.arrival_us = arrival_us;
     job.op = op;
-    job.a = std::move(a);
-    job.b = std::move(b);
+    job.circuit = circuit;
+    job.circuit_inputs.reserve(2);
+    job.circuit_inputs.push_back(std::move(a));
+    job.circuit_inputs.push_back(std::move(b));
     std::future<fv::Ciphertext> future = job.promise.get_future();
     enqueue(s, std::move(job));
     return future;
@@ -378,7 +371,7 @@ ExecutionService::submitCompiled(
             "circuit expects ", compiled->inputs.size(), " inputs, got ",
             inputs.size());
     for (const fv::Ciphertext &ct : inputs)
-        validateOperand(ct);
+        compiler::validateInput(*params_, ct);
     admit(s, *compiled);
 
     Job job;
@@ -413,7 +406,7 @@ ExecutionService::submitCompiledResident(
             compiled->inputs.size() - resident_handles.size(),
             " request inputs, got ", request_inputs.size());
     for (const fv::Ciphertext &ct : request_inputs)
-        validateOperand(ct);
+        compiler::validateInput(*params_, ct);
     admit(s, *compiled);
 
     Job job;
@@ -601,13 +594,12 @@ ExecutionService::snapshot() const
 void
 ExecutionService::workerLoop(size_t worker_index)
 {
-    // Per-worker hardware instance. Exactly one op plan is installed
-    // at a time: switching op kinds reprograms the memory file and
-    // replays the new plan's slot allocations. Key sets are attached
-    // per job (attachKeys re-points the kKeyLoad stream at the
-    // submitting session's DDR-resident keys).
+    // Per-worker hardware instance. Every job is a compiled circuit:
+    // the run reprograms the memory file and replays the circuit's
+    // slot log (the warm resident path keeps the pinned prefix). Key
+    // sets are attached per job (attachKeys re-points the kKeyLoad
+    // stream at the submitting session's DDR-resident keys).
     std::optional<hw::Coprocessor> cp;
-    std::optional<hw::OpPlan::Kind> installed;
     const Session *keys_attached = nullptr;
     uint64_t batch_key_swaps = 0;
 
@@ -625,7 +617,6 @@ ExecutionService::workerLoop(size_t worker_index)
     };
     const auto rebuild = [&] {
         cp.emplace(params_, config_.hw, nullptr, nullptr);
-        installed.reset();
         keys_attached = nullptr;
         invalidate_cache();
     };
@@ -637,21 +628,7 @@ ExecutionService::workerLoop(size_t worker_index)
             ++batch_key_swaps;
         keys_attached = s;
     };
-    const auto install = [&](const hw::OpPlan &plan) {
-        if (installed == plan.kind)
-            return;
-        // Reprogram unconditionally: a circuit job (or a fresh build)
-        // leaves the memory file in an unknown layout. This also
-        // clears any pinned resident prefix.
-        cp->reset();
-        invalidate_cache();
-        hw::preparePlanSlots(*cp, plan);
-        installed = plan.kind;
-    };
     rebuild();
-    const hw::ArmHostModel host(params_, config_.hw);
-    const auto dispatch =
-        static_cast<hw::Cycle>(config_.hw.dispatch_overhead);
     // Worker-local modeled clock; mirrored to worker_clock_us_ under
     // mu_ after every batch (only this worker writes its entry).
     double my_clock = 0.0;
@@ -678,8 +655,8 @@ ExecutionService::workerLoop(size_t worker_index)
             // worker clock forward and every older job processed
             // afterwards inherits the inflated completion time. A
             // weight-w tenant still contributes up to w consecutive
-            // jobs per turn, which is what bounds key swaps and plan
-            // reprogramming per batch, and under backlog gives it a
+            // jobs per turn, which is what bounds key swaps and cache
+            // invalidations per batch, and under backlog gives it a
             // w-sized share of every batch.
             while (batch.size() < config_.max_batch &&
                    queued_total_ > 0) {
@@ -714,7 +691,7 @@ ExecutionService::workerLoop(size_t worker_index)
         // Group by session, then op kind (plain circuits after ops,
         // resident circuits last so a cold run's pins survive into
         // the next batch): the jobs are independent, and grouping
-        // bounds memory-file reprogramming and key swaps.
+        // bounds key swaps and resident-cache invalidations.
         std::stable_sort(batch.begin(), batch.end(),
                          [](const Job &x, const Job &y) {
                              if (x.session->id != y.session->id)
@@ -735,7 +712,6 @@ ExecutionService::workerLoop(size_t worker_index)
         std::vector<double> batch_latencies;
         batch_latencies.reserve(batch.size());
         batch_key_swaps = 0;
-        bool first_in_batch = true;
 
         // Per-tenant deltas, applied to the sessions under mu_ when
         // the batch retires (batches are small, linear scan is fine).
@@ -783,7 +759,7 @@ ExecutionService::workerLoop(size_t worker_index)
                         start - job.arrival_us,
                         {{"tenant", job.session->name}});
                 obs::recordModeledSpan(
-                    job.isCircuit() ? "request:circuit" : "request:op",
+                    job.op ? "request:op" : "request:circuit",
                     "service", start, cost_us,
                     {{"tenant", job.session->name}});
             }
@@ -796,135 +772,77 @@ ExecutionService::workerLoop(size_t worker_index)
         for (Job &job : batch) {
             begin_job(job);
             attach(job.session);
-            if (job.isCircuit()) {
-                try {
-                    compiler::CircuitRunStats cstats;
-                    std::vector<fv::Ciphertext> outs;
-                    if (!job.resident) {
-                        outs = compiler::runCompiledCircuit(
-                            *cp, *job.circuit, job.circuit_inputs,
-                            &cstats);
-                        invalidate_cache(); // the run reset the pins
-                    } else if (cached_circuit.get() ==
-                                   job.circuit.get() &&
-                               cached_session == job.session &&
-                               cached_handles == job.resident_handles) {
-                        // Cache hit: pinned operands are already in
-                        // the memory-file prefix — no operand upload.
-                        outs = compiler::runCompiledCircuitWarm(
-                            *cp, *job.circuit, job.circuit_inputs,
-                            &cstats);
-                        ++batch_warm;
-                    } else {
-                        // Cache miss: assemble the full positional
-                        // input list and run cold — runCompiledCircuit
-                        // uploads the pinned operands into the prefix
-                        // and leaves them pinned for the next hit.
-                        std::vector<fv::Ciphertext> full(
-                            job.circuit->inputs.size());
-                        std::vector<bool> res_pos(full.size(), false);
-                        for (size_t k = 0;
-                             k < job.circuit->resident_inputs.size();
-                             ++k) {
-                            const uint32_t pos =
-                                job.circuit->resident_inputs[k];
-                            full[pos] = *job.resident_operands[k];
-                            res_pos[pos] = true;
-                        }
-                        size_t next = 0;
-                        for (size_t k = 0; k < full.size(); ++k) {
-                            if (!res_pos[k])
-                                full[k] = std::move(
-                                    job.circuit_inputs[next++]);
-                        }
-                        outs = compiler::runCompiledCircuit(
-                            *cp, *job.circuit, full, &cstats);
-                        cached_circuit = job.circuit;
-                        cached_session = job.session;
-                        cached_handles = job.resident_handles;
-                        ++batch_cold;
-                    }
-                    job.circuit_promise.set_value(std::move(outs));
-                    batch_cycles += cstats.fpga_cycles;
-                    batch_dma_us += cstats.dma_us;
-                    batch_host_us += cstats.host_us;
-                    ++batch_circuits;
-                    batch_circuit_nodes +=
-                        job.circuit->value_sizes.size() -
-                        job.circuit->inputs.size();
-                    TenantDelta &d = delta_for(job.session);
-                    ++d.completed;
-                    for (size_t u = 0; u < hw::kUnitCount; ++u) {
-                        batch_units[u] += cstats.unit_cycles[u];
-                        d.units[u] += cstats.unit_cycles[u];
-                    }
-                    job.session->completed_ctr->add();
-                    finish_job(job, cstats.modeledUs(config_.hw));
-                } catch (...) {
-                    job.fail(std::current_exception());
-                    ++batch_failed;
-                    ++delta_for(job.session).failed;
-                    rebuild();
-                }
-                // The circuit reprogrammed the memory file; the next
-                // single-op job reinstalls its plan and restarts the
-                // back-to-back dispatch stream.
-                installed.reset();
-                first_in_batch = true;
-                continue;
-            }
-            const hw::OpPlan &plan =
-                job.op == Op::kAdd ? add_plan_ : mult_plan_;
             try {
-                install(plan);
-                hw::uploadPlanInputs(*cp, plan, {&job.a[0], &job.a[1]},
-                                     {&job.b[0], &job.b[1]});
-                hw::ExecStats s = cp->execute(plan.program);
-                batch_cycles += s.fpga_cycles;
-                batch_dma_us += s.dma_us;
+                compiler::CircuitRunStats cstats;
+                std::vector<fv::Ciphertext> outs;
+                if (!job.resident) {
+                    outs = compiler::runCompiledCircuit(
+                        *cp, *job.circuit, job.circuit_inputs, &cstats);
+                    invalidate_cache(); // the run reset the pins
+                } else if (cached_circuit.get() == job.circuit.get() &&
+                           cached_session == job.session &&
+                           cached_handles == job.resident_handles) {
+                    // Cache hit: pinned operands are already in the
+                    // memory-file prefix — no operand upload.
+                    outs = compiler::runCompiledCircuitWarm(
+                        *cp, *job.circuit, job.circuit_inputs, &cstats);
+                    ++batch_warm;
+                } else {
+                    // Cache miss: assemble the full positional input
+                    // list and run cold — runCompiledCircuit uploads the
+                    // pinned operands into the prefix and leaves them
+                    // pinned for the next hit.
+                    std::vector<fv::Ciphertext> full(
+                        job.circuit->inputs.size());
+                    std::vector<bool> res_pos(full.size(), false);
+                    for (size_t k = 0;
+                         k < job.circuit->resident_inputs.size(); ++k) {
+                        const uint32_t pos =
+                            job.circuit->resident_inputs[k];
+                        full[pos] = *job.resident_operands[k];
+                        res_pos[pos] = true;
+                    }
+                    size_t next = 0;
+                    for (size_t k = 0; k < full.size(); ++k) {
+                        if (!res_pos[k])
+                            full[k] =
+                                std::move(job.circuit_inputs[next++]);
+                    }
+                    outs = compiler::runCompiledCircuit(*cp, *job.circuit,
+                                                        full, &cstats);
+                    cached_circuit = job.circuit;
+                    cached_session = job.session;
+                    cached_handles = job.resident_handles;
+                    ++batch_cold;
+                }
+                if (job.op) {
+                    job.promise.set_value(std::move(outs.front()));
+                    ++batch_completed;
+                } else {
+                    job.circuit_promise.set_value(std::move(outs));
+                    ++batch_circuits;
+                    batch_circuit_nodes += job.circuit->value_sizes.size() -
+                                           job.circuit->inputs.size();
+                }
+                batch_cycles += cstats.fpga_cycles;
+                batch_dma_us += cstats.dma_us;
+                batch_host_us += cstats.host_us;
                 TenantDelta &d = delta_for(job.session);
-                for (size_t u = 0; u < hw::kUnitCount; ++u) {
-                    batch_units[u] += s.unit_cycles[u];
-                    d.units[u] += s.unit_cycles[u];
-                }
-                hw::Cycle amortized = 0;
-                if (!first_in_batch) {
-                    // Back-to-back programs stream from the queued
-                    // instruction sequence: their per-instruction Arm
-                    // dispatch overlaps the previous compute.
-                    amortized = dispatch * plan.program.instrs.size();
-                }
-                first_in_batch = false;
-
-                fv::Ciphertext out;
-                out.polys.push_back(
-                    cp->downloadPoly(plan.program.outputs[0]));
-                out.polys.push_back(
-                    cp->downloadPoly(plan.program.outputs[1]));
-                job.promise.set_value(std::move(out));
-                ++batch_completed;
                 ++d.completed;
+                for (size_t u = 0; u < hw::kUnitCount; ++u) {
+                    batch_units[u] += cstats.unit_cycles[u];
+                    d.units[u] += cstats.unit_cycles[u];
+                }
                 job.session->completed_ctr->add();
-
-                const double job_host_us =
-                    host.sendCiphertextsUs(2) +
-                    host.receiveCiphertextsUs(1);
-                batch_host_us += job_host_us;
-                finish_job(
-                    job,
-                    config_.hw.cyclesToUs(
-                        s.fpga_cycles -
-                        std::min(s.fpga_cycles, amortized)) +
-                        s.dma_us + job_host_us);
+                finish_job(job, cstats.modeledUs(config_.hw));
             } catch (...) {
-                job.promise.set_exception(std::current_exception());
+                job.fail(std::current_exception());
                 ++batch_failed;
                 ++delta_for(job.session).failed;
                 // The failed program may have left memory-file layouts
                 // inconsistent; rebuild this worker's coprocessor so
                 // later jobs start from a clean instance.
                 rebuild();
-                first_in_batch = true;
             }
         }
 

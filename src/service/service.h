@@ -9,6 +9,10 @@
  * (submit(Op, a, b) — one host round trip each) and whole circuits
  * (submitCircuit — compiled once into fused programs whose
  * intermediates stay coprocessor-resident; see compiler/compiler.h).
+ * Both run on one execution engine: a single operation is the one-node
+ * circuit add(x, y) or mult(x, y), compiled once at construction and
+ * then admitted (statically verified on first use) and served like any
+ * other compiled circuit job.
  *
  * The service is multi-tenant: every submission runs under a tenant
  * session carrying its own relinearization and Galois key sets
@@ -40,11 +44,13 @@
  * either way.
  *
  * Workers drain in batches (up to ServiceConfig::max_batch per
- * dequeue) and execute the batch as back-to-back programs.
- * Functionally every operation is bit-exact against fv::Evaluator's
- * HPS path; for timing, the service keeps a modeled clock per worker
- * in which the per-instruction Arm dispatch overhead of all but the
- * first program of a batch overlaps with compute. Jobs may carry a
+ * dequeue) and run the batch's jobs one after another. Functionally
+ * every operation is bit-exact against fv::Evaluator's HPS path; for
+ * timing, the service keeps a modeled clock per worker, and every job
+ * costs what its compiled run models: the compute cycles of its fused
+ * segments plus one Arm dispatch per segment
+ * (hw::DispatchMode::kFusedProgram), key DMA, and the host transfers.
+ * The price does not depend on batch width. Jobs may carry a
  * modeled arrival timestamp (open-loop load generation): a worker
  * starts such a job at max(worker clock, arrival) and the recorded
  * latency is completion minus arrival — latency() reports the
@@ -66,6 +72,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -78,7 +85,6 @@
 #include "fv/params.h"
 #include "hw/config.h"
 #include "hw/isa.h"
-#include "hw/program_builder.h"
 #include "obs/metrics.h"
 
 namespace heat::service {
@@ -145,8 +151,9 @@ struct ServiceConfig
     size_t max_queue_per_tenant = 0;
     /**
      * Static verification at submission admission (verify/verify.h):
-     * every compiled circuit entering through submitCircuit /
-     * submitCompiled / submitCompiledResident — including the warm
+     * every compiled circuit entering through submit (the op's one-node
+     * circuit) / submitCircuit / submitCompiled /
+     * submitCompiledResident — including the warm
      * resident path's pinned-prefix suffix, which the verifier checks
      * as part of the whole program — is proven against the memory-file,
      * layout, level and key invariants before any worker executes it.
@@ -300,11 +307,11 @@ struct ServiceSnapshot
 };
 
 /**
- * The execution service. Construction spawns the worker pool; each
- * worker builds its own hw::Coprocessor plus the shared operation
- * plans (hw::OpPlan values — identical across workers because memory-
- * file allocation is deterministic), so submission never blocks on
- * hardware setup.
+ * The execution service. Construction compiles the two
+ * single-operation circuits and spawns the worker pool; each worker
+ * owns one hw::Coprocessor and replays a job's deterministic slot log
+ * onto it before every run, so any compiled circuit dispatches to any
+ * worker and submission never blocks on hardware setup.
  *
  * Thread safety: submit*(), registerTenant(), pinInput(), drain(),
  * shutdown() and stats() may be called concurrently from any number of
@@ -364,10 +371,11 @@ class ExecutionService
 
     /**
      * Enqueue one operation on two size-2 ciphertexts under the
-     * default session. Shape errors (wrong element count, base, or
-     * degree) throw FatalError synchronously; a stopped service throws
+     * default session; it runs as the cached one-node circuit of @p op.
+     * Shape errors (wrong element count, base, or degree) throw
+     * FatalError synchronously; a stopped service throws
      * ServiceStoppedError; a full tenant queue throws
-     * ServiceOverloadedError.
+     * ServiceOverloadedError. Single operations skip noise admission.
      *
      * @return future resolving to the result ciphertext.
      */
@@ -531,10 +539,10 @@ class ExecutionService
         /** Modeled arrival time; negative = untimed submission. */
         double arrival_us = -1.0;
 
-        /** Single-op job (circuit == nullptr) or fused circuit job. */
-        Op op = Op::kAdd;
-        fv::Ciphertext a;
-        fv::Ciphertext b;
+        /** Set for a submit(Op) job, which runs the op's one-node
+         *  circuit and resolves `promise`; circuit jobs resolve
+         *  `circuit_promise`. */
+        std::optional<Op> op;
         std::promise<fv::Ciphertext> promise;
 
         std::shared_ptr<const compiler::CompiledCircuit> circuit;
@@ -551,16 +559,14 @@ class ExecutionService
         std::vector<PinnedHandle> resident_handles;
         bool resident = false;
 
-        bool isCircuit() const { return circuit != nullptr; }
-
         /** Batch ordering key: group per-op kinds, then plain
          *  circuits, resident circuits last (so a cold run's pins
          *  survive into the next batch). */
         int
         sortKey() const
         {
-            if (!isCircuit())
-                return op == Op::kAdd ? 0 : 1;
+            if (op)
+                return *op == Op::kAdd ? 0 : 1;
             return resident ? 3 : 2;
         }
 
@@ -568,10 +574,10 @@ class ExecutionService
         void
         fail(const std::exception_ptr &error)
         {
-            if (isCircuit())
-                circuit_promise.set_exception(error);
-            else
+            if (op)
                 promise.set_exception(error);
+            else
+                circuit_promise.set_exception(error);
         }
     };
 
@@ -593,13 +599,13 @@ class ExecutionService
     std::future<std::vector<fv::Ciphertext>> enqueueCircuit(Job job);
     void enqueue(Session &s, Job job);
     void workerLoop(size_t worker_index);
-    void validateOperand(const fv::Ciphertext &ct) const;
 
     std::shared_ptr<const fv::FvParams> params_;
     ServiceConfig config_;
-    /** Prototype plans, built once; workers replay their allocation. */
-    hw::OpPlan add_plan_;
-    hw::OpPlan mult_plan_;
+    /** The one-node circuits submit(Op) runs, indexed by Op; compiled
+     *  once at construction. */
+    std::array<std::shared_ptr<const compiler::CompiledCircuit>, 2>
+        op_circuits_;
 
     mutable std::mutex mu_;
     /** Serializes concurrent shutdown() calls (thread join phase). */

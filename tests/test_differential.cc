@@ -25,7 +25,6 @@
 #include "fv/keygen.h"
 #include "fv/params.h"
 #include "hw/coprocessor.h"
-#include "hw/program_builder.h"
 #include "service/service.h"
 
 namespace heat {
@@ -78,21 +77,22 @@ struct Universe
         return p;
     }
 
-    /** Run one op through a fresh coprocessor (the hardware path). */
+    /**
+     * Run one op through a fresh coprocessor as the one-node circuit
+     * add(x, y) or mult(x, y) — the program the service runs for
+     * submit(Op).
+     */
     Ciphertext
-    runHw(hw::OpPlan::Kind kind, const Ciphertext &x,
+    runHw(compiler::NodeKind kind, const Ciphertext &x,
           const Ciphertext &y) const
     {
-        hw::Coprocessor cp(params, config, &rlk);
-        hw::OpPlan plan = kind == hw::OpPlan::Kind::kAdd
-                              ? hw::makeAddPlan(cp)
-                              : hw::makeMultPlan(cp);
-        hw::uploadPlanInputs(cp, plan, {&x[0], &x[1]}, {&y[0], &y[1]});
-        cp.execute(plan.program);
-        Ciphertext out;
-        out.polys.push_back(cp.downloadPoly(plan.program.outputs[0]));
-        out.polys.push_back(cp.downloadPoly(plan.program.outputs[1]));
-        return out;
+        compiler::CircuitBuilder b;
+        const compiler::ValueId vx = b.input();
+        const compiler::ValueId vy = b.input();
+        b.output(kind == compiler::NodeKind::kMult ? b.mult(vx, vy)
+                                                   : b.add(vx, vy));
+        const std::vector<Ciphertext> inputs{x, y};
+        return runHwCircuit(b.build(), inputs).at(0);
     }
 
     /**
@@ -134,7 +134,7 @@ TEST(Differential, AddBitExactAcrossRandomKeys)
                 u.encryptor->encrypt(u.randomPlain(100 * key_seed + i));
             Ciphertext y =
                 u.encryptor->encrypt(u.randomPlain(200 * key_seed + i));
-            Ciphertext hw = u.runHw(hw::OpPlan::Kind::kAdd, x, y);
+            Ciphertext hw = u.runHw(compiler::NodeKind::kAdd, x, y);
             Ciphertext sw = u.evaluator->add(x, y);
             EXPECT_EQ(hw, sw) << "key seed " << key_seed << " draw " << i;
             EXPECT_EQ(u.decryptor->decrypt(hw), u.decryptor->decrypt(sw));
@@ -151,7 +151,7 @@ TEST(Differential, MultBitExactAcrossRandomKeys)
                 u.encryptor->encrypt(u.randomPlain(300 * key_seed + i));
             Ciphertext y =
                 u.encryptor->encrypt(u.randomPlain(400 * key_seed + i));
-            Ciphertext hw = u.runHw(hw::OpPlan::Kind::kMult, x, y);
+            Ciphertext hw = u.runHw(compiler::NodeKind::kMult, x, y);
             Ciphertext sw = u.evaluator->multiply(x, y, u.rlk);
             EXPECT_EQ(hw, sw) << "key seed " << key_seed << " draw " << i;
             EXPECT_EQ(u.decryptor->decrypt(hw), u.decryptor->decrypt(sw));
@@ -173,7 +173,7 @@ TEST(Differential, RelinearizationMatchesSoftwarePath)
     u.evaluator->relinearizeInPlace(staged, u.rlk);
     ASSERT_EQ(staged.size(), 2u);
 
-    Ciphertext hw = u.runHw(hw::OpPlan::Kind::kMult, x, y);
+    Ciphertext hw = u.runHw(compiler::NodeKind::kMult, x, y);
     EXPECT_EQ(hw, staged);
     EXPECT_EQ(u.decryptor->decrypt(hw), before_relin);
 }
@@ -183,7 +183,7 @@ TEST(Differential, LargerPlainModulusStaysBitExact)
     Universe u(41, /*t=*/65537);
     Ciphertext x = u.encryptor->encrypt(u.randomPlain(7));
     Ciphertext y = u.encryptor->encrypt(u.randomPlain(8));
-    Ciphertext hw = u.runHw(hw::OpPlan::Kind::kMult, x, y);
+    Ciphertext hw = u.runHw(compiler::NodeKind::kMult, x, y);
     EXPECT_EQ(hw, u.evaluator->multiply(x, y, u.rlk));
 }
 
@@ -196,7 +196,7 @@ TEST(Differential, ExactCrtOracleDecryptsIdentically)
     fv::Evaluator exact(u.params, ArithPath::kExactCrt);
     Ciphertext x = u.encryptor->encrypt(u.randomPlain(9));
     Ciphertext y = u.encryptor->encrypt(u.randomPlain(10));
-    Ciphertext hw = u.runHw(hw::OpPlan::Kind::kMult, x, y);
+    Ciphertext hw = u.runHw(compiler::NodeKind::kMult, x, y);
     Ciphertext oracle = exact.multiply(x, y, u.rlk);
     EXPECT_EQ(u.decryptor->decrypt(hw), u.decryptor->decrypt(oracle));
 }

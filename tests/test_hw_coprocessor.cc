@@ -1,24 +1,29 @@
 /**
  * @file
- * Integration tests of the coprocessor: memory file discipline, program
- * construction (Table II instruction mix), bit-exact golden comparison
- * of the simulated FV.Mult against the software evaluator, end-to-end
+ * Integration tests of the coprocessor: memory file discipline, the
+ * compiled one-node FV.Mult program (Table II instruction mix, the
+ * program profileMultJob prices), bit-exact golden comparison of the
+ * simulated FV.Mult against the software evaluator, end-to-end
  * decryption of hardware-produced ciphertexts, timing against Tables
  * I-II and the two-coprocessor system throughput (Sec. VI-A).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "common/panic.h"
+#include "compiler/circuit.h"
+#include "compiler/compiler.h"
 #include "fv/decryptor.h"
 #include "fv/encryptor.h"
 #include "fv/evaluator.h"
 #include "fv/keygen.h"
 #include "hw/arm_host.h"
 #include "hw/coprocessor.h"
-#include "hw/program_builder.h"
 #include "hw/system.h"
 
 namespace heat::hw {
@@ -27,6 +32,22 @@ namespace {
 using fv::ArithPath;
 using fv::Ciphertext;
 using fv::Plaintext;
+
+/** Compile the one-node circuit add(x, y) or mult(x, y) — the program
+ *  ExecutionService::submit(Op) serves the operation with. */
+compiler::CompiledCircuit
+compileOneNode(std::shared_ptr<const fv::FvParams> params,
+               const HwConfig &config, compiler::NodeKind kind)
+{
+    compiler::CircuitBuilder b;
+    const compiler::ValueId x = b.input();
+    const compiler::ValueId y = b.input();
+    b.output(kind == compiler::NodeKind::kMult ? b.mult(x, y)
+                                               : b.add(x, y));
+    compiler::CompilerOptions options;
+    options.hw = config;
+    return compiler::compileCircuit(std::move(params), b.build(), options);
+}
 
 /** Small-ring fixture so functional tests run fast. */
 struct SmallRig
@@ -137,6 +158,79 @@ TEST(MemoryFile, ExhaustionIsFatal)
     EXPECT_THROW(mem.allocate(BaseTag::kFull), FatalError);
 }
 
+TEST(MemoryFile, ReusedBuffersReadAsZeroAfterReset)
+{
+    // reset() keeps the dropped records' buffers for later allocations;
+    // a reused buffer must still read as a freshly zeroed record.
+    SmallRig rig;
+    MemoryFile mem(rig.params, rig.config);
+    ntt::RnsPoly poly(rig.params->qBase(), rig.params->degree());
+    for (auto &x : poly.data())
+        x = 1;
+    const PolyId q = mem.import(poly, Layout::kNatural);
+    mem.extendToFull(q);
+    mem.import(poly, Layout::kNatural);
+    mem.reset();
+
+    const PolyId full = mem.allocate(BaseTag::kFull);
+    const PolyId small = mem.allocate(BaseTag::kQ);
+    EXPECT_EQ(full, 0u);
+    for (const PolyId id : {full, small}) {
+        const PolyRecord &rec = mem.record(id);
+        EXPECT_EQ(rec.data.size(),
+                  mem.liveResidues(rec.base, 0) * rig.params->degree());
+        EXPECT_TRUE(std::all_of(rec.data.begin(), rec.data.end(),
+                                [](uint64_t x) { return x == 0; }))
+            << "record " << id;
+    }
+}
+
+TEST(MemoryFile, ResetToPinnedKeepsPinnedData)
+{
+    SmallRig rig;
+    MemoryFile mem(rig.params, rig.config);
+    ntt::RnsPoly pinned(rig.params->qBase(), rig.params->degree());
+    ntt::RnsPoly dropped(rig.params->qBase(), rig.params->degree());
+    for (size_t i = 0; i < pinned.data().size(); ++i) {
+        pinned.data()[i] = i % 7 + 1;
+        dropped.data()[i] = i % 5 + 1;
+    }
+    const PolyId keep = mem.import(pinned, Layout::kNatural);
+    mem.import(dropped, Layout::kNatural);
+    mem.setPinnedRecords(1);
+    mem.resetToPinned();
+
+    EXPECT_EQ(mem.exportPoly(keep).data(), pinned.data());
+    EXPECT_EQ(mem.slotsInUse(), rig.params->qBase()->size());
+    const PolyId fresh = mem.allocate(BaseTag::kQ);
+    EXPECT_EQ(fresh, 1u);
+    const std::vector<uint64_t> &data = mem.record(fresh).data;
+    EXPECT_TRUE(std::all_of(data.begin(), data.end(),
+                            [](uint64_t x) { return x == 0; }));
+}
+
+TEST(MemoryFile, SlotReplayOnDirtyMemoryFilePanics)
+{
+    // A compiled program's slot log only replays onto a freshly reset
+    // memory file; replaying over live records must be rejected, not
+    // silently bind the program to the wrong slots.
+    SmallRig rig;
+    const compiler::CompiledCircuit add =
+        compileOneNode(rig.params, rig.config, compiler::NodeKind::kAdd);
+    MemoryFile mem(rig.params, rig.config);
+    mem.allocate(BaseTag::kQ);
+    try {
+        replaySlotActions(mem, add.slot_actions);
+        FAIL() << "replay onto a dirty memory file must panic";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("slot replay diverged"),
+                  std::string::npos)
+            << e.what();
+    }
+    mem.reset();
+    EXPECT_NO_THROW(replaySlotActions(mem, add.slot_actions));
+}
+
 TEST(MemoryFile, ImportExportRoundTrip)
 {
     SmallRig rig;
@@ -151,18 +245,15 @@ TEST(MemoryFile, ImportExportRoundTrip)
     EXPECT_EQ(mem.exportPoly(id).data(), poly.data());
 }
 
-TEST(ProgramBuilder, MultMatchesTableIIInstructionMix)
+TEST(CompiledMult, MatchesTableIIInstructionMix)
 {
     auto params = fv::FvParams::paper();
-    Coprocessor cp(params, HwConfig::paper());
-    ntt::RnsPoly zero(params->qBase(), params->degree());
-    std::array<PolyId, 2> a{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    std::array<PolyId, 2> b{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    ProgramBuilder builder(cp);
-    Program p = builder.buildMult(a, b);
+    const compiler::CompiledCircuit mult = compileOneNode(
+        params, HwConfig::paper(), compiler::NodeKind::kMult);
+    ASSERT_EQ(mult.segments.size(), 1u);
 
     std::map<Opcode, int> counts;
-    for (const auto &i : p.instrs)
+    for (const auto &i : mult.segments[0].program.instrs)
         ++counts[i.op];
     // Table II call counts (CoeffAdd: we schedule 14, the paper lists 26).
     EXPECT_EQ(counts[Opcode::kNtt], 14);
@@ -175,18 +266,30 @@ TEST(ProgramBuilder, MultMatchesTableIIInstructionMix)
     EXPECT_EQ(counts[Opcode::kKeyLoad], 6);
 }
 
-TEST(ProgramBuilder, MultFitsTheMemoryFile)
+TEST(CompiledMult, FitsTheMemoryFile)
 {
     auto params = fv::FvParams::paper();
-    Coprocessor cp(params, HwConfig::paper());
-    ntt::RnsPoly zero(params->qBase(), params->degree());
-    std::array<PolyId, 2> a{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    std::array<PolyId, 2> b{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    ProgramBuilder builder(cp);
-    builder.buildMult(a, b);
-    // Peak pressure must fit the 84-slot budget of Table IV.
-    EXPECT_LE(cp.memory().peakSlots(), cp.memory().capacity());
-    EXPECT_GE(cp.memory().peakSlots(), 70u); // and genuinely tight
+    const HwConfig config = HwConfig::paper();
+    const compiler::CompiledCircuit mult =
+        compileOneNode(params, config, compiler::NodeKind::kMult);
+    // Peak pressure must fit the 84-slot budget of Table IV, without
+    // spilling.
+    EXPECT_LE(mult.peak_slots, config.n_rpaus * config.slots_per_rpau);
+    EXPECT_GE(mult.peak_slots, 70u); // and genuinely tight
+    EXPECT_EQ(mult.spilled_polys, 0u);
+}
+
+TEST(CompiledMult, IsTheProgramProfileMultJobPrices)
+{
+    // HeatSystem's per-Mult profile must price the very program the
+    // service runs for submit(Op::kMult).
+    auto params = fv::FvParams::paper();
+    const HwConfig config = HwConfig::paper();
+    const compiler::CompiledCircuit mult =
+        compileOneNode(params, config, compiler::NodeKind::kMult);
+    ASSERT_EQ(mult.segments.size(), 1u);
+    EXPECT_EQ(multJobProgram(*params, config).instrs,
+              mult.segments[0].program.instrs);
 }
 
 TEST(CoprocessorFunctional, AddMatchesEvaluator)
@@ -196,15 +299,10 @@ TEST(CoprocessorFunctional, AddMatchesEvaluator)
     Ciphertext y = rig.encryptor->encrypt(rig.somePlain(2));
 
     Coprocessor cp(rig.params, rig.config, &rig.rlk);
-    std::array<PolyId, 2> a{cp.uploadPoly(x[0]), cp.uploadPoly(x[1])};
-    std::array<PolyId, 2> b{cp.uploadPoly(y[0]), cp.uploadPoly(y[1])};
-    ProgramBuilder builder(cp);
-    Program p = builder.buildAdd(a, b);
-    cp.execute(p);
-
-    Ciphertext expect = rig.evaluator->add(x, y);
-    EXPECT_EQ(cp.downloadPoly(p.outputs[0]).data(), expect[0].data());
-    EXPECT_EQ(cp.downloadPoly(p.outputs[1]).data(), expect[1].data());
+    const std::vector<Ciphertext> out = compiler::runCompiledCircuit(
+        cp, compileOneNode(rig.params, rig.config, compiler::NodeKind::kAdd),
+        std::vector<Ciphertext>{x, y});
+    EXPECT_EQ(out.at(0), rig.evaluator->add(x, y));
 }
 
 TEST(CoprocessorFunctional, MultBitExactAgainstEvaluator)
@@ -217,15 +315,11 @@ TEST(CoprocessorFunctional, MultBitExactAgainstEvaluator)
     Ciphertext y = rig.encryptor->encrypt(rig.somePlain(4));
 
     Coprocessor cp(rig.params, rig.config, &rig.rlk);
-    std::array<PolyId, 2> a{cp.uploadPoly(x[0]), cp.uploadPoly(x[1])};
-    std::array<PolyId, 2> b{cp.uploadPoly(y[0]), cp.uploadPoly(y[1])};
-    ProgramBuilder builder(cp);
-    Program p = builder.buildMult(a, b);
-    cp.execute(p);
-
-    Ciphertext expect = rig.evaluator->multiply(x, y, rig.rlk);
-    EXPECT_EQ(cp.downloadPoly(p.outputs[0]).data(), expect[0].data());
-    EXPECT_EQ(cp.downloadPoly(p.outputs[1]).data(), expect[1].data());
+    const std::vector<Ciphertext> out = compiler::runCompiledCircuit(
+        cp,
+        compileOneNode(rig.params, rig.config, compiler::NodeKind::kMult),
+        std::vector<Ciphertext>{x, y});
+    EXPECT_EQ(out.at(0), rig.evaluator->multiply(x, y, rig.rlk));
 }
 
 TEST(CoprocessorFunctional, MultDecryptsToProduct)
@@ -237,16 +331,11 @@ TEST(CoprocessorFunctional, MultDecryptsToProduct)
     Ciphertext y = rig.encryptor->encrypt(m1);
 
     Coprocessor cp(rig.params, rig.config, &rig.rlk);
-    std::array<PolyId, 2> a{cp.uploadPoly(x[0]), cp.uploadPoly(x[1])};
-    std::array<PolyId, 2> b{cp.uploadPoly(y[0]), cp.uploadPoly(y[1])};
-    ProgramBuilder builder(cp);
-    Program p = builder.buildMult(a, b);
-    cp.execute(p);
-
-    Ciphertext hw_ct;
-    hw_ct.polys.push_back(cp.downloadPoly(p.outputs[0]));
-    hw_ct.polys.push_back(cp.downloadPoly(p.outputs[1]));
-    Plaintext hw_plain = rig.decryptor->decrypt(hw_ct);
+    const std::vector<Ciphertext> out = compiler::runCompiledCircuit(
+        cp,
+        compileOneNode(rig.params, rig.config, compiler::NodeKind::kMult),
+        std::vector<Ciphertext>{x, y});
+    Plaintext hw_plain = rig.decryptor->decrypt(out.at(0));
 
     // Reference product mod (x^n + 1, t).
     const uint64_t t = rig.params->plainModulus();
@@ -270,27 +359,19 @@ TEST(CoprocessorFunctional, MultDecryptsToProduct)
 
 TEST(CoprocessorFunctional, ProgramReusableAcrossRuns)
 {
-    // Throughput benches build the program once and re-upload operands.
+    // The service compiles each op once and reruns it on the same
+    // worker: every run resets and replays over the previous one.
     SmallRig rig;
     Coprocessor cp(rig.params, rig.config, &rig.rlk);
-    ntt::RnsPoly zero(rig.params->qBase(), rig.params->degree());
-    std::array<PolyId, 2> a{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    std::array<PolyId, 2> b{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    ProgramBuilder builder(cp);
-    Program p = builder.buildMult(a, b);
+    const compiler::CompiledCircuit mult =
+        compileOneNode(rig.params, rig.config, compiler::NodeKind::kMult);
 
     for (uint64_t round = 0; round < 2; ++round) {
         Ciphertext x = rig.encryptor->encrypt(rig.somePlain(10 + round));
         Ciphertext y = rig.encryptor->encrypt(rig.somePlain(20 + round));
-        cp.uploadInto(a[0], x[0]);
-        cp.uploadInto(a[1], x[1]);
-        cp.uploadInto(b[0], y[0]);
-        cp.uploadInto(b[1], y[1]);
-        cp.execute(p);
-
-        Ciphertext expect = rig.evaluator->multiply(x, y, rig.rlk);
-        EXPECT_EQ(cp.downloadPoly(p.outputs[0]).data(), expect[0].data());
-        EXPECT_EQ(cp.downloadPoly(p.outputs[1]).data(), expect[1].data());
+        const std::vector<Ciphertext> out = compiler::runCompiledCircuit(
+            cp, mult, std::vector<Ciphertext>{x, y});
+        EXPECT_EQ(out.at(0), rig.evaluator->multiply(x, y, rig.rlk));
     }
 }
 
@@ -318,18 +399,16 @@ TEST(CoprocessorTiming, TableIIPerInstructionTimes)
 
 TEST(CoprocessorTiming, MultMatchesTableI)
 {
-    // Table I: Mult in HW 5,349,567 Arm cycles = 4.458 ms.
+    // Table I: Mult in HW 5,349,567 Arm cycles = 4.458 ms, measured
+    // with one Arm dispatch per instruction (kPerInstruction).
     auto params = fv::FvParams::paper();
     HwConfig config = HwConfig::paper();
     Coprocessor cp(params, config);
-    ntt::RnsPoly zero(params->qBase(), params->degree());
-    std::array<PolyId, 2> a{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    std::array<PolyId, 2> b{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    ProgramBuilder builder(cp);
-    Program p = builder.buildMult(a, b);
+    const compiler::CompiledCircuit mult =
+        compileOneNode(params, config, compiler::NodeKind::kMult);
 
     double total_us = 0.0;
-    for (const auto &i : p.instrs) {
+    for (const auto &i : mult.segments.at(0).program.instrs) {
         total_us += config.cyclesToUs(cp.instructionCycles(i));
         total_us += cp.instructionDmaUs(i);
     }

@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests of the asynchronous execution service: plan value semantics
- * (a program built on one coprocessor dispatches to any other),
- * concurrent multi-client submission across worker-pool sizes with
- * deterministic bit-exact results, operand validation, statistics
- * accounting, and the shutdown-while-queued regression (cancelled
- * futures must fail fast, never hang).
+ * Tests of the asynchronous execution service: single operations
+ * served through the cached, verified one-node circuits, concurrent
+ * multi-client submission across worker-pool sizes with deterministic
+ * bit-exact results, operand validation, statistics accounting, the
+ * batch-width-independent modeled price of a job, and the
+ * shutdown-while-queued regression (cancelled futures must fail fast,
+ * never hang).
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +25,7 @@
 #include "fv/keygen.h"
 #include "fv/params.h"
 #include "hw/coprocessor.h"
-#include "hw/program_builder.h"
+#include "hw/system.h"
 #include "service/service.h"
 #include "verify_support.h"
 
@@ -82,40 +83,31 @@ struct ServiceRig
     hw::HwConfig hw;
 };
 
-TEST(OpPlan, IsAValueDispatchableToAnyCoprocessor)
+TEST(Service, OpCircuitsAreVerifiedOnceForAnySubmitCount)
 {
+    // submit(Op) runs the one-node circuits compiled at construction;
+    // admission verifies each once, however many ops follow.
     ServiceRig rig;
-    // Plans built on two independent fresh coprocessors are identical
-    // values: allocation inside the memory file is deterministic.
-    hw::Coprocessor cp1(rig.params, rig.hw, &rig.rlk);
-    hw::Coprocessor cp2(rig.params, rig.hw, &rig.rlk);
-    hw::OpPlan plan1 = hw::makeMultPlan(cp1);
-    hw::OpPlan plan2 = hw::makeMultPlan(cp2);
-    EXPECT_EQ(plan1, plan2);
-
-    // A plan built elsewhere executes on a third coprocessor after its
-    // slots are replayed there.
-    fv::Encryptor encryptor(rig.params, rig.pk, 7);
-    Ciphertext x = encryptor.encrypt(rig.randomPlain(1));
-    Ciphertext y = encryptor.encrypt(rig.randomPlain(2));
-    hw::Coprocessor cp3(rig.params, rig.hw, &rig.rlk);
-    hw::preparePlanSlots(cp3, plan1);
-    hw::uploadPlanInputs(cp3, plan1, {&x[0], &x[1]}, {&y[0], &y[1]});
-    cp3.execute(plan1.program);
-    Ciphertext out;
-    out.polys.push_back(cp3.downloadPoly(plan1.program.outputs[0]));
-    out.polys.push_back(cp3.downloadPoly(plan1.program.outputs[1]));
-    EXPECT_EQ(out, rig.evaluator->multiply(x, y, rig.rlk));
-}
-
-TEST(OpPlan, ReplayOnDirtyCoprocessorPanics)
-{
-    ServiceRig rig;
-    hw::Coprocessor cp(rig.params, rig.hw, &rig.rlk);
-    hw::OpPlan plan = hw::makeAddPlan(cp);
-    // cp already hosts the plan: replaying on the non-fresh memory
-    // file must be rejected, not silently misbind slots.
-    EXPECT_THROW(hw::preparePlanSlots(cp, plan), PanicError);
+    ServiceConfig cfg = rig.serviceConfig(2);
+    cfg.verify = compiler::VerifyCheck::kReject;
+    ExecutionService svc(rig.params, rig.rlk, cfg);
+    EXPECT_EQ(svc.stats().circuits_verified, 0u);
+    fv::Encryptor encryptor(rig.params, rig.pk, 5);
+    std::vector<std::future<Ciphertext>> futures;
+    for (int i = 0; i < 6; ++i) {
+        futures.push_back(svc.submit(
+            i % 2 == 0 ? Op::kAdd : Op::kMult,
+            encryptor.encrypt(rig.randomPlain(i)),
+            encryptor.encrypt(rig.randomPlain(10 + i))));
+    }
+    for (auto &f : futures)
+        f.get();
+    svc.drain();
+    const ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.circuits_verified, 2u);
+    EXPECT_EQ(stats.verify_rejected, 0u);
+    EXPECT_EQ(stats.ops_completed, 6u);
+    EXPECT_EQ(stats.circuits_completed, 0u);
 }
 
 /** Client workload: submit pairs, remember the evaluator's answers. */
@@ -347,14 +339,27 @@ TEST(Service, RejectsMismatchedRelinKeys)
                  FatalError);
 }
 
-TEST(Service, BatchingAmortisesModeledDispatch)
+TEST(Service, ModeledMultPriceIsIndependentOfBatchWidth)
 {
-    // Same 8-Mult workload, batch sizes 1 vs 8: the batched service's
-    // modeled makespan must be strictly smaller (back-to-back programs
-    // overlap the per-instruction Arm dispatch with compute). The
-    // services start paused so the whole workload is queued before the
-    // worker's first dequeue — batching width is then deterministic.
+    // Every served job is priced as the fused program it runs: compute
+    // cycles plus one Arm dispatch, key DMA, and the host transfers.
+    // The same 8-Mult workload therefore costs the same at batch width
+    // 1 and 8. The services start paused so the whole workload is
+    // queued before the worker's first dequeue.
     ServiceRig rig;
+    const hw::MultJobProfile fused = hw::profileMultJob(
+        rig.params, rig.hw, hw::DispatchMode::kFusedProgram);
+    const hw::Coprocessor costs(rig.params, rig.hw);
+    hw::Cycle compute = 0;
+    for (const hw::Instruction &instr :
+         hw::multJobProgram(*rig.params, rig.hw).instrs)
+        compute += costs.instructionComputeCycles(instr);
+    const auto dispatch = static_cast<hw::Cycle>(rig.hw.dispatch_overhead);
+    const double job_us =
+        rig.hw.cyclesToUs(compute + dispatch) +
+        static_cast<double>(fused.key_segments) * fused.key_dma_us +
+        fused.send_us + fused.receive_us;
+
     double makespan[2];
     int idx = 0;
     for (size_t batch : {1u, 8u}) {
@@ -372,9 +377,14 @@ TEST(Service, BatchingAmortisesModeledDispatch)
         for (auto &f : futures)
             f.get();
         svc.drain();
-        makespan[idx++] = svc.stats().makespan_us;
+        const ServiceStats stats = svc.stats();
+        EXPECT_EQ(stats.batches, 8u / batch);
+        EXPECT_EQ(stats.fpga_cycles, 8 * (compute + dispatch));
+        EXPECT_EQ(stats.unitCycles(hw::Unit::kArmUnit), 8 * dispatch);
+        makespan[idx++] = stats.makespan_us;
     }
-    EXPECT_LT(makespan[1], makespan[0]);
+    EXPECT_DOUBLE_EQ(makespan[0], makespan[1]);
+    EXPECT_NEAR(makespan[1], 8.0 * job_us, 1e-9 * makespan[1]);
 }
 
 TEST(Service, MultiTenantKeySetsStayIsolated)
