@@ -22,6 +22,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "compiler/compiler.h"
 #include "fv/decryptor.h"
 #include "fv/encryptor.h"
 #include "fv/evaluator.h"
@@ -40,7 +41,10 @@ multUs(const HwConfig &config)
 {
     auto params = fv::FvParams::paper();
     Coprocessor cp(params, config);
-    const Program p = bench::compiledMultProgram(params, config);
+    const Program p =
+        compiler::compileOpCircuit(params, compiler::NodeKind::kMult, config)
+            .segments.at(0)
+            .program;
     double us = 0;
     for (const auto &i : p.instrs) {
         us += config.cyclesToUs(cp.instructionCycles(i));

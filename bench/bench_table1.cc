@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "compiler/compiler.h"
 #include "fv/params.h"
 #include "hw/arm_host.h"
 #include "hw/coprocessor.h"
@@ -27,7 +28,10 @@ main(int argc, char **argv)
 
     // The served Mult program, priced per instruction as Table I was
     // measured.
-    const Program mult = bench::compiledMultProgram(params, config);
+    const Program mult =
+        compiler::compileOpCircuit(params, compiler::NodeKind::kMult, config)
+            .segments.at(0)
+            .program;
 
     double mult_us = 0.0;
     for (const auto &i : mult.instrs) {

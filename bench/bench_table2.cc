@@ -8,6 +8,7 @@
 #include <map>
 
 #include "bench_util.h"
+#include "compiler/compiler.h"
 #include "fv/params.h"
 #include "hw/coprocessor.h"
 
@@ -22,7 +23,10 @@ main(int argc, char **argv)
     HwConfig config = HwConfig::paper();
     Coprocessor cp(params, config);
 
-    const Program mult = bench::compiledMultProgram(params, config);
+    const Program mult =
+        compiler::compileOpCircuit(params, compiler::NodeKind::kMult, config)
+            .segments.at(0)
+            .program;
 
     std::map<Opcode, int> calls;
     for (const auto &i : mult.instrs)

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "compiler/compiler.h"
 #include "fv/params.h"
 #include "hw/arm_host.h"
 #include "hw/coprocessor.h"
@@ -55,7 +56,10 @@ main(int argc, char **argv)
     Resources one = rm.coprocessor();
 
     Coprocessor cp(params, config);
-    const Program mult = bench::compiledMultProgram(params, config);
+    const Program mult =
+        compiler::compileOpCircuit(params, compiler::NodeKind::kMult, config)
+            .segments.at(0)
+            .program;
     double comp_us = 0.0, key_dma_us = 0.0;
     for (const auto &i : mult.instrs) {
         comp_us += config.cyclesToUs(cp.instructionCycles(i));

@@ -10,37 +10,15 @@
 
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "common/parallel.h"
-#include "compiler/compiler.h"
 #include "obs/metrics.h"
 
 namespace heat::bench {
-
-/**
- * The FV.Mult program the service runs for submit(Op::kMult): the one
- * segment of the compiled one-node circuit mult(x, y). The paper
- * tables price it instruction by instruction (kPerInstruction).
- */
-inline hw::Program
-compiledMultProgram(std::shared_ptr<const fv::FvParams> params,
-                    const hw::HwConfig &config)
-{
-    compiler::CircuitBuilder b;
-    const compiler::ValueId x = b.input();
-    const compiler::ValueId y = b.input();
-    b.output(b.mult(x, y));
-    compiler::CompilerOptions options;
-    options.hw = config;
-    return compiler::compileCircuit(std::move(params), b.build(), options)
-        .segments.at(0)
-        .program;
-}
 
 /** Print a table header. */
 inline void

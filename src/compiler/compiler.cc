@@ -924,29 +924,20 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
         }
     }
 
-    // Polynomials DMA'd back mid-run (spills, outputs), per value id;
-    // input values are read in place from the caller's ciphertexts.
     std::vector<std::vector<ntt::RnsPoly>> values(
         compiled.value_sizes.size());
-    std::vector<const fv::Ciphertext *> input_of(
-        compiled.value_sizes.size(), nullptr);
-    for (size_t k = 0; k < compiled.inputs.size(); ++k)
-        input_of[compiled.inputs[k]] = inputs[k];
-    const auto valuePoly = [&](ValueId v,
-                               uint32_t poly) -> const ntt::RnsPoly & {
-        if (values[v].empty() && input_of[v] != nullptr)
-            return (*input_of[v])[poly];
-        panicIf(poly >= values[v].size(), "value ", v,
-                " is not available on the host");
-        return values[v][poly];
-    };
+    for (size_t k = 0; k < compiled.inputs.size(); ++k) {
+        if (inputs[k] != nullptr)
+            values[compiled.inputs[k]] = {(*inputs[k])[0],
+                                          (*inputs[k])[1]};
+    }
 
     for (const Segment &seg : compiled.segments) {
         for (const Transfer &up : seg.uploads) {
             const ntt::RnsPoly &src =
                 up.source == Transfer::Source::kConstant
                     ? compiled.constants[up.index]
-                    : valuePoly(up.index, up.poly);
+                    : values[up.index][up.poly];
             panicIf(src.degree() == 0, "upload source is not available");
             cp.uploadInto(up.slot, src);
         }
@@ -994,12 +985,14 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
     std::vector<fv::Ciphertext> outputs;
     outputs.reserve(compiled.outputs.size());
     for (ValueId out : compiled.outputs) {
+        const std::vector<ntt::RnsPoly> &store = values[out];
+        panicIf(store.size() != compiled.value_sizes[out],
+                "output value ", out, " was never materialized");
         fv::Ciphertext ct;
         ct.level = out < compiled.value_levels.size()
                        ? compiled.value_levels[out]
                        : 0;
-        for (uint32_t p = 0; p < compiled.value_sizes[out]; ++p) {
-            const ntt::RnsPoly &poly = valuePoly(out, p);
+        for (const ntt::RnsPoly &poly : store) {
             panicIf(poly.degree() == 0, "output polynomial missing");
             ct.polys.push_back(poly);
         }
@@ -1054,6 +1047,24 @@ compileCircuit(std::shared_ptr<const fv::FvParams> params,
         }
     }
     return out;
+}
+
+CompiledCircuit
+compileOpCircuit(std::shared_ptr<const fv::FvParams> params, NodeKind kind,
+                 const hw::HwConfig &config)
+{
+    fatalIf(kind != NodeKind::kAdd && kind != NodeKind::kMult,
+            "compileOpCircuit: ", nodeKindName(kind),
+            " is not a served operation");
+    CircuitBuilder b;
+    const ValueId x = b.input();
+    const ValueId y = b.input();
+    b.output(kind == NodeKind::kAdd ? b.add(x, y) : b.mult(x, y));
+    CompilerOptions options;
+    options.hw = config;
+    options.noise_check = NoiseCheck::kOff;
+    options.verify = VerifyCheck::kOff;
+    return compileCircuit(std::move(params), b.build(), options);
 }
 
 std::vector<fv::Ciphertext>

@@ -253,6 +253,16 @@ CompiledCircuit compileCircuit(std::shared_ptr<const fv::FvParams> params,
                                const CompilerOptions &options = {});
 
 /**
+ * Compile the one-node circuit add(x, y) (@p kind kAdd) or mult(x, y)
+ * (kMult) over level-0 inputs for @p config, with the noise and
+ * verifier passes off. This is the one lowering of a single operation:
+ * ExecutionService::submit(Op) serves it, hw::profileMultJob and the
+ * paper-table benches price its segment program.
+ */
+CompiledCircuit compileOpCircuit(std::shared_ptr<const fv::FvParams> params,
+                                 NodeKind kind, const hw::HwConfig &config);
+
+/**
  * Check that @p ct can enter a compiled circuit over @p params: a
  * size-2, level-0, coefficient-form ciphertext of the parameter set's
  * degree and q base. Throws FatalError naming the first violation —

@@ -165,10 +165,6 @@ Program::listing() const
         oss << (i < 10 ? "  " : i < 100 ? " " : "") << i << ": "
             << disassemble(instrs[i]) << "\n";
     }
-    oss << "outputs:";
-    for (PolyId id : outputs)
-        oss << " p" << id;
-    oss << "\n";
     return oss.str();
 }
 

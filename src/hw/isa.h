@@ -154,12 +154,14 @@ enum class DispatchMode : uint8_t
     kFusedProgram,   ///< one Arm dispatch for the whole program
 };
 
-/** A straight-line instruction sequence plus its external interface. */
+/**
+ * A straight-line instruction sequence. Its inputs and results move
+ * through the host transfers of the compiled segment that holds it
+ * (compiler::Segment).
+ */
 struct Program
 {
     std::vector<Instruction> instrs;
-    /** Result polynomial handles (c0, c1 for Mult/Add). */
-    std::vector<PolyId> outputs;
 
     /** @return a full assembly-style listing of the program. */
     std::string listing() const;

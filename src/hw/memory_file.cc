@@ -42,6 +42,11 @@ MemoryFile::residueCount(BaseTag tag) const
 void
 MemoryFile::dropRecordsFrom(size_t keep)
 {
+    if (records_.size() <= keep)
+        return;
+    // Keep only the buffers of the run being dropped; those an earlier,
+    // larger run left unused are freed.
+    spare_.clear();
     while (records_.size() > keep) {
         spare_.push_back(std::move(records_.back().data));
         records_.pop_back();

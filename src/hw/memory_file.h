@@ -245,7 +245,9 @@ class MemoryFile : public SlotAllocator
      * of the 84 slots, so programs cannot stay resident side by side).
      * Also clears the peak-slot watermark and any pinned prefix. The
      * dropped records' coefficient buffers are kept for reuse by later
-     * allocations, which still read as zero.
+     * allocations, which still read as zero; buffers kept from an
+     * earlier drop are freed, so between runs the memory file holds at
+     * most the buffers of the run it last dropped.
      */
     void reset();
 
@@ -338,7 +340,7 @@ class MemoryFile : public SlotAllocator
     PolyId allocateAt(BaseTag tag, Layout layout, size_t level,
                       const char *what);
     /** Drop the records from id @p keep on, keeping their coefficient
-     *  buffers in spare_. */
+     *  buffers in spare_ in place of any kept before. */
     void dropRecordsFrom(size_t keep);
 
     std::shared_ptr<const fv::FvParams> params_;

@@ -3,29 +3,10 @@
 #include <algorithm>
 
 #include "common/panic.h"
+#include "compiler/compiler.h"
 #include "hw/coprocessor.h"
-#include "hw/program_builder.h"
 
 namespace heat::hw {
-
-Program
-multJobProgram(const fv::FvParams &params, const HwConfig &config)
-{
-    CountingAllocator alloc(params, config);
-    Program program;
-    OpEmitter emitter(params, alloc, program);
-    const std::array<PolyId, 2> a{alloc.allocate(BaseTag::kQ),
-                                  alloc.allocate(BaseTag::kQ)};
-    const std::array<PolyId, 2> b{alloc.allocate(BaseTag::kQ),
-                                  alloc.allocate(BaseTag::kQ)};
-    const OpEmitter::MultResult tensor =
-        emitter.emitMult(a, b, /*consume_a=*/true, /*consume_b=*/true,
-                         /*want_digits=*/true, /*want_c2=*/false);
-    const std::array<PolyId, 2> out = emitter.emitRelin(
-        tensor.ct[0], tensor.ct[1], tensor.digits, /*consume_c01=*/true);
-    program.outputs = {out[0], out[1]};
-    return program;
-}
 
 MultJobProfile
 profileMultJob(const std::shared_ptr<const fv::FvParams> &params,
@@ -36,7 +17,10 @@ profileMultJob(const std::shared_ptr<const fv::FvParams> &params,
     // Cost queries only: no record exists, so every instruction is
     // priced at level 0 — the level a served Mult runs at.
     const Coprocessor scratch(params, config);
-    const Program program = multJobProgram(*params, config);
+    const Program program =
+        compiler::compileOpCircuit(params, compiler::NodeKind::kMult, config)
+            .segments.at(0)
+            .program;
 
     Cycle compute_cycles = 0;
     for (const Instruction &instr : program.instrs) {

@@ -49,20 +49,13 @@ struct MultJobProfile
 };
 
 /**
- * The FV.Mult-with-relinearization job program: two operand pairs
- * allocated first, then the tensor + Scale and the relinearization
- * tail. This is the schedule the circuit compiler lowers a one-node
- * mult(x, y) circuit to, so what profileMultJob prices is exactly what
- * ExecutionService::submit(Op::kMult) runs. Slots are counted, not
- * materialized.
- */
-Program multJobProgram(const fv::FvParams &params, const HwConfig &config);
-
-/**
  * Price one FV.Mult job: sum the per-instruction block-model costs of
- * multJobProgram() plus the host-side transfer times. Pure function of
- * its inputs; callers that construct many systems or service workers
- * can compute the profile once and share it.
+ * the compiled one-node mult(x, y) program
+ * (compiler::compileOpCircuit) — exactly what
+ * ExecutionService::submit(Op::kMult) runs — plus the host-side
+ * transfer times. Pure function of its inputs; callers that construct
+ * many systems or service workers can compute the profile once and
+ * share it.
  *
  * @param dispatch kPerInstruction reproduces the paper's measured cost
  *        (every instruction pays the Arm dispatch overhead);

@@ -50,18 +50,14 @@ ExecutionService::ExecutionService(
     // configured compiler options are not applied, so a served op
     // always returns a level-0 ciphertext. Admission verifies each on
     // its first submission, like any other compiled circuit.
-    compiler::CompilerOptions options;
-    options.hw = config_.hw;
-    options.noise_check = compiler::NoiseCheck::kOff;
-    options.verify = compiler::VerifyCheck::kOff;
     for (const Op op : {Op::kAdd, Op::kMult}) {
-        compiler::CircuitBuilder b;
-        const compiler::ValueId x = b.input();
-        const compiler::ValueId y = b.input();
-        b.output(op == Op::kAdd ? b.add(x, y) : b.mult(x, y));
         op_circuits_[static_cast<size_t>(op)] =
             std::make_shared<const compiler::CompiledCircuit>(
-                compiler::compileCircuit(params_, b.build(), options));
+                compiler::compileOpCircuit(params_,
+                                           op == Op::kAdd
+                                               ? compiler::NodeKind::kAdd
+                                               : compiler::NodeKind::kMult,
+                                           config_.hw));
     }
 
     started_ = !config_.start_paused;

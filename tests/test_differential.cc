@@ -86,13 +86,11 @@ struct Universe
     runHw(compiler::NodeKind kind, const Ciphertext &x,
           const Ciphertext &y) const
     {
-        compiler::CircuitBuilder b;
-        const compiler::ValueId vx = b.input();
-        const compiler::ValueId vy = b.input();
-        b.output(kind == compiler::NodeKind::kMult ? b.mult(vx, vy)
-                                                   : b.add(vx, vy));
-        const std::vector<Ciphertext> inputs{x, y};
-        return runHwCircuit(b.build(), inputs).at(0);
+        hw::Coprocessor cp(params, config, &rlk, &gkeys);
+        return compiler::runCompiledCircuit(
+                   cp, compiler::compileOpCircuit(params, kind, config),
+                   std::vector<Ciphertext>{x, y})
+            .at(0);
     }
 
     /**

@@ -33,22 +33,6 @@ using fv::ArithPath;
 using fv::Ciphertext;
 using fv::Plaintext;
 
-/** Compile the one-node circuit add(x, y) or mult(x, y) — the program
- *  ExecutionService::submit(Op) serves the operation with. */
-compiler::CompiledCircuit
-compileOneNode(std::shared_ptr<const fv::FvParams> params,
-               const HwConfig &config, compiler::NodeKind kind)
-{
-    compiler::CircuitBuilder b;
-    const compiler::ValueId x = b.input();
-    const compiler::ValueId y = b.input();
-    b.output(kind == compiler::NodeKind::kMult ? b.mult(x, y)
-                                               : b.add(x, y));
-    compiler::CompilerOptions options;
-    options.hw = config;
-    return compiler::compileCircuit(std::move(params), b.build(), options);
-}
-
 /** Small-ring fixture so functional tests run fast. */
 struct SmallRig
 {
@@ -215,8 +199,8 @@ TEST(MemoryFile, SlotReplayOnDirtyMemoryFilePanics)
     // memory file; replaying over live records must be rejected, not
     // silently bind the program to the wrong slots.
     SmallRig rig;
-    const compiler::CompiledCircuit add =
-        compileOneNode(rig.params, rig.config, compiler::NodeKind::kAdd);
+    const compiler::CompiledCircuit add = compiler::compileOpCircuit(
+        rig.params, compiler::NodeKind::kAdd, rig.config);
     MemoryFile mem(rig.params, rig.config);
     mem.allocate(BaseTag::kQ);
     try {
@@ -248,8 +232,8 @@ TEST(MemoryFile, ImportExportRoundTrip)
 TEST(CompiledMult, MatchesTableIIInstructionMix)
 {
     auto params = fv::FvParams::paper();
-    const compiler::CompiledCircuit mult = compileOneNode(
-        params, HwConfig::paper(), compiler::NodeKind::kMult);
+    const compiler::CompiledCircuit mult = compiler::compileOpCircuit(
+        params, compiler::NodeKind::kMult, HwConfig::paper());
     ASSERT_EQ(mult.segments.size(), 1u);
 
     std::map<Opcode, int> counts;
@@ -271,25 +255,12 @@ TEST(CompiledMult, FitsTheMemoryFile)
     auto params = fv::FvParams::paper();
     const HwConfig config = HwConfig::paper();
     const compiler::CompiledCircuit mult =
-        compileOneNode(params, config, compiler::NodeKind::kMult);
+        compiler::compileOpCircuit(params, compiler::NodeKind::kMult, config);
     // Peak pressure must fit the 84-slot budget of Table IV, without
     // spilling.
     EXPECT_LE(mult.peak_slots, config.n_rpaus * config.slots_per_rpau);
     EXPECT_GE(mult.peak_slots, 70u); // and genuinely tight
     EXPECT_EQ(mult.spilled_polys, 0u);
-}
-
-TEST(CompiledMult, IsTheProgramProfileMultJobPrices)
-{
-    // HeatSystem's per-Mult profile must price the very program the
-    // service runs for submit(Op::kMult).
-    auto params = fv::FvParams::paper();
-    const HwConfig config = HwConfig::paper();
-    const compiler::CompiledCircuit mult =
-        compileOneNode(params, config, compiler::NodeKind::kMult);
-    ASSERT_EQ(mult.segments.size(), 1u);
-    EXPECT_EQ(multJobProgram(*params, config).instrs,
-              mult.segments[0].program.instrs);
 }
 
 TEST(CoprocessorFunctional, AddMatchesEvaluator)
@@ -300,7 +271,9 @@ TEST(CoprocessorFunctional, AddMatchesEvaluator)
 
     Coprocessor cp(rig.params, rig.config, &rig.rlk);
     const std::vector<Ciphertext> out = compiler::runCompiledCircuit(
-        cp, compileOneNode(rig.params, rig.config, compiler::NodeKind::kAdd),
+        cp,
+        compiler::compileOpCircuit(rig.params, compiler::NodeKind::kAdd,
+                                   rig.config),
         std::vector<Ciphertext>{x, y});
     EXPECT_EQ(out.at(0), rig.evaluator->add(x, y));
 }
@@ -317,7 +290,8 @@ TEST(CoprocessorFunctional, MultBitExactAgainstEvaluator)
     Coprocessor cp(rig.params, rig.config, &rig.rlk);
     const std::vector<Ciphertext> out = compiler::runCompiledCircuit(
         cp,
-        compileOneNode(rig.params, rig.config, compiler::NodeKind::kMult),
+        compiler::compileOpCircuit(rig.params, compiler::NodeKind::kMult,
+                                   rig.config),
         std::vector<Ciphertext>{x, y});
     EXPECT_EQ(out.at(0), rig.evaluator->multiply(x, y, rig.rlk));
 }
@@ -333,7 +307,8 @@ TEST(CoprocessorFunctional, MultDecryptsToProduct)
     Coprocessor cp(rig.params, rig.config, &rig.rlk);
     const std::vector<Ciphertext> out = compiler::runCompiledCircuit(
         cp,
-        compileOneNode(rig.params, rig.config, compiler::NodeKind::kMult),
+        compiler::compileOpCircuit(rig.params, compiler::NodeKind::kMult,
+                                   rig.config),
         std::vector<Ciphertext>{x, y});
     Plaintext hw_plain = rig.decryptor->decrypt(out.at(0));
 
@@ -363,8 +338,8 @@ TEST(CoprocessorFunctional, ProgramReusableAcrossRuns)
     // worker: every run resets and replays over the previous one.
     SmallRig rig;
     Coprocessor cp(rig.params, rig.config, &rig.rlk);
-    const compiler::CompiledCircuit mult =
-        compileOneNode(rig.params, rig.config, compiler::NodeKind::kMult);
+    const compiler::CompiledCircuit mult = compiler::compileOpCircuit(
+        rig.params, compiler::NodeKind::kMult, rig.config);
 
     for (uint64_t round = 0; round < 2; ++round) {
         Ciphertext x = rig.encryptor->encrypt(rig.somePlain(10 + round));
@@ -405,7 +380,7 @@ TEST(CoprocessorTiming, MultMatchesTableI)
     HwConfig config = HwConfig::paper();
     Coprocessor cp(params, config);
     const compiler::CompiledCircuit mult =
-        compileOneNode(params, config, compiler::NodeKind::kMult);
+        compiler::compileOpCircuit(params, compiler::NodeKind::kMult, config);
 
     double total_us = 0.0;
     for (const auto &i : mult.segments.at(0).program.instrs) {

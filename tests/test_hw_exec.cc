@@ -313,27 +313,17 @@ TEST(HwExec, DisassemblerRendersInstructions)
 
 TEST(HwExec, ProgramListingCoversAllInstructions)
 {
-    // The compiled one-node FV.Mult: its segment program leaves the
-    // outputs to the segment's download list, so the outputs line is
-    // empty.
     ExecRig rig;
-    compiler::CircuitBuilder cb;
-    const compiler::ValueId x = cb.input();
-    const compiler::ValueId y = cb.input();
-    cb.output(cb.mult(x, y));
-    compiler::CompilerOptions options;
-    options.hw = rig.config;
-    const compiler::CompiledCircuit mult =
-        compiler::compileCircuit(rig.params, cb.build(), options);
+    const compiler::CompiledCircuit mult = compiler::compileOpCircuit(
+        rig.params, compiler::NodeKind::kMult, rig.config);
     const Program &p = mult.segments.at(0).program;
     std::string listing = p.listing();
-    // One line per instruction plus the outputs line.
+    // One line per instruction.
     size_t lines = std::count(listing.begin(), listing.end(), '\n');
-    EXPECT_EQ(lines, p.instrs.size() + 1);
+    EXPECT_EQ(lines, p.instrs.size());
     EXPECT_NE(listing.find("lift"), std::string::npos);
     EXPECT_NE(listing.find("scale"), std::string::npos);
     EXPECT_NE(listing.find("kload digit=0"), std::string::npos);
-    EXPECT_NE(listing.find("\noutputs:\n"), std::string::npos);
 }
 
 TEST(HwExec, TraditionalArchIsFunctionallyEquivalent)

@@ -19,6 +19,7 @@
 
 #include "common/panic.h"
 #include "common/random.h"
+#include "compiler/compiler.h"
 #include "fv/decryptor.h"
 #include "fv/encryptor.h"
 #include "fv/evaluator.h"
@@ -351,8 +352,9 @@ TEST(Service, ModeledMultPriceIsIndependentOfBatchWidth)
         rig.params, rig.hw, hw::DispatchMode::kFusedProgram);
     const hw::Coprocessor costs(rig.params, rig.hw);
     hw::Cycle compute = 0;
-    for (const hw::Instruction &instr :
-         hw::multJobProgram(*rig.params, rig.hw).instrs)
+    const compiler::CompiledCircuit mult = compiler::compileOpCircuit(
+        rig.params, compiler::NodeKind::kMult, rig.hw);
+    for (const hw::Instruction &instr : mult.segments.at(0).program.instrs)
         compute += costs.instructionComputeCycles(instr);
     const auto dispatch = static_cast<hw::Cycle>(rig.hw.dispatch_overhead);
     const double job_us =
