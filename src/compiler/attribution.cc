@@ -2,11 +2,7 @@
 
 #include <unordered_map>
 
-#include "common/panic.h"
-#include "hw/dma.h"
-#include "hw/lift_unit.h"
-#include "hw/rpau.h"
-#include "hw/scale_unit.h"
+#include "hw/coprocessor.h"
 
 namespace heat::compiler {
 namespace {
@@ -34,80 +30,43 @@ recordLevels(const CompiledCircuit &compiled)
 CircuitAttribution
 attributeCompiledCircuit(const CompiledCircuit &compiled)
 {
-    const fv::FvParams &params = *compiled.params;
-    const hw::HwConfig &config = compiled.hw;
-
-    // The same block models the coprocessor charges from; all cheap to
-    // construct (they hold parameters, not state).
-    const hw::Rpau rpau(0, config, params.degree());
-    const hw::LiftUnit lift(compiled.params, config);
-    const hw::ScaleUnit scale(compiled.params, config);
-    const hw::DmaModel dma(config);
-    const hw::NttEngine &engine = rpau.nttEngine();
+    const hw::CostModel model(compiled.params, compiled.hw);
     const auto levels = recordLevels(compiled);
-    const auto levelOf = [&](hw::PolyId id) -> size_t {
-        const auto it = levels.find(id);
+    // The level the coprocessor's memory file would report for the
+    // instruction's level operand (0 for kNoPoly or an unknown id).
+    const auto levelOf = [&](const hw::Instruction &instr) -> size_t {
+        const auto it = levels.find(
+            hw::operandOf(instr, hw::opInfo(instr.op).level_operand));
         return it == levels.end() ? 0 : it->second;
     };
 
     CircuitAttribution out;
     out.node_cycles.assign(compiled.value_sizes.size(), 0);
 
-    const auto computeCycles = [&](const hw::Instruction &instr) {
-        switch (instr.op) {
-          case hw::Opcode::kNtt:
-            return engine.forwardCycles();
-          case hw::Opcode::kIntt:
-            return engine.inverseCycles();
-          case hw::Opcode::kCoeffMul:
-          case hw::Opcode::kCoeffAdd:
-          case hw::Opcode::kCoeffSub:
-            return rpau.coeffUnit().cycles(params.degree());
-          case hw::Opcode::kRearrange:
-            return engine.rearrangeCycles();
-          case hw::Opcode::kAutomorph:
-            return engine.automorphCycles();
-          case hw::Opcode::kLift:
-            return lift.cycles(levelOf(instr.dst));
-          case hw::Opcode::kScale:
-            return scale.cycles(levelOf(instr.src0));
-          case hw::Opcode::kModSwitch:
-            return scale.modSwitchCycles(levelOf(instr.src0));
-          case hw::Opcode::kKeyLoad:
-            return hw::Cycle{0};
-        }
-        panic("unknown opcode");
-    };
-
     for (size_t s = 0; s < compiled.segments.size(); ++s) {
         const hw::Program &program = compiled.segments[s].program;
         const std::vector<ValueId> *tags =
             s < compiled.instr_nodes.size() ? &compiled.instr_nodes[s]
                                             : nullptr;
+        // Summed per segment, as a run adds each program's ExecStats,
+        // so the double total matches the run's dma_us bit for bit.
+        double segment_dma_us = 0.0;
         for (size_t k = 0; k < program.instrs.size(); ++k) {
             const hw::Instruction &instr = program.instrs[k];
-            const hw::Cycle cycles = computeCycles(instr);
-            out.compute_cycles += cycles;
+            const hw::InstrCost cost = model.cost(instr.op, levelOf(instr));
+            out.compute_cycles += cost.cycles;
             out.unit_cycles[static_cast<size_t>(hw::unitOf(instr.op))] +=
-                cycles;
-            out.op_cycles[instr.op] += cycles;
+                cost.cycles;
+            out.op_cycles[instr.op] += cost.cycles;
             if (tags != nullptr && k < tags->size() &&
                 (*tags)[k] != kNoValue)
-                out.node_cycles[(*tags)[k]] += cycles;
-            if (instr.op == hw::Opcode::kKeyLoad) {
-                // Mirror of Coprocessor::instructionDmaUs: one key pair,
-                // two level-truncated q polynomials.
-                size_t live = params.qBase()->size();
-                if (!instr.extra.empty())
-                    live = params.qPrimeCount(levelOf(instr.extra[0]));
-                const size_t bytes =
-                    live * params.degree() * sizeof(uint32_t);
-                out.key_dma_us += 2.0 * dma.transferUs(bytes);
-            }
+                out.node_cycles[(*tags)[k]] += cost.cycles;
+            segment_dma_us += cost.dma_us;
         }
+        out.key_dma_us += segment_dma_us;
         if (!program.instrs.empty()) {
             const auto dispatch =
-                static_cast<hw::Cycle>(config.dispatch_overhead);
+                static_cast<hw::Cycle>(compiled.hw.dispatch_overhead);
             out.dispatch_cycles += dispatch;
             out.unit_cycles[static_cast<size_t>(hw::Unit::kArmUnit)] +=
                 dispatch;

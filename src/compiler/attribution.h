@@ -5,11 +5,12 @@
  * attributeCompiledCircuit() walks a CompiledCircuit's instruction
  * stream and charges every instruction's modeled compute cycles to its
  * functional unit (hw::unitOf), its opcode, and — via
- * CompiledCircuit::instr_nodes — the circuit node that emitted it. The
- * cost model mirrors hw::Coprocessor::instructionComputeCycles exactly
- * (same block models, record levels reconstructed from the slot-action
- * log), so the per-unit totals sum to the cycles a fused execution of
- * the circuit reports, without running anything.
+ * CompiledCircuit::instr_nodes — the circuit node that emitted it. It
+ * prices each instruction with hw::CostModel, the same function the
+ * coprocessor charges from; only the record levels come from elsewhere
+ * (the slot-action log rather than a memory file). The per-unit totals
+ * and key DMA therefore equal what a fused execution of the circuit
+ * reports, without running anything.
  *
  * This is what lets the compiler annotate nodes with attributed cost
  * at compile time, and what `heat_cli trace` cross-checks against the

@@ -6,10 +6,57 @@
 
 #include "common/panic.h"
 #include "fv/galois.h"
+#include "hw/rpau.h"
 #include "ntt/ntt.h"
 #include "obs/trace.h"
 
 namespace heat::hw {
+
+CostModel::CostModel(std::shared_ptr<const fv::FvParams> params,
+                     const HwConfig &config)
+    : params_(params),
+      engine_(config, params->degree()),
+      coeff_(config),
+      lift_(params, config),
+      scale_(params, config),
+      dma_(config)
+{
+}
+
+InstrCost
+CostModel::cost(Opcode op, size_t level) const
+{
+    switch (op) {
+      case Opcode::kNtt:
+        return {engine_.forwardCycles()};
+      case Opcode::kIntt:
+        return {engine_.inverseCycles()};
+      case Opcode::kCoeffMul:
+      case Opcode::kCoeffAdd:
+      case Opcode::kCoeffSub:
+        return {coeff_.cycles(params_->degree())};
+      case Opcode::kRearrange:
+        return {engine_.rearrangeCycles()};
+      case Opcode::kAutomorph:
+        return {engine_.automorphCycles()};
+      case Opcode::kLift:
+        return {lift_.cycles(level)};
+      case Opcode::kScale:
+        return {scale_.cycles(level)};
+      case Opcode::kModSwitch:
+        return {scale_.modSwitchCycles(level)};
+      case Opcode::kKeyLoad: {
+        // DMA-bound: one key pair, two q polynomials, each a
+        // single-descriptor burst. At deeper levels the buffers span
+        // fewer residues, so the burst shrinks with the live basis.
+        const size_t bytes =
+            params_->qPrimeCount(level) * params_->degree() *
+            sizeof(uint32_t);
+        return {0, 2.0 * dma_.transferUs(bytes)};
+      }
+    }
+    panic("unknown opcode");
+}
 
 Coprocessor::Coprocessor(std::shared_ptr<const fv::FvParams> params,
                          const HwConfig &config, const fv::RelinKeys *rlk,
@@ -17,18 +64,13 @@ Coprocessor::Coprocessor(std::shared_ptr<const fv::FvParams> params,
     : params_(params),
       config_(config),
       memory_(params, config),
-      lift_unit_(params, config),
-      scale_unit_(params, config),
-      dma_(config),
+      cost_(params, config),
       rlk_(rlk),
       gkeys_(gkeys)
 {
     fatalIf(config.n_rpaus <
                 (params_->fullBase()->size() + 1) / 2,
             "too few RPAUs for the RNS base (need ceil(k/2))");
-    rpaus_.reserve(config.n_rpaus);
-    for (size_t i = 0; i < config.n_rpaus; ++i)
-        rpaus_.emplace_back(i, config, params_->degree());
 }
 
 PolyId
@@ -58,44 +100,17 @@ Coprocessor::downloadPoly(PolyId id) const
     return memory_.exportPoly(id);
 }
 
-size_t
-Coprocessor::polyBytes(BaseTag tag) const
+InstrCost
+Coprocessor::instructionCost(const Instruction &instr) const
 {
-    return memory_.residueCount(tag) * params_->degree() *
-           sizeof(uint32_t);
+    const PolyId id = operandOf(instr, opInfo(instr.op).level_operand);
+    return cost_.cost(instr.op, memory_.recordLevel(id));
 }
 
 Cycle
 Coprocessor::instructionComputeCycles(const Instruction &instr) const
 {
-    // Per-instruction NTT/coefficient costs are batch-width-independent
-    // (the residues run on parallel RPAUs), so levels only shrink the
-    // serial Lift/Scale input chains — see the unit cycle models.
-    const NttEngine &engine = rpaus_[0].nttEngine();
-    switch (instr.op) {
-      case Opcode::kNtt:
-        return engine.forwardCycles();
-      case Opcode::kIntt:
-        return engine.inverseCycles();
-      case Opcode::kCoeffMul:
-      case Opcode::kCoeffAdd:
-      case Opcode::kCoeffSub:
-        return rpaus_[0].coeffUnit().cycles(params_->degree());
-      case Opcode::kRearrange:
-        return engine.rearrangeCycles();
-      case Opcode::kAutomorph:
-        return engine.automorphCycles();
-      case Opcode::kLift:
-        return lift_unit_.cycles(memory_.recordLevel(instr.dst));
-      case Opcode::kScale:
-        return scale_unit_.cycles(memory_.recordLevel(instr.src0));
-      case Opcode::kModSwitch:
-        return scale_unit_.modSwitchCycles(
-            memory_.recordLevel(instr.src0));
-      case Opcode::kKeyLoad:
-        return 0; // DMA-bound; tracked in microseconds separately
-    }
-    panic("unknown opcode");
+    return instructionCost(instr).cycles;
 }
 
 Cycle
@@ -108,18 +123,7 @@ Coprocessor::instructionCycles(const Instruction &instr) const
 double
 Coprocessor::instructionDmaUs(const Instruction &instr) const
 {
-    if (instr.op != Opcode::kKeyLoad)
-        return 0.0;
-    // One key pair: two q polynomials, each a single-descriptor burst.
-    // At deeper levels the buffers span fewer residues, so the burst
-    // shrinks with the live basis.
-    size_t bytes = polyBytes(BaseTag::kQ);
-    if (!instr.extra.empty()) {
-        const size_t live =
-            params_->qPrimeCount(memory_.recordLevel(instr.extra[0]));
-        bytes = live * params_->degree() * sizeof(uint32_t);
-    }
-    return 2.0 * dma_.transferUs(bytes);
+    return instructionCost(instr).dma_us;
 }
 
 ExecStats
@@ -137,9 +141,10 @@ Coprocessor::execute(const Program &program, DispatchMode mode)
     const auto arm = static_cast<size_t>(Unit::kArmUnit);
     for (const Instruction &instr : program.instrs) {
         exec(instr);
-        const Cycle compute = instructionComputeCycles(instr);
+        const InstrCost cost = instructionCost(instr);
+        const Cycle compute = cost.cycles;
         const Cycle cycles = fused ? compute : compute + dispatch;
-        const double dma_us = instructionDmaUs(instr);
+        const double dma_us = cost.dma_us;
         OpStats &op = stats.per_op[instr.op];
         ++op.calls;
         op.fpga_cycles += cycles;
@@ -197,30 +202,26 @@ Coprocessor::exec(const Instruction &instr)
 {
     switch (instr.op) {
       case Opcode::kNtt:
-        execTransform(instr, false);
-        return;
       case Opcode::kIntt:
-        execTransform(instr, true);
+      case Opcode::kRearrange:
+        execTransform(instr);
         return;
       case Opcode::kCoeffMul:
       case Opcode::kCoeffAdd:
       case Opcode::kCoeffSub:
         execCoeffOp(instr);
         return;
-      case Opcode::kRearrange:
-        execRearrange(instr);
-        return;
       case Opcode::kAutomorph:
         execAutomorph(instr);
         return;
       case Opcode::kLift:
-        lift_unit_.run(memory_, instr.dst);
+        cost_.lift().run(memory_, instr.dst);
         return;
       case Opcode::kScale:
-        scale_unit_.run(memory_, instr.src0, instr.dst, instr.extra);
+        cost_.scale().run(memory_, instr.src0, instr.dst, instr.extra);
         return;
       case Opcode::kModSwitch:
-        scale_unit_.runModSwitch(memory_, instr.src0, instr.dst);
+        cost_.scale().runModSwitch(memory_, instr.src0, instr.dst);
         return;
       case Opcode::kKeyLoad:
         execKeyLoad(instr);
@@ -230,7 +231,7 @@ Coprocessor::exec(const Instruction &instr)
 }
 
 void
-Coprocessor::execTransform(const Instruction &instr, bool inverse)
+Coprocessor::execTransform(const Instruction &instr)
 {
     PolyRecord &rec = memory_.record(instr.dst);
     const size_t n = params_->degree();
@@ -240,18 +241,15 @@ Coprocessor::execTransform(const Instruction &instr, bool inverse)
                           : params_->fullContext(rec.level);
 
     for (size_t k : residuesOfBatch(instr.batch, kq, rec.layout.size())) {
+        panicIf(!acceptsLayout(instr.op, rec.layout[k]),
+                opcodeName(instr.op), " cannot take residue ", k,
+                " in its current layout");
         std::span<uint64_t> span(rec.data.data() + k * n, n);
-        if (!inverse) {
-            panicIf(rec.layout[k] != Layout::kPaired,
-                    "NTT input must be in paired layout (rearrange first)");
+        if (instr.op == Opcode::kNtt)
             ntt::forwardNtt(span, ctx.tables(k));
-            rec.layout[k] = Layout::kNttDomain;
-        } else {
-            panicIf(rec.layout[k] != Layout::kNttDomain,
-                    "INTT input must be in NTT domain");
+        else if (instr.op == Opcode::kIntt)
             ntt::inverseNtt(span, ctx.tables(k));
-            rec.layout[k] = Layout::kPaired;
-        }
+        rec.layout[k] = producedLayout(opInfo(instr.op), rec.layout[k]);
     }
 }
 
@@ -269,7 +267,7 @@ Coprocessor::execCoeffOp(const Instruction &instr)
     const auto base = dst.base == BaseTag::kQ
                           ? params_->qBase(dst.level)
                           : params_->fullBase(dst.level);
-    const CoeffUnit &unit = rpaus_[0].coeffUnit();
+    const CoeffUnit &unit = cost_.coeff();
 
     for (size_t k : residuesOfBatch(instr.batch, kq, dst.layout.size())) {
         panicIf(a.layout[k] != b.layout[k],
@@ -296,25 +294,6 @@ Coprocessor::execCoeffOp(const Instruction &instr)
 }
 
 void
-Coprocessor::execRearrange(const Instruction &instr)
-{
-    PolyRecord &rec = memory_.record(instr.dst);
-    const size_t kq = params_->qPrimeCount(rec.level);
-    for (size_t k : residuesOfBatch(instr.batch, kq, rec.layout.size())) {
-        switch (rec.layout[k]) {
-          case Layout::kNatural:
-            rec.layout[k] = Layout::kPaired;
-            break;
-          case Layout::kPaired:
-            rec.layout[k] = Layout::kNatural;
-            break;
-          case Layout::kNttDomain:
-            panic("cannot rearrange NTT-domain data; run INTT first");
-        }
-    }
-}
-
-void
 Coprocessor::execAutomorph(const Instruction &instr)
 {
     const size_t n = params_->degree();
@@ -337,7 +316,7 @@ Coprocessor::execAutomorph(const Instruction &instr)
     for (size_t k = 0; k < kq; ++k)
         panicIf(src.layout[k] != layout,
                 "automorphism input layout is mixed");
-    panicIf(layout == Layout::kPaired,
+    panicIf(!acceptsLayout(instr.op, layout),
             "cannot permute paired-layout data; rearrange first");
     const bool ntt_domain = layout == Layout::kNttDomain;
     panicIf(ntt_domain && !instr.extra.empty(),
@@ -371,7 +350,7 @@ Coprocessor::execAutomorph(const Instruction &instr)
                 "automorphism destination record too small");
         std::copy(permuted.begin(), permuted.end(), dst.data.begin());
         for (size_t k = 0; k < kq; ++k)
-            dst.layout[k] = layout;
+            dst.layout[k] = producedLayout(opInfo(instr.op), layout);
     }
 
     // WordDecomp broadcast during writeback (same reduce lanes as the

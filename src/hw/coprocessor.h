@@ -6,9 +6,8 @@
  * Execution is functional *and* timed: every instruction updates the
  * memory-file contents through the same arithmetic kernels the software
  * evaluator uses (results are bit-exact against fv::Evaluator's HPS
- * path) and charges a cycle cost derived from the block models
- * (NttEngine, LiftUnit, ScaleUnit, CoeffUnit) plus the Arm dispatch
- * overhead. DMA time (relinearization keys) is tracked separately in
+ * path) and charges the CostModel's price for it plus the Arm dispatch
+ * overhead. DMA time (key-switching keys) is tracked separately in
  * microseconds of the 250 MHz domain.
  */
 
@@ -16,20 +15,68 @@
 #define HEAT_HW_COPROCESSOR_H
 
 #include <memory>
-#include <vector>
 
 #include "fv/galois.h"
 #include "fv/keys.h"
 #include "fv/params.h"
+#include "hw/coeff_unit.h"
 #include "hw/config.h"
 #include "hw/dma.h"
 #include "hw/isa.h"
 #include "hw/lift_unit.h"
 #include "hw/memory_file.h"
-#include "hw/rpau.h"
+#include "hw/ntt_engine.h"
 #include "hw/scale_unit.h"
 
 namespace heat::hw {
+
+/** Modeled cost of one instruction. */
+struct InstrCost
+{
+    /** Block-model compute cycles (no Arm dispatch overhead). */
+    Cycle cycles = 0;
+    /** DDR transfer microseconds (key loads only). */
+    double dma_us = 0.0;
+};
+
+/**
+ * The one place an opcode is priced: the block models (NttEngine,
+ * CoeffUnit, LiftUnit, ScaleUnit, DmaModel) behind one cost function.
+ * The coprocessor charges its runs from it and the compile-time
+ * attribution (compiler::attributeCompiledCircuit) prices compiled
+ * programs with it; the two differ only in where they look up the
+ * record level of the operand OpInfo::level_operand names — the memory
+ * file at run time, the slot-action log at compile time.
+ */
+class CostModel
+{
+  public:
+    CostModel(std::shared_ptr<const fv::FvParams> params,
+              const HwConfig &config);
+
+    /**
+     * Cost of opcode @p op whose level operand sits at modulus-switching
+     * level @p level. NTT and coefficient-wise costs are
+     * batch-width-independent (the residues run on parallel RPAUs), so
+     * levels only shrink the serial Lift/Scale input chains and the
+     * key-load bursts.
+     */
+    InstrCost cost(Opcode op, size_t level) const;
+
+    /** The block models that also execute (all RPAUs share one
+     *  CoeffUnit: they run in lock-step). */
+    const CoeffUnit &coeff() const { return coeff_; }
+    const LiftUnit &lift() const { return lift_; }
+    const ScaleUnit &scale() const { return scale_; }
+
+  private:
+    std::shared_ptr<const fv::FvParams> params_;
+    NttEngine engine_;
+    CoeffUnit coeff_;
+    LiftUnit lift_;
+    ScaleUnit scale_;
+    DmaModel dma_;
+};
 
 /** One coprocessor instance. */
 class Coprocessor
@@ -58,9 +105,6 @@ class Coprocessor
     /** @return the memory file. */
     MemoryFile &memory() { return memory_; }
     const MemoryFile &memory() const { return memory_; }
-
-    /** @return RPAU @p i. */
-    const Rpau &rpau(size_t i) const { return rpaus_[i]; }
 
     /** Reprogram: drop all memory-file contents so a different op
      *  schedule can allocate from a clean slate. */
@@ -110,25 +154,21 @@ class Coprocessor
     /** DMA microseconds charged by an instruction (kKeyLoad only). */
     double instructionDmaUs(const Instruction &instr) const;
 
-    /** Serialized size of one polynomial over base @p tag in bytes
-     *  (30-bit residues in 32-bit words). */
-    size_t polyBytes(BaseTag tag) const;
-
   private:
+    /** The CostModel's price at the record level of the instruction's
+     *  level operand (level 0 when that record does not exist). */
+    InstrCost instructionCost(const Instruction &instr) const;
+
     void exec(const Instruction &instr);
-    void execTransform(const Instruction &instr, bool inverse);
+    void execTransform(const Instruction &instr);
     void execCoeffOp(const Instruction &instr);
-    void execRearrange(const Instruction &instr);
     void execAutomorph(const Instruction &instr);
     void execKeyLoad(const Instruction &instr);
 
     std::shared_ptr<const fv::FvParams> params_;
     HwConfig config_;
     MemoryFile memory_;
-    std::vector<Rpau> rpaus_;
-    LiftUnit lift_unit_;
-    ScaleUnit scale_unit_;
-    DmaModel dma_;
+    CostModel cost_;
     const fv::RelinKeys *rlk_;
     const fv::GaloisKeys *gkeys_;
 };

@@ -7,31 +7,8 @@ namespace heat::hw {
 const char *
 opcodeName(Opcode op)
 {
-    switch (op) {
-      case Opcode::kNtt:
-        return "NTT";
-      case Opcode::kIntt:
-        return "Inverse-NTT";
-      case Opcode::kCoeffMul:
-        return "Coeff-wise Multiplication";
-      case Opcode::kCoeffAdd:
-        return "Coeff-wise Addition";
-      case Opcode::kCoeffSub:
-        return "Coeff-wise Subtraction";
-      case Opcode::kRearrange:
-        return "Memory Rearrange";
-      case Opcode::kLift:
-        return "Lift q->Q";
-      case Opcode::kScale:
-        return "Scale Q->q";
-      case Opcode::kAutomorph:
-        return "Galois Automorphism";
-      case Opcode::kKeyLoad:
-        return "Key-switch-key DMA";
-      case Opcode::kModSwitch:
-        return "Modulus Switch";
-    }
-    return "?";
+    const auto i = static_cast<size_t>(op);
+    return i < kOpcodeCount ? kOpInfo[i].name : "?";
 }
 
 const char *
@@ -61,63 +38,10 @@ unitName(Unit unit)
 Unit
 unitOf(Opcode op)
 {
-    switch (op) {
-      case Opcode::kNtt:
-      case Opcode::kIntt:
-      case Opcode::kRearrange:
-      case Opcode::kAutomorph:
-        // Rearrange and the automorphism permutation run on the NTT
-        // engine's memory datapath.
-        return Unit::kNttUnit;
-      case Opcode::kCoeffMul:
-      case Opcode::kCoeffAdd:
-      case Opcode::kCoeffSub:
-        return Unit::kCoeffUnit;
-      case Opcode::kLift:
-        return Unit::kLiftUnit;
-      case Opcode::kScale:
-        return Unit::kScaleUnit;
-      case Opcode::kModSwitch:
-        // Physically the Scale unit's divide-and-round datapath, but
-        // bucketed separately so leveled circuits show their drop cost.
-        return Unit::kModReduceUnit;
-      case Opcode::kKeyLoad:
-        return Unit::kKeyLoadUnit;
-    }
-    return Unit::kArmUnit;
+    return opInfo(op).unit;
 }
 
 namespace {
-
-const char *
-mnemonic(Opcode op)
-{
-    switch (op) {
-      case Opcode::kNtt:
-        return "ntt";
-      case Opcode::kIntt:
-        return "intt";
-      case Opcode::kCoeffMul:
-        return "cmul";
-      case Opcode::kCoeffAdd:
-        return "cadd";
-      case Opcode::kCoeffSub:
-        return "csub";
-      case Opcode::kRearrange:
-        return "rearr";
-      case Opcode::kLift:
-        return "lift";
-      case Opcode::kScale:
-        return "scale";
-      case Opcode::kAutomorph:
-        return "autmp";
-      case Opcode::kKeyLoad:
-        return "kload";
-      case Opcode::kModSwitch:
-        return "mswitch";
-    }
-    return "?";
-}
 
 void
 appendPoly(std::ostringstream &oss, PolyId id)
@@ -134,7 +58,7 @@ std::string
 disassemble(const Instruction &instr)
 {
     std::ostringstream oss;
-    oss << mnemonic(instr.op);
+    oss << opInfo(instr.op).mnemonic;
     if (instr.op == Opcode::kKeyLoad) {
         oss << " digit=" << keyLoadDigit(instr.aux);
         if (keyLoadSelector(instr.aux) != 0)

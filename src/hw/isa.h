@@ -7,7 +7,8 @@
  * (RPAUs 0..6). All RPAUs of a batch execute in parallel, which is why
  * the per-instruction cost is independent of the batch width.
  *
- * Opcodes:
+ * Opcodes (each one's operands, layout rule, unit and pricing level
+ * are defined once, in its row of the kOpInfo table):
  *   kNtt / kIntt           forward / inverse NTT of one batch
  *   kCoeffMul/Add/Sub      coefficient-wise arithmetic, one batch
  *   kRearrange             layout permutation natural <-> paired
@@ -37,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/panic.h"
 #include "hw/config.h"
 #include "hw/memory_file.h"
 
@@ -58,7 +60,9 @@ enum class Opcode : uint8_t
     kModSwitch,
 };
 
-/** @return a printable mnemonic. */
+inline constexpr size_t kOpcodeCount = 11;
+
+/** @return the Table II display name ("NTT", "Lift q->Q", ...). */
 const char *opcodeName(Opcode op);
 
 /**
@@ -86,6 +90,201 @@ const char *unitName(Unit unit);
 
 /** @return the functional unit an opcode's compute cycles charge to. */
 Unit unitOf(Opcode op);
+
+/** An instruction field a descriptor row can point at. */
+enum class Operand : uint8_t
+{
+    kNone,
+    kDst,
+    kSrc0,
+    kExtra0, ///< extra[0]
+};
+
+/** What an instruction does with one of its register operands. */
+enum class Role : uint8_t
+{
+    kUnused,   ///< ignored
+    kRead,     ///< read only
+    kWritten,  ///< overwritten without being read
+    kInPlace,  ///< read, then overwritten
+    kOptional, ///< overwritten when present (kNoPoly disables it)
+};
+
+/** What an instruction's `extra` list holds. */
+enum class ExtraRole : uint8_t
+{
+    kNone,
+    /** WordDecomp digit broadcast targets, none or one per live q prime
+     *  (written, natural order). */
+    kDigitLanes,
+    /** Digit lanes of which kNoPoly entries are disabled. */
+    kSparseDigitLanes,
+    /** Exactly two key-switching key buffers (written). */
+    kKeyBuffers,
+};
+
+/** A set of layouts, one bit per Layout. */
+using LayoutSet = uint8_t;
+
+constexpr LayoutSet
+layoutBit(Layout l)
+{
+    return static_cast<LayoutSet>(1u << static_cast<unsigned>(l));
+}
+
+/** The layout an instruction leaves in the residues it writes. */
+enum class Produces : uint8_t
+{
+    kNatural,
+    kPaired,
+    kNttDomain,
+    kInput,   ///< the input layout, unchanged
+    kToggled, ///< natural <-> paired
+};
+
+/**
+ * One row of the opcode descriptor table: everything the coprocessor's
+ * accounting, the compile-time attribution, the static verifier and the
+ * disassembler need to know about an opcode apart from its arithmetic.
+ */
+struct OpInfo
+{
+    Opcode op;
+    /** Table II display name (opcodeName). */
+    const char *name;
+    /** Disassembly mnemonic. */
+    const char *mnemonic;
+    /** Functional unit its compute cycles charge to. */
+    Unit unit;
+    /** Whether `batch` selects the residues it runs on (residuesOfBatch);
+     *  the others cover their operands' whole live base. */
+    bool batched;
+    /** Operand whose record level prices the instruction (kNone:
+     *  level-independent). */
+    Operand level_operand;
+    /** Operand that spans the full base Q (Lift's output, Scale's
+     *  input), kNone for all other opcodes. */
+    Operand full_base;
+    Role dst;
+    Role src0;
+    Role src1;
+    ExtraRole extra;
+    /** Input layouts accepted (0: reads no layout-typed input). */
+    LayoutSet accepts;
+    Produces produces;
+};
+
+inline constexpr LayoutSet kAnyLayout = layoutBit(Layout::kNatural) |
+                                        layoutBit(Layout::kPaired) |
+                                        layoutBit(Layout::kNttDomain);
+
+/**
+ * The opcode descriptor table, one row per Opcode in enum order.
+ * Rearrange and the automorphism permutation run on the NTT engine's
+ * memory datapath. ModSwitch is physically the Scale unit's
+ * divide-and-round datapath, but bucketed separately so leveled
+ * circuits show their drop cost.
+ */
+inline constexpr std::array<OpInfo, kOpcodeCount> kOpInfo = {{
+    // op, name, mnemonic, unit, batched, level operand, full-base
+    // operand, dst, src0, src1, extra, accepts, produces
+    {Opcode::kNtt, "NTT", "ntt", Unit::kNttUnit, true, Operand::kNone,
+     Operand::kNone, Role::kInPlace, Role::kUnused, Role::kUnused,
+     ExtraRole::kNone, layoutBit(Layout::kPaired), Produces::kNttDomain},
+    {Opcode::kIntt, "Inverse-NTT", "intt", Unit::kNttUnit, true,
+     Operand::kNone, Operand::kNone, Role::kInPlace, Role::kUnused,
+     Role::kUnused, ExtraRole::kNone, layoutBit(Layout::kNttDomain),
+     Produces::kPaired},
+    {Opcode::kCoeffMul, "Coeff-wise Multiplication", "cmul", Unit::kCoeffUnit,
+     true, Operand::kNone, Operand::kNone, Role::kWritten, Role::kRead,
+     Role::kRead, ExtraRole::kNone, kAnyLayout, Produces::kInput},
+    {Opcode::kCoeffAdd, "Coeff-wise Addition", "cadd", Unit::kCoeffUnit,
+     true, Operand::kNone, Operand::kNone, Role::kWritten, Role::kRead,
+     Role::kRead, ExtraRole::kNone, kAnyLayout, Produces::kInput},
+    {Opcode::kCoeffSub, "Coeff-wise Subtraction", "csub", Unit::kCoeffUnit,
+     true, Operand::kNone, Operand::kNone, Role::kWritten, Role::kRead,
+     Role::kRead, ExtraRole::kNone, kAnyLayout, Produces::kInput},
+    {Opcode::kRearrange, "Memory Rearrange", "rearr", Unit::kNttUnit, true,
+     Operand::kNone, Operand::kNone, Role::kInPlace, Role::kUnused,
+     Role::kUnused, ExtraRole::kNone,
+     layoutBit(Layout::kNatural) | layoutBit(Layout::kPaired),
+     Produces::kToggled},
+    {Opcode::kLift, "Lift q->Q", "lift", Unit::kLiftUnit, false,
+     Operand::kDst, Operand::kDst, Role::kInPlace, Role::kUnused,
+     Role::kUnused, ExtraRole::kNone, layoutBit(Layout::kNatural),
+     Produces::kNatural},
+    {Opcode::kScale, "Scale Q->q", "scale", Unit::kScaleUnit, false,
+     Operand::kSrc0, Operand::kSrc0, Role::kWritten, Role::kRead,
+     Role::kUnused, ExtraRole::kDigitLanes, layoutBit(Layout::kNatural),
+     Produces::kNatural},
+    {Opcode::kAutomorph, "Galois Automorphism", "autmp", Unit::kNttUnit,
+     false, Operand::kNone, Operand::kNone, Role::kOptional, Role::kRead,
+     Role::kUnused, ExtraRole::kSparseDigitLanes,
+     layoutBit(Layout::kNatural) | layoutBit(Layout::kNttDomain),
+     Produces::kInput},
+    {Opcode::kKeyLoad, "Key-switch-key DMA", "kload", Unit::kKeyLoadUnit,
+     false, Operand::kExtra0, Operand::kNone, Role::kUnused, Role::kUnused,
+     Role::kUnused, ExtraRole::kKeyBuffers, 0, Produces::kNttDomain},
+    {Opcode::kModSwitch, "Modulus Switch", "mswitch", Unit::kModReduceUnit,
+     false, Operand::kSrc0, Operand::kNone, Role::kWritten, Role::kRead,
+     Role::kUnused, ExtraRole::kNone, layoutBit(Layout::kNatural),
+     Produces::kNatural},
+}};
+
+namespace detail {
+
+constexpr bool
+rowsInOpcodeOrder()
+{
+    for (size_t i = 0; i < kOpInfo.size(); ++i) {
+        if (static_cast<size_t>(kOpInfo[i].op) != i)
+            return false;
+    }
+    return true;
+}
+
+} // namespace detail
+
+static_assert(kOpcodeCount == static_cast<size_t>(Opcode::kModSwitch) + 1,
+              "one descriptor row per opcode");
+static_assert(detail::rowsInOpcodeOrder(), "row i must describe opcode i");
+
+
+/** @return @p op's descriptor row (panics on an out-of-range opcode). */
+inline const OpInfo &
+opInfo(Opcode op)
+{
+    const auto i = static_cast<size_t>(op);
+    panicIf(i >= kOpcodeCount, "unknown opcode ", i);
+    return kOpInfo[i];
+}
+
+/** @return whether @p op accepts an input residue in layout @p l. */
+inline bool
+acceptsLayout(Opcode op, Layout l)
+{
+    return (opInfo(op).accepts & layoutBit(l)) != 0;
+}
+
+/** @return the layout @p info's opcode leaves in a residue whose input
+ *  was @p in. */
+inline Layout
+producedLayout(const OpInfo &info, Layout in)
+{
+    switch (info.produces) {
+      case Produces::kNatural:
+        return Layout::kNatural;
+      case Produces::kPaired:
+        return Layout::kPaired;
+      case Produces::kNttDomain:
+        return Layout::kNttDomain;
+      case Produces::kInput:
+        return in;
+      case Produces::kToggled:
+        return in == Layout::kNatural ? Layout::kPaired : Layout::kNatural;
+    }
+    return in;
+}
 
 /**
  * kKeyLoad aux encoding: the low byte is the digit index, the upper 24
@@ -118,23 +317,38 @@ keyLoadSelector(uint32_t aux)
 struct Instruction
 {
     Opcode op;
-    /** Destination (also in-place operand for transforms). */
+    /** Register operands; the opcode's OpInfo row gives their roles. */
     PolyId dst = kNoPoly;
-    /** First source operand. */
     PolyId src0 = kNoPoly;
-    /** Second source operand. */
     PolyId src1 = kNoPoly;
     /** Residue batch: 0 = q primes, 1 = extension primes. */
     uint8_t batch = 0;
     /** Auxiliary immediate: key selector + digit for kKeyLoad (see
      *  keyLoadAux), the Galois element for kAutomorph. */
     uint32_t aux = 0;
-    /** Extra destinations: WordDecomp digit broadcasts for kScale and
-     *  kAutomorph, key-buffer targets for kKeyLoad. */
+    /** Extra destinations (OpInfo::extra: digit lanes or key buffers). */
     std::vector<PolyId> extra;
 
     bool operator==(const Instruction &o) const = default;
 };
+
+/** @return the record @p instr names in field @p which (kNoPoly for
+ *  Operand::kNone or an empty extra list). */
+inline PolyId
+operandOf(const Instruction &instr, Operand which)
+{
+    switch (which) {
+      case Operand::kNone:
+        return kNoPoly;
+      case Operand::kDst:
+        return instr.dst;
+      case Operand::kSrc0:
+        return instr.src0;
+      case Operand::kExtra0:
+        return instr.extra.empty() ? kNoPoly : instr.extra[0];
+    }
+    return kNoPoly;
+}
 
 /**
  * How the Arm dispatches a program to the coprocessor.

@@ -1,6 +1,7 @@
 #include "hw/lift_unit.h"
 
 #include "common/panic.h"
+#include "hw/isa.h"
 
 namespace heat::hw {
 
@@ -25,7 +26,7 @@ LiftUnit::run(MemoryFile &memory, PolyId id) const
         memory.extendToFull(id);
     PolyRecord &full = memory.record(id);
     for (size_t i = 0; i < kq; ++i) {
-        panicIf(full.layout[i] != Layout::kNatural,
+        panicIf(!acceptsLayout(Opcode::kLift, full.layout[i]),
                 "lift input must be natural order");
     }
 

@@ -104,14 +104,6 @@ NttEngine::inverseCycles() const
 }
 
 Cycle
-NttEngine::coeffOpCycles() const
-{
-    // Two operand words are read (from different slots/banks) and one
-    // result word written per cycle: n/2 beats plus pipeline depth.
-    return static_cast<Cycle>(words_ + config_.coeff_pipeline_depth);
-}
-
-Cycle
 NttEngine::rearrangeCycles() const
 {
     // The layout permutation scatters words across banks, serializing

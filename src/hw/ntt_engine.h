@@ -76,9 +76,6 @@ class NttEngine
      *  pass, the reason Table II's Inverse-NTT is slower). */
     Cycle inverseCycles() const;
 
-    /** Cycles of one coefficient-wise add/sub/mul instruction. */
-    Cycle coeffOpCycles() const;
-
     /** Cycles of a memory-rearrange instruction (layout permutation:
      *  read plus scattered write over all n/2 words). */
     Cycle rearrangeCycles() const;

@@ -1,7 +1,5 @@
 #include "hw/rpau.h"
 
-#include "common/panic.h"
-
 namespace heat::hw {
 
 size_t
@@ -14,26 +12,6 @@ int
 batchOfResidue(size_t residue, size_t q_prime_count)
 {
     return residue < q_prime_count ? 0 : 1;
-}
-
-std::vector<size_t>
-residuesOfBatch(int batch, size_t q_prime_count, size_t total)
-{
-    panicIf(batch != 0 && batch != 1, "batch must be 0 or 1");
-    std::vector<size_t> out;
-    if (batch == 0) {
-        for (size_t k = 0; k < q_prime_count && k < total; ++k)
-            out.push_back(k);
-    } else {
-        for (size_t k = q_prime_count; k < total; ++k)
-            out.push_back(k);
-    }
-    return out;
-}
-
-Rpau::Rpau(size_t id, const HwConfig &config, size_t degree)
-    : id_(id), engine_(config, degree), coeff_unit_(config)
-{
 }
 
 } // namespace heat::hw

@@ -1,6 +1,7 @@
 #include "hw/scale_unit.h"
 
 #include "common/panic.h"
+#include "hw/isa.h"
 
 namespace heat::hw {
 
@@ -17,7 +18,8 @@ ScaleUnit::run(MemoryFile &memory, PolyId src, PolyId dst,
     const PolyRecord &in = memory.record(src);
     panicIf(in.base != BaseTag::kFull, "scale input must be full base");
     for (Layout l : in.layout)
-        panicIf(l != Layout::kNatural, "scale input must be natural order");
+        panicIf(!acceptsLayout(Opcode::kScale, l),
+                "scale input must be natural order");
 
     // The destination is a q polynomial. Its record may already span
     // the full base when a later instruction of the same fused program
@@ -87,7 +89,7 @@ ScaleUnit::runModSwitch(MemoryFile &memory, PolyId src, PolyId dst) const
     // in-place lift of this operand, before any instruction runs); the
     // mod-switch itself only consumes the live q residues.
     for (size_t i = 0; i < live; ++i)
-        panicIf(in.layout[i] != Layout::kNatural,
+        panicIf(!acceptsLayout(Opcode::kModSwitch, in.layout[i]),
                 "mod-switch input must be natural order");
     const auto &rounder = params_->modSwitchRounder(from_level);
     const bool hps = config_.lift_scale_arch == LiftScaleArch::kHps;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "compiler/circuit.h"
+#include "hw/rpau.h"
 
 namespace heat::verify {
 
@@ -21,18 +22,15 @@ using hw::Opcode;
 using hw::PolyId;
 using hw::SlotAction;
 
+/** @return "natural", "natural or paired", ... for a layout set. */
 const char *
-layoutName(Layout l)
+layoutSetName(hw::LayoutSet set)
 {
-    switch (l) {
-      case Layout::kNatural:
-        return "natural";
-      case Layout::kPaired:
-        return "paired";
-      case Layout::kNttDomain:
-        return "ntt-domain";
-    }
-    return "?";
+    // Indexed by the set's bits: natural 1, paired 2, ntt-domain 4.
+    static constexpr const char *kNames[] = {
+        "none", "natural", "paired", "natural or paired", "ntt-domain",
+        "natural or ntt-domain", "paired or ntt-domain", "any layout"};
+    return set < std::size(kNames) ? kNames[set] : "?";
 }
 
 /**
@@ -107,26 +105,55 @@ class Verifier
     // --- diagnostics -----------------------------------------------------
 
     Diagnostic &
-    diag(Invariant inv, std::string message)
+    diag(Invariant inv, std::string message, std::string expected = {},
+         std::string actual = {})
     {
         Diagnostic d;
         d.invariant = inv;
         d.message = std::move(message);
+        d.expected = std::move(expected);
+        d.actual = std::move(actual);
         result_.diagnostics.push_back(std::move(d));
         return result_.diagnostics.back();
     }
 
-    Diagnostic &
-    diagAt(Invariant inv, size_t segment, size_t instr, Opcode op,
-           PolyId record, std::string message)
+    /** A diagnostic at slot action @p action on record @p record. */
+    void
+    diagAction(Invariant inv, size_t action, PolyId record,
+               std::string message, std::string expected = {},
+               std::string actual = {})
     {
-        Diagnostic &d = diag(inv, std::move(message));
+        Diagnostic &d = diag(inv, std::move(message), std::move(expected),
+                             std::move(actual));
+        d.action = action;
+        d.record = record;
+    }
+
+    /** A diagnostic at a transfer of segment @p segment. */
+    void
+    diagTransfer(Invariant inv, size_t segment, PolyId record,
+                 std::string message, std::string expected = {},
+                 std::string actual = {})
+    {
+        Diagnostic &d = diag(inv, std::move(message), std::move(expected),
+                             std::move(actual));
         d.segment = segment;
-        d.instr = instr;
+        d.record = record;
+    }
+
+    /** A diagnostic at instruction @p i of segment @p s. */
+    void
+    diagAt(Invariant inv, size_t s, size_t i, Opcode op, PolyId record,
+           std::string message, std::string expected = {},
+           std::string actual = {})
+    {
+        Diagnostic &d = diag(inv, std::move(message), std::move(expected),
+                             std::move(actual));
+        d.segment = s;
+        d.instr = i;
         d.has_op = true;
         d.op = op;
         d.record = record;
-        return d;
     }
 
     // --- shared bookkeeping ----------------------------------------------
@@ -136,26 +163,6 @@ class Verifier
     {
         return id < recs_.size() && recs_[id].exists ? &recs_[id]
                                                      : nullptr;
-    }
-
-    /** Level-capped q-prime count (what qPrimeCount(level) returns). */
-    size_t
-    qPrimes(size_t level) const
-    {
-        return params_.qPrimeCount(level);
-    }
-
-    /**
-     * Residues one instruction batch addresses on @p rec: batch 0 the
-     * q primes, batch 1 the extension primes — mirroring
-     * hw::residuesOfBatch over the record's live residue count.
-     */
-    static std::pair<size_t, size_t>
-    batchRange(const RecState &rec, uint8_t batch)
-    {
-        if (batch == 0)
-            return {0, std::min(rec.q_live, rec.residues())};
-        return {std::min(rec.q_live, rec.residues()), rec.residues()};
     }
 
     bool
@@ -188,12 +195,11 @@ class Verifier
         const size_t values = c_.circuit.nodes.size();
         if (c_.value_sizes.size() != values ||
             c_.value_levels.size() != values) {
-            Diagnostic &d =
-                diag(Invariant::kShape,
-                     "value_sizes/value_levels do not cover the circuit");
-            d.expected = std::to_string(values) + " entries";
-            d.actual = std::to_string(c_.value_sizes.size()) + "/" +
-                       std::to_string(c_.value_levels.size());
+            diag(Invariant::kShape,
+                 "value_sizes/value_levels do not cover the circuit",
+                 std::to_string(values) + " entries",
+                 std::to_string(c_.value_sizes.size()) + "/" +
+                     std::to_string(c_.value_levels.size()));
             return false;
         }
         if (c_.instr_nodes.size() > c_.segments.size()) {
@@ -202,15 +208,12 @@ class Verifier
             return false;
         }
         if (c_.params->fullBase()->size() > kMaxResidues) {
-            Diagnostic &d =
-                diag(Invariant::kShape,
-                     "parameter set exceeds the verifier's inline "
-                     "residue capacity");
-            d.expected = "<= " + std::to_string(kMaxResidues) +
-                         " residues";
-            d.actual =
-                std::to_string(c_.params->fullBase()->size()) +
-                " residues";
+            diag(Invariant::kShape,
+                 "parameter set exceeds the verifier's inline residue "
+                 "capacity",
+                 "<= " + std::to_string(kMaxResidues) + " residues",
+                 std::to_string(c_.params->fullBase()->size()) +
+                     " residues");
             return false;
         }
         return true;
@@ -241,16 +244,21 @@ class Verifier
                 touchLast(t.slot, pos);
                 ++pos;
             }
-            for (size_t i = 0; i < seg.program.instrs.size(); ++i) {
-                const Instruction &in = seg.program.instrs[i];
+            for (const Instruction &in : seg.program.instrs) {
                 const size_t p = pos++;
+                if (static_cast<size_t>(in.op) >= hw::kOpcodeCount)
+                    continue; // interpret() reports it
+                // Fields an opcode does not use hold kNoPoly (interpret()
+                // rejects anything else), so every field is touched.
                 touch(in.dst, p);
                 touch(in.src0, p);
                 touch(in.src1, p);
                 for (PolyId e : in.extra)
                     touch(e, p);
-                // Positions grow monotonically, so try_emplace keeps
-                // the FIRST touch of each record's extension residues.
+                // Positions grow monotonically, so the first write keeps
+                // the FIRST touch of each record's extension residues:
+                // the row's full-base operand and a batch-1
+                // instruction's registers reach them.
                 const auto ext = [&](PolyId id) {
                     if (id == kNoPoly)
                         return;
@@ -258,11 +266,9 @@ class Verifier
                     if (first == kNoIndex)
                         first = p;
                 };
-                if (in.op == Opcode::kLift)
-                    ext(in.dst);
-                if (in.op == Opcode::kScale)
-                    ext(in.src0);
-                if (in.batch == 1) {
+                const hw::OpInfo &info = hw::opInfo(in.op);
+                ext(hw::operandOf(in, info.full_base));
+                if (info.batched && in.batch == 1) {
                     ext(in.dst);
                     ext(in.src0);
                     ext(in.src1);
@@ -325,25 +331,19 @@ class Verifier
             const SlotAction &act = c_.slot_actions[a];
             switch (act.kind) {
               case SlotAction::Kind::kAllocate: {
-                if (act.id != next_id) {
-                    Diagnostic &d = diag(
-                        Invariant::kSlotLog,
-                        "slot log allocates out of sequence (replay "
-                        "would diverge on a fresh memory file)");
-                    d.action = a;
-                    d.record = act.id;
-                    d.expected = "id " + std::to_string(next_id);
-                    d.actual = "id " + std::to_string(act.id);
-                }
+                if (act.id != next_id)
+                    diagAction(Invariant::kSlotLog, a, act.id,
+                               "slot log allocates out of sequence "
+                               "(replay would diverge on a fresh memory "
+                               "file)",
+                               "id " + std::to_string(next_id),
+                               "id " + std::to_string(act.id));
                 if (act.level > params_.maxLevel()) {
-                    Diagnostic &d =
-                        diag(Invariant::kShape,
-                             "allocation level beyond the last level");
-                    d.action = a;
-                    d.record = act.id;
-                    d.expected =
-                        "level <= " + std::to_string(params_.maxLevel());
-                    d.actual = "level " + std::to_string(act.level);
+                    diagAction(Invariant::kShape, a, act.id,
+                               "allocation level beyond the last level",
+                               "level <= " +
+                                   std::to_string(params_.maxLevel()),
+                               "level " + std::to_string(act.level));
                     break;
                 }
                 const size_t base_residues = act.base == BaseTag::kQ
@@ -352,22 +352,18 @@ class Verifier
                 const size_t live = base_residues - act.level;
                 in_use += live;
                 peak = std::max(peak, in_use);
-                if (in_use > capacity) {
-                    Diagnostic &d = diag(
-                        Invariant::kSlotCapacity,
-                        "slot-action log oversubscribes the memory "
-                        "file (a worker replay would abort)");
-                    d.action = a;
-                    d.record = act.id;
-                    d.expected =
-                        "<= " + std::to_string(capacity) + " slots";
-                    d.actual = std::to_string(in_use) + " slots";
-                }
+                if (in_use > capacity)
+                    diagAction(Invariant::kSlotCapacity, a, act.id,
+                               "slot-action log oversubscribes the "
+                               "memory file (a worker replay would "
+                               "abort)",
+                               "<= " + std::to_string(capacity) + " slots",
+                               std::to_string(in_use) + " slots");
                 RecState rec;
                 rec.exists = true;
                 rec.base = act.base;
                 rec.level = act.level;
-                rec.q_live = qPrimes(act.level);
+                rec.q_live = params_.qPrimeCount(act.level);
                 rec.live = live;
                 rec.layout.fill(act.layout);
                 rec.pinned = act.id < pinned_count;
@@ -387,27 +383,20 @@ class Verifier
               case SlotAction::Kind::kRelease: {
                 RecState *rec = state(act.id);
                 if (rec == nullptr) {
-                    Diagnostic &d =
-                        diag(Invariant::kSlotLog,
-                             "release of an unallocated record");
-                    d.action = a;
-                    d.record = act.id;
+                    diagAction(Invariant::kSlotLog, a, act.id,
+                               "release of an unallocated record");
                     break;
                 }
                 if (rec->released) {
-                    Diagnostic &d = diag(Invariant::kSlotLog,
-                                         "double release of a record");
-                    d.action = a;
-                    d.record = act.id;
+                    diagAction(Invariant::kSlotLog, a, act.id,
+                               "double release of a record");
                     break;
                 }
                 if (rec->pinned) {
-                    Diagnostic &d = diag(
-                        Invariant::kPinned,
-                        "release of a pinned resident-prefix record "
-                        "(its slots must survive warm reruns)");
-                    d.action = a;
-                    d.record = act.id;
+                    diagAction(Invariant::kPinned, a, act.id,
+                               "release of a pinned resident-prefix "
+                               "record (its slots must survive warm "
+                               "reruns)");
                     break;
                 }
                 const size_t base_residues = rec->base == BaseTag::kQ
@@ -420,44 +409,32 @@ class Verifier
               case SlotAction::Kind::kExtend: {
                 RecState *rec = state(act.id);
                 if (rec == nullptr) {
-                    Diagnostic &d =
-                        diag(Invariant::kSlotLog,
-                             "extend of an unallocated record");
-                    d.action = a;
-                    d.record = act.id;
+                    diagAction(Invariant::kSlotLog, a, act.id,
+                               "extend of an unallocated record");
                     break;
                 }
                 if (rec->base != BaseTag::kQ || rec->released) {
-                    Diagnostic &d = diag(
-                        Invariant::kSlotLog,
-                        rec->released
-                            ? "extend of a released record"
-                            : "extend of an already-extended record");
-                    d.action = a;
-                    d.record = act.id;
+                    diagAction(Invariant::kSlotLog, a, act.id,
+                               rec->released
+                                   ? "extend of a released record"
+                                   : "extend of an already-extended "
+                                     "record");
                     break;
                 }
                 if (rec->pinned) {
-                    Diagnostic &d =
-                        diag(Invariant::kPinned,
-                             "lift extension of a pinned resident-"
-                             "prefix record (demotes the warm cache)");
-                    d.action = a;
-                    d.record = act.id;
+                    diagAction(Invariant::kPinned, a, act.id,
+                               "lift extension of a pinned resident-"
+                               "prefix record (demotes the warm cache)");
                     break;
                 }
                 in_use += full_residues - q_residues;
                 peak = std::max(peak, in_use);
-                if (in_use > capacity) {
-                    Diagnostic &d = diag(
-                        Invariant::kSlotCapacity,
-                        "lift extension oversubscribes the memory file");
-                    d.action = a;
-                    d.record = act.id;
-                    d.expected =
-                        "<= " + std::to_string(capacity) + " slots";
-                    d.actual = std::to_string(in_use) + " slots";
-                }
+                if (in_use > capacity)
+                    diagAction(Invariant::kSlotCapacity, a, act.id,
+                               "lift extension oversubscribes the "
+                               "memory file",
+                               "<= " + std::to_string(capacity) + " slots",
+                               std::to_string(in_use) + " slots");
                 rec->base = BaseTag::kFull;
                 const size_t live = full_residues - rec->level;
                 for (size_t k = rec->live; k < live; ++k) {
@@ -471,14 +448,12 @@ class Verifier
         }
         result_.records = recs_.size();
 
-        if (peak != c_.peak_slots) {
-            Diagnostic &d = diag(
-                Invariant::kSlotCapacity,
-                "slot-action log disagrees with the recorded peak "
-                "(the log is not the one this circuit was built with)");
-            d.expected = std::to_string(c_.peak_slots) + " peak slots";
-            d.actual = std::to_string(peak) + " peak slots";
-        }
+        if (peak != c_.peak_slots)
+            diag(Invariant::kSlotCapacity,
+                 "slot-action log disagrees with the recorded peak (the "
+                 "log is not the one this circuit was built with)",
+                 std::to_string(c_.peak_slots) + " peak slots",
+                 std::to_string(peak) + " peak slots");
     }
 
     // --- phase 3: resident-prefix shape ----------------------------------
@@ -496,35 +471,29 @@ class Verifier
         }
         if (c_.resident_action_count > c_.slot_actions.size() ||
             c_.resident_action_count != pinned_count) {
-            Diagnostic &d = diag(
-                Invariant::kPinned,
-                "resident action prefix does not cover exactly the "
-                "pinned slot pairs (warm replay would misalign)");
-            d.expected = std::to_string(pinned_count) + " actions";
-            d.actual = std::to_string(c_.resident_action_count);
+            diag(Invariant::kPinned,
+                 "resident action prefix does not cover exactly the "
+                 "pinned slot pairs (warm replay would misalign)",
+                 std::to_string(pinned_count) + " actions",
+                 std::to_string(c_.resident_action_count));
             return;
         }
         for (size_t a = 0; a < c_.resident_action_count; ++a) {
             const SlotAction &act = c_.slot_actions[a];
             if (act.kind != SlotAction::Kind::kAllocate ||
                 act.id != a) {
-                Diagnostic &d =
-                    diag(Invariant::kPinned,
-                         "resident prefix action is not the pinned "
-                         "record's allocation");
-                d.action = a;
-                d.record = act.id;
+                diagAction(Invariant::kPinned, a, act.id,
+                           "resident prefix action is not the pinned "
+                           "record's allocation");
                 return;
             }
         }
-        for (size_t k = 0; k < c_.resident_slots.size(); ++k) {
-            for (PolyId slot : c_.resident_slots[k]) {
-                if (slot >= pinned_count) {
-                    Diagnostic &d = diag(
-                        Invariant::kPinned,
-                        "resident slot pair escapes the pinned prefix");
-                    d.record = slot;
-                }
+        for (const auto &pair : c_.resident_slots) {
+            for (PolyId slot : pair) {
+                if (slot >= pinned_count)
+                    diag(Invariant::kPinned,
+                         "resident slot pair escapes the pinned prefix")
+                        .record = slot;
             }
         }
     }
@@ -581,11 +550,11 @@ class Verifier
             "record " + std::to_string(id) +
                 " occupies slots of record " + std::to_string(freed_by) +
                 " before that record's last use — released slots "
-                "reused while still live");
+                "reused while still live",
+            "first use after record " + std::to_string(freed_by) +
+                "'s last use");
         d.action = action;
         d.record = id;
-        d.expected = "first use after record " +
-                     std::to_string(freed_by) + "'s last use";
         // Resolve the clashing touch to (segment, instruction) when it
         // is an instruction (upload positions keep kNoIndex).
         size_t seen = 0;
@@ -641,76 +610,55 @@ class Verifier
     {
         RecState *rec = state(t.slot);
         if (rec == nullptr) {
-            Diagnostic &d =
-                diag(Invariant::kDefBeforeUse,
-                     "upload targets a record the slot log never "
-                     "allocates");
-            d.segment = s;
-            d.record = t.slot;
+            diagTransfer(Invariant::kDefBeforeUse, s, t.slot,
+                         "upload targets a record the slot log never "
+                         "allocates");
             return;
         }
         if (rec->pinned) {
-            Diagnostic &d = diag(
-                Invariant::kPinned,
-                "upload overwrites a pinned resident-prefix record");
-            d.segment = s;
-            d.record = t.slot;
+            diagTransfer(Invariant::kPinned, s, t.slot,
+                         "upload overwrites a pinned resident-prefix "
+                         "record");
             return;
         }
         size_t live = rec->q_live;
         if (t.source == Transfer::Source::kValue) {
             if (t.index >= c_.value_levels.size()) {
-                Diagnostic &d = diag(Invariant::kShape,
-                                     "upload of an unknown value id");
-                d.segment = s;
-                d.record = t.slot;
+                diagTransfer(Invariant::kShape, s, t.slot,
+                             "upload of an unknown value id");
                 return;
             }
-            if (!host[t.index]) {
-                Diagnostic &d = diag(
-                    Invariant::kDefBeforeUse,
-                    "upload of value " + std::to_string(t.index) +
-                        " before the host holds its data (not an "
-                        "input, no prior spill download)");
-                d.segment = s;
-                d.record = t.slot;
-            }
+            if (!host[t.index])
+                diagTransfer(Invariant::kDefBeforeUse, s, t.slot,
+                             "upload of value " +
+                                 std::to_string(t.index) +
+                                 " before the host holds its data (not "
+                                 "an input, no prior spill download)");
             const size_t value_level = c_.value_levels[t.index];
-            if (rec->level != value_level) {
-                Diagnostic &d =
-                    diag(Invariant::kShape,
-                         "upload record level disagrees with the "
-                         "value's level");
-                d.segment = s;
-                d.record = t.slot;
-                d.expected = "level " + std::to_string(value_level);
-                d.actual = "level " + std::to_string(rec->level);
-            }
-            live = qPrimes(value_level);
+            if (rec->level != value_level)
+                diagTransfer(Invariant::kShape, s, t.slot,
+                             "upload record level disagrees with the "
+                             "value's level",
+                             "level " + std::to_string(value_level),
+                             "level " + std::to_string(rec->level));
+            live = params_.qPrimeCount(value_level);
         } else {
             if (t.index >= c_.constants.size()) {
-                Diagnostic &d =
-                    diag(Invariant::kShape,
-                         "upload references a constant outside the "
-                         "pool");
-                d.segment = s;
-                d.record = t.slot;
-                d.expected = "< " + std::to_string(c_.constants.size());
-                d.actual = std::to_string(t.index);
+                diagTransfer(Invariant::kShape, s, t.slot,
+                             "upload references a constant outside the "
+                             "pool",
+                             "< " + std::to_string(c_.constants.size()),
+                             std::to_string(t.index));
                 return;
             }
             const size_t residues =
                 c_.constants[t.index].residueCount();
-            if (residues != rec->q_live) {
-                Diagnostic &d =
-                    diag(Invariant::kShape,
-                         "constant residue count disagrees with the "
-                         "staged record's level");
-                d.segment = s;
-                d.record = t.slot;
-                d.expected = std::to_string(rec->q_live) + " residues";
-                d.actual = std::to_string(residues) + " residues";
-            }
+            if (residues != rec->q_live)
+                diagTransfer(Invariant::kShape, s, t.slot,
+                             "constant residue count disagrees with the "
+                             "staged record's level",
+                             std::to_string(rec->q_live) + " residues",
+                             std::to_string(residues) + " residues");
             live = std::min(residues, rec->residues());
         }
         // uploadInto(): operand data lands in coefficient order and
@@ -726,400 +674,391 @@ class Verifier
     {
         RecState *rec = state(t.slot);
         if (rec == nullptr) {
-            Diagnostic &d =
-                diag(Invariant::kDefBeforeUse,
-                     "download from a record the slot log never "
-                     "allocates");
-            d.segment = s;
-            d.record = t.slot;
+            diagTransfer(Invariant::kDefBeforeUse, s, t.slot,
+                         "download from a record the slot log never "
+                         "allocates");
             return;
         }
         for (size_t k = 0; k < std::min(rec->q_live, rec->residues());
              ++k) {
             if (!rec->written[k]) {
-                Diagnostic &d = diag(
-                    Invariant::kDefBeforeUse,
-                    "download of a record nothing ever wrote (residue " +
-                        std::to_string(k) + ")");
-                d.segment = s;
-                d.record = t.slot;
+                diagTransfer(Invariant::kDefBeforeUse, s, t.slot,
+                             "download of a record nothing ever wrote "
+                             "(residue " +
+                                 std::to_string(k) + ")");
                 return;
             }
         }
         if (t.source == Transfer::Source::kValue &&
             t.index < c_.value_levels.size() &&
-            rec->level != c_.value_levels[t.index]) {
-            Diagnostic &d =
-                diag(Invariant::kShape,
-                     "download record level disagrees with the value's "
-                     "level");
-            d.segment = s;
-            d.record = t.slot;
-            d.expected =
-                "level " + std::to_string(c_.value_levels[t.index]);
-            d.actual = "level " + std::to_string(rec->level);
-        }
+            rec->level != c_.value_levels[t.index])
+            diagTransfer(Invariant::kShape, s, t.slot,
+                         "download record level disagrees with the "
+                         "value's level",
+                         "level " +
+                             std::to_string(c_.value_levels[t.index]),
+                         "level " + std::to_string(rec->level));
     }
 
     // --- per-instruction interpretation ----------------------------------
 
-    RecState *
-    operand(size_t s, size_t i, const Instruction &in, PolyId id,
-            const char *role)
+    /** The records of an instruction's register operands, as resolved
+     *  for its row (nullptr where the row leaves a field unused). */
+    struct Regs
     {
-        RecState *rec = state(id);
-        if (rec == nullptr)
-            diagAt(Invariant::kDefBeforeUse, s, i, in.op, id,
-                   std::string(role) +
-                       " names a record the slot log never allocates");
-        return rec;
-    }
+        RecState *dst = nullptr;
+        RecState *src0 = nullptr;
+        RecState *src1 = nullptr;
+    };
 
-    /** Flag a write into the pinned resident prefix. */
-    bool
-    guardPinnedWrite(size_t s, size_t i, const Instruction &in,
-                     const RecState &rec, PolyId id)
-    {
-        if (!rec.pinned)
-            return false;
-        diagAt(Invariant::kPinned, s, i, in.op, id,
-               "instruction writes a pinned resident-prefix record "
-               "(warm reruns would see corrupted operands)");
-        return true;
-    }
+    /** An opcode's own transfer function: the checks and effects its
+     *  descriptor row does not capture. */
+    using OpRule = void (Verifier::*)(size_t, size_t, const Instruction &,
+                                      const hw::OpInfo &, const Regs &);
 
     void
     interpret(size_t s, size_t i, const Instruction &in)
     {
         switch (in.op) {
           case Opcode::kNtt:
+            return step<Opcode::kNtt, &Verifier::inPlace>(s, i, in);
           case Opcode::kIntt:
-            interpretTransform(s, i, in);
-            return;
+            return step<Opcode::kIntt, &Verifier::inPlace>(s, i, in);
           case Opcode::kRearrange:
-            interpretRearrange(s, i, in);
-            return;
+            return step<Opcode::kRearrange, &Verifier::inPlace>(s, i, in);
           case Opcode::kCoeffMul:
+            return step<Opcode::kCoeffMul, &Verifier::coeffOp>(s, i, in);
           case Opcode::kCoeffAdd:
+            return step<Opcode::kCoeffAdd, &Verifier::coeffOp>(s, i, in);
           case Opcode::kCoeffSub:
-            interpretCoeffOp(s, i, in);
-            return;
+            return step<Opcode::kCoeffSub, &Verifier::coeffOp>(s, i, in);
           case Opcode::kLift:
-            interpretLift(s, i, in);
-            return;
+            return step<Opcode::kLift, &Verifier::lift>(s, i, in);
           case Opcode::kScale:
-            interpretScale(s, i, in);
-            return;
+            return step<Opcode::kScale, &Verifier::scale>(s, i, in);
           case Opcode::kModSwitch:
-            interpretModSwitch(s, i, in);
-            return;
+            return step<Opcode::kModSwitch, &Verifier::modSwitch>(s, i, in);
           case Opcode::kAutomorph:
-            interpretAutomorph(s, i, in);
-            return;
+            return step<Opcode::kAutomorph, &Verifier::automorph>(s, i, in);
           case Opcode::kKeyLoad:
-            interpretKeyLoad(s, i, in);
-            return;
+            return step<Opcode::kKeyLoad, &Verifier::keyLoad>(s, i, in);
         }
         diagAt(Invariant::kShape, s, i, in.op, in.dst, "unknown opcode");
     }
 
+    /**
+     * The checks every instruction passes, read from its descriptor
+     * row — batch range, no stray fields, operand resolution and the
+     * pinned-write guard, the full-base operand — then the opcode's
+     * own @p transfer. The row is a compile-time constant here, so its
+     * role tests fold away; the transfer functions and their layout
+     * helpers are always_inline so the row's accepted and produced
+     * layouts fold into them too (the verifier runs on every compile
+     * and admission, and CI gates its cost at 5% of compile time).
+     */
+    template <Opcode Op, OpRule transfer>
     void
-    interpretTransform(size_t s, size_t i, const Instruction &in)
+    step(size_t s, size_t i, const Instruction &in)
     {
-        RecState *rec = operand(s, i, in, in.dst, "transform target");
-        if (rec == nullptr || guardPinnedWrite(s, i, in, *rec, in.dst))
+        static constexpr const hw::OpInfo &info =
+            hw::kOpInfo[static_cast<size_t>(Op)];
+        // hw::residuesOfBatch panics on any batch but 0 and 1; opcodes
+        // that do not batch ignore the field, so it must stay 0.
+        if (in.batch > (info.batched ? 1 : 0)) {
+            diagAt(Invariant::kShape, s, i, in.op, in.dst,
+                   "batch out of range",
+                   info.batched ? "batch 0 or 1" : "batch 0",
+                   "batch " + std::to_string(in.batch));
             return;
-        const bool forward = in.op == Opcode::kNtt;
-        const Layout need =
-            forward ? Layout::kPaired : Layout::kNttDomain;
-        const Layout produced =
-            forward ? Layout::kNttDomain : Layout::kPaired;
-        const auto [lo, hi] = batchRange(*rec, in.batch);
-        for (size_t k = lo; k < hi; ++k) {
-            if (!rec->written[k]) {
-                diagAt(Invariant::kDefBeforeUse, s, i, in.op, in.dst,
-                       "transform of residues nothing ever wrote");
-                return;
-            }
-            if (rec->layout[k] != need) {
-                Diagnostic &d = diagAt(
-                    Invariant::kLayout, s, i, in.op, in.dst,
-                    forward ? "NTT input must be in paired layout "
-                              "(rearrange first)"
-                            : "INTT input must be in the NTT domain");
-                d.expected = layoutName(need);
-                d.actual = layoutName(rec->layout[k]);
-                return;
-            }
-            rec->layout[k] = produced;
         }
+        // Resolve every record the row names: the registers it does not
+        // mark unused (an optional one only when present), then the
+        // extra list minus disabled sparse digit lanes. A record named
+        // in a field the row marks unused is a miscompile (the
+        // coprocessor ignores it), and no record the instruction
+        // writes may be pinned.
+        Regs regs;
+        bool ok = true;
+        PolyId pinned = kNoPoly;
+        // The diagnostics live in separate functions so these lambdas
+        // stay small enough to inline.
+        const auto resolve = [&](PolyId id, bool writes,
+                                 const char *field) -> RecState * {
+            RecState *rec = state(id);
+            if (rec == nullptr)
+                ok = unresolved(s, i, in, id, field);
+            else if (writes && rec->pinned && pinned == kNoPoly)
+                pinned = id;
+            return rec;
+        };
+        const auto stray = [&](const char *field) {
+            ok = unusedFieldSet(s, i, in, field);
+        };
+        const auto reg = [&](hw::Role role, PolyId id,
+                             const char *field) -> RecState * {
+            if (role == hw::Role::kUnused) {
+                if (id != kNoPoly)
+                    stray(field);
+                return nullptr;
+            }
+            if (role == hw::Role::kOptional && id == kNoPoly)
+                return nullptr;
+            return resolve(id, role != hw::Role::kRead, field);
+        };
+        regs.dst = reg(info.dst, in.dst, "dst");
+        regs.src0 = reg(info.src0, in.src0, "src0");
+        regs.src1 = reg(info.src1, in.src1, "src1");
+        if (info.extra == hw::ExtraRole::kNone) {
+            if (!in.extra.empty())
+                stray("extra");
+        } else {
+            for (PolyId id : in.extra) {
+                if (id != kNoPoly ||
+                    info.extra != hw::ExtraRole::kSparseDigitLanes)
+                    resolve(id, true, "extra");
+            }
+        }
+        if (!ok)
+            return;
+        if (pinned != kNoPoly) {
+            diagAt(Invariant::kPinned, s, i, in.op, pinned,
+                   "instruction writes a pinned resident-prefix record "
+                   "(warm reruns would see corrupted operands)");
+            return;
+        }
+        const PolyId wide = hw::operandOf(in, info.full_base);
+        if (wide != kNoPoly && state(wide)->base != BaseTag::kFull) {
+            diagAt(Invariant::kShape, s, i, in.op, wide,
+                   std::string(info.name) +
+                       " needs a record the slot log extends to the full "
+                       "base (lift before scale)",
+                   "full base", "q base");
+            return;
+        }
+        (this->*transfer)(s, i, in, info, regs);
+    }
+
+    /** Report that @p field names no allocated record. @return false. */
+    bool
+    unresolved(size_t s, size_t i, const Instruction &in, PolyId id,
+               const char *field)
+    {
+        diagAt(Invariant::kDefBeforeUse, s, i, in.op, id,
+               std::string(field) +
+                   " names a record the slot log never allocates");
+        return false;
+    }
+
+    /** Report a record in a field @p in's opcode does not use.
+     *  @return false. */
+    bool
+    unusedFieldSet(size_t s, size_t i, const Instruction &in,
+                   const char *field)
+    {
+        diagAt(Invariant::kShape, s, i, in.op, kNoPoly,
+               std::string(field) + " is set, but " +
+                   hw::opcodeName(in.op) + " does not use it");
+        return false;
+    }
+
+    /** The one layout check: residue layout @p have must lie in
+     *  @p accepted. @return false after emitting the diagnostic. */
+    [[gnu::always_inline]] bool
+    checkLayout(size_t s, size_t i, const Instruction &in, PolyId id,
+                Layout have, hw::LayoutSet accepted,
+                const char *message = nullptr)
+    {
+        if ((accepted & hw::layoutBit(have)) != 0)
+            return true;
+        layoutViolation(s, i, in, id, have, accepted, message);
+        return false;
     }
 
     void
-    interpretRearrange(size_t s, size_t i, const Instruction &in)
+    layoutViolation(size_t s, size_t i, const Instruction &in, PolyId id,
+                    Layout have, hw::LayoutSet accepted,
+                    const char *message)
     {
-        RecState *rec = operand(s, i, in, in.dst, "rearrange target");
-        if (rec == nullptr || guardPinnedWrite(s, i, in, *rec, in.dst))
-            return;
-        const auto [lo, hi] = batchRange(*rec, in.batch);
-        for (size_t k = lo; k < hi; ++k) {
-            if (!rec->written[k]) {
-                diagAt(Invariant::kDefBeforeUse, s, i, in.op, in.dst,
-                       "rearrange of residues nothing ever wrote");
-                return;
-            }
-            if (rec->layout[k] == Layout::kNttDomain) {
-                Diagnostic &d = diagAt(
-                    Invariant::kLayout, s, i, in.op, in.dst,
-                    "cannot rearrange NTT-domain data; INTT first");
-                d.expected = "natural or paired";
-                d.actual = layoutName(rec->layout[k]);
-                return;
-            }
-            rec->layout[k] = rec->layout[k] == Layout::kNatural
-                                 ? Layout::kPaired
-                                 : Layout::kNatural;
-        }
+        diagAt(Invariant::kLayout, s, i, in.op, id,
+               message != nullptr
+                   ? std::string(message)
+                   : std::string(hw::opcodeName(in.op)) +
+                         " does not accept this input layout",
+               layoutSetName(accepted),
+               layoutSetName(hw::layoutBit(have)));
     }
 
-    void
-    interpretCoeffOp(size_t s, size_t i, const Instruction &in)
+    /**
+     * Residues @p range of record @p id (state @p rec) that @p in reads
+     * must be defined and in a layout of @p accepted — the row's
+     * accepted set or a narrower one. @return false after emitting the
+     * diagnostic.
+     */
+    [[gnu::always_inline]] bool
+    readable(size_t s, size_t i, const Instruction &in, PolyId id,
+             const RecState &rec, hw::ResidueRange range,
+             hw::LayoutSet accepted)
     {
-        RecState *dst = operand(s, i, in, in.dst, "coeff-op dst");
-        RecState *a = operand(s, i, in, in.src0, "coeff-op src0");
-        RecState *b = operand(s, i, in, in.src1, "coeff-op src1");
-        if (dst == nullptr || a == nullptr || b == nullptr)
+        for (size_t k : range) {
+            if (!rec.written[k]) {
+                diagAt(Invariant::kDefBeforeUse, s, i, in.op, id,
+                       std::string(hw::opcodeName(in.op)) +
+                           " reads residues nothing ever wrote");
+                return false;
+            }
+            if (!checkLayout(s, i, in, id, rec.layout[k], accepted))
+                return false;
+        }
+        return true;
+    }
+
+    /** NTT, INTT and Rearrange: in place over the batch's residues. */
+    [[gnu::always_inline]] void
+    inPlace(size_t s, size_t i, const Instruction &in,
+            const hw::OpInfo &info, const Regs &r)
+    {
+        RecState &rec = *r.dst;
+        const hw::ResidueRange range =
+            hw::residuesOfBatch(in.batch, rec.q_live, rec.residues());
+        if (!readable(s, i, in, in.dst, rec, range, info.accepts))
             return;
-        if (guardPinnedWrite(s, i, in, *dst, in.dst))
-            return;
-        if (in.batch == 1 && dst->base != a->base) {
-            Diagnostic &d =
-                diagAt(Invariant::kShape, s, i, in.op, in.src0,
-                       "batch-1 coeff op needs matching bases");
-            d.expected = dst->base == BaseTag::kFull ? "full base"
-                                                     : "q base";
-            d.actual = a->base == BaseTag::kFull ? "full base"
-                                                 : "q base";
+        for (size_t k : range)
+            rec.layout[k] = hw::producedLayout(info, rec.layout[k]);
+    }
+
+    [[gnu::always_inline]] void
+    coeffOp(size_t s, size_t i, const Instruction &in,
+            const hw::OpInfo &info, const Regs &r)
+    {
+        RecState &dst = *r.dst;
+        const RecState &a = *r.src0;
+        const RecState &b = *r.src1;
+        const auto baseName = [](const RecState &rec) {
+            return rec.base == BaseTag::kFull ? "full base" : "q base";
+        };
+        if (in.batch == 1 && dst.base != a.base) {
+            diagAt(Invariant::kShape, s, i, in.op, in.src0,
+                   "batch-1 coeff op needs matching bases", baseName(dst),
+                   baseName(a));
             return;
         }
         // The reads may legitimately hit a never-written record: the
         // emitters' shared zero constant is a freshly-allocated (and
         // therefore zeroed) slot that only ever feeds additive ops.
         const bool zero_ok = in.op != Opcode::kCoeffMul;
-        const auto [lo, hi] = batchRange(*dst, in.batch);
-        for (size_t k = lo; k < hi; ++k) {
-            if (k >= a->residues() || k >= b->residues()) {
-                RecState *small = k >= a->residues() ? a : b;
-                Diagnostic &d = diagAt(
-                    Invariant::kShape, s, i, in.op,
-                    k >= a->residues() ? in.src0 : in.src1,
-                    "operand spans fewer residues than the "
-                    "destination batch (level/base mismatch)");
-                d.expected = ">= " + std::to_string(hi) + " residues";
-                d.actual =
-                    std::to_string(small->residues()) + " residues";
+        const hw::ResidueRange range =
+            hw::residuesOfBatch(in.batch, dst.q_live, dst.residues());
+        for (size_t k : range) {
+            if (k >= a.residues() || k >= b.residues()) {
+                const bool a_small = k >= a.residues();
+                diagAt(Invariant::kShape, s, i, in.op,
+                       a_small ? in.src0 : in.src1,
+                       "operand spans fewer residues than the "
+                       "destination batch (level/base mismatch)",
+                       ">= " + std::to_string(range.back() + 1) +
+                           " residues",
+                       std::to_string((a_small ? a : b).residues()) +
+                           " residues");
                 return;
             }
-            if ((!a->written[k] && !zero_ok) ||
-                (!b->written[k] && !zero_ok)) {
+            if (!zero_ok && (!a.written[k] || !b.written[k])) {
                 diagAt(Invariant::kDefBeforeUse, s, i, in.op,
-                       !a->written[k] ? in.src0 : in.src1,
+                       !a.written[k] ? in.src0 : in.src1,
                        "multiplicative coeff op reads residues "
                        "nothing ever wrote");
                 return;
             }
-            if (a->layout[k] != b->layout[k]) {
-                Diagnostic &d =
-                    diagAt(Invariant::kLayout, s, i, in.op, in.src1,
-                           "coeff op operand layout mismatch");
-                d.expected = layoutName(a->layout[k]);
-                d.actual = layoutName(b->layout[k]);
+            if (!checkLayout(s, i, in, in.src1, b.layout[k],
+                             hw::layoutBit(a.layout[k]),
+                             "coeff op operand layout mismatch"))
                 return;
-            }
-            dst->layout[k] = a->layout[k];
-            dst->written[k] = true;
+            dst.layout[k] = hw::producedLayout(info, a.layout[k]);
+            dst.written[k] = true;
         }
     }
 
-    void
-    interpretLift(size_t s, size_t i, const Instruction &in)
+    [[gnu::always_inline]] void
+    lift(size_t s, size_t i, const Instruction &in,
+         const hw::OpInfo &info, const Regs &r)
     {
-        RecState *rec = operand(s, i, in, in.dst, "lift target");
-        if (rec == nullptr || guardPinnedWrite(s, i, in, *rec, in.dst))
+        RecState &rec = *r.dst;
+        const size_t kq = std::min(rec.q_live, rec.residues());
+        if (!readable(s, i, in, in.dst, rec, hw::ResidueRange(0, kq),
+                      info.accepts))
             return;
-        if (rec->base != BaseTag::kFull) {
-            Diagnostic &d = diagAt(
-                Invariant::kShape, s, i, in.op, in.dst,
-                "lift of a record the slot log never extended to the "
-                "full base");
-            d.expected = "full base (pre-extended)";
-            d.actual = "q base";
-            return;
-        }
-        const size_t kq = std::min(rec->q_live, rec->residues());
-        for (size_t k = 0; k < kq; ++k) {
-            if (!rec->written[k]) {
-                diagAt(Invariant::kDefBeforeUse, s, i, in.op, in.dst,
-                       "lift of q residues nothing ever wrote");
-                return;
-            }
-            if (rec->layout[k] != Layout::kNatural) {
-                Diagnostic &d =
-                    diagAt(Invariant::kLayout, s, i, in.op, in.dst,
-                           "lift input must be in natural order");
-                d.expected = "natural";
-                d.actual = layoutName(rec->layout[k]);
-                return;
-            }
-        }
-        for (size_t k = kq; k < rec->residues(); ++k) {
-            rec->layout[k] = Layout::kNatural;
-            rec->written[k] = true;
+        for (size_t k = kq; k < rec.residues(); ++k) {
+            rec.layout[k] = Layout::kNatural;
+            rec.written[k] = true;
         }
     }
 
-    void
-    interpretScale(size_t s, size_t i, const Instruction &in)
+    [[gnu::always_inline]] void
+    scale(size_t s, size_t i, const Instruction &in,
+          const hw::OpInfo &info, const Regs &r)
     {
-        RecState *src = operand(s, i, in, in.src0, "scale source");
-        RecState *dst = operand(s, i, in, in.dst, "scale dst");
-        if (src == nullptr || dst == nullptr)
-            return;
-        if (guardPinnedWrite(s, i, in, *dst, in.dst))
-            return;
+        const RecState &src = *r.src0;
+        RecState &dst = *r.dst;
         if (in.dst == in.src0) {
             diagAt(Invariant::kShape, s, i, in.op, in.dst,
                    "scale cannot stream onto its own source record");
             return;
         }
-        if (src->base != BaseTag::kFull) {
-            Diagnostic &d = diagAt(Invariant::kShape, s, i, in.op,
-                                   in.src0,
-                                   "scale input must span the full "
-                                   "base (lift it first)");
-            d.expected = "full base";
-            d.actual = "q base";
+        if (!readable(s, i, in, in.src0, src,
+                      hw::ResidueRange(0, src.residues()), info.accepts))
+            return;
+        if (dst.level != src.level) {
+            diagAt(Invariant::kShape, s, i, in.op, in.dst,
+                   "scale destination level disagrees with the source",
+                   "level " + std::to_string(src.level),
+                   "level " + std::to_string(dst.level));
             return;
         }
-        for (size_t k = 0; k < src->residues(); ++k) {
-            if (!src->written[k]) {
-                diagAt(Invariant::kDefBeforeUse, s, i, in.op, in.src0,
-                       "scale reads extension residues nothing ever "
-                       "wrote (missing lift)");
-                return;
-            }
-            if (src->layout[k] != Layout::kNatural) {
-                Diagnostic &d =
-                    diagAt(Invariant::kLayout, s, i, in.op, in.src0,
-                           "scale input must be in natural order");
-                d.expected = "natural";
-                d.actual = layoutName(src->layout[k]);
-                return;
-            }
+        const size_t kq = params_.qPrimeCount(src.level);
+        for (size_t k = 0; k < dst.residues(); ++k) {
+            dst.layout[k] = Layout::kNatural;
+            if (k < kq)
+                dst.written[k] = true;
         }
-        const size_t kq = qPrimes(src->level);
-        if (dst->level != src->level) {
-            Diagnostic &d =
-                diagAt(Invariant::kShape, s, i, in.op, in.dst,
-                       "scale destination level disagrees with the "
-                       "source");
-            d.expected = "level " + std::to_string(src->level);
-            d.actual = "level " + std::to_string(dst->level);
+        broadcastDigits(s, i, in, kq);
+    }
+
+    [[gnu::always_inline]] void
+    modSwitch(size_t s, size_t i, const Instruction &in,
+              const hw::OpInfo &info, const Regs &r)
+    {
+        const RecState &src = *r.src0;
+        RecState &dst = *r.dst;
+        if (src.level >= params_.maxLevel()) {
+            diagAt(Invariant::kShape, s, i, in.op, in.src0,
+                   "mod-switch from the last level",
+                   "level < " + std::to_string(params_.maxLevel()),
+                   "level " + std::to_string(src.level));
             return;
         }
-        if (!in.extra.empty() && in.extra.size() != kq) {
-            Diagnostic &d =
-                diagAt(Invariant::kShape, s, i, in.op, in.dst,
-                       "WordDecomp broadcast needs one digit lane per "
-                       "live q prime");
-            d.expected = std::to_string(kq) + " lanes";
-            d.actual = std::to_string(in.extra.size()) + " lanes";
+        if (dst.level != src.level + 1) {
+            diagAt(Invariant::kShape, s, i, in.op, in.dst,
+                   "mod-switch destination must sit one level deeper "
+                   "than its source",
+                   "level " + std::to_string(src.level + 1),
+                   "level " + std::to_string(dst.level));
             return;
         }
-        for (size_t k = 0; k < std::min(kq, dst->residues()); ++k) {
-            dst->layout[k] = Layout::kNatural;
-            dst->written[k] = true;
-        }
-        for (size_t k = kq; k < dst->residues(); ++k)
-            dst->layout[k] = Layout::kNatural;
-        for (PolyId id : in.extra) {
-            RecState *dig = operand(s, i, in, id, "WordDecomp digit");
-            if (dig == nullptr)
-                return;
-            if (guardPinnedWrite(s, i, in, *dig, id))
-                return;
-            if (dig->residues() < kq) {
-                Diagnostic &d =
-                    diagAt(Invariant::kShape, s, i, in.op, id,
-                           "digit record spans fewer residues than "
-                           "the broadcast writes");
-                d.expected = ">= " + std::to_string(kq) + " residues";
-                d.actual =
-                    std::to_string(dig->residues()) + " residues";
-                return;
-            }
-            for (size_t k = 0; k < dig->residues(); ++k) {
-                dig->layout[k] = Layout::kNatural;
-                dig->written[k] = k < kq;
-            }
+        const size_t live = params_.qPrimeCount(src.level);
+        if (!readable(s, i, in, in.src0, src,
+                      hw::ResidueRange(0, std::min(live, src.residues())),
+                      info.accepts))
+            return;
+        for (size_t k = 0; k + 1 < live && k < dst.residues(); ++k) {
+            dst.layout[k] = Layout::kNatural;
+            dst.written[k] = true;
         }
     }
 
-    void
-    interpretModSwitch(size_t s, size_t i, const Instruction &in)
+    [[gnu::always_inline]] void
+    automorph(size_t s, size_t i, const Instruction &in,
+              const hw::OpInfo &info, const Regs &r)
     {
-        RecState *src = operand(s, i, in, in.src0, "mod-switch source");
-        RecState *dst = operand(s, i, in, in.dst, "mod-switch dst");
-        if (src == nullptr || dst == nullptr)
-            return;
-        if (guardPinnedWrite(s, i, in, *dst, in.dst))
-            return;
-        if (src->level >= params_.maxLevel()) {
-            Diagnostic &d =
-                diagAt(Invariant::kShape, s, i, in.op, in.src0,
-                       "mod-switch from the last level");
-            d.expected =
-                "level < " + std::to_string(params_.maxLevel());
-            d.actual = "level " + std::to_string(src->level);
-            return;
-        }
-        if (dst->level != src->level + 1) {
-            Diagnostic &d =
-                diagAt(Invariant::kShape, s, i, in.op, in.dst,
-                       "mod-switch destination must sit one level "
-                       "deeper than its source");
-            d.expected = "level " + std::to_string(src->level + 1);
-            d.actual = "level " + std::to_string(dst->level);
-            return;
-        }
-        const size_t live = qPrimes(src->level);
-        for (size_t k = 0; k < std::min(live, src->residues()); ++k) {
-            if (!src->written[k]) {
-                diagAt(Invariant::kDefBeforeUse, s, i, in.op, in.src0,
-                       "mod-switch reads residues nothing ever wrote");
-                return;
-            }
-            if (src->layout[k] != Layout::kNatural) {
-                Diagnostic &d =
-                    diagAt(Invariant::kLayout, s, i, in.op, in.src0,
-                           "mod-switch input must be in natural order");
-                d.expected = "natural";
-                d.actual = layoutName(src->layout[k]);
-                return;
-            }
-        }
-        for (size_t k = 0; k + 1 < live && k < dst->residues(); ++k) {
-            dst->layout[k] = Layout::kNatural;
-            dst->written[k] = true;
-        }
-    }
-
-    void
-    interpretAutomorph(size_t s, size_t i, const Instruction &in)
-    {
-        RecState *src = operand(s, i, in, in.src0, "automorph source");
-        if (src == nullptr)
-            return;
+        const RecState &src = *r.src0;
         if (in.dst == in.src0) {
             diagAt(Invariant::kShape, s, i, in.op, in.dst,
                    "automorphism cannot permute a slot onto itself");
@@ -1132,107 +1071,86 @@ class Verifier
             return;
         }
         if (in.aux != 1 && !galoisDeclared(in.aux)) {
-            Diagnostic &d = diagAt(
-                Invariant::kKey, s, i, in.op, in.src0,
-                "automorphism element is not declared in "
-                "galois_elements (no executing coprocessor is "
-                "guaranteed to hold its key)");
-            d.expected = "declared Galois element";
-            d.actual = "element " + std::to_string(in.aux);
+            diagAt(Invariant::kKey, s, i, in.op, in.src0,
+                   "automorphism element is not declared in "
+                   "galois_elements (no executing coprocessor is "
+                   "guaranteed to hold its key)",
+                   "declared Galois element",
+                   "element " + std::to_string(in.aux));
             return;
         }
         const size_t kq =
-            std::min(qPrimes(src->level), src->residues());
-        Layout layout = Layout::kNatural;
-        for (size_t k = 0; k < kq; ++k) {
-            if (!src->written[k]) {
-                diagAt(Invariant::kDefBeforeUse, s, i, in.op, in.src0,
-                       "automorphism of residues nothing ever wrote");
+            std::min(params_.qPrimeCount(src.level), src.residues());
+        // The WordDecomp broadcast streams coefficient order, so an
+        // automorphism that emits digits reads natural input only.
+        if (!readable(s, i, in, in.src0, src, hw::ResidueRange(0, kq),
+                      in.extra.empty() ? info.accepts
+                                       : hw::layoutBit(Layout::kNatural)))
+            return;
+        const Layout layout = kq > 0 ? src.layout[0] : Layout::kNatural;
+        for (size_t k = 1; k < kq; ++k) {
+            if (!checkLayout(s, i, in, in.src0, src.layout[k],
+                             hw::layoutBit(layout),
+                             "automorphism input layout is mixed"))
                 return;
-            }
-            if (k == 0) {
-                layout = src->layout[k];
-            } else if (src->layout[k] != layout) {
-                Diagnostic &d =
-                    diagAt(Invariant::kLayout, s, i, in.op, in.src0,
-                           "automorphism input layout is mixed");
-                d.expected = layoutName(layout);
-                d.actual = layoutName(src->layout[k]);
-                return;
-            }
-        }
-        if (layout == Layout::kPaired) {
-            Diagnostic &d = diagAt(
-                Invariant::kLayout, s, i, in.op, in.src0,
-                "cannot permute paired-layout data; rearrange first");
-            d.expected = "natural or ntt-domain";
-            d.actual = "paired";
-            return;
-        }
-        if (layout == Layout::kNttDomain && !in.extra.empty()) {
-            diagAt(Invariant::kLayout, s, i, in.op, in.src0,
-                   "the WordDecomp broadcast streams coefficient "
-                   "order; NTT-domain automorphisms cannot emit "
-                   "digits");
-            return;
-        }
-        if (!in.extra.empty() && in.extra.size() != kq) {
-            Diagnostic &d =
-                diagAt(Invariant::kShape, s, i, in.op, in.src0,
-                       "digit broadcast needs one lane per live q "
-                       "prime");
-            d.expected = std::to_string(kq) + " lanes";
-            d.actual = std::to_string(in.extra.size()) + " lanes";
-            return;
         }
         if (in.dst != kNoPoly) {
-            RecState *dst =
-                operand(s, i, in, in.dst, "automorph destination");
-            if (dst == nullptr)
-                return;
-            if (guardPinnedWrite(s, i, in, *dst, in.dst))
-                return;
-            if (dst->residues() < kq) {
-                Diagnostic &d =
-                    diagAt(Invariant::kShape, s, i, in.op, in.dst,
-                           "automorphism destination record too small");
-                d.expected = ">= " + std::to_string(kq) + " residues";
-                d.actual =
-                    std::to_string(dst->residues()) + " residues";
+            RecState &dst = *r.dst;
+            if (dst.residues() < kq) {
+                diagAt(Invariant::kShape, s, i, in.op, in.dst,
+                       "automorphism destination record too small",
+                       ">= " + std::to_string(kq) + " residues",
+                       std::to_string(dst.residues()) + " residues");
                 return;
             }
             for (size_t k = 0; k < kq; ++k) {
-                dst->layout[k] = layout;
-                dst->written[k] = true;
+                dst.layout[k] = hw::producedLayout(info, layout);
+                dst.written[k] = true;
             }
+        }
+        broadcastDigits(s, i, in, kq);
+    }
+
+    /**
+     * Apply @p in's WordDecomp broadcast: none or one lane per live q
+     * prime (@p kq), digit d landing in its lane's first kq residues in
+     * natural order. @return false after emitting the diagnostic when
+     * the lane count or a lane's record size is wrong.
+     */
+    bool
+    broadcastDigits(size_t s, size_t i, const Instruction &in, size_t kq)
+    {
+        if (!in.extra.empty() && in.extra.size() != kq) {
+            diagAt(Invariant::kShape, s, i, in.op, in.dst,
+                   "WordDecomp broadcast needs one digit lane per live "
+                   "q prime",
+                   std::to_string(kq) + " lanes",
+                   std::to_string(in.extra.size()) + " lanes");
+            return false;
         }
         for (PolyId id : in.extra) {
             if (id == kNoPoly)
-                continue; // disabled broadcast lane
-            RecState *dig = operand(s, i, in, id, "WordDecomp digit");
-            if (dig == nullptr)
-                return;
-            if (guardPinnedWrite(s, i, in, *dig, id))
-                return;
-            if (dig->residues() < kq) {
-                Diagnostic &d =
-                    diagAt(Invariant::kShape, s, i, in.op, id,
-                           "digit record spans fewer residues than "
-                           "the broadcast writes");
-                d.expected = ">= " + std::to_string(kq) + " residues";
-                d.actual =
-                    std::to_string(dig->residues()) + " residues";
-                return;
+                continue; // disabled lane
+            RecState &dig = *state(id);
+            if (dig.residues() < kq) {
+                diagAt(Invariant::kShape, s, i, in.op, id,
+                       "digit record spans fewer residues than the "
+                       "broadcast writes",
+                       ">= " + std::to_string(kq) + " residues",
+                       std::to_string(dig.residues()) + " residues");
+                return false;
             }
-            for (size_t k = 0; k < dig->residues(); ++k) {
-                dig->layout[k] = Layout::kNatural;
-                dig->written[k] = k < kq;
+            for (size_t k = 0; k < dig.residues(); ++k) {
+                dig.layout[k] = Layout::kNatural;
+                dig.written[k] = k < kq;
             }
         }
+        return true;
     }
 
-    void
-    interpretKeyLoad(size_t s, size_t i, const Instruction &in)
+    [[gnu::always_inline]] void
+    keyLoad(size_t s, size_t i, const Instruction &in,
+            const hw::OpInfo &, const Regs &)
     {
         const uint32_t selector = hw::keyLoadSelector(in.aux);
         const uint32_t digit = hw::keyLoadDigit(in.aux);
@@ -1244,41 +1162,33 @@ class Verifier
                 return;
             }
         } else if (!galoisDeclared(selector)) {
-            Diagnostic &d = diagAt(
-                Invariant::kKey, s, i, in.op, kNoPoly,
-                "key load selects a Galois element the compiled "
-                "circuit does not declare");
-            d.expected = "declared Galois element";
-            d.actual = "element " + std::to_string(selector);
+            diagAt(Invariant::kKey, s, i, in.op, kNoPoly,
+                   "key load selects a Galois element the compiled "
+                   "circuit does not declare",
+                   "declared Galois element",
+                   "element " + std::to_string(selector));
             return;
         }
         if (digit >= params_.rnsDigitCount(0)) {
-            Diagnostic &d = diagAt(Invariant::kKey, s, i, in.op,
-                                   kNoPoly, "key digit out of range");
-            d.expected =
-                "< " + std::to_string(params_.rnsDigitCount(0));
-            d.actual = "digit " + std::to_string(digit);
+            diagAt(Invariant::kKey, s, i, in.op, kNoPoly,
+                   "key digit out of range",
+                   "< " + std::to_string(params_.rnsDigitCount(0)),
+                   "digit " + std::to_string(digit));
             return;
         }
         if (in.extra.size() != 2) {
-            Diagnostic &d =
-                diagAt(Invariant::kShape, s, i, in.op, kNoPoly,
-                       "key load needs two buffer targets");
-            d.expected = "2 buffers";
-            d.actual = std::to_string(in.extra.size()) + " buffers";
+            diagAt(Invariant::kShape, s, i, in.op, kNoPoly,
+                   "key load needs two buffer targets", "2 buffers",
+                   std::to_string(in.extra.size()) + " buffers");
             return;
         }
+        // Keys stream in pre-transformed; a level-l buffer takes the
+        // live-residue prefix of the level-0 key.
         for (PolyId id : in.extra) {
-            RecState *buf = operand(s, i, in, id, "key buffer");
-            if (buf == nullptr)
-                return;
-            if (guardPinnedWrite(s, i, in, *buf, id))
-                return;
-            // Keys stream in pre-transformed; a level-l buffer takes
-            // the live-residue prefix of the level-0 key.
-            for (size_t k = 0; k < buf->residues(); ++k) {
-                buf->layout[k] = Layout::kNttDomain;
-                buf->written[k] = true;
+            RecState &buf = *state(id);
+            for (size_t k = 0; k < buf.residues(); ++k) {
+                buf.layout[k] = Layout::kNttDomain;
+                buf.written[k] = true;
             }
         }
     }
@@ -1307,16 +1217,12 @@ class Verifier
                 continue;
             const uint32_t polys = c_.value_sizes[v];
             for (uint32_t p = 0; p < polys; ++p) {
-                if (!uploadExists(v, p)) {
-                    Diagnostic &d = diag(
-                        Invariant::kDefBeforeUse,
-                        "input value " + std::to_string(v) +
-                            " polynomial " + std::to_string(p) +
-                            " is consumed but never uploaded");
-                    d.record = kNoPoly;
-                    d.expected = "an upload transfer";
-                    d.actual = "none";
-                }
+                if (!uploadExists(v, p))
+                    diag(Invariant::kDefBeforeUse,
+                         "input value " + std::to_string(v) +
+                             " polynomial " + std::to_string(p) +
+                             " is consumed but never uploaded",
+                         "an upload transfer", "none");
             }
         }
     }
@@ -1343,16 +1249,13 @@ class Verifier
                 continue; // structural diagnostics already emitted
             const uint32_t polys = c_.value_sizes[v];
             for (uint32_t p = 0; p < polys; ++p) {
-                if (!downloadExists(v, p)) {
-                    Diagnostic &d = diag(
-                        Invariant::kOutput,
-                        "declared output value " + std::to_string(v) +
-                            " polynomial " + std::to_string(p) +
-                            " is never downloaded (dead at program "
-                            "end)");
-                    d.expected = "a download transfer";
-                    d.actual = "none";
-                }
+                if (!downloadExists(v, p))
+                    diag(Invariant::kOutput,
+                         "declared output value " + std::to_string(v) +
+                             " polynomial " + std::to_string(p) +
+                             " is never downloaded (dead at program "
+                             "end)",
+                         "a download transfer", "none");
             }
         }
     }

@@ -154,12 +154,19 @@ TEST(RpauMapping, MatchesPaperSharing)
     EXPECT_EQ(batchOfResidue(5, 6), 0);
     EXPECT_EQ(batchOfResidue(6, 6), 1);
 
-    auto b0 = residuesOfBatch(0, 6, 13);
-    auto b1 = residuesOfBatch(1, 6, 13);
+    // Batches are contiguous [begin, end) runs of residue indices.
+    const ResidueRange b0 = residuesOfBatch(0, 6, 13);
+    const ResidueRange b1 = residuesOfBatch(1, 6, 13);
+    EXPECT_EQ(b0.front(), 0u);
     EXPECT_EQ(b0.size(), 6u);
     EXPECT_EQ(b1.size(), 7u);
     EXPECT_EQ(b1.front(), 6u);
     EXPECT_EQ(b1.back(), 12u);
+    // A level-truncated record: batch 0 stops at its live residues and
+    // batch 1 is empty.
+    EXPECT_EQ(residuesOfBatch(0, 6, 4).size(), 4u);
+    EXPECT_TRUE(residuesOfBatch(1, 6, 4).empty());
+    EXPECT_THROW(residuesOfBatch(2, 6, 13), PanicError);
 }
 
 TEST(DmaModel, ReproducesTableIII)

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -22,6 +23,7 @@
 #include "compiler/circuit.h"
 #include "compiler/compiler.h"
 #include "fv/encryptor.h"
+#include "fv/galois.h"
 #include "fv/keygen.h"
 #include "fv/params.h"
 #include "hw/coprocessor.h"
@@ -264,53 +266,85 @@ mixedCircuit(const Universe &u)
     return b.build();
 }
 
+/** Leveled rotation: the product is mod-switched to level 1, then
+ *  rotated there — Galois key loads at a deeper level, ModSwitch and
+ *  Automorph. */
+Circuit
+leveledRotationCircuit()
+{
+    CircuitBuilder b;
+    const ValueId x = b.input();
+    const ValueId y = b.input();
+    const ValueId m = b.modSwitch(b.mult(x, y));
+    b.output(b.add(b.rotate(m, 1), m));
+    return b.build();
+}
+
 TEST(ObsAttribution, CompileTimeAttributionMatchesFusedRunExactly)
 {
     Universe u(77);
-    compiler::CompilerOptions options;
-    options.hw = hw::HwConfig::paper();
-    const compiler::CompiledCircuit compiled =
-        compiler::compileCircuit(u.params, mixedCircuit(u), options);
+    const Circuit circuits[] = {mixedCircuit(u), leveledRotationCircuit()};
+    std::set<hw::Opcode> opcodes;
+    for (const Circuit &circuit : circuits) {
+        compiler::CompilerOptions options;
+        options.hw = hw::HwConfig::paper();
+        const compiler::CompiledCircuit compiled =
+            compiler::compileCircuit(u.params, circuit, options);
+        for (const compiler::Segment &seg : compiled.segments)
+            for (const hw::Instruction &instr : seg.program.instrs)
+                opcodes.insert(instr.op);
 
-    const compiler::CircuitAttribution attr =
-        compiler::attributeCompiledCircuit(compiled);
+        const compiler::CircuitAttribution attr =
+            compiler::attributeCompiledCircuit(compiled);
 
-    hw::Coprocessor cp(u.params, options.hw, &u.rlk);
-    compiler::CircuitRunStats run;
-    std::vector<Ciphertext> inputs = {u.randomCipher(1), u.randomCipher(2)};
-    compiler::runCompiledCircuit(cp, compiled, inputs, &run);
+        fv::KeyGenerator keygen(u.params, 78);
+        const fv::GaloisKeys gkeys =
+            keygen.generateGaloisKeys(u.sk, compiled.galois_elements);
+        hw::Coprocessor cp(u.params, options.hw, &u.rlk, &gkeys);
+        compiler::CircuitRunStats run;
+        std::vector<Ciphertext> inputs = {u.randomCipher(1),
+                                          u.randomCipher(2)};
+        compiler::runCompiledCircuit(cp, compiled, inputs, &run);
 
-    // Zero-cycle delta: the static model IS the runtime model.
-    EXPECT_EQ(attr.total_cycles, run.fpga_cycles);
-    for (size_t i = 0; i < hw::kUnitCount; ++i)
-        EXPECT_EQ(attr.unit_cycles[i], run.unit_cycles[i])
-            << "unit " << hw::unitName(static_cast<hw::Unit>(i));
+        // Zero delta: both price every instruction with hw::CostModel,
+        // so only the record levels (slot log vs memory file) could
+        // disagree — and must not.
+        EXPECT_EQ(attr.total_cycles, run.fpga_cycles);
+        for (size_t i = 0; i < hw::kUnitCount; ++i)
+            EXPECT_EQ(attr.unit_cycles[i], run.unit_cycles[i])
+                << "unit " << hw::unitName(static_cast<hw::Unit>(i));
+        EXPECT_GT(attr.key_dma_us, 0.0);
+        EXPECT_EQ(attr.key_dma_us, run.dma_us);
 
-    // Internal consistency: unit buckets, opcode buckets and node
-    // attribution each sum exactly to their totals.
-    hw::Cycle unit_sum = 0;
-    for (hw::Cycle c : attr.unit_cycles)
-        unit_sum += c;
-    EXPECT_EQ(unit_sum, attr.total_cycles);
-    hw::Cycle op_sum = 0;
-    for (const auto &[op, cycles] : attr.op_cycles)
-        op_sum += cycles;
-    EXPECT_EQ(op_sum, attr.compute_cycles);
-    hw::Cycle node_sum = 0;
-    for (hw::Cycle c : attr.node_cycles)
-        node_sum += c;
-    EXPECT_EQ(node_sum, attr.compute_cycles);
-    EXPECT_EQ(attr.compute_cycles + attr.dispatch_cycles,
-              attr.total_cycles);
+        // Internal consistency: unit buckets, opcode buckets and node
+        // attribution each sum exactly to their totals.
+        hw::Cycle unit_sum = 0;
+        for (hw::Cycle c : attr.unit_cycles)
+            unit_sum += c;
+        EXPECT_EQ(unit_sum, attr.total_cycles);
+        hw::Cycle op_sum = 0;
+        for (const auto &[op, cycles] : attr.op_cycles)
+            op_sum += cycles;
+        EXPECT_EQ(op_sum, attr.compute_cycles);
+        hw::Cycle node_sum = 0;
+        for (hw::Cycle c : attr.node_cycles)
+            node_sum += c;
+        EXPECT_EQ(node_sum, attr.compute_cycles);
+        EXPECT_EQ(attr.compute_cycles + attr.dispatch_cycles,
+                  attr.total_cycles);
 
-    // The run's own unit buckets also sum exactly.
-    hw::Cycle run_sum = 0;
-    for (hw::Cycle c : run.unit_cycles)
-        run_sum += c;
-    EXPECT_EQ(run_sum, run.fpga_cycles);
+        // The run's own unit buckets also sum exactly.
+        hw::Cycle run_sum = 0;
+        for (hw::Cycle c : run.unit_cycles)
+            run_sum += c;
+        EXPECT_EQ(run_sum, run.fpga_cycles);
 
-    // The compiler's node annotation agrees with the fresh attribution.
-    EXPECT_EQ(compiled.node_cycles, attr.node_cycles);
+        // The compiler's node annotation agrees with the fresh
+        // attribution.
+        EXPECT_EQ(compiled.node_cycles, attr.node_cycles);
+    }
+    // Between them the two circuits exercise every opcode.
+    EXPECT_EQ(opcodes.size(), hw::kOpcodeCount);
 }
 
 /** (name, modeled duration) multiset of a tracer's modeled spans —

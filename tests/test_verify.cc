@@ -527,6 +527,37 @@ TEST(Verify, CatchesUploadLevelMismatch)
     EXPECT_FALSE(result.ok()) << "level-shifted input must not verify";
 }
 
+// 21. Batch out of range: the coprocessor panics on any batch but 0
+//     and 1 (hw::residuesOfBatch), so the verifier must reject it
+//     before a worker runs the program.
+TEST(Verify, CatchesBatchOutOfRange)
+{
+    CompiledCircuit c = multCircuit();
+    Instruction *in = findInstr(c, [](const Instruction &i) {
+        return i.op == Opcode::kRearrange && i.batch == 1;
+    });
+    ASSERT_NE(in, nullptr);
+    in->batch = 2;
+    const Diagnostic d = expectViolation(c, Invariant::kShape);
+    EXPECT_TRUE(d.has_op);
+    EXPECT_EQ(d.op, Opcode::kRearrange);
+}
+
+// 22. A record named in a field the opcode's descriptor row marks
+//     unused (the coprocessor ignores it): a miscompile, caught as a
+//     shape violation rather than silently dropped.
+TEST(Verify, CatchesOperandInUnusedField)
+{
+    CompiledCircuit c = multCircuit();
+    Instruction *in = findInstr(c, [](const Instruction &i) {
+        return i.op == Opcode::kNtt;
+    });
+    ASSERT_NE(in, nullptr);
+    in->src0 = in->dst;
+    const Diagnostic d = expectViolation(c, Invariant::kShape);
+    EXPECT_EQ(d.op, Opcode::kNtt);
+}
+
 // --- diagnostics carry their coordinates ---------------------------------
 
 TEST(Verify, DiagnosticRendersLocation)
