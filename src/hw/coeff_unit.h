@@ -6,6 +6,8 @@
  * instructions: one 60-bit word (two coefficients) per cycle streamed
  * through the two multiplier/adder lanes, reusing the butterfly cores'
  * arithmetic (Fig. 4 datapath without the butterfly cross-connection).
+ * Functionally each instruction is one dispatched heat::simd dyadic
+ * kernel per residue row, bit-identical to the element-wise model.
  */
 
 #ifndef HEAT_HW_COEFF_UNIT_H
@@ -25,7 +27,11 @@ class CoeffUnit
   public:
     explicit CoeffUnit(const HwConfig &config) : config_(config) {}
 
-    /** dst = a * b mod q, element-wise (through the HW reducer path). */
+    /**
+     * dst = a * b mod q, element-wise; operands canonical in [0, q).
+     * Equals the DSP product reduced by the sliding-window circuit.
+     * @p dst may alias @p a or @p b (here and in add/sub).
+     */
     void mul(std::span<uint64_t> dst, std::span<const uint64_t> a,
              std::span<const uint64_t> b, const rns::Modulus &q) const;
 

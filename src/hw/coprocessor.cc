@@ -9,6 +9,7 @@
 #include "hw/rpau.h"
 #include "ntt/ntt.h"
 #include "obs/trace.h"
+#include "simd/simd.h"
 
 namespace heat::hw {
 
@@ -269,7 +270,12 @@ Coprocessor::execCoeffOp(const Instruction &instr)
                           : params_->fullBase(dst.level);
     const CoeffUnit &unit = cost_.coeff();
 
-    for (size_t k : residuesOfBatch(instr.batch, kq, dst.layout.size())) {
+    const ResidueRange residues =
+        residuesOfBatch(instr.batch, kq, dst.layout.size());
+    const size_t end = residues.empty() ? 0 : residues.back() + 1;
+    panicIf(a.layout.size() < end || b.layout.size() < end,
+            "coeff op operand shorter than its destination");
+    for (size_t k : residues) {
         panicIf(a.layout[k] != b.layout[k],
                 "coeff op operand layout mismatch");
         std::span<uint64_t> d(dst.data.data() + k * n, n);
@@ -344,31 +350,38 @@ Coprocessor::execAutomorph(const Instruction &instr)
         }
     }
 
+    // WordDecomp broadcast during writeback (same reduce lanes as the
+    // Scale instruction): digit d is the permuted residue d reduced
+    // modulo every q channel. kNoPoly entries disable a lane, so a
+    // slot-pressured schedule can stream one digit per pass instead
+    // of materializing all kq digit records at once. Every written
+    // record must span the kq live residues; check before any write.
+    panicIf(!instr.extra.empty() && instr.extra.size() != kq,
+            "digit broadcast needs one lane per q prime");
+    if (instr.dst != kNoPoly)
+        panicIf(memory_.record(instr.dst).layout.size() < kq,
+                "automorphism destination record too small");
+    for (PolyId d : instr.extra) {
+        if (d != kNoPoly)
+            panicIf(memory_.record(d).layout.size() < kq,
+                    "digit record shorter than the q base");
+    }
+
     if (instr.dst != kNoPoly) {
         PolyRecord &dst = memory_.record(instr.dst);
-        panicIf(dst.data.size() < permuted.size(),
-                "automorphism destination record too small");
         std::copy(permuted.begin(), permuted.end(), dst.data.begin());
         for (size_t k = 0; k < kq; ++k)
             dst.layout[k] = producedLayout(opInfo(instr.op), layout);
     }
 
-    // WordDecomp broadcast during writeback (same reduce lanes as the
-    // Scale instruction): digit d is the permuted residue d reduced
-    // modulo every q channel. kNoPoly entries disable a lane, so a
-    // slot-pressured schedule can stream one digit per pass instead
-    // of materializing all kq digit records at once.
-    panicIf(!instr.extra.empty() && instr.extra.size() != kq,
-            "digit broadcast needs one lane per q prime");
+    const simd::Kernels &kern = simd::active();
     for (size_t d = 0; d < instr.extra.size(); ++d) {
         if (instr.extra[d] == kNoPoly)
             continue;
         PolyRecord &dig = memory_.record(instr.extra[d]);
-        for (size_t c = 0; c < kq; ++c) {
-            const rns::Modulus &q_c = base->modulus(c);
-            for (size_t j = 0; j < n; ++j)
-                dig.data[c * n + j] = q_c.reduce(permuted[d * n + j]);
-        }
+        for (size_t c = 0; c < kq; ++c)
+            kern.reduce_u32(dig.data.data() + c * n,
+                            permuted.data() + d * n, n, base->modulus(c));
         for (auto &l : dig.layout)
             l = Layout::kNatural;
     }

@@ -1,5 +1,7 @@
 #include "hw/lift_unit.h"
 
+#include <algorithm>
+
 #include "common/panic.h"
 #include "hw/isa.h"
 
@@ -30,16 +32,28 @@ LiftUnit::run(MemoryFile &memory, PolyId id) const
                 "lift input must be natural order");
     }
 
-    std::vector<uint64_t> in(kq), out(kp);
-    for (size_t j = 0; j < n; ++j) {
-        for (size_t i = 0; i < kq; ++i)
-            in[i] = full.data[i * n + j];
-        if (config_.lift_scale_arch == LiftScaleArch::kHps)
-            conv.convert(in, out);
-        else
+    if (config_.lift_scale_arch == LiftScaleArch::kHps) {
+        // Residue-major rows: the record's q rows are the converter's
+        // input and its p rows, disjoint from them, the output.
+        std::vector<const uint64_t *> in_rows(kq);
+        std::vector<uint64_t *> out_rows(kp);
+        for (size_t begin = 0; begin < n; begin += kLiftScaleChunk) {
+            const size_t len = std::min(kLiftScaleChunk, n - begin);
+            for (size_t i = 0; i < kq; ++i)
+                in_rows[i] = full.data.data() + i * n + begin;
+            for (size_t i = 0; i < kp; ++i)
+                out_rows[i] = full.data.data() + (kq + i) * n + begin;
+            conv.convertBatch(in_rows.data(), out_rows.data(), len);
+        }
+    } else {
+        std::vector<uint64_t> in(kq), out(kp);
+        for (size_t j = 0; j < n; ++j) {
+            for (size_t i = 0; i < kq; ++i)
+                in[i] = full.data[i * n + j];
             conv.convertExact(in, out);
-        for (size_t i = 0; i < kp; ++i)
-            full.data[(kq + i) * n + j] = out[i];
+            for (size_t i = 0; i < kp; ++i)
+                full.data[(kq + i) * n + j] = out[i];
+        }
     }
     for (size_t i = 0; i < kp; ++i)
         full.layout[kq + i] = Layout::kNatural;

@@ -1,7 +1,11 @@
 #include "hw/scale_unit.h"
 
+#include <algorithm>
+
 #include "common/panic.h"
 #include "hw/isa.h"
+#include "hw/lift_unit.h"
+#include "simd/simd.h"
 
 namespace heat::hw {
 
@@ -34,39 +38,62 @@ ScaleUnit::run(MemoryFile &memory, PolyId src, PolyId dst,
     const size_t kp = params_->pBase()->size();
     const auto &scaler = params_->scaler(level);
     const auto &back = params_->scaleBackConverter(level);
-    const bool hps = config_.lift_scale_arch == LiftScaleArch::kHps;
 
+    // Every record written below must span the kq live q residues.
+    panicIf(out.level != level,
+            "scale destination must sit at the source level");
     panicIf(!digits.empty() && digits.size() != kq,
             "digit broadcast needs one record per q prime");
+    for (PolyId d : digits) {
+        panicIf(d == dst, "digit broadcast cannot overwrite the result");
+        panicIf(memory.record(d).layout.size() < kq,
+                "digit record shorter than the q base");
+    }
 
-    std::vector<uint64_t> full(kq + kp), mid(kp), res(kq);
-    for (size_t j = 0; j < n; ++j) {
-        for (size_t i = 0; i < kq + kp; ++i)
-            full[i] = in.data[i * n + j];
-        if (hps) {
-            scaler.scale(full, mid);
-            back.convert(mid, res);
-        } else {
+    std::vector<uint64_t *> out_rows(kq);
+    for (size_t i = 0; i < kq; ++i)
+        out_rows[i] = out.data.data() + i * n;
+    if (config_.lift_scale_arch == LiftScaleArch::kHps) {
+        // Per coefficient chunk: scale into scratch p-base rows, then
+        // switch them back to the q base in dst's rows.
+        std::vector<uint64_t> mid(kp * std::min(n, kLiftScaleChunk));
+        std::vector<const uint64_t *> in_rows(kq + kp);
+        std::vector<uint64_t *> mid_rows(kp), res_rows(kq);
+        for (size_t begin = 0; begin < n; begin += kLiftScaleChunk) {
+            const size_t len = std::min(kLiftScaleChunk, n - begin);
+            for (size_t i = 0; i < kq + kp; ++i)
+                in_rows[i] = in.data.data() + i * n + begin;
+            for (size_t i = 0; i < kp; ++i)
+                mid_rows[i] = mid.data() + i * len;
+            for (size_t i = 0; i < kq; ++i)
+                res_rows[i] = out_rows[i] + begin;
+            scaler.scaleBatch(in_rows.data(), mid_rows.data(), len);
+            back.convertBatch(mid_rows.data(), res_rows.data(), len);
+        }
+    } else {
+        std::vector<uint64_t> full(kq + kp), mid(kp), res(kq);
+        for (size_t j = 0; j < n; ++j) {
+            for (size_t i = 0; i < kq + kp; ++i)
+                full[i] = in.data[i * n + j];
             scaler.scaleExact(full, mid);
             back.convertExact(mid, res);
-        }
-        for (size_t i = 0; i < kq; ++i)
-            out.data[i * n + j] = res[i];
-
-        // WordDecomp broadcast: digit i is residue i reduced modulo
-        // every q channel (at most one conditional subtraction).
-        for (size_t d = 0; d < digits.size(); ++d) {
-            PolyRecord &dig = memory.record(digits[d]);
-            for (size_t c = 0; c < kq; ++c) {
-                dig.data[c * n + j] =
-                    params_->qBase(level)->modulus(c).reduce(res[d]);
-            }
+            for (size_t i = 0; i < kq; ++i)
+                out_rows[i][j] = res[i];
         }
     }
     for (auto &l : out.layout)
         l = Layout::kNatural;
-    for (PolyId d : digits) {
-        for (auto &l : memory.record(d).layout)
+
+    // WordDecomp broadcast: digit d is result residue d reduced modulo
+    // every q channel (values < 2^30: at most one subtraction).
+    const simd::Kernels &kern = simd::active();
+    const auto &base = params_->qBase(level);
+    for (size_t d = 0; d < digits.size(); ++d) {
+        PolyRecord &dig = memory.record(digits[d]);
+        for (size_t c = 0; c < kq; ++c)
+            kern.reduce_u32(dig.data.data() + c * n, out_rows[d], n,
+                            base->modulus(c));
+        for (auto &l : dig.layout)
             l = Layout::kNatural;
     }
 }
@@ -92,23 +119,30 @@ ScaleUnit::runModSwitch(MemoryFile &memory, PolyId src, PolyId dst) const
         panicIf(!acceptsLayout(Opcode::kModSwitch, in.layout[i]),
                 "mod-switch input must be natural order");
     const auto &rounder = params_->modSwitchRounder(from_level);
-    const bool hps = config_.lift_scale_arch == LiftScaleArch::kHps;
 
     // Same residue ordering as Evaluator::modSwitchPoly: the dropped
     // prime's residue feeds the rounder's divisor lane first, followed
     // by the surviving residues in basis order — keeping the hardware
     // model and the software evaluator bit-exact.
-    std::vector<uint64_t> full(live), next(live - 1);
-    for (size_t j = 0; j < n; ++j) {
-        full[0] = in.data[(live - 1) * n + j];
-        for (size_t i = 0; i + 1 < live; ++i)
-            full[i + 1] = in.data[i * n + j];
-        if (hps)
-            rounder.scale(full, next);
-        else
+    if (config_.lift_scale_arch == LiftScaleArch::kHps) {
+        std::vector<const uint64_t *> in_rows(live);
+        std::vector<uint64_t *> out_rows(live - 1);
+        in_rows[0] = in.data.data() + (live - 1) * n;
+        for (size_t i = 0; i + 1 < live; ++i) {
+            in_rows[i + 1] = in.data.data() + i * n;
+            out_rows[i] = out.data.data() + i * n;
+        }
+        rounder.scaleBatch(in_rows.data(), out_rows.data(), n);
+    } else {
+        std::vector<uint64_t> full(live), next(live - 1);
+        for (size_t j = 0; j < n; ++j) {
+            full[0] = in.data[(live - 1) * n + j];
+            for (size_t i = 0; i + 1 < live; ++i)
+                full[i + 1] = in.data[i * n + j];
             rounder.scaleExact(full, next);
-        for (size_t i = 0; i + 1 < live; ++i)
-            out.data[i * n + j] = next[i];
+            for (size_t i = 0; i + 1 < live; ++i)
+                out.data[i * n + j] = next[i];
+        }
     }
     for (size_t i = 0; i + 1 < live; ++i)
         out.layout[i] = Layout::kNatural;

@@ -11,6 +11,13 @@
  * During result writeback the unit can broadcast each output residue to
  * all q channels — materializing the WordDecomp digit polynomials for
  * relinearization at zero extra cost ("cheap bit-level manipulation").
+ *
+ * The HPS functional path runs over residue rows on the dispatched SIMD
+ * kernels: per coefficient chunk, ScaleRounder::scaleBatch into scratch
+ * p-base rows and FastBaseConverter::convertBatch back into dst's q
+ * rows; the digit broadcast is one u32 reduction per (digit, channel)
+ * row and a mod-switch one ScaleRounder::scaleBatch call. The
+ * traditional architecture keeps the per-coefficient BigInt oracle.
  */
 
 #ifndef HEAT_HW_SCALE_UNIT_H

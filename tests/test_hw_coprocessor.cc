@@ -4,8 +4,10 @@
  * compiled one-node FV.Mult program (Table II instruction mix, the
  * program profileMultJob prices), bit-exact golden comparison of the
  * simulated FV.Mult against the software evaluator, end-to-end
- * decryption of hardware-produced ciphertexts, timing against Tables
- * I-II and the two-coprocessor system throughput (Sec. VI-A).
+ * decryption of hardware-produced ciphertexts, the batched functional
+ * units against the per-coefficient hardware model at every SIMD
+ * level, timing against Tables I-II and the two-coprocessor system
+ * throughput (Sec. VI-A).
  */
 
 #include <gtest/gtest.h>
@@ -21,10 +23,12 @@
 #include "fv/decryptor.h"
 #include "fv/encryptor.h"
 #include "fv/evaluator.h"
+#include "fv/galois.h"
 #include "fv/keygen.h"
 #include "hw/arm_host.h"
 #include "hw/coprocessor.h"
 #include "hw/system.h"
+#include "simd/simd.h"
 
 namespace heat::hw {
 namespace {
@@ -347,6 +351,388 @@ TEST(CoprocessorFunctional, ProgramReusableAcrossRuns)
         const std::vector<Ciphertext> out = compiler::runCompiledCircuit(
             cp, mult, std::vector<Ciphertext>{x, y});
         EXPECT_EQ(out.at(0), rig.evaluator->multiply(x, y, rig.rlk));
+    }
+}
+
+/** Every kernel level the host and build support. */
+std::vector<simd::Level>
+availableLevels()
+{
+    std::vector<simd::Level> levels{simd::Level::kScalar};
+    for (simd::Level l : {simd::Level::kAvx2, simd::Level::kAvx512}) {
+        if (simd::detectedLevel() >= l)
+            levels.push_back(l);
+    }
+    return levels;
+}
+
+/** Restores the process-wide dispatch level on scope exit. */
+struct LevelGuard
+{
+    simd::Level saved = simd::activeLevel();
+    ~LevelGuard() { simd::setLevel(saved); }
+};
+
+/** Modulus of residue @p k of record @p rec. */
+const rns::Modulus &
+residueModulus(const fv::FvParams &params, const PolyRecord &rec, size_t k)
+{
+    return rec.base == BaseTag::kQ ? params.qBase(rec.level)->modulus(k)
+                                   : params.fullBase(rec.level)->modulus(k);
+}
+
+/** Fill every live residue of @p id with uniform canonical values. */
+void
+fillRandom(const fv::FvParams &params, MemoryFile &memory, PolyId id,
+           Xoshiro256 &rng)
+{
+    PolyRecord &rec = memory.record(id);
+    const size_t n = params.degree();
+    for (size_t k = 0; k < rec.layout.size(); ++k) {
+        const uint64_t q = residueModulus(params, rec, k).value();
+        for (size_t j = 0; j < n; ++j)
+            rec.data[k * n + j] = rng.uniformBelow(q);
+    }
+}
+
+TEST(CoprocessorFunctional, ScaleRejectsShortRecords)
+{
+    // Scale writes kq(src level) residues into dst and every digit
+    // record; a shorter record must be refused before any row is
+    // written (the standalone execute() runs without the verifier).
+    SmallRig rig;
+    Coprocessor cp(rig.params, rig.config);
+    MemoryFile &mem = cp.memory();
+    const size_t kq = rig.params->qPrimeCount(0);
+    const PolyId src = mem.allocate(BaseTag::kFull);
+    const PolyId dst = mem.allocate(BaseTag::kQ);
+    std::vector<PolyId> digits;
+    for (size_t d = 0; d + 1 < kq; ++d)
+        digits.push_back(mem.allocate(BaseTag::kQ));
+    mem.setLevel(1);
+    const PolyId shallow = mem.allocate(BaseTag::kQ);
+    Xoshiro256 rng(7);
+    fillRandom(*rig.params, mem, src, rng);
+
+    Instruction scale;
+    scale.op = Opcode::kScale;
+    scale.src0 = src;
+    scale.dst = shallow;
+    EXPECT_THROW(cp.execute(Program{{scale}}), PanicError);
+
+    scale.dst = dst;
+    scale.extra = digits;
+    scale.extra.push_back(shallow);
+    EXPECT_THROW(cp.execute(Program{{scale}}), PanicError);
+    const std::vector<uint64_t> &written = mem.record(dst).data;
+    EXPECT_TRUE(std::all_of(written.begin(), written.end(),
+                            [](uint64_t v) { return v == 0; }))
+        << "dst was written before the digit records were checked";
+
+    // The automorphism's dst and digit broadcast have the same contract.
+    mem.setLevel(0);
+    const PolyId q_src = mem.allocate(BaseTag::kQ);
+    fillRandom(*rig.params, mem, q_src, rng);
+    Instruction automorph;
+    automorph.op = Opcode::kAutomorph;
+    automorph.src0 = q_src;
+    automorph.aux = fv::galoisElementForStep(1, rig.params->degree());
+    automorph.extra = digits;
+    automorph.extra.push_back(shallow);
+    EXPECT_THROW(cp.execute(Program{{automorph}}), PanicError);
+    automorph.extra.clear();
+    automorph.dst = shallow;
+    EXPECT_THROW(cp.execute(Program{{automorph}}), PanicError);
+}
+
+/**
+ * The batched functional units against the per-coefficient hardware
+ * model, at every SIMD level, on the paper set at the level the
+ * parameter names.
+ */
+class BatchedUnits : public ::testing::TestWithParam<size_t>
+{
+  protected:
+    static const std::shared_ptr<const fv::FvParams> &
+    paperParams()
+    {
+        static const auto params = fv::FvParams::paper();
+        return params;
+    }
+
+    const std::shared_ptr<const fv::FvParams> &params = paperParams();
+    const HwConfig config = HwConfig::paper();
+    const size_t level = GetParam();
+    const size_t n = params->degree();
+    const size_t kq = params->qPrimeCount(level);
+    const size_t kp = params->pBase()->size();
+};
+
+TEST_P(BatchedUnits, CoeffUnitMatchesElementwiseModel)
+{
+    using UnitOp = void (CoeffUnit::*)(
+        std::span<uint64_t>, std::span<const uint64_t>,
+        std::span<const uint64_t>, const rns::Modulus &) const;
+    using Model = uint64_t (*)(const rns::Modulus &, uint64_t, uint64_t);
+    struct Case
+    {
+        const char *name;
+        UnitOp op;
+        Model model;
+    };
+    const Case cases[] = {
+        {"mul", &CoeffUnit::mul,
+         [](const rns::Modulus &q, uint64_t a, uint64_t b) {
+             return q.slidingWindowReduce(a * b);
+         }},
+        {"add", &CoeffUnit::add,
+         [](const rns::Modulus &q, uint64_t a, uint64_t b) {
+             return q.add(a, b);
+         }},
+        {"sub", &CoeffUnit::sub,
+         [](const rns::Modulus &q, uint64_t a, uint64_t b) {
+             return q.sub(a, b);
+         }},
+    };
+    const CoeffUnit unit(config);
+    const auto &base = params->fullBase(level);
+    Xoshiro256 rng(100 + level);
+    LevelGuard guard;
+    for (simd::Level l : availableLevels()) {
+        simd::setLevel(l);
+        for (size_t k = 0; k < base->size(); ++k) {
+            const rns::Modulus &q = base->modulus(k);
+            std::vector<uint64_t> a(n), b(n);
+            for (size_t j = 0; j < n; ++j) {
+                a[j] = rng.uniformBelow(q.value());
+                b[j] = rng.uniformBelow(q.value());
+            }
+            for (const Case &c : cases) {
+                std::vector<uint64_t> want(n), want_sq(n);
+                for (size_t j = 0; j < n; ++j) {
+                    want[j] = c.model(q, a[j], b[j]);
+                    want_sq[j] = c.model(q, a[j], a[j]);
+                }
+                const std::string where = std::string(c.name) + " at " +
+                                          simd::levelName(l) +
+                                          ", residue " + std::to_string(k);
+                std::vector<uint64_t> dst(n, 0);
+                (unit.*c.op)(dst, a, b, q);
+                EXPECT_EQ(dst, want) << where << ", distinct dst";
+                dst = a;
+                (unit.*c.op)(dst, dst, b, q);
+                EXPECT_EQ(dst, want) << where << ", dst == a";
+                dst = b;
+                (unit.*c.op)(dst, a, dst, q);
+                EXPECT_EQ(dst, want) << where << ", dst == b";
+                dst = a;
+                (unit.*c.op)(dst, dst, dst, q);
+                EXPECT_EQ(dst, want_sq) << where << ", dst == a == b";
+            }
+        }
+    }
+}
+
+TEST_P(BatchedUnits, LiftMatchesPerCoefficientConvert)
+{
+    const LiftUnit unit(params, config);
+    const auto &conv = params->liftConverter(level);
+    LevelGuard guard;
+    for (simd::Level l : availableLevels()) {
+        simd::setLevel(l);
+        MemoryFile mem(params, config);
+        mem.setLevel(level);
+        const PolyId id = mem.allocate(BaseTag::kQ);
+        Xoshiro256 rng(200 + level);
+        fillRandom(*params, mem, id, rng);
+        std::vector<uint64_t> want = mem.record(id).data;
+        want.resize((kq + kp) * n);
+        std::vector<uint64_t> in(kq), out(kp);
+        for (size_t j = 0; j < n; ++j) {
+            for (size_t i = 0; i < kq; ++i)
+                in[i] = want[i * n + j];
+            conv.convert(in, out);
+            for (size_t i = 0; i < kp; ++i)
+                want[(kq + i) * n + j] = out[i];
+        }
+
+        unit.run(mem, id);
+        EXPECT_EQ(mem.record(id).base, BaseTag::kFull);
+        EXPECT_TRUE(mem.record(id).data == want) << simd::levelName(l);
+    }
+}
+
+TEST_P(BatchedUnits, ScaleWithDigitsMatchesPerCoefficientModel)
+{
+    const ScaleUnit unit(params, config);
+    const auto &scaler = params->scaler(level);
+    const auto &back = params->scaleBackConverter(level);
+    const auto &qbase = params->qBase(level);
+    LevelGuard guard;
+    for (simd::Level l : availableLevels()) {
+        simd::setLevel(l);
+        MemoryFile mem(params, config);
+        mem.setLevel(level);
+        const PolyId src = mem.allocate(BaseTag::kFull);
+        const PolyId dst = mem.allocate(BaseTag::kQ);
+        std::vector<PolyId> digits;
+        for (size_t d = 0; d < kq; ++d)
+            digits.push_back(mem.allocate(BaseTag::kQ));
+        Xoshiro256 rng(300 + level);
+        fillRandom(*params, mem, src, rng);
+
+        const std::vector<uint64_t> &x = mem.record(src).data;
+        std::vector<uint64_t> want(kq * n);
+        std::vector<std::vector<uint64_t>> want_digits(
+            kq, std::vector<uint64_t>(kq * n));
+        std::vector<uint64_t> full(kq + kp), mid(kp), res(kq);
+        for (size_t j = 0; j < n; ++j) {
+            for (size_t i = 0; i < kq + kp; ++i)
+                full[i] = x[i * n + j];
+            scaler.scale(full, mid);
+            back.convert(mid, res);
+            for (size_t i = 0; i < kq; ++i)
+                want[i * n + j] = res[i];
+            for (size_t d = 0; d < kq; ++d) {
+                for (size_t c = 0; c < kq; ++c)
+                    want_digits[d][c * n + j] =
+                        qbase->modulus(c).reduce(res[d]);
+            }
+        }
+
+        unit.run(mem, src, dst, digits);
+        EXPECT_TRUE(mem.record(dst).data == want) << simd::levelName(l);
+        for (size_t d = 0; d < kq; ++d) {
+            EXPECT_TRUE(mem.record(digits[d]).data == want_digits[d])
+                << simd::levelName(l) << ", digit " << d;
+        }
+    }
+}
+
+TEST_P(BatchedUnits, ModSwitchMatchesPerCoefficientRounder)
+{
+    const ScaleUnit unit(params, config);
+    const auto &rounder = params->modSwitchRounder(level);
+    LevelGuard guard;
+    for (simd::Level l : availableLevels()) {
+        simd::setLevel(l);
+        MemoryFile mem(params, config);
+        mem.setLevel(level);
+        const PolyId src = mem.allocate(BaseTag::kQ);
+        mem.setLevel(level + 1);
+        const PolyId dst = mem.allocate(BaseTag::kQ);
+        Xoshiro256 rng(400 + level);
+        fillRandom(*params, mem, src, rng);
+
+        const std::vector<uint64_t> &x = mem.record(src).data;
+        std::vector<uint64_t> want((kq - 1) * n);
+        std::vector<uint64_t> in(kq), next(kq - 1);
+        for (size_t j = 0; j < n; ++j) {
+            in[0] = x[(kq - 1) * n + j];
+            for (size_t i = 0; i + 1 < kq; ++i)
+                in[i + 1] = x[i * n + j];
+            rounder.scale(in, next);
+            for (size_t i = 0; i + 1 < kq; ++i)
+                want[i * n + j] = next[i];
+        }
+
+        unit.runModSwitch(mem, src, dst);
+        EXPECT_TRUE(mem.record(dst).data == want) << simd::levelName(l);
+    }
+}
+
+TEST_P(BatchedUnits, AutomorphDigitsMatchPerCoefficientReduce)
+{
+    const uint32_t g = fv::galoisElementForStep(1, n);
+    const auto &qbase = params->qBase(level);
+    LevelGuard guard;
+    for (simd::Level l : availableLevels()) {
+        simd::setLevel(l);
+        Coprocessor cp(params, config);
+        MemoryFile &mem = cp.memory();
+        mem.setLevel(level);
+        const PolyId src = mem.allocate(BaseTag::kQ);
+        const PolyId dst = mem.allocate(BaseTag::kQ);
+        std::vector<PolyId> digits;
+        for (size_t d = 0; d < kq; ++d)
+            digits.push_back(mem.allocate(BaseTag::kQ));
+        Xoshiro256 rng(500 + level);
+        fillRandom(*params, mem, src, rng);
+
+        const std::vector<uint64_t> &x = mem.record(src).data;
+        std::vector<uint64_t> permuted(kq * n);
+        for (size_t k = 0; k < kq; ++k) {
+            fv::applyGaloisToResidue(
+                std::span<const uint64_t>(x.data() + k * n, n),
+                std::span<uint64_t>(permuted.data() + k * n, n), g,
+                qbase->modulus(k));
+        }
+        std::vector<std::vector<uint64_t>> want_digits(
+            kq, std::vector<uint64_t>(kq * n));
+        for (size_t d = 0; d < kq; ++d) {
+            for (size_t c = 0; c < kq; ++c) {
+                for (size_t j = 0; j < n; ++j)
+                    want_digits[d][c * n + j] =
+                        qbase->modulus(c).reduce(permuted[d * n + j]);
+            }
+        }
+
+        Instruction automorph;
+        automorph.op = Opcode::kAutomorph;
+        automorph.dst = dst;
+        automorph.src0 = src;
+        automorph.aux = g;
+        automorph.extra = digits;
+        cp.execute(Program{{automorph}});
+        EXPECT_TRUE(mem.record(dst).data == permuted)
+            << simd::levelName(l);
+        for (size_t d = 0; d < kq; ++d) {
+            EXPECT_TRUE(mem.record(digits[d]).data == want_digits[d])
+                << simd::levelName(l) << ", digit " << d;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperSet, BatchedUnits,
+                         ::testing::Values(size_t(0), size_t(1)));
+
+TEST(CoprocessorFunctional, CompiledCircuitBitIdenticalAcrossSimdLevels)
+{
+    // mult -> relin -> modSwitch -> rotate exercises every batched
+    // datapath (CoeffMul/Add, Lift, Scale with digits, ModSwitch and
+    // the coefficient-domain automorphism's digit broadcast). One
+    // coprocessor reruns it under each kernel level; every run must
+    // equal the scalar run and the software reference.
+    SmallRig rig;
+    const size_t n = rig.params->degree();
+    const fv::GaloisKeys gkeys = rig.keygen->generateGaloisKeys(
+        rig.sk, {fv::galoisElementForStep(1, n)});
+    compiler::CircuitBuilder b;
+    const auto x = b.input();
+    const auto y = b.input();
+    b.output(b.rotate(b.modSwitch(b.mult(x, y)), 1));
+    const compiler::Circuit circuit = b.build();
+    compiler::CompilerOptions options;
+    options.hw = rig.config;
+    const compiler::CompiledCircuit compiled =
+        compiler::compileCircuit(rig.params, circuit, options);
+    const std::vector<Ciphertext> in = {
+        rig.encryptor->encrypt(rig.somePlain(41)),
+        rig.encryptor->encrypt(rig.somePlain(42))};
+
+    LevelGuard guard;
+    simd::setLevel(simd::Level::kScalar);
+    const std::vector<Ciphertext> reference = compiler::evaluateCircuit(
+        *rig.evaluator, &rig.rlk, circuit, in, &gkeys);
+    Coprocessor cp(rig.params, rig.config, &rig.rlk, &gkeys);
+    const std::vector<Ciphertext> scalar =
+        compiler::runCompiledCircuit(cp, compiled, in);
+    EXPECT_EQ(scalar, reference);
+    EXPECT_EQ(scalar.at(0).level, 1u);
+    for (simd::Level l : availableLevels()) {
+        simd::setLevel(l);
+        EXPECT_EQ(compiler::runCompiledCircuit(cp, compiled, in), scalar)
+            << simd::levelName(l);
     }
 }
 
