@@ -42,15 +42,14 @@ main(int argc, char **argv)
                     static_cast<double>(model.liftDivisionCycles()));
 
     // --- full Mult on both architectures --------------------------------
-    HeatSystem fast_sys(params, HwConfig::paper(), 1);
-    HeatSystem slow_sys(params, trad, 1);
     auto mult_ms = [](const MultJobProfile &p) {
         return (p.compute_us +
                 p.key_dma_us * static_cast<double>(p.key_segments)) /
                1e3;
     };
-    const double fast_ms = mult_ms(fast_sys.profile());
-    const double slow_ms = mult_ms(slow_sys.profile());
+    const double fast_ms =
+        mult_ms(profileMultJob(params, HwConfig::paper()));
+    const double slow_ms = mult_ms(profileMultJob(params, trad));
 
     bench::printHeader("Mult on the two architectures");
     bench::printRow("HPS coprocessor Mult (ms)", 4.458, fast_ms, "ms");

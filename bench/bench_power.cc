@@ -7,9 +7,10 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "fv/encryptor.h"
+#include "fv/keygen.h"
 #include "fv/params.h"
 #include "hw/power_model.h"
-#include "hw/system.h"
 
 using namespace heat;
 using namespace heat::hw;
@@ -30,8 +31,14 @@ main(int argc, char **argv)
 
     // Energy per multiplication at the simulated throughput.
     auto params = fv::FvParams::paper();
-    HeatSystem system(params, HwConfig::paper(), 2);
-    const double mps = system.simulate(200).mults_per_second;
+    fv::KeyGenerator keygen(params, 5);
+    const fv::SecretKey sk = keygen.generateSecretKey();
+    fv::Encryptor encryptor(params, keygen.generatePublicKey(sk), 6);
+    const fv::Ciphertext x = encryptor.encrypt(fv::Plaintext({1}));
+    const fv::Ciphertext y = encryptor.encrypt(fv::Plaintext({2}));
+    const double mps =
+        bench::runMults(params, keygen.generateRelinKeys(sk), x, y, 2, 64)
+            .modeledOpsPerSecond();
     std::printf("\nEnergy per Mult at %.0f Mult/s (2 coprocessors): "
                 "%.1f mJ\n",
                 mps, power.energyPerMultMj(mps, 2));

@@ -291,6 +291,7 @@ main(int argc, char **argv)
                      "");
     bench::printInfo("worker key swaps",
                      static_cast<double>(stats.key_swaps), "");
+    bench::printInfo("shared DMA utilization", stats.dmaUtilization(), "");
 
     reporter.record("serving_p50_us", lat.p50_us, "us",
                     params->degree(), params->qBase()->size());

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the reproduction benchmarks: paper-vs-measured
- * table printing and the `--json <path>` structured reporter that
- * feeds the repo's performance trajectory (BENCH_*.json).
+ * table printing, the `--json <path>` structured reporter, and the
+ * Fig. 11 system run on the service's modeled clock.
  */
 
 #ifndef HEAT_BENCH_BENCH_UTIL_H
@@ -10,13 +10,18 @@
 
 #include <cmath>
 #include <cstdio>
+#include <future>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/parallel.h"
+#include "fv/params.h"
 #include "obs/metrics.h"
+#include "service/service.h"
 
 namespace heat::bench {
 
@@ -46,6 +51,33 @@ inline void
 printInfo(const std::string &metric, double value, const char *unit)
 {
     std::printf("%-42s %14s %11.3f %s\n", metric.c_str(), "-", value, unit);
+}
+
+/**
+ * The Fig. 11 system on the modeled clock: @p mults FV.Mults of @p x
+ * and @p y queued on a start_paused service with @p coprocessors
+ * workers, then released. The service's engine arbitrates the one DMA
+ * engine among the workers. @return the service's statistics.
+ */
+inline service::ServiceStats
+runMults(const std::shared_ptr<const fv::FvParams> &params,
+         const fv::RelinKeys &rlk, const fv::Ciphertext &x,
+         const fv::Ciphertext &y, size_t coprocessors, size_t mults,
+         size_t max_batch = 8)
+{
+    service::ServiceConfig cfg;
+    cfg.workers = coprocessors;
+    cfg.max_batch = max_batch;
+    cfg.start_paused = true;
+    service::ExecutionService svc(params, rlk, cfg);
+    std::vector<std::future<fv::Ciphertext>> futures;
+    for (size_t i = 0; i < mults; ++i)
+        futures.push_back(svc.submit(service::Op::kMult, x, y));
+    svc.start();
+    for (auto &f : futures)
+        f.get();
+    svc.drain();
+    return svc.stats();
 }
 
 /** One structured measurement for the JSON-lines trajectory. */

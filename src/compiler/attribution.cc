@@ -51,6 +51,7 @@ attributeCompiledCircuit(const CompiledCircuit &compiled)
         // Summed per segment, as a run adds each program's ExecStats,
         // so the double total matches the run's dma_us bit for bit.
         double segment_dma_us = 0.0;
+        SegmentTimeline &timeline = out.segments.emplace_back();
         for (size_t k = 0; k < program.instrs.size(); ++k) {
             const hw::Instruction &instr = program.instrs[k];
             const hw::InstrCost cost = model.cost(instr.op, levelOf(instr));
@@ -62,12 +63,18 @@ attributeCompiledCircuit(const CompiledCircuit &compiled)
                 (*tags)[k] != kNoValue)
                 out.node_cycles[(*tags)[k]] += cost.cycles;
             segment_dma_us += cost.dma_us;
+            timeline.compute_runs.back() += cost.cycles;
+            if (cost.dma_us > 0.0) {
+                timeline.dma_us.push_back(cost.dma_us);
+                timeline.compute_runs.push_back(0);
+            }
         }
         out.key_dma_us += segment_dma_us;
         if (!program.instrs.empty()) {
             const auto dispatch =
                 static_cast<hw::Cycle>(compiled.hw.dispatch_overhead);
             out.dispatch_cycles += dispatch;
+            timeline.compute_runs.back() += dispatch;
             out.unit_cycles[static_cast<size_t>(hw::Unit::kArmUnit)] +=
                 dispatch;
         }

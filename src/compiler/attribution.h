@@ -23,14 +23,29 @@
 
 #include <array>
 #include <map>
+#include <vector>
 
 #include "compiler/compiler.h"
 
 namespace heat::compiler {
 
+/** One segment's program as the shared DMA engine sees it: compute
+ *  runs separated by DMA bursts at their instruction positions. */
+struct SegmentTimeline
+{
+    /** Compute cycles before, between and after the bursts
+     *  (compute_runs.size() == dma_us.size() + 1); the segment's Arm
+     *  dispatch is charged to the last run. */
+    std::vector<hw::Cycle> compute_runs{0};
+    /** Each burst's DMA microseconds, in program order. */
+    std::vector<double> dma_us;
+};
+
 /** Cycle breakdown of one compiled circuit (fused execution model). */
 struct CircuitAttribution
 {
+    /** Per segment: where the key-load DMA bursts fall. */
+    std::vector<SegmentTimeline> segments;
     /** Compute + dispatch cycles bucketed by functional unit; sums
      *  exactly to total_cycles. */
     std::array<hw::Cycle, hw::kUnitCount> unit_cycles{};

@@ -107,6 +107,8 @@ readPoly(const std::shared_ptr<const FvParams> &params, std::istream &in,
     const uint32_t degree = readU32(in);
     const uint32_t ntt_form = readU32(in);
     fatalIf(degree != params->degree(), "degree mismatch in stream");
+    fatalIf(ntt_form > 1, "stream polynomial has invalid form word ",
+            ntt_form);
 
     std::shared_ptr<const rns::RnsBase> base;
     if (residues == params->qBase(level)->size())
@@ -120,8 +122,14 @@ readPoly(const std::shared_ptr<const FvParams> &params, std::istream &in,
     ntt::RnsPoly poly(base, degree,
                       ntt_form ? ntt::PolyForm::kNtt
                                : ntt::PolyForm::kCoeff);
-    for (auto &v : poly.data())
-        v = readU32(in);
+    for (size_t i = 0; i < base->size(); ++i) {
+        const uint64_t q = base->modulus(i).value();
+        for (uint64_t &v : poly.residue(i)) {
+            v = readU32(in);
+            fatalIf(v >= q, "stream residue ", v, " in row ", i,
+                    " is not reduced modulo ", q);
+        }
+    }
     return poly;
 }
 

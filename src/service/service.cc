@@ -5,7 +5,8 @@
 #include <cstdio>
 #include <utility>
 
-#include "hw/coprocessor.h"
+#include "compiler/attribution.h"
+#include "hw/arm_host.h"
 #include "obs/trace.h"
 #include "verify/verify.h"
 
@@ -41,8 +42,8 @@ ExecutionService::ExecutionService(
         obs::Histogram::exponentialBounds(1.0, 2.0, 26),
         "modeled per-job latency (us)");
 
-    registerSession("default", std::move(rlk), std::move(gkeys),
-                    /*weight=*/1);
+    registerTenant("default", std::move(rlk), std::move(gkeys),
+                   /*weight=*/1);
 
     // Compile the single-op circuits once; this also proves each fits
     // the memory file before any worker starts. They are level-0 slot
@@ -61,10 +62,14 @@ ExecutionService::ExecutionService(
     }
 
     started_ = !config_.start_paused;
-    worker_clock_us_.assign(config_.workers, 0.0);
+    for (size_t w = 0; w < config_.workers; ++w) {
+        Lane &lane = lanes_.emplace_back();
+        lane.index = w;
+        lane.cp.emplace(params_, config_.hw, nullptr, nullptr);
+    }
     threads_.reserve(config_.workers);
     for (size_t w = 0; w < config_.workers; ++w)
-        threads_.emplace_back([this, w] { workerLoop(w); });
+        threads_.emplace_back([this] { workerLoop(); });
 }
 
 ExecutionService::~ExecutionService()
@@ -75,14 +80,6 @@ ExecutionService::~ExecutionService()
 TenantId
 ExecutionService::registerTenant(std::string name, fv::RelinKeys rlk,
                                  fv::GaloisKeys gkeys, uint32_t weight)
-{
-    return registerSession(std::move(name), std::move(rlk),
-                           std::move(gkeys), weight);
-}
-
-TenantId
-ExecutionService::registerSession(std::string name, fv::RelinKeys rlk,
-                                  fv::GaloisKeys gkeys, uint32_t weight)
 {
     fatalIf(weight == 0, "tenant weight must be at least 1");
     fatalIf(rlk.kind != fv::DecompKind::kRnsDigits,
@@ -123,6 +120,7 @@ ExecutionService::registerSession(std::string name, fv::RelinKeys rlk,
     Session s;
     s.id = static_cast<TenantId>(sessions_.size());
     s.name = std::move(name);
+    s.stats.name = s.name;
     s.weight = weight;
     s.rlk = std::move(rlk);
     s.gkeys = std::move(gkeys);
@@ -176,7 +174,7 @@ ExecutionService::submit(TenantId tenant, Op op, fv::Ciphertext a,
 {
     Session &s = session(tenant);
     const auto &circuit = op_circuits_[static_cast<size_t>(op)];
-    verifySubmission(circuit);
+    std::shared_ptr<const CircuitPrice> price = admitCircuit(circuit);
     compiler::validateInput(*params_, a);
     compiler::validateInput(*params_, b);
 
@@ -185,6 +183,7 @@ ExecutionService::submit(TenantId tenant, Op op, fv::Ciphertext a,
     job.arrival_us = arrival_us;
     job.op = op;
     job.circuit = circuit;
+    job.price = std::move(price);
     job.circuit_inputs.reserve(2);
     job.circuit_inputs.push_back(std::move(a));
     job.circuit_inputs.push_back(std::move(b));
@@ -296,7 +295,7 @@ ExecutionService::admit(Session &s,
         {
             std::lock_guard<std::mutex> lock(mu_);
             ++stats_.admission_rejected;
-            ++s.admission_rejected;
+            ++s.stats.admission_rejected;
         }
         s.admission_rejected_ctr->add();
         throw AdmissionRejectedError(
@@ -307,47 +306,107 @@ ExecutionService::admit(Session &s,
     std::fprintf(stderr, "ExecutionService: warning: %s\n", detail);
 }
 
-void
-ExecutionService::verifySubmission(
+std::shared_ptr<const ExecutionService::CircuitPrice>
+ExecutionService::admitCircuit(
     const std::shared_ptr<const compiler::CompiledCircuit> &compiled)
 {
-    if (config_.verify == compiler::VerifyCheck::kOff)
-        return;
+    std::shared_ptr<const CircuitPrice> price;
+    bool verified = config_.verify == compiler::VerifyCheck::kOff;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        const auto it = verified_.find(compiled.get());
-        if (it != verified_.end() &&
-            it->second.lock().get() == compiled.get())
-            return; // this exact object already passed
-    }
-    const verify::VerifyResult result =
-        verify::verifyCompiledCircuit(*compiled);
-    if (!result.ok()) {
-        if (config_.verify == compiler::VerifyCheck::kReject) {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.verify_rejected;
-            }
-            throw AdmissionRejectedError(
-                "admission rejected: compiled circuit failed static "
-                "verification\n" +
-                result.report());
+        const auto it = circuits_.find(compiled.get());
+        if (it != circuits_.end() &&
+            it->second.circuit.lock().get() == compiled.get()) {
+            price = it->second.price;
+            verified = verified || it->second.verified;
         }
-        std::fprintf(stderr,
-                     "ExecutionService: warning: static verifier: %s",
-                     result.report().c_str());
-        return; // a warned circuit stays uncached: resubmits re-warn
     }
+    if (price != nullptr && verified)
+        return price; // this exact object was admitted before
+
+    if (!verified) {
+        const verify::VerifyResult result =
+            verify::verifyCompiledCircuit(*compiled);
+        verified = result.ok();
+        if (!verified) {
+            if (config_.verify == compiler::VerifyCheck::kReject) {
+                {
+                    std::lock_guard<std::mutex> lock(mu_);
+                    ++stats_.verify_rejected;
+                }
+                throw AdmissionRejectedError(
+                    "admission rejected: compiled circuit failed static "
+                    "verification\n" +
+                    result.report());
+            }
+            // A warned circuit stays unverified: resubmits re-warn.
+            std::fprintf(stderr,
+                         "ExecutionService: warning: static verifier: %s",
+                         result.report().c_str());
+        }
+    }
+
+    if (price == nullptr) {
+        // The static price: compute runs between the DMA holds at the
+        // positions a run takes them, in the order a run sums them, so
+        // the totals equal what runCompiledCircuit reports.
+        const compiler::CircuitAttribution attr =
+            compiler::attributeCompiledCircuit(*compiled);
+        const hw::ArmHostModel host(compiled->params, compiled->hw);
+        const auto build = [&](bool warm) {
+            JobPrice p;
+            compiler::CircuitRunStats &t = p.totals;
+            t.fpga_cycles = attr.total_cycles;
+            t.unit_cycles = attr.unit_cycles;
+            t.dma_us = attr.key_dma_us;
+            const auto hold = [&](double us) {
+                p.phases.push_back({us, true});
+            };
+            const auto transfer = [&](double us) {
+                t.host_us += us;
+                hold(us);
+            };
+            const size_t resident = compiled->resident_inputs.size();
+            if (!warm && resident > 0)
+                transfer(host.sendPolysUs(2 * resident));
+            for (size_t k = 0; k < compiled->segments.size(); ++k) {
+                const compiler::Segment &seg = compiled->segments[k];
+                const compiler::SegmentTimeline &line = attr.segments[k];
+                if (!seg.uploads.empty())
+                    transfer(host.sendPolysUs(seg.uploads.size()));
+                for (size_t r = 0; r < line.compute_runs.size(); ++r) {
+                    if (line.compute_runs[r] > 0)
+                        p.phases.push_back(
+                            {compiled->hw.cyclesToUs(line.compute_runs[r]),
+                             false});
+                    if (r < line.dma_us.size())
+                        hold(line.dma_us[r]);
+                }
+                if (!seg.downloads.empty())
+                    transfer(host.receivePolysUs(seg.downloads.size()));
+            }
+            p.busy_us = t.modeledUs(compiled->hw);
+            return p;
+        };
+        auto fresh = std::make_shared<CircuitPrice>();
+        fresh->cold = build(false);
+        fresh->warm = compiled->resident_inputs.empty() ? fresh->cold
+                                                        : build(true);
+        price = std::move(fresh);
+    }
+
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.circuits_verified;
-    if (verified_.size() >= 256) {
-        // Drop witnesses whose circuit objects are gone (their
-        // addresses may be reused by unrelated allocations).
-        for (auto it = verified_.begin(); it != verified_.end();)
-            it = it->second.expired() ? verified_.erase(it)
-                                      : std::next(it);
+    if (verified && config_.verify != compiler::VerifyCheck::kOff)
+        ++stats_.circuits_verified;
+    if (circuits_.size() >= 256) {
+        // Drop entries whose circuit objects are gone (their addresses
+        // may be reused by unrelated allocations).
+        for (auto it = circuits_.begin(); it != circuits_.end();)
+            it = it->second.circuit.expired() ? circuits_.erase(it)
+                                              : std::next(it);
     }
-    verified_[compiled.get()] = compiled;
+    circuits_[compiled.get()] = CircuitEntry{compiled, verified, price};
+    return price;
 }
 
 std::future<std::vector<fv::Ciphertext>>
@@ -359,7 +418,7 @@ ExecutionService::submitCompiled(
     fatalIf(compiled == nullptr, "submitCompiled needs a circuit");
     Session &s = session(tenant);
     checkCompiled(s, *compiled);
-    verifySubmission(compiled);
+    std::shared_ptr<const CircuitPrice> price = admitCircuit(compiled);
     fatalIf(!compiled->resident_inputs.empty(),
             "circuit was compiled with resident inputs — submit it "
             "through submitCompiledResident with the pinned handles");
@@ -374,8 +433,12 @@ ExecutionService::submitCompiled(
     job.session = &s;
     job.arrival_us = arrival_us;
     job.circuit = std::move(compiled);
+    job.price = std::move(price);
     job.circuit_inputs = std::move(inputs);
-    return enqueueCircuit(std::move(job));
+    std::future<std::vector<fv::Ciphertext>> future =
+        job.circuit_promise.get_future();
+    enqueue(s, std::move(job));
+    return future;
 }
 
 std::future<std::vector<fv::Ciphertext>>
@@ -388,7 +451,7 @@ ExecutionService::submitCompiledResident(
     fatalIf(compiled == nullptr, "submitCompiledResident needs a circuit");
     Session &s = session(tenant);
     checkCompiled(s, *compiled);
-    verifySubmission(compiled);
+    std::shared_ptr<const CircuitPrice> price = admitCircuit(compiled);
     fatalIf(compiled->resident_inputs.empty(),
             "circuit has no resident inputs — compile it with "
             "CompilerOptions::resident_inputs, or use submitCompiled");
@@ -409,6 +472,7 @@ ExecutionService::submitCompiledResident(
     job.session = &s;
     job.arrival_us = arrival_us;
     job.circuit = std::move(compiled);
+    job.price = std::move(price);
     job.circuit_inputs = std::move(request_inputs);
     job.resident = true;
     job.resident_handles.assign(resident_handles.begin(),
@@ -422,15 +486,8 @@ ExecutionService::submitCompiledResident(
             job.resident_operands.push_back(s.pinned[h]);
         }
     }
-    return enqueueCircuit(std::move(job));
-}
-
-std::future<std::vector<fv::Ciphertext>>
-ExecutionService::enqueueCircuit(Job job)
-{
     std::future<std::vector<fv::Ciphertext>> future =
         job.circuit_promise.get_future();
-    Session &s = *job.session;
     enqueue(s, std::move(job));
     return future;
 }
@@ -443,23 +500,26 @@ ExecutionService::enqueue(Session &s, Job job)
         if (stopping_)
             throw ServiceStoppedError("submit after shutdown");
         if (config_.max_queue_per_tenant > 0 &&
-            s.queue.size() >= config_.max_queue_per_tenant) {
+            s.queued >= config_.max_queue_per_tenant) {
             ++stats_.ops_shed;
-            ++s.shed;
+            ++s.stats.shed;
             s.shed_ctr->add();
             throw ServiceOverloadedError(
                 "tenant '" + s.name + "' queue is full (" +
-                std::to_string(s.queue.size()) + " of " +
+                std::to_string(s.queued) + " of " +
                 std::to_string(config_.max_queue_per_tenant) +
                 " jobs queued) — shedding load, retry later");
         }
+        job.seq = next_seq_++;
         s.queue.push_back(std::move(job));
-        ++s.arrivals;
+        ++s.queued;
+        ++s.stats.arrivals;
         s.arrivals_ctr->add();
+        ++undispatched_;
         ++queued_total_;
         queue_depth_gauge_->set(static_cast<double>(queued_total_));
+        dispatchLocked();
     }
-    work_cv_.notify_one();
 }
 
 void
@@ -468,8 +528,8 @@ ExecutionService::start()
     {
         std::lock_guard<std::mutex> lock(mu_);
         started_ = true;
+        dispatchLocked();
     }
-    work_cv_.notify_all();
 }
 
 void
@@ -496,8 +556,17 @@ ExecutionService::shutdown()
                 orphans.push_back(std::move(s.queue.front()));
                 s.queue.pop_front();
             }
+            s.queued = 0;
         }
+        for (Lane &lane : lanes_) {
+            for (std::vector<Job> &batch : lane.pending)
+                for (Job &job : batch)
+                    orphans.push_back(std::move(job));
+            lane.pending.clear();
+        }
+        undispatched_ = 0;
         queued_total_ = 0;
+        queue_depth_gauge_->set(0.0);
     }
     work_cv_.notify_all();
     idle_cv_.notify_all();
@@ -541,340 +610,437 @@ ExecutionService::latency() const
     return snapshot().latency;
 }
 
-LatencySnapshot
-ExecutionService::latencyFromHistogram() const
-{
-    LatencySnapshot snap;
-    const obs::Histogram &h = *latency_hist_;
-    snap.samples = h.count();
-    if (snap.samples == 0)
-        return snap;
-    snap.p50_us = h.quantile(0.50);
-    snap.p99_us = h.quantile(0.99);
-    snap.mean_us = h.mean();
-    snap.max_us = h.max();
-    return snap;
-}
-
 ServiceSnapshot
 ExecutionService::snapshot() const
 {
     ServiceSnapshot snap;
     std::lock_guard<std::mutex> lock(mu_);
     snap.stats = stats_;
-    snap.stats.makespan_us = worker_clock_us_.empty()
-                                 ? 0.0
-                                 : *std::max_element(
-                                       worker_clock_us_.begin(),
-                                       worker_clock_us_.end());
+    for (const Lane &lane : lanes_)
+        snap.stats.makespan_us =
+            std::max(snap.stats.makespan_us, lane.now_us);
     snap.stats.tenants.reserve(sessions_.size());
-    for (const Session &s : sessions_) {
-        TenantStats t;
-        t.name = s.name;
-        t.arrivals = s.arrivals;
-        t.shed = s.shed;
-        t.admission_rejected = s.admission_rejected;
-        t.completed = s.completed;
-        t.failed = s.failed;
-        t.unit_cycles = s.unit_cycles;
-        snap.stats.tenants.push_back(std::move(t));
-    }
+    for (const Session &s : sessions_)
+        snap.stats.tenants.push_back(s.stats);
     snap.queue_depth = queued_total_;
-    // Workers observe latencies into the histogram before they take
-    // mu_ to retire the batch, so under the lock samples >= the
-    // completed counts — the invariant the snapshot test leans on.
-    snap.latency = latencyFromHistogram();
+    // The engine observes a job's latency when it simulates the job,
+    // before any worker thread runs it, so under the lock samples >=
+    // the completed counts — the invariant the snapshot test leans on.
+    const obs::Histogram &h = *latency_hist_;
+    snap.latency.samples = h.count();
+    if (snap.latency.samples > 0)
+        snap.latency = {snap.latency.samples, h.quantile(0.50),
+                        h.quantile(0.99), h.mean(), h.max()};
     return snap;
 }
 
+namespace {
+
+/** A modeled service span on worker @p track, naming its job. */
 void
-ExecutionService::workerLoop(size_t worker_index)
+serviceSpan(obs::Tracer &tracer, const char *name, size_t track,
+            double start_us, double dur_us, const std::string &tenant,
+            uint64_t seq,
+            std::vector<std::pair<std::string, std::string>> extra = {})
 {
-    // Per-worker hardware instance. Every job is a compiled circuit:
-    // the run reprograms the memory file and replays the circuit's
-    // slot log (the warm resident path keeps the pinned prefix). Key
-    // sets are attached per job (attachKeys re-points the kKeyLoad
-    // stream at the submitting session's DDR-resident keys).
-    std::optional<hw::Coprocessor> cp;
-    const Session *keys_attached = nullptr;
-    uint64_t batch_key_swaps = 0;
+    obs::SpanRecord span;
+    span.name = name;
+    span.category = "service";
+    span.pid = obs::kModeledPid;
+    span.track = static_cast<uint32_t>(track);
+    span.start_us = start_us;
+    span.dur_us = dur_us;
+    span.args = {{"tenant", tenant}, {"job", std::to_string(seq)}};
+    for (auto &kv : extra)
+        span.args.push_back(std::move(kv));
+    tracer.addSpan(std::move(span));
+}
 
-    // Resident-cache state: which (circuit, session, handles) the
-    // pinned memory-file prefix currently holds. The shared_ptr keeps
-    // the circuit alive so pointer identity cannot alias a freed one.
-    std::shared_ptr<const compiler::CompiledCircuit> cached_circuit;
-    const Session *cached_session = nullptr;
-    std::vector<PinnedHandle> cached_handles;
+} // namespace
 
-    const auto invalidate_cache = [&] {
-        cached_circuit.reset();
-        cached_session = nullptr;
-        cached_handles.clear();
-    };
-    const auto rebuild = [&] {
-        cp.emplace(params_, config_.hw, nullptr, nullptr);
-        keys_attached = nullptr;
-        invalidate_cache();
-    };
-    const auto attach = [&](Session *s) {
-        if (keys_attached == s)
-            return;
-        cp->attachKeys(&s->rlk, &s->gkeys);
-        if (keys_attached != nullptr)
-            ++batch_key_swaps;
-        keys_attached = s;
-    };
-    rebuild();
-    // Worker-local modeled clock; mirrored to worker_clock_us_ under
-    // mu_ after every batch (only this worker writes its entry).
-    double my_clock = 0.0;
-    // Modeled-time spans this worker emits land on their own trace
-    // track, so per-worker timelines render as separate rows.
-    obs::setTraceTrack(static_cast<uint32_t>(worker_index));
-
+void
+ExecutionService::dispatchLocked()
+{
+    if (!started_ || stopping_)
+        return;
+    // Discrete-event loop in modeled time: always advance the worker
+    // whose next event is earliest (ties to the lower index), so the
+    // DMA engine is granted in request order and the earliest free
+    // worker takes the next batch.
     for (;;) {
+        Lane *next = nullptr;
+        for (Lane &lane : lanes_) {
+            const bool runnable = !lane.batch.empty() || undispatched_ > 0;
+            if (runnable && (next == nullptr || lane.now_us < next->now_us))
+                next = &lane;
+        }
+        if (next == nullptr)
+            return;
+        if (next->batch.empty())
+            formBatch(*next);
+        else
+            stepLane(*next);
+    }
+}
+
+void
+ExecutionService::formBatch(Lane &lane)
+{
+    // Arrival-aware weighted dequeue: each turn drains up to `weight`
+    // jobs from the non-empty tenant whose head job has the earliest
+    // modeled arrival (untimed jobs, with arrival_us < 0, sort first;
+    // ties rotate round-robin from rr_cursor_). Only jobs that have
+    // arrived by the worker's start join the batch; when none has, the
+    // batch is the single earliest job, started at its arrival. A
+    // weight-w tenant contributes up to w consecutive jobs per turn,
+    // which bounds key swaps and cache invalidations per batch.
+    std::vector<Job> &batch = lane.batch;
+    while (batch.size() < config_.max_batch) {
+        size_t best = sessions_.size();
+        double best_arrival = 0.0;
+        for (size_t off = 0; off < sessions_.size(); ++off) {
+            const size_t i = (rr_cursor_ + off) % sessions_.size();
+            const Session &c = sessions_[i];
+            if (c.queue.empty())
+                continue;
+            const double a = c.queue.front().arrival_us;
+            if (best == sessions_.size() || a < best_arrival) {
+                best = i;
+                best_arrival = a;
+            }
+        }
+        if (best == sessions_.size())
+            break;
+        Session &s = sessions_[best];
+        rr_cursor_ = (best + 1) % sessions_.size();
+        if (best_arrival > lane.now_us) {
+            if (!batch.empty())
+                break;
+            lane.now_us = best_arrival;
+            batch.push_back(std::move(s.queue.front()));
+            s.queue.pop_front();
+            --undispatched_;
+            break;
+        }
+        const size_t take = std::min({static_cast<size_t>(s.weight),
+                                      config_.max_batch - batch.size(),
+                                      s.queue.size()});
+        for (size_t k = 0;
+             k < take && s.queue.front().arrival_us <= lane.now_us; ++k) {
+            batch.push_back(std::move(s.queue.front()));
+            s.queue.pop_front();
+            --undispatched_;
+        }
+    }
+    // Group by session, then op kind (plain circuits after ops,
+    // resident circuits last so a cold run's pins survive into the
+    // next batch): the jobs have all arrived and are independent, and
+    // grouping bounds key swaps and resident-cache invalidations.
+    std::stable_sort(batch.begin(), batch.end(),
+                     [](const Job &x, const Job &y) {
+                         if (x.session->id != y.session->id)
+                             return x.session->id < y.session->id;
+                         return x.sortKey() < y.sortKey();
+                     });
+    ++stats_.batches;
+    lane.job = 0;
+    lane.phase = 0;
+    // No worker requests the DMA before the earliest worker's time.
+    double horizon = lane.now_us;
+    for (const Lane &l : lanes_)
+        horizon = std::min(horizon, l.now_us);
+    while (!dma_busy_.empty() && dma_busy_.begin()->second <= horizon)
+        dma_busy_.erase(dma_busy_.begin());
+}
+
+void
+ExecutionService::stepLane(Lane &lane)
+{
+    Job &job = lane.batch[lane.job];
+    if (lane.phase == 0) {
+        // The job starts: attach its keys and decide cold or warm on
+        // the modeled coprocessor.
+        job.start_us = lane.now_us;
+        lane.waited_us = 0.0;
+        if (lane.keys != job.session) {
+            if (lane.keys != nullptr)
+                ++stats_.key_swaps;
+            lane.keys = job.session;
+        }
+        ResidentCache held{job.circuit, job.session, job.resident_handles};
+        job.warm = job.resident && lane.cache == held;
+        if (job.warm)
+            ++stats_.resident_warm_runs;
+        else if (job.resident)
+            ++stats_.resident_cold_runs;
+        if (!job.warm) // a cold or non-resident run resets the prefix
+            lane.cache = job.resident ? std::move(held) : ResidentCache{};
+    }
+    const JobPrice &price = job.runPrice();
+    if (lane.phase < price.phases.size()) {
+        const JobPrice::Phase &ph = price.phases[lane.phase++];
+        if (!ph.dma) {
+            lane.now_us += ph.us;
+        } else {
+            const double grant = firstFreeDma(lane.now_us, ph.us);
+            if (grant > lane.now_us) {
+                if (obs::Tracer *tracer = obs::activeTracer())
+                    serviceSpan(*tracer, "dma-wait", lane.index, lane.now_us,
+                                grant - lane.now_us, job.session->name,
+                                job.seq);
+                lane.waited_us += grant - lane.now_us;
+            }
+            // A job's last hold ends exactly where finishJob puts the
+            // job's end, so the next job's first request does not
+            // queue behind a rounding difference.
+            const double end = lane.phase == price.phases.size()
+                                   ? job.start_us + (price.busy_us +
+                                                     lane.waited_us)
+                                   : grant + ph.us;
+            holdDma(grant, end);
+            stats_.dma_busy_us += ph.us;
+            lane.now_us = end;
+        }
+    }
+    if (lane.phase == price.phases.size())
+        finishJob(lane, job);
+}
+
+double
+ExecutionService::firstFreeDma(double request_us, double us) const
+{
+    // First fit. The engine advances workers in modeled-time order, so
+    // every reservation it already holds starts at or before a new
+    // request and the first fit is the end of the current busy run:
+    // first come, first served. Only a job submitted to a live service
+    // after others were simulated past its start can land in an
+    // earlier gap.
+    double grant = request_us;
+    auto next = dma_busy_.upper_bound(grant);
+    if (next != dma_busy_.begin())
+        grant = std::max(grant, std::prev(next)->second);
+    for (; next != dma_busy_.end() && next->first < grant + us; ++next)
+        grant = std::max(grant, next->second);
+    return grant;
+}
+
+void
+ExecutionService::holdDma(double start_us, double end_us)
+{
+    // Insert [start, end), merged with touching neighbours.
+    auto next = dma_busy_.lower_bound(start_us);
+    if (next != dma_busy_.end() && next->first == end_us) {
+        end_us = next->second;
+        next = dma_busy_.erase(next);
+    }
+    if (next != dma_busy_.begin() && std::prev(next)->second == start_us)
+        std::prev(next)->second = end_us;
+    else
+        dma_busy_.emplace_hint(next, start_us, end_us);
+}
+
+void
+ExecutionService::finishJob(Lane &lane, Job &job)
+{
+    const JobPrice &price = job.runPrice();
+    // Service time is the price plus the DMA waits; summed this way
+    // (not end minus start) it is exact when nothing waited.
+    const double service_us = price.busy_us + lane.waited_us;
+    const double end_us = job.start_us + service_us;
+    lane.now_us = end_us;
+    // Open-loop jobs count from their arrival; untimed jobs contribute
+    // their service time only.
+    const double latency_us =
+        job.arrival_us >= 0.0 ? end_us - job.arrival_us : service_us;
+    latency_hist_->observe(latency_us);
+    if (obs::Tracer *tracer = obs::activeTracer()) {
+        if (job.arrival_us >= 0.0 && job.start_us > job.arrival_us)
+            serviceSpan(*tracer, "queue-wait", lane.index, job.arrival_us,
+                        job.start_us - job.arrival_us, job.session->name,
+                        job.seq);
+        char latency[32];
+        std::snprintf(latency, sizeof latency, "%.17g", latency_us);
+        serviceSpan(*tracer, job.op ? "request:op" : "request:circuit",
+                    lane.index, job.start_us, price.busy_us,
+                    job.session->name, job.seq, {{"latency_us", latency}});
+    }
+
+    const compiler::CircuitRunStats &t = price.totals;
+    stats_.fpga_cycles += t.fpga_cycles;
+    for (size_t u = 0; u < hw::kUnitCount; ++u) {
+        stats_.unit_cycles[u] += t.unit_cycles[u];
+        job.session->stats.unit_cycles[u] += t.unit_cycles[u];
+    }
+    stats_.dma_us += t.dma_us;
+    stats_.host_us += t.host_us;
+
+    lane.phase = 0;
+    if (++lane.job < lane.batch.size())
+        return;
+    // Batch simulated: hand it to the worker threads.
+    lane.pending.push_back(std::move(lane.batch));
+    lane.batch.clear();
+    work_cv_.notify_one();
+}
+
+void
+ExecutionService::workerLoop()
+{
+    const auto touchesPins = [](const std::vector<Job> &batch) {
+        return std::any_of(batch.begin(), batch.end(),
+                           [](const Job &job) { return job.resident; });
+    };
+    for (;;) {
+        Lane *lane = nullptr; // the worker the batch was dispatched to
+        Lane *host = nullptr; // the worker whose coprocessor runs it
+        std::deque<std::vector<Job>>::iterator pick;
         std::vector<Job> batch;
         {
             std::unique_lock<std::mutex> lock(mu_);
-            work_cv_.wait(lock, [this] {
-                return stopping_ || (started_ && queued_total_ > 0);
-            });
-            if (queued_total_ == 0)
-                return; // stopping, nothing left to do
-            // Arrival-aware weighted dequeue: each turn drains up to
-            // `weight` jobs from the non-empty tenant whose head job
-            // has the earliest modeled arrival (untimed jobs, with
-            // arrival_us < 0, sort first; ties rotate round-robin
-            // from rr_cursor_). Serving near global arrival order
-            // matters for the modeled clock — dequeuing one tenant
-            // far ahead of the others' arrival frontier drags the
-            // worker clock forward and every older job processed
-            // afterwards inherits the inflated completion time. A
-            // weight-w tenant still contributes up to w consecutive
-            // jobs per turn, which is what bounds key swaps and cache
-            // invalidations per batch, and under backlog gives it a
-            // w-sized share of every batch.
-            while (batch.size() < config_.max_batch &&
-                   queued_total_ > 0) {
-                size_t best = sessions_.size();
-                double best_arrival = 0.0;
-                for (size_t off = 0; off < sessions_.size(); ++off) {
-                    const size_t i =
-                        (rr_cursor_ + off) % sessions_.size();
-                    const Session &c = sessions_[i];
-                    if (c.queue.empty())
-                        continue;
-                    const double a = c.queue.front().arrival_us;
-                    if (best == sessions_.size() || a < best_arrival) {
-                        best = i;
-                        best_arrival = a;
+            work_cv_.wait(lock, [&] {
+                // A worker's batches run on its own coprocessor, one at
+                // a time and in dispatch order, so its pinned prefix
+                // follows the engine's model of it.
+                for (Lane &l : lanes_) {
+                    if (!l.running && !l.pending.empty()) {
+                        lane = host = &l;
+                        pick = l.pending.begin();
+                        return true;
                     }
                 }
-                Session &s = sessions_[best];
-                rr_cursor_ = (best + 1) % sessions_.size();
-                const size_t take = std::min(
-                    {static_cast<size_t>(s.weight),
-                     config_.max_batch - batch.size(), s.queue.size()});
-                for (size_t k = 0; k < take; ++k) {
-                    batch.push_back(std::move(s.queue.front()));
-                    s.queue.pop_front();
-                    --queued_total_;
+                // A batch without resident jobs needs no coprocessor
+                // state: while one worker has a backlog, run such a
+                // batch on an idle coprocessor that holds no pins.
+                for (Lane &idle : lanes_) {
+                    if (idle.running || !idle.pending.empty() ||
+                        idle.cp->memory().pinnedRecords() != 0)
+                        continue;
+                    for (Lane &l : lanes_) {
+                        for (auto it = l.pending.begin();
+                             it != l.pending.end(); ++it) {
+                            if (!touchesPins(*it)) {
+                                lane = &l;
+                                host = &idle;
+                                pick = it;
+                                return true;
+                            }
+                        }
+                    }
+                    break;
                 }
-            }
+                return stopping_;
+            });
+            if (lane == nullptr)
+                return; // stopping, nothing left to do
+            batch = std::move(*pick);
+            lane->pending.erase(pick);
+            host->running = true;
+            for (const Job &job : batch)
+                --job.session->queued;
+            queued_total_ -= batch.size();
             in_flight_ += batch.size();
             queue_depth_gauge_->set(static_cast<double>(queued_total_));
         }
-        // Group by session, then op kind (plain circuits after ops,
-        // resident circuits last so a cold run's pins survive into
-        // the next batch): the jobs are independent, and grouping
-        // bounds key swaps and resident-cache invalidations.
-        std::stable_sort(batch.begin(), batch.end(),
-                         [](const Job &x, const Job &y) {
-                             if (x.session->id != y.session->id)
-                                 return x.session->id < y.session->id;
-                             return x.sortKey() < y.sortKey();
-                         });
+        runBatch(lane->index, *host, batch);
+    }
+}
 
-        size_t batch_completed = 0;
-        size_t batch_failed = 0;
-        uint64_t batch_circuits = 0;
-        uint64_t batch_circuit_nodes = 0;
-        uint64_t batch_cold = 0;
-        uint64_t batch_warm = 0;
-        hw::Cycle batch_cycles = 0;
-        std::array<hw::Cycle, hw::kUnitCount> batch_units{};
-        double batch_dma_us = 0.0;
-        double batch_host_us = 0.0;
-        std::vector<double> batch_latencies;
-        batch_latencies.reserve(batch.size());
-        batch_key_swaps = 0;
+void
+ExecutionService::runBatch(size_t track, Lane &host, std::vector<Job> &batch)
+{
+    // Every job is a compiled circuit: the run reprograms the memory
+    // file and replays the circuit's slot log (the warm resident path
+    // keeps the pinned prefix). Key sets are attached per job
+    // (attachKeys re-points the kKeyLoad stream at the submitting
+    // session's DDR-resident keys).
+    hw::Coprocessor *cp = &*host.cp;
+    const auto rebuild = [&] {
+        cp = &host.cp.emplace(params_, config_.hw, nullptr, nullptr);
+        host.attached = nullptr;
+    };
+    obs::Tracer *const tracer = obs::activeTracer();
+    // Hardware spans land on the dispatched worker's trace track,
+    // starting at the engine's modeled start of each job.
+    obs::setTraceTrack(static_cast<uint32_t>(track));
 
-        // Per-tenant deltas, applied to the sessions under mu_ when
-        // the batch retires (batches are small, linear scan is fine).
-        struct TenantDelta
-        {
-            Session *s;
-            uint64_t completed = 0;
-            uint64_t failed = 0;
-            std::array<hw::Cycle, hw::kUnitCount> units{};
-        };
-        std::vector<TenantDelta> tenant_deltas;
-        const auto delta_for = [&](Session *s) -> TenantDelta & {
-            for (TenantDelta &d : tenant_deltas)
-                if (d.s == s)
-                    return d;
-            tenant_deltas.push_back(TenantDelta{s});
-            return tenant_deltas.back();
-        };
-
-        obs::Tracer *const tracer = obs::activeTracer();
-        // Seed the thread-local modeled clock where this job's nested
-        // hardware spans should start; the coprocessor advances it per
-        // instruction while a tracer is installed.
-        const auto begin_job = [&](const Job &job) {
-            if (tracer == nullptr)
-                return;
-            double start = my_clock;
-            if (job.arrival_us >= 0.0 && job.arrival_us > start)
-                start = job.arrival_us;
-            obs::setModeledNowUs(start);
-        };
-
-        // Advance the modeled clock past one finished job: open-loop
-        // jobs wait for their arrival time, and their latency is
-        // completion minus arrival; untimed jobs contribute service
-        // time only.
-        const auto finish_job = [&](const Job &job, double cost_us) {
-            double start = my_clock;
-            if (job.arrival_us >= 0.0 && job.arrival_us > start)
-                start = job.arrival_us;
-            if (tracer != nullptr) {
-                if (job.arrival_us >= 0.0 && start > job.arrival_us)
-                    obs::recordModeledSpan(
-                        "queue-wait", "service", job.arrival_us,
-                        start - job.arrival_us,
-                        {{"tenant", job.session->name}});
-                obs::recordModeledSpan(
-                    job.op ? "request:op" : "request:circuit",
-                    "service", start, cost_us,
-                    {{"tenant", job.session->name}});
-            }
-            my_clock = start + cost_us;
-            batch_latencies.push_back(job.arrival_us >= 0.0
-                                          ? my_clock - job.arrival_us
-                                          : cost_us);
-        };
-
-        for (Job &job : batch) {
-            begin_job(job);
-            attach(job.session);
-            try {
-                compiler::CircuitRunStats cstats;
-                std::vector<fv::Ciphertext> outs;
-                if (!job.resident) {
-                    outs = compiler::runCompiledCircuit(
-                        *cp, *job.circuit, job.circuit_inputs, &cstats);
-                    invalidate_cache(); // the run reset the pins
-                } else if (cached_circuit.get() == job.circuit.get() &&
-                           cached_session == job.session &&
-                           cached_handles == job.resident_handles) {
-                    // Cache hit: pinned operands are already in the
-                    // memory-file prefix — no operand upload.
-                    outs = compiler::runCompiledCircuitWarm(
-                        *cp, *job.circuit, job.circuit_inputs, &cstats);
-                    ++batch_warm;
-                } else {
-                    // Cache miss: assemble the full positional input
-                    // list and run cold — runCompiledCircuit uploads the
-                    // pinned operands into the prefix and leaves them
-                    // pinned for the next hit.
-                    std::vector<fv::Ciphertext> full(
-                        job.circuit->inputs.size());
-                    std::vector<bool> res_pos(full.size(), false);
-                    for (size_t k = 0;
-                         k < job.circuit->resident_inputs.size(); ++k) {
-                        const uint32_t pos =
-                            job.circuit->resident_inputs[k];
-                        full[pos] = *job.resident_operands[k];
-                        res_pos[pos] = true;
-                    }
-                    size_t next = 0;
-                    for (size_t k = 0; k < full.size(); ++k) {
-                        if (!res_pos[k])
-                            full[k] =
-                                std::move(job.circuit_inputs[next++]);
-                    }
-                    outs = compiler::runCompiledCircuit(*cp, *job.circuit,
-                                                        full, &cstats);
-                    cached_circuit = job.circuit;
-                    cached_session = job.session;
-                    cached_handles = job.resident_handles;
-                    ++batch_cold;
-                }
-                if (job.op) {
-                    job.promise.set_value(std::move(outs.front()));
-                    ++batch_completed;
-                } else {
-                    job.circuit_promise.set_value(std::move(outs));
-                    ++batch_circuits;
-                    batch_circuit_nodes += job.circuit->value_sizes.size() -
-                                           job.circuit->inputs.size();
-                }
-                batch_cycles += cstats.fpga_cycles;
-                batch_dma_us += cstats.dma_us;
-                batch_host_us += cstats.host_us;
-                TenantDelta &d = delta_for(job.session);
-                ++d.completed;
-                for (size_t u = 0; u < hw::kUnitCount; ++u) {
-                    batch_units[u] += cstats.unit_cycles[u];
-                    d.units[u] += cstats.unit_cycles[u];
-                }
-                job.session->completed_ctr->add();
-                finish_job(job, cstats.modeledUs(config_.hw));
-            } catch (...) {
-                job.fail(std::current_exception());
-                ++batch_failed;
-                ++delta_for(job.session).failed;
-                // The failed program may have left memory-file layouts
-                // inconsistent; rebuild this worker's coprocessor so
-                // later jobs start from a clean instance.
-                rebuild();
-            }
+    std::vector<bool> ok(batch.size(), false);
+    for (size_t i = 0; i < batch.size(); ++i) {
+        Job &job = batch[i];
+        if (tracer != nullptr)
+            obs::setModeledNowUs(job.start_us);
+        if (host.attached != job.session) {
+            cp->attachKeys(&job.session->rlk, &job.session->gkeys);
+            host.attached = job.session;
         }
-
-        // Observe latencies BEFORE retiring the batch under mu_: a
-        // concurrent snapshot() then never sees completed counts ahead
-        // of the latency sample count.
-        for (double v : batch_latencies)
-            latency_hist_->observe(v);
-
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            stats_.ops_completed += batch_completed;
-            stats_.ops_failed += batch_failed;
-            stats_.batches += 1;
-            stats_.circuits_completed += batch_circuits;
-            stats_.circuit_nodes_completed += batch_circuit_nodes;
-            stats_.key_swaps += batch_key_swaps;
-            stats_.resident_cold_runs += batch_cold;
-            stats_.resident_warm_runs += batch_warm;
-            stats_.fpga_cycles += batch_cycles;
-            stats_.dma_us += batch_dma_us;
-            stats_.host_us += batch_host_us;
-            for (size_t u = 0; u < hw::kUnitCount; ++u)
-                stats_.unit_cycles[u] += batch_units[u];
-            for (const TenantDelta &d : tenant_deltas) {
-                d.s->completed += d.completed;
-                d.s->failed += d.failed;
-                for (size_t u = 0; u < hw::kUnitCount; ++u)
-                    d.s->unit_cycles[u] += d.units[u];
+        try {
+            std::vector<fv::Ciphertext> outs;
+            if (!job.resident) {
+                outs = compiler::runCompiledCircuit(*cp, *job.circuit,
+                                                    job.circuit_inputs);
+            } else if (job.warm && cp->memory().pinnedRecords() > 0) {
+                // Cache hit: this worker's batches run in dispatch
+                // order, so the memory-file prefix holds what the
+                // engine modeled — unless a failed job rebuilt the
+                // coprocessor, which leaves no pinned records.
+                outs = compiler::runCompiledCircuitWarm(
+                    *cp, *job.circuit, job.circuit_inputs);
+            } else {
+                // Cache miss: assemble the full positional input list
+                // and run cold — runCompiledCircuit uploads the pinned
+                // operands into the prefix and leaves them pinned for
+                // the next hit.
+                std::vector<fv::Ciphertext> full(job.circuit->inputs.size());
+                std::vector<bool> res_pos(full.size(), false);
+                for (size_t k = 0; k < job.circuit->resident_inputs.size();
+                     ++k) {
+                    const uint32_t pos = job.circuit->resident_inputs[k];
+                    full[pos] = *job.resident_operands[k];
+                    res_pos[pos] = true;
+                }
+                size_t next = 0;
+                for (size_t k = 0; k < full.size(); ++k) {
+                    if (!res_pos[k])
+                        full[k] = std::move(job.circuit_inputs[next++]);
+                }
+                outs = compiler::runCompiledCircuit(*cp, *job.circuit, full);
             }
-            worker_clock_us_[worker_index] = my_clock;
-            in_flight_ -= batch.size();
-            if (queued_total_ == 0 && in_flight_ == 0)
-                idle_cv_.notify_all();
+            if (job.op)
+                job.promise.set_value(std::move(outs.front()));
+            else
+                job.circuit_promise.set_value(std::move(outs));
+            job.session->completed_ctr->add();
+            ok[i] = true;
+        } catch (...) {
+            job.fail(std::current_exception());
+            // The failed program may have left memory-file layouts
+            // inconsistent; rebuild this worker's coprocessor so later
+            // jobs start from a clean instance.
+            rebuild();
         }
     }
+
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < batch.size(); ++i) {
+        const Job &job = batch[i];
+        if (!ok[i]) {
+            ++stats_.ops_failed;
+            ++job.session->stats.failed;
+            continue;
+        }
+        ++job.session->stats.completed;
+        if (job.op) {
+            ++stats_.ops_completed;
+        } else {
+            ++stats_.circuits_completed;
+            stats_.circuit_nodes_completed +=
+                job.circuit->value_sizes.size() - job.circuit->inputs.size();
+        }
+    }
+    host.running = false;
+    work_cv_.notify_one(); // its coprocessor may take waiting work
+    in_flight_ -= batch.size();
+    if (queued_total_ == 0 && in_flight_ == 0)
+        idle_cv_.notify_all();
 }
 
 } // namespace heat::service

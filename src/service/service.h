@@ -2,8 +2,9 @@
  * @file
  * Asynchronous multi-coprocessor execution service — the serving layer
  * the ROADMAP's production system needs on top of the paper's single
- * accelerator (Sec. V): a request queue, a pool of worker threads each
- * owning one simulated coprocessor, and a futures-based submit API.
+ * accelerator (Sec. V): a request queue, a pool of workers (one
+ * simulated coprocessor each, run by as many host threads), and a
+ * futures-based submit API.
  *
  * Two submission granularities coexist: single operations
  * (submit(Op, a, b) — one host round trip each) and whole circuits
@@ -43,18 +44,34 @@
  * entirely (compiler::runCompiledCircuitWarm). Results are bit-exact
  * either way.
  *
- * Workers drain in batches (up to ServiceConfig::max_batch per
- * dequeue) and run the batch's jobs one after another. Functionally
- * every operation is bit-exact against fv::Evaluator's HPS path; for
- * timing, the service keeps a modeled clock per worker, and every job
- * costs what its compiled run models: the compute cycles of its fused
- * segments plus one Arm dispatch per segment
- * (hw::DispatchMode::kFusedProgram), key DMA, and the host transfers.
- * The price does not depend on batch width. Jobs may carry a
- * modeled arrival timestamp (open-loop load generation): a worker
- * starts such a job at max(worker clock, arrival) and the recorded
- * latency is completion minus arrival — latency() reports the
- * distribution (p50/p99).
+ * Timing comes from one modeled clock: a deterministic discrete-event
+ * engine inside the service that owns every worker's place in modeled
+ * time and the system's single DMA engine (the paper's Fig. 11: two
+ * coprocessors and one DMA engine behind the mutex IP core). Events are
+ * ordered by (modeled time, worker index): the worker earliest in
+ * modeled time takes the next batch under the arrival-aware weighted
+ * round-robin, and a batch holds only jobs that have arrived by that
+ * worker's start (the single earliest job when none has). Jobs may
+ * carry a modeled arrival timestamp (open-loop load generation);
+ * untimed jobs count as arrived from time 0. Every job is priced
+ * statically, once per compiled circuit (cold and warm), from the
+ * compile-time cycle attribution and the Arm transfer model: compute
+ * runs separated by DMA holds — operand upload, each kKeyLoad at its
+ * instruction position, result download. Workers contend for the DMA
+ * first come, first served; a job that waits for it records a
+ * modeled "dma-wait" span. The price does not depend on batch width.
+ *
+ * The engine dispatches as soon as work is queued (at start() for a
+ * start_paused service), so every modeled figure — latency() (p50/p99
+ * of completion minus arrival, or of pure service time for untimed
+ * jobs), makespan, key swaps, resident cold/warm runs, DMA busy time
+ * and the modeled trace spans — is a function of the submissions
+ * alone, whatever the OS thread scheduling. Worker threads only supply
+ * the host compute: a worker's batches run on its simulated
+ * coprocessor in dispatch order (a batch without resident jobs may
+ * borrow any idle coprocessor that holds no pinned operands), and
+ * futures resolve as soon as a run finishes. Functionally every
+ * operation is bit-exact against fv::Evaluator's HPS path.
  *
  * Shutdown semantics: shutdown() (also run by the destructor) stops
  * intake, lets in-flight batches finish, joins the workers, and fails
@@ -70,6 +87,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -84,6 +102,7 @@
 #include "fv/keys.h"
 #include "fv/params.h"
 #include "hw/config.h"
+#include "hw/coprocessor.h"
 #include "hw/isa.h"
 #include "obs/metrics.h"
 
@@ -144,8 +163,9 @@ struct ServiceConfig
      */
     bool admission_relevel = true;
     /**
-     * Per-tenant queue bound; 0 = unbounded. A submission that would
-     * push a tenant's queue beyond the bound is shed synchronously
+     * Per-tenant queue bound; 0 = unbounded. A tenant's queue holds its
+     * jobs that no worker thread has started yet. A submission that
+     * would push it beyond the bound is shed synchronously
      * with ServiceOverloadedError (counted in ServiceStats::ops_shed).
      */
     size_t max_queue_per_tenant = 0;
@@ -261,7 +281,10 @@ struct ServiceStats
     double dma_us = 0.0;
     /** Modeled Arm-side operand/result transfer time. */
     double host_us = 0.0;
-    /** Modeled makespan: the busiest worker's clock (us). */
+    /** Time the shared DMA engine was held (us): operand uploads, key
+     *  loads and result downloads of every dispatched job. */
+    double dma_busy_us = 0.0;
+    /** Modeled makespan: the latest worker's last completion (us). */
     double makespan_us = 0.0;
     /** Per-tenant slices, indexed by TenantId. */
     std::vector<TenantStats> tenants;
@@ -270,6 +293,13 @@ struct ServiceStats
     unitCycles(hw::Unit unit) const
     {
         return unit_cycles[static_cast<size_t>(unit)];
+    }
+
+    /** Fraction of the makespan the shared DMA engine was busy. */
+    double
+    dmaUtilization() const
+    {
+        return makespan_us > 0.0 ? dma_busy_us / makespan_us : 0.0;
     }
 
     /** Modeled service throughput (ops/s of the simulated hardware). */
@@ -470,7 +500,8 @@ class ExecutionService
     /** @return registered tenant count. */
     size_t tenantCount() const;
 
-    /** @return jobs currently queued (excludes in-flight batches). */
+    /** @return jobs no worker thread has started yet (excludes
+     *  in-flight batches). */
     size_t queueDepth() const;
 
     /** @return a snapshot of the aggregate statistics. Equivalent to
@@ -514,16 +545,14 @@ class ExecutionService
         uint64_t key_fingerprint = 0;
         /** Pinned resident operands, indexed by PinnedHandle (mu_). */
         std::vector<std::shared_ptr<const fv::Ciphertext>> pinned;
-        /** This tenant's FIFO queue (mu_). */
+        /** This tenant's FIFO of jobs not yet dispatched (mu_). */
         std::deque<Job> queue;
+        /** Jobs no worker thread has started yet: the undispatched
+         *  queue plus dispatched batches still waiting (mu_). */
+        size_t queued = 0;
 
-        // --- per-tenant accounting (mirrors TenantStats; mu_) ---------
-        uint64_t arrivals = 0;
-        uint64_t shed = 0;
-        uint64_t admission_rejected = 0;
-        uint64_t completed = 0;
-        uint64_t failed = 0;
-        std::array<hw::Cycle, hw::kUnitCount> unit_cycles{};
+        /** This tenant's slice of the statistics (mu_). */
+        TenantStats stats;
 
         // --- registry handles (stable; created at registration) -------
         obs::Counter *arrivals_ctr = nullptr;
@@ -532,12 +561,62 @@ class ExecutionService
         obs::Counter *completed_ctr = nullptr;
     };
 
+    /** Modeled price of one run of a compiled circuit: the run's
+     *  totals and its timeline of compute runs and DMA holds. */
+    struct JobPrice
+    {
+        struct Phase
+        {
+            double us = 0.0;
+            /** Held on the shared DMA engine (else compute). */
+            bool dma = false;
+        };
+        /** fpga_cycles, unit_cycles, dma_us and host_us of the run —
+         *  what compiler::runCompiledCircuit reports for it. */
+        compiler::CircuitRunStats totals;
+        std::vector<Phase> phases;
+        /** Busy time: totals.modeledUs(hw). */
+        double busy_us = 0.0;
+    };
+
+    /** Both prices of a circuit; warm equals cold unless the circuit
+     *  has resident inputs. */
+    struct CircuitPrice
+    {
+        JobPrice cold;
+        JobPrice warm;
+    };
+
+    /** Admission cache entry of one compiled circuit object. */
+    struct CircuitEntry
+    {
+        /** Witness: an address reused by a new allocation fails it. */
+        std::weak_ptr<const compiler::CompiledCircuit> circuit;
+        /** Cleared by the static verifier under this service's policy. */
+        bool verified = false;
+        std::shared_ptr<const CircuitPrice> price;
+    };
+
+    /** What a coprocessor's pinned memory-file prefix holds. The
+     *  shared_ptr keeps the circuit alive so pointer identity cannot
+     *  alias a freed one. */
+    struct ResidentCache
+    {
+        std::shared_ptr<const compiler::CompiledCircuit> circuit;
+        const Session *session = nullptr;
+        std::vector<PinnedHandle> handles;
+
+        bool operator==(const ResidentCache &) const = default;
+    };
+
     struct Job
     {
         /** Owning session (stable pointer into sessions_). */
         Session *session = nullptr;
         /** Modeled arrival time; negative = untimed submission. */
         double arrival_us = -1.0;
+        /** Submission order (names the job in trace spans). */
+        uint64_t seq = 0;
 
         /** Set for a submit(Op) job, which runs the op's one-node
          *  circuit and resolves `promise`; circuit jobs resolve
@@ -546,6 +625,7 @@ class ExecutionService
         std::promise<fv::Ciphertext> promise;
 
         std::shared_ptr<const compiler::CompiledCircuit> circuit;
+        std::shared_ptr<const CircuitPrice> price;
         /** All inputs (plain circuit job), or only the non-resident
          *  request inputs (resident job). */
         std::vector<fv::Ciphertext> circuit_inputs;
@@ -558,6 +638,18 @@ class ExecutionService
             resident_operands;
         std::vector<PinnedHandle> resident_handles;
         bool resident = false;
+
+        /** Set by the engine at dispatch: modeled start, and whether
+         *  the worker's pinned prefix already holds this job's
+         *  resident operands (a warm run). */
+        double start_us = 0.0;
+        bool warm = false;
+
+        const JobPrice &
+        runPrice() const
+        {
+            return warm ? price->warm : price->cold;
+        }
 
         /** Batch ordering key: group per-op kinds, then plain
          *  circuits, resident circuits last (so a cold run's pins
@@ -581,24 +673,70 @@ class ExecutionService
         }
     };
 
-    TenantId registerSession(std::string name, fv::RelinKeys rlk,
-                             fv::GaloisKeys gkeys, uint32_t weight);
+    /**
+     * One worker: its place on the modeled clock and its batch in
+     * simulation (engine state, mu_), its dispatched batches no thread
+     * has started (mu_), and its simulated coprocessor (owned by the
+     * thread that set `running`).
+     */
+    struct Lane
+    {
+        size_t index = 0;
+
+        // --- engine (mu_) ---------------------------------------------
+        /** Modeled time of this worker's next event. */
+        double now_us = 0.0;
+        /** Key set the modeled coprocessor has attached. */
+        const Session *keys = nullptr;
+        /** Pinned prefix of the modeled coprocessor. */
+        ResidentCache cache;
+        /** Batch being simulated: current job and phase, and the
+         *  job's DMA waits so far. */
+        std::vector<Job> batch;
+        size_t job = 0;
+        size_t phase = 0;
+        double waited_us = 0.0;
+
+        // --- host (mu_) -----------------------------------------------
+        std::deque<std::vector<Job>> pending;
+        bool running = false;
+
+        // --- hardware (the worker thread holding `running`) -----------
+        std::optional<hw::Coprocessor> cp;
+        const Session *attached = nullptr;
+    };
+
     Session &session(TenantId tenant);
     void checkCompiled(const Session &s,
                        const compiler::CompiledCircuit &compiled) const;
     /** Noise-aware admission verdict for @p compiled (may throw). */
     void admit(Session &s, const compiler::CompiledCircuit &compiled);
     /** Static-verification admission verdict (see ServiceConfig::
-     *  verify; may throw AdmissionRejectedError). Cached per compiled
-     *  object. */
-    void verifySubmission(
+     *  verify; may throw AdmissionRejectedError) and the circuit's
+     *  modeled price, both cached per compiled object. */
+    std::shared_ptr<const CircuitPrice> admitCircuit(
         const std::shared_ptr<const compiler::CompiledCircuit> &compiled);
-    /** Latency distribution from the histogram (no lock needed — the
-     *  histogram is internally atomic). */
-    LatencySnapshot latencyFromHistogram() const;
-    std::future<std::vector<fv::Ciphertext>> enqueueCircuit(Job job);
     void enqueue(Session &s, Job job);
-    void workerLoop(size_t worker_index);
+
+    // --- modeled-time engine (mu_) ------------------------------------
+    /** Run the engine until no worker can advance: dispatch queued
+     *  jobs and simulate every dispatched batch. */
+    void dispatchLocked();
+    /** Fill @p lane's batch at its modeled time. */
+    void formBatch(Lane &lane);
+    /** Advance @p lane by one phase of its current job. */
+    void stepLane(Lane &lane);
+    /** @return the first moment at or after @p request_us the DMA
+     *  engine is free for @p us. */
+    double firstFreeDma(double request_us, double us) const;
+    /** Reserve the DMA engine over [@p start_us, @p end_us). */
+    void holdDma(double start_us, double end_us);
+    void finishJob(Lane &lane, Job &job);
+
+    void workerLoop();
+    /** Execute @p batch on @p host's coprocessor, tracing on @p track
+     *  (outside mu_). */
+    void runBatch(size_t track, Lane &host, std::vector<Job> &batch);
 
     std::shared_ptr<const fv::FvParams> params_;
     ServiceConfig config_;
@@ -617,20 +755,26 @@ class ExecutionService
     std::deque<Session> sessions_;
     /** Weighted round-robin dequeue cursor (mu_). */
     size_t rr_cursor_ = 0;
-    /** Jobs queued across all sessions (mu_). */
+    /** Jobs in the sessions' undispatched queues (mu_). */
+    size_t undispatched_ = 0;
+    /** Jobs no worker thread has started yet (mu_). */
     size_t queued_total_ = 0;
     size_t in_flight_ = 0;
+    /** Next Job::seq (mu_). */
+    uint64_t next_seq_ = 0;
     bool started_ = true;
     bool stopping_ = false;
     ServiceStats stats_;
-    /** Compiled circuits the static verifier already cleared, keyed by
-     *  object address with a weak_ptr witness (an address reused by a
-     *  new allocation fails the witness and re-verifies; mu_). */
-    std::unordered_map<const compiler::CompiledCircuit *,
-                       std::weak_ptr<const compiler::CompiledCircuit>>
-        verified_;
-    /** Modeled busy time per worker (us). */
-    std::vector<double> worker_clock_us_;
+    /** Compiled circuits admitted so far, keyed by object address
+     *  (mu_). */
+    std::unordered_map<const compiler::CompiledCircuit *, CircuitEntry>
+        circuits_;
+    /** The workers; deque for stable element addresses (mu_ except
+     *  where Lane says otherwise). */
+    std::deque<Lane> lanes_;
+    /** The shared DMA engine's reservations: disjoint busy intervals
+     *  [start, end) keyed by start (mu_). */
+    std::map<double, double> dma_busy_;
 
     /** Metrics registry (declared before any session registration can
      *  mint counter handles from it). Individually thread-safe. */

@@ -7,12 +7,13 @@
  * decryption of hardware-produced ciphertexts, the batched functional
  * units against the per-coefficient hardware model at every SIMD
  * level, timing against Tables I-II and the two-coprocessor system
- * throughput (Sec. VI-A).
+ * throughput (Sec. VI-A) through the service's modeled-time engine.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <map>
 #include <memory>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "hw/arm_host.h"
 #include "hw/coprocessor.h"
 #include "hw/system.h"
+#include "service/service.h"
 #include "simd/simd.h"
 
 namespace heat::hw {
@@ -803,42 +805,82 @@ TEST(ArmHost, TableITransferAndSwAdd)
     EXPECT_NEAR(host.softwareAddUs() / hw_add_total, 80.0, 12.0);
 }
 
-TEST(HeatSystem, Throughput400MultPerSecond)
+/**
+ * The Fig. 11 system: @p mults paper-set Mults queued on a start_paused
+ * service with @p coprocessors workers, whose modeled-time engine
+ * arbitrates the one DMA engine among them. @return its statistics.
+ */
+service::ServiceStats
+fig11Run(size_t coprocessors, size_t mults)
 {
-    // Sec. VI-A: two coprocessors give ~400 Mult/s.
-    auto params = fv::FvParams::paper();
-    HeatSystem system(params, HwConfig::paper(), 2);
-    ThroughputResult r = system.simulate(200);
-    EXPECT_NEAR(r.mults_per_second, 400.0, 45.0);
-    EXPECT_LT(r.dma_utilization, 1.0);
+    struct Keys
+    {
+        std::shared_ptr<const fv::FvParams> params = fv::FvParams::paper();
+        fv::RelinKeys rlk;
+        std::vector<Ciphertext> operands;
+    };
+    static const Keys keys = [] {
+        Keys k;
+        fv::KeyGenerator keygen(k.params, 71);
+        const fv::SecretKey sk = keygen.generateSecretKey();
+        k.rlk = keygen.generateRelinKeys(sk);
+        fv::Encryptor encryptor(k.params, keygen.generatePublicKey(sk), 72);
+        for (uint64_t v : {1u, 2u}) {
+            Plaintext m;
+            m.coeffs = {v};
+            k.operands.push_back(encryptor.encrypt(m));
+        }
+        return k;
+    }();
+
+    service::ServiceConfig cfg;
+    cfg.workers = coprocessors;
+    cfg.start_paused = true;
+    service::ExecutionService svc(keys.params, keys.rlk, cfg);
+    std::vector<std::future<Ciphertext>> futures;
+    for (size_t i = 0; i < mults; ++i)
+        futures.push_back(svc.submit(service::Op::kMult, keys.operands[0],
+                                     keys.operands[1]));
+    svc.start();
+    for (auto &f : futures)
+        f.get();
+    svc.drain();
+    return svc.stats();
 }
 
-TEST(HeatSystem, TwoCoprocessorsNearlyDoubleThroughput)
+TEST(Fig11System, Throughput400MultPerSecond)
 {
-    auto params = fv::FvParams::paper();
-    HeatSystem one(params, HwConfig::paper(), 1);
-    HeatSystem two(params, HwConfig::paper(), 2);
-    const double t1 = one.simulate(100).mults_per_second;
-    const double t2 = two.simulate(100).mults_per_second;
+    // Sec. VI-A: two coprocessors give ~400 Mult/s.
+    const service::ServiceStats r = fig11Run(2, 32);
+    EXPECT_NEAR(r.modeledOpsPerSecond(), 400.0, 45.0);
+    EXPECT_LT(r.dmaUtilization(), 1.0);
+}
+
+TEST(Fig11System, TwoCoprocessorsNearlyDoubleThroughput)
+{
+    const double t1 = fig11Run(1, 32).modeledOpsPerSecond();
+    const double t2 = fig11Run(2, 32).modeledOpsPerSecond();
     EXPECT_GT(t2, 1.8 * t1);
     EXPECT_LE(t2, 2.05 * t1);
 }
 
-TEST(HeatSystem, TraditionalArchitectureIsSlower)
+TEST(Fig11System, TraditionalArchitectureIsSlower)
 {
     // Sec. VI-C: the traditional-CRT coprocessor needs 8.3 ms per Mult
     // (225 MHz, 4 Lift/Scale cores) versus 4.458 ms for HPS — slower,
     // but less than 2x because relin keys are 3x smaller. Our model
     // charges the same 6-digit key schedule, so expect <2.2x.
     auto params = fv::FvParams::paper();
-    HeatSystem fast(params, HwConfig::paper(), 1);
-    HeatSystem slow(params, HwConfig::paperTraditional(), 1);
-    const double fast_ms =
-        fast.profile().compute_us / 1000.0 +
-        fast.profile().key_dma_us * fast.profile().key_segments / 1000.0;
-    const double slow_ms =
-        slow.profile().compute_us / 1000.0 +
-        slow.profile().key_dma_us * slow.profile().key_segments / 1000.0;
+    const MultJobProfile fast = profileMultJob(params, HwConfig::paper());
+    const MultJobProfile slow =
+        profileMultJob(params, HwConfig::paperTraditional());
+    const auto mult_ms = [](const MultJobProfile &p) {
+        return (p.compute_us +
+                p.key_dma_us * static_cast<double>(p.key_segments)) /
+               1000.0;
+    };
+    const double fast_ms = mult_ms(fast);
+    const double slow_ms = mult_ms(slow);
     EXPECT_GT(slow_ms, fast_ms);
     EXPECT_LT(slow_ms, 2.2 * fast_ms);
     EXPECT_NEAR(slow_ms, 8.3, 1.2);

@@ -15,9 +15,11 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/random.h"
 #include "compiler/attribution.h"
 #include "compiler/circuit.h"
@@ -348,17 +350,29 @@ TEST(ObsAttribution, CompileTimeAttributionMatchesFusedRunExactly)
 }
 
 /** (name, modeled duration) multiset of a tracer's modeled spans —
- *  absolute starts differ across worker counts (each worker has its
- *  own clock), durations must not. */
+ *  absolute starts and DMA contention differ across worker counts
+ *  (more workers overlap in modeled time), durations must not. */
 std::vector<std::pair<std::string, double>>
 modeledSpanShape(const obs::Tracer &tracer)
 {
     std::vector<std::pair<std::string, double>> shape;
     for (const obs::SpanRecord &s : tracer.spans())
-        if (s.pid == obs::kModeledPid)
+        if (s.pid == obs::kModeledPid && s.name != "dma-wait")
             shape.emplace_back(s.name, s.dur_us);
     std::sort(shape.begin(), shape.end());
     return shape;
+}
+
+/** Every modeled span as (name, start, duration, track), sorted. */
+std::vector<std::tuple<std::string, double, double, uint32_t>>
+modeledSpans(const obs::Tracer &tracer)
+{
+    std::vector<std::tuple<std::string, double, double, uint32_t>> spans;
+    for (const obs::SpanRecord &s : tracer.spans())
+        if (s.pid == obs::kModeledPid)
+            spans.emplace_back(s.name, s.start_us, s.dur_us, s.track);
+    std::sort(spans.begin(), spans.end());
+    return spans;
 }
 
 TEST(ObsTrace, ModeledSpansDeterministicAcrossWorkerCounts)
@@ -370,30 +384,42 @@ TEST(ObsTrace, ModeledSpansDeterministicAcrossWorkerCounts)
 
     std::vector<std::vector<std::pair<std::string, double>>> shapes;
     hw::Cycle fpga_cycles = 0;
+    const unsigned prev_threads = threadCount();
     for (const size_t workers : {1u, 2u, 4u}) {
-        obs::Tracer tracer;
-        obs::Tracer *const prev = obs::setActiveTracer(&tracer);
-        {
-            service::ServiceConfig cfg;
-            cfg.workers = workers;
-            service::ExecutionService svc(u.params, u.rlk, cfg);
-            for (int r = 0; r < 3; ++r)
-                svc.submitCircuit(circuit, inputs).get();
-            svc.drain();
-            const service::ServiceSnapshot snap = svc.snapshot();
-            hw::Cycle unit_sum = 0;
-            for (hw::Cycle c : snap.stats.unit_cycles)
-                unit_sum += c;
-            EXPECT_EQ(unit_sum, snap.stats.fpga_cycles);
-            if (fpga_cycles == 0)
-                fpga_cycles = snap.stats.fpga_cycles;
-            EXPECT_EQ(snap.stats.fpga_cycles, fpga_cycles)
-                << "total modeled cycles changed at " << workers
-                << " workers";
+        // The same submissions twice, at two host thread counts: every
+        // modeled span, start included, must come out bit-identical.
+        std::vector<std::tuple<std::string, double, double, uint32_t>>
+            runs[2];
+        for (const unsigned threads : {1u, 4u}) {
+            setThreadCount(threads);
+            obs::Tracer tracer;
+            obs::Tracer *const prev = obs::setActiveTracer(&tracer);
+            {
+                service::ServiceConfig cfg;
+                cfg.workers = workers;
+                service::ExecutionService svc(u.params, u.rlk, cfg);
+                for (int r = 0; r < 3; ++r)
+                    svc.submitCircuit(circuit, inputs).get();
+                svc.drain();
+                const service::ServiceSnapshot snap = svc.snapshot();
+                hw::Cycle unit_sum = 0;
+                for (hw::Cycle c : snap.stats.unit_cycles)
+                    unit_sum += c;
+                EXPECT_EQ(unit_sum, snap.stats.fpga_cycles);
+                if (fpga_cycles == 0)
+                    fpga_cycles = snap.stats.fpga_cycles;
+                EXPECT_EQ(snap.stats.fpga_cycles, fpga_cycles)
+                    << "total modeled cycles changed at " << workers
+                    << " workers";
+            }
+            obs::setActiveTracer(prev);
+            runs[threads == 1 ? 0 : 1] = modeledSpans(tracer);
+            if (threads == 1)
+                shapes.push_back(modeledSpanShape(tracer));
         }
-        obs::setActiveTracer(prev);
-        shapes.push_back(modeledSpanShape(tracer));
+        EXPECT_EQ(runs[0], runs[1]) << workers << " workers";
     }
+    setThreadCount(prev_threads);
 
     ASSERT_FALSE(shapes[0].empty());
     EXPECT_EQ(shapes[0], shapes[1]);

@@ -420,6 +420,73 @@ TEST(Serialize, OutOfRangeLevelRejected)
     EXPECT_THROW(loadCiphertext(params, bad), FatalError);
 }
 
+/** Overwrite the little-endian u32 at @p offset of @p bytes. */
+void
+patchU32(std::string &bytes, size_t offset, uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        bytes[offset + i] = static_cast<char>(v >> (8 * i));
+}
+
+uint32_t
+peekU32(const std::string &bytes, size_t offset)
+{
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= static_cast<uint32_t>(static_cast<unsigned char>(
+                 bytes[offset + i]))
+             << (8 * i);
+    return v;
+}
+
+TEST(Serialize, UnreducedResiduesAndBadFormWordRejected)
+{
+    // A stream residue must lie below its row's prime, and the form word
+    // must be 0 (coefficient) or 1 (NTT): anything else is corrupt input
+    // and must fail with FatalError instead of loading.
+    auto params = smallParams();
+    KeyGenerator keygen(params, 41);
+    SecretKey sk = keygen.generateSecretKey();
+    PublicKey pk = keygen.generatePublicKey(sk);
+    Encryptor encryptor(params, pk, 42);
+    Plaintext m;
+    m.coeffs = {1, 2};
+    std::stringstream ss;
+    saveCiphertext(*params, encryptor.encrypt(m), ss);
+    const std::string bytes = ss.str();
+
+    // Header (20 bytes), level, part count; then the first polynomial:
+    // residue count, degree, form word, residue-major data.
+    const size_t poly = 28;
+    const size_t n = params->degree();
+    ASSERT_EQ(peekU32(bytes, poly), params->qBase()->size());
+    ASSERT_EQ(peekU32(bytes, poly + 4), n);
+    const size_t data = poly + 12;
+    for (size_t row : {size_t{0}, params->qBase()->size() - 1}) {
+        const uint64_t q = params->qBase()->modulus(row).value();
+        ASSERT_LT(q + 1, uint64_t{1} << 32);
+        for (uint64_t bad : {q, q + 1}) {
+            std::string corrupt = bytes;
+            patchU32(corrupt, data + 4 * (row * n + 3),
+                     static_cast<uint32_t>(bad));
+            std::stringstream in(corrupt);
+            EXPECT_THROW(loadCiphertext(params, in), FatalError)
+                << "row " << row << " residue " << bad;
+        }
+        // The largest reduced residue still loads.
+        std::string edge = bytes;
+        patchU32(edge, data + 4 * (row * n + 3),
+                 static_cast<uint32_t>(q - 1));
+        std::stringstream in(edge);
+        EXPECT_NO_THROW(loadCiphertext(params, in));
+    }
+
+    std::string form = bytes;
+    patchU32(form, poly + 8, 2);
+    std::stringstream in(form);
+    EXPECT_THROW(loadCiphertext(params, in), FatalError);
+}
+
 TEST(Serialize, EndToEndClientServerExchange)
 {
     // Client encrypts and serializes; server deserializes, computes,

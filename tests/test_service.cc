@@ -11,13 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/panic.h"
+#include "common/parallel.h"
 #include "common/random.h"
 #include "compiler/compiler.h"
 #include "fv/decryptor.h"
@@ -27,6 +32,7 @@
 #include "fv/params.h"
 #include "hw/coprocessor.h"
 #include "hw/system.h"
+#include "obs/trace.h"
 #include "service/service.h"
 #include "verify_support.h"
 
@@ -630,6 +636,248 @@ TEST(Service, ResidentCacheIsBitExactAcrossWorkerCounts)
             EXPECT_EQ(stats.resident_warm_runs, requests - 1);
         }
     }
+}
+
+/** Modeled service time of one lone Mult on @p rig's hardware. */
+double
+loneMultUs(ServiceRig &rig)
+{
+    ExecutionService svc(rig.params, rig.rlk, rig.serviceConfig(1));
+    fv::Encryptor encryptor(rig.params, rig.pk, 3);
+    svc.submit(Op::kMult, encryptor.encrypt(rig.randomPlain(1)),
+               encryptor.encrypt(rig.randomPlain(2)))
+        .get();
+    svc.drain();
+    return svc.latency().max_us;
+}
+
+/** What a traced start_paused run left behind. */
+struct TracedRun
+{
+    ServiceSnapshot snap;
+    std::vector<obs::SpanRecord> spans;
+};
+
+/** Submissions of one open-loop job: tenant, kind, arrival. */
+struct Arrival
+{
+    TenantId tenant = 0;
+    /** 0 = Add, 1 = Mult, 2 = resident PIR-style Mult. */
+    int kind = 0;
+    double arrival_us = 0.0;
+};
+
+/**
+ * Queue @p schedule on a start_paused service with @p workers workers
+ * and three tenants (the default one plus two registered, the last
+ * with weight 2), each with one pinned "database" ciphertext, then
+ * release it under a tracer and wait for every result.
+ */
+TracedRun
+runSchedule(ServiceRig &rig, size_t workers,
+            const std::vector<Arrival> &schedule)
+{
+    compiler::CircuitBuilder b;
+    const compiler::ValueId db = b.input();
+    const compiler::ValueId query = b.input();
+    b.output(b.mult(db, query));
+    compiler::CompilerOptions copts;
+    copts.hw = rig.hw;
+    copts.resident_inputs = {0};
+    auto pir = std::make_shared<const compiler::CompiledCircuit>(
+        compiler::compileCircuit(rig.params, b.build(), copts));
+    fv::Encryptor encryptor(rig.params, rig.pk, 17);
+    std::vector<Ciphertext> pool;
+    for (int i = 0; i < 4; ++i)
+        pool.push_back(encryptor.encrypt(rig.randomPlain(300 + i)));
+
+    ServiceConfig cfg = rig.serviceConfig(workers, 4);
+    cfg.start_paused = true;
+    obs::Tracer tracer(1u << 20);
+    obs::Tracer *const prev = obs::setActiveTracer(&tracer);
+    TracedRun run;
+    {
+        ExecutionService svc(rig.params, rig.rlk, cfg);
+        svc.registerTenant("t1", rig.rlk);
+        svc.registerTenant("t2", rig.rlk, {}, 2);
+        std::vector<std::vector<PinnedHandle>> handles;
+        for (TenantId t = 0; t < 3; ++t)
+            handles.push_back({svc.pinInput(t, pool[t])});
+        std::vector<std::future<Ciphertext>> ops;
+        std::vector<std::future<std::vector<Ciphertext>>> circuits;
+        for (size_t i = 0; i < schedule.size(); ++i) {
+            const Arrival &a = schedule[i];
+            const Ciphertext &x = pool[i % pool.size()];
+            const Ciphertext &y = pool[(i + 1) % pool.size()];
+            if (a.kind == 2)
+                circuits.push_back(svc.submitCompiledResident(
+                    a.tenant, pir, handles[a.tenant], {x}, a.arrival_us));
+            else
+                ops.push_back(svc.submit(a.tenant,
+                                         a.kind == 0 ? Op::kAdd : Op::kMult,
+                                         x, y, a.arrival_us));
+        }
+        svc.start();
+        for (auto &f : ops)
+            f.get();
+        for (auto &f : circuits)
+            f.get();
+        svc.drain();
+        run.snap = svc.snapshot();
+    }
+    obs::setActiveTracer(prev);
+    for (obs::SpanRecord &sp : tracer.spans())
+        if (sp.pid == obs::kModeledPid)
+            run.spans.push_back(std::move(sp));
+    EXPECT_EQ(tracer.droppedSpans(), 0u);
+    return run;
+}
+
+/** Tenant-mix-style schedule: three tenants, 60% Add / 20% Mult / 20%
+ *  resident, Poisson arrivals with mean gap @p gap_us. */
+std::vector<Arrival>
+tenantMix(size_t jobs, double gap_us)
+{
+    Xoshiro256 rng(2024);
+    std::vector<Arrival> schedule;
+    double arrival = 0.0;
+    for (size_t i = 0; i < jobs; ++i) {
+        Arrival a;
+        a.tenant = static_cast<TenantId>(rng.uniformBelow(3));
+        const double u = rng.uniformDouble();
+        a.kind = u < 0.6 ? 0 : u < 0.8 ? 1 : 2;
+        arrival += -std::log(1.0 - rng.uniformDouble()) * gap_us;
+        a.arrival_us = arrival;
+        schedule.push_back(a);
+    }
+    return schedule;
+}
+
+const std::string &
+spanArg(const obs::SpanRecord &span, const std::string &key)
+{
+    for (const auto &[k, v] : span.args)
+        if (k == key)
+            return v;
+    static const std::string none;
+    return none;
+}
+
+TEST(Service, LightLoadHasNoQueueWait)
+{
+    // Each job arrives after the previous one's modeled completion, so
+    // no job ever waits: not for a worker, not for the DMA engine, and
+    // not behind a later-arriving job of a lower-numbered tenant (a
+    // batch regroups by tenant only among jobs that have arrived).
+    ServiceRig rig;
+    const double price = loneMultUs(rig);
+    ASSERT_GT(price, 0.0);
+    std::vector<Arrival> schedule;
+    for (size_t i = 0; i < 8; ++i) {
+        Arrival a;
+        a.tenant = static_cast<TenantId>(1 - i % 2);
+        a.kind = 1;
+        a.arrival_us = static_cast<double>(i) * (price + 10.0);
+        schedule.push_back(a);
+    }
+    for (size_t workers : {1u, 3u}) {
+        const TracedRun run = runSchedule(rig, workers, schedule);
+        size_t requests = 0;
+        for (const obs::SpanRecord &sp : run.spans) {
+            EXPECT_NE(sp.name, "queue-wait") << workers << " workers";
+            EXPECT_NE(sp.name, "dma-wait") << workers << " workers";
+            if (sp.name != "request:op")
+                continue;
+            ++requests;
+            const size_t job = std::stoul(spanArg(sp, "job"));
+            ASSERT_LT(job, schedule.size());
+            EXPECT_EQ(sp.start_us, schedule[job].arrival_us)
+                << "job " << job << " at " << workers << " workers";
+            EXPECT_NEAR(std::stod(spanArg(sp, "latency_us")), price,
+                        1e-9 * price);
+        }
+        EXPECT_EQ(requests, schedule.size());
+        EXPECT_NEAR(run.snap.latency.max_us, price, 1e-9 * price);
+        EXPECT_NEAR(run.snap.latency.mean_us, price, 1e-9 * price);
+    }
+}
+
+TEST(Service, ModeledFiguresIndependentOfHostThreads)
+{
+    // Every modeled figure is a function of the submissions alone: the
+    // same start_paused open-loop schedule gives bit-identical results
+    // whatever the host thread count (and so whichever worker thread
+    // happens to finish first).
+    ServiceRig rig;
+    const std::vector<Arrival> schedule =
+        tenantMix(48, 0.4 * loneMultUs(rig));
+    const unsigned prev_threads = threadCount();
+    for (size_t workers : {1u, 2u, 3u}) {
+        TracedRun runs[2];
+        for (unsigned threads : {1u, 4u}) {
+            setThreadCount(threads);
+            runs[threads == 1 ? 0 : 1] = runSchedule(rig, workers, schedule);
+        }
+        const ServiceSnapshot &a = runs[0].snap;
+        const ServiceSnapshot &b = runs[1].snap;
+        EXPECT_EQ(a.latency.samples, schedule.size());
+        EXPECT_EQ(a.latency.p50_us, b.latency.p50_us) << workers;
+        EXPECT_EQ(a.latency.p99_us, b.latency.p99_us) << workers;
+        EXPECT_EQ(a.latency.mean_us, b.latency.mean_us) << workers;
+        EXPECT_EQ(a.latency.max_us, b.latency.max_us) << workers;
+        EXPECT_EQ(a.stats.makespan_us, b.stats.makespan_us) << workers;
+        EXPECT_EQ(a.stats.key_swaps, b.stats.key_swaps) << workers;
+        EXPECT_EQ(a.stats.resident_cold_runs, b.stats.resident_cold_runs);
+        EXPECT_EQ(a.stats.resident_warm_runs, b.stats.resident_warm_runs);
+        EXPECT_EQ(a.stats.dma_busy_us, b.stats.dma_busy_us) << workers;
+        EXPECT_GT(a.stats.dma_busy_us, 0.0);
+        EXPECT_LT(a.stats.dmaUtilization(), 1.0);
+        using Key = std::tuple<std::string, double, double, uint32_t>;
+        std::vector<Key> spans[2];
+        for (int r = 0; r < 2; ++r) {
+            for (const obs::SpanRecord &sp : runs[r].spans)
+                spans[r].emplace_back(sp.name, sp.start_us, sp.dur_us,
+                                      sp.track);
+            std::sort(spans[r].begin(), spans[r].end());
+        }
+        EXPECT_FALSE(spans[0].empty());
+        EXPECT_TRUE(spans[0] == spans[1]) << workers << " workers";
+    }
+    setThreadCount(prev_threads);
+}
+
+TEST(Service, LatencyDecomposesIntoWaitsAndBusySpans)
+{
+    // Under load with three workers sharing one DMA engine, each job's
+    // latency is exactly its queue wait, its DMA waits and its busy
+    // (priced) span.
+    ServiceRig rig;
+    const std::vector<Arrival> schedule =
+        tenantMix(48, 0.3 * loneMultUs(rig));
+    const TracedRun run = runSchedule(rig, 3, schedule);
+    std::vector<double> parts(schedule.size(), 0.0);
+    std::vector<double> latency(schedule.size(), -1.0);
+    size_t dma_waits = 0;
+    for (const obs::SpanRecord &sp : run.spans) {
+        if (sp.category != "service")
+            continue;
+        const size_t job = std::stoul(spanArg(sp, "job"));
+        ASSERT_LT(job, schedule.size());
+        parts[job] += sp.dur_us;
+        dma_waits += sp.name == "dma-wait";
+        if (sp.name.starts_with("request:"))
+            latency[job] = std::stod(spanArg(sp, "latency_us"));
+    }
+    EXPECT_GT(dma_waits, 0u) << "the schedule should contend for the DMA";
+    double total = 0.0;
+    for (size_t j = 0; j < schedule.size(); ++j) {
+        ASSERT_GE(latency[j], 0.0) << "job " << j << " has no request span";
+        EXPECT_NEAR(parts[j], latency[j], 1e-9 * latency[j]) << "job " << j;
+        total += latency[j];
+    }
+    const double recorded = run.snap.latency.mean_us *
+                            static_cast<double>(run.snap.latency.samples);
+    EXPECT_NEAR(total, recorded, 1e-9 * recorded);
 }
 
 TEST(Service, SnapshotIsInternallyConsistentUnderLoad)
