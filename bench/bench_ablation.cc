@@ -22,6 +22,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "compiler/attribution.h"
 #include "compiler/compiler.h"
 #include "fv/decryptor.h"
 #include "fv/encryptor.h"
@@ -39,18 +40,13 @@ namespace {
 double
 multUs(const HwConfig &config)
 {
-    auto params = fv::FvParams::paper();
-    Coprocessor cp(params, config);
-    const Program p =
-        compiler::compileOpCircuit(params, compiler::NodeKind::kMult, config)
-            .segments.at(0)
-            .program;
-    double us = 0;
-    for (const auto &i : p.instrs) {
-        us += config.cyclesToUs(cp.instructionCycles(i));
-        us += cp.instructionDmaUs(i);
-    }
-    return us;
+    const compiler::CircuitRunStats mult =
+        compiler::attributeCompiledCircuit(
+            compiler::compileOpCircuit(fv::FvParams::paper(),
+                                       compiler::NodeKind::kMult, config),
+            DispatchMode::kPerInstruction)
+            .cold.totals;
+    return config.cyclesToUs(mult.fpga_cycles) + mult.dma_us;
 }
 
 } // namespace

@@ -9,9 +9,10 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "compiler/attribution.h"
+#include "compiler/compiler.h"
 #include "fv/keygen.h"
 #include "fv/params.h"
-#include "hw/system.h"
 #include "hw/trad_lift_scale.h"
 
 using namespace heat;
@@ -42,14 +43,18 @@ main(int argc, char **argv)
                     static_cast<double>(model.liftDivisionCycles()));
 
     // --- full Mult on both architectures --------------------------------
-    auto mult_ms = [](const MultJobProfile &p) {
-        return (p.compute_us +
-                p.key_dma_us * static_cast<double>(p.key_segments)) /
-               1e3;
+    // Table I's Mult: compute and key DMA, priced per instruction.
+    auto mult_ms = [&](const HwConfig &config) {
+        const compiler::CircuitRunStats mult =
+            compiler::attributeCompiledCircuit(
+                compiler::compileOpCircuit(params, compiler::NodeKind::kMult,
+                                           config),
+                DispatchMode::kPerInstruction)
+                .cold.totals;
+        return (config.cyclesToUs(mult.fpga_cycles) + mult.dma_us) / 1e3;
     };
-    const double fast_ms =
-        mult_ms(profileMultJob(params, HwConfig::paper()));
-    const double slow_ms = mult_ms(profileMultJob(params, trad));
+    const double fast_ms = mult_ms(HwConfig::paper());
+    const double slow_ms = mult_ms(trad);
 
     bench::printHeader("Mult on the two architectures");
     bench::printRow("HPS coprocessor Mult (ms)", 4.458, fast_ms, "ms");

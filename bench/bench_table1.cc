@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "compiler/attribution.h"
 #include "compiler/compiler.h"
 #include "fv/params.h"
 #include "hw/arm_host.h"
@@ -27,17 +28,14 @@ main(int argc, char **argv)
     ArmHostModel host(params, config);
 
     // The served Mult program, priced per instruction as Table I was
-    // measured.
-    const Program mult =
-        compiler::compileOpCircuit(params, compiler::NodeKind::kMult, config)
-            .segments.at(0)
-            .program;
-
-    double mult_us = 0.0;
-    for (const auto &i : mult.instrs) {
-        mult_us += config.cyclesToUs(cp.instructionCycles(i));
-        mult_us += cp.instructionDmaUs(i);
-    }
+    // measured: compute and key DMA, without the host transfers.
+    const compiler::CircuitRunStats mult =
+        compiler::attributeCompiledCircuit(
+            compiler::compileOpCircuit(params, compiler::NodeKind::kMult,
+                                       config),
+            DispatchMode::kPerInstruction)
+            .cold.totals;
+    const double mult_us = config.cyclesToUs(mult.fpga_cycles) + mult.dma_us;
 
     Instruction add_instr;
     add_instr.op = Opcode::kCoeffAdd;

@@ -9,10 +9,9 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "compiler/attribution.h"
 #include "compiler/compiler.h"
 #include "fv/params.h"
-#include "hw/arm_host.h"
-#include "hw/coprocessor.h"
 #include "hw/resource_model.h"
 #include "hw/scaling_estimator.h"
 
@@ -55,24 +54,18 @@ main(int argc, char **argv)
     ResourceModel rm(*params, config);
     Resources one = rm.coprocessor();
 
-    Coprocessor cp(params, config);
-    const Program mult =
-        compiler::compileOpCircuit(params, compiler::NodeKind::kMult, config)
-            .segments.at(0)
-            .program;
-    double comp_us = 0.0, key_dma_us = 0.0;
-    for (const auto &i : mult.instrs) {
-        comp_us += config.cyclesToUs(cp.instructionCycles(i));
-        key_dma_us += cp.instructionDmaUs(i);
-    }
-    ArmHostModel host(params, config);
+    const compiler::CircuitRunStats mult =
+        compiler::attributeCompiledCircuit(
+            compiler::compileOpCircuit(params, compiler::NodeKind::kMult,
+                                       config),
+            DispatchMode::kPerInstruction)
+            .cold.totals;
     // Paper accounting: "Comp." includes the relin-key DMA (it is part
     // of Table I's Mult); "Comm." is the operand/result movement.
-    const double comm_us =
-        host.sendCiphertextsUs(2) + host.receiveCiphertextUs();
+    const double comp_us = config.cyclesToUs(mult.fpga_cycles) + mult.dma_us;
 
     ScalingEstimator ours(one.lut, one.ff, one.bram36, one.dsp,
-                          (comp_us + key_dma_us) / 1e3, comm_us / 1e3);
+                          comp_us / 1e3, mult.host_us / 1e3);
     const std::vector<ScalingRow> our_rows = ours.estimate(4);
     printTable("Table V (this repo's measured base row):", our_rows);
 

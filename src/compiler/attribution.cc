@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 
+#include "hw/arm_host.h"
 #include "hw/coprocessor.h"
 
 namespace heat::compiler {
@@ -28,9 +29,14 @@ recordLevels(const CompiledCircuit &compiled)
 } // namespace
 
 CircuitAttribution
-attributeCompiledCircuit(const CompiledCircuit &compiled)
+attributeCompiledCircuit(const CompiledCircuit &compiled,
+                         hw::DispatchMode mode)
 {
+    const bool fused = mode == hw::DispatchMode::kFusedProgram;
     const hw::CostModel model(compiled.params, compiled.hw);
+    const auto dispatch =
+        static_cast<hw::Cycle>(compiled.hw.dispatch_overhead);
+    const auto arm = static_cast<size_t>(hw::Unit::kArmUnit);
     const auto levels = recordLevels(compiled);
     // The level the coprocessor's memory file would report for the
     // instruction's level operand (0 for kNoPoly or an unknown id).
@@ -43,43 +49,89 @@ attributeCompiledCircuit(const CompiledCircuit &compiled)
     CircuitAttribution out;
     out.node_cycles.assign(compiled.value_sizes.size(), 0);
 
+    // The device side of a run, shared by the cold and warm prices: its
+    // totals and, per segment, the compute runs and key-load bursts.
+    CircuitRunStats device;
+    device.segments = compiled.segments.size();
+    std::vector<std::vector<RunPhase>> segment_phases;
     for (size_t s = 0; s < compiled.segments.size(); ++s) {
         const hw::Program &program = compiled.segments[s].program;
         const std::vector<ValueId> *tags =
             s < compiled.instr_nodes.size() ? &compiled.instr_nodes[s]
                                             : nullptr;
+        std::vector<RunPhase> &phases = segment_phases.emplace_back();
+        hw::Cycle run_cycles = 0;
+        const auto closeRun = [&] {
+            if (run_cycles > 0)
+                phases.push_back({compiled.hw.cyclesToUs(run_cycles), false});
+            run_cycles = 0;
+        };
         // Summed per segment, as a run adds each program's ExecStats,
         // so the double total matches the run's dma_us bit for bit.
         double segment_dma_us = 0.0;
-        SegmentTimeline &timeline = out.segments.emplace_back();
         for (size_t k = 0; k < program.instrs.size(); ++k) {
             const hw::Instruction &instr = program.instrs[k];
             const hw::InstrCost cost = model.cost(instr.op, levelOf(instr));
             out.compute_cycles += cost.cycles;
-            out.unit_cycles[static_cast<size_t>(hw::unitOf(instr.op))] +=
+            device.unit_cycles[static_cast<size_t>(hw::unitOf(instr.op))] +=
                 cost.cycles;
             out.op_cycles[instr.op] += cost.cycles;
             if (tags != nullptr && k < tags->size() &&
                 (*tags)[k] != kNoValue)
                 out.node_cycles[(*tags)[k]] += cost.cycles;
+            run_cycles += cost.cycles;
+            if (!fused) {
+                out.dispatch_cycles += dispatch;
+                device.unit_cycles[arm] += dispatch;
+                run_cycles += dispatch;
+                ++device.dispatches;
+            }
             segment_dma_us += cost.dma_us;
-            timeline.compute_runs.back() += cost.cycles;
             if (cost.dma_us > 0.0) {
-                timeline.dma_us.push_back(cost.dma_us);
-                timeline.compute_runs.push_back(0);
+                closeRun();
+                phases.push_back({cost.dma_us, true});
             }
         }
-        out.key_dma_us += segment_dma_us;
-        if (!program.instrs.empty()) {
-            const auto dispatch =
-                static_cast<hw::Cycle>(compiled.hw.dispatch_overhead);
+        device.instructions += program.instrs.size();
+        device.dma_us += segment_dma_us;
+        if (fused && !program.instrs.empty()) {
             out.dispatch_cycles += dispatch;
-            timeline.compute_runs.back() += dispatch;
-            out.unit_cycles[static_cast<size_t>(hw::Unit::kArmUnit)] +=
-                dispatch;
+            device.unit_cycles[arm] += dispatch;
+            run_cycles += dispatch;
+            ++device.dispatches;
         }
+        closeRun();
     }
-    out.total_cycles = out.compute_cycles + out.dispatch_cycles;
+    device.fpga_cycles = out.compute_cycles + out.dispatch_cycles;
+
+    // The host side, added in the order runCompiledImpl charges it.
+    const hw::ArmHostModel host(compiled.params, compiled.hw);
+    const size_t resident = compiled.resident_inputs.size();
+    const auto price = [&](bool warm) {
+        RunPrice p{device, {}};
+        const auto transfer = [&](double us) {
+            p.totals.host_us += us;
+            p.timeline.push_back({us, true});
+        };
+        if (!warm && resident > 0) {
+            p.totals.uploaded_polys += 2 * resident;
+            transfer(host.sendPolysUs(2 * resident));
+        }
+        for (size_t s = 0; s < compiled.segments.size(); ++s) {
+            const Segment &seg = compiled.segments[s];
+            p.totals.uploaded_polys += seg.uploads.size();
+            if (!seg.uploads.empty())
+                transfer(host.sendPolysUs(seg.uploads.size()));
+            p.timeline.insert(p.timeline.end(), segment_phases[s].begin(),
+                              segment_phases[s].end());
+            p.totals.downloaded_polys += seg.downloads.size();
+            if (!seg.downloads.empty())
+                transfer(host.receivePolysUs(seg.downloads.size()));
+        }
+        return p;
+    };
+    out.cold = price(false);
+    out.warm = resident == 0 ? out.cold : price(true);
     return out;
 }
 

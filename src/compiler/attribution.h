@@ -1,6 +1,6 @@
 /**
  * @file
- * Compile-time cycle attribution of a compiled circuit.
+ * The static price of a compiled circuit.
  *
  * attributeCompiledCircuit() walks a CompiledCircuit's instruction
  * stream and charges every instruction's modeled compute cycles to its
@@ -8,20 +8,23 @@
  * CompiledCircuit::instr_nodes — the circuit node that emitted it. It
  * prices each instruction with hw::CostModel, the same function the
  * coprocessor charges from; only the record levels come from elsewhere
- * (the slot-action log rather than a memory file). The per-unit totals
- * and key DMA therefore equal what a fused execution of the circuit
- * reports, without running anything.
+ * (the slot-action log rather than a memory file). It adds the host
+ * transfers with hw::ArmHostModel, the model runCompiledCircuit charges
+ * them from, and prices a cold and a warm run: each run's totals equal
+ * what runCompiledCircuit / runCompiledCircuitWarm report, without
+ * running anything, and its timeline orders the compute runs and DMA
+ * holds as the run charges them.
  *
- * This is what lets the compiler annotate nodes with attributed cost
- * at compile time, and what `heat_cli trace` cross-checks against the
- * coprocessor's runtime unit_cycles (the 0-cycle-delta acceptance
- * gate).
+ * This is the one place a compiled program is priced: the compiler
+ * annotates nodes with it, the serving layer's modeled-time engine
+ * replays its timelines, the paper-table benches read its
+ * kPerInstruction price, and `heat_cli trace` cross-checks it against a
+ * reference run (the exact-equality acceptance gate).
  */
 
 #ifndef HEAT_COMPILER_ATTRIBUTION_H
 #define HEAT_COMPILER_ATTRIBUTION_H
 
-#include <array>
 #include <map>
 #include <vector>
 
@@ -29,26 +32,38 @@
 
 namespace heat::compiler {
 
-/** One segment's program as the shared DMA engine sees it: compute
- *  runs separated by DMA bursts at their instruction positions. */
-struct SegmentTimeline
+/** One step of a run's modeled timeline. */
+struct RunPhase
 {
-    /** Compute cycles before, between and after the bursts
-     *  (compute_runs.size() == dma_us.size() + 1); the segment's Arm
-     *  dispatch is charged to the last run. */
-    std::vector<hw::Cycle> compute_runs{0};
-    /** Each burst's DMA microseconds, in program order. */
-    std::vector<double> dma_us;
+    double us = 0.0;
+    /** Held on the shared DMA engine (a host transfer or a key load),
+     *  else FPGA compute. */
+    bool dma = false;
 };
 
-/** Cycle breakdown of one compiled circuit (fused execution model). */
+/** Static price of one run of a compiled circuit. */
+struct RunPrice
+{
+    /** The run's totals, field by field what the run reports. */
+    CircuitRunStats totals;
+    /** Compute runs and DMA holds in the order the run charges them:
+     *  the resident upload (cold runs only), then per segment its
+     *  upload, its compute runs split at each key-load burst (the
+     *  segment's fused Arm dispatch closes its last run), and its
+     *  download. Zero-cycle compute runs are left out. The durations
+     *  sum to totals.modeledUs() up to rounding. */
+    std::vector<RunPhase> timeline;
+};
+
+/** Static price and cycle breakdown of one compiled circuit. */
 struct CircuitAttribution
 {
-    /** Per segment: where the key-load DMA bursts fall. */
-    std::vector<SegmentTimeline> segments;
-    /** Compute + dispatch cycles bucketed by functional unit; sums
-     *  exactly to total_cycles. */
-    std::array<hw::Cycle, hw::kUnitCount> unit_cycles{};
+    /** A run on a fresh coprocessor: runCompiledCircuit. */
+    RunPrice cold;
+    /** A rerun over the pinned resident prefix: runCompiledCircuitWarm.
+     *  Equals cold for a circuit without resident inputs, every run of
+     *  which is cold. */
+    RunPrice warm;
     /** Compute cycles per opcode. */
     std::map<hw::Opcode, hw::Cycle> op_cycles;
     /** Compute cycles attributed to each circuit value id (nodes that
@@ -57,24 +72,21 @@ struct CircuitAttribution
     std::vector<hw::Cycle> node_cycles;
     /** Sum of per-instruction compute cycles. */
     hw::Cycle compute_cycles = 0;
-    /** Arm dispatch overhead: one per non-empty segment (fused). */
+    /** Arm dispatch overhead: one per non-empty segment
+     *  (kFusedProgram) or one per instruction (kPerInstruction).
+     *  compute_cycles + dispatch_cycles == cold.totals.fpga_cycles. */
     hw::Cycle dispatch_cycles = 0;
-    /** compute_cycles + dispatch_cycles == a fused run's fpga_cycles. */
-    hw::Cycle total_cycles = 0;
-    /** Key-switch key DMA microseconds (kKeyLoad bursts). */
-    double key_dma_us = 0.0;
-
-    hw::Cycle
-    unitCycles(hw::Unit unit) const
-    {
-        return unit_cycles[static_cast<size_t>(unit)];
-    }
 };
 
-/** Attribute @p compiled's modeled cycles. Pure function of the
- *  compiled artifact — no coprocessor, no execution. */
-CircuitAttribution
-attributeCompiledCircuit(const CompiledCircuit &compiled);
+/**
+ * Price @p compiled: a pure function of the compiled artifact — no
+ * coprocessor, no execution. kFusedProgram prices the runs
+ * runCompiledCircuit makes; kPerInstruction prices the same runs with
+ * the Arm dispatching every instruction, as the paper measured Table I.
+ */
+CircuitAttribution attributeCompiledCircuit(
+    const CompiledCircuit &compiled,
+    hw::DispatchMode mode = hw::DispatchMode::kFusedProgram);
 
 } // namespace heat::compiler
 

@@ -23,6 +23,11 @@
  * one segment — inputs uploaded once, one Arm dispatch for the whole
  * instruction stream (DispatchMode::kFusedProgram), and only live
  * outputs downloaded; each spill adds one host round trip.
+ *
+ * A compiled circuit has one static price, attributeCompiledCircuit
+ * (attribution.h): its cold and warm runs at either dispatch mode,
+ * without executing. runCompiledCircuit's own run accounting
+ * (CircuitRunStats) is the oracle that price is tested against.
  */
 
 #ifndef HEAT_COMPILER_COMPILER_H
@@ -256,8 +261,8 @@ CompiledCircuit compileCircuit(std::shared_ptr<const fv::FvParams> params,
  * Compile the one-node circuit add(x, y) (@p kind kAdd) or mult(x, y)
  * (kMult) over level-0 inputs for @p config, with the noise and
  * verifier passes off. This is the one lowering of a single operation:
- * ExecutionService::submit(Op) serves it, hw::profileMultJob and the
- * paper-table benches price its segment program.
+ * ExecutionService::submit(Op) serves it, and the paper-table benches
+ * price it (attributeCompiledCircuit at kPerInstruction).
  */
 CompiledCircuit compileOpCircuit(std::shared_ptr<const fv::FvParams> params,
                                  NodeKind kind, const hw::HwConfig &config);
@@ -286,6 +291,8 @@ struct CircuitRunStats
     size_t segments = 0;
     size_t uploaded_polys = 0;
     size_t downloaded_polys = 0;
+
+    bool operator==(const CircuitRunStats &) const = default;
 
     /** Modeled end-to-end time (us). */
     double

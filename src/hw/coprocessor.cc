@@ -109,22 +109,10 @@ Coprocessor::instructionCost(const Instruction &instr) const
 }
 
 Cycle
-Coprocessor::instructionComputeCycles(const Instruction &instr) const
-{
-    return instructionCost(instr).cycles;
-}
-
-Cycle
 Coprocessor::instructionCycles(const Instruction &instr) const
 {
-    return instructionComputeCycles(instr) +
+    return instructionCost(instr).cycles +
            static_cast<Cycle>(config_.dispatch_overhead);
-}
-
-double
-Coprocessor::instructionDmaUs(const Instruction &instr) const
-{
-    return instructionCost(instr).dma_us;
 }
 
 ExecStats

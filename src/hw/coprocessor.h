@@ -148,12 +148,6 @@ class Coprocessor
     /** Cycle cost of one instruction (dispatch overhead included). */
     Cycle instructionCycles(const Instruction &instr) const;
 
-    /** Pure block-model cycle cost (no dispatch overhead). */
-    Cycle instructionComputeCycles(const Instruction &instr) const;
-
-    /** DMA microseconds charged by an instruction (kKeyLoad only). */
-    double instructionDmaUs(const Instruction &instr) const;
-
   private:
     /** The CostModel's price at the record level of the instruction's
      *  level operand (level 0 when that record does not exist). */

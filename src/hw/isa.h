@@ -360,7 +360,10 @@ operandOf(const Instruction &instr, Operand which)
  * queued once: the coprocessor streams the instruction sequence
  * back-to-back and the dispatch overhead is charged once per program
  * (kFusedProgram). Every job the serving layer runs, a single
- * operation included, is priced this way.
+ * operation included, is priced this way. The static price of a
+ * compiled program (compiler::attributeCompiledCircuit) takes either
+ * mode: the paper tables read its kPerInstruction price, the service
+ * its kFusedProgram price.
  */
 enum class DispatchMode : uint8_t
 {

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "compiler/attribution.h"
-#include "hw/arm_host.h"
 #include "obs/trace.h"
 #include "verify/verify.h"
 
@@ -174,7 +173,8 @@ ExecutionService::submit(TenantId tenant, Op op, fv::Ciphertext a,
 {
     Session &s = session(tenant);
     const auto &circuit = op_circuits_[static_cast<size_t>(op)];
-    std::shared_ptr<const CircuitPrice> price = admitCircuit(circuit);
+    std::shared_ptr<const compiler::CircuitAttribution> price =
+        admitCircuit(circuit);
     compiler::validateInput(*params_, a);
     compiler::validateInput(*params_, b);
 
@@ -306,11 +306,11 @@ ExecutionService::admit(Session &s,
     std::fprintf(stderr, "ExecutionService: warning: %s\n", detail);
 }
 
-std::shared_ptr<const ExecutionService::CircuitPrice>
+std::shared_ptr<const compiler::CircuitAttribution>
 ExecutionService::admitCircuit(
     const std::shared_ptr<const compiler::CompiledCircuit> &compiled)
 {
-    std::shared_ptr<const CircuitPrice> price;
+    std::shared_ptr<const compiler::CircuitAttribution> price;
     bool verified = config_.verify == compiler::VerifyCheck::kOff;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -346,54 +346,9 @@ ExecutionService::admitCircuit(
         }
     }
 
-    if (price == nullptr) {
-        // The static price: compute runs between the DMA holds at the
-        // positions a run takes them, in the order a run sums them, so
-        // the totals equal what runCompiledCircuit reports.
-        const compiler::CircuitAttribution attr =
-            compiler::attributeCompiledCircuit(*compiled);
-        const hw::ArmHostModel host(compiled->params, compiled->hw);
-        const auto build = [&](bool warm) {
-            JobPrice p;
-            compiler::CircuitRunStats &t = p.totals;
-            t.fpga_cycles = attr.total_cycles;
-            t.unit_cycles = attr.unit_cycles;
-            t.dma_us = attr.key_dma_us;
-            const auto hold = [&](double us) {
-                p.phases.push_back({us, true});
-            };
-            const auto transfer = [&](double us) {
-                t.host_us += us;
-                hold(us);
-            };
-            const size_t resident = compiled->resident_inputs.size();
-            if (!warm && resident > 0)
-                transfer(host.sendPolysUs(2 * resident));
-            for (size_t k = 0; k < compiled->segments.size(); ++k) {
-                const compiler::Segment &seg = compiled->segments[k];
-                const compiler::SegmentTimeline &line = attr.segments[k];
-                if (!seg.uploads.empty())
-                    transfer(host.sendPolysUs(seg.uploads.size()));
-                for (size_t r = 0; r < line.compute_runs.size(); ++r) {
-                    if (line.compute_runs[r] > 0)
-                        p.phases.push_back(
-                            {compiled->hw.cyclesToUs(line.compute_runs[r]),
-                             false});
-                    if (r < line.dma_us.size())
-                        hold(line.dma_us[r]);
-                }
-                if (!seg.downloads.empty())
-                    transfer(host.receivePolysUs(seg.downloads.size()));
-            }
-            p.busy_us = t.modeledUs(compiled->hw);
-            return p;
-        };
-        auto fresh = std::make_shared<CircuitPrice>();
-        fresh->cold = build(false);
-        fresh->warm = compiled->resident_inputs.empty() ? fresh->cold
-                                                        : build(true);
-        price = std::move(fresh);
-    }
+    if (price == nullptr)
+        price = std::make_shared<const compiler::CircuitAttribution>(
+            compiler::attributeCompiledCircuit(*compiled));
 
     std::lock_guard<std::mutex> lock(mu_);
     if (verified && config_.verify != compiler::VerifyCheck::kOff)
@@ -418,7 +373,8 @@ ExecutionService::submitCompiled(
     fatalIf(compiled == nullptr, "submitCompiled needs a circuit");
     Session &s = session(tenant);
     checkCompiled(s, *compiled);
-    std::shared_ptr<const CircuitPrice> price = admitCircuit(compiled);
+    std::shared_ptr<const compiler::CircuitAttribution> price =
+        admitCircuit(compiled);
     fatalIf(!compiled->resident_inputs.empty(),
             "circuit was compiled with resident inputs — submit it "
             "through submitCompiledResident with the pinned handles");
@@ -451,7 +407,8 @@ ExecutionService::submitCompiledResident(
     fatalIf(compiled == nullptr, "submitCompiledResident needs a circuit");
     Session &s = session(tenant);
     checkCompiled(s, *compiled);
-    std::shared_ptr<const CircuitPrice> price = admitCircuit(compiled);
+    std::shared_ptr<const compiler::CircuitAttribution> price =
+        admitCircuit(compiled);
     fatalIf(compiled->resident_inputs.empty(),
             "circuit has no resident inputs — compile it with "
             "CompilerOptions::resident_inputs, or use submitCompiled");
@@ -776,9 +733,10 @@ ExecutionService::stepLane(Lane &lane)
         if (!job.warm) // a cold or non-resident run resets the prefix
             lane.cache = job.resident ? std::move(held) : ResidentCache{};
     }
-    const JobPrice &price = job.runPrice();
-    if (lane.phase < price.phases.size()) {
-        const JobPrice::Phase &ph = price.phases[lane.phase++];
+    const std::vector<compiler::RunPhase> &timeline =
+        job.runPrice().timeline;
+    if (lane.phase < timeline.size()) {
+        const compiler::RunPhase &ph = timeline[lane.phase++];
         if (!ph.dma) {
             lane.now_us += ph.us;
         } else {
@@ -793,8 +751,8 @@ ExecutionService::stepLane(Lane &lane)
             // A job's last hold ends exactly where finishJob puts the
             // job's end, so the next job's first request does not
             // queue behind a rounding difference.
-            const double end = lane.phase == price.phases.size()
-                                   ? job.start_us + (price.busy_us +
+            const double end = lane.phase == timeline.size()
+                                   ? job.start_us + (job.busyUs() +
                                                      lane.waited_us)
                                    : grant + ph.us;
             holdDma(grant, end);
@@ -802,7 +760,7 @@ ExecutionService::stepLane(Lane &lane)
             lane.now_us = end;
         }
     }
-    if (lane.phase == price.phases.size())
+    if (lane.phase == timeline.size())
         finishJob(lane, job);
 }
 
@@ -842,10 +800,10 @@ ExecutionService::holdDma(double start_us, double end_us)
 void
 ExecutionService::finishJob(Lane &lane, Job &job)
 {
-    const JobPrice &price = job.runPrice();
+    const double busy_us = job.busyUs();
     // Service time is the price plus the DMA waits; summed this way
     // (not end minus start) it is exact when nothing waited.
-    const double service_us = price.busy_us + lane.waited_us;
+    const double service_us = busy_us + lane.waited_us;
     const double end_us = job.start_us + service_us;
     lane.now_us = end_us;
     // Open-loop jobs count from their arrival; untimed jobs contribute
@@ -861,11 +819,11 @@ ExecutionService::finishJob(Lane &lane, Job &job)
         char latency[32];
         std::snprintf(latency, sizeof latency, "%.17g", latency_us);
         serviceSpan(*tracer, job.op ? "request:op" : "request:circuit",
-                    lane.index, job.start_us, price.busy_us,
+                    lane.index, job.start_us, busy_us,
                     job.session->name, job.seq, {{"latency_us", latency}});
     }
 
-    const compiler::CircuitRunStats &t = price.totals;
+    const compiler::CircuitRunStats &t = job.runPrice().totals;
     stats_.fpga_cycles += t.fpga_cycles;
     for (size_t u = 0; u < hw::kUnitCount; ++u) {
         stats_.unit_cycles[u] += t.unit_cycles[u];

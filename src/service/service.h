@@ -54,12 +54,13 @@
  * worker's start (the single earliest job when none has). Jobs may
  * carry a modeled arrival timestamp (open-loop load generation);
  * untimed jobs count as arrived from time 0. Every job is priced
- * statically, once per compiled circuit (cold and warm), from the
- * compile-time cycle attribution and the Arm transfer model: compute
- * runs separated by DMA holds — operand upload, each kKeyLoad at its
- * instruction position, result download. Workers contend for the DMA
- * first come, first served; a job that waits for it records a
- * modeled "dma-wait" span. The price does not depend on batch width.
+ * statically, once per compiled circuit, by the circuit's one static
+ * price (compiler::attributeCompiledCircuit): the engine replays the
+ * cold or warm run's timeline of compute runs and DMA holds — operand
+ * upload, each kKeyLoad at its instruction position, result download.
+ * Workers contend for the DMA first come, first served; a job that
+ * waits for it records a modeled "dma-wait" span. The price does not
+ * depend on batch width.
  *
  * The engine dispatches as soon as work is queued (at start() for a
  * start_paused service), so every modeled figure — latency() (p50/p99
@@ -98,6 +99,7 @@
 #include <vector>
 
 #include "common/panic.h"
+#include "compiler/attribution.h"
 #include "compiler/compiler.h"
 #include "fv/keys.h"
 #include "fv/params.h"
@@ -561,32 +563,6 @@ class ExecutionService
         obs::Counter *completed_ctr = nullptr;
     };
 
-    /** Modeled price of one run of a compiled circuit: the run's
-     *  totals and its timeline of compute runs and DMA holds. */
-    struct JobPrice
-    {
-        struct Phase
-        {
-            double us = 0.0;
-            /** Held on the shared DMA engine (else compute). */
-            bool dma = false;
-        };
-        /** fpga_cycles, unit_cycles, dma_us and host_us of the run —
-         *  what compiler::runCompiledCircuit reports for it. */
-        compiler::CircuitRunStats totals;
-        std::vector<Phase> phases;
-        /** Busy time: totals.modeledUs(hw). */
-        double busy_us = 0.0;
-    };
-
-    /** Both prices of a circuit; warm equals cold unless the circuit
-     *  has resident inputs. */
-    struct CircuitPrice
-    {
-        JobPrice cold;
-        JobPrice warm;
-    };
-
     /** Admission cache entry of one compiled circuit object. */
     struct CircuitEntry
     {
@@ -594,7 +570,7 @@ class ExecutionService
         std::weak_ptr<const compiler::CompiledCircuit> circuit;
         /** Cleared by the static verifier under this service's policy. */
         bool verified = false;
-        std::shared_ptr<const CircuitPrice> price;
+        std::shared_ptr<const compiler::CircuitAttribution> price;
     };
 
     /** What a coprocessor's pinned memory-file prefix holds. The
@@ -625,7 +601,7 @@ class ExecutionService
         std::promise<fv::Ciphertext> promise;
 
         std::shared_ptr<const compiler::CompiledCircuit> circuit;
-        std::shared_ptr<const CircuitPrice> price;
+        std::shared_ptr<const compiler::CircuitAttribution> price;
         /** All inputs (plain circuit job), or only the non-resident
          *  request inputs (resident job). */
         std::vector<fv::Ciphertext> circuit_inputs;
@@ -645,10 +621,17 @@ class ExecutionService
         double start_us = 0.0;
         bool warm = false;
 
-        const JobPrice &
+        const compiler::RunPrice &
         runPrice() const
         {
             return warm ? price->warm : price->cold;
+        }
+
+        /** Modeled busy time of the run, DMA waits excluded. */
+        double
+        busyUs() const
+        {
+            return runPrice().totals.modeledUs(circuit->hw);
         }
 
         /** Batch ordering key: group per-op kinds, then plain
@@ -714,7 +697,7 @@ class ExecutionService
     /** Static-verification admission verdict (see ServiceConfig::
      *  verify; may throw AdmissionRejectedError) and the circuit's
      *  modeled price, both cached per compiled object. */
-    std::shared_ptr<const CircuitPrice> admitCircuit(
+    std::shared_ptr<const compiler::CircuitAttribution> admitCircuit(
         const std::shared_ptr<const compiler::CompiledCircuit> &compiled);
     void enqueue(Session &s, Job job);
 

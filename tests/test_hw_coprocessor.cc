@@ -2,7 +2,7 @@
  * @file
  * Integration tests of the coprocessor: memory file discipline, the
  * compiled one-node FV.Mult program (Table II instruction mix, the
- * program profileMultJob prices), bit-exact golden comparison of the
+ * program the paper tables price), bit-exact golden comparison of the
  * simulated FV.Mult against the software evaluator, end-to-end
  * decryption of hardware-produced ciphertexts, the batched functional
  * units against the per-coefficient hardware model at every SIMD
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/panic.h"
+#include "compiler/attribution.h"
 #include "compiler/circuit.h"
 #include "compiler/compiler.h"
 #include "fv/decryptor.h"
@@ -28,7 +29,6 @@
 #include "fv/keygen.h"
 #include "hw/arm_host.h"
 #include "hw/coprocessor.h"
-#include "hw/system.h"
 #include "service/service.h"
 #include "simd/simd.h"
 
@@ -760,22 +760,25 @@ TEST(CoprocessorTiming, TableIIPerInstructionTimes)
     EXPECT_NEAR(us_of(Opcode::kScale), 82.7, 8.0);
 }
 
+/** Table I's Mult on @p config (ms): the served Mult program's compute
+ *  and key DMA, with one Arm dispatch per instruction. */
+double
+tableIMultMs(const HwConfig &config)
+{
+    const compiler::CircuitRunStats mult =
+        compiler::attributeCompiledCircuit(
+            compiler::compileOpCircuit(fv::FvParams::paper(),
+                                       compiler::NodeKind::kMult, config),
+            DispatchMode::kPerInstruction)
+            .cold.totals;
+    return (config.cyclesToUs(mult.fpga_cycles) + mult.dma_us) / 1000.0;
+}
+
 TEST(CoprocessorTiming, MultMatchesTableI)
 {
     // Table I: Mult in HW 5,349,567 Arm cycles = 4.458 ms, measured
     // with one Arm dispatch per instruction (kPerInstruction).
-    auto params = fv::FvParams::paper();
-    HwConfig config = HwConfig::paper();
-    Coprocessor cp(params, config);
-    const compiler::CompiledCircuit mult =
-        compiler::compileOpCircuit(params, compiler::NodeKind::kMult, config);
-
-    double total_us = 0.0;
-    for (const auto &i : mult.segments.at(0).program.instrs) {
-        total_us += config.cyclesToUs(cp.instructionCycles(i));
-        total_us += cp.instructionDmaUs(i);
-    }
-    EXPECT_NEAR(total_us / 1000.0, 4.458, 0.45); // within 10%
+    EXPECT_NEAR(tableIMultMs(HwConfig::paper()), 4.458, 0.45); // 10%
 }
 
 TEST(CoprocessorTiming, AddMatchesTableI)
@@ -870,17 +873,8 @@ TEST(Fig11System, TraditionalArchitectureIsSlower)
     // (225 MHz, 4 Lift/Scale cores) versus 4.458 ms for HPS — slower,
     // but less than 2x because relin keys are 3x smaller. Our model
     // charges the same 6-digit key schedule, so expect <2.2x.
-    auto params = fv::FvParams::paper();
-    const MultJobProfile fast = profileMultJob(params, HwConfig::paper());
-    const MultJobProfile slow =
-        profileMultJob(params, HwConfig::paperTraditional());
-    const auto mult_ms = [](const MultJobProfile &p) {
-        return (p.compute_us +
-                p.key_dma_us * static_cast<double>(p.key_segments)) /
-               1000.0;
-    };
-    const double fast_ms = mult_ms(fast);
-    const double slow_ms = mult_ms(slow);
+    const double fast_ms = tableIMultMs(HwConfig::paper());
+    const double slow_ms = tableIMultMs(HwConfig::paperTraditional());
     EXPECT_GT(slow_ms, fast_ms);
     EXPECT_LT(slow_ms, 2.2 * fast_ms);
     EXPECT_NEAR(slow_ms, 8.3, 1.2);

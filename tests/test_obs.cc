@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -282,16 +283,37 @@ leveledRotationCircuit()
     return b.build();
 }
 
+/** Sum of @p price's timeline durations. */
+double
+timelineUs(const compiler::RunPrice &price)
+{
+    double us = 0.0;
+    for (const compiler::RunPhase &phase : price.timeline)
+        us += phase.us;
+    return us;
+}
+
 TEST(ObsAttribution, CompileTimeAttributionMatchesFusedRunExactly)
 {
     Universe u(77);
-    const Circuit circuits[] = {mixedCircuit(u), leveledRotationCircuit()};
+    struct Case
+    {
+        Circuit circuit;
+        /** Input positions compiled coprocessor-resident. */
+        std::vector<uint32_t> resident;
+    };
+    // The last case pins its first input, so its warm run skips that
+    // upload and prices differently from its cold run.
+    const Case cases[] = {{mixedCircuit(u), {}},
+                          {leveledRotationCircuit(), {}},
+                          {mixedCircuit(u), {0}}};
     std::set<hw::Opcode> opcodes;
-    for (const Circuit &circuit : circuits) {
+    for (const Case &c : cases) {
         compiler::CompilerOptions options;
         options.hw = hw::HwConfig::paper();
+        options.resident_inputs = c.resident;
         const compiler::CompiledCircuit compiled =
-            compiler::compileCircuit(u.params, circuit, options);
+            compiler::compileCircuit(u.params, c.circuit, options);
         for (const compiler::Segment &seg : compiled.segments)
             for (const hw::Instruction &instr : seg.program.instrs)
                 opcodes.insert(instr.op);
@@ -304,49 +326,101 @@ TEST(ObsAttribution, CompileTimeAttributionMatchesFusedRunExactly)
             keygen.generateGaloisKeys(u.sk, compiled.galois_elements);
         hw::Coprocessor cp(u.params, options.hw, &u.rlk, &gkeys);
         compiler::CircuitRunStats run;
-        std::vector<Ciphertext> inputs = {u.randomCipher(1),
-                                          u.randomCipher(2)};
+        const std::vector<Ciphertext> inputs = {u.randomCipher(1),
+                                                u.randomCipher(2)};
         compiler::runCompiledCircuit(cp, compiled, inputs, &run);
+        compiler::CircuitRunStats warm = run;
+        if (!c.resident.empty()) {
+            compiler::runCompiledCircuitWarm(
+                cp, compiled, std::span(inputs).subspan(1), &warm);
+            EXPECT_LT(warm.host_us, run.host_us);
+        }
 
-        // Zero delta: both price every instruction with hw::CostModel,
-        // so only the record levels (slot log vs memory file) could
+        // Zero delta, field by field: both price every instruction with
+        // hw::CostModel and every transfer with hw::ArmHostModel, so
+        // only the record levels (slot log vs memory file) could
         // disagree — and must not.
-        EXPECT_EQ(attr.total_cycles, run.fpga_cycles);
-        for (size_t i = 0; i < hw::kUnitCount; ++i)
-            EXPECT_EQ(attr.unit_cycles[i], run.unit_cycles[i])
-                << "unit " << hw::unitName(static_cast<hw::Unit>(i));
-        EXPECT_GT(attr.key_dma_us, 0.0);
-        EXPECT_EQ(attr.key_dma_us, run.dma_us);
+        EXPECT_EQ(attr.cold.totals, run);
+        EXPECT_EQ(attr.warm.totals, warm);
+        EXPECT_GT(run.dma_us, 0.0);
+        EXPECT_GT(run.host_us, 0.0);
+        for (const compiler::RunPrice *price : {&attr.cold, &attr.warm}) {
+            const double us = price->totals.modeledUs(options.hw);
+            EXPECT_NEAR(timelineUs(*price), us, 1e-9 * us);
+        }
 
         // Internal consistency: unit buckets, opcode buckets and node
         // attribution each sum exactly to their totals.
         hw::Cycle unit_sum = 0;
-        for (hw::Cycle c : attr.unit_cycles)
-            unit_sum += c;
-        EXPECT_EQ(unit_sum, attr.total_cycles);
+        for (hw::Cycle cycles : attr.cold.totals.unit_cycles)
+            unit_sum += cycles;
+        EXPECT_EQ(unit_sum, attr.cold.totals.fpga_cycles);
         hw::Cycle op_sum = 0;
         for (const auto &[op, cycles] : attr.op_cycles)
             op_sum += cycles;
         EXPECT_EQ(op_sum, attr.compute_cycles);
         hw::Cycle node_sum = 0;
-        for (hw::Cycle c : attr.node_cycles)
-            node_sum += c;
+        for (hw::Cycle cycles : attr.node_cycles)
+            node_sum += cycles;
         EXPECT_EQ(node_sum, attr.compute_cycles);
         EXPECT_EQ(attr.compute_cycles + attr.dispatch_cycles,
-                  attr.total_cycles);
+                  attr.cold.totals.fpga_cycles);
 
         // The run's own unit buckets also sum exactly.
         hw::Cycle run_sum = 0;
-        for (hw::Cycle c : run.unit_cycles)
-            run_sum += c;
+        for (hw::Cycle cycles : run.unit_cycles)
+            run_sum += cycles;
         EXPECT_EQ(run_sum, run.fpga_cycles);
 
         // The compiler's node annotation agrees with the fresh
         // attribution.
         EXPECT_EQ(compiled.node_cycles, attr.node_cycles);
     }
-    // Between them the two circuits exercise every opcode.
+    // Between them the circuits exercise every opcode.
     EXPECT_EQ(opcodes.size(), hw::kOpcodeCount);
+
+    // Per instruction (the paper's Table I): the one-node Mult's price
+    // is its program executed with one Arm dispatch per instruction.
+    const compiler::CompiledCircuit mult = compiler::compileOpCircuit(
+        u.params, compiler::NodeKind::kMult, hw::HwConfig::paper());
+    const compiler::CircuitAttribution per_instr =
+        compiler::attributeCompiledCircuit(mult,
+                                           hw::DispatchMode::kPerInstruction);
+    hw::Coprocessor cp(u.params, mult.hw, &u.rlk);
+    hw::replaySlotActions(cp.memory(), mult.slot_actions);
+    const std::vector<Ciphertext> inputs = {u.randomCipher(3),
+                                            u.randomCipher(4)};
+    compiler::CircuitRunStats run;
+    hw::Cycle dispatch_cycles = 0;
+    for (const compiler::Segment &seg : mult.segments) {
+        for (const compiler::Transfer &up : seg.uploads) {
+            const auto k = static_cast<size_t>(
+                std::find(mult.inputs.begin(), mult.inputs.end(),
+                          up.index) -
+                mult.inputs.begin());
+            cp.uploadInto(up.slot, inputs.at(k)[up.poly]);
+        }
+        const hw::ExecStats es =
+            cp.execute(seg.program, hw::DispatchMode::kPerInstruction);
+        run.fpga_cycles += es.fpga_cycles;
+        run.dma_us += es.dma_us;
+        run.instructions += es.instructions;
+        for (size_t i = 0; i < hw::kUnitCount; ++i)
+            run.unit_cycles[i] += es.unit_cycles[i];
+        dispatch_cycles += es.dispatch_cycles;
+    }
+    const compiler::CircuitRunStats &price = per_instr.cold.totals;
+    EXPECT_EQ(price.fpga_cycles, run.fpga_cycles);
+    EXPECT_EQ(price.dma_us, run.dma_us);
+    EXPECT_EQ(price.instructions, run.instructions);
+    EXPECT_EQ(price.unit_cycles, run.unit_cycles);
+    EXPECT_EQ(per_instr.dispatch_cycles, dispatch_cycles);
+    EXPECT_EQ(price.dispatches, price.instructions);
+    // The transfers do not depend on the dispatch mode.
+    EXPECT_EQ(price.host_us,
+              compiler::attributeCompiledCircuit(mult).cold.totals.host_us);
+    const double us = price.modeledUs(mult.hw);
+    EXPECT_NEAR(timelineUs(per_instr.cold), us, 1e-9 * us);
 }
 
 /** (name, modeled duration) multiset of a tracer's modeled spans —

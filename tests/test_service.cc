@@ -24,6 +24,7 @@
 #include "common/panic.h"
 #include "common/parallel.h"
 #include "common/random.h"
+#include "compiler/attribution.h"
 #include "compiler/compiler.h"
 #include "fv/decryptor.h"
 #include "fv/encryptor.h"
@@ -31,7 +32,6 @@
 #include "fv/keygen.h"
 #include "fv/params.h"
 #include "hw/coprocessor.h"
-#include "hw/system.h"
 #include "obs/trace.h"
 #include "service/service.h"
 #include "verify_support.h"
@@ -354,19 +354,13 @@ TEST(Service, ModeledMultPriceIsIndependentOfBatchWidth)
     // 1 and 8. The services start paused so the whole workload is
     // queued before the worker's first dequeue.
     ServiceRig rig;
-    const hw::MultJobProfile fused = hw::profileMultJob(
-        rig.params, rig.hw, hw::DispatchMode::kFusedProgram);
-    const hw::Coprocessor costs(rig.params, rig.hw);
-    hw::Cycle compute = 0;
-    const compiler::CompiledCircuit mult = compiler::compileOpCircuit(
-        rig.params, compiler::NodeKind::kMult, rig.hw);
-    for (const hw::Instruction &instr : mult.segments.at(0).program.instrs)
-        compute += costs.instructionComputeCycles(instr);
+    const compiler::CircuitRunStats job =
+        compiler::attributeCompiledCircuit(
+            compiler::compileOpCircuit(rig.params, compiler::NodeKind::kMult,
+                                       rig.hw))
+            .cold.totals;
     const auto dispatch = static_cast<hw::Cycle>(rig.hw.dispatch_overhead);
-    const double job_us =
-        rig.hw.cyclesToUs(compute + dispatch) +
-        static_cast<double>(fused.key_segments) * fused.key_dma_us +
-        fused.send_us + fused.receive_us;
+    const double job_us = job.modeledUs(rig.hw);
 
     double makespan[2];
     int idx = 0;
@@ -387,7 +381,7 @@ TEST(Service, ModeledMultPriceIsIndependentOfBatchWidth)
         svc.drain();
         const ServiceStats stats = svc.stats();
         EXPECT_EQ(stats.batches, 8u / batch);
-        EXPECT_EQ(stats.fpga_cycles, 8 * (compute + dispatch));
+        EXPECT_EQ(stats.fpga_cycles, 8 * job.fpga_cycles);
         EXPECT_EQ(stats.unitCycles(hw::Unit::kArmUnit), 8 * dispatch);
         makespan[idx++] = stats.makespan_us;
     }

@@ -18,7 +18,9 @@
  * fingerprint in every file enforces this).
  */
 
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -86,11 +88,41 @@ option(const Args &args, const std::string &key, const std::string &dflt)
     return it == args.options.end() ? dflt : it->second;
 }
 
+/** Upper bounds of the size flags. Each worker is a simulated
+ *  coprocessor with its own host thread, and each --len element or
+ *  --requests request a paper-set ciphertext or more, so larger values
+ *  only exhaust the host. */
+constexpr uint64_t kMaxWorkers = 16;
+constexpr uint64_t kMaxRequests = 256;
+constexpr uint64_t kMaxLen = 64;
+
+/**
+ * Option @p key as an unsigned decimal integer in [@p min, @p max], or
+ * @p dflt when the flag is absent. Empty, signed, non-numeric, trailing
+ * characters and out-of-range values are a FatalError naming the flag.
+ */
+uint64_t
+uintOption(const Args &args, const std::string &key, uint64_t dflt,
+           uint64_t min = 0, uint64_t max = UINT64_MAX)
+{
+    const auto it = args.options.find(key);
+    if (it == args.options.end())
+        return dflt;
+    const std::string &text = it->second;
+    const char *const end = text.data() + text.size();
+    uint64_t value = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    fatalIf(text.empty() || ec != std::errc() || ptr != end ||
+                value < min || value > max,
+            "--", key, " wants an integer in [", min, ", ", max,
+            "], got '", text, "'");
+    return value;
+}
+
 std::shared_ptr<const fv::FvParams>
 paramsFor(const Args &args)
 {
-    const uint64_t t = std::stoull(option(args, "t", "65537"));
-    return fv::FvParams::paper(t);
+    return fv::FvParams::paper(uintOption(args, "t", 65537, 2, UINT64_MAX));
 }
 
 std::ifstream
@@ -112,9 +144,9 @@ openOut(const std::string &path)
 int
 cmdKeygen(const Args &args)
 {
+    const uint64_t seed = uintOption(args, "seed", 1);
     auto params = paramsFor(args);
     const std::string dir = option(args, "dir", "keys");
-    const uint64_t seed = std::stoull(option(args, "seed", "1"));
 
     fv::KeyGenerator keygen(params, seed);
     fv::SecretKey sk = keygen.generateSecretKey();
@@ -145,6 +177,7 @@ cmdKeygen(const Args &args)
 int
 cmdEncrypt(const Args &args)
 {
+    const uint64_t seed = uintOption(args, "seed", 99);
     auto params = paramsFor(args);
     const std::string dir = option(args, "dir", "keys");
     const std::string out_path = option(args, "out", "out.ct");
@@ -154,9 +187,7 @@ cmdEncrypt(const Args &args)
     auto pk_in = openIn(dir + "/public.key");
     fv::PublicKey pk = fv::loadPublicKey(params, pk_in);
 
-    fv::Encryptor encryptor(
-        params, std::move(pk),
-        std::stoull(option(args, "seed", "99")));
+    fv::Encryptor encryptor(params, std::move(pk), seed);
     fv::IntegerEncoder encoder(params, 2);
     fv::Ciphertext ct = encryptor.encrypt(encoder.encode(value));
 
@@ -252,11 +283,10 @@ cmdInfo(const Args &args)
 int
 cmdCircuit(const Args &args)
 {
+    const size_t len = uintOption(args, "len", 4, 1, kMaxLen);
+    const size_t workers = uintOption(args, "workers", 2, 1, kMaxWorkers);
+    const uint64_t seed = uintOption(args, "seed", 1);
     auto params = paramsFor(args);
-    const size_t len = std::stoull(option(args, "len", "4"));
-    const size_t workers = std::stoull(option(args, "workers", "2"));
-    const uint64_t seed = std::stoull(option(args, "seed", "1"));
-    fatalIf(len == 0, "need --len >= 1");
     const uint64_t t = params->plainModulus();
 
     fv::KeyGenerator keygen(params, seed);
@@ -346,10 +376,11 @@ cmdCircuit(const Args &args)
 /**
  * Observability demo and acceptance gate: run a workload through the
  * serving layer with the span tracer installed, cross-check the three
- * independent cycle accountings — compile-time attribution
- * (compiler::attributeCompiledCircuit), a reference fused run on a
- * standalone coprocessor, and the service's per-unit profile — for
- * EXACT agreement (integer equality, no tolerance), then write a
+ * independent accountings — the static cold-run price
+ * (compiler::attributeCompiledCircuit: cycles, key DMA, host transfers
+ * and counts, field by field), a reference fused run on a standalone
+ * coprocessor, and the service's per-unit profile — for EXACT
+ * agreement (equality, no tolerance), then write a
  * Chrome trace_event JSON (Perfetto-loadable) plus an optional
  * Prometheus metrics dump. Any accounting mismatch exits 1.
  *
@@ -366,12 +397,12 @@ cmdTrace(const Args &args)
     const std::string workload = option(args, "workload", "pir");
     const std::string out_path = option(args, "out", "trace.json");
     const std::string metrics_path = option(args, "metrics", "");
-    const size_t workers = std::stoull(option(args, "workers", "2"));
-    const size_t requests = std::stoull(option(args, "requests", "4"));
-    const uint64_t seed = std::stoull(option(args, "seed", "1"));
+    const size_t workers = uintOption(args, "workers", 2, 1, kMaxWorkers);
+    const size_t requests =
+        uintOption(args, "requests", 4, 1, kMaxRequests);
+    const uint64_t seed = uintOption(args, "seed", 1);
     fatalIf(workload != "pir" && workload != "mult4",
             "unknown --workload '", workload, "' (pir|mult4)");
-    fatalIf(requests == 0, "need --requests >= 1");
 
     // Parameter set: PIR uses the small serving ring (fast functional
     // simulation; the timing model is the paper's either way), mult4
@@ -471,12 +502,14 @@ cmdTrace(const Args &args)
     hw::Coprocessor ref_cp(params, cfg.hw, &rlk);
     compiler::CircuitRunStats ref;
     compiler::runCompiledCircuit(ref_cp, *compiled, all_inputs, &ref);
+    const compiler::CircuitRunStats &price = attr.cold.totals;
     check(unitSum(ref.unit_cycles) == ref.fpga_cycles,
           "reference run: unit cycles do not sum to fpga_cycles");
-    check(unitSum(attr.unit_cycles) == attr.total_cycles,
-          "attribution: unit cycles do not sum to total_cycles");
-    check(attr.total_cycles == ref.fpga_cycles,
-          "attribution total_cycles != reference run fpga_cycles");
+    check(unitSum(price.unit_cycles) == price.fpga_cycles,
+          "attribution: unit cycles do not sum to fpga_cycles");
+    check(price == ref,
+          "attribution cold run price != reference run stats (cycles, "
+          "dma_us, host_us, instructions, dispatches or polys)");
 
     // Accounting 3: the serving layer, with the tracer installed
     // before the workers spawn.
@@ -550,7 +583,7 @@ cmdTrace(const Args &args)
         const hw::Cycle svc_cycles = snap.stats.unit_cycles[u];
         std::printf("%-12s %18llu %18llu %6.2f%%\n",
                     hw::unitName(static_cast<hw::Unit>(u)),
-                    static_cast<unsigned long long>(attr.unit_cycles[u]),
+                    static_cast<unsigned long long>(price.unit_cycles[u]),
                     static_cast<unsigned long long>(svc_cycles),
                     snap.stats.fpga_cycles > 0
                         ? 100.0 * static_cast<double>(svc_cycles) /
@@ -558,7 +591,7 @@ cmdTrace(const Args &args)
                         : 0.0);
     }
     std::printf("%-12s %18llu %18llu %6.2f%%\n", "total",
-                static_cast<unsigned long long>(attr.total_cycles),
+                static_cast<unsigned long long>(price.fpga_cycles),
                 static_cast<unsigned long long>(snap.stats.fpga_cycles),
                 100.0);
     std::printf("attribution check: %s (attribution == reference run "
@@ -586,12 +619,11 @@ int
 cmdVerify(const Args &args)
 {
     const std::string workload = option(args, "workload", "all");
-    const size_t len = std::stoull(option(args, "len", "4"));
-    const uint64_t seed = std::stoull(option(args, "seed", "1"));
+    const size_t len = uintOption(args, "len", 4, 1, kMaxLen);
+    const uint64_t seed = uintOption(args, "seed", 1);
     fatalIf(workload != "all" && workload != "pir" &&
                 workload != "mult4" && workload != "dot",
             "unknown --workload '", workload, "' (pir|mult4|dot|all)");
-    fatalIf(len == 0, "need --len >= 1");
     Xoshiro256 rng(seed * 977 + 13);
 
     struct Case
@@ -712,7 +744,9 @@ usage()
         "                   compile the workload's circuits and run the "
         "static program\n"
         "                   verifier, printing the diagnostic table "
-        "(exit 1 on violations)\n");
+        "(exit 1 on violations)\n"
+        "  counts are unsigned decimals: --len 1..64, --workers 1..16, "
+        "--requests 1..256\n");
 }
 
 } // namespace
