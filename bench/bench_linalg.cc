@@ -16,8 +16,16 @@
  *
  * Exit status is the CI gate: hoisted fused modeled throughput must be
  * strictly above both the unhoisted schedule and op-by-op submission.
+ *
+ * Host clock: `hoisted_hw_vs_sw_host_ratio` is the wall time of the
+ * hoisted fused run on the simulated coprocessor over the software
+ * evaluator's hoisted path (compiler::evaluateCircuit) on the same
+ * request, best of several runs each in this process; CI bounds it.
  */
 
+#include <algorithm>
+#include <chrono>
+#include <limits>
 #include <vector>
 
 #include "bench_util.h"
@@ -26,6 +34,7 @@
 #include "compiler/compiler.h"
 #include "fv/decryptor.h"
 #include "fv/encryptor.h"
+#include "fv/evaluator.h"
 #include "fv/keygen.h"
 #include "fv/params.h"
 #include "hw/coprocessor.h"
@@ -98,6 +107,37 @@ main(int argc, char **argv)
         return 1;
     }
 
+    // Host time, simulator against evaluator, best of kHostRuns each
+    // (interleaved so both see the same machine load).
+    const fv::Evaluator evaluator(params);
+    const auto ms_of = [](auto &&run) {
+        const auto t0 = std::chrono::steady_clock::now();
+        run();
+        return std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+            .count();
+    };
+    constexpr int kHostRuns = 5;
+    double hw_host_ms = std::numeric_limits<double>::infinity();
+    double sw_host_ms = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < kHostRuns; ++i) {
+        std::vector<fv::Ciphertext> hw_out, sw_out;
+        hw_host_ms = std::min(hw_host_ms, ms_of([&] {
+            hw_out = compiler::runCompiledCircuit(cp, hoisted, inputs);
+        }));
+        sw_host_ms = std::min(sw_host_ms, ms_of([&] {
+            sw_out = compiler::evaluateCircuit(evaluator, &rlk,
+                                               mv.circuit(), inputs,
+                                               &gkeys);
+        }));
+        if (hw_out != out || sw_out != out) {
+            std::printf("FAILED: timed runs disagree with the hoisted "
+                        "result\n");
+            return 1;
+        }
+    }
+    const double host_ratio = hw_host_ms / sw_host_ms;
+
     const auto ops_per_sec = [&](const compiler::CircuitRunStats &s) {
         return static_cast<double>(nodes) /
                s.modeledUs(hoisted_opts.hw) * 1e6;
@@ -120,6 +160,11 @@ main(int argc, char **argv)
                      "");
     bench::printInfo("hoisted memory-file peak",
                      static_cast<double>(hoisted.peak_slots), "slots");
+    bench::printInfo("hoisted fused host time (simulator)", hw_host_ms,
+                     "ms");
+    bench::printInfo("hoisted host time (fv::Evaluator)", sw_host_ms,
+                     "ms");
+    bench::printInfo("simulator / evaluator host ratio", host_ratio, "x");
 
     const size_t n = params->degree();
     const size_t moduli = params->qBase()->size();
@@ -133,6 +178,10 @@ main(int argc, char **argv)
                     "x", n, moduli);
     reporter.record("fused_vs_opbyop_speedup",
                     hoisted_ops / op_by_op_ops, "x", n, moduli);
+    reporter.record("hoisted_hw_host_ms", hw_host_ms, "ms", n, moduli);
+    reporter.record("hoisted_sw_host_ms", sw_host_ms, "ms", n, moduli);
+    reporter.record("hoisted_hw_vs_sw_host_ratio", host_ratio, "x", n,
+                    moduli);
 
     const bool gate =
         hoisted_ops > op_by_op_ops && hoisted_ops > unhoisted_ops;

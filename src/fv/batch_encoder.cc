@@ -1,7 +1,7 @@
 #include "fv/batch_encoder.h"
 
-#include "common/bit_util.h"
 #include "common/panic.h"
+#include "fv/galois.h"
 #include "mp/primality.h"
 #include "ntt/ntt.h"
 
@@ -37,22 +37,10 @@ BatchEncoder::encode(const std::vector<uint64_t> &slots) const
 std::vector<size_t>
 BatchEncoder::slotPermutation(uint32_t galois_element) const
 {
-    // Slot j is the evaluation at psi^(2*bitrev(j)+1). Under tau_g the
-    // value at exponent e comes from exponent e*g mod 2n.
     const size_t n = params_->degree();
-    const int log_n = tables_->logDegree();
-    std::vector<size_t> slot_of_exponent(2 * n, SIZE_MAX);
-    for (size_t j = 0; j < n; ++j) {
-        const uint64_t e = 2 * reverseBits(j, log_n) + 1;
-        slot_of_exponent[e] = j;
-    }
-    std::vector<size_t> perm(n);
-    for (size_t j = 0; j < n; ++j) {
-        const uint64_t e = 2 * reverseBits(j, log_n) + 1;
-        const uint64_t src = (e * galois_element) & (2 * n - 1);
-        perm[j] = slot_of_exponent[src];
-    }
-    return perm;
+    fatalIf(!isValidGaloisElement(galois_element, n),
+            "Galois element ", galois_element, " is not odd and < 2n");
+    return galoisNttIndexMap(n, galois_element);
 }
 
 std::vector<uint64_t>

@@ -1,5 +1,6 @@
 #include "fv/galois.h"
 
+#include "common/bit_util.h"
 #include "common/panic.h"
 #include "mp/primality.h"
 
@@ -18,13 +19,19 @@ GaloisKeys::fingerprint() const
     return h;
 }
 
+bool
+isValidGaloisElement(uint32_t g, size_t degree)
+{
+    return (g & 1) != 0 && g < 2 * static_cast<uint64_t>(degree);
+}
+
 void
 applyGaloisToResidue(std::span<const uint64_t> in, std::span<uint64_t> out,
                      uint32_t g, const rns::Modulus &modulus)
 {
     const size_t n = in.size();
     panicIf(out.size() != n, "galois output size mismatch");
-    panicIf((g & 1) == 0 || g >= 2 * n, "galois element must be odd, < 2n");
+    panicIf(!isValidGaloisElement(g, n), "galois element must be odd, < 2n");
     const uint64_t mask = 2 * n - 1; // 2n is a power of two
     for (size_t i = 0; i < n; ++i) {
         const uint64_t j = (static_cast<uint64_t>(i) * g) & mask;
@@ -33,6 +40,23 @@ applyGaloisToResidue(std::span<const uint64_t> in, std::span<uint64_t> out,
         else
             out[j - n] = modulus.negate(in[i]);
     }
+}
+
+std::vector<size_t>
+galoisNttIndexMap(size_t degree, uint32_t g)
+{
+    panicIf(!isValidGaloisElement(g, degree),
+            "galois element must be odd, < 2n");
+    const int log_n = log2Floor(degree);
+    const uint64_t mask = 2 * degree - 1; // 2n is a power of two
+    std::vector<size_t> map(degree);
+    for (size_t j = 0; j < degree; ++j) {
+        const uint64_t e = 2 * reverseBits(j, log_n) + 1;
+        // e*g mod 2n is odd: the exponent 2*bitrev(j')+1 of the
+        // source slot j'.
+        map[j] = reverseBits(((e * g) & mask) >> 1, log_n);
+    }
+    return map;
 }
 
 size_t

@@ -42,6 +42,14 @@ struct GaloisKeys
 };
 
 /**
+ * @return true iff @p g names an automorphism of the degree-@p degree
+ * ring: odd and below 2n. Every boundary that accepts a Galois element
+ * from outside (key streams, compiled circuits, session keys) checks
+ * this one predicate; the permutations below panic on anything else.
+ */
+bool isValidGaloisElement(uint32_t g, size_t degree);
+
+/**
  * Apply tau_g to a polynomial in coefficient representation:
  * coefficient i moves to index i*g mod 2n, negated when the product
  * wraps past n (x^n = -1).
@@ -54,6 +62,21 @@ struct GaloisKeys
 void applyGaloisToResidue(std::span<const uint64_t> in,
                           std::span<uint64_t> out, uint32_t g,
                           const rns::Modulus &modulus);
+
+/**
+ * The index map of tau_g on NTT-domain data: out[j] = in[map[j]] for
+ * every residue and every level, with no sign flips. Slot j of the
+ * repo's forward NTT (bit-reversed output order) is the evaluation at
+ * psi^(2*bitrev(j)+1), and tau_g moves the value at exponent e*g to
+ * exponent e, so map[j] = bitrev((((2*bitrev(j)+1)*g mod 2n) - 1) / 2).
+ * The same map permutes batched plaintext slots
+ * (BatchEncoder::slotPermutation) and NTT-domain ciphertext residues
+ * (the coprocessor's kAutomorph).
+ *
+ * @param degree ring degree n (a power of two).
+ * @param g odd Galois element in (0, 2n).
+ */
+std::vector<size_t> galoisNttIndexMap(size_t degree, uint32_t g);
 
 /**
  * @return the period of the slot-row rotation: the multiplicative

@@ -316,6 +316,9 @@ loadGaloisKeys(const std::shared_ptr<const FvParams> &params,
     const uint32_t count = readU32(in);
     for (uint32_t i = 0; i < count; ++i) {
         const uint32_t element = readU32(in);
+        fatalIf(!isValidGaloisElement(element, params->degree()),
+                "Galois key stream names element ", element,
+                ", which is not odd and < 2n");
         gkeys.keys.emplace(element, readRelinPayload(params, in));
     }
     return gkeys;

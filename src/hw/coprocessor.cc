@@ -287,6 +287,17 @@ Coprocessor::execCoeffOp(const Instruction &instr)
     }
 }
 
+const std::vector<size_t> &
+Coprocessor::galoisNttMap(uint32_t g)
+{
+    auto it = galois_maps_.find(g);
+    if (it == galois_maps_.end())
+        it = galois_maps_
+                 .emplace(g, fv::galoisNttIndexMap(params_->degree(), g))
+                 .first;
+    return it->second;
+}
+
 void
 Coprocessor::execAutomorph(const Instruction &instr)
 {
@@ -297,10 +308,11 @@ Coprocessor::execAutomorph(const Instruction &instr)
             "automorphism cannot permute a slot onto itself");
     panicIf(instr.dst == kNoPoly && instr.extra.empty(),
             "automorphism needs a destination or digit broadcasts");
+    panicIf(!fv::isValidGaloisElement(g, n),
+            "galois element must be odd, < 2n");
 
     const auto &base = params_->qBase(src.level);
     const size_t kq = base->size();
-    const auto &ctx = params_->qContext(src.level);
 
     // Ciphertext polynomials enter and leave over the q base; like
     // Scale, the automorphism reads and writes the q view (the first
@@ -317,33 +329,10 @@ Coprocessor::execAutomorph(const Instruction &instr)
             "the WordDecomp broadcast streams coefficient order; "
             "NTT-domain automorphisms cannot emit digits");
 
-    // The permuted residues, materialized before any write so dst may
-    // share banks with the digit targets. In the NTT domain tau_g is
-    // still a pure data permutation of the evaluation points; the
-    // simulator computes the identical values through the verified
-    // transform (INTT -> coefficient index map -> NTT is exact modular
-    // arithmetic, so it equals the index-mapped BRAM read bit for bit).
-    std::vector<uint64_t> permuted(kq * n);
-    std::vector<uint64_t> tmp(n);
-    for (size_t k = 0; k < kq; ++k) {
-        std::span<uint64_t> out(permuted.data() + k * n, n);
-        if (ntt_domain) {
-            std::copy_n(src.data.data() + k * n, n, tmp.data());
-            ntt::inverseNtt(tmp, ctx.tables(k));
-            fv::applyGaloisToResidue(tmp, out, g, base->modulus(k));
-            ntt::forwardNtt(out, ctx.tables(k));
-        } else {
-            std::span<const uint64_t> in(src.data.data() + k * n, n);
-            fv::applyGaloisToResidue(in, out, g, base->modulus(k));
-        }
-    }
-
-    // WordDecomp broadcast during writeback (same reduce lanes as the
-    // Scale instruction): digit d is the permuted residue d reduced
-    // modulo every q channel. kNoPoly entries disable a lane, so a
+    // Every written record must span the kq live residues; check
+    // before any write. kNoPoly digit entries disable a lane, so a
     // slot-pressured schedule can stream one digit per pass instead
-    // of materializing all kq digit records at once. Every written
-    // record must span the kq live residues; check before any write.
+    // of materializing all kq digit records at once.
     panicIf(!instr.extra.empty() && instr.extra.size() != kq,
             "digit broadcast needs one lane per q prime");
     if (instr.dst != kNoPoly)
@@ -355,6 +344,32 @@ Coprocessor::execAutomorph(const Instruction &instr)
                     "digit record shorter than the q base");
     }
 
+    // In the NTT domain tau_g permutes the evaluation points: the
+    // hardware's index-mapped BRAM read, out[j] = in[map[j]] with one
+    // map for every residue and level and no sign flips. With no digit
+    // broadcast and dst != src0 it gathers straight into dst.
+    if (ntt_domain) {
+        const std::vector<size_t> &map = galoisNttMap(g);
+        PolyRecord &dst = memory_.record(instr.dst);
+        for (size_t k = 0; k < kq; ++k) {
+            const uint64_t *in = src.data.data() + k * n;
+            uint64_t *out = dst.data.data() + k * n;
+            for (size_t j = 0; j < n; ++j)
+                out[j] = in[map[j]];
+            dst.layout[k] = producedLayout(opInfo(instr.op), layout);
+        }
+        return;
+    }
+
+    // Coefficient order: the permuted residues, materialized before any
+    // write so dst may share banks with the digit targets.
+    std::vector<uint64_t> permuted(kq * n);
+    for (size_t k = 0; k < kq; ++k) {
+        std::span<const uint64_t> in(src.data.data() + k * n, n);
+        std::span<uint64_t> out(permuted.data() + k * n, n);
+        fv::applyGaloisToResidue(in, out, g, base->modulus(k));
+    }
+
     if (instr.dst != kNoPoly) {
         PolyRecord &dst = memory_.record(instr.dst);
         std::copy(permuted.begin(), permuted.end(), dst.data.begin());
@@ -362,6 +377,9 @@ Coprocessor::execAutomorph(const Instruction &instr)
             dst.layout[k] = producedLayout(opInfo(instr.op), layout);
     }
 
+    // WordDecomp broadcast during writeback (same reduce lanes as the
+    // Scale instruction): digit d is the permuted residue d reduced
+    // modulo every q channel.
     const simd::Kernels &kern = simd::active();
     for (size_t d = 0; d < instr.extra.size(); ++d) {
         if (instr.extra[d] == kNoPoly)

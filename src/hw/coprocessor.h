@@ -15,6 +15,8 @@
 #define HEAT_HW_COPROCESSOR_H
 
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "fv/galois.h"
 #include "fv/keys.h"
@@ -159,12 +161,17 @@ class Coprocessor
     void execAutomorph(const Instruction &instr);
     void execKeyLoad(const Instruction &instr);
 
+    /** The NTT-domain index map of tau_g (fv::galoisNttIndexMap), built
+     *  on first use and kept for the coprocessor's lifetime. */
+    const std::vector<size_t> &galoisNttMap(uint32_t g);
+
     std::shared_ptr<const fv::FvParams> params_;
     HwConfig config_;
     MemoryFile memory_;
     CostModel cost_;
     const fv::RelinKeys *rlk_;
     const fv::GaloisKeys *gkeys_;
+    std::unordered_map<uint32_t, std::vector<size_t>> galois_maps_;
 };
 
 } // namespace heat::hw

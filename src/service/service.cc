@@ -87,6 +87,9 @@ ExecutionService::registerTenant(std::string name, fv::RelinKeys rlk,
     fatalIf(rlk.digitCount() != params_->rnsDigitCount(),
             "relinearization keys do not match the parameter set");
     for (const auto &[g, key] : gkeys.keys) {
+        fatalIf(!fv::isValidGaloisElement(g, params_->degree()),
+                "Galois key for element ", g,
+                " names no automorphism (must be odd and < 2n)");
         fatalIf(key.kind != fv::DecompKind::kRnsDigits ||
                     key.digitCount() != params_->rnsDigitCount(),
                 "Galois key for element ", g,

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "compiler/circuit.h"
+#include "fv/galois.h"
 #include "hw/rpau.h"
 
 namespace heat::verify {
@@ -91,6 +92,7 @@ class Verifier
         first_touch_.resize(allocs, kNoIndex);
         last_touch_.resize(allocs, kNoIndex);
         first_ext_touch_.resize(allocs, kNoIndex);
+        checkGaloisElements();
         collectTouches();
         replayActions();
         checkResidentPrefix();
@@ -166,6 +168,19 @@ class Verifier
     }
 
     bool
+    validGalois(uint32_t g) const
+    {
+        return fv::isValidGaloisElement(g, params_.degree());
+    }
+
+    /** The expected column of an invalid-element diagnostic. */
+    std::string
+    validGaloisRange() const
+    {
+        return "odd element < " + std::to_string(2 * params_.degree());
+    }
+
+    bool
     galoisDeclared(uint32_t g) const
     {
         return std::binary_search(c_.galois_elements.begin(),
@@ -217,6 +232,32 @@ class Verifier
             return false;
         }
         return true;
+    }
+
+    /**
+     * galois_elements must be strictly ascending (galoisDeclared
+     * binary-searches it) and name only real automorphisms: an element
+     * that is even or >= 2n passes the declaration check but panics the
+     * executing coprocessor.
+     */
+    void
+    checkGaloisElements()
+    {
+        const std::vector<uint32_t> &gs = c_.galois_elements;
+        for (size_t i = 0; i < gs.size(); ++i) {
+            if (!validGalois(gs[i]))
+                diag(Invariant::kKey,
+                     "declared Galois element is not odd and < 2n",
+                     validGaloisRange(),
+                     "element " + std::to_string(gs[i]));
+            if (i > 0 && gs[i] <= gs[i - 1])
+                diag(Invariant::kKey,
+                     "galois_elements is not strictly ascending "
+                     "(unsorted or duplicate)",
+                     "> " + std::to_string(gs[i - 1]),
+                     "element " + std::to_string(gs[i]) + " at index " +
+                         std::to_string(i));
+        }
     }
 
     // --- phase 1: program positions --------------------------------------
@@ -1070,6 +1111,13 @@ class Verifier
                    "broadcasts");
             return;
         }
+        if (!validGalois(in.aux)) {
+            diagAt(Invariant::kKey, s, i, in.op, in.src0,
+                   "automorphism element is not odd and < 2n",
+                   validGaloisRange(),
+                   "element " + std::to_string(in.aux));
+            return;
+        }
         if (in.aux != 1 && !galoisDeclared(in.aux)) {
             diagAt(Invariant::kKey, s, i, in.op, in.src0,
                    "automorphism element is not declared in "
@@ -1161,6 +1209,13 @@ class Verifier
                        "circuit never relinearizes");
                 return;
             }
+        } else if (!validGalois(selector)) {
+            diagAt(Invariant::kKey, s, i, in.op, kNoPoly,
+                   "key load selects a Galois element that is not odd "
+                   "and < 2n",
+                   validGaloisRange(),
+                   "element " + std::to_string(selector));
+            return;
         } else if (!galoisDeclared(selector)) {
             diagAt(Invariant::kKey, s, i, in.op, kNoPoly,
                    "key load selects a Galois element the compiled "

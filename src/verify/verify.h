@@ -30,7 +30,9 @@
  *    mod-switch destinations one level deeper than their sources;
  *  - kKeyLoad selectors reference registered key sets (relin only when
  *    the circuit relinearizes, Galois only for elements the compiled
- *    circuit declares) and every kAutomorph element is declared;
+ *    circuit declares) and every kAutomorph element is declared; every
+ *    Galois element is a real automorphism (odd, < 2n) and
+ *    galois_elements is strictly ascending;
  *  - pinned resident-prefix records are never spilled, consumed,
  *    extended or written — the property that makes warm reruns sound;
  *  - every declared circuit output is downloaded from a defined record.

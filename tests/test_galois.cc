@@ -134,6 +134,27 @@ TEST(BatchEncoderPerm, PermutationIsBijective)
     }
 }
 
+TEST(BatchEncoderPerm, InvalidElementsAreRejected)
+{
+    // One predicate, odd and < 2n: slotPermutation (a public entry) is
+    // fatal on anything else, the raw index map panics.
+    auto params = batchParams();
+    BatchEncoder encoder(params);
+    const size_t n = params->degree();
+    const uint32_t two_n = static_cast<uint32_t>(2 * n);
+    EXPECT_TRUE(isValidGaloisElement(1, n));
+    EXPECT_TRUE(isValidGaloisElement(two_n - 1, n));
+    for (uint32_t g : {0u, 2u, two_n, two_n + 1}) {
+        EXPECT_FALSE(isValidGaloisElement(g, n)) << g;
+        EXPECT_THROW(encoder.slotPermutation(g), FatalError) << g;
+        EXPECT_THROW(galoisNttIndexMap(n, g), PanicError) << g;
+    }
+    // The identity element maps every slot to itself.
+    const std::vector<size_t> id = encoder.slotPermutation(1);
+    for (size_t j = 0; j < n; ++j)
+        EXPECT_EQ(id[j], j);
+}
+
 TEST(BatchEncoderPerm, MatchesPlaintextAutomorphism)
 {
     // decode(tau_g(m))[j] == decode(m)[perm[j]] on plaintexts alone.

@@ -29,6 +29,8 @@
 #include "fv/keygen.h"
 #include "hw/arm_host.h"
 #include "hw/coprocessor.h"
+#include "linalg/linalg.h"
+#include "ntt/ntt.h"
 #include "service/service.h"
 #include "simd/simd.h"
 
@@ -691,6 +693,76 @@ TEST_P(BatchedUnits, AutomorphDigitsMatchPerCoefficientReduce)
         for (size_t d = 0; d < kq; ++d) {
             EXPECT_TRUE(mem.record(digits[d]).data == want_digits[d])
                 << simd::levelName(l) << ", digit " << d;
+        }
+    }
+}
+
+TEST_P(BatchedUnits, NttDomainAutomorphMatchesTransformRoute)
+{
+    // The coprocessor permutes NTT-domain records with one index-mapped
+    // read; the transform route (inverse NTT, coefficient-order tau_g,
+    // forward NTT) is the oracle. Elements: every one the 16x16 matvec
+    // rotates by, the column swap 2n - 1 and the identity.
+    if (level > 0) {
+        ASSERT_LT(kq, params->qPrimeCount(0));
+    }
+    std::vector<std::vector<uint64_t>> matrix(16,
+                                              std::vector<uint64_t>(16, 1));
+    std::vector<uint32_t> elements =
+        linalg::MatVec(fv::FvParams::paper(/*t=*/65537), matrix)
+            .requiredGaloisElements();
+    ASSERT_FALSE(elements.empty());
+    elements.push_back(static_cast<uint32_t>(2 * n - 1));
+    elements.push_back(1);
+
+    const auto &qbase = params->qBase(level);
+    const auto &ctx = params->qContext(level);
+    LevelGuard guard;
+    for (simd::Level l : availableLevels()) {
+        simd::setLevel(l);
+        Coprocessor cp(params, config);
+        MemoryFile &mem = cp.memory();
+        mem.setLevel(level);
+        const PolyId src = mem.allocate(BaseTag::kQ);
+        // A full-base dst: the residues past kq must stay untouched.
+        const PolyId dst = mem.allocate(BaseTag::kFull);
+        Xoshiro256 rng(900 + level);
+        fillRandom(*params, mem, src, rng);
+        fillRandom(*params, mem, dst, rng);
+        for (Layout &lay : mem.record(src).layout)
+            lay = Layout::kNttDomain;
+        ASSERT_GT(mem.record(dst).layout.size(), kq);
+        const std::vector<uint64_t> tail(
+            mem.record(dst).data.begin() + kq * n,
+            mem.record(dst).data.end());
+
+        const std::vector<uint64_t> &x = mem.record(src).data;
+        for (uint32_t g : elements) {
+            std::vector<uint64_t> want(kq * n);
+            std::vector<uint64_t> coeff(n);
+            for (size_t k = 0; k < kq; ++k) {
+                std::copy_n(x.begin() + k * n, n, coeff.begin());
+                ntt::inverseNtt(coeff, ctx.tables(k));
+                std::span<uint64_t> out(want.data() + k * n, n);
+                fv::applyGaloisToResidue(coeff, out, g, qbase->modulus(k));
+                ntt::forwardNtt(out, ctx.tables(k));
+            }
+
+            Instruction automorph;
+            automorph.op = Opcode::kAutomorph;
+            automorph.dst = dst;
+            automorph.src0 = src;
+            automorph.aux = g;
+            cp.execute(Program{{automorph}});
+            const PolyRecord &out = mem.record(dst);
+            EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                                   out.data.begin()))
+                << simd::levelName(l) << ", element " << g;
+            EXPECT_TRUE(std::equal(tail.begin(), tail.end(),
+                                   out.data.begin() + kq * n))
+                << simd::levelName(l) << ", element " << g;
+            for (size_t k = 0; k < kq; ++k)
+                EXPECT_EQ(out.layout[k], Layout::kNttDomain);
         }
     }
 }

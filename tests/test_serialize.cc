@@ -134,6 +134,25 @@ TEST(Serialize, KeyRoundTrips)
     EXPECT_TRUE(gkeys2.has(3u));
 }
 
+TEST(Serialize, InvalidGaloisElementRejected)
+{
+    // A stream that stores a key under an element that names no
+    // automorphism (even, or >= 2n) would reach a panic in the
+    // coprocessor; loading it is a FatalError instead.
+    auto params = smallParams();
+    KeyGenerator keygen(params, 6);
+    SecretKey sk = keygen.generateSecretKey();
+    const GaloisKeys valid = keygen.generateGaloisKeys(sk, {3u});
+    const uint32_t two_n = static_cast<uint32_t>(2 * params->degree());
+    for (uint32_t bad : {2u, two_n}) {
+        GaloisKeys crafted = valid;
+        crafted.keys.emplace(bad, valid.keys.at(3));
+        std::stringstream ss;
+        saveGaloisKeys(*params, crafted, ss);
+        EXPECT_THROW(loadGaloisKeys(params, ss), FatalError) << bad;
+    }
+}
+
 TEST(Serialize, PositionalRelinKeysKeepKind)
 {
     auto params = smallParams();

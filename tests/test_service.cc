@@ -484,6 +484,26 @@ TEST(Service, RejectsCircuitWhoseGaloisKeysTheTenantLacks)
     EXPECT_EQ(fut.get(), reference);
 }
 
+TEST(Service, RejectsSessionKeysForInvalidGaloisElements)
+{
+    // A key stored under an even or >= 2n element would pass
+    // checkCompiled and the verifier's declaration check, then panic in
+    // the worker; registration refuses it up front.
+    ServiceRig rig;
+    ExecutionService svc(rig.params, rig.rlk, rig.serviceConfig(1));
+    fv::KeyGenerator keygen(rig.params, 99);
+    fv::SecretKey sk = keygen.generateSecretKey();
+    const fv::GaloisKeys valid = keygen.generateGaloisKeys(sk, {3u});
+    const uint32_t two_n = static_cast<uint32_t>(2 * rig.params->degree());
+    for (uint32_t bad : {2u, two_n}) {
+        fv::GaloisKeys gkeys = valid;
+        gkeys.keys.emplace(bad, valid.keys.at(3));
+        EXPECT_THROW(svc.registerTenant("bad", rig.rlk, gkeys), FatalError)
+            << bad;
+    }
+    EXPECT_NO_THROW(svc.registerTenant("good", rig.rlk, valid));
+}
+
 TEST(Service, BoundedTenantQueueShedsOverload)
 {
     ServiceRig rig;

@@ -403,6 +403,67 @@ TEST(Verify, CatchesUndeclaredGaloisElement)
     EXPECT_EQ(d.op, Opcode::kAutomorph);
 }
 
+// 12b. Automorphism by an element that names no automorphism (even, or
+//      odd but >= 2n), declared in galois_elements so it passes the
+//      declaration check the way a tampered submission would: the
+//      executing coprocessor panics on it, so the verifier must not
+//      accept it. The key load that streams its key is caught too.
+TEST(Verify, CatchesInvalidGaloisElement)
+{
+    const uint32_t two_n =
+        static_cast<uint32_t>(2 * smallParams()->degree());
+    for (uint32_t rogue : {2u, two_n + 1}) {
+        CompiledCircuit c = rotateCircuit();
+        const Instruction *first = findInstr(c, [](const Instruction &i) {
+            return i.op == Opcode::kAutomorph && i.aux != 1;
+        });
+        ASSERT_NE(first, nullptr);
+        const uint32_t declared = first->aux;
+        for (compiler::Segment &seg : c.segments) {
+            for (Instruction &in : seg.program.instrs) {
+                if (in.op == Opcode::kAutomorph && in.aux == declared)
+                    in.aux = rogue;
+                if (in.op == Opcode::kKeyLoad &&
+                    hw::keyLoadSelector(in.aux) == declared)
+                    in.aux = hw::keyLoadAux(rogue, hw::keyLoadDigit(in.aux));
+            }
+        }
+        std::replace(c.galois_elements.begin(), c.galois_elements.end(),
+                     declared, rogue);
+        std::sort(c.galois_elements.begin(), c.galois_elements.end());
+
+        const VerifyResult result = verify::verifyCompiledCircuit(c);
+        bool automorph = false, key_load = false, declaration = false;
+        for (const Diagnostic &d : result.diagnostics) {
+            if (d.invariant != Invariant::kKey)
+                continue;
+            automorph |= d.has_op && d.op == Opcode::kAutomorph;
+            key_load |= d.has_op && d.op == Opcode::kKeyLoad;
+            declaration |= !d.has_op;
+        }
+        EXPECT_TRUE(automorph) << "element " << rogue << "\n"
+                               << result.report();
+        EXPECT_TRUE(key_load) << "element " << rogue << "\n"
+                              << result.report();
+        EXPECT_TRUE(declaration) << "element " << rogue << "\n"
+                                 << result.report();
+    }
+}
+
+// 12c. galois_elements out of order or with a duplicate: the
+//      declaration lookup binary-searches it.
+TEST(Verify, CatchesUnsortedOrDuplicateGaloisElements)
+{
+    CompiledCircuit c = rotateCircuit();
+    ASSERT_GE(c.galois_elements.size(), 2u);
+    std::swap(c.galois_elements[0], c.galois_elements[1]);
+    EXPECT_FALSE(expectViolation(c, Invariant::kKey).has_op);
+
+    c = rotateCircuit();
+    c.galois_elements.push_back(c.galois_elements.back());
+    EXPECT_FALSE(expectViolation(c, Invariant::kKey).has_op);
+}
+
 // 13. Key load for a key set the circuit never registered: a relin
 //     load in a circuit that never relinearizes.
 TEST(Verify, CatchesRelinKeyLoadWithoutRelin)
