@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -117,25 +118,29 @@ BM_InverseNtt(benchmark::State &state)
 }
 BENCHMARK(BM_InverseNtt)->Arg(4096);
 
+/** A Kernels entry for one NTT direction (ntt_forward or ntt_inverse). */
+using NttEntry = void (*simd::Kernels::*)(uint64_t *,
+                                          const ntt::NttTables &);
+
 /**
- * Forward NTT pinned to one kernel table (registered per supported
- * level from main, so `BM_ForwardNttLevel/avx2/4096` only exists on
- * hosts that can run it). The unpinned BM_ForwardNtt above measures
- * whatever the dispatcher picked.
+ * One NTT direction pinned to one kernel table (registered per
+ * supported level from main, so `BM_ForwardNttLevel/avx2/4096` only
+ * exists on hosts that can run it). The unpinned BM_ForwardNtt and
+ * BM_InverseNtt above measure whatever the dispatcher picked.
  */
 void
-BM_ForwardNttLevel(benchmark::State &state, simd::Level level)
+BM_NttLevel(benchmark::State &state, simd::Level level, NttEntry entry)
 {
     const size_t n = static_cast<size_t>(state.range(0));
     rns::Modulus q(rns::generateNttPrimes(30, n, 1)[0]);
     ntt::NttTables tables(q, n);
-    const simd::Kernels &kernels = simd::kernelsFor(level);
+    const auto transform = simd::kernelsFor(level).*entry;
     Xoshiro256 rng(14);
     std::vector<uint64_t> a(n);
     for (auto &x : a)
         x = rng.uniformBelow(q.value());
     for (auto _ : state) {
-        kernels.ntt_forward(a.data(), tables);
+        transform(a.data(), tables);
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
@@ -381,73 +386,53 @@ class JsonLinesReporter : public benchmark::ConsoleReporter
     const heat::bench::JsonReporter &json_;
 };
 
-/**
- * Median-of-reps forward-NTT time for one kernel table, measured with
- * a plain steady_clock loop so the scalar-vs-dispatched ratio can be
- * emitted as a single JSON record for the CI speedup gate.
- */
-double
-forwardNttSecondsPerTransform(const simd::Kernels &kernels, size_t n)
+/** A random canonical NTT operand with its tables at degree n. */
+struct NttOperand
 {
-    rns::Modulus q(rns::generateNttPrimes(30, n, 1)[0]);
-    ntt::NttTables tables(q, n);
-    Xoshiro256 rng(16);
-    std::vector<uint64_t> a(n);
-    for (auto &x : a)
-        x = rng.uniformBelow(q.value());
+    explicit NttOperand(size_t n)
+        : q(rns::generateNttPrimes(30, n, 1)[0]), tables(q, n), a(n)
+    {
+        Xoshiro256 rng(16);
+        for (auto &x : a)
+            x = rng.uniformBelow(q.value());
+    }
 
+    rns::Modulus q;
+    ntt::NttTables tables;
+    std::vector<uint64_t> a;
+};
+
+/**
+ * Best-of-reps seconds per call of @p first and of @p second, timed
+ * with a plain steady_clock loop so their ratio can be emitted as a
+ * single JSON record for a CI gate. Reps alternate between the two,
+ * so a slow phase of a shared host lands on both sides of the ratio
+ * instead of one.
+ */
+template <typename First, typename Second>
+std::pair<double, double>
+bestSecondsPerCall(First &&first, Second &&second)
+{
     constexpr int kWarmup = 20;
     constexpr int kIters = 200;
     constexpr int kReps = 5;
-    for (int i = 0; i < kWarmup; ++i)
-        kernels.ntt_forward(a.data(), tables);
-    double best = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
+    const auto time = [](auto &run) {
         const auto start = std::chrono::steady_clock::now();
         for (int i = 0; i < kIters; ++i)
-            kernels.ntt_forward(a.data(), tables);
+            run();
         const auto stop = std::chrono::steady_clock::now();
-        const double secs =
-            std::chrono::duration<double>(stop - start).count() / kIters;
-        best = std::min(best, secs);
+        return std::chrono::duration<double>(stop - start).count() /
+               kIters;
+    };
+    for (int i = 0; i < kWarmup; ++i) {
+        first();
+        second();
     }
-    benchmark::DoNotOptimize(a.data());
-    return best;
-}
-
-/**
- * Same measurement through the instrumented ntt::forwardNtt dispatcher
- * (which carries an OBS_SPAN). With no tracer installed the span must
- * be one relaxed atomic load + branch — the delta against the raw
- * kernel-table loop above is the disabled-instrumentation overhead the
- * CI gates at < 2%.
- */
-double
-forwardNttDispatcherSecondsPerTransform(size_t n)
-{
-    rns::Modulus q(rns::generateNttPrimes(30, n, 1)[0]);
-    ntt::NttTables tables(q, n);
-    Xoshiro256 rng(16);
-    std::vector<uint64_t> a(n);
-    for (auto &x : a)
-        x = rng.uniformBelow(q.value());
-
-    constexpr int kWarmup = 20;
-    constexpr int kIters = 200;
-    constexpr int kReps = 5;
-    for (int i = 0; i < kWarmup; ++i)
-        ntt::forwardNtt(a, tables);
-    double best = 1e300;
+    std::pair<double, double> best{1e300, 1e300};
     for (int rep = 0; rep < kReps; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        for (int i = 0; i < kIters; ++i)
-            ntt::forwardNtt(a, tables);
-        const auto stop = std::chrono::steady_clock::now();
-        const double secs =
-            std::chrono::duration<double>(stop - start).count() / kIters;
-        best = std::min(best, secs);
+        best.first = std::min(best.first, time(first));
+        best.second = std::min(best.second, time(second));
     }
-    benchmark::DoNotOptimize(a.data());
     return best;
 }
 
@@ -463,15 +448,21 @@ main(int argc, char **argv)
                               simd::Level::kAvx512}) {
         if (level > simd::detectedLevel())
             break;
-        const std::string name =
-            std::string("BM_ForwardNttLevel/") + simd::levelName(level);
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [level](benchmark::State &state) {
-                BM_ForwardNttLevel(state, level);
-            })
-            ->Arg(4096)
-            ->Arg(8192);
+        for (const auto &[prefix, entry] :
+             {std::pair<const char *, NttEntry>{
+                  "BM_ForwardNttLevel/", &simd::Kernels::ntt_forward},
+              std::pair<const char *, NttEntry>{
+                  "BM_InverseNttLevel/", &simd::Kernels::ntt_inverse}}) {
+            const std::string name =
+                std::string(prefix) + simd::levelName(level);
+            benchmark::RegisterBenchmark(
+                name.c_str(),
+                [level, entry = entry](benchmark::State &state) {
+                    BM_NttLevel(state, level, entry);
+                })
+                ->Arg(4096)
+                ->Arg(8192);
+        }
     }
 
     // Strip --json <path> before google-benchmark sees the arguments;
@@ -494,44 +485,65 @@ main(int argc, char **argv)
     JsonLinesReporter reporter(json);
     benchmark::RunSpecifiedBenchmarks(&reporter);
 
-    // Dispatched-vs-scalar forward-NTT ratio for the CI gate. The
-    // dispatched table is whatever CPUID + HEAT_SIMD selected, so on a
-    // forced-scalar run (or a host without AVX2) the ratio is ~1.
+    // Dispatched-vs-scalar NTT ratios for the CI gates. The dispatched
+    // table is whatever CPUID + HEAT_SIMD selected, so on a
+    // forced-scalar run (or a host without AVX2) the ratios are ~1.
     {
         constexpr size_t kSpeedupDegree = 8192;
-        const double scalar_secs = forwardNttSecondsPerTransform(
-            simd::kernelsFor(simd::Level::kScalar), kSpeedupDegree);
-        const double active_secs = forwardNttSecondsPerTransform(
-            simd::active(), kSpeedupDegree);
-        const double speedup = scalar_secs / active_secs;
+        const simd::Kernels &scalar =
+            simd::kernelsFor(simd::Level::kScalar);
+        const simd::Kernels &active = simd::active();
+        NttOperand op(kSpeedupDegree);
+        const auto [forward_scalar, forward_active] = bestSecondsPerCall(
+            [&] { scalar.ntt_forward(op.a.data(), op.tables); },
+            [&] { active.ntt_forward(op.a.data(), op.tables); });
+        const auto [inverse_scalar, inverse_active] = bestSecondsPerCall(
+            [&] { scalar.ntt_inverse(op.a.data(), op.tables); },
+            [&] { active.ntt_inverse(op.a.data(), op.tables); });
+        benchmark::DoNotOptimize(op.a.data());
+        const double forward_speedup = forward_scalar / forward_active;
+        const double inverse_speedup = inverse_scalar / inverse_active;
         heat::bench::printHeader("SIMD dispatch");
         heat::bench::printInfo(
             std::string("active level: ") +
                 simd::levelName(simd::activeLevel()),
             static_cast<double>(simd::activeLevel()), "");
         heat::bench::printInfo("forward NTT scalar (n=8192)",
-                               scalar_secs * 1e6, "us");
+                               forward_scalar * 1e6, "us");
         heat::bench::printInfo("forward NTT dispatched (n=8192)",
-                               active_secs * 1e6, "us");
-        heat::bench::printInfo("ntt_simd_vs_scalar_speedup", speedup, "x");
+                               forward_active * 1e6, "us");
+        heat::bench::printInfo("ntt_simd_vs_scalar_speedup",
+                               forward_speedup, "x");
+        heat::bench::printInfo("inverse NTT scalar (n=8192)",
+                               inverse_scalar * 1e6, "us");
+        heat::bench::printInfo("inverse NTT dispatched (n=8192)",
+                               inverse_active * 1e6, "us");
+        heat::bench::printInfo("ntt_inverse_simd_vs_scalar_speedup",
+                               inverse_speedup, "x");
         json.record("cpu_simd_level",
                     static_cast<double>(simd::detectedLevel()), "level");
         json.record("active_simd_level",
                     static_cast<double>(simd::activeLevel()), "level");
-        json.record("ntt_simd_vs_scalar_speedup", speedup, "x",
+        json.record("ntt_simd_vs_scalar_speedup", forward_speedup, "x",
                     kSpeedupDegree, 1);
+        json.record("ntt_inverse_simd_vs_scalar_speedup", inverse_speedup,
+                    "x", kSpeedupDegree, 1);
     }
 
     // Disabled-instrumentation overhead of the OBS_SPAN macro on the
-    // forward-NTT dispatcher, for the CI < 2% gate. Best-of-reps on
-    // both sides so scheduler noise cancels; the result can go
-    // slightly negative on a quiet machine.
+    // forward-NTT dispatcher, for the CI < 2% gate: the raw kernel
+    // table against the instrumented ntt::forwardNtt, which with no
+    // tracer installed must cost one relaxed atomic load + branch.
+    // Best-of-reps on both sides so scheduler noise cancels; the
+    // result can go slightly negative on a quiet machine.
     {
         constexpr size_t kOverheadDegree = 8192;
-        const double raw_secs = forwardNttSecondsPerTransform(
-            simd::active(), kOverheadDegree);
-        const double instrumented_secs =
-            forwardNttDispatcherSecondsPerTransform(kOverheadDegree);
+        const simd::Kernels &active = simd::active();
+        NttOperand op(kOverheadDegree);
+        const auto [raw_secs, instrumented_secs] = bestSecondsPerCall(
+            [&] { active.ntt_forward(op.a.data(), op.tables); },
+            [&] { ntt::forwardNtt(op.a, op.tables); });
+        benchmark::DoNotOptimize(op.a.data());
         const double overhead_pct =
             (instrumented_secs / raw_secs - 1.0) * 100.0;
         heat::bench::printHeader("observability overhead");

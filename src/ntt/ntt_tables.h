@@ -55,6 +55,17 @@ class NttTables
     /** @return Shoup precomputation for invRootPower(i). */
     uint64_t invRootPowerShoup(size_t i) const { return inv_root_shoup_[i]; }
 
+    // The four n-entry twiddle arrays, indexed as the accessors above,
+    // for kernels that load vectors of consecutive twiddles.
+    const uint64_t *rootPowers() const { return root_powers_.data(); }
+    const uint64_t *rootPowersShoup() const { return root_shoup_.data(); }
+    const uint64_t *invRootPowers() const { return inv_root_powers_.data(); }
+    const uint64_t *
+    invRootPowersShoup() const
+    {
+        return inv_root_shoup_.data();
+    }
+
     /** @return n^{-1} mod q. */
     uint64_t invDegree() const { return inv_degree_; }
 

@@ -15,7 +15,10 @@
  * per 64-bit product half), which bounds lane values by 2^32: only
  * moduli below kLaneModulusBound (2^30, the paper's RNS prime width)
  * vectorize. Every kernel checks its modulus and falls back to the
- * scalar body for wider primes, so callers never need to branch.
+ * scalar body for wider primes, so callers never need to branch. The
+ * vector NTTs vectorise every stage: the stages narrower than a vector
+ * run in registers on two-vector chunks, the wider ones two stages to a
+ * load/store pass.
  *
  * The AVX2/AVX-512 translation units are compiled with per-file
  * `-mavx2`/`-mavx512f`; nothing else in the library is built with

@@ -79,117 +79,333 @@ reduceLazyBy1(__m256i s, __m256i phi1, __m256i q)
     return _mm256_sub_epi64(s, _mm256_mul_epu32(quot, q));
 }
 
+/** q and 2q in every lane. */
+struct ModulusLanes
+{
+    __m256i q;
+    __m256i two_q;
+};
+
+/** Per-lane twiddles with their 32-bit Shoup constants. */
+struct Twiddle
+{
+    __m256i w;
+    __m256i phi;
+};
+
+/** Twiddle i in every lane. */
+inline Twiddle
+broadcastTwiddle(const uint64_t *w, const uint64_t *w_shoup, size_t i)
+{
+    return {set1(w[i]), set1(w_shoup[i] >> 32)};
+}
+
+/** Twiddles i .. i + 3, one per lane. */
+inline Twiddle
+loadTwiddles(const uint64_t *w, const uint64_t *w_shoup, size_t i)
+{
+    return {load(w + i), _mm256_srli_epi64(load(w_shoup + i), 32)};
+}
+
+/** p[0] in lanes 0-1, p[1] in lanes 2-3. */
+inline __m256i
+spreadPair(const uint64_t *p)
+{
+    const __m128i pair = _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+    return _mm256_permute4x64_epi64(_mm256_castsi128_si256(pair),
+                                    _MM_SHUFFLE(1, 1, 0, 0));
+}
+
+/** Twiddle i in lanes 0-1, i + 1 in lanes 2-3. */
+inline Twiddle
+spreadTwiddles(const uint64_t *w, const uint64_t *w_shoup, size_t i)
+{
+    return {spreadPair(w + i),
+            _mm256_srli_epi64(spreadPair(w_shoup + i), 32)};
+}
+
+/** Harvey CT butterfly: x, y in [0, 4q) -> x + wy, x - wy in [0, 4q). */
+inline void
+forwardButterfly(__m256i &x, __m256i &y, const Twiddle &tw,
+                 const ModulusLanes &m)
+{
+    const __m256i u = csub(x, m.two_q);
+    const __m256i v = mulShoupLazy32(y, tw.w, tw.phi, m.q);
+    x = _mm256_add_epi64(u, v);
+    y = _mm256_add_epi64(_mm256_sub_epi64(u, v), m.two_q);
+}
+
+/** GS butterfly: x, y in [0, 2q) -> x + y, w(x - y) in [0, 2q). */
+inline void
+inverseButterfly(__m256i &x, __m256i &y, const Twiddle &tw,
+                 const ModulusLanes &m)
+{
+    const __m256i d = _mm256_add_epi64(_mm256_sub_epi64(x, y), m.two_q);
+    x = csub(_mm256_add_epi64(x, y), m.two_q);
+    y = mulShoupLazy32(d, tw.w, tw.phi, m.q);
+}
+
+/**
+ * n^{-1} and w n^{-1} for the last inverse stage, whose one twiddle
+ * w = invRootPower(1): folding the scaling into that stage's
+ * butterflies saves the separate scaling pass.
+ */
+struct FinalScale
+{
+    Twiddle n_inv;
+    Twiddle w_n_inv;
+};
+
+FinalScale
+finalScale(const ntt::NttTables &tables)
+{
+    const rns::Modulus &mod = tables.modulus();
+    const uint64_t wn = mod.mul(tables.invRootPower(1), tables.invDegree());
+    // 32-bit Shoup constant floor(wn 2^32 / q); wn < q < 2^30.
+    return {{set1(tables.invDegree()), set1(tables.invDegreeShoup() >> 32)},
+            {set1(wn), set1((wn << 32) / mod.value())}};
+}
+
+/** The last GS butterfly, scaled by n^{-1}; canonical outputs. */
+inline void
+inverseButterflyScaled(__m256i &x, __m256i &y, const FinalScale &s,
+                       const ModulusLanes &m)
+{
+    const __m256i d = _mm256_add_epi64(_mm256_sub_epi64(x, y), m.two_q);
+    const __m256i sum = csub(_mm256_add_epi64(x, y), m.two_q);
+    x = csub(mulShoupLazy32(sum, s.n_inv.w, s.n_inv.phi, m.q), m.q);
+    y = csub(mulShoupLazy32(d, s.w_n_inv.w, s.w_n_inv.phi, m.q), m.q);
+}
+
+// Lane shuffles of the in-register stages. An 8-coefficient chunk
+// lives in two vectors (x, y), lane k of each holding one butterfly's
+// operands. Both regroupings are their own inverse: natural order
+// ([0..3], [4..7], stage 4) <-swapHalves-> stage 2 ([0 1 4 5],
+// [2 3 6 7]) <-interleave-> stage 1 ([0 2 4 6], [1 3 5 7]).
+
+inline void
+swapHalves(__m256i &x, __m256i &y)
+{
+    const __m256i nx = _mm256_permute2x128_si256(x, y, 0x20);
+    y = _mm256_permute2x128_si256(x, y, 0x31);
+    x = nx;
+}
+
+inline void
+interleave(__m256i &x, __m256i &y)
+{
+    const __m256i nx = _mm256_unpacklo_epi64(x, y);
+    y = _mm256_unpackhi_epi64(x, y);
+    x = nx;
+}
+
+/** Forward stage t = n/2 (twiddle 1) as a pass of its own. */
+void
+forwardFirstStage(uint64_t *a, size_t n, const uint64_t *w,
+                  const uint64_t *w_shoup, const ModulusLanes &m)
+{
+    const Twiddle tw = broadcastTwiddle(w, w_shoup, 1);
+    const size_t half = n / 2;
+    for (size_t j = 0; j < half; j += 4) {
+        __m256i x = load(a + j);
+        __m256i y = load(a + j + half);
+        forwardButterfly(x, y, tw, m);
+        store(a + j, x);
+        store(a + j + half, y);
+    }
+}
+
+/**
+ * Forward stages with @p blocks and 2 @p blocks twiddle blocks
+ * (t = n / 2 blocks and t/2) in one pass.
+ */
+void
+forwardRadix4(uint64_t *a, size_t n, size_t blocks, const uint64_t *w,
+              const uint64_t *w_shoup, const ModulusLanes &m)
+{
+    const size_t t = n / (2 * blocks);
+    const size_t h = t / 2;
+    for (size_t i = 0; i < blocks; ++i) {
+        const Twiddle outer = broadcastTwiddle(w, w_shoup, blocks + i);
+        const Twiddle lo = broadcastTwiddle(w, w_shoup, 2 * (blocks + i));
+        const Twiddle hi =
+            broadcastTwiddle(w, w_shoup, 2 * (blocks + i) + 1);
+        uint64_t *p = a + 2 * i * t;
+        for (size_t k = 0; k < h; k += 4) {
+            __m256i x0 = load(p + k);
+            __m256i x1 = load(p + k + h);
+            __m256i x2 = load(p + k + t);
+            __m256i x3 = load(p + k + t + h);
+            forwardButterfly(x0, x2, outer, m);
+            forwardButterfly(x1, x3, outer, m);
+            forwardButterfly(x0, x1, lo, m);
+            forwardButterfly(x2, x3, hi, m);
+            store(p + k, x0);
+            store(p + k + h, x1);
+            store(p + k + t, x2);
+            store(p + k + t + h, x3);
+        }
+    }
+}
+
+/**
+ * Forward stages t = 4, 2, 1 on each 8-coefficient chunk in
+ * registers, ending in the canonical store. Stage t's twiddles for
+ * chunk c start at index (n + c) / 2t.
+ */
+void
+forwardTail(uint64_t *a, size_t n, const uint64_t *w,
+            const uint64_t *w_shoup, const ModulusLanes &m)
+{
+    for (size_t c = 0; c < n; c += 8) {
+        __m256i x = load(a + c);
+        __m256i y = load(a + c + 4);
+        forwardButterfly(x, y, broadcastTwiddle(w, w_shoup, (n + c) / 8),
+                         m);
+        swapHalves(x, y);
+        forwardButterfly(x, y, spreadTwiddles(w, w_shoup, (n + c) / 4), m);
+        interleave(x, y);
+        forwardButterfly(x, y, loadTwiddles(w, w_shoup, (n + c) / 2), m);
+        x = csub(csub(x, m.two_q), m.q);
+        y = csub(csub(y, m.two_q), m.q);
+        interleave(x, y);
+        swapHalves(x, y);
+        store(a + c, x);
+        store(a + c + 4, y);
+    }
+}
+
 void
 nttForwardAvx2(uint64_t *a, const ntt::NttTables &tables)
 {
-    const rns::Modulus &mod = tables.modulus();
-    const uint64_t qv = mod.value();
+    const uint64_t qv = tables.modulus().value();
     const size_t n = tables.degree();
     if (!eligibleModulus(qv) || n < 8) {
         ntt::forwardNttScalar({a, n}, tables);
         return;
     }
-    const uint64_t two_q = 2 * qv;
-    const __m256i vq = set1(qv);
-    const __m256i v2q = set1(two_q);
+    const ModulusLanes m{set1(qv), set1(2 * qv)};
+    const uint64_t *w = tables.rootPowers();
+    const uint64_t *w_shoup = tables.rootPowersShoup();
 
-    size_t t = n;
-    for (size_t m = 1; m < n; m <<= 1) {
-        t >>= 1;
-        if (t >= 4) {
-            for (size_t i = 0; i < m; ++i) {
-                const size_t j1 = 2 * i * t;
-                const __m256i vw = set1(tables.rootPower(m + i));
-                const __m256i vphi =
-                    set1(tables.rootPowerShoup(m + i) >> 32);
-                for (size_t j = j1; j < j1 + t; j += 4) {
-                    __m256i u = csub(load(a + j), v2q);
-                    const __m256i v =
-                        mulShoupLazy32(load(a + j + t), vw, vphi, vq);
-                    store(a + j, _mm256_add_epi64(u, v));
-                    store(a + j + t,
-                          _mm256_add_epi64(_mm256_sub_epi64(u, v), v2q));
-                }
+    // Stages t = n/2 .. 8 (1 .. n/16 twiddle blocks) two to a pass,
+    // an odd count starting with a radix-2 pass; then the tail.
+    size_t blocks = 1;
+    if ((tables.logDegree() - 3) % 2 != 0) {
+        forwardFirstStage(a, n, w, w_shoup, m);
+        blocks = 2;
+    }
+    for (; blocks <= n / 32; blocks *= 4)
+        forwardRadix4(a, n, blocks, w, w_shoup, m);
+    forwardTail(a, n, w, w_shoup, m);
+}
+
+/** Inverse stage t = n/2 (the last) scaled by n^{-1}, one pass. */
+void
+inverseLastStage(uint64_t *a, size_t n, const FinalScale &scale,
+                 const ModulusLanes &m)
+{
+    const size_t half = n / 2;
+    for (size_t j = 0; j < half; j += 4) {
+        __m256i x = load(a + j);
+        __m256i y = load(a + j + half);
+        inverseButterflyScaled(x, y, scale, m);
+        store(a + j, x);
+        store(a + j + half, y);
+    }
+}
+
+/**
+ * Inverse stages with @p blocks and @p blocks / 2 twiddle blocks
+ * (t = n / 2 blocks and 2t) in one pass; @p last (non-null when the
+ * second is stage t = n/2) folds in the n^{-1} scaling.
+ */
+void
+inverseRadix4(uint64_t *a, size_t n, size_t blocks, const uint64_t *w,
+              const uint64_t *w_shoup, const ModulusLanes &m,
+              const FinalScale *last)
+{
+    const size_t t = n / (2 * blocks);
+    for (size_t i = 0; i < blocks / 2; ++i) {
+        const Twiddle lo = broadcastTwiddle(w, w_shoup, blocks + 2 * i);
+        const Twiddle hi =
+            broadcastTwiddle(w, w_shoup, blocks + 2 * i + 1);
+        const Twiddle outer = broadcastTwiddle(w, w_shoup, blocks / 2 + i);
+        uint64_t *p = a + 4 * i * t;
+        for (size_t k = 0; k < t; k += 4) {
+            __m256i x0 = load(p + k);
+            __m256i x1 = load(p + k + t);
+            __m256i x2 = load(p + k + 2 * t);
+            __m256i x3 = load(p + k + 3 * t);
+            inverseButterfly(x0, x1, lo, m);
+            inverseButterfly(x2, x3, hi, m);
+            if (last) {
+                inverseButterflyScaled(x0, x2, *last, m);
+                inverseButterflyScaled(x1, x3, *last, m);
+            } else {
+                inverseButterfly(x0, x2, outer, m);
+                inverseButterfly(x1, x3, outer, m);
             }
-        } else {
-            // Sub-lane tail stages: the oracle's 64-bit butterflies.
-            for (size_t i = 0; i < m; ++i) {
-                const size_t j1 = 2 * i * t;
-                const uint64_t w = tables.rootPower(m + i);
-                const uint64_t w_shoup = tables.rootPowerShoup(m + i);
-                for (size_t j = j1; j < j1 + t; ++j) {
-                    uint64_t u = a[j];
-                    if (u >= two_q)
-                        u -= two_q;
-                    const uint64_t v =
-                        mod.mulShoupLazy(a[j + t], w, w_shoup);
-                    a[j] = u + v;
-                    a[j + t] = u - v + two_q;
-                }
-            }
+            store(p + k, x0);
+            store(p + k + t, x1);
+            store(p + k + 2 * t, x2);
+            store(p + k + 3 * t, x3);
         }
     }
-    for (size_t j = 0; j < n; j += 4)
-        store(a + j, csub(csub(load(a + j), v2q), vq));
+}
+
+/**
+ * Inverse stages t = 1, 2, 4 on each 8-coefficient chunk in
+ * registers; @p last (non-null when n = 8) scales stage 4.
+ */
+void
+inverseTail(uint64_t *a, size_t n, const uint64_t *w,
+            const uint64_t *w_shoup, const ModulusLanes &m,
+            const FinalScale *last)
+{
+    for (size_t c = 0; c < n; c += 8) {
+        __m256i x = load(a + c);
+        __m256i y = load(a + c + 4);
+        swapHalves(x, y);
+        interleave(x, y);
+        inverseButterfly(x, y, loadTwiddles(w, w_shoup, (n + c) / 2), m);
+        interleave(x, y);
+        inverseButterfly(x, y, spreadTwiddles(w, w_shoup, (n + c) / 4), m);
+        swapHalves(x, y);
+        if (last)
+            inverseButterflyScaled(x, y, *last, m);
+        else
+            inverseButterfly(x, y,
+                             broadcastTwiddle(w, w_shoup, (n + c) / 8), m);
+        store(a + c, x);
+        store(a + c + 4, y);
+    }
 }
 
 void
 nttInverseAvx2(uint64_t *a, const ntt::NttTables &tables)
 {
-    const rns::Modulus &mod = tables.modulus();
-    const uint64_t qv = mod.value();
+    const uint64_t qv = tables.modulus().value();
     const size_t n = tables.degree();
     if (!eligibleModulus(qv) || n < 8) {
         ntt::inverseNttScalar({a, n}, tables);
         return;
     }
-    const uint64_t two_q = 2 * qv;
-    const __m256i vq = set1(qv);
-    const __m256i v2q = set1(two_q);
+    const ModulusLanes m{set1(qv), set1(2 * qv)};
+    const uint64_t *w = tables.invRootPowers();
+    const uint64_t *w_shoup = tables.invRootPowersShoup();
+    const FinalScale scale = finalScale(tables);
 
-    size_t t = 1;
-    for (size_t h = n >> 1; h >= 1; h >>= 1) {
-        if (t >= 4) {
-            for (size_t i = 0; i < h; ++i) {
-                const size_t j1 = 2 * i * t;
-                const __m256i vw = set1(tables.invRootPower(h + i));
-                const __m256i vphi =
-                    set1(tables.invRootPowerShoup(h + i) >> 32);
-                for (size_t j = j1; j < j1 + t; j += 4) {
-                    const __m256i u = load(a + j);
-                    const __m256i v = load(a + j + t);
-                    store(a + j, csub(_mm256_add_epi64(u, v), v2q));
-                    const __m256i x =
-                        _mm256_add_epi64(_mm256_sub_epi64(u, v), v2q);
-                    store(a + j + t, mulShoupLazy32(x, vw, vphi, vq));
-                }
-            }
-        } else {
-            for (size_t i = 0; i < h; ++i) {
-                const size_t j1 = 2 * i * t;
-                const uint64_t w = tables.invRootPower(h + i);
-                const uint64_t w_shoup = tables.invRootPowerShoup(h + i);
-                for (size_t j = j1; j < j1 + t; ++j) {
-                    const uint64_t u = a[j];
-                    const uint64_t v = a[j + t];
-                    uint64_t s = u + v;
-                    if (s >= two_q)
-                        s -= two_q;
-                    a[j] = s;
-                    a[j + t] = mod.mulShoupLazy(u - v + two_q, w, w_shoup);
-                }
-            }
-        }
-        t <<= 1;
-    }
-
-    const __m256i vn_inv = set1(tables.invDegree());
-    const __m256i vphi_n = set1(tables.invDegreeShoup() >> 32);
-    for (size_t j = 0; j < n; j += 4) {
-        const __m256i r =
-            mulShoupLazy32(load(a + j), vn_inv, vphi_n, vq);
-        store(a + j, csub(r, vq));
-    }
+    // The tail, then stages t = 8 .. n/2 (n/16 .. 1 twiddle blocks)
+    // two to a pass, an odd count ending with a radix-2 pass. The last
+    // stage, wherever it falls, carries the n^{-1} scaling.
+    inverseTail(a, n, w, w_shoup, m, n == 8 ? &scale : nullptr);
+    size_t blocks = n / 16;
+    for (; blocks >= 2; blocks /= 4)
+        inverseRadix4(a, n, blocks, w, w_shoup, m,
+                      blocks == 2 ? &scale : nullptr);
+    if (blocks == 1)
+        inverseLastStage(a, n, scale, m);
 }
 
 void

@@ -63,116 +63,358 @@ reduceLazyBy1(__m512i s, __m512i phi1, __m512i q)
     return _mm512_sub_epi64(s, _mm512_mul_epu32(quot, q));
 }
 
+/** q and 2q in every lane. */
+struct ModulusLanes
+{
+    __m512i q;
+    __m512i two_q;
+};
+
+/** Per-lane twiddles with their 32-bit Shoup constants. */
+struct Twiddle
+{
+    __m512i w;
+    __m512i phi;
+};
+
+/** Twiddle i in every lane. */
+inline Twiddle
+broadcastTwiddle(const uint64_t *w, const uint64_t *w_shoup, size_t i)
+{
+    return {set1(w[i]), set1(w_shoup[i] >> 32)};
+}
+
+/** Twiddles i .. i + 7, one per lane. */
+inline Twiddle
+loadTwiddles(const uint64_t *w, const uint64_t *w_shoup, size_t i)
+{
+    return {load(w + i), _mm512_srli_epi64(load(w_shoup + i), 32)};
+}
+
+/**
+ * The twiddles from i selected by @p mask, lane k taking twiddle
+ * i + spread[k]: one contiguous load per table, no gather.
+ */
+inline Twiddle
+spreadTwiddles(const uint64_t *w, const uint64_t *w_shoup, size_t i,
+               __mmask8 mask, __m512i spread)
+{
+    const __m512i vw = _mm512_maskz_loadu_epi64(mask, w + i);
+    const __m512i vs = _mm512_maskz_loadu_epi64(mask, w_shoup + i);
+    return {_mm512_permutexvar_epi64(spread, vw),
+            _mm512_srli_epi64(_mm512_permutexvar_epi64(spread, vs), 32)};
+}
+
+/** Harvey CT butterfly: x, y in [0, 4q) -> x + wy, x - wy in [0, 4q). */
+inline void
+forwardButterfly(__m512i &x, __m512i &y, const Twiddle &tw,
+                 const ModulusLanes &m)
+{
+    const __m512i u = csub(x, m.two_q);
+    const __m512i v = mulShoupLazy32(y, tw.w, tw.phi, m.q);
+    x = _mm512_add_epi64(u, v);
+    y = _mm512_add_epi64(_mm512_sub_epi64(u, v), m.two_q);
+}
+
+/** GS butterfly: x, y in [0, 2q) -> x + y, w(x - y) in [0, 2q). */
+inline void
+inverseButterfly(__m512i &x, __m512i &y, const Twiddle &tw,
+                 const ModulusLanes &m)
+{
+    const __m512i d = _mm512_add_epi64(_mm512_sub_epi64(x, y), m.two_q);
+    x = csub(_mm512_add_epi64(x, y), m.two_q);
+    y = mulShoupLazy32(d, tw.w, tw.phi, m.q);
+}
+
+/**
+ * n^{-1} and w n^{-1} for the last inverse stage, whose one twiddle
+ * w = invRootPower(1): folding the scaling into that stage's
+ * butterflies saves the separate scaling pass.
+ */
+struct FinalScale
+{
+    Twiddle n_inv;
+    Twiddle w_n_inv;
+};
+
+FinalScale
+finalScale(const ntt::NttTables &tables)
+{
+    const rns::Modulus &mod = tables.modulus();
+    const uint64_t wn = mod.mul(tables.invRootPower(1), tables.invDegree());
+    // 32-bit Shoup constant floor(wn 2^32 / q); wn < q < 2^30.
+    return {{set1(tables.invDegree()), set1(tables.invDegreeShoup() >> 32)},
+            {set1(wn), set1((wn << 32) / mod.value())}};
+}
+
+/** The last GS butterfly, scaled by n^{-1}; canonical outputs. */
+inline void
+inverseButterflyScaled(__m512i &x, __m512i &y, const FinalScale &s,
+                       const ModulusLanes &m)
+{
+    const __m512i d = _mm512_add_epi64(_mm512_sub_epi64(x, y), m.two_q);
+    const __m512i sum = csub(_mm512_add_epi64(x, y), m.two_q);
+    x = csub(mulShoupLazy32(sum, s.n_inv.w, s.n_inv.phi, m.q), m.q);
+    y = csub(mulShoupLazy32(d, s.w_n_inv.w, s.w_n_inv.phi, m.q), m.q);
+}
+
+/**
+ * Lane shuffles of the in-register stages. A 16-coefficient chunk
+ * lives in two vectors (x, y), lane k of each holding one butterfly's
+ * operands. Going from stage t to stage t/2 regroups both with one
+ * permutex2var each (index e < 8 picks x[e], e >= 8 picks y[e - 8]);
+ * every such pair is its own inverse, so the inverse tail runs the
+ * same three backwards.
+ */
+struct TailShuffles
+{
+    // Stage 8 <-> stage 4.
+    const __m512i t4_x = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
+    const __m512i t4_y = _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15);
+    // Stage 4 <-> stage 2.
+    const __m512i t2_x = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+    const __m512i t2_y = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+    // Stage 2 <-> stage 1.
+    const __m512i t1_x = _mm512_setr_epi64(0, 8, 2, 10, 4, 12, 6, 14);
+    const __m512i t1_y = _mm512_setr_epi64(1, 9, 3, 11, 5, 13, 7, 15);
+    // Natural order -> stage 1 (evens, odds) and back.
+    const __m512i even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+    const __m512i odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+    const __m512i low = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
+    const __m512i high = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
+    // Twiddle spreads for stage 4 (two per chunk) and stage 2 (four).
+    const __m512i spread2 = _mm512_setr_epi64(0, 0, 0, 0, 1, 1, 1, 1);
+    const __m512i spread4 = _mm512_setr_epi64(0, 0, 1, 1, 2, 2, 3, 3);
+};
+
+/** (x, y) <- (permute(x, y, ix), permute(x, y, iy)). */
+inline void
+regroup(__m512i &x, __m512i &y, __m512i ix, __m512i iy)
+{
+    const __m512i nx = _mm512_permutex2var_epi64(x, ix, y);
+    y = _mm512_permutex2var_epi64(x, iy, y);
+    x = nx;
+}
+
+/** Forward stage t = n/2 (twiddle 1) as a pass of its own. */
+void
+forwardFirstStage(uint64_t *a, size_t n, const uint64_t *w,
+                  const uint64_t *w_shoup, const ModulusLanes &m)
+{
+    const Twiddle tw = broadcastTwiddle(w, w_shoup, 1);
+    const size_t half = n / 2;
+    for (size_t j = 0; j < half; j += 8) {
+        __m512i x = load(a + j);
+        __m512i y = load(a + j + half);
+        forwardButterfly(x, y, tw, m);
+        store(a + j, x);
+        store(a + j + half, y);
+    }
+}
+
+/**
+ * Forward stages with @p blocks and 2 @p blocks twiddle blocks
+ * (t = n / 2 blocks and t/2) in one pass.
+ */
+void
+forwardRadix4(uint64_t *a, size_t n, size_t blocks, const uint64_t *w,
+              const uint64_t *w_shoup, const ModulusLanes &m)
+{
+    const size_t t = n / (2 * blocks);
+    const size_t h = t / 2;
+    for (size_t i = 0; i < blocks; ++i) {
+        const Twiddle outer = broadcastTwiddle(w, w_shoup, blocks + i);
+        const Twiddle lo = broadcastTwiddle(w, w_shoup, 2 * (blocks + i));
+        const Twiddle hi =
+            broadcastTwiddle(w, w_shoup, 2 * (blocks + i) + 1);
+        uint64_t *p = a + 2 * i * t;
+        for (size_t k = 0; k < h; k += 8) {
+            __m512i x0 = load(p + k);
+            __m512i x1 = load(p + k + h);
+            __m512i x2 = load(p + k + t);
+            __m512i x3 = load(p + k + t + h);
+            forwardButterfly(x0, x2, outer, m);
+            forwardButterfly(x1, x3, outer, m);
+            forwardButterfly(x0, x1, lo, m);
+            forwardButterfly(x2, x3, hi, m);
+            store(p + k, x0);
+            store(p + k + h, x1);
+            store(p + k + t, x2);
+            store(p + k + t + h, x3);
+        }
+    }
+}
+
+/**
+ * Forward stages t = 8, 4, 2, 1 on each 16-coefficient chunk in
+ * registers, ending in the canonical store. Stage t's twiddles for
+ * chunk c start at index (n + c) / 2t.
+ */
+void
+forwardTail(uint64_t *a, size_t n, const uint64_t *w,
+            const uint64_t *w_shoup, const ModulusLanes &m)
+{
+    const TailShuffles s;
+    for (size_t c = 0; c < n; c += 16) {
+        __m512i x = load(a + c);
+        __m512i y = load(a + c + 8);
+        forwardButterfly(x, y, broadcastTwiddle(w, w_shoup, (n + c) / 16),
+                         m);
+        regroup(x, y, s.t4_x, s.t4_y);
+        forwardButterfly(
+            x, y, spreadTwiddles(w, w_shoup, (n + c) / 8, 0x03, s.spread2),
+            m);
+        regroup(x, y, s.t2_x, s.t2_y);
+        forwardButterfly(
+            x, y, spreadTwiddles(w, w_shoup, (n + c) / 4, 0x0f, s.spread4),
+            m);
+        regroup(x, y, s.t1_x, s.t1_y);
+        forwardButterfly(x, y, loadTwiddles(w, w_shoup, (n + c) / 2), m);
+        x = csub(csub(x, m.two_q), m.q);
+        y = csub(csub(y, m.two_q), m.q);
+        store(a + c, _mm512_permutex2var_epi64(x, s.low, y));
+        store(a + c + 8, _mm512_permutex2var_epi64(x, s.high, y));
+    }
+}
+
 void
 nttForwardAvx512(uint64_t *a, const ntt::NttTables &tables)
 {
-    const rns::Modulus &mod = tables.modulus();
-    const uint64_t qv = mod.value();
+    const uint64_t qv = tables.modulus().value();
     const size_t n = tables.degree();
     if (!eligibleModulus(qv) || n < 16) {
         ntt::forwardNttScalar({a, n}, tables);
         return;
     }
-    const uint64_t two_q = 2 * qv;
-    const __m512i vq = set1(qv);
-    const __m512i v2q = set1(two_q);
+    const ModulusLanes m{set1(qv), set1(2 * qv)};
+    const uint64_t *w = tables.rootPowers();
+    const uint64_t *w_shoup = tables.rootPowersShoup();
 
-    size_t t = n;
-    for (size_t m = 1; m < n; m <<= 1) {
-        t >>= 1;
-        if (t >= 8) {
-            for (size_t i = 0; i < m; ++i) {
-                const size_t j1 = 2 * i * t;
-                const __m512i vw = set1(tables.rootPower(m + i));
-                const __m512i vphi =
-                    set1(tables.rootPowerShoup(m + i) >> 32);
-                for (size_t j = j1; j < j1 + t; j += 8) {
-                    __m512i u = csub(load(a + j), v2q);
-                    const __m512i v =
-                        mulShoupLazy32(load(a + j + t), vw, vphi, vq);
-                    store(a + j, _mm512_add_epi64(u, v));
-                    store(a + j + t,
-                          _mm512_add_epi64(_mm512_sub_epi64(u, v), v2q));
-                }
+    // Stages t = n/2 .. 16 (1 .. n/32 twiddle blocks) two to a pass,
+    // an odd count starting with a radix-2 pass; then the tail.
+    size_t blocks = 1;
+    if ((tables.logDegree() - 4) % 2 != 0) {
+        forwardFirstStage(a, n, w, w_shoup, m);
+        blocks = 2;
+    }
+    for (; blocks <= n / 64; blocks *= 4)
+        forwardRadix4(a, n, blocks, w, w_shoup, m);
+    forwardTail(a, n, w, w_shoup, m);
+}
+
+/** Inverse stage t = n/2 (the last) scaled by n^{-1}, one pass. */
+void
+inverseLastStage(uint64_t *a, size_t n, const FinalScale &scale,
+                 const ModulusLanes &m)
+{
+    const size_t half = n / 2;
+    for (size_t j = 0; j < half; j += 8) {
+        __m512i x = load(a + j);
+        __m512i y = load(a + j + half);
+        inverseButterflyScaled(x, y, scale, m);
+        store(a + j, x);
+        store(a + j + half, y);
+    }
+}
+
+/**
+ * Inverse stages with @p blocks and @p blocks / 2 twiddle blocks
+ * (t = n / 2 blocks and 2t) in one pass; @p last (non-null when the
+ * second is stage t = n/2) folds in the n^{-1} scaling.
+ */
+void
+inverseRadix4(uint64_t *a, size_t n, size_t blocks, const uint64_t *w,
+              const uint64_t *w_shoup, const ModulusLanes &m,
+              const FinalScale *last)
+{
+    const size_t t = n / (2 * blocks);
+    for (size_t i = 0; i < blocks / 2; ++i) {
+        const Twiddle lo = broadcastTwiddle(w, w_shoup, blocks + 2 * i);
+        const Twiddle hi =
+            broadcastTwiddle(w, w_shoup, blocks + 2 * i + 1);
+        const Twiddle outer = broadcastTwiddle(w, w_shoup, blocks / 2 + i);
+        uint64_t *p = a + 4 * i * t;
+        for (size_t k = 0; k < t; k += 8) {
+            __m512i x0 = load(p + k);
+            __m512i x1 = load(p + k + t);
+            __m512i x2 = load(p + k + 2 * t);
+            __m512i x3 = load(p + k + 3 * t);
+            inverseButterfly(x0, x1, lo, m);
+            inverseButterfly(x2, x3, hi, m);
+            if (last) {
+                inverseButterflyScaled(x0, x2, *last, m);
+                inverseButterflyScaled(x1, x3, *last, m);
+            } else {
+                inverseButterfly(x0, x2, outer, m);
+                inverseButterfly(x1, x3, outer, m);
             }
-        } else {
-            for (size_t i = 0; i < m; ++i) {
-                const size_t j1 = 2 * i * t;
-                const uint64_t w = tables.rootPower(m + i);
-                const uint64_t w_shoup = tables.rootPowerShoup(m + i);
-                for (size_t j = j1; j < j1 + t; ++j) {
-                    uint64_t u = a[j];
-                    if (u >= two_q)
-                        u -= two_q;
-                    const uint64_t v =
-                        mod.mulShoupLazy(a[j + t], w, w_shoup);
-                    a[j] = u + v;
-                    a[j + t] = u - v + two_q;
-                }
-            }
+            store(p + k, x0);
+            store(p + k + t, x1);
+            store(p + k + 2 * t, x2);
+            store(p + k + 3 * t, x3);
         }
     }
-    for (size_t j = 0; j < n; j += 8)
-        store(a + j, csub(csub(load(a + j), v2q), vq));
+}
+
+/**
+ * Inverse stages t = 1, 2, 4, 8 on each 16-coefficient chunk in
+ * registers; @p last (non-null when n = 16) scales stage 8.
+ */
+void
+inverseTail(uint64_t *a, size_t n, const uint64_t *w,
+            const uint64_t *w_shoup, const ModulusLanes &m,
+            const FinalScale *last)
+{
+    const TailShuffles s;
+    for (size_t c = 0; c < n; c += 16) {
+        const __m512i lo = load(a + c);
+        const __m512i hi = load(a + c + 8);
+        __m512i x = _mm512_permutex2var_epi64(lo, s.even, hi);
+        __m512i y = _mm512_permutex2var_epi64(lo, s.odd, hi);
+        inverseButterfly(x, y, loadTwiddles(w, w_shoup, (n + c) / 2), m);
+        regroup(x, y, s.t1_x, s.t1_y);
+        inverseButterfly(
+            x, y, spreadTwiddles(w, w_shoup, (n + c) / 4, 0x0f, s.spread4),
+            m);
+        regroup(x, y, s.t2_x, s.t2_y);
+        inverseButterfly(
+            x, y, spreadTwiddles(w, w_shoup, (n + c) / 8, 0x03, s.spread2),
+            m);
+        regroup(x, y, s.t4_x, s.t4_y);
+        if (last)
+            inverseButterflyScaled(x, y, *last, m);
+        else
+            inverseButterfly(
+                x, y, broadcastTwiddle(w, w_shoup, (n + c) / 16), m);
+        store(a + c, x);
+        store(a + c + 8, y);
+    }
 }
 
 void
 nttInverseAvx512(uint64_t *a, const ntt::NttTables &tables)
 {
-    const rns::Modulus &mod = tables.modulus();
-    const uint64_t qv = mod.value();
+    const uint64_t qv = tables.modulus().value();
     const size_t n = tables.degree();
     if (!eligibleModulus(qv) || n < 16) {
         ntt::inverseNttScalar({a, n}, tables);
         return;
     }
-    const uint64_t two_q = 2 * qv;
-    const __m512i vq = set1(qv);
-    const __m512i v2q = set1(two_q);
+    const ModulusLanes m{set1(qv), set1(2 * qv)};
+    const uint64_t *w = tables.invRootPowers();
+    const uint64_t *w_shoup = tables.invRootPowersShoup();
+    const FinalScale scale = finalScale(tables);
 
-    size_t t = 1;
-    for (size_t h = n >> 1; h >= 1; h >>= 1) {
-        if (t >= 8) {
-            for (size_t i = 0; i < h; ++i) {
-                const size_t j1 = 2 * i * t;
-                const __m512i vw = set1(tables.invRootPower(h + i));
-                const __m512i vphi =
-                    set1(tables.invRootPowerShoup(h + i) >> 32);
-                for (size_t j = j1; j < j1 + t; j += 8) {
-                    const __m512i u = load(a + j);
-                    const __m512i v = load(a + j + t);
-                    store(a + j, csub(_mm512_add_epi64(u, v), v2q));
-                    const __m512i x =
-                        _mm512_add_epi64(_mm512_sub_epi64(u, v), v2q);
-                    store(a + j + t, mulShoupLazy32(x, vw, vphi, vq));
-                }
-            }
-        } else {
-            for (size_t i = 0; i < h; ++i) {
-                const size_t j1 = 2 * i * t;
-                const uint64_t w = tables.invRootPower(h + i);
-                const uint64_t w_shoup = tables.invRootPowerShoup(h + i);
-                for (size_t j = j1; j < j1 + t; ++j) {
-                    const uint64_t u = a[j];
-                    const uint64_t v = a[j + t];
-                    uint64_t s = u + v;
-                    if (s >= two_q)
-                        s -= two_q;
-                    a[j] = s;
-                    a[j + t] = mod.mulShoupLazy(u - v + two_q, w, w_shoup);
-                }
-            }
-        }
-        t <<= 1;
-    }
-
-    const __m512i vn_inv = set1(tables.invDegree());
-    const __m512i vphi_n = set1(tables.invDegreeShoup() >> 32);
-    for (size_t j = 0; j < n; j += 8) {
-        const __m512i r =
-            mulShoupLazy32(load(a + j), vn_inv, vphi_n, vq);
-        store(a + j, csub(r, vq));
-    }
+    // The tail, then stages t = 16 .. n/2 (n/32 .. 1 twiddle blocks)
+    // two to a pass, an odd count ending with a radix-2 pass. The last
+    // stage, wherever it falls, carries the n^{-1} scaling.
+    inverseTail(a, n, w, w_shoup, m, n == 16 ? &scale : nullptr);
+    size_t blocks = n / 32;
+    for (; blocks >= 2; blocks /= 4)
+        inverseRadix4(a, n, blocks, w, w_shoup, m,
+                      blocks == 2 ? &scale : nullptr);
+    if (blocks == 1)
+        inverseLastStage(a, n, scale, m);
 }
 
 void

@@ -242,8 +242,11 @@ TEST_P(NttDegreeTest, ConstantPolynomialIsFixedPoint)
 
 INSTANTIATE_TEST_SUITE_P(Degrees, NttDegreeTest,
                          ::testing::Values(size_t(8), size_t(16),
-                                           size_t(64), size_t(256),
-                                           size_t(1024), size_t(4096)));
+                                           size_t(32), size_t(64),
+                                           size_t(128), size_t(256),
+                                           size_t(512), size_t(1024),
+                                           size_t(2048), size_t(4096),
+                                           size_t(8192)));
 
 class RnsPolyTest : public ::testing::Test
 {

@@ -228,13 +228,65 @@ TEST(SimdKernels, WidePrecisionPrimitivesMatchScalar)
     }
 }
 
+/**
+ * Every power-of-two degree from 8 (below the AVX-512 chunk: its
+ * scalar fallback) to 16384. Odd log2 degrees take the vector
+ * kernels' leftover radix-2 pass, even ones radix-4 passes only.
+ */
+std::vector<size_t>
+nttDegrees()
+{
+    std::vector<size_t> degrees;
+    for (size_t n = 8; n <= 16384; n *= 2)
+        degrees.push_back(n);
+    return degrees;
+}
+
+/**
+ * NTT prime widths per degree: 30 bits yields the largest 30-bit NTT
+ * prime, just under the 2^30 lane bound (the vector paths' widest
+ * modulus); 31 bits and up must fall back to scalar inside the kernel.
+ */
+const int kNttPrimeBits[] = {20, 30, 31, 50, 60};
+
+/**
+ * Runs @p kernel of every available level on @p input and expects the
+ * scalar oracle's output bit for bit.
+ */
+template <typename Oracle, typename Kernel>
+void
+expectNttMatchesOracle(const std::vector<uint64_t> &input,
+                       const ntt::NttTables &tables, Oracle oracle,
+                       Kernel kernel, const char *what)
+{
+    auto expect = input;
+    oracle(expect, tables);
+    for (Level level : availableLevels()) {
+        auto got = input;
+        kernel(simd::kernelsFor(level), got.data(), tables);
+        EXPECT_EQ(expect, got)
+            << what << " " << simd::levelName(level)
+            << " n=" << tables.degree()
+            << " q=" << tables.modulus().value();
+    }
+}
+
 TEST(SimdKernels, ForwardNttMatchesScalarOracle)
 {
     Xoshiro256 rng(23);
-    for (size_t degree : {16, 64, 256, 1024, 4096, 8192}) {
-        for (int bits : {20, 30, 50, 60}) {
+    const auto oracle = [](std::vector<uint64_t> &a,
+                           const ntt::NttTables &t) {
+        ntt::forwardNttScalar(a, t);
+    };
+    const auto kernel = [](const Kernels &k, uint64_t *a,
+                           const ntt::NttTables &t) {
+        k.ntt_forward(a, t);
+    };
+    for (size_t degree : nttDegrees()) {
+        for (int bits : kNttPrimeBits) {
             const uint64_t qv =
                 rns::generateNttPrimes(bits, degree, 1)[0];
+            ASSERT_EQ(simd::eligibleModulus(qv), bits <= 30);
             const Modulus q(qv);
             const ntt::NttTables tables(q, degree);
             // Forward accepts Harvey-lazy inputs: exercise the full
@@ -248,16 +300,12 @@ TEST(SimdKernels, ForwardNttMatchesScalarOracle)
             input[3] = qv;
             input[4] = qv - 1;
             input[5] = 0;
-
-            auto expect = input;
-            ntt::forwardNttScalar(expect, tables);
-            for (Level level : availableLevels()) {
-                auto got = input;
-                simd::kernelsFor(level).ntt_forward(got.data(), tables);
-                EXPECT_EQ(expect, got)
-                    << simd::levelName(level) << " n=" << degree
-                    << " q=" << qv;
-            }
+            expectNttMatchesOracle(input, tables, oracle, kernel,
+                                   "random");
+            // Every coefficient at the top of the lazy range.
+            expectNttMatchesOracle(
+                std::vector<uint64_t>(degree, 4 * qv - 1), tables,
+                oracle, kernel, "all-max");
         }
     }
 }
@@ -265,10 +313,19 @@ TEST(SimdKernels, ForwardNttMatchesScalarOracle)
 TEST(SimdKernels, InverseNttMatchesScalarOracle)
 {
     Xoshiro256 rng(29);
-    for (size_t degree : {16, 64, 256, 1024, 4096, 8192}) {
-        for (int bits : {20, 30, 50, 60}) {
+    const auto oracle = [](std::vector<uint64_t> &a,
+                           const ntt::NttTables &t) {
+        ntt::inverseNttScalar(a, t);
+    };
+    const auto kernel = [](const Kernels &k, uint64_t *a,
+                           const ntt::NttTables &t) {
+        k.ntt_inverse(a, t);
+    };
+    for (size_t degree : nttDegrees()) {
+        for (int bits : kNttPrimeBits) {
             const uint64_t qv =
                 rns::generateNttPrimes(bits, degree, 1)[0];
+            ASSERT_EQ(simd::eligibleModulus(qv), bits <= 30);
             const Modulus q(qv);
             const ntt::NttTables tables(q, degree);
             // Inverse contract: inputs in [0, 2q).
@@ -279,16 +336,12 @@ TEST(SimdKernels, InverseNttMatchesScalarOracle)
             input[1] = qv;
             input[2] = qv - 1;
             input[3] = 0;
-
-            auto expect = input;
-            ntt::inverseNttScalar(expect, tables);
-            for (Level level : availableLevels()) {
-                auto got = input;
-                simd::kernelsFor(level).ntt_inverse(got.data(), tables);
-                EXPECT_EQ(expect, got)
-                    << simd::levelName(level) << " n=" << degree
-                    << " q=" << qv;
-            }
+            expectNttMatchesOracle(input, tables, oracle, kernel,
+                                   "random");
+            // Every coefficient at the top of the lazy range.
+            expectNttMatchesOracle(
+                std::vector<uint64_t>(degree, 2 * qv - 1), tables,
+                oracle, kernel, "all-max");
         }
     }
 }
