@@ -109,24 +109,36 @@ attributeCompiledCircuit(const CompiledCircuit &compiled,
     const size_t resident = compiled.resident_inputs.size();
     const auto price = [&](bool warm) {
         RunPrice p{device, {}};
-        const auto transfer = [&](double us) {
-            p.totals.host_us += us;
-            p.timeline.push_back({us, true});
-        };
         if (!warm && resident > 0) {
             p.totals.uploaded_polys += 2 * resident;
-            transfer(host.sendPolysUs(2 * resident));
+            const double us = host.sendPolysUs(2 * resident);
+            p.totals.host_us += us;
+            p.timeline.push_back({us, true});
         }
         for (size_t s = 0; s < compiled.segments.size(); ++s) {
             const Segment &seg = compiled.segments[s];
             p.totals.uploaded_polys += seg.uploads.size();
-            if (!seg.uploads.empty())
-                transfer(host.sendPolysUs(seg.uploads.size()));
+            double upload_us = 0.0;
+            if (!seg.uploads.empty()) {
+                upload_us = host.sendPolysUs(seg.uploads.size());
+                p.timeline.push_back({upload_us, true});
+            }
             p.timeline.insert(p.timeline.end(), segment_phases[s].begin(),
                               segment_phases[s].end());
             p.totals.downloaded_polys += seg.downloads.size();
-            if (!seg.downloads.empty())
-                transfer(host.receivePolysUs(seg.downloads.size()));
+            double download_us = 0.0;
+            if (!seg.downloads.empty()) {
+                download_us = host.receivePolysUs(seg.downloads.size());
+                p.timeline.push_back({download_us, true});
+            }
+            // Summed as the run sums them (per instruction, one
+            // round trip per segment), so the totals match to the bit.
+            if (fused) {
+                p.totals.host_us += upload_us;
+                p.totals.host_us += download_us;
+            } else {
+                p.totals.host_us += upload_us + download_us;
+            }
         }
         return p;
     };

@@ -82,7 +82,9 @@ struct CircuitAttribution
  * Price @p compiled: a pure function of the compiled artifact — no
  * coprocessor, no execution. kFusedProgram prices the runs
  * runCompiledCircuit makes; kPerInstruction prices the same runs with
- * the Arm dispatching every instruction, as the paper measured Table I.
+ * the Arm dispatching every instruction and each segment's transfers
+ * charged as one host round trip, as the paper measured Table I — for
+ * a compileCircuitOpByOp artifact, the run runCircuitOpByOp makes.
  */
 CircuitAttribution attributeCompiledCircuit(
     const CompiledCircuit &compiled,

@@ -54,15 +54,22 @@ struct ValueState
 class CircuitCompiler
 {
   public:
+    /**
+     * @param op_by_op lower every node as its own host round trip (the
+     *        compileCircuitOpByOp policy): one segment per node, every
+     *        operand consumed, every result downloaded and the memory
+     *        file emptied at the node boundary (endRoundTrip).
+     */
     CircuitCompiler(std::shared_ptr<const fv::FvParams> params,
                     const Circuit &circuit,
-                    const CompilerOptions &options)
+                    const CompilerOptions &options, bool op_by_op = false)
         : params_(std::move(params)),
           circuit_(options.auto_mod_switch
                        ? insertModSwitches(circuit, params_)
                        : circuit),
           evaluator_(params_),
-          alloc_(*params_, options.hw, /*throw_on_pressure=*/true),
+          alloc_(*params_, options.hw),
+          op_by_op_(op_by_op),
           hoist_rotations_(options.hoist_rotations),
           noise_check_(options.noise_check),
           auto_mod_switch_(options.auto_mod_switch),
@@ -488,21 +495,23 @@ class CircuitCompiler
         // of copying them, and a later use reloads from the host.
         // Rotation emitters never consume (their results are always
         // fresh slots); dead rotation operands release through the
-        // generic death handling below.
+        // generic death handling below. Op by op, every operand has a
+        // current host copy, so each one an emitter can consume is
+        // consumed (and, if still live, demoted).
         const bool rotation_like =
             isRotationNode(node.kind) ||
             node.kind == NodeKind::kRotateSum;
+        const bool can_demote = node.kind == NodeKind::kMult ||
+                                node.kind == NodeKind::kSquare;
         bool consume_a = !rotation_like &&
                          !pinned_value_[operands[0]] &&
-                         deadAfter(operands[0], i);
+                         (op_by_op_ || deadAfter(operands[0], i));
         bool consume_b = operands.size() > 1 &&
                          operands[1] != operands[0] &&
                          !pinned_value_[operands[1]] &&
-                         deadAfter(operands[1], i);
-        bool demoted_a = false;
-        bool demoted_b = false;
-        const bool can_demote = node.kind == NodeKind::kMult ||
-                                node.kind == NodeKind::kSquare;
+                         (op_by_op_ || deadAfter(operands[1], i));
+        bool demoted_a = op_by_op_ && consume_a;
+        bool demoted_b = op_by_op_ && consume_b && can_demote;
 
         // Emit at the operand's level: every emitter allocates its
         // temporaries and results against the allocator level, and a
@@ -608,8 +617,6 @@ class CircuitCompiler
         // Operand death. Consumed operands were overwritten/aliased/
         // released by the emitter; dead-but-unconsumed ones (the b side
         // of element-wise ops) release their slots here.
-        const bool emitter_consumes_b =
-            node.kind == NodeKind::kMult || node.kind == NodeKind::kSquare;
         for (size_t k = 0; k < operands.size(); ++k) {
             const ValueId v = operands[k];
             if (k > 0 && v == operands[0])
@@ -621,7 +628,7 @@ class CircuitCompiler
             ValueState &vs = values_[v];
             const bool consumed =
                 (k == 0 && consume_a) ||
-                (k == 1 && consume_b && emitter_consumes_b);
+                (k == 1 && consume_b && can_demote);
             if (!consumed) {
                 for (hw::PolyId slot : vs.slots)
                     alloc_.release(slot);
@@ -645,6 +652,10 @@ class CircuitCompiler
         if (plain_slot != hw::kNoPoly)
             alloc_.release(plain_slot);
 
+        if (op_by_op_) {
+            endRoundTrip(static_cast<ValueId>(i), relin_node);
+            return;
+        }
         // Values nothing will ever read (dead on arrival) free their
         // slots immediately.
         retireIfUnused(static_cast<ValueId>(i), i);
@@ -664,6 +675,41 @@ class CircuitCompiler
         for (size_t s = 0; s < segments_.size(); ++s)
             instr_nodes_[s].resize(segments_[s].program.instrs.size(),
                                    node);
+    }
+
+    /**
+     * Close node @p node's host round trip (op-by-op lowering): every
+     * result it produced goes back to the host — dead-on-arrival ones
+     * too, as an Arm issuing one operation at a time downloads them —
+     * then every resident record and the shared zero slot are
+     * released, and the next node opens a fresh segment that uploads
+     * its operands again.
+     */
+    void
+    endRoundTrip(ValueId node, ValueId relin_node)
+    {
+        for (ValueId v : {node, relin_node}) {
+            if (v == kNoValue || !values_[v].resident)
+                continue;
+            ValueState &vs = values_[v];
+            for (uint32_t p = 0; p < vs.slots.size(); ++p)
+                currentSegment().downloads.push_back(
+                    Transfer{Transfer::Source::kValue, v, p, vs.slots[p]});
+            vs.host = true;
+            vs.host_ready_segment = currentSegmentIndex() + 1;
+        }
+        for (ValueState &vs : values_) {
+            if (!vs.resident)
+                continue;
+            for (hw::PolyId slot : vs.slots)
+                alloc_.release(slot);
+            vs.slots.clear();
+            vs.resident = false;
+        }
+        if (zero_ != hw::kNoPoly)
+            alloc_.release(zero_);
+        zero_ = hw::kNoPoly;
+        segments_.emplace_back();
     }
 
     void
@@ -807,6 +853,8 @@ class CircuitCompiler
     std::map<std::pair<int32_t, size_t>, int32_t> plain_const_mul_;
     hw::PolyId zero_ = hw::kNoPoly;
 
+    /** One segment and host round trip per node (see endRoundTrip). */
+    bool op_by_op_;
     bool hoist_rotations_;
     NoiseCheck noise_check_;
     bool auto_mod_switch_;
@@ -855,18 +903,20 @@ validateInputs(const fv::FvParams &params,
 }
 
 /**
- * Shared executor behind runCompiledCircuit / runCompiledCircuitWarm.
- * @p inputs holds one pointer per circuit input position; resident
- * positions may be null on the warm path (their operands are already
- * in the pinned memory-file prefix).
+ * The one executor, behind runCompiledCircuit, runCompiledCircuitWarm
+ * and runCircuitOpByOp. @p inputs holds one pointer per circuit input
+ * position; resident positions may be null on the warm path (their
+ * operands are already in the pinned memory-file prefix). @p mode is
+ * how the Arm dispatches each segment's program.
  */
 std::vector<fv::Ciphertext>
 runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
                 std::span<const fv::Ciphertext *const> inputs,
-                bool warm, CircuitRunStats *stats)
+                bool warm, hw::DispatchMode mode, CircuitRunStats *stats)
 {
     const hw::ArmHostModel host(compiled.params, cp.config());
     const size_t resident_count = compiled.resident_inputs.size();
+    const bool fused = mode == hw::DispatchMode::kFusedProgram;
 
     CircuitRunStats run;
     run.segments = compiled.segments.size();
@@ -942,21 +992,22 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
             cp.uploadInto(up.slot, src);
         }
         run.uploaded_polys += seg.uploads.size();
+        double upload_us = 0.0;
         if (!seg.uploads.empty()) {
-            const double us = host.sendPolysUs(seg.uploads.size());
-            run.host_us += us;
-            hostSpan("upload", us);
+            upload_us = host.sendPolysUs(seg.uploads.size());
+            hostSpan("upload", upload_us);
         }
 
-        const hw::ExecStats es =
-            cp.execute(seg.program, hw::DispatchMode::kFusedProgram);
+        const hw::ExecStats es = cp.execute(seg.program, mode);
         traced_us += es.traced_us;
         run.fpga_cycles += es.fpga_cycles;
         run.dma_us += es.dma_us;
         run.instructions += es.instructions;
         for (size_t u = 0; u < hw::kUnitCount; ++u)
             run.unit_cycles[u] += es.unit_cycles[u];
-        if (!seg.program.instrs.empty())
+        if (!fused)
+            run.dispatches += es.instructions;
+        else if (!seg.program.instrs.empty())
             ++run.dispatches;
 
         for (const Transfer &down : seg.downloads) {
@@ -967,10 +1018,18 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
             store[down.poly] = cp.memory().exportQBase(down.slot);
         }
         run.downloaded_polys += seg.downloads.size();
+        double download_us = 0.0;
         if (!seg.downloads.empty()) {
-            const double us = host.receivePolysUs(seg.downloads.size());
-            run.host_us += us;
-            hostSpan("download", us);
+            download_us = host.receivePolysUs(seg.downloads.size());
+            hostSpan("download", download_us);
+        }
+        // Dispatched per instruction, a segment is one host round trip,
+        // charged as one sum.
+        if (fused) {
+            run.host_us += upload_us;
+            run.host_us += download_us;
+        } else {
+            run.host_us += upload_us + download_us;
         }
     }
     if (tracer != nullptr) {
@@ -1003,6 +1062,42 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
     return outputs;
 }
 
+/** Run @p compiled cold over one ciphertext per input position. */
+std::vector<fv::Ciphertext>
+runCold(hw::Coprocessor &cp, const CompiledCircuit &compiled,
+        std::span<const fv::Ciphertext> inputs, hw::DispatchMode mode,
+        CircuitRunStats *stats)
+{
+    validateInputs(*compiled.params, inputs, compiled.inputs.size());
+    std::vector<const fv::Ciphertext *> ptrs;
+    ptrs.reserve(inputs.size());
+    for (const fv::Ciphertext &ct : inputs)
+        ptrs.push_back(&ct);
+    return runCompiledImpl(cp, compiled, ptrs, /*warm=*/false, mode,
+                           stats);
+}
+
+/** The passes every lowering ends with: node attribution, then the
+ *  static verifier as @p check asks. */
+CompiledCircuit
+finishCompile(CompiledCircuit out, VerifyCheck check)
+{
+    out.node_cycles = attributeCompiledCircuit(out).node_cycles;
+    if (check != VerifyCheck::kOff) {
+        const verify::VerifyResult result =
+            verify::verifyCompiledCircuit(out);
+        if (!result.ok()) {
+            fatalIf(check == VerifyCheck::kReject,
+                    "compiled circuit failed static verification\n",
+                    result.report());
+            std::fprintf(stderr,
+                         "compileCircuit: warning: static verifier: %s",
+                         result.report().c_str());
+        }
+    }
+    return out;
+}
+
 } // namespace
 
 VerifyCheck
@@ -1031,22 +1126,23 @@ CompiledCircuit
 compileCircuit(std::shared_ptr<const fv::FvParams> params,
                const Circuit &circuit, const CompilerOptions &options)
 {
-    CompiledCircuit out =
-        CircuitCompiler(std::move(params), circuit, options).compile();
-    out.node_cycles = attributeCompiledCircuit(out).node_cycles;
-    if (options.verify != VerifyCheck::kOff) {
-        const verify::VerifyResult result =
-            verify::verifyCompiledCircuit(out);
-        if (!result.ok()) {
-            fatalIf(options.verify == VerifyCheck::kReject,
-                    "compiled circuit failed static verification\n",
-                    result.report());
-            std::fprintf(stderr,
-                         "compileCircuit: warning: static verifier: %s",
-                         result.report().c_str());
-        }
-    }
-    return out;
+    return finishCompile(
+        CircuitCompiler(std::move(params), circuit, options).compile(),
+        options.verify);
+}
+
+CompiledCircuit
+compileCircuitOpByOp(std::shared_ptr<const fv::FvParams> params,
+                     const Circuit &circuit, const hw::HwConfig &config)
+{
+    CompilerOptions options;
+    options.hw = config;
+    options.hoist_rotations = false;
+    options.noise_check = NoiseCheck::kOff;
+    return finishCompile(CircuitCompiler(std::move(params), circuit,
+                                         options, /*op_by_op=*/true)
+                             .compile(),
+                         options.verify);
 }
 
 CompiledCircuit
@@ -1072,12 +1168,8 @@ runCompiledCircuit(hw::Coprocessor &cp, const CompiledCircuit &compiled,
                    std::span<const fv::Ciphertext> inputs,
                    CircuitRunStats *stats)
 {
-    validateInputs(*compiled.params, inputs, compiled.inputs.size());
-    std::vector<const fv::Ciphertext *> ptrs;
-    ptrs.reserve(inputs.size());
-    for (const fv::Ciphertext &ct : inputs)
-        ptrs.push_back(&ct);
-    return runCompiledImpl(cp, compiled, ptrs, /*warm=*/false, stats);
+    return runCold(cp, compiled, inputs, hw::DispatchMode::kFusedProgram,
+                   stats);
 }
 
 std::vector<fv::Ciphertext>
@@ -1103,7 +1195,8 @@ runCompiledCircuitWarm(hw::Coprocessor &cp,
         validateInput(*compiled.params, request_inputs[next]);
         ptrs[k] = &request_inputs[next++];
     }
-    return runCompiledImpl(cp, compiled, ptrs, /*warm=*/true, stats);
+    return runCompiledImpl(cp, compiled, ptrs, /*warm=*/true,
+                           hw::DispatchMode::kFusedProgram, stats);
 }
 
 std::vector<fv::Ciphertext>
@@ -1113,210 +1206,9 @@ runCircuitOpByOp(hw::Coprocessor &cp,
                  std::span<const fv::Ciphertext> inputs,
                  CircuitRunStats *stats)
 {
-    circuit.validate();
-    validateInputs(*params, inputs, circuit.inputs.size());
-    const fv::Evaluator evaluator(params);
-    const hw::ArmHostModel host(params, cp.config());
-
-    std::vector<ValueId> relin_of(circuit.nodes.size(), kNoValue);
-    std::vector<bool> is_output(circuit.nodes.size(), false);
-    const std::vector<uint32_t> hoist_sizes =
-        rotationHoistGroupSizes(circuit);
-    const std::vector<size_t> levels = valueLevels(circuit);
-    for (size_t i = 0; i < circuit.nodes.size(); ++i) {
-        if (circuit.nodes[i].kind == NodeKind::kRelin)
-            relin_of[circuit.nodes[i].args[0]] =
-                static_cast<ValueId>(i);
-    }
-    for (ValueId out : circuit.outputs)
-        is_output[out] = true;
-
-    std::vector<fv::Ciphertext> values(circuit.nodes.size());
-    CircuitRunStats run;
-    size_t next_input = 0;
-
-    for (size_t i = 0; i < circuit.nodes.size(); ++i) {
-        const CircuitNode &node = circuit.nodes[i];
-        if (node.kind == NodeKind::kInput) {
-            values[i] = inputs[next_input++];
-            continue;
-        }
-        if (node.kind == NodeKind::kRelin)
-            continue; // folded into its producer's round trip
-
-        // One full round trip per operation: reprogram, upload the
-        // operands, dispatch per instruction, download the results.
-        // Temporaries allocate at the operand's level (uploads size
-        // their records from the polynomial itself; a kModSwitch
-        // emitter moves the allocator one level deeper on its own).
-        cp.reset();
-        cp.memory().setLevel(levels[node.args[0]]);
-        hw::Program program;
-        hw::OpEmitter em(*params, cp.memory(), program);
-
-        const auto uploadValue = [&](ValueId v) {
-            const fv::Ciphertext &ct = values[v];
-            std::array<hw::PolyId, 2> slots{hw::kNoPoly, hw::kNoPoly};
-            for (int p = 0; p < 2; ++p)
-                slots[p] = cp.uploadPoly(ct[p]);
-            run.uploaded_polys += 2;
-            return slots;
-        };
-        const auto uploadPlain = [&](const ntt::RnsPoly &poly) {
-            run.uploaded_polys += 1;
-            return cp.uploadPoly(poly);
-        };
-
-        std::vector<std::pair<ValueId, std::vector<hw::PolyId>>> results;
-        size_t round_uploads = 0;
-        switch (node.kind) {
-          case NodeKind::kAdd: {
-            const auto a = uploadValue(node.args[0]);
-            const auto b = uploadValue(node.args[1]);
-            round_uploads = 4;
-            const auto r = em.emitAdd(a, b, /*consume_a=*/true);
-            results.push_back({static_cast<ValueId>(i), {r[0], r[1]}});
-            break;
-          }
-          case NodeKind::kSub: {
-            const auto a = uploadValue(node.args[0]);
-            const auto b = uploadValue(node.args[1]);
-            round_uploads = 4;
-            const auto r = em.emitSub(a, b, /*consume_a=*/true);
-            results.push_back({static_cast<ValueId>(i), {r[0], r[1]}});
-            break;
-          }
-          case NodeKind::kNegate: {
-            const auto a = uploadValue(node.args[0]);
-            round_uploads = 2;
-            const auto r = em.emitNegate(a, /*consume=*/true);
-            results.push_back({static_cast<ValueId>(i), {r[0], r[1]}});
-            break;
-          }
-          case NodeKind::kAddPlain: {
-            const auto a = uploadValue(node.args[0]);
-            const hw::PolyId plain = uploadPlain(evaluator.scaledPlain(
-                circuit.plains[node.plain], levels[i]));
-            round_uploads = 3;
-            const auto r = em.emitAddPlain(a, plain, /*consume=*/true);
-            results.push_back({static_cast<ValueId>(i), {r[0], r[1]}});
-            break;
-          }
-          case NodeKind::kMultPlain: {
-            const auto a = uploadValue(node.args[0]);
-            const hw::PolyId plain = uploadPlain(evaluator.embeddedPlain(
-                circuit.plains[node.plain], levels[i]));
-            round_uploads = 3;
-            const auto r = em.emitMultPlain(a, plain, /*consume=*/true);
-            results.push_back({static_cast<ValueId>(i), {r[0], r[1]}});
-            break;
-          }
-          case NodeKind::kMult:
-          case NodeKind::kSquare: {
-            const ValueId relin_node = relin_of[i];
-            const bool has_relin = relin_node != kNoValue;
-            const bool want_c2 = is_output[static_cast<ValueId>(i)] ||
-                                 !has_relin;
-            const bool square =
-                node.kind == NodeKind::kSquare ||
-                node.args[0] == node.args[1];
-            hw::OpEmitter::MultResult tensor;
-            if (square) {
-                const auto a = uploadValue(node.args[0]);
-                round_uploads = 2;
-                tensor = em.emitSquare(a, /*consume=*/true, has_relin,
-                                       want_c2);
-            } else {
-                const auto a = uploadValue(node.args[0]);
-                const auto b = uploadValue(node.args[1]);
-                round_uploads = 4;
-                tensor = em.emitMult(a, b, true, true, has_relin,
-                                     want_c2);
-            }
-            if (want_c2)
-                results.push_back(
-                    {static_cast<ValueId>(i),
-                     {tensor.ct[0], tensor.ct[1], tensor.ct[2]}});
-            if (has_relin) {
-                const auto r =
-                    em.emitRelin(tensor.ct[0], tensor.ct[1],
-                                 tensor.digits,
-                                 /*consume_c01=*/!want_c2);
-                results.push_back({relin_node, {r[0], r[1]}});
-            }
-            break;
-          }
-          case NodeKind::kRotate:
-          case NodeKind::kRotateColumns: {
-            const auto a = uploadValue(node.args[0]);
-            round_uploads = 2;
-            const uint32_t g = rotationElement(node, params->degree());
-            // Hoist-group members keep the hoisted numerics so the
-            // op-by-op baseline stays bit-identical to the fused path
-            // — it just pays the decompose per rotation.
-            const auto r =
-                hoist_sizes[i] >= 2
-                    ? em.emitApplyGaloisHoistedSingle(a, g)
-                    : em.emitApplyGalois(a, g);
-            results.push_back({static_cast<ValueId>(i), {r[0], r[1]}});
-            break;
-          }
-          case NodeKind::kRotateSum: {
-            const auto a = uploadValue(node.args[0]);
-            round_uploads = 2;
-            const auto r = em.emitRotateSum(a);
-            results.push_back({static_cast<ValueId>(i), {r[0], r[1]}});
-            break;
-          }
-          case NodeKind::kModSwitch: {
-            const auto a = uploadValue(node.args[0]);
-            round_uploads = 2;
-            const auto r = em.emitModSwitch(a, /*consume=*/true);
-            results.push_back({static_cast<ValueId>(i), {r[0], r[1]}});
-            break;
-          }
-          case NodeKind::kInput:
-          case NodeKind::kRelin:
-            panic("unreachable");
-        }
-
-        const hw::ExecStats es =
-            cp.execute(program, hw::DispatchMode::kPerInstruction);
-        run.fpga_cycles += es.fpga_cycles;
-        run.dma_us += es.dma_us;
-        run.instructions += es.instructions;
-        run.dispatches += es.instructions;
-        for (size_t u = 0; u < hw::kUnitCount; ++u)
-            run.unit_cycles[u] += es.unit_cycles[u];
-        run.segments += 1;
-
-        size_t round_downloads = 0;
-        for (const auto &[value, slots] : results) {
-            fv::Ciphertext ct;
-            ct.level = levels[value];
-            for (hw::PolyId slot : slots)
-                ct.polys.push_back(cp.downloadPoly(slot));
-            round_downloads += slots.size();
-            values[value] = std::move(ct);
-        }
-        run.downloaded_polys += round_downloads;
-        const double round_host_us = host.sendPolysUs(round_uploads) +
-                                     host.receivePolysUs(round_downloads);
-        run.host_us += round_host_us;
-        if (obs::activeTracer() != nullptr) {
-            obs::recordModeledSpan("host-roundtrip", "host",
-                                   obs::modeledNowUs(), round_host_us);
-            obs::advanceModeledUs(round_host_us);
-        }
-    }
-
-    std::vector<fv::Ciphertext> outputs;
-    outputs.reserve(circuit.outputs.size());
-    for (ValueId out : circuit.outputs)
-        outputs.push_back(values[out]);
-    if (stats != nullptr)
-        *stats = run;
-    return outputs;
+    return runCold(cp, compileCircuitOpByOp(std::move(params), circuit,
+                                            cp.config()),
+                   inputs, hw::DispatchMode::kPerInstruction, stats);
 }
 
 } // namespace heat::compiler

@@ -22,7 +22,9 @@
  * stream. A circuit that fits on chip therefore compiles to exactly
  * one segment — inputs uploaded once, one Arm dispatch for the whole
  * instruction stream (DispatchMode::kFusedProgram), and only live
- * outputs downloaded; each spill adds one host round trip.
+ * outputs downloaded; each spill adds one host round trip. The per-op
+ * baseline is one more lowering policy of the same compiler
+ * (compileCircuitOpByOp): one segment per node.
  *
  * A compiled circuit has one static price, attributeCompiledCircuit
  * (attribution.h): its cold and warm runs at either dispatch mode,
@@ -268,6 +270,23 @@ CompiledCircuit compileOpCircuit(std::shared_ptr<const fv::FvParams> params,
                                  NodeKind kind, const hw::HwConfig &config);
 
 /**
+ * Lower @p circuit the way an Arm issuing one operation at a time runs
+ * it: every node is its own segment, which uploads the node's operands
+ * (and plaintext constant), runs the node's program, and downloads
+ * every result — dead-on-arrival ones included — before the memory
+ * file is emptied for the next node. A kRelin folds into its
+ * producer's segment, as in compileOpCircuit's mult(x, y). Rotations
+ * keep the hoisted numerics of their group without the sharing, so the
+ * results are bit-identical to compileCircuit's. No level assignment
+ * and no noise check; the static verifier runs as defaultVerifyCheck()
+ * says. runCircuitOpByOp runs this artifact; its kPerInstruction
+ * attributeCompiledCircuit price is that run's stats.
+ */
+CompiledCircuit compileCircuitOpByOp(
+    std::shared_ptr<const fv::FvParams> params, const Circuit &circuit,
+    const hw::HwConfig &config);
+
+/**
  * Check that @p ct can enter a compiled circuit over @p params: a
  * size-2, level-0, coefficient-form ciphertext of the parameter set's
  * degree and q base. Throws FatalError naming the first violation —
@@ -335,12 +354,12 @@ std::vector<fv::Ciphertext> runCompiledCircuitWarm(
     CircuitRunStats *stats = nullptr);
 
 /**
- * Reference execution model of the *unfused* serving path: every node
- * becomes its own host round trip (operands uploaded, the node's
- * program dispatched per instruction, results downloaded), with a
- * kRelin folded into its producer as in a one-node mult(x, y) circuit.
- * Functionally identical to runCompiledCircuit(); the modeled time is
- * what circuit fusion is benchmarked against.
+ * Reference execution model of the *unfused* serving path: compile
+ * @p circuit with compileCircuitOpByOp for cp.config() and run it cold
+ * through the same executor as runCompiledCircuit, with the Arm
+ * dispatching every instruction (hw::DispatchMode::kPerInstruction) —
+ * one host round trip per node. Bit-identical to runCompiledCircuit();
+ * the modeled time is what circuit fusion is benchmarked against.
  */
 std::vector<fv::Ciphertext> runCircuitOpByOp(
     hw::Coprocessor &cp, std::shared_ptr<const fv::FvParams> params,

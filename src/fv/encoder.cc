@@ -18,26 +18,39 @@ Plaintext
 IntegerEncoder::encode(int64_t value) const
 {
     const uint64_t t = params_->plainModulus();
-    const int64_t b = static_cast<int64_t>(base_);
     Plaintext plain;
     if (value == 0) {
         plain.coeffs.push_back(0);
         return plain;
     }
-    int64_t v = value;
-    while (v != 0) {
-        // Balanced digit in (-b/2, b/2].
-        int64_t d = v % b;
-        if (d > b / 2)
-            d -= b;
-        else if (d <= -(b + 1) / 2)
-            d += b;
-        v = (v - d) / b;
-        plain.coeffs.push_back(
-            d < 0 ? t - static_cast<uint64_t>(-d) : static_cast<uint64_t>(d));
+    // Digits of the magnitude (unsigned: |INT64_MIN| fits), each negated
+    // for a negative value. A residue r from `cut` up becomes the
+    // negative digit r - b, so the signed digits land in the balanced
+    // range (-b/2, b/2] either way: the magnitude of a negative value
+    // takes [-b/2, b/2) before negation. Base 2 is the exception — its
+    // balanced range {0, 1} has no negative digit, so the magnitude
+    // goes in binary and a negative value gets digits {0, -1}.
+    const bool negative = value < 0;
+    uint64_t m = negative ? 0 - static_cast<uint64_t>(value)
+                          : static_cast<uint64_t>(value);
+    const uint64_t cut =
+        negative && base_ > 2 ? base_ - base_ / 2 : base_ / 2 + 1;
+    while (m != 0) {
+        fatalIf(plain.coeffs.size() == params_->degree(),
+                "integer too large for the ring degree");
+        const uint64_t r = m % base_;
+        m /= base_;
+        bool below_zero = false;
+        uint64_t digit = r;
+        if (r >= cut) {
+            digit = base_ - r;
+            below_zero = true;
+            ++m; // the borrowed b carries into the next digit
+        }
+        below_zero = below_zero != negative;
+        plain.coeffs.push_back(below_zero && digit != 0 ? t - digit
+                                                        : digit);
     }
-    fatalIf(plain.coeffs.size() > params_->degree(),
-            "integer too large for the ring degree");
     return plain;
 }
 

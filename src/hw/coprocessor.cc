@@ -95,12 +95,6 @@ Coprocessor::uploadInto(PolyId id, const ntt::RnsPoly &poly)
         l = Layout::kNatural;
 }
 
-ntt::RnsPoly
-Coprocessor::downloadPoly(PolyId id) const
-{
-    return memory_.exportPoly(id);
-}
-
 InstrCost
 Coprocessor::instructionCost(const Instruction &instr) const
 {

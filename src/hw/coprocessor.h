@@ -134,9 +134,6 @@ class Coprocessor
     /** Overwrite an existing record with fresh operand data. */
     void uploadInto(PolyId id, const ntt::RnsPoly &poly);
 
-    /** Download a result polynomial. */
-    ntt::RnsPoly downloadPoly(PolyId id) const;
-
     /**
      * Execute a program; returns its statistics. In kPerInstruction
      * mode every instruction carries the Arm dispatch overhead (the

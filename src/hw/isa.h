@@ -356,14 +356,16 @@ operandOf(const Instruction &instr, Operand which)
  * The paper's measured per-instruction times (Table II) include the
  * Arm-side dispatch + completion overhead on every instruction — the
  * kPerInstruction mode, which the paper tables and the op-by-op
- * reference (compiler::runCircuitOpByOp) use. A compiled program is
- * queued once: the coprocessor streams the instruction sequence
- * back-to-back and the dispatch overhead is charged once per program
- * (kFusedProgram). Every job the serving layer runs, a single
- * operation included, is priced this way. The static price of a
- * compiled program (compiler::attributeCompiledCircuit) takes either
- * mode: the paper tables read its kPerInstruction price, the service
- * its kFusedProgram price.
+ * baseline use (compiler::runCircuitOpByOp: a compileCircuitOpByOp
+ * program, one segment per node, run by the compiled-circuit
+ * executor). Otherwise a compiled program is queued once: the
+ * coprocessor streams the instruction sequence back-to-back and the
+ * dispatch overhead is charged once per program (kFusedProgram).
+ * Every job the serving layer runs, a single operation included, is
+ * priced this way. The static price of a compiled program
+ * (compiler::attributeCompiledCircuit) takes either mode: the paper
+ * tables read its kPerInstruction price, the service its kFusedProgram
+ * price.
  */
 enum class DispatchMode : uint8_t
 {

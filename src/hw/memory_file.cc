@@ -6,37 +6,31 @@
 
 namespace heat::hw {
 
-namespace {
+SlotBudget::SlotBudget(const fv::FvParams &params, const HwConfig &config)
+    : q_residues_(params.qBase()->size()),
+      full_residues_(params.fullBase()->size()),
+      capacity_(config.n_rpaus * config.slots_per_rpau)
+{
+}
 
 std::string
-pressureMessage(const char *structure, size_t need, size_t in_use,
-                size_t capacity, size_t peak, size_t live_records,
-                const char *what)
+SlotBudget::pressureMessage(const char *structure, size_t need,
+                            size_t live_records, const char *what) const
 {
     std::ostringstream oss;
     oss << structure << " exhausted";
     if (what != nullptr)
         oss << " allocating " << what;
-    oss << ": need " << need << " slots, " << capacity - in_use
-        << " free of " << capacity << " (live " << in_use << " slots in "
-        << live_records << " records, peak " << peak << ")";
+    oss << ": need " << need << " slots, " << freeSlots() << " free of "
+        << capacity_ << " (live " << in_use_ << " slots in "
+        << live_records << " records, peak " << peak_ << ")";
     return oss.str();
 }
 
-} // namespace
-
 MemoryFile::MemoryFile(std::shared_ptr<const fv::FvParams> params,
                        const HwConfig &config)
-    : params_(std::move(params)),
-      capacity_(config.n_rpaus * config.slots_per_rpau)
+    : SlotBudget(*params, config), params_(std::move(params))
 {
-}
-
-size_t
-MemoryFile::residueCount(BaseTag tag) const
-{
-    return tag == BaseTag::kQ ? params_->qBase()->size()
-                              : params_->fullBase()->size();
 }
 
 void
@@ -106,17 +100,9 @@ MemoryFile::allocateAt(BaseTag tag, Layout layout, size_t level,
 {
     panicIf(level > params_->maxLevel(), "allocation level out of range");
     const size_t live = liveResidues(tag, level);
-    if (in_use_ + live > capacity_) {
-        size_t live_records = 0;
-        for (const PolyRecord &rec : records_) {
-            if (rec.valid && !rec.released)
-                ++live_records;
-        }
-        fatal(pressureMessage("memory file", live, in_use_, capacity_,
-                              peak_, live_records, what));
-    }
-    in_use_ += live;
-    peak_ = std::max(peak_, in_use_);
+    if (live > freeSlots())
+        overflow(live, what);
+    charge(live);
 
     PolyRecord rec;
     rec.base = tag;
@@ -130,6 +116,17 @@ MemoryFile::allocateAt(BaseTag tag, Layout layout, size_t level,
     rec.valid = true;
     records_.push_back(std::move(rec));
     return static_cast<PolyId>(records_.size() - 1);
+}
+
+void
+MemoryFile::overflow(size_t need, const char *what) const
+{
+    size_t live_records = 0;
+    for (const PolyRecord &rec : records_) {
+        if (rec.valid && !rec.released)
+            ++live_records;
+    }
+    fatal(pressureMessage("memory file", need, live_records, what));
 }
 
 void
@@ -158,20 +155,10 @@ MemoryFile::extendToFull(PolyId id, const char *what)
 {
     PolyRecord &rec = record(id);
     panicIf(rec.base != BaseTag::kQ, "polynomial already extended");
-    const size_t extra = residueCount(BaseTag::kFull) -
-                         residueCount(BaseTag::kQ);
-    if (in_use_ + extra > capacity_) {
-        size_t live = 0;
-        for (const PolyRecord &r : records_) {
-            if (r.valid && !r.released)
-                ++live;
-        }
-        fatal(pressureMessage("memory file", extra, in_use_, capacity_,
-                              peak_, live,
-                              what != nullptr ? what : "lift extension"));
-    }
-    in_use_ += extra;
-    peak_ = std::max(peak_, in_use_);
+    const size_t extra = full_residues_ - q_residues_;
+    if (extra > freeSlots())
+        overflow(extra, what != nullptr ? what : "lift extension");
+    charge(extra);
     rec.base = BaseTag::kFull;
     const size_t live = liveResidues(BaseTag::kFull, rec.level);
     rec.layout.resize(live, Layout::kNatural);
@@ -254,22 +241,6 @@ MemoryFile::exportQBase(PolyId id) const
     return poly;
 }
 
-CountingAllocator::CountingAllocator(const fv::FvParams &params,
-                                     const HwConfig &config,
-                                     bool throw_on_pressure)
-    : q_residues_(params.qBase()->size()),
-      full_residues_(params.fullBase()->size()),
-      capacity_(config.n_rpaus * config.slots_per_rpau),
-      throw_on_pressure_(throw_on_pressure)
-{
-}
-
-size_t
-CountingAllocator::residueCount(BaseTag tag) const
-{
-    return tag == BaseTag::kQ ? q_residues_ : full_residues_;
-}
-
 void
 CountingAllocator::overflow(size_t need, const char *what) const
 {
@@ -278,21 +249,17 @@ CountingAllocator::overflow(size_t need, const char *what) const
         if (!rec.released)
             ++live;
     }
-    const std::string msg = pressureMessage(
-        "slot budget", need, in_use_, capacity_, peak_, live, what);
-    if (throw_on_pressure_)
-        throw SlotPressureError(msg);
-    fatal(msg);
+    throw SlotPressureError(
+        pressureMessage("slot budget", need, live, what));
 }
 
 PolyId
 CountingAllocator::allocate(BaseTag tag, Layout layout, const char *what)
 {
     const size_t need = liveResidues(tag, level_);
-    if (in_use_ + need > capacity_)
+    if (need > freeSlots())
         overflow(need, what);
-    in_use_ += need;
-    peak_ = std::max(peak_, in_use_);
+    charge(need);
     records_.push_back(Rec{tag, level_, false});
     const PolyId id = static_cast<PolyId>(records_.size() - 1);
     actions_.push_back(
@@ -319,10 +286,9 @@ CountingAllocator::extendToFull(PolyId id, const char *what)
     Rec &rec = records_[id];
     panicIf(rec.base != BaseTag::kQ, "polynomial already extended");
     const size_t extra = full_residues_ - q_residues_;
-    if (in_use_ + extra > capacity_)
+    if (extra > freeSlots())
         overflow(extra, what != nullptr ? what : "lift extension");
-    in_use_ += extra;
-    peak_ = std::max(peak_, in_use_);
+    charge(extra);
     rec.base = BaseTag::kFull;
     actions_.push_back(SlotAction{SlotAction::Kind::kExtend, id,
                                   BaseTag::kFull, Layout::kNatural,

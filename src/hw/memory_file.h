@@ -13,12 +13,11 @@
  * a hard error: FV.Mult must be schedulable inside this budget, and the
  * program emitters' allocation discipline is part of the reproduction.
  *
- * Slot allocation is performed through the SlotAllocator interface so a
- * program can be scheduled twice from the same emitters: once against a
- * CountingAllocator (pure accounting — the circuit compiler's build
- * step, which records the action log) and once against a real
- * MemoryFile (replaySlotActions(), which materializes the identical id
- * assignment on a worker's coprocessor).
+ * Programs are scheduled once, at compile time: the program emitters
+ * allocate from a CountingAllocator (pure accounting, which records the
+ * action log), and replaySlotActions() re-executes that log on a real
+ * MemoryFile, materializing the identical id assignment on a worker's
+ * coprocessor. The two share their slot arithmetic (SlotBudget).
  *
  * Each residue carries a layout tag mirroring the physical data order:
  * kNatural (coefficient order, what Lift/Scale stream), kPaired (the
@@ -29,6 +28,7 @@
 #ifndef HEAT_HW_MEMORY_FILE_H
 #define HEAT_HW_MEMORY_FILE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -65,9 +65,9 @@ enum class BaseTag : uint8_t
 };
 
 /**
- * Thrown by allocators operating in throw-on-pressure mode when an
- * allocation exceeds the slot capacity. The circuit compiler catches
- * this to trigger a spill instead of failing the build.
+ * Thrown by CountingAllocator when an allocation exceeds the slot
+ * capacity. The circuit compiler catches this to trigger a spill
+ * instead of failing the build.
  */
 class SlotPressureError : public std::runtime_error
 {
@@ -132,49 +132,41 @@ struct SlotAction
 };
 
 /**
- * Slot-accounting interface shared by the real memory file and the
- * compiler's build-time allocator. Allocation is deterministic:
- * sequential ids, capacity counted in residue slots.
+ * Slot arithmetic shared by MemoryFile and CountingAllocator, which keep
+ * one allocation discipline (sequential ids, capacity counted in residue
+ * slots): the capacity, the live and peak counts, and the level of new
+ * allocations.
  */
-class SlotAllocator
+class SlotBudget
 {
   public:
-    virtual ~SlotAllocator() = default;
-
-    /**
-     * Allocate a polynomial over base @p tag. @p what names the
-     * requesting operation for slot-pressure diagnostics (may be null).
-     */
-    virtual PolyId allocate(BaseTag tag, Layout layout,
-                            const char *what) = 0;
-
-    /** Convenience overload without a requester label. */
-    PolyId
-    allocate(BaseTag tag, Layout layout = Layout::kNatural)
-    {
-        return allocate(tag, layout, nullptr);
-    }
-
-    /** Return a polynomial's slots to the allocator. */
-    virtual void release(PolyId id) = 0;
-
-    /** Extend a q-base polynomial to the full base (Lift allocation). */
-    virtual void extendToFull(PolyId id, const char *what) = 0;
-
-    /** Convenience overload without a requester label. */
-    void extendToFull(PolyId id) { extendToFull(id, nullptr); }
-
-    /** @return total slot capacity (n_rpaus * slots_per_rpau). */
-    virtual size_t capacity() const = 0;
-
-    /** @return slots currently allocated. */
-    virtual size_t slotsInUse() const = 0;
-
-    /** @return maximum slots ever allocated (memory high-water mark). */
-    virtual size_t peakSlots() const = 0;
+    SlotBudget(const fv::FvParams &params, const HwConfig &config);
 
     /** @return residue count of base @p tag at level 0. */
-    virtual size_t residueCount(BaseTag tag) const = 0;
+    size_t
+    residueCount(BaseTag tag) const
+    {
+        return tag == BaseTag::kQ ? q_residues_ : full_residues_;
+    }
+
+    /** @return live residues of a level-l polynomial over @p tag. */
+    size_t
+    liveResidues(BaseTag tag, size_t level) const
+    {
+        return residueCount(tag) - level;
+    }
+
+    /** @return total slot capacity (n_rpaus * slots_per_rpau). */
+    size_t capacity() const { return capacity_; }
+
+    /** @return slots currently allocated. */
+    size_t slotsInUse() const { return in_use_; }
+
+    /** @return maximum slots ever allocated (memory high-water mark). */
+    size_t peakSlots() const { return peak_; }
+
+    /** @return slots still free. */
+    size_t freeSlots() const { return capacity_ - in_use_; }
 
     /**
      * Set the modulus-switching level of subsequent allocations. A
@@ -188,16 +180,26 @@ class SlotAllocator
     /** @return the level applied to new allocations. */
     size_t level() const { return level_; }
 
-    /** @return live residues of a level-l polynomial over @p tag. */
-    size_t liveResidues(BaseTag tag, size_t level) const
+  protected:
+    /** Take @p need slots (the caller checked that they fit). */
+    void
+    charge(size_t need)
     {
-        return residueCount(tag) - level;
+        in_use_ += need;
+        peak_ = std::max(peak_, in_use_);
     }
 
-    /** @return slots still free. */
-    size_t freeSlots() const { return capacity() - slotsInUse(); }
+    /** @return the slot-pressure diagnostic for an allocation of
+     *  @p need slots that does not fit. */
+    std::string pressureMessage(const char *structure, size_t need,
+                                size_t live_records,
+                                const char *what) const;
 
-  protected:
+    size_t q_residues_;
+    size_t full_residues_;
+    size_t capacity_;
+    size_t in_use_ = 0;
+    size_t peak_ = 0;
     size_t level_ = 0;
 };
 
@@ -218,26 +220,11 @@ struct PolyRecord
 };
 
 /** Slot-accounted storage for resident polynomials. */
-class MemoryFile : public SlotAllocator
+class MemoryFile : public SlotBudget
 {
   public:
     MemoryFile(std::shared_ptr<const fv::FvParams> params,
                const HwConfig &config);
-
-    using SlotAllocator::allocate;
-    using SlotAllocator::extendToFull;
-
-    /** @return residue count of base @p tag. */
-    size_t residueCount(BaseTag tag) const override;
-
-    /** @return total slot capacity (n_rpaus * slots_per_rpau). */
-    size_t capacity() const override { return capacity_; }
-
-    /** @return slots currently allocated. */
-    size_t slotsInUse() const override { return in_use_; }
-
-    /** @return maximum slots ever allocated (memory high-water mark). */
-    size_t peakSlots() const override { return peak_; }
 
     /**
      * Drop every record and return all slots: the reprogramming step
@@ -279,10 +266,11 @@ class MemoryFile : public SlotAllocator
      */
     void resetToPinned();
 
-    /** Allocate a zeroed polynomial over base @p tag. Exhaustion is a
-     *  hard error reporting the live/capacity slot pressure and the
-     *  requesting operation. */
-    PolyId allocate(BaseTag tag, Layout layout, const char *what) override;
+    /** Allocate a zeroed polynomial over base @p tag at level(). Exhaustion
+     *  is a hard error reporting the live/capacity slot pressure and the
+     *  requesting operation @p what (may be null). */
+    PolyId allocate(BaseTag tag, Layout layout = Layout::kNatural,
+                    const char *what = nullptr);
 
     /** Release a polynomial's slots and invalidate the record. */
     void free(PolyId id);
@@ -295,10 +283,10 @@ class MemoryFile : public SlotAllocator
      * physical slots even though the simulator keeps the old data for
      * inspection.
      */
-    void release(PolyId id) override;
+    void release(PolyId id);
 
     /** Extend a q-base polynomial to the full base (Lift allocation). */
-    void extendToFull(PolyId id, const char *what) override;
+    void extendToFull(PolyId id, const char *what = nullptr);
 
     /** @return mutable record (must be valid). */
     PolyRecord &record(PolyId id);
@@ -339,14 +327,13 @@ class MemoryFile : public SlotAllocator
   private:
     PolyId allocateAt(BaseTag tag, Layout layout, size_t level,
                       const char *what);
+    /** fatal() with the slot-pressure diagnostic. */
+    [[noreturn]] void overflow(size_t need, const char *what) const;
     /** Drop the records from id @p keep on, keeping their coefficient
      *  buffers in spare_ in place of any kept before. */
     void dropRecordsFrom(size_t keep);
 
     std::shared_ptr<const fv::FvParams> params_;
-    size_t capacity_;
-    size_t in_use_ = 0;
-    size_t peak_ = 0;
     /** Pinned prefix (ids 0..pinned_records_-1) surviving
      *  resetToPinned(); see setPinnedRecords(). */
     size_t pinned_records_ = 0;
@@ -363,40 +350,27 @@ class MemoryFile : public SlotAllocator
 
 /**
  * Pure slot accounting with MemoryFile's exact allocation discipline
- * (sequential ids, identical capacity math) but no polynomial data.
+ * (sequential ids, identical capacity math) but no polynomial data: the
+ * allocator the program emitters (program_builder.h) build against.
  * Records every action so the identical allocation can later be
- * replayed on a real memory file. Copyable — the circuit compiler
- * snapshots it to roll back a partially-emitted node before spilling.
+ * replayed on a real memory file. An allocation that does not fit
+ * throws SlotPressureError. Copyable — the circuit compiler snapshots
+ * it to roll back a partially-emitted node before spilling.
  */
-class CountingAllocator : public SlotAllocator
+class CountingAllocator : public SlotBudget
 {
   public:
-    /**
-     * @param params parameter set (residue counts).
-     * @param config hardware configuration (slot capacity).
-     * @param throw_on_pressure throw SlotPressureError instead of
-     *        fatal() when an allocation exceeds the capacity.
-     */
-    CountingAllocator(const fv::FvParams &params, const HwConfig &config,
-                      bool throw_on_pressure = false);
+    using SlotBudget::SlotBudget;
 
-    using SlotAllocator::allocate;
-    using SlotAllocator::extendToFull;
-
-    PolyId allocate(BaseTag tag, Layout layout, const char *what) override;
-    void release(PolyId id) override;
-    void extendToFull(PolyId id, const char *what) override;
-
-    size_t capacity() const override { return capacity_; }
-    size_t slotsInUse() const override { return in_use_; }
-    size_t peakSlots() const override { return peak_; }
-    size_t residueCount(BaseTag tag) const override;
+    /** Allocate over base @p tag at level(); @p what names the
+     *  requesting operation in the slot-pressure diagnostic. */
+    PolyId allocate(BaseTag tag, Layout layout = Layout::kNatural,
+                    const char *what = nullptr);
+    void release(PolyId id);
+    void extendToFull(PolyId id, const char *what = nullptr);
 
     /** @return the recorded action log. */
     const std::vector<SlotAction> &actions() const { return actions_; }
-
-    /** @return number of ids handed out so far. */
-    size_t recordCount() const { return records_.size(); }
 
   private:
     struct Rec
@@ -408,12 +382,6 @@ class CountingAllocator : public SlotAllocator
 
     [[noreturn]] void overflow(size_t need, const char *what) const;
 
-    size_t q_residues_;
-    size_t full_residues_;
-    size_t capacity_;
-    bool throw_on_pressure_;
-    size_t in_use_ = 0;
-    size_t peak_ = 0;
     std::vector<Rec> records_;
     std::vector<SlotAction> actions_;
 };

@@ -22,7 +22,7 @@ make(Opcode op, PolyId dst, PolyId src0 = kNoPoly, PolyId src1 = kNoPoly,
 
 } // namespace
 
-OpEmitter::OpEmitter(const fv::FvParams &params, SlotAllocator &alloc,
+OpEmitter::OpEmitter(const fv::FvParams &params, CountingAllocator &alloc,
                      Program &program)
     : params_(params), alloc_(alloc), p_(program)
 {

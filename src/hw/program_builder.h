@@ -1,16 +1,15 @@
 /**
  * @file
  * Builds the instruction sequences for the high-level homomorphic
- * operations (Fig. 2) against a coprocessor's memory file.
+ * operations (Fig. 2).
  *
  * The core is a set of composable per-op emitters (OpEmitter): each
  * appends one FV operation's instruction sequence to a program,
- * allocating operand/temporary/result slots through the SlotAllocator
- * interface — a CountingAllocator when the circuit compiler schedules a
- * whole fused program at build time, or a real MemoryFile when the
- * op-by-op reference executes one node in place. Every program a
- * serving worker runs, single operations included, comes out of the
- * compiler (compiler/compiler.h).
+ * allocating operand/temporary/result slots from a CountingAllocator —
+ * pure accounting at build time, whose action log a coprocessor's
+ * memory file replays. The circuit compiler (compiler/compiler.h) is
+ * their one caller: every program a coprocessor runs, a single
+ * operation and the op-by-op baseline included, comes out of it.
  *
  * The Mult schedule reproduces the paper's instruction mix (Table II):
  * 4 Lift, 14 NTT, 8 Inverse-NTT, 20 coefficient-wise multiplications,
@@ -52,7 +51,7 @@ namespace heat::hw {
 class OpEmitter
 {
   public:
-    OpEmitter(const fv::FvParams &params, SlotAllocator &alloc,
+    OpEmitter(const fv::FvParams &params, CountingAllocator &alloc,
               Program &program);
 
     /** FV.Add: c_i = a_i + b_i. consume_a reuses a's slots in place. */
@@ -229,7 +228,7 @@ class OpEmitter
                             bool want_digits, bool want_c2);
 
     const fv::FvParams &params_;
-    SlotAllocator &alloc_;
+    CountingAllocator &alloc_;
     Program &p_;
     PolyId zero_ = kNoPoly;
 };

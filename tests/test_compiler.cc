@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "compiler/attribution.h"
 #include "compiler/circuit.h"
 #include "compiler/compiler.h"
 #include "fv/decryptor.h"
@@ -756,6 +757,120 @@ TEST(Compiler, ResidentInputsColdAndWarmMatchAllThreePaths)
     EXPECT_THROW(compiler::runCompiledCircuitWarm(
                      cp3, compiled, std::vector<Ciphertext>{y1}),
                  FatalError);
+}
+
+TEST(Compiler, OpByOpArtifactIsPricedAndVerified)
+{
+    // The op-by-op baseline is a compiled program like any other: the
+    // static verifier accepts it, its kPerInstruction static price is
+    // exactly what runCircuitOpByOp reports, and its outputs match the
+    // evaluator. One segment and one round trip per emitted node.
+    Universe u(91);
+    fv::KeyGenerator keygen(u.params, 92);
+    const fv::GaloisKeys gkeys = keygen.generateRotationKeys(u.sk);
+    const int period =
+        static_cast<int>(fv::rotationStepPeriod(u.params->degree()));
+
+    struct Case
+    {
+        const char *name;
+        Circuit circuit;
+        hw::HwConfig hw;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"demo", demoCircuit(u), u.config});
+    {
+        // A hoist group (with an identity member), a lone column swap
+        // and a rotate-and-sum.
+        CircuitBuilder b;
+        const ValueId x = b.input();
+        const ValueId s = b.add(b.rotate(x, 1), b.rotate(x, 2));
+        b.output(b.rotateSum(s));
+        b.output(b.rotate(x, period));
+        b.output(b.rotateColumns(x));
+        cases.push_back({"rotation", b.build(), u.config});
+    }
+    {
+        CircuitBuilder b;
+        const ValueId x = b.input();
+        const ValueId y = b.input();
+        const ValueId z = b.input();
+        const ValueId deep = b.modSwitch(b.mult(x, y));
+        b.output(b.mult(deep, b.modSwitch(z)));
+        cases.push_back({"mod-switch", b.build(), u.config});
+    }
+    {
+        // Spills when fused; op by op, each node fits on its own.
+        hw::HwConfig tight = u.config;
+        tight.slots_per_rpau = 6;
+        cases.push_back({"spilling", wideCircuit(4), tight});
+    }
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const CompiledCircuit compiled =
+            compiler::compileCircuitOpByOp(u.params, c.circuit, c.hw);
+        testing::expectVerifiesClean(compiled, c.name);
+        size_t emitted_nodes = 0;
+        for (const compiler::CircuitNode &node : c.circuit.nodes)
+            emitted_nodes += node.kind != compiler::NodeKind::kInput &&
+                             node.kind != compiler::NodeKind::kRelin;
+        EXPECT_EQ(compiled.segments.size(), emitted_nodes);
+
+        std::vector<Ciphertext> inputs;
+        for (size_t k = 0; k < c.circuit.inputs.size(); ++k)
+            inputs.push_back(u.randomCipher(930 + k));
+        hw::Coprocessor cp(u.params, c.hw, &u.rlk, &gkeys);
+        CircuitRunStats stats;
+        const std::vector<Ciphertext> out = compiler::runCircuitOpByOp(
+            cp, u.params, c.circuit, inputs, &stats);
+        EXPECT_EQ(out, compiler::evaluateCircuit(*u.evaluator, &u.rlk,
+                                                 c.circuit, inputs,
+                                                 &gkeys));
+        EXPECT_EQ(compiler::attributeCompiledCircuit(
+                      compiled, hw::DispatchMode::kPerInstruction)
+                      .cold.totals,
+                  stats);
+        EXPECT_EQ(stats.segments, emitted_nodes);
+        EXPECT_EQ(stats.dispatches, stats.instructions);
+    }
+}
+
+TEST(Compiler, OpByOpOfOneNodeIsTheServedOpCircuit)
+{
+    // A one-node add or mult lowers op by op to exactly the program the
+    // paper tables price (compileOpCircuit), at the same
+    // kPerInstruction price.
+    const auto params = fv::FvParams::paper();
+    const hw::HwConfig config = hw::HwConfig::paper();
+    for (compiler::NodeKind kind :
+         {compiler::NodeKind::kAdd, compiler::NodeKind::kMult}) {
+        SCOPED_TRACE(compiler::nodeKindName(kind));
+        CircuitBuilder b;
+        const ValueId x = b.input();
+        const ValueId y = b.input();
+        b.output(kind == compiler::NodeKind::kAdd ? b.add(x, y)
+                                                  : b.mult(x, y));
+        const CompiledCircuit op_by_op =
+            compiler::compileCircuitOpByOp(params, b.build(), config);
+        const CompiledCircuit served =
+            compiler::compileOpCircuit(params, kind, config);
+        ASSERT_EQ(op_by_op.segments.size(), served.segments.size());
+        for (size_t s = 0; s < served.segments.size(); ++s) {
+            EXPECT_EQ(op_by_op.segments[s].uploads,
+                      served.segments[s].uploads);
+            EXPECT_EQ(op_by_op.segments[s].program,
+                      served.segments[s].program);
+            EXPECT_EQ(op_by_op.segments[s].downloads,
+                      served.segments[s].downloads);
+        }
+        EXPECT_EQ(compiler::attributeCompiledCircuit(
+                      op_by_op, hw::DispatchMode::kPerInstruction)
+                      .cold.totals,
+                  compiler::attributeCompiledCircuit(
+                      served, hw::DispatchMode::kPerInstruction)
+                      .cold.totals);
+    }
 }
 
 } // namespace

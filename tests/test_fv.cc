@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include <memory>
 
@@ -376,8 +377,11 @@ TEST(IntegerEncoder, EncodeDecodeRoundTrip)
 {
     auto params = FvParams::create(smallConfig(16));
     IntegerEncoder encoder(params);
+    // Base t = 16 is even: -8 takes the digit t/2 (8 - 16), which must
+    // not be written as -t/2 (it would decode as +8).
     for (int64_t v : {int64_t(0), int64_t(1), int64_t(-1), int64_t(255),
-                      int64_t(-255), int64_t(123456789)}) {
+                      int64_t(-255), int64_t(-8), int64_t(123456789),
+                      INT64_MIN, INT64_MAX}) {
         EXPECT_EQ(encoder.decode(encoder.encode(v)), mp::BigInt(v)) << v;
     }
 }
@@ -388,9 +392,28 @@ TEST(IntegerEncoder, SmallBaseRoundTrip)
     IntegerEncoder encoder(params, 3);
     EXPECT_EQ(encoder.base(), 3u);
     for (int64_t v : {int64_t(0), int64_t(7), int64_t(-19),
-                      int64_t(1000000)}) {
+                      int64_t(1000000), INT64_MIN, INT64_MAX}) {
         EXPECT_EQ(encoder.decode(encoder.encode(v)), mp::BigInt(v)) << v;
     }
+    // Base 2 has no negative balanced digit: negative values take the
+    // digits {0, -1} (the old loop never ended for them).
+    IntegerEncoder binary(params, 2);
+    for (int64_t v : {int64_t(-1), int64_t(-5), int64_t(-64), int64_t(37),
+                      INT64_MIN, INT64_MAX}) {
+        const Plaintext plain = binary.encode(v);
+        EXPECT_LE(plain.coeffs.size(), 64u) << v;
+        EXPECT_EQ(binary.decode(plain), mp::BigInt(v)) << v;
+        EXPECT_EQ(binary.decodeInt64(plain), v) << v;
+    }
+    // The digit count is bounded by the ring degree.
+    IntegerEncoder tiny(FvParams::create([] {
+                            FvConfig c = smallConfig(65537);
+                            c.degree = 8;
+                            return c;
+                        }()),
+                        2);
+    EXPECT_EQ(tiny.decodeInt64(tiny.encode(-255)), -255);
+    EXPECT_THROW(tiny.encode(-256), FatalError);
 }
 
 TEST(IntegerEncoder, HomomorphicIntegerArithmetic)

@@ -97,26 +97,36 @@ constexpr uint64_t kMaxRequests = 256;
 constexpr uint64_t kMaxLen = 64;
 
 /**
- * Option @p key as an unsigned decimal integer in [@p min, @p max], or
- * @p dflt when the flag is absent. Empty, signed, non-numeric, trailing
- * characters and out-of-range values are a FatalError naming the flag.
+ * Option @p key as a decimal integer in [@p min, @p max], or @p dflt
+ * when the flag is absent. Empty, non-numeric, trailing characters and
+ * out-of-range values are a FatalError naming the flag; a sign is one
+ * too, except a '-' for a signed Int.
  */
-uint64_t
-uintOption(const Args &args, const std::string &key, uint64_t dflt,
-           uint64_t min = 0, uint64_t max = UINT64_MAX)
+template <typename Int>
+Int
+integerOption(const Args &args, const std::string &key, Int dflt, Int min,
+              Int max)
 {
     const auto it = args.options.find(key);
     if (it == args.options.end())
         return dflt;
     const std::string &text = it->second;
     const char *const end = text.data() + text.size();
-    uint64_t value = 0;
+    Int value = 0;
     const auto [ptr, ec] = std::from_chars(text.data(), end, value);
     fatalIf(text.empty() || ec != std::errc() || ptr != end ||
                 value < min || value > max,
             "--", key, " wants an integer in [", min, ", ", max,
             "], got '", text, "'");
     return value;
+}
+
+/** integerOption for the unsigned count and seed flags. */
+uint64_t
+uintOption(const Args &args, const std::string &key, uint64_t dflt,
+           uint64_t min = 0, uint64_t max = UINT64_MAX)
+{
+    return integerOption(args, key, dflt, min, max);
 }
 
 std::shared_ptr<const fv::FvParams>
@@ -182,7 +192,8 @@ cmdEncrypt(const Args &args)
     const std::string dir = option(args, "dir", "keys");
     const std::string out_path = option(args, "out", "out.ct");
     fatalIf(args.options.count("value") == 0, "need --value N");
-    const int64_t value = std::stoll(args.options.at("value"));
+    const int64_t value =
+        integerOption<int64_t>(args, "value", 0, INT64_MIN, INT64_MAX);
 
     auto pk_in = openIn(dir + "/public.key");
     fv::PublicKey pk = fv::loadPublicKey(params, pk_in);
@@ -206,6 +217,8 @@ cmdEval(const Args &args)
     const std::string dir = option(args, "dir", "keys");
     const std::string op = option(args, "op", "add");
     const std::string out_path = option(args, "out", "out.ct");
+    fatalIf(op != "add" && op != "sub" && op != "mul",
+            "unknown --op '", op, "' (add|sub|mul)");
     fatalIf(args.positional.size() != 2,
             "eval needs two ciphertext files");
 
@@ -220,12 +233,10 @@ cmdEval(const Args &args)
         c = evaluator.add(a, b);
     } else if (op == "sub") {
         c = evaluator.sub(a, b);
-    } else if (op == "mul") {
+    } else {
         auto rlk_in = openIn(dir + "/relin.key");
         fv::RelinKeys rlk = fv::loadRelinKeys(params, rlk_in);
         c = evaluator.multiply(a, b, rlk);
-    } else {
-        fatal("unknown --op '", op, "' (add|sub|mul)");
     }
 
     auto out = openOut(out_path);
