@@ -8,6 +8,8 @@
 #ifndef HEAT_BENCH_BENCH_UTIL_H
 #define HEAT_BENCH_BENCH_UTIL_H
 
+#include <sys/resource.h>
+
 #include <cmath>
 #include <cstdio>
 #include <future>
@@ -96,6 +98,8 @@ struct JsonRecord
  * option every record() is a no-op, so benchmarks stay pure console
  * tools by default. The thread count is sampled at record() time via
  * heat::threadCount() so multi-threaded measurements tag themselves.
+ * One reporter per bench process: its destructor appends the process's
+ * peak resident set (`peak_rss_mb`, getrusage) as the last record.
  */
 class JsonReporter
 {
@@ -115,6 +119,17 @@ class JsonReporter
                                      "records will be written\n");
             }
         }
+    }
+
+    JsonReporter(const JsonReporter &) = delete;
+    JsonReporter &operator=(const JsonReporter &) = delete;
+
+    ~JsonReporter()
+    {
+        struct rusage usage {};
+        if (getrusage(RUSAGE_SELF, &usage) == 0)
+            record("peak_rss_mb",
+                   static_cast<double>(usage.ru_maxrss) / 1024.0, "MB");
     }
 
     /** @return true iff `--json <path>` was passed. */

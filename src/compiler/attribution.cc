@@ -1,32 +1,9 @@
 #include "compiler/attribution.h"
 
-#include <unordered_map>
-
 #include "hw/arm_host.h"
 #include "hw/coprocessor.h"
 
 namespace heat::compiler {
-namespace {
-
-/**
- * Record levels from the slot-action log. Ids are handed out
- * sequentially and never reused within one compiled circuit, so a
- * record's level is fixed by its kAllocate action — the same level
- * MemoryFile::recordLevel() reports after replaySlotActions().
- */
-std::unordered_map<hw::PolyId, size_t>
-recordLevels(const CompiledCircuit &compiled)
-{
-    std::unordered_map<hw::PolyId, size_t> levels;
-    levels.reserve(compiled.slot_actions.size());
-    for (const hw::SlotAction &action : compiled.slot_actions) {
-        if (action.kind == hw::SlotAction::Kind::kAllocate)
-            levels.emplace(action.id, action.level);
-    }
-    return levels;
-}
-
-} // namespace
 
 CircuitAttribution
 attributeCompiledCircuit(const CompiledCircuit &compiled,
@@ -37,13 +14,14 @@ attributeCompiledCircuit(const CompiledCircuit &compiled,
     const auto dispatch =
         static_cast<hw::Cycle>(compiled.hw.dispatch_overhead);
     const auto arm = static_cast<size_t>(hw::Unit::kArmUnit);
-    const auto levels = recordLevels(compiled);
-    // The level the coprocessor's memory file would report for the
+    const std::vector<hw::RecordShape> records =
+        hw::shapeSlotLog(*compiled.params, compiled.slot_actions).records;
+    // The level the coprocessor's memory file reports for the
     // instruction's level operand (0 for kNoPoly or an unknown id).
     const auto levelOf = [&](const hw::Instruction &instr) -> size_t {
-        const auto it = levels.find(
-            hw::operandOf(instr, hw::opInfo(instr.op).level_operand));
-        return it == levels.end() ? 0 : it->second;
+        const hw::PolyId id =
+            hw::operandOf(instr, hw::opInfo(instr.op).level_operand);
+        return id < records.size() ? records[id].level : 0;
     };
 
     CircuitAttribution out;

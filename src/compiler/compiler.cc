@@ -87,7 +87,7 @@ class CircuitCompiler
         checkNoise();
         analyze();
         pinResidentInputs();
-        segments_.emplace_back();
+        openSegment();
 
         for (size_t i = 0; i < circuit_.nodes.size(); ++i) {
             const CircuitNode &node = circuit_.nodes[i];
@@ -119,6 +119,10 @@ class CircuitCompiler
                segments_.back().downloads.empty() &&
                segments_.back().program.instrs.empty())
             segments_.pop_back();
+        // The last segment's range also takes the actions of any empty
+        // segments dropped after it.
+        if (!segments_.empty())
+            segments_.back().action_end = alloc_.actions().size();
 
         // Pinned operands must still be resident with their original
         // slots — anything else means a guard above was bypassed and a
@@ -224,11 +228,10 @@ class CircuitCompiler
     /**
      * Allocate the resident inputs' slot pairs before anything else, so
      * their record ids are the deterministic prefix 0..2R-1 of the slot
-     * action log: a warm coprocessor that kept these records through
-     * resetToPinned() replays the remaining actions and lands on
-     * exactly the same ids. No upload Transfer is emitted — the cold
-     * execution path uploads the pinned operands directly, and warm
-     * executions skip them entirely.
+     * action log: a warm coprocessor keeps these records bound through
+     * resetToPinned() and binds only the segments' records. No upload
+     * Transfer is emitted — the cold execution path uploads the pinned
+     * operands directly, and warm executions skip them entirely.
      */
     void
     pinResidentInputs()
@@ -245,9 +248,14 @@ class CircuitCompiler
             alloc_.setLevel(levels_[v]);
             std::array<hw::PolyId, 2> slots{hw::kNoPoly, hw::kNoPoly};
             for (int p = 0; p < 2; ++p) {
-                slots[p] = alloc_.allocate(hw::BaseTag::kQ,
-                                           hw::Layout::kNatural,
-                                           "resident input");
+                try {
+                    slots[p] = alloc_.allocate(hw::BaseTag::kQ,
+                                               hw::Layout::kNatural,
+                                               "resident input");
+                } catch (const hw::SlotPressureError &e) {
+                    fatal("resident inputs do not fit the memory file: ",
+                          e.what());
+                }
                 panicIf(slots[p] !=
                             2 * out_.resident_inputs.size() +
                                 static_cast<size_t>(p),
@@ -284,6 +292,16 @@ class CircuitCompiler
     Segment &currentSegment() { return segments_.back(); }
     size_t currentSegmentIndex() const { return segments_.size() - 1; }
 
+    /** Close the current segment's slot-action range and open the
+     *  next segment. */
+    void
+    openSegment()
+    {
+        if (!segments_.empty())
+            segments_.back().action_end = alloc_.actions().size();
+        segments_.emplace_back();
+    }
+
     /**
      * Bring @p v on chip. Inputs and constants are host-available from
      * the start, so their uploads simply join the current segment;
@@ -308,7 +326,7 @@ class CircuitCompiler
         makeRoom(size * live, pinned, node);
 
         if (currentSegmentIndex() < vs.host_ready_segment)
-            segments_.emplace_back();
+            openSegment();
 
         const char *label =
             vs.ever_resident ? "spill reload" : "circuit input";
@@ -412,7 +430,7 @@ class CircuitCompiler
             out_.spilled_polys += vs.slots.size();
             vs.host = true;
             vs.host_ready_segment = currentSegmentIndex() + 1;
-            segments_.emplace_back();
+            openSegment();
         }
     }
 
@@ -709,7 +727,7 @@ class CircuitCompiler
         if (zero_ != hw::kNoPoly)
             alloc_.release(zero_);
         zero_ = hw::kNoPoly;
-        segments_.emplace_back();
+        openSegment();
     }
 
     void
@@ -939,26 +957,48 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
         traced_us += dur_us;
     };
 
+    // Record ids are memory-file addresses. Range 0 of the slot log
+    // allocates the resident prefix; before segment s runs, the records
+    // range s + 1 allocates are bound, and after its downloads the
+    // buffers of those it releases go back to the pool.
+    hw::MemoryFile &memory = cp.memory();
+    const std::span<const hw::SlotAction> actions(compiled.slot_actions);
+    const hw::SlotLogShape log =
+        hw::shapeSlotLog(*compiled.params, actions);
+    std::vector<std::span<const hw::SlotAction>> ranges;
+    size_t bound = 0;
+    size_t most_bound = 0; // records bound at once
+    for (size_t s = 0, begin = 0; s <= compiled.segments.size(); ++s) {
+        const size_t end = s == 0 ? compiled.resident_action_count
+                                  : compiled.segments[s - 1].action_end;
+        fatalIf(end < begin || end > actions.size(), "slot-action range [",
+                begin, ", ", end, ") is not inside the slot log");
+        ranges.push_back(actions.subspan(begin, end - begin));
+        begin = end;
+        for (const hw::SlotAction &a : ranges.back())
+            bound += a.kind == hw::SlotAction::Kind::kAllocate;
+        most_bound = std::max(most_bound, bound);
+        for (const hw::SlotAction &a : ranges.back())
+            bound -= a.kind == hw::SlotAction::Kind::kRelease;
+    }
     if (warm) {
         fatalIf(resident_count == 0,
                 "warm execution needs a circuit compiled with "
                 "resident inputs");
-        fatalIf(cp.memory().pinnedRecords() != 2 * resident_count,
+        fatalIf(memory.pinnedRecords() != 2 * resident_count,
                 "coprocessor does not hold this circuit's pinned "
-                "prefix (", cp.memory().pinnedRecords(),
+                "prefix (", memory.pinnedRecords(),
                 " pinned records, expected ", 2 * resident_count,
                 "); run a cold pass first");
-        cp.memory().resetToPinned();
-        hw::replaySlotActions(
-            cp.memory(),
-            std::span<const hw::SlotAction>(compiled.slot_actions)
-                .subspan(compiled.resident_action_count));
+        memory.resetToPinned();
     } else {
-        cp.reset();
-        hw::replaySlotActions(cp.memory(), compiled.slot_actions);
+        // Keep no more pooled buffers than this run binds at once: a
+        // larger earlier program's buffers do not outlive it.
+        memory.reset(most_bound);
+        memory.bind(ranges[0], log);
         // Pinned operands bypass the segment upload lists: they are
         // DMA'd straight into their prefix slots once, here, and then
-        // survive every warm rerun through resetToPinned().
+        // stay bound through every warm rerun's resetToPinned().
         for (size_t k = 0; k < resident_count; ++k) {
             const fv::Ciphertext &ct =
                 *inputs[compiled.resident_inputs[k]];
@@ -970,7 +1010,7 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
             const double us = host.sendPolysUs(2 * resident_count);
             run.host_us += us;
             hostSpan("upload:resident", us);
-            cp.memory().setPinnedRecords(2 * resident_count);
+            memory.setPinnedRecords(2 * resident_count);
         }
     }
 
@@ -982,7 +1022,9 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
                                           (*inputs[k])[1]};
     }
 
-    for (const Segment &seg : compiled.segments) {
+    for (size_t s = 0; s < compiled.segments.size(); ++s) {
+        const Segment &seg = compiled.segments[s];
+        memory.bind(ranges[s + 1], log);
         for (const Transfer &up : seg.uploads) {
             const ntt::RnsPoly &src =
                 up.source == Transfer::Source::kConstant
@@ -1015,8 +1057,9 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
             store.resize(compiled.value_sizes[down.index]);
             // Value polynomials are q-base; the record may be slot-
             // extended by a later lift of this fused program.
-            store[down.poly] = cp.memory().exportQBase(down.slot);
+            store[down.poly] = memory.exportQBase(down.slot);
         }
+        memory.unbind(ranges[s + 1]);
         run.downloaded_polys += seg.downloads.size();
         double download_us = 0.0;
         if (!seg.downloads.empty()) {

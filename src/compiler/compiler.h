@@ -11,8 +11,8 @@
  * liveness (a value's slots are reclaimed at its last use, so deep
  * circuits reuse the slots of dead intermediates) against a
  * CountingAllocator — pure accounting, so compilation never touches a
- * real coprocessor and the result can run on any worker that replays
- * the recorded slot actions.
+ * real coprocessor and the result can run on any worker: the recorded
+ * slot actions' record ids address its memory file directly.
  *
  * When the live set exceeds the memory file (n_rpaus * slots_per_rpau
  * slots), the compiler spills: the live value with the farthest next
@@ -127,7 +127,7 @@ struct CompilerOptions
      * Input positions (indices into the circuit's input submission
      * order) whose ciphertexts are coprocessor-resident. The compiler
      * allocates their slot pairs FIRST — so they form a stable
-     * record-id prefix a warm coprocessor already holds — and never
+     * record-id prefix a warm coprocessor keeps bound — and never
      * spills, consumes, demotes or releases them; no upload Transfer is
      * ever emitted for them. The serving layer pins the prefix across
      * requests (hw::MemoryFile::setPinnedRecords) so repeat executions
@@ -167,12 +167,16 @@ struct Segment
     std::vector<Transfer> uploads;
     hw::Program program;
     std::vector<Transfer> downloads;
+    /** End of this segment's range of CompiledCircuit::slot_actions,
+     *  which begins at the previous segment's end (the first segment's
+     *  at resident_action_count). */
+    size_t action_end = 0;
 };
 
 /**
- * A lowered circuit: segments plus the slot-action log that replays
- * the compiler's deterministic memory-file allocation on any freshly
- * reset coprocessor. A plain value — share it across workers.
+ * A lowered circuit: segments plus the slot-action log, the compiler's
+ * memory map, whose record ids address the memory file of any
+ * coprocessor that runs it. A plain value — share it across workers.
  */
 struct CompiledCircuit
 {
@@ -180,7 +184,7 @@ struct CompiledCircuit
     hw::HwConfig hw;
 
     std::vector<Segment> segments;
-    /** Allocation log; replaySlotActions() materializes the slots. */
+    /** Allocation log: resident prefix, then each segment's range. */
     std::vector<hw::SlotAction> slot_actions;
     /** Host-encoded plaintext operands (uploaded like inputs). */
     std::vector<ntt::RnsPoly> constants;
@@ -222,8 +226,8 @@ struct CompiledCircuit
     /** Pinned memory-file slot pair per resident input; these are the
      *  first 2*resident_inputs.size() record ids. */
     std::vector<std::array<hw::PolyId, 2>> resident_slots;
-    /** Leading slot_actions that materialize the resident prefix; a
-     *  warm replay resumes after them (resetToPinned keeps the rest). */
+    /** Leading slot_actions that allocate the resident prefix, which
+     *  a warm run keeps bound (resetToPinned). */
     size_t resident_action_count = 0;
 
     // --- noise annotation (see noise_pass.h) ---------------------------
@@ -251,9 +255,9 @@ struct CompiledCircuit
 
 /**
  * Lower @p circuit for the hardware configuration in @p options.
- * Throws FatalError when the circuit is malformed or a single node
- * cannot fit the memory file even after spilling everything else
- * (the message reports the slot pressure and the requesting op).
+ * Throws FatalError when the circuit is malformed, or when its resident
+ * inputs or a single node cannot fit the memory file even after
+ * spilling everything else (the message reports the slot pressure).
  */
 CompiledCircuit compileCircuit(std::shared_ptr<const fv::FvParams> params,
                                const Circuit &circuit,
@@ -324,10 +328,12 @@ struct CircuitRunStats
 /**
  * Execute a compiled circuit on @p cp (which must hold the matching
  * relinearization keys when the circuit relinearizes). Resets the
- * coprocessor, replays the slot actions, then runs every segment:
- * upload, one fused dispatch, download. Returns the output
- * ciphertexts in output order; bit-exact with evaluateCircuit() over
- * the HPS evaluator.
+ * coprocessor and binds the resident prefix, then runs every segment:
+ * bind the records its slot actions allocate, upload, one fused
+ * dispatch, download, return the buffers of the records it released.
+ * A slot log that oversubscribes the memory file throws FatalError.
+ * Returns the output ciphertexts in output order; bit-exact with
+ * evaluateCircuit() over the HPS evaluator.
  */
 std::vector<fv::Ciphertext> runCompiledCircuit(
     hw::Coprocessor &cp, const CompiledCircuit &compiled,

@@ -74,18 +74,12 @@ Coprocessor::Coprocessor(std::shared_ptr<const fv::FvParams> params,
             "too few RPAUs for the RNS base (need ceil(k/2))");
 }
 
-PolyId
-Coprocessor::uploadPoly(const ntt::RnsPoly &poly)
-{
-    return memory_.import(poly, Layout::kNatural);
-}
-
 void
 Coprocessor::uploadInto(PolyId id, const ntt::RnsPoly &poly)
 {
-    // A fresh q-base operand may be written into a record that a
-    // previous run extended to the full base; the extension residues
-    // are cleared and regenerated by the next Lift.
+    // A q-base operand may be written into a record a later Lift of
+    // the program extends (bound at the full base); the extension
+    // residues stay zero until that Lift writes them.
     PolyRecord &rec = memory_.record(id);
     panicIf(poly.data().size() > rec.data.size(),
             "uploadInto: operand larger than the record");
@@ -128,10 +122,6 @@ Coprocessor::execute(const Program &program, DispatchMode mode)
         const Cycle compute = cost.cycles;
         const Cycle cycles = fused ? compute : compute + dispatch;
         const double dma_us = cost.dma_us;
-        OpStats &op = stats.per_op[instr.op];
-        ++op.calls;
-        op.fpga_cycles += cycles;
-        op.dma_us += dma_us;
         stats.fpga_cycles += cycles;
         stats.dma_us += dma_us;
         unit_cycles[static_cast<size_t>(unitOf(instr.op))] += compute;

@@ -108,8 +108,8 @@ class Coprocessor
     MemoryFile &memory() { return memory_; }
     const MemoryFile &memory() const { return memory_; }
 
-    /** Reprogram: drop all memory-file contents so a different op
-     *  schedule can allocate from a clean slate. */
+    /** Reprogram: return every memory-file record to the buffer pool,
+     *  so a different program can bind its records. */
     void reset() { memory_.reset(); }
 
     /**
@@ -126,10 +126,6 @@ class Coprocessor
         rlk_ = rlk;
         gkeys_ = gkeys;
     }
-
-    /** Upload an operand polynomial (coefficient form, natural order).
-     *  Transfer timing is the host model's responsibility. */
-    PolyId uploadPoly(const ntt::RnsPoly &poly);
 
     /** Overwrite an existing record with fresh operand data. */
     void uploadInto(PolyId id, const ntt::RnsPoly &poly);

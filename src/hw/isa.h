@@ -34,7 +34,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -391,18 +390,9 @@ struct Program
 /** @return a one-line assembly-style rendering of an instruction. */
 std::string disassemble(const Instruction &instr);
 
-/** Per-opcode execution statistics. */
-struct OpStats
-{
-    uint64_t calls = 0;
-    Cycle fpga_cycles = 0;
-    double dma_us = 0.0;
-};
-
 /** Aggregated statistics of one program run. */
 struct ExecStats
 {
-    std::map<Opcode, OpStats> per_op;
     Cycle fpga_cycles = 0;
     double dma_us = 0.0;
     /** Instructions executed. */

@@ -22,11 +22,10 @@ LiftUnit::run(MemoryFile &memory, PolyId id) const
     const size_t kp = params_->pBase()->size();
     const auto &conv = params_->liftConverter(level);
 
-    // Compiled programs pre-extend the record in their slot log (static
-    // slot accounting); a standalone caller may pass a plain q record.
-    if (memory.record(id).base == BaseTag::kQ)
-        memory.extendToFull(id);
+    // A compiled program's slot log extends the record before the
+    // Lift, so it is bound at the full base.
     PolyRecord &full = memory.record(id);
+    panicIf(full.base != BaseTag::kFull, "lift needs a full-base record");
     for (size_t i = 0; i < kq; ++i) {
         panicIf(!acceptsLayout(Opcode::kLift, full.layout[i]),
                 "lift input must be natural order");

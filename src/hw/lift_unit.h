@@ -43,9 +43,10 @@ class LiftUnit
              const HwConfig &config);
 
     /**
-     * Execute the lift on record @p id in @p memory (must be a q-base
-     * polynomial in natural layout); extends it to the full base. The
-     * record's modulus-switching level selects the live input lanes.
+     * Execute the lift on record @p id in @p memory: a full-base record
+     * whose q residues are in natural layout; writes its p residues.
+     * The record's modulus-switching level selects the live input
+     * lanes.
      */
     void run(MemoryFile &memory, PolyId id) const;
 

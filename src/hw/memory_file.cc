@@ -1,61 +1,103 @@
 #include "hw/memory_file.h"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/panic.h"
 
 namespace heat::hw {
 
-SlotBudget::SlotBudget(const fv::FvParams &params, const HwConfig &config)
-    : q_residues_(params.qBase()->size()),
-      full_residues_(params.fullBase()->size()),
-      capacity_(config.n_rpaus * config.slots_per_rpau)
+namespace {
+
+size_t
+shapeResidues(const fv::FvParams &params, const RecordShape &shape)
 {
+    const size_t q = params.qPrimeCount(shape.level);
+    return shape.base == BaseTag::kQ && !shape.extended
+               ? q
+               : q + params.pBase()->size();
 }
 
-std::string
-SlotBudget::pressureMessage(const char *structure, size_t need,
-                            size_t live_records, const char *what) const
+} // namespace
+
+SlotLogShape
+shapeSlotLog(const fv::FvParams &params, std::span<const SlotAction> actions)
 {
-    std::ostringstream oss;
-    oss << structure << " exhausted";
-    if (what != nullptr)
-        oss << " allocating " << what;
-    oss << ": need " << need << " slots, " << freeSlots() << " free of "
-        << capacity_ << " (live " << in_use_ << " slots in "
-        << live_records << " records, peak " << peak_ << ")";
-    return oss.str();
+    SlotLogShape log;
+    // Slots each record holds (0 before its allocation and after its
+    // release).
+    std::vector<size_t> held;
+    size_t in_use = 0;
+    for (const SlotAction &action : actions) {
+        if (action.id >= actions.size() || action.level > params.maxLevel())
+            continue;
+        if (action.id >= log.records.size()) {
+            log.records.resize(action.id + 1);
+            held.resize(action.id + 1, 0);
+        }
+        RecordShape &shape = log.records[action.id];
+        size_t &slots = held[action.id];
+        switch (action.kind) {
+          case SlotAction::Kind::kAllocate:
+            shape = RecordShape{action.base, false, action.level,
+                                action.layout};
+            break;
+          case SlotAction::Kind::kRelease:
+            in_use -= slots;
+            slots = 0;
+            continue;
+          case SlotAction::Kind::kExtend:
+            if (slots == 0 || shape.base != BaseTag::kQ || shape.extended)
+                continue;
+            shape.extended = true;
+            break;
+        }
+        in_use -= slots;
+        slots = shapeResidues(params, shape);
+        in_use += slots;
+        log.peak_slots = std::max(log.peak_slots, in_use);
+    }
+    return log;
 }
 
 MemoryFile::MemoryFile(std::shared_ptr<const fv::FvParams> params,
                        const HwConfig &config)
-    : SlotBudget(*params, config), params_(std::move(params))
+    : params_(std::move(params)),
+      capacity_(config.n_rpaus * config.slots_per_rpau)
 {
 }
 
 void
-MemoryFile::dropRecordsFrom(size_t keep)
+MemoryFile::recycle(std::vector<uint64_t> &&buffer)
 {
-    if (records_.size() <= keep)
-        return;
-    // Keep only the buffers of the run being dropped; those an earlier,
-    // larger run left unused are freed.
-    spare_.clear();
+    const size_t residues = buffer.capacity() / params_->degree();
+    if (residues >= pool_.size())
+        pool_.resize(residues + 1);
+    pool_[residues].push_back(std::move(buffer));
+}
+
+void
+MemoryFile::returnRecordsFrom(size_t keep)
+{
+    // Highest id first, so the pool hands the lowest id's buffer out
+    // first: rebinding the same log gives every record its old buffer.
     while (records_.size() > keep) {
-        spare_.push_back(std::move(records_.back().data));
+        if (records_.back().valid)
+            recycle(std::move(records_.back().data));
         records_.pop_back();
     }
 }
 
 void
-MemoryFile::reset()
+MemoryFile::reset(size_t pooled)
 {
-    dropRecordsFrom(0);
-    in_use_ = 0;
-    peak_ = 0;
-    level_ = 0;
+    returnRecordsFrom(0);
     pinned_records_ = 0;
-    pinned_slots_ = 0;
+    for (size_t r = pool_.size(); r-- > 0;) {
+        pool_[r].resize(std::min(pool_[r].size(), pooled));
+        pooled -= pool_[r].size();
+    }
 }
 
 void
@@ -64,166 +106,85 @@ MemoryFile::setPinnedRecords(size_t count)
     panicIf(count > records_.size(),
             "cannot pin ", count, " records, only ", records_.size(),
             " exist");
-    size_t slots = 0;
-    for (size_t id = 0; id < count; ++id) {
-        const PolyRecord &rec = records_[id];
-        panicIf(!rec.valid || rec.released,
-                "pinned record ", id, " is not live");
-        slots += liveResidues(rec.base, rec.level);
-    }
+    for (size_t id = 0; id < count; ++id)
+        panicIf(!records_[id].valid, "pinned record ", id,
+                " is not bound");
     pinned_records_ = count;
-    pinned_slots_ = slots;
 }
 
 void
 MemoryFile::resetToPinned()
 {
-    if (pinned_records_ == 0) {
-        reset();
-        return;
+    returnRecordsFrom(pinned_records_);
+}
+
+void
+MemoryFile::bind(std::span<const SlotAction> actions,
+                 const SlotLogShape &log)
+{
+    fatalIf(log.peak_slots > capacity_,
+            "slot-action log oversubscribes the memory file: peak ",
+            log.peak_slots, " slots of ", capacity_);
+    for (const SlotAction &action : actions) {
+        if (action.kind != SlotAction::Kind::kAllocate ||
+            action.id >= log.records.size())
+            continue;
+        if (action.id >= records_.size())
+            records_.resize(action.id + 1);
+        PolyRecord &rec = records_[action.id];
+        panicIf(rec.valid, "record ", action.id, " is already bound");
+        const RecordShape &shape = log.records[action.id];
+        const size_t live = shapeResidues(*params_, shape);
+        rec.base = shape.extended ? BaseTag::kFull : shape.base;
+        rec.level = shape.level;
+        // An extended record's extension residues are the Lift's output.
+        rec.layout.assign(params_->qPrimeCount(shape.level), shape.layout);
+        rec.layout.resize(live,
+                          shape.extended ? Layout::kNatural : shape.layout);
+        for (size_t r = live; r < pool_.size(); ++r) {
+            if (!pool_[r].empty()) {
+                rec.data = std::move(pool_[r].back());
+                pool_[r].pop_back();
+                break;
+            }
+        }
+        rec.data.assign(live * params_->degree(), 0);
+        rec.valid = true;
     }
-    dropRecordsFrom(pinned_records_);
-    in_use_ = pinned_slots_;
-    peak_ = in_use_;
-    level_ = 0;
 }
 
-PolyId
-MemoryFile::allocate(BaseTag tag, Layout layout, const char *what)
+void
+MemoryFile::unbind(std::span<const SlotAction> actions)
 {
-    return allocateAt(tag, layout, level_, what);
-}
-
-PolyId
-MemoryFile::allocateAt(BaseTag tag, Layout layout, size_t level,
-                       const char *what)
-{
-    panicIf(level > params_->maxLevel(), "allocation level out of range");
-    const size_t live = liveResidues(tag, level);
-    if (live > freeSlots())
-        overflow(live, what);
-    charge(live);
-
-    PolyRecord rec;
-    rec.base = tag;
-    rec.level = level;
-    rec.layout.assign(live, layout);
-    if (!spare_.empty()) {
-        rec.data = std::move(spare_.back());
-        spare_.pop_back();
+    for (const SlotAction &action : actions) {
+        if (action.kind != SlotAction::Kind::kRelease)
+            continue;
+        PolyRecord &rec = record(action.id);
+        panicIf(action.id < pinned_records_,
+                "cannot release pinned polynomial ", action.id);
+        recycle(std::move(rec.data));
+        rec.valid = false;
     }
-    rec.data.assign(live * params_->degree(), 0);
-    rec.valid = true;
-    records_.push_back(std::move(rec));
-    return static_cast<PolyId>(records_.size() - 1);
-}
-
-void
-MemoryFile::overflow(size_t need, const char *what) const
-{
-    size_t live_records = 0;
-    for (const PolyRecord &rec : records_) {
-        if (rec.valid && !rec.released)
-            ++live_records;
-    }
-    fatal(pressureMessage("memory file", need, live_records, what));
-}
-
-void
-MemoryFile::free(PolyId id)
-{
-    release(id);
-    PolyRecord &rec = records_[id];
-    rec.valid = false;
-    rec.data.clear();
-    rec.data.shrink_to_fit();
-}
-
-void
-MemoryFile::release(PolyId id)
-{
-    PolyRecord &rec = record(id);
-    panicIf(id < pinned_records_,
-            "cannot release pinned polynomial ", id);
-    panicIf(rec.released, "double release of polynomial ", id);
-    in_use_ -= liveResidues(rec.base, rec.level);
-    rec.released = true;
-}
-
-void
-MemoryFile::extendToFull(PolyId id, const char *what)
-{
-    PolyRecord &rec = record(id);
-    panicIf(rec.base != BaseTag::kQ, "polynomial already extended");
-    const size_t extra = full_residues_ - q_residues_;
-    if (extra > freeSlots())
-        overflow(extra, what != nullptr ? what : "lift extension");
-    charge(extra);
-    rec.base = BaseTag::kFull;
-    const size_t live = liveResidues(BaseTag::kFull, rec.level);
-    rec.layout.resize(live, Layout::kNatural);
-    rec.data.resize(live * params_->degree(), 0);
-}
-
-namespace {
-
-/** Shared failure path of both record() overloads. */
-[[noreturn]] void
-throwInvalidRecord(PolyId id, size_t records, bool exists)
-{
-    std::ostringstream oss;
-    oss << "panic: invalid polynomial id " << id;
-    if (!exists)
-        oss << " (only " << records << " records exist)";
-    else
-        oss << " (record freed or predates a reset)";
-    throw InvalidRecordError(oss.str(), id);
-}
-
-} // namespace
-
-PolyRecord &
-MemoryFile::record(PolyId id)
-{
-    if (id >= records_.size() || !records_[id].valid)
-        throwInvalidRecord(id, records_.size(), id < records_.size());
-    return records_[id];
 }
 
 const PolyRecord &
 MemoryFile::record(PolyId id) const
 {
-    if (id >= records_.size() || !records_[id].valid)
-        throwInvalidRecord(id, records_.size(), id < records_.size());
-    return records_[id];
+    if (id < records_.size() && records_[id].valid)
+        return records_[id];
+    std::ostringstream oss;
+    oss << "panic: invalid polynomial id " << id;
+    if (id >= records_.size())
+        oss << " (only " << records_.size() << " records exist)";
+    else
+        oss << " (record not bound: released or reset)";
+    throw InvalidRecordError(oss.str(), id);
 }
 
-PolyId
-MemoryFile::import(const ntt::RnsPoly &poly, Layout layout)
+PolyRecord &
+MemoryFile::record(PolyId id)
 {
-    // Infer base tag AND level from the residue count (q counts and
-    // full counts never collide for the supported parameter sets).
-    const size_t level =
-        params_->levelForResidueCount(poly.residueCount());
-    const BaseTag tag =
-        poly.residueCount() == params_->qBase(level)->size()
-            ? BaseTag::kQ
-            : BaseTag::kFull;
-    PolyId id = allocateAt(tag, layout, level, "operand import");
-    record(id).data = poly.data();
-    return id;
-}
-
-ntt::RnsPoly
-MemoryFile::exportPoly(PolyId id) const
-{
-    const PolyRecord &rec = record(id);
-    const auto base = rec.base == BaseTag::kQ
-                          ? params_->qBase(rec.level)
-                          : params_->fullBase(rec.level);
-    ntt::RnsPoly poly(base, params_->degree(), ntt::PolyForm::kCoeff);
-    poly.data() = rec.data;
-    return poly;
+    return const_cast<PolyRecord &>(std::as_const(*this).record(id));
 }
 
 ntt::RnsPoly
@@ -231,7 +192,7 @@ MemoryFile::exportQBase(PolyId id) const
 {
     const PolyRecord &rec = record(id);
     const size_t words =
-        liveResidues(BaseTag::kQ, rec.level) * params_->degree();
+        params_->qPrimeCount(rec.level) * params_->degree();
     panicIf(rec.data.size() < words, "record smaller than the q base");
     ntt::RnsPoly poly(params_->qBase(rec.level), params_->degree(),
                       ntt::PolyForm::kCoeff);
@@ -241,25 +202,35 @@ MemoryFile::exportQBase(PolyId id) const
     return poly;
 }
 
-void
-CountingAllocator::overflow(size_t need, const char *what) const
+CountingAllocator::CountingAllocator(const fv::FvParams &params,
+                                     const HwConfig &config)
+    : q_residues_(params.qBase()->size()),
+      full_residues_(params.fullBase()->size()),
+      capacity_(config.n_rpaus * config.slots_per_rpau)
 {
-    size_t live = 0;
-    for (const Rec &rec : records_) {
-        if (!rec.released)
-            ++live;
+}
+
+void
+CountingAllocator::charge(size_t need, const char *what)
+{
+    if (need > freeSlots()) {
+        std::ostringstream oss;
+        oss << "slot budget exhausted";
+        if (what != nullptr)
+            oss << " allocating " << what;
+        oss << ": need " << need << " slots, " << freeSlots()
+            << " free of " << capacity_ << " (live " << in_use_
+            << " slots, peak " << peak_ << ")";
+        throw SlotPressureError(oss.str());
     }
-    throw SlotPressureError(
-        pressureMessage("slot budget", need, live, what));
+    in_use_ += need;
+    peak_ = std::max(peak_, in_use_);
 }
 
 PolyId
 CountingAllocator::allocate(BaseTag tag, Layout layout, const char *what)
 {
-    const size_t need = liveResidues(tag, level_);
-    if (need > freeSlots())
-        overflow(need, what);
-    charge(need);
+    charge(liveResidues(tag, level_), what);
     records_.push_back(Rec{tag, level_, false});
     const PolyId id = static_cast<PolyId>(records_.size() - 1);
     actions_.push_back(
@@ -285,10 +256,8 @@ CountingAllocator::extendToFull(PolyId id, const char *what)
     panicIf(id >= records_.size(), "invalid polynomial id ", id);
     Rec &rec = records_[id];
     panicIf(rec.base != BaseTag::kQ, "polynomial already extended");
-    const size_t extra = full_residues_ - q_residues_;
-    if (extra > freeSlots())
-        overflow(extra, what != nullptr ? what : "lift extension");
-    charge(extra);
+    charge(full_residues_ - q_residues_,
+           what != nullptr ? what : "lift extension");
     rec.base = BaseTag::kFull;
     actions_.push_back(SlotAction{SlotAction::Kind::kExtend, id,
                                   BaseTag::kFull, Layout::kNatural,
@@ -298,25 +267,7 @@ CountingAllocator::extendToFull(PolyId id, const char *what)
 void
 replaySlotActions(MemoryFile &memory, std::span<const SlotAction> actions)
 {
-    for (const SlotAction &action : actions) {
-        switch (action.kind) {
-          case SlotAction::Kind::kAllocate: {
-            memory.setLevel(action.level);
-            const PolyId id = memory.allocate(action.base, action.layout);
-            panicIf(id != action.id,
-                    "slot replay diverged: allocated id ", id,
-                    " where the compiled program expects ", action.id,
-                    " (memory file was not freshly reset)");
-            break;
-          }
-          case SlotAction::Kind::kRelease:
-            memory.release(action.id);
-            break;
-          case SlotAction::Kind::kExtend:
-            memory.extendToFull(action.id);
-            break;
-        }
-    }
+    memory.bind(actions, shapeSlotLog(memory.params(), actions));
 }
 
 } // namespace heat::hw

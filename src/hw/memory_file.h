@@ -8,16 +8,17 @@
  * sharing of Sec. V-A1 — and instructions operate on one of two batches:
  * batch 0 = the q primes, batch 1 = the extension primes.
  *
- * The pool holds 84 slots (Table IV's BRAM budget: 84*4 = 336 BRAM36K
+ * The memory file holds 84 slots (Table IV's BRAM budget: 84*4 = 336 BRAM36K
  * for data + 49 for twiddle ROMs + interface = 388). Slot exhaustion is
  * a hard error: FV.Mult must be schedulable inside this budget, and the
  * program emitters' allocation discipline is part of the reproduction.
  *
- * Programs are scheduled once, at compile time: the program emitters
- * allocate from a CountingAllocator (pure accounting, which records the
- * action log), and replaySlotActions() re-executes that log on a real
- * MemoryFile, materializing the identical id assignment on a worker's
- * coprocessor. The two share their slot arithmetic (SlotBudget).
+ * The memory file has no allocator: as in the paper, instructions
+ * already name their slots. The program emitters allocate from a
+ * CountingAllocator at compile time, whose action log the verifier
+ * proves sound, and a record id addresses the memory file's table. A
+ * run binds each segment's records before it (final shape, zero-filled
+ * buffer from a pool) and returns those it released after it.
  *
  * Each residue carries a layout tag mirroring the physical data order:
  * kNatural (coefficient order, what Lift/Scale stream), kPaired (the
@@ -28,7 +29,6 @@
 #ifndef HEAT_HW_MEMORY_FILE_H
 #define HEAT_HW_MEMORY_FILE_H
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -80,8 +80,9 @@ class SlotPressureError : public std::runtime_error
 
 /**
  * Thrown by MemoryFile record accessors handed an id that names no
- * valid record — an out-of-range id, a freed record, or a stale id
- * from before a reset. Derives from PanicError (a caller presenting
+ * bound record — an id past the table, or a record whose buffer went
+ * back to the pool (released by an earlier segment, or dropped by a
+ * reset). Derives from PanicError (a caller presenting
  * such an id is a library bug, not a user error) but additionally
  * carries the offending id so harnesses and the serving layer can
  * report *which* record a broken program addressed instead of
@@ -104,10 +105,9 @@ class InvalidRecordError : public PanicError
 
 /**
  * One slot-allocation action. A CountingAllocator records the sequence
- * of actions a program build performed; replaySlotActions() re-executes
- * it against a real MemoryFile, panicking if the id assignment ever
- * diverges (deterministic allocation is what lets one compiled program
- * run on any worker's coprocessor).
+ * of actions a program build performed; the ids it hands out are
+ * sequential and never reused within one log, so they address a
+ * MemoryFile's record table directly.
  */
 struct SlotAction
 {
@@ -127,33 +127,155 @@ struct SlotAction
     Layout layout = Layout::kNatural;
     /** Modulus-switching level of the allocation (kAllocate only). */
     size_t level = 0;
+};
 
-    bool operator==(const SlotAction &o) const = default;
+/** A polynomial resident in the memory file. */
+struct PolyRecord
+{
+    BaseTag base = BaseTag::kQ;
+    /** Modulus-switching level: the record spans the live residues of
+     *  its level's basis (layout.size() = live count). */
+    size_t level = 0;
+    /** Layout per residue (size = live residue count). */
+    std::vector<Layout> layout;
+    /** Residue-major coefficient data. */
+    std::vector<uint64_t> data;
+    bool valid = false;
+};
+
+/** The shape a slot-action log gives one record: its allocation,
+ *  widened to the full base (natural extension residues) by a kExtend. */
+struct RecordShape
+{
+    BaseTag base = BaseTag::kQ;
+    bool extended = false;
+    size_t level = 0;
+    Layout layout = Layout::kNatural;
+};
+
+/** What a slot-action log asks of a memory file: each record's final
+ *  shape, by id, and the log's slot high-water mark. */
+struct SlotLogShape
+{
+    std::vector<RecordShape> records;
+    size_t peak_slots = 0;
 };
 
 /**
- * Slot arithmetic shared by MemoryFile and CountingAllocator, which keep
- * one allocation discipline (sequential ids, capacity counted in residue
- * slots): the capacity, the live and peak counts, and the level of new
- * allocations.
+ * Walk @p actions once for their SlotLogShape. Never throws: actions no
+ * well-formed log holds (an id past the log's length, a level past the
+ * last, a release or extend of a record holding no slots) are skipped,
+ * so a run that reaches their records fails on InvalidRecordError.
  */
-class SlotBudget
+SlotLogShape shapeSlotLog(const fv::FvParams &params,
+                          std::span<const SlotAction> actions);
+
+/**
+ * Id-indexed storage for resident polynomials: a compiled circuit's
+ * record ids address this table. Record buffers come from a pool that
+ * outlives runs, so a repeated circuit reuses buffers already sized
+ * and paged in.
+ */
+class MemoryFile
 {
   public:
-    SlotBudget(const fv::FvParams &params, const HwConfig &config);
+    MemoryFile(std::shared_ptr<const fv::FvParams> params,
+               const HwConfig &config);
 
-    /** @return residue count of base @p tag at level 0. */
-    size_t
-    residueCount(BaseTag tag) const
+    /** Return every record's buffer to the pool, keeping at most
+     *  @p pooled buffers (the largest), and unpin the prefix: the
+     *  reprogramming step before a cold run. */
+    void reset(size_t pooled = SIZE_MAX);
+
+    /**
+     * Pin the first @p count records, which must be bound: their data
+     * survives resetToPinned(), the reprogramming step of the serving
+     * layer's resident ciphertext cache (the compiler allocates
+     * resident operands first). A count of 0 unpins everything.
+     */
+    void setPinnedRecords(size_t count);
+
+    /** @return pinned-prefix record count. */
+    size_t pinnedRecords() const { return pinned_records_; }
+
+    /** Reprogram around the resident cache: return the buffers of the
+     *  records past the pinned prefix, which stays bound. */
+    void resetToPinned();
+
+    /**
+     * Bind every record @p actions allocates at its final shape in
+     * @p log (the shape of the log @p actions is a range of), over a
+     * zero-filled buffer: the fill keeps a program the verifier only
+     * warned about from reading a buffer another run left behind.
+     * Throws FatalError when @p log oversubscribes the memory file;
+     * panics when a record is already bound.
+     */
+    void bind(std::span<const SlotAction> actions, const SlotLogShape &log);
+
+    /** Return the buffers of the records @p actions releases to the
+     *  pool; they read as InvalidRecordError afterwards. */
+    void unbind(std::span<const SlotAction> actions);
+
+    /** @return bound record @p id (else InvalidRecordError). */
+    PolyRecord &record(PolyId id);
+    const PolyRecord &record(PolyId id) const;
+
+    /** @return the level of @p id's record, or 0 when @p id does not
+     *  name a bound record (level-0 costs for bare cost queries). */
+    size_t recordLevel(PolyId id) const
     {
-        return tag == BaseTag::kQ ? q_residues_ : full_residues_;
+        return id < records_.size() && records_[id].valid
+                   ? records_[id].level
+                   : 0;
     }
+
+    /**
+     * Read the q-base view of a record (coefficient form): its first kq
+     * residues — the whole of a q-base record, and of a record a later
+     * Lift extends (bound at the full base) what a DMA download streams.
+     */
+    ntt::RnsPoly exportQBase(PolyId id) const;
+
+    /** Degree n. */
+    size_t degree() const { return params_->degree(); }
+
+    /** Parameter set. */
+    const fv::FvParams &params() const { return *params_; }
+
+  private:
+    void recycle(std::vector<uint64_t> &&buffer);
+    /** Return the buffers of the records from id @p keep on. */
+    void returnRecordsFrom(size_t keep);
+
+    std::shared_ptr<const fv::FvParams> params_;
+    /** Slot capacity (n_rpaus * slots_per_rpau). */
+    size_t capacity_;
+    /** Pinned prefix (ids 0..pinned_records_-1) surviving
+     *  resetToPinned(); see setPinnedRecords(). */
+    size_t pinned_records_ = 0;
+    std::vector<PolyRecord> records_;
+    /** Buffers of returned records by capacity in residues; a bind
+     *  takes the last one returned of its size, else of the next. */
+    std::vector<std::vector<std::vector<uint64_t>>> pool_;
+};
+
+/**
+ * Slot accounting for the program emitters (program_builder.h): hands
+ * out sequential record ids, counts their residue slots against the
+ * memory file's capacity (SlotPressureError when one does not fit) and
+ * logs every action. Copyable — the circuit compiler snapshots it to
+ * roll back a partially-emitted node before spilling.
+ */
+class CountingAllocator
+{
+  public:
+    CountingAllocator(const fv::FvParams &params, const HwConfig &config);
 
     /** @return live residues of a level-l polynomial over @p tag. */
     size_t
     liveResidues(BaseTag tag, size_t level) const
     {
-        return residueCount(tag) - level;
+        return (tag == BaseTag::kQ ? q_residues_ : full_residues_) - level;
     }
 
     /** @return total slot capacity (n_rpaus * slots_per_rpau). */
@@ -170,7 +292,7 @@ class SlotBudget
 
     /**
      * Set the modulus-switching level of subsequent allocations. A
-     * level-l polynomial spans residueCount(tag) - l residue slots (the
+     * level-l polynomial spans liveResidues(tag, l) residue slots (the
      * dropped q primes free their RPAU slots — the capacity win
      * level-aware datapaths are built around). Emitters set this before
      * allocating the outputs of a mod-switched region.
@@ -179,188 +301,6 @@ class SlotBudget
 
     /** @return the level applied to new allocations. */
     size_t level() const { return level_; }
-
-  protected:
-    /** Take @p need slots (the caller checked that they fit). */
-    void
-    charge(size_t need)
-    {
-        in_use_ += need;
-        peak_ = std::max(peak_, in_use_);
-    }
-
-    /** @return the slot-pressure diagnostic for an allocation of
-     *  @p need slots that does not fit. */
-    std::string pressureMessage(const char *structure, size_t need,
-                                size_t live_records,
-                                const char *what) const;
-
-    size_t q_residues_;
-    size_t full_residues_;
-    size_t capacity_;
-    size_t in_use_ = 0;
-    size_t peak_ = 0;
-    size_t level_ = 0;
-};
-
-/** A polynomial resident in the memory file. */
-struct PolyRecord
-{
-    BaseTag base = BaseTag::kQ;
-    /** Modulus-switching level: the record spans the live residues of
-     *  its level's basis (layout.size() = live count). */
-    size_t level = 0;
-    /** Layout per residue (size = live residue count). */
-    std::vector<Layout> layout;
-    /** Residue-major coefficient data. */
-    std::vector<uint64_t> data;
-    bool valid = false;
-    /** Slots returned to the allocator (record still readable). */
-    bool released = false;
-};
-
-/** Slot-accounted storage for resident polynomials. */
-class MemoryFile : public SlotBudget
-{
-  public:
-    MemoryFile(std::shared_ptr<const fv::FvParams> params,
-               const HwConfig &config);
-
-    /**
-     * Drop every record and return all slots: the reprogramming step
-     * before each compiled-circuit run (a Mult program alone peaks at 78
-     * of the 84 slots, so programs cannot stay resident side by side).
-     * Also clears the peak-slot watermark and any pinned prefix. The
-     * dropped records' coefficient buffers are kept for reuse by later
-     * allocations, which still read as zero; buffers kept from an
-     * earlier drop are freed, so between runs the memory file holds at
-     * most the buffers of the run it last dropped.
-     */
-    void reset();
-
-    /**
-     * Pin the first @p count records: their slots (and data) survive
-     * resetToPinned(), the reprogramming step of the serving layer's
-     * resident ciphertext cache. Pinned records must be the id prefix
-     * 0..count-1, valid and unreleased — the cache uploads its operands
-     * into a freshly reset memory file before anything else allocates,
-     * which is also what keeps compiled-circuit slot replay ids in
-     * agreement (the compiler reserves the same prefix). A count of 0
-     * unpins everything.
-     */
-    void setPinnedRecords(size_t count);
-
-    /** @return pinned-prefix record count. */
-    size_t pinnedRecords() const { return pinned_records_; }
-
-    /** @return slots held by the pinned prefix. */
-    size_t pinnedSlots() const { return pinned_slots_; }
-
-    /**
-     * Reprogram around the resident cache: drop every record except
-     * the pinned prefix, whose ids, slots and data survive. Subsequent
-     * allocation continues at id pinnedRecords() — exactly the state a
-     * resident-compiled circuit's slot replay expects. Equivalent to
-     * reset() when nothing is pinned; the dropped records' buffers are
-     * kept for reuse, as there.
-     */
-    void resetToPinned();
-
-    /** Allocate a zeroed polynomial over base @p tag at level(). Exhaustion
-     *  is a hard error reporting the live/capacity slot pressure and the
-     *  requesting operation @p what (may be null). */
-    PolyId allocate(BaseTag tag, Layout layout = Layout::kNatural,
-                    const char *what = nullptr);
-
-    /** Release a polynomial's slots and invalidate the record. */
-    void free(PolyId id);
-
-    /**
-     * Return a polynomial's slots to the allocator while keeping the
-     * record readable. Program building performs slot accounting
-     * statically: the builder only releases a record after its last use
-     * in program order, so a later allocation can safely reuse the
-     * physical slots even though the simulator keeps the old data for
-     * inspection.
-     */
-    void release(PolyId id);
-
-    /** Extend a q-base polynomial to the full base (Lift allocation). */
-    void extendToFull(PolyId id, const char *what = nullptr);
-
-    /** @return mutable record (must be valid). */
-    PolyRecord &record(PolyId id);
-
-    /** @return const record (must be valid). */
-    const PolyRecord &record(PolyId id) const;
-
-    /** @return the level of @p id's record, or 0 when @p id does not
-     *  name a valid record (level-0 costs for bare cost queries). */
-    size_t recordLevel(PolyId id) const
-    {
-        return id < records_.size() && records_[id].valid
-                   ? records_[id].level
-                   : 0;
-    }
-
-    /** Copy an RnsPoly into a fresh record (operand upload). */
-    PolyId import(const ntt::RnsPoly &poly, Layout layout);
-
-    /** Read a record back out as an RnsPoly (coefficient form). */
-    ntt::RnsPoly exportPoly(PolyId id) const;
-
-    /**
-     * Read the q-base view of a record: its first kq residues. For a
-     * q-base record this equals exportPoly(); for a record a later
-     * instruction of a fused program lifts in place (the compiler
-     * extends slots up front), the q residues are the same physical
-     * slots, which is what a mid-program DMA download streams.
-     */
-    ntt::RnsPoly exportQBase(PolyId id) const;
-
-    /** Degree n. */
-    size_t degree() const { return params_->degree(); }
-
-    /** Parameter set. */
-    const fv::FvParams &params() const { return *params_; }
-
-  private:
-    PolyId allocateAt(BaseTag tag, Layout layout, size_t level,
-                      const char *what);
-    /** fatal() with the slot-pressure diagnostic. */
-    [[noreturn]] void overflow(size_t need, const char *what) const;
-    /** Drop the records from id @p keep on, keeping their coefficient
-     *  buffers in spare_ in place of any kept before. */
-    void dropRecordsFrom(size_t keep);
-
-    std::shared_ptr<const fv::FvParams> params_;
-    /** Pinned prefix (ids 0..pinned_records_-1) surviving
-     *  resetToPinned(); see setPinnedRecords(). */
-    size_t pinned_records_ = 0;
-    size_t pinned_slots_ = 0;
-    std::vector<PolyRecord> records_;
-    /**
-     * Coefficient buffers of dropped records, stacked so the next
-     * allocation takes the buffer of the lowest dropped id: replaying
-     * the same slot log hands every record its previous buffer back,
-     * already sized and already paged in.
-     */
-    std::vector<std::vector<uint64_t>> spare_;
-};
-
-/**
- * Pure slot accounting with MemoryFile's exact allocation discipline
- * (sequential ids, identical capacity math) but no polynomial data: the
- * allocator the program emitters (program_builder.h) build against.
- * Records every action so the identical allocation can later be
- * replayed on a real memory file. An allocation that does not fit
- * throws SlotPressureError. Copyable — the circuit compiler snapshots
- * it to roll back a partially-emitted node before spilling.
- */
-class CountingAllocator : public SlotBudget
-{
-  public:
-    using SlotBudget::SlotBudget;
 
     /** Allocate over base @p tag at level(); @p what names the
      *  requesting operation in the slot-pressure diagnostic. */
@@ -380,18 +320,21 @@ class CountingAllocator : public SlotBudget
         bool released = false;
     };
 
-    [[noreturn]] void overflow(size_t need, const char *what) const;
+    /** Take @p need slots or throw SlotPressureError. */
+    void charge(size_t need, const char *what);
 
+    size_t q_residues_;
+    size_t full_residues_;
+    size_t capacity_;
+    size_t in_use_ = 0;
+    size_t peak_ = 0;
+    size_t level_ = 0;
     std::vector<Rec> records_;
     std::vector<SlotAction> actions_;
 };
 
-/**
- * Re-execute a recorded allocation sequence against @p memory,
- * materializing the same polynomial ids (panics on divergence — the
- * memory file was not in the expected state, usually because it was
- * not freshly reset).
- */
+/** Bind every record of the whole log @p actions on @p memory (none
+ *  is returned), as if every segment of its program ran at once. */
 void replaySlotActions(MemoryFile &memory,
                        std::span<const SlotAction> actions);
 

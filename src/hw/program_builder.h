@@ -6,8 +6,8 @@
  * The core is a set of composable per-op emitters (OpEmitter): each
  * appends one FV operation's instruction sequence to a program,
  * allocating operand/temporary/result slots from a CountingAllocator —
- * pure accounting at build time, whose action log a coprocessor's
- * memory file replays. The circuit compiler (compiler/compiler.h) is
+ * pure accounting at build time, whose action log addresses a
+ * coprocessor's memory file. The circuit compiler (compiler/compiler.h) is
  * their one caller: every program a coprocessor runs, a single
  * operation and the op-by-op baseline included, comes out of it.
  *

@@ -111,10 +111,10 @@ ScaleUnit::runModSwitch(MemoryFile &memory, PolyId src, PolyId dst) const
 
     const size_t n = memory.degree();
     const size_t live = params_->qPrimeCount(from_level);
-    // The record may be slot-extended to the full base ahead of time (a
-    // fused program replays its static slot shapes, including a later
-    // in-place lift of this operand, before any instruction runs); the
-    // mod-switch itself only consumes the live q residues.
+    // The record may be bound at the full base (a later in-place lift
+    // of this operand extends it in the slot log, and records are bound
+    // at their final shape); the mod-switch only consumes the live q
+    // residues.
     for (size_t i = 0; i < live; ++i)
         panicIf(!acceptsLayout(Opcode::kModSwitch, in.layout[i]),
                 "mod-switch input must be natural order");

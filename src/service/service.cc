@@ -209,7 +209,7 @@ ExecutionService::submitCircuit(TenantId tenant,
                                 double arrival_us)
 {
     // Compile on the submitting thread: structural errors surface
-    // synchronously, and workers only replay the deterministic slot
+    // synchronously, and workers only bind the deterministic slot
     // schedule (the compiled program is dispatchable to any of them).
     // The noise verdict is the admission policy's to deliver, not the
     // compiler's — so the compile-time check is off here.
@@ -910,8 +910,8 @@ void
 ExecutionService::runBatch(size_t track, Lane &host, std::vector<Job> &batch)
 {
     // Every job is a compiled circuit: the run reprograms the memory
-    // file and replays the circuit's slot log (the warm resident path
-    // keeps the pinned prefix). Key sets are attached per job
+    // file and binds the circuit's records segment by segment (the warm
+    // resident path keeps the pinned prefix). Key sets are attached per job
     // (attachKeys re-points the kKeyLoad stream at the submitting
     // session's DDR-resident keys).
     hw::Coprocessor *cp = &*host.cp;

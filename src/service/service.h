@@ -341,9 +341,9 @@ struct ServiceSnapshot
 /**
  * The execution service. Construction compiles the two
  * single-operation circuits and spawns the worker pool; each worker
- * owns one hw::Coprocessor and replays a job's deterministic slot log
- * onto it before every run, so any compiled circuit dispatches to any
- * worker and submission never blocks on hardware setup.
+ * owns one hw::Coprocessor, whose memory file a job's slot log
+ * addresses directly, so any compiled circuit dispatches to any worker
+ * and submission never blocks on hardware setup.
  *
  * Thread safety: submit*(), registerTenant(), pinInput(), drain(),
  * shutdown() and stats() may be called concurrently from any number of

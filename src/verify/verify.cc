@@ -35,9 +35,9 @@ layoutSetName(hw::LayoutSet set)
 }
 
 /**
- * Abstract state of one memory-file record, materialized from the
- * slot-action log exactly the way replaySlotActions() does before a
- * run: records carry their final (extend-applied) shape, and the
+ * Abstract state of one memory-file record, built from the slot-action
+ * log the way the executor binds records (hw::shapeSlotLog): records
+ * carry their final (extend-applied) shape, and the
  * interpreter tracks per-residue layout typestate plus definedness.
  * A freshly allocated record reads back zeros (the emitters' shared
  * zero constant depends on it), so `written` distinguishes "zero by
@@ -96,6 +96,7 @@ class Verifier
         collectTouches();
         replayActions();
         checkResidentPrefix();
+        checkSegmentRanges();
         checkConsumeHazards();
         interpretSegments();
         checkInputCoverage();
@@ -355,7 +356,7 @@ class Verifier
         return id < table.size() ? table[id] : kNoIndex;
     }
 
-    // --- phase 2: slot-action log replay ---------------------------------
+    // --- phase 2: slot-action log ----------------------------------------
 
     void
     replayActions()
@@ -375,8 +376,7 @@ class Verifier
                 if (act.id != next_id)
                     diagAction(Invariant::kSlotLog, a, act.id,
                                "slot log allocates out of sequence "
-                               "(replay would diverge on a fresh memory "
-                               "file)",
+                               "(record ids are handed out in order)",
                                "id " + std::to_string(next_id),
                                "id " + std::to_string(act.id));
                 if (act.level > params_.maxLevel()) {
@@ -396,7 +396,7 @@ class Verifier
                 if (in_use > capacity)
                     diagAction(Invariant::kSlotCapacity, a, act.id,
                                "slot-action log oversubscribes the "
-                               "memory file (a worker replay would "
+                               "memory file (a worker run would "
                                "abort)",
                                "<= " + std::to_string(capacity) + " slots",
                                std::to_string(in_use) + " slots");
@@ -514,7 +514,7 @@ class Verifier
             c_.resident_action_count != pinned_count) {
             diag(Invariant::kPinned,
                  "resident action prefix does not cover exactly the "
-                 "pinned slot pairs (warm replay would misalign)",
+                 "pinned slot pairs (warm runs would misalign)",
                  std::to_string(pinned_count) + " actions",
                  std::to_string(c_.resident_action_count));
             return;
@@ -539,7 +539,93 @@ class Verifier
         }
     }
 
-    // --- phase 4: consume hazards ----------------------------------------
+    // --- phase 4: segment action ranges ----------------------------------
+
+    /**
+     * The executor binds the records a segment's slot-action range
+     * allocates before the segment runs and returns those it releases
+     * after the segment's downloads. The ranges must tile the log after
+     * the resident prefix, and every touch of a record (downloads
+     * included) must fall between its binding and returning segments.
+     */
+    void
+    checkSegmentRanges()
+    {
+        // The segment whose range allocates / releases each record
+        // (kNoIndex: the resident prefix / never), and the first program
+        // position of each segment (phase 1's numbering), then the end.
+        std::vector<size_t> bound(recs_.size(), kNoIndex);
+        std::vector<size_t> returned(recs_.size(), kNoIndex);
+        std::vector<size_t> seg_pos{0};
+        const size_t log_size = c_.slot_actions.size();
+        size_t a = c_.resident_action_count;
+        for (size_t s = 0; s < c_.segments.size(); ++s) {
+            const compiler::Segment &seg = c_.segments[s];
+            if (seg.action_end < a || seg.action_end > log_size) {
+                diag(Invariant::kSlotLog,
+                     "segment slot-action range is not monotone",
+                     ">= " + std::to_string(a) + ", <= " +
+                         std::to_string(log_size),
+                     std::to_string(seg.action_end))
+                    .segment = s;
+                return;
+            }
+            for (; a < seg.action_end; ++a) {
+                const SlotAction &act = c_.slot_actions[a];
+                if (act.id >= recs_.size())
+                    continue;
+                if (act.kind == SlotAction::Kind::kAllocate)
+                    bound[act.id] = s;
+                else if (act.kind == SlotAction::Kind::kRelease)
+                    returned[act.id] = s;
+            }
+            seg_pos.push_back(seg_pos.back() + seg.uploads.size() +
+                              seg.program.instrs.size());
+        }
+        if (a != log_size) {
+            diag(Invariant::kSlotLog,
+                 "segment slot-action ranges end before the log",
+                 std::to_string(log_size), std::to_string(a));
+            return;
+        }
+
+        const auto check = [&](size_t s, PolyId id) {
+            const bool early = bound[id] != kNoIndex && bound[id] > s;
+            if (!early && (returned[id] == kNoIndex || returned[id] >= s))
+                return;
+            diagTransfer(Invariant::kSlotLog, s, id,
+                         early ? "record bound after its first touch"
+                               : "record returned before its last touch",
+                         "touched in segment " + std::to_string(s),
+                         early ? "bound by " + std::to_string(bound[id])
+                               : "returned by " +
+                                     std::to_string(returned[id]));
+            bound[id] = returned[id] = kNoIndex; // one diagnostic each
+        };
+        for (size_t s = 0; s < c_.segments.size(); ++s) {
+            for (const auto *transfers :
+                 {&c_.segments[s].uploads, &c_.segments[s].downloads})
+                for (const Transfer &t : *transfers)
+                    if (t.slot < recs_.size())
+                        check(s, t.slot);
+        }
+        const auto segmentAt = [&](size_t pos) -> size_t {
+            return std::upper_bound(seg_pos.begin(), seg_pos.end(), pos) -
+                   seg_pos.begin() - 1;
+        };
+        for (PolyId id = 0; id < recs_.size(); ++id) {
+            const size_t first = touchAt(first_touch_, id);
+            const size_t last = touchAt(last_touch_, id);
+            if (first != kNoIndex && bound[id] != kNoIndex &&
+                first < seg_pos[bound[id]])
+                check(segmentAt(first), id);
+            if (last != kNoIndex && returned[id] != kNoIndex &&
+                last >= seg_pos[returned[id] + 1])
+                check(segmentAt(last), id);
+        }
+    }
+
+    // --- phase 5: consume hazards ----------------------------------------
 
     /**
      * The compiler's static slot accounting is sound iff the action
@@ -549,7 +635,7 @@ class Verifier
      * touch its slots at or after the cursor — otherwise a record is
      * read or written while slots freed for it still hold live data,
      * which on the physical memory file is silent corruption (the
-     * simulator masks it by keeping released records readable).
+     * simulator masks it: every record has a buffer of its own).
      */
     void
     checkConsumeHazards()
@@ -617,7 +703,7 @@ class Verifier
         }
     }
 
-    // --- phase 5: abstract interpretation of the segments ----------------
+    // --- phase 6: abstract interpretation of the segments ----------------
 
     void
     interpretSegments()
@@ -1248,7 +1334,7 @@ class Verifier
         }
     }
 
-    // --- phase 6: interface coverage -------------------------------------
+    // --- phase 7: interface coverage -------------------------------------
 
     void
     checkInputCoverage()

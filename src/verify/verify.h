@@ -14,6 +14,9 @@
  *  - the slot-action log is well-formed (sequential ids, no double
  *    release, extend only of live q-base records) and never exceeds
  *    the BRAM slot capacity; its high-water mark matches peak_slots;
+ *  - the segments' slot-action ranges tile the log, and every touch of
+ *    a record (downloads included) falls between the segments whose
+ *    ranges bind (allocate) and return (release) it;
  *  - every record an instruction or transfer touches is allocated, and
  *    operand data is defined before it is read (uploads cover every
  *    used non-resident input; WordDecomp digits, key buffers and lift
@@ -26,7 +29,7 @@
  *  - per-residue layout typestate (natural / paired / NTT domain) is
  *    consistent with what every ISA op consumes and produces;
  *  - level and basis shapes agree: kq - l digit counts through
- *    Lift/Scale/ModSwitch/Relin, records pre-extended by fused replay,
+ *    Lift/Scale/ModSwitch/Relin, records bound at their extended shape,
  *    mod-switch destinations one level deeper than their sources;
  *  - kKeyLoad selectors reference registered key sets (relin only when
  *    the circuit relinearizes, Galois only for elements the compiled

@@ -294,6 +294,82 @@ TEST(Compiler, SpillPathStaysBitExact)
               stats.modeledUs(tight));
 }
 
+/** @return the first record @p compiled's segment 0 releases. */
+hw::PolyId
+firstSegmentRelease(const CompiledCircuit &compiled)
+{
+    for (size_t a = compiled.resident_action_count;
+         a < compiled.segments.at(0).action_end; ++a) {
+        const hw::SlotAction &act = compiled.slot_actions[a];
+        if (act.kind == hw::SlotAction::Kind::kRelease)
+            return act.id;
+    }
+    return hw::kNoPoly;
+}
+
+TEST(Compiler, RunsReturnTheRecordsEarlierSegmentsRelease)
+{
+    // Record ids address the memory file: a segment binds the records
+    // its slot actions allocate and, after its downloads, returns those
+    // it releases, so a later segment no longer holds them.
+    Universe u(31);
+    const Circuit circuit = wideCircuit(4);
+    const std::vector<Ciphertext> inputs = {u.randomCipher(7),
+                                            u.randomCipher(8)};
+    const std::vector<Ciphertext> reference = compiler::evaluateCircuit(
+        *u.evaluator, &u.rlk, circuit, inputs);
+
+    const CompiledCircuit op_by_op =
+        compiler::compileCircuitOpByOp(u.params, circuit, u.config);
+    ASSERT_GT(op_by_op.segments.size(), 1u);
+    const hw::PolyId node_record = firstSegmentRelease(op_by_op);
+    ASSERT_NE(node_record, hw::kNoPoly);
+    hw::Coprocessor cp(u.params, u.config, &u.rlk);
+    EXPECT_EQ(compiler::runCircuitOpByOp(cp, u.params, circuit, inputs),
+              reference);
+    EXPECT_THROW(cp.memory().record(node_record), hw::InvalidRecordError);
+
+    hw::HwConfig tight = u.config;
+    tight.slots_per_rpau = 6;
+    CompilerOptions options;
+    options.hw = tight;
+    const CompiledCircuit spilling =
+        compiler::compileCircuit(u.params, circuit, options);
+    ASSERT_GT(spilling.segments.size(), 1u);
+    const hw::PolyId spilled_record = firstSegmentRelease(spilling);
+    ASSERT_NE(spilled_record, hw::kNoPoly);
+    hw::Coprocessor cp2(u.params, tight, &u.rlk);
+    EXPECT_EQ(compiler::runCompiledCircuit(cp2, spilling, inputs),
+              reference);
+    EXPECT_THROW(cp2.memory().record(spilled_record),
+                 hw::InvalidRecordError);
+}
+
+TEST(Compiler, ResidentInputsBeyondTheMemoryFileAreFatal)
+{
+    // Eight resident level-0 pairs need 48 slots; the memory file
+    // holds 24. The compiler reports the slot pressure as a FatalError.
+    Universe u(43);
+    CircuitBuilder b;
+    ValueId acc = b.input();
+    for (int k = 1; k < 8; ++k)
+        acc = b.add(acc, b.input());
+    b.output(acc);
+    CompilerOptions options;
+    options.hw = u.config;
+    options.hw.slots_per_rpau = 6;
+    ASSERT_EQ(options.hw.n_rpaus * options.hw.slots_per_rpau, 24u);
+    options.resident_inputs = {0, 1, 2, 3, 4, 5, 6, 7};
+    try {
+        compiler::compileCircuit(u.params, b.build(), options);
+        FAIL() << "expected a FatalError";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("resident input"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("slots"), std::string::npos) << msg;
+    }
+}
+
 TEST(Compiler, AllocationFailureReportsSlotPressure)
 {
     Universe u(37);

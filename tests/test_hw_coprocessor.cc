@@ -30,6 +30,7 @@
 #include "hw/arm_host.h"
 #include "hw/coprocessor.h"
 #include "linalg/linalg.h"
+#include "memory_support.h"
 #include "ntt/ntt.h"
 #include "service/service.h"
 #include "simd/simd.h"
@@ -86,31 +87,52 @@ struct SmallRig
     HwConfig config;
 };
 
-TEST(MemoryFile, AllocationAccounting)
+TEST(MemoryFile, SlotLogShapesBindFinalRecords)
 {
     auto params = fv::FvParams::paper();
+    CountingAllocator alloc(*params, HwConfig::paper());
+    EXPECT_EQ(alloc.capacity(), 84u);
+    const PolyId a = alloc.allocate(BaseTag::kQ);
+    EXPECT_EQ(alloc.slotsInUse(), 6u);
+    const PolyId b = alloc.allocate(BaseTag::kFull, Layout::kNttDomain);
+    EXPECT_EQ(alloc.slotsInUse(), 19u);
+    alloc.extendToFull(a);
+    EXPECT_EQ(alloc.slotsInUse(), 26u);
+    alloc.release(b);
+    EXPECT_EQ(alloc.slotsInUse(), 13u);
+    EXPECT_EQ(alloc.peakSlots(), 26u);
+
+    const std::span<const SlotAction> log(alloc.actions());
+    const SlotLogShape shape = shapeSlotLog(*params, log);
+    EXPECT_EQ(shape.peak_slots, alloc.peakSlots());
+    ASSERT_EQ(shape.records.size(), 2u);
+    EXPECT_TRUE(shape.records[a].extended);
+    EXPECT_FALSE(shape.records[b].extended);
+
+    // A record is bound at its final shape: the q record a Lift
+    // extends spans the full base, its extension residues natural.
     MemoryFile mem(params, HwConfig::paper());
-    EXPECT_EQ(mem.capacity(), 84u);
-    PolyId a = mem.allocate(BaseTag::kQ);
-    EXPECT_EQ(mem.slotsInUse(), 6u);
-    PolyId b = mem.allocate(BaseTag::kFull);
-    EXPECT_EQ(mem.slotsInUse(), 19u);
-    mem.extendToFull(a);
-    EXPECT_EQ(mem.slotsInUse(), 26u);
-    mem.release(b);
-    EXPECT_EQ(mem.slotsInUse(), 13u);
-    EXPECT_EQ(mem.peakSlots(), 26u);
-    // Released records stay readable.
-    EXPECT_NO_THROW(mem.record(b));
-    mem.free(a);
-    EXPECT_THROW(mem.record(a), PanicError);
+    mem.bind(log, shape);
+    EXPECT_EQ(mem.record(a).base, BaseTag::kFull);
+    EXPECT_EQ(mem.record(a).layout.size(), 13u);
+    EXPECT_EQ(mem.record(a).data.size(), 13 * params->degree());
+    EXPECT_EQ(mem.record(b).layout,
+              std::vector<Layout>(13, Layout::kNttDomain));
+
+    // Returning the released record's buffer unbinds it.
+    mem.unbind(log);
+    EXPECT_NO_THROW(mem.record(a));
+    EXPECT_THROW(mem.record(b), InvalidRecordError);
 }
 
 TEST(MemoryFile, InvalidRecordAccessNamesTheRecord)
 {
     auto params = fv::FvParams::paper();
+    CountingAllocator alloc(*params, HwConfig::paper());
+    const PolyId a = alloc.allocate(BaseTag::kQ);
+    alloc.release(a);
     MemoryFile mem(params, HwConfig::paper());
-    const PolyId a = mem.allocate(BaseTag::kQ);
+    replaySlotActions(mem, alloc.actions());
 
     // Out-of-range id: the error carries the id and the record count.
     try {
@@ -123,99 +145,111 @@ TEST(MemoryFile, InvalidRecordAccessNamesTheRecord)
             << e.what();
     }
 
-    // Freed record: same typed error, different cause in the message.
-    mem.free(a);
+    // Returned record: same typed error, different cause in the message.
+    mem.unbind(alloc.actions());
     try {
         mem.record(a);
-        FAIL() << "freed-record access must throw";
+        FAIL() << "returned-record access must throw";
     } catch (const InvalidRecordError &e) {
         EXPECT_EQ(e.id(), a);
-        EXPECT_NE(std::string(e.what()).find("freed"),
+        EXPECT_NE(std::string(e.what()).find("not bound"),
                   std::string::npos)
             << e.what();
     }
 
     // The typed error still is a PanicError, so existing broad
     // handlers keep working.
-    EXPECT_THROW(mem.exportPoly(a), PanicError);
+    EXPECT_THROW(mem.exportQBase(a), PanicError);
 }
 
-TEST(MemoryFile, ExhaustionIsFatal)
+TEST(MemoryFile, OversubscribedLogIsFatal)
 {
+    // A log the verifier only warned about can ask for more slots than
+    // the memory file holds: binding it is a typed error.
     auto params = fv::FvParams::paper();
-    MemoryFile mem(params, HwConfig::paper());
     // 84 slots / 13 per full poly = 6 polys fit, the 7th does not.
-    for (int i = 0; i < 6; ++i)
-        mem.allocate(BaseTag::kFull);
-    EXPECT_THROW(mem.allocate(BaseTag::kFull), FatalError);
+    std::vector<SlotAction> log;
+    for (PolyId id = 0; id < 7; ++id)
+        log.push_back(SlotAction{SlotAction::Kind::kAllocate, id,
+                                 BaseTag::kFull, Layout::kNatural, 0});
+    MemoryFile mem(params, HwConfig::paper());
+    EXPECT_THROW(replaySlotActions(mem, log), FatalError);
+    log.pop_back();
+    EXPECT_NO_THROW(replaySlotActions(mem, log));
 }
 
-TEST(MemoryFile, ReusedBuffersReadAsZeroAfterReset)
+TEST(MemoryFile, PooledBuffersReadAsZero)
 {
-    // reset() keeps the dropped records' buffers for later allocations;
-    // a reused buffer must still read as a freshly zeroed record.
+    // reset() returns the records' buffers to the pool; a record bound
+    // over a pooled buffer must still read as zero.
     SmallRig rig;
     MemoryFile mem(rig.params, rig.config);
-    ntt::RnsPoly poly(rig.params->qBase(), rig.params->degree());
-    for (auto &x : poly.data())
-        x = 1;
-    const PolyId q = mem.import(poly, Layout::kNatural);
-    mem.extendToFull(q);
-    mem.import(poly, Layout::kNatural);
+    testing::TestRecords recs(mem);
+    for (const auto &base : {rig.params->fullBase(), rig.params->qBase()}) {
+        ntt::RnsPoly poly(base, rig.params->degree());
+        for (auto &x : poly.data())
+            x = 1;
+        recs.upload(poly);
+    }
     mem.reset();
 
-    const PolyId full = mem.allocate(BaseTag::kFull);
-    const PolyId small = mem.allocate(BaseTag::kQ);
-    EXPECT_EQ(full, 0u);
-    for (const PolyId id : {full, small}) {
+    const std::vector<SlotAction> log = {
+        {SlotAction::Kind::kAllocate, 0, BaseTag::kFull, Layout::kNatural,
+         0},
+        {SlotAction::Kind::kAllocate, 1, BaseTag::kQ, Layout::kNatural, 0}};
+    replaySlotActions(mem, log);
+    for (const PolyId id : {PolyId(0), PolyId(1)}) {
         const PolyRecord &rec = mem.record(id);
         EXPECT_EQ(rec.data.size(),
-                  mem.liveResidues(rec.base, 0) * rig.params->degree());
+                  rec.layout.size() * rig.params->degree());
         EXPECT_TRUE(std::all_of(rec.data.begin(), rec.data.end(),
                                 [](uint64_t x) { return x == 0; }))
             << "record " << id;
     }
+    EXPECT_EQ(mem.record(0).layout.size(),
+              rig.params->fullBase()->size());
 }
 
 TEST(MemoryFile, ResetToPinnedKeepsPinnedData)
 {
     SmallRig rig;
     MemoryFile mem(rig.params, rig.config);
+    testing::TestRecords recs(mem);
     ntt::RnsPoly pinned(rig.params->qBase(), rig.params->degree());
     ntt::RnsPoly dropped(rig.params->qBase(), rig.params->degree());
     for (size_t i = 0; i < pinned.data().size(); ++i) {
         pinned.data()[i] = i % 7 + 1;
         dropped.data()[i] = i % 5 + 1;
     }
-    const PolyId keep = mem.import(pinned, Layout::kNatural);
-    mem.import(dropped, Layout::kNatural);
+    const PolyId keep = recs.upload(pinned);
+    const PolyId drop = recs.upload(dropped);
     mem.setPinnedRecords(1);
     mem.resetToPinned();
 
-    EXPECT_EQ(mem.exportPoly(keep).data(), pinned.data());
-    EXPECT_EQ(mem.slotsInUse(), rig.params->qBase()->size());
-    const PolyId fresh = mem.allocate(BaseTag::kQ);
-    EXPECT_EQ(fresh, 1u);
+    EXPECT_EQ(mem.exportQBase(keep).data(), pinned.data());
+    EXPECT_THROW(mem.record(drop), InvalidRecordError);
+    const PolyId fresh = recs.zero(BaseTag::kQ);
     const std::vector<uint64_t> &data = mem.record(fresh).data;
     EXPECT_TRUE(std::all_of(data.begin(), data.end(),
                             [](uint64_t x) { return x == 0; }));
 }
 
-TEST(MemoryFile, SlotReplayOnDirtyMemoryFilePanics)
+TEST(MemoryFile, BindingOverBoundRecordsPanics)
 {
-    // A compiled program's slot log only replays onto a freshly reset
-    // memory file; replaying over live records must be rejected, not
-    // silently bind the program to the wrong slots.
+    // A compiled program's records bind onto a reset memory file;
+    // binding over live records must be rejected, not silently alias
+    // the program's records with them.
     SmallRig rig;
     const compiler::CompiledCircuit add = compiler::compileOpCircuit(
         rig.params, compiler::NodeKind::kAdd, rig.config);
     MemoryFile mem(rig.params, rig.config);
-    mem.allocate(BaseTag::kQ);
+    testing::TestRecords recs(mem);
+    recs.zero(BaseTag::kQ);
     try {
         replaySlotActions(mem, add.slot_actions);
-        FAIL() << "replay onto a dirty memory file must panic";
+        FAIL() << "binding over a bound record must panic";
     } catch (const PanicError &e) {
-        EXPECT_NE(std::string(e.what()).find("slot replay diverged"),
+        EXPECT_NE(std::string(e.what()).find("already bound"),
                   std::string::npos)
             << e.what();
     }
@@ -227,14 +261,15 @@ TEST(MemoryFile, ImportExportRoundTrip)
 {
     SmallRig rig;
     MemoryFile mem(rig.params, rig.config);
+    testing::TestRecords recs(mem);
     ntt::RnsPoly poly(rig.params->qBase(), rig.params->degree());
     Xoshiro256 rng(7);
     for (size_t i = 0; i < poly.residueCount(); ++i) {
         for (auto &x : poly.residue(i))
             x = rng.uniformBelow(rig.params->qBase()->modulus(i).value());
     }
-    PolyId id = mem.import(poly, Layout::kNatural);
-    EXPECT_EQ(mem.exportPoly(id).data(), poly.data());
+    PolyId id = recs.upload(poly);
+    EXPECT_EQ(mem.exportQBase(id).data(), poly.data());
 }
 
 TEST(CompiledMult, MatchesTableIIInstructionMix)
@@ -407,14 +442,14 @@ TEST(CoprocessorFunctional, ScaleRejectsShortRecords)
     SmallRig rig;
     Coprocessor cp(rig.params, rig.config);
     MemoryFile &mem = cp.memory();
+    testing::TestRecords recs(mem);
     const size_t kq = rig.params->qPrimeCount(0);
-    const PolyId src = mem.allocate(BaseTag::kFull);
-    const PolyId dst = mem.allocate(BaseTag::kQ);
+    const PolyId src = recs.zero(BaseTag::kFull);
+    const PolyId dst = recs.zero(BaseTag::kQ);
     std::vector<PolyId> digits;
     for (size_t d = 0; d + 1 < kq; ++d)
-        digits.push_back(mem.allocate(BaseTag::kQ));
-    mem.setLevel(1);
-    const PolyId shallow = mem.allocate(BaseTag::kQ);
+        digits.push_back(recs.zero(BaseTag::kQ));
+    const PolyId shallow = recs.zero(BaseTag::kQ, 1);
     Xoshiro256 rng(7);
     fillRandom(*rig.params, mem, src, rng);
 
@@ -434,8 +469,7 @@ TEST(CoprocessorFunctional, ScaleRejectsShortRecords)
         << "dst was written before the digit records were checked";
 
     // The automorphism's dst and digit broadcast have the same contract.
-    mem.setLevel(0);
-    const PolyId q_src = mem.allocate(BaseTag::kQ);
+    const PolyId q_src = recs.zero(BaseTag::kQ);
     fillRandom(*rig.params, mem, q_src, rng);
     Instruction automorph;
     automorph.op = Opcode::kAutomorph;
@@ -545,8 +579,8 @@ TEST_P(BatchedUnits, LiftMatchesPerCoefficientConvert)
     for (simd::Level l : availableLevels()) {
         simd::setLevel(l);
         MemoryFile mem(params, config);
-        mem.setLevel(level);
-        const PolyId id = mem.allocate(BaseTag::kQ);
+        testing::TestRecords recs(mem);
+        const PolyId id = recs.zero(BaseTag::kFull, level);
         Xoshiro256 rng(200 + level);
         fillRandom(*params, mem, id, rng);
         std::vector<uint64_t> want = mem.record(id).data;
@@ -576,12 +610,12 @@ TEST_P(BatchedUnits, ScaleWithDigitsMatchesPerCoefficientModel)
     for (simd::Level l : availableLevels()) {
         simd::setLevel(l);
         MemoryFile mem(params, config);
-        mem.setLevel(level);
-        const PolyId src = mem.allocate(BaseTag::kFull);
-        const PolyId dst = mem.allocate(BaseTag::kQ);
+        testing::TestRecords recs(mem);
+        const PolyId src = recs.zero(BaseTag::kFull, level);
+        const PolyId dst = recs.zero(BaseTag::kQ, level);
         std::vector<PolyId> digits;
         for (size_t d = 0; d < kq; ++d)
-            digits.push_back(mem.allocate(BaseTag::kQ));
+            digits.push_back(recs.zero(BaseTag::kQ, level));
         Xoshiro256 rng(300 + level);
         fillRandom(*params, mem, src, rng);
 
@@ -621,10 +655,9 @@ TEST_P(BatchedUnits, ModSwitchMatchesPerCoefficientRounder)
     for (simd::Level l : availableLevels()) {
         simd::setLevel(l);
         MemoryFile mem(params, config);
-        mem.setLevel(level);
-        const PolyId src = mem.allocate(BaseTag::kQ);
-        mem.setLevel(level + 1);
-        const PolyId dst = mem.allocate(BaseTag::kQ);
+        testing::TestRecords recs(mem);
+        const PolyId src = recs.zero(BaseTag::kQ, level);
+        const PolyId dst = recs.zero(BaseTag::kQ, level + 1);
         Xoshiro256 rng(400 + level);
         fillRandom(*params, mem, src, rng);
 
@@ -654,12 +687,12 @@ TEST_P(BatchedUnits, AutomorphDigitsMatchPerCoefficientReduce)
         simd::setLevel(l);
         Coprocessor cp(params, config);
         MemoryFile &mem = cp.memory();
-        mem.setLevel(level);
-        const PolyId src = mem.allocate(BaseTag::kQ);
-        const PolyId dst = mem.allocate(BaseTag::kQ);
+        testing::TestRecords recs(mem);
+        const PolyId src = recs.zero(BaseTag::kQ, level);
+        const PolyId dst = recs.zero(BaseTag::kQ, level);
         std::vector<PolyId> digits;
         for (size_t d = 0; d < kq; ++d)
-            digits.push_back(mem.allocate(BaseTag::kQ));
+            digits.push_back(recs.zero(BaseTag::kQ, level));
         Xoshiro256 rng(500 + level);
         fillRandom(*params, mem, src, rng);
 
@@ -722,10 +755,10 @@ TEST_P(BatchedUnits, NttDomainAutomorphMatchesTransformRoute)
         simd::setLevel(l);
         Coprocessor cp(params, config);
         MemoryFile &mem = cp.memory();
-        mem.setLevel(level);
-        const PolyId src = mem.allocate(BaseTag::kQ);
+        testing::TestRecords recs(mem);
+        const PolyId src = recs.zero(BaseTag::kQ, level);
         // A full-base dst: the residues past kq must stay untouched.
-        const PolyId dst = mem.allocate(BaseTag::kFull);
+        const PolyId dst = recs.zero(BaseTag::kFull, level);
         Xoshiro256 rng(900 + level);
         fillRandom(*params, mem, src, rng);
         fillRandom(*params, mem, dst, rng);

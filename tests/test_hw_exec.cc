@@ -17,6 +17,7 @@
 #include "compiler/compiler.h"
 #include "fv/params.h"
 #include "hw/coprocessor.h"
+#include "memory_support.h"
 #include "ntt/ntt.h"
 
 namespace heat::hw {
@@ -35,6 +36,7 @@ struct ExecRig
         config = HwConfig::paper();
         config.n_rpaus = 4;
         cp = std::make_unique<Coprocessor>(params, config);
+        recs = std::make_unique<testing::TestRecords>(cp->memory());
     }
 
     ntt::RnsPoly
@@ -73,13 +75,14 @@ struct ExecRig
     std::shared_ptr<const fv::FvParams> params;
     HwConfig config;
     std::unique_ptr<Coprocessor> cp;
+    std::unique_ptr<testing::TestRecords> recs;
 };
 
 TEST(HwExec, NttInstructionMatchesSoftwareNtt)
 {
     ExecRig rig;
     ntt::RnsPoly poly = rig.randomQPoly(1);
-    PolyId id = rig.cp->uploadPoly(poly);
+    PolyId id = rig.recs->upload(poly);
     rig.run({ExecRig::instr(Opcode::kRearrange, id),
              ExecRig::instr(Opcode::kNtt, id)});
 
@@ -92,7 +95,7 @@ TEST(HwExec, InttUndoesNtt)
 {
     ExecRig rig;
     ntt::RnsPoly poly = rig.randomQPoly(2);
-    PolyId id = rig.cp->uploadPoly(poly);
+    PolyId id = rig.recs->upload(poly);
     rig.run({ExecRig::instr(Opcode::kRearrange, id),
              ExecRig::instr(Opcode::kNtt, id),
              ExecRig::instr(Opcode::kIntt, id),
@@ -106,11 +109,11 @@ TEST(HwExec, CoeffOpsMatchSoftware)
     ExecRig rig;
     ntt::RnsPoly a = rig.randomQPoly(3);
     ntt::RnsPoly b = rig.randomQPoly(4);
-    PolyId ia = rig.cp->uploadPoly(a);
-    PolyId ib = rig.cp->uploadPoly(b);
-    PolyId sum = rig.cp->memory().allocate(BaseTag::kQ);
-    PolyId diff = rig.cp->memory().allocate(BaseTag::kQ);
-    PolyId prod = rig.cp->memory().allocate(BaseTag::kQ);
+    PolyId ia = rig.recs->upload(a);
+    PolyId ib = rig.recs->upload(b);
+    PolyId sum = rig.recs->zero(BaseTag::kQ);
+    PolyId diff = rig.recs->zero(BaseTag::kQ);
+    PolyId prod = rig.recs->zero(BaseTag::kQ);
 
     rig.run({ExecRig::instr(Opcode::kCoeffAdd, sum, ia, ib),
              ExecRig::instr(Opcode::kCoeffSub, diff, ia, ib),
@@ -137,7 +140,7 @@ TEST(HwExec, LiftInstructionMatchesConverter)
 {
     ExecRig rig;
     ntt::RnsPoly poly = rig.randomQPoly(5);
-    PolyId id = rig.cp->uploadPoly(poly);
+    PolyId id = rig.recs->forLift(poly);
     rig.run({ExecRig::instr(Opcode::kLift, id)});
 
     const auto &conv = rig.params->liftConverter();
@@ -161,12 +164,12 @@ TEST(HwExec, ScaleDigitsBroadcastResidues)
     ExecRig rig;
     // Build a full-base polynomial via lift, then scale with digits.
     ntt::RnsPoly poly = rig.randomQPoly(6);
-    PolyId src = rig.cp->uploadPoly(poly);
-    PolyId dst = rig.cp->memory().allocate(BaseTag::kQ);
+    PolyId src = rig.recs->forLift(poly);
+    PolyId dst = rig.recs->zero(BaseTag::kQ);
     const size_t kq = rig.params->qBase()->size();
     std::vector<PolyId> digits;
     for (size_t i = 0; i < kq; ++i)
-        digits.push_back(rig.cp->memory().allocate(BaseTag::kQ));
+        digits.push_back(rig.recs->zero(BaseTag::kQ));
 
     Instruction scale = ExecRig::instr(Opcode::kScale, dst, src);
     scale.extra = digits;
@@ -192,7 +195,7 @@ TEST(HwExec, ScaleDigitsBroadcastResidues)
 TEST(HwExec, NttWithoutRearrangePanics)
 {
     ExecRig rig;
-    PolyId id = rig.cp->uploadPoly(rig.randomQPoly(7));
+    PolyId id = rig.recs->upload(rig.randomQPoly(7));
     Program p;
     p.instrs = {ExecRig::instr(Opcode::kNtt, id)};
     EXPECT_THROW(rig.cp->execute(p), PanicError);
@@ -201,7 +204,7 @@ TEST(HwExec, NttWithoutRearrangePanics)
 TEST(HwExec, RearrangeOnNttDomainPanics)
 {
     ExecRig rig;
-    PolyId id = rig.cp->uploadPoly(rig.randomQPoly(8));
+    PolyId id = rig.recs->upload(rig.randomQPoly(8));
     Program good;
     good.instrs = {ExecRig::instr(Opcode::kRearrange, id),
                    ExecRig::instr(Opcode::kNtt, id)};
@@ -214,9 +217,9 @@ TEST(HwExec, RearrangeOnNttDomainPanics)
 TEST(HwExec, CoeffOpLayoutMismatchPanics)
 {
     ExecRig rig;
-    PolyId a = rig.cp->uploadPoly(rig.randomQPoly(9));
-    PolyId b = rig.cp->uploadPoly(rig.randomQPoly(10));
-    PolyId c = rig.cp->memory().allocate(BaseTag::kQ);
+    PolyId a = rig.recs->upload(rig.randomQPoly(9));
+    PolyId b = rig.recs->upload(rig.randomQPoly(10));
+    PolyId c = rig.recs->zero(BaseTag::kQ);
     // Transform only a: layouts now differ.
     Program prep;
     prep.instrs = {ExecRig::instr(Opcode::kRearrange, a),
@@ -230,8 +233,8 @@ TEST(HwExec, CoeffOpLayoutMismatchPanics)
 TEST(HwExec, ScaleRequiresNaturalOrder)
 {
     ExecRig rig;
-    PolyId src = rig.cp->uploadPoly(rig.randomQPoly(11));
-    PolyId dst = rig.cp->memory().allocate(BaseTag::kQ);
+    PolyId src = rig.recs->forLift(rig.randomQPoly(11));
+    PolyId dst = rig.recs->zero(BaseTag::kQ);
     Program prep;
     prep.instrs = {ExecRig::instr(Opcode::kLift, src),
                    ExecRig::instr(Opcode::kRearrange, src, kNoPoly,
@@ -245,8 +248,8 @@ TEST(HwExec, ScaleRequiresNaturalOrder)
 TEST(HwExec, KeyLoadWithoutKeysPanics)
 {
     ExecRig rig; // no RelinKeys attached
-    PolyId k0 = rig.cp->memory().allocate(BaseTag::kQ);
-    PolyId k1 = rig.cp->memory().allocate(BaseTag::kQ);
+    PolyId k0 = rig.recs->zero(BaseTag::kQ);
+    PolyId k1 = rig.recs->zero(BaseTag::kQ);
     Instruction load = ExecRig::instr(Opcode::kKeyLoad, kNoPoly);
     load.extra = {k0, k1};
     Program p;
@@ -258,7 +261,7 @@ TEST(HwExec, BatchOneTouchesOnlyExtensionResidues)
 {
     ExecRig rig;
     ntt::RnsPoly poly = rig.randomQPoly(12);
-    PolyId id = rig.cp->uploadPoly(poly);
+    PolyId id = rig.recs->forLift(poly);
     Program p;
     p.instrs = {ExecRig::instr(Opcode::kLift, id),
                 ExecRig::instr(Opcode::kRearrange, id, kNoPoly, kNoPoly, 1),
@@ -283,19 +286,22 @@ TEST(HwExec, BatchOneTouchesOnlyExtensionResidues)
 TEST(HwExec, ExecStatsAccumulateCorrectly)
 {
     ExecRig rig;
-    PolyId a = rig.cp->uploadPoly(rig.randomQPoly(13));
-    PolyId b = rig.cp->uploadPoly(rig.randomQPoly(14));
-    PolyId c = rig.cp->memory().allocate(BaseTag::kQ);
+    PolyId a = rig.recs->upload(rig.randomQPoly(13));
+    PolyId b = rig.recs->upload(rig.randomQPoly(14));
+    PolyId c = rig.recs->zero(BaseTag::kQ);
     Program p;
     p.instrs = {ExecRig::instr(Opcode::kCoeffAdd, c, a, b),
                 ExecRig::instr(Opcode::kCoeffAdd, c, c, b),
                 ExecRig::instr(Opcode::kRearrange, c)};
     ExecStats stats = rig.cp->execute(p);
-    EXPECT_EQ(stats.per_op[Opcode::kCoeffAdd].calls, 2u);
-    EXPECT_EQ(stats.per_op[Opcode::kRearrange].calls, 1u);
+    EXPECT_EQ(stats.instructions, 3u);
+    Cycle unit_sum = 0;
+    for (Cycle c : stats.unit_cycles)
+        unit_sum += c;
+    EXPECT_EQ(unit_sum, stats.fpga_cycles);
     EXPECT_EQ(stats.fpga_cycles,
-              stats.per_op[Opcode::kCoeffAdd].fpga_cycles +
-                  stats.per_op[Opcode::kRearrange].fpga_cycles);
+              2 * rig.cp->instructionCycles(p.instrs[0]) +
+                  rig.cp->instructionCycles(p.instrs[2]));
     EXPECT_DOUBLE_EQ(stats.dma_us, 0.0);
 }
 
@@ -336,7 +342,8 @@ TEST(HwExec, TraditionalArchIsFunctionallyEquivalent)
     Coprocessor cp_trad(rig.params, trad);
 
     ntt::RnsPoly poly = rig.randomQPoly(15);
-    PolyId id = cp_trad.uploadPoly(poly);
+    testing::TestRecords recs(cp_trad.memory());
+    PolyId id = recs.forLift(poly);
     Program p;
     p.instrs = {ExecRig::instr(Opcode::kLift, id)};
     cp_trad.execute(p);

@@ -384,6 +384,61 @@ TEST(Verify, CatchesUseAfterConsume)
     EXPECT_NE(d.action, verify::kNoIndex);
 }
 
+// 11a-d. Segment slot-action ranges: the executor binds a segment's
+//        allocations before it runs and returns its releases after its
+//        downloads, so the ranges must tile the log and cover every
+//        record's touches.
+TEST(Verify, CatchesNonMonotoneSegmentRanges)
+{
+    CompiledCircuit c = spillCircuit();
+    ASSERT_GT(c.segments.size(), 1u);
+    ASSERT_GT(c.segments[0].action_end, c.resident_action_count);
+    c.segments[1].action_end = c.segments[0].action_end - 1;
+    const Diagnostic d = expectViolation(c, Invariant::kSlotLog);
+    EXPECT_NE(d.message.find("not monotone"), std::string::npos)
+        << d.str();
+    EXPECT_EQ(d.segment, 1u);
+}
+
+TEST(Verify, CatchesSegmentRangesEndingBeforeTheLog)
+{
+    CompiledCircuit c = spillCircuit();
+    ASSERT_GT(c.segments.size(), 1u);
+    ASSERT_GT(c.segments.back().action_end,
+              c.segments[c.segments.size() - 2].action_end);
+    --c.segments.back().action_end;
+    const Diagnostic d = expectViolation(c, Invariant::kSlotLog);
+    EXPECT_NE(d.message.find("end before the log"), std::string::npos)
+        << d.str();
+}
+
+TEST(Verify, CatchesRecordBoundAfterItsFirstTouch)
+{
+    // Segment 0's allocations slide into segment 1's range.
+    CompiledCircuit c = spillCircuit();
+    ASSERT_GT(c.segments.size(), 1u);
+    c.segments[0].action_end = c.resident_action_count;
+    const Diagnostic d = expectViolation(c, Invariant::kSlotLog);
+    EXPECT_NE(d.message.find("bound after its first touch"),
+              std::string::npos)
+        << d.str();
+    EXPECT_EQ(d.segment, 0u);
+    EXPECT_NE(d.record, hw::kNoPoly);
+}
+
+TEST(Verify, CatchesRecordReturnedBeforeItsLastTouch)
+{
+    // Segment 1's releases slide into segment 0's range.
+    CompiledCircuit c = spillCircuit();
+    ASSERT_GT(c.segments.size(), 1u);
+    c.segments[0].action_end = c.segments[1].action_end;
+    const Diagnostic d = expectViolation(c, Invariant::kSlotLog);
+    EXPECT_NE(d.message.find("returned before its last touch"),
+              std::string::npos)
+        << d.str();
+    EXPECT_EQ(d.segment, 1u);
+}
+
 // 12. Undeclared Galois element on an automorphism.
 TEST(Verify, CatchesUndeclaredGaloisElement)
 {
