@@ -19,6 +19,7 @@
  * strictly above unfused.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <vector>
@@ -129,31 +130,45 @@ main(int argc, char **argv)
     // --- static-verifier overhead ---------------------------------------
     // The abstract interpreter runs on every compile (kWarn/kReject)
     // and every service admission; it must stay a small fraction of
-    // the compile it guards.
-    const size_t reps = 10;
+    // the compile it guards. Compiles and verifies alternate in
+    // blocks, and the overhead is the median of the blocks' ratios, so
+    // host noise during one block moves one ratio, not the figure.
+    constexpr size_t kBlocks = 9;
+    constexpr size_t kReps = 10;
     compiler::CompilerOptions unverified = options;
     unverified.verify = compiler::VerifyCheck::kOff;
-    const auto c0 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < reps; ++i)
-        compiler::compileCircuit(params, circuit, unverified);
-    const auto c1 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < reps; ++i) {
-        const verify::VerifyResult vr =
-            verify::verifyCompiledCircuit(compiled);
-        if (!vr.ok()) {
-            std::fprintf(stderr, "bench circuit failed verification:\n%s\n",
-                         vr.report().c_str());
-            return 1;
+    double compile_s = 0.0;
+    double verify_s = 0.0;
+    std::vector<double> ratios;
+    for (size_t block = 0; block < kBlocks; ++block) {
+        const auto c0 = std::chrono::steady_clock::now();
+        for (size_t i = 0; i < kReps; ++i)
+            compiler::compileCircuit(params, circuit, unverified);
+        const auto c1 = std::chrono::steady_clock::now();
+        for (size_t i = 0; i < kReps; ++i) {
+            const verify::VerifyResult vr =
+                verify::verifyCompiledCircuit(compiled);
+            if (!vr.ok()) {
+                std::fprintf(stderr,
+                             "bench circuit failed verification:\n%s\n",
+                             vr.report().c_str());
+                return 1;
+            }
         }
+        const auto c2 = std::chrono::steady_clock::now();
+        const double block_compile_s =
+            std::chrono::duration<double>(c1 - c0).count();
+        const double block_verify_s =
+            std::chrono::duration<double>(c2 - c1).count();
+        compile_s += block_compile_s;
+        verify_s += block_verify_s;
+        ratios.push_back(block_verify_s / block_compile_s);
     }
-    const auto c2 = std::chrono::steady_clock::now();
-    const double compile_us =
-        std::chrono::duration<double, std::micro>(c1 - c0).count() /
-        static_cast<double>(reps);
-    const double verify_us =
-        std::chrono::duration<double, std::micro>(c2 - c1).count() /
-        static_cast<double>(reps);
-    const double verify_overhead_pct = 100.0 * verify_us / compile_us;
+    std::nth_element(ratios.begin(), ratios.begin() + kBlocks / 2,
+                     ratios.end());
+    const double compile_us = compile_s * 1e6 / (kBlocks * kReps);
+    const double verify_us = verify_s * 1e6 / (kBlocks * kReps);
+    const double verify_overhead_pct = 100.0 * ratios[kBlocks / 2];
 
     bench::printHeader("circuit fusion: depth-4 demo circuit "
                        "(8 ops, paper parameters)");

@@ -38,11 +38,19 @@ attributeCompiledCircuit(const CompiledCircuit &compiled,
             s < compiled.instr_nodes.size() ? &compiled.instr_nodes[s]
                                             : nullptr;
         std::vector<RunPhase> &phases = segment_phases.emplace_back();
+        std::vector<hw::InstrCost> &costs = out.instr_costs.emplace_back();
         hw::Cycle run_cycles = 0;
-        const auto closeRun = [&] {
+        size_t run_begin = 0;
+        // A key load is DMA time only (CostModel prices it no compute
+        // cycles): a run closed at one ends before it, the next starts
+        // after it.
+        const auto closeRun = [&](size_t end) {
             if (run_cycles > 0)
-                phases.push_back({compiled.hw.cyclesToUs(run_cycles), false});
+                phases.push_back({RunPhase::Kind::kCompute,
+                                  compiled.hw.cyclesToUs(run_cycles), s,
+                                  run_begin, end, run_cycles});
             run_cycles = 0;
+            run_begin = end + 1;
         };
         // Summed per segment, as a run adds each program's ExecStats,
         // so the double total matches the run's dma_us bit for bit.
@@ -50,6 +58,7 @@ attributeCompiledCircuit(const CompiledCircuit &compiled,
         for (size_t k = 0; k < program.instrs.size(); ++k) {
             const hw::Instruction &instr = program.instrs[k];
             const hw::InstrCost cost = model.cost(instr.op, levelOf(instr));
+            costs.push_back(cost);
             out.compute_cycles += cost.cycles;
             device.unit_cycles[static_cast<size_t>(hw::unitOf(instr.op))] +=
                 cost.cycles;
@@ -66,8 +75,8 @@ attributeCompiledCircuit(const CompiledCircuit &compiled,
             }
             segment_dma_us += cost.dma_us;
             if (cost.dma_us > 0.0) {
-                closeRun();
-                phases.push_back({cost.dma_us, true});
+                closeRun(k);
+                phases.push_back({RunPhase::Kind::kKeyLoad, cost.dma_us, s, k});
             }
         }
         device.instructions += program.instrs.size();
@@ -78,7 +87,7 @@ attributeCompiledCircuit(const CompiledCircuit &compiled,
             run_cycles += dispatch;
             ++device.dispatches;
         }
-        closeRun();
+        closeRun(program.instrs.size());
     }
     device.fpga_cycles = out.compute_cycles + out.dispatch_cycles;
 
@@ -91,7 +100,7 @@ attributeCompiledCircuit(const CompiledCircuit &compiled,
             p.totals.uploaded_polys += 2 * resident;
             const double us = host.sendPolysUs(2 * resident);
             p.totals.host_us += us;
-            p.timeline.push_back({us, true});
+            p.timeline.push_back({RunPhase::Kind::kResidentUpload, us});
         }
         for (size_t s = 0; s < compiled.segments.size(); ++s) {
             const Segment &seg = compiled.segments[s];
@@ -99,7 +108,7 @@ attributeCompiledCircuit(const CompiledCircuit &compiled,
             double upload_us = 0.0;
             if (!seg.uploads.empty()) {
                 upload_us = host.sendPolysUs(seg.uploads.size());
-                p.timeline.push_back({upload_us, true});
+                p.timeline.push_back({RunPhase::Kind::kUpload, upload_us, s});
             }
             p.timeline.insert(p.timeline.end(), segment_phases[s].begin(),
                               segment_phases[s].end());
@@ -107,7 +116,8 @@ attributeCompiledCircuit(const CompiledCircuit &compiled,
             double download_us = 0.0;
             if (!seg.downloads.empty()) {
                 download_us = host.receivePolysUs(seg.downloads.size());
-                p.timeline.push_back({download_us, true});
+                p.timeline.push_back(
+                    {RunPhase::Kind::kDownload, download_us, s});
             }
             // Summed as the run sums them (per instruction, one
             // round trip per segment), so the totals match to the bit.

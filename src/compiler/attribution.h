@@ -17,7 +17,7 @@
  *
  * This is the one place a compiled program is priced: the compiler
  * annotates nodes with it, the serving layer's modeled-time engine
- * replays its timelines, the paper-table benches read its
+ * places and traces its timelines, the paper-table benches read its
  * kPerInstruction price, and `heat_cli trace` cross-checks it against a
  * reference run (the exact-equality acceptance gate).
  */
@@ -35,10 +35,31 @@ namespace heat::compiler {
 /** One step of a run's modeled timeline. */
 struct RunPhase
 {
+    /** Resident upload (cold runs only), upload, FPGA compute, one
+     *  kKeyLoad burst, download. */
+    enum class Kind : uint8_t
+    {
+        kResidentUpload,
+        kUpload,
+        kCompute,
+        kKeyLoad,
+        kDownload
+    };
+
+    Kind kind = Kind::kCompute;
     double us = 0.0;
-    /** Held on the shared DMA engine (a host transfer or a key load),
-     *  else FPGA compute. */
-    bool dma = false;
+    /** The segment the phase belongs to (0 for the resident upload). */
+    size_t segment = 0;
+    /** kCompute: its instructions [begin, end); kKeyLoad: the key load
+     *  at begin. */
+    size_t begin = 0;
+    size_t end = 0;
+    /** kCompute: its cycles, Arm dispatch included; us ==
+     *  cyclesToUs(cycles). */
+    hw::Cycle cycles = 0;
+
+    /** Held on the shared DMA engine, else FPGA compute. */
+    bool dma() const { return kind != Kind::kCompute; }
 };
 
 /** Static price of one run of a compiled circuit. */
@@ -64,6 +85,8 @@ struct CircuitAttribution
      *  Equals cold for a circuit without resident inputs, every run of
      *  which is cold. */
     RunPrice warm;
+    /** Per segment, each instruction's price (Arm dispatch excluded). */
+    std::vector<std::vector<hw::InstrCost>> instr_costs;
     /** Compute cycles per opcode. */
     std::map<hw::Opcode, hw::Cycle> op_cycles;
     /** Compute cycles attributed to each circuit value id (nodes that

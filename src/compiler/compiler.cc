@@ -14,7 +14,6 @@
 #include "compiler/noise_pass.h"
 #include "hw/arm_host.h"
 #include "hw/program_builder.h"
-#include "obs/trace.h"
 #include "verify/verify.h"
 
 namespace heat::compiler {
@@ -939,24 +938,6 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
     CircuitRunStats run;
     run.segments = compiled.segments.size();
 
-    // Modeled-time tracing (see obs/trace.h): host-transfer spans are
-    // emitted here; cp.execute() emits the per-instruction spans and
-    // advances the shared thread-local modeled clock itself.
-    obs::Tracer *const tracer = obs::activeTracer();
-    const double trace_start_us = obs::modeledNowUs();
-    // Exact sum of every modeled advance under this span — reported as
-    // the run-circuit duration instead of end-minus-start, whose
-    // rounding depends on the worker clock's base value (determinism
-    // across worker counts).
-    double traced_us = 0.0;
-    const auto hostSpan = [&](const char *name, double dur_us) {
-        if (tracer == nullptr || dur_us <= 0.0)
-            return;
-        obs::recordModeledSpan(name, "host", obs::modeledNowUs(), dur_us);
-        obs::advanceModeledUs(dur_us);
-        traced_us += dur_us;
-    };
-
     // Record ids are memory-file addresses. Range 0 of the slot log
     // allocates the resident prefix; before segment s runs, the records
     // range s + 1 allocates are bound, and after its downloads the
@@ -1007,9 +988,7 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
         }
         if (resident_count > 0) {
             run.uploaded_polys += 2 * resident_count;
-            const double us = host.sendPolysUs(2 * resident_count);
-            run.host_us += us;
-            hostSpan("upload:resident", us);
+            run.host_us += host.sendPolysUs(2 * resident_count);
             memory.setPinnedRecords(2 * resident_count);
         }
     }
@@ -1034,14 +1013,10 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
             cp.uploadInto(up.slot, src);
         }
         run.uploaded_polys += seg.uploads.size();
-        double upload_us = 0.0;
-        if (!seg.uploads.empty()) {
-            upload_us = host.sendPolysUs(seg.uploads.size());
-            hostSpan("upload", upload_us);
-        }
+        const double upload_us =
+            seg.uploads.empty() ? 0.0 : host.sendPolysUs(seg.uploads.size());
 
         const hw::ExecStats es = cp.execute(seg.program, mode);
-        traced_us += es.traced_us;
         run.fpga_cycles += es.fpga_cycles;
         run.dma_us += es.dma_us;
         run.instructions += es.instructions;
@@ -1061,11 +1036,9 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
         }
         memory.unbind(ranges[s + 1]);
         run.downloaded_polys += seg.downloads.size();
-        double download_us = 0.0;
-        if (!seg.downloads.empty()) {
-            download_us = host.receivePolysUs(seg.downloads.size());
-            hostSpan("download", download_us);
-        }
+        const double download_us =
+            seg.downloads.empty() ? 0.0
+                                  : host.receivePolysUs(seg.downloads.size());
         // Dispatched per instruction, a segment is one host round trip,
         // charged as one sum.
         if (fused) {
@@ -1074,14 +1047,6 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
         } else {
             run.host_us += upload_us + download_us;
         }
-    }
-    if (tracer != nullptr) {
-        obs::recordModeledSpan(
-            warm ? "run-circuit:warm" : "run-circuit", "compiler",
-            trace_start_us, traced_us,
-            {{"segments", std::to_string(run.segments)},
-             {"instructions", std::to_string(run.instructions)},
-             {"fpga_cycles", std::to_string(run.fpga_cycles)}});
     }
 
     std::vector<fv::Ciphertext> outputs;

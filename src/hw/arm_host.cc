@@ -14,12 +14,6 @@ ArmHostModel::polyBytes() const
     return params_->qBase()->size() * params_->degree() * sizeof(uint32_t);
 }
 
-size_t
-ArmHostModel::ciphertextBytes() const
-{
-    return 2 * polyBytes();
-}
-
 double
 ArmHostModel::sendPolysUs(size_t count) const
 {
@@ -58,13 +52,6 @@ ArmHostModel::softwareAddUs() const
                        static_cast<double>(params_->qBase()->size()) *
                        static_cast<double>(params_->degree());
     return ops * config_.arm_sw_modadd_cycles / config_.arm_clock_hz * 1e6;
-}
-
-double
-ArmHostModel::dispatchUs() const
-{
-    return config_.cyclesToUs(
-        static_cast<Cycle>(config_.dispatch_overhead));
 }
 
 } // namespace heat::hw

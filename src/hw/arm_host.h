@@ -30,9 +30,6 @@ class ArmHostModel
     ArmHostModel(std::shared_ptr<const fv::FvParams> params,
                  const HwConfig &config);
 
-    /** Bytes of one ciphertext (two q polynomials). */
-    size_t ciphertextBytes() const;
-
     /** Bytes of one q polynomial. */
     size_t polyBytes() const;
 
@@ -51,9 +48,6 @@ class ArmHostModel
 
     /** Software FV.Add on one Arm core (us) — the Table I baseline. */
     double softwareAddUs() const;
-
-    /** Per-instruction dispatch overhead (us). */
-    double dispatchUs() const;
 
   private:
     std::shared_ptr<const fv::FvParams> params_;

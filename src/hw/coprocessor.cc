@@ -8,7 +8,6 @@
 #include "fv/galois.h"
 #include "hw/rpau.h"
 #include "ntt/ntt.h"
-#include "obs/trace.h"
 #include "simd/simd.h"
 
 namespace heat::hw {
@@ -108,38 +107,19 @@ Coprocessor::execute(const Program &program, DispatchMode mode)
 {
     const Cycle dispatch = static_cast<Cycle>(config_.dispatch_overhead);
     const bool fused = mode == DispatchMode::kFusedProgram;
-    // Modeled-time tracing: per-instruction spans on the thread-local
-    // modeled clock (deterministic — pure functions of the program and
-    // the cycle model, independent of host timing or worker count).
-    obs::Tracer *const tracer = obs::activeTracer();
-    const double t0 = obs::modeledNowUs();
     ExecStats stats;
     auto &unit_cycles = stats.unit_cycles;
     const auto arm = static_cast<size_t>(Unit::kArmUnit);
     for (const Instruction &instr : program.instrs) {
         exec(instr);
         const InstrCost cost = instructionCost(instr);
-        const Cycle compute = cost.cycles;
-        const Cycle cycles = fused ? compute : compute + dispatch;
-        const double dma_us = cost.dma_us;
-        stats.fpga_cycles += cycles;
-        stats.dma_us += dma_us;
-        unit_cycles[static_cast<size_t>(unitOf(instr.op))] += compute;
+        stats.fpga_cycles += fused ? cost.cycles : cost.cycles + dispatch;
+        stats.dma_us += cost.dma_us;
+        unit_cycles[static_cast<size_t>(unitOf(instr.op))] += cost.cycles;
         ++stats.instructions;
         if (!fused) {
             stats.dispatch_cycles += dispatch;
             unit_cycles[arm] += dispatch;
-        }
-        if (tracer != nullptr) {
-            const double dur = config_.cyclesToUs(cycles) + dma_us;
-            obs::recordModeledSpan(
-                opcodeName(instr.op), "hw.instr", obs::modeledNowUs(),
-                dur,
-                {{"unit", unitName(unitOf(instr.op))},
-                 {"cycles", std::to_string(cycles)},
-                 {"dma_us", std::to_string(dma_us)}});
-            obs::advanceModeledUs(dur);
-            stats.traced_us += dur;
         }
     }
     if (fused && !program.instrs.empty()) {
@@ -147,25 +127,6 @@ Coprocessor::execute(const Program &program, DispatchMode mode)
         stats.fpga_cycles += dispatch;
         stats.dispatch_cycles += dispatch;
         unit_cycles[arm] += dispatch;
-        if (tracer != nullptr) {
-            const double dur = config_.cyclesToUs(dispatch);
-            obs::recordModeledSpan("arm-dispatch", "hw",
-                                   obs::modeledNowUs(), dur,
-                                   {{"unit", unitName(Unit::kArmUnit)},
-                                    {"cycles", std::to_string(dispatch)}});
-            obs::advanceModeledUs(dur);
-            stats.traced_us += dur;
-        }
-    }
-    if (tracer != nullptr && !program.instrs.empty()) {
-        // Duration is the exact sum of the child durations, NOT
-        // end-minus-start: the difference picks up clock-base-dependent
-        // rounding, which would break trace determinism across workers.
-        obs::recordModeledSpan(
-            "program", "hw", t0, stats.traced_us,
-            {{"instructions", std::to_string(stats.instructions)},
-             {"fpga_cycles", std::to_string(stats.fpga_cycles)},
-             {"dma_us", std::to_string(stats.dma_us)}});
     }
     return stats;
 }

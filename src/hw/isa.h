@@ -404,25 +404,11 @@ struct ExecStats
      *  Invariant: the entries sum exactly to fpga_cycles — compute
      *  cycles charge unitOf(op), dispatch cycles charge kArmUnit. */
     std::array<Cycle, kUnitCount> unit_cycles{};
-    /** Modeled microseconds this run advanced the tracing clock by
-     *  (obs::advanceModeledUs), accumulated as an exact sum of the
-     *  per-instruction durations so enclosing spans can report a
-     *  duration independent of the clock's base value (floating-point
-     *  addition is not associative; end-minus-start would differ in
-     *  ulps across worker clocks). 0 when no tracer is installed. */
-    double traced_us = 0.0;
 
     Cycle
     unitCycles(Unit unit) const
     {
         return unit_cycles[static_cast<size_t>(unit)];
-    }
-
-    /** Total time in microseconds at the given configuration. */
-    double
-    totalUs(const HwConfig &config) const
-    {
-        return config.cyclesToUs(fpga_cycles) + dma_us;
     }
 };
 

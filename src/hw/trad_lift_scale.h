@@ -43,12 +43,6 @@ class TradLiftScaleModel
     TradLiftScaleModel(std::shared_ptr<const fv::FvParams> params,
                        const HwConfig &config);
 
-    /** Words of a q-sized long integer (ceil(log q / 30) + 1 guard). */
-    size_t qWords() const { return q_words_; }
-
-    /** Words of a Q-sized long integer. */
-    size_t fullWords() const { return full_words_; }
-
     /** Block 1 of Fig. 5: k MACs accumulating 30x(q-width) products. */
     size_t liftSopCycles() const;
 
@@ -77,6 +71,8 @@ class TradLiftScaleModel
   private:
     std::shared_ptr<const fv::FvParams> params_;
     HwConfig config_;
+    /** Words of a q-sized long integer (ceil(log q / 30) + 1 guard)
+     *  and of a Q-sized one. */
     size_t q_words_;
     size_t full_words_;
 };

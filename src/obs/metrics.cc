@@ -92,6 +92,18 @@ atomicAddDouble(std::atomic<double> &slot, double v)
 
 } // namespace
 
+std::string
+labelBlock(const std::string &key, const std::string &value)
+{
+    std::string out = "{" + key + "=\"";
+    for (const char c : value) {
+        if (c == '\\' || c == '"' || c == '\n')
+            out += '\\';
+        out += c == '\n' ? 'n' : c;
+    }
+    return out + "\"}";
+}
+
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)),
       buckets_(new std::atomic<uint64_t>[bounds_.size() + 1])

@@ -153,6 +153,11 @@ class Histogram
     std::atomic<double> max_{0.0};
 };
 
+/** The label block `{key="value"}` of a metric id, @p value escaped as
+ *  the Prometheus text format requires (backslash, double quote and
+ *  newline), so no value can close the block or start a new line. */
+std::string labelBlock(const std::string &key, const std::string &value);
+
 /** One flattened registry sample (see Registry::samples()). */
 struct MetricSample
 {

@@ -12,9 +12,6 @@ namespace {
 
 std::atomic<Tracer *> g_tracer{nullptr};
 
-thread_local double tl_modeled_now_us = 0.0;
-thread_local uint32_t tl_track = 0;
-
 /** Small stable per-thread track id for wall spans. */
 uint32_t
 wallTrack()
@@ -288,56 +285,6 @@ Tracer *
 setActiveTracer(Tracer *tracer)
 {
     return g_tracer.exchange(tracer, std::memory_order_acq_rel);
-}
-
-double
-modeledNowUs()
-{
-    return tl_modeled_now_us;
-}
-
-void
-setModeledNowUs(double us)
-{
-    tl_modeled_now_us = us;
-}
-
-void
-advanceModeledUs(double us)
-{
-    tl_modeled_now_us += us;
-}
-
-uint32_t
-traceTrack()
-{
-    return tl_track;
-}
-
-void
-setTraceTrack(uint32_t track)
-{
-    tl_track = track;
-}
-
-void
-recordModeledSpan(std::string name, std::string category, double start_us,
-                  double dur_us,
-                  std::vector<std::pair<std::string, std::string>> args)
-{
-    Tracer *tracer = activeTracer();
-    if (tracer == nullptr) {
-        return;
-    }
-    SpanRecord span;
-    span.name = std::move(name);
-    span.category = std::move(category);
-    span.pid = kModeledPid;
-    span.track = traceTrack();
-    span.start_us = start_us;
-    span.dur_us = dur_us;
-    span.args = std::move(args);
-    tracer->addSpan(std::move(span));
 }
 
 void

@@ -5,11 +5,13 @@
  *
  * Two time domains coexist in one trace, as separate "processes":
  *
- *  - pid 1, **modeled time**: spans whose timestamps come from the
- *    coprocessor cycle model (`modeledNowUs()` thread-local clock).
- *    These are deterministic — the same circuit produces byte-identical
- *    span trees at any worker count — and are the trace the paper-style
- *    per-unit breakdowns hang off.
+ *  - pid 1, **modeled time**: spans on the serving layer's modeled
+ *    clock, one track per worker. The service's discrete-event engine
+ *    is their only source: it places every request, transfer, program
+ *    and instruction span and every DMA wait from the job's static
+ *    price (see service/service.h). They are deterministic — a
+ *    function of the submissions, whatever the host thread count — and
+ *    are the trace the paper-style per-unit breakdowns hang off.
  *  - pid 2, **host wall time**: cheap RAII spans from the `OBS_SPAN`
  *    macro around software kernels (NTT, RNS conversions, evaluator
  *    ops). Useful for profiling the simulator itself.
@@ -108,22 +110,6 @@ Tracer *activeTracer();
  *  synchronized with in-flight span recording; install before
  *  spawning workers. @return the previous tracer. */
 Tracer *setActiveTracer(Tracer *tracer);
-
-/** Thread-local modeled clock (µs). The serving layer sets the base
- *  at job start; the compiler's run loop advances it as it charges
- *  modeled cost, emitting spans at the time the cost lands. */
-double modeledNowUs();
-void setModeledNowUs(double us);
-void advanceModeledUs(double us);
-
-/** Thread-local track id for modeled spans (worker index). */
-uint32_t traceTrack();
-void setTraceTrack(uint32_t track);
-
-/** Record a completed modeled-time span on this thread's track. */
-void recordModeledSpan(
-    std::string name, std::string category, double start_us, double dur_us,
-    std::vector<std::pair<std::string, std::string>> args = {});
 
 /** Monotonic host wall clock in µs (for wall spans). */
 inline double

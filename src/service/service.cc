@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <ranges>
 #include <utility>
 
 #include "compiler/attribution.h"
@@ -102,7 +103,7 @@ ExecutionService::registerTenant(std::string name, fv::RelinKeys rlk,
     // registry has its own mutex; keeping the acquisitions disjoint
     // makes the lock order trivial). Tenants sharing a name share the
     // Prometheus series — same label, same series.
-    const std::string label = "{tenant=\"" + name + "\"}";
+    const std::string label = obs::labelBlock("tenant", name);
     obs::Counter &arrivals =
         metrics_.counter("heat_service_jobs_arrived_total" + label,
                          "jobs enqueued (single ops and circuits)");
@@ -596,24 +597,23 @@ ExecutionService::snapshot() const
 
 namespace {
 
-/** A modeled service span on worker @p track, naming its job. */
-void
-serviceSpan(obs::Tracer &tracer, const char *name, size_t track,
-            double start_us, double dur_us, const std::string &tenant,
-            uint64_t seq,
-            std::vector<std::pair<std::string, std::string>> extra = {})
+/** The args naming a job: its tenant and submission number. */
+std::vector<std::pair<std::string, std::string>>
+jobArgs(const std::string &tenant, uint64_t seq)
 {
-    obs::SpanRecord span;
-    span.name = name;
-    span.category = "service";
-    span.pid = obs::kModeledPid;
-    span.track = static_cast<uint32_t>(track);
-    span.start_us = start_us;
-    span.dur_us = dur_us;
-    span.args = {{"tenant", tenant}, {"job", std::to_string(seq)}};
-    for (auto &kv : extra)
-        span.args.push_back(std::move(kv));
-    tracer.addSpan(std::move(span));
+    return {{"tenant", tenant}, {"job", std::to_string(seq)}};
+}
+
+/** The longest duration that ends a span starting at @p start_us at or
+ *  before @p end_us, so the exporter's start + dur never passes the
+ *  boundary the engine placed. */
+double
+durationTo(double start_us, double end_us)
+{
+    double dur = std::max(end_us - start_us, 0.0);
+    while (dur > 0.0 && start_us + dur > end_us)
+        dur = std::nextafter(dur, 0.0);
+    return dur;
 }
 
 } // namespace
@@ -735,22 +735,23 @@ ExecutionService::stepLane(Lane &lane)
             ++stats_.resident_cold_runs;
         if (!job.warm) // a cold or non-resident run resets the prefix
             lane.cache = job.resident ? std::move(held) : ResidentCache{};
+        if (obs::activeTracer() != nullptr)
+            lane.spans.push_back(
+                {{job.op ? "request:op" : "request:circuit", "service",
+                  obs::kModeledPid, static_cast<uint32_t>(lane.index),
+                  job.start_us, 0.0, jobArgs(job.session->name, job.seq)}});
     }
     const std::vector<compiler::RunPhase> &timeline =
         job.runPrice().timeline;
     if (lane.phase < timeline.size()) {
         const compiler::RunPhase &ph = timeline[lane.phase++];
-        if (!ph.dma) {
+        const double request_us = lane.now_us;
+        double grant = request_us;
+        if (!ph.dma()) {
             lane.now_us += ph.us;
         } else {
-            const double grant = firstFreeDma(lane.now_us, ph.us);
-            if (grant > lane.now_us) {
-                if (obs::Tracer *tracer = obs::activeTracer())
-                    serviceSpan(*tracer, "dma-wait", lane.index, lane.now_us,
-                                grant - lane.now_us, job.session->name,
-                                job.seq);
-                lane.waited_us += grant - lane.now_us;
-            }
+            grant = firstFreeDma(lane.now_us, ph.us);
+            lane.waited_us += grant - lane.now_us;
             // A job's last hold ends exactly where finishJob puts the
             // job's end, so the next job's first request does not
             // queue behind a rounding difference.
@@ -762,9 +763,97 @@ ExecutionService::stepLane(Lane &lane)
             stats_.dma_busy_us += ph.us;
             lane.now_us = end;
         }
+        if (!lane.spans.empty())
+            tracePhase(lane, job, ph, request_us, grant);
     }
     if (lane.phase == timeline.size())
         finishJob(lane, job);
+}
+
+void
+ExecutionService::tracePhase(Lane &lane, const Job &job,
+                             const compiler::RunPhase &ph,
+                             double request_us, double grant_us)
+{
+    using Kind = compiler::RunPhase::Kind;
+    const auto add = [&](std::string name, const char *category,
+                         double start_us, double end_us, size_t parent,
+                         std::vector<std::pair<std::string, std::string>>
+                             args = {}) {
+        lane.spans.push_back({{std::move(name), category, obs::kModeledPid,
+                               static_cast<uint32_t>(lane.index), start_us,
+                               0.0, std::move(args)},
+                              end_us,
+                              parent});
+        return lane.spans.size() - 1;
+    };
+    const auto waited = [&](size_t parent) {
+        if (grant_us > request_us)
+            add("dma-wait", "service", request_us, grant_us, parent,
+                jobArgs(job.session->name, job.seq));
+    };
+    if (ph.kind != Kind::kCompute && ph.kind != Kind::kKeyLoad) {
+        lane.program = 0;
+        waited(0);
+        add(ph.kind == Kind::kResidentUpload ? "upload:resident"
+            : ph.kind == Kind::kUpload       ? "upload"
+                                             : "download",
+            "host", grant_us, lane.now_us, 0);
+        return;
+    }
+
+    // A segment's compute runs and key-load bursts share its program
+    // span, opened when the first of them asks for the device.
+    const std::vector<hw::Instruction> &instrs =
+        job.circuit->segments[ph.segment].program.instrs;
+    const std::vector<hw::InstrCost> &costs =
+        job.price->instr_costs[ph.segment];
+    const std::vector<compiler::RunPhase> &timeline =
+        job.runPrice().timeline;
+    if (lane.program == 0 || timeline[lane.phase - 2].segment != ph.segment) {
+        hw::Cycle fpga_cycles = 0;
+        for (size_t p = lane.phase - 1;
+             p < timeline.size() && timeline[p].segment == ph.segment; ++p)
+            fpga_cycles += timeline[p].cycles;
+        double dma_us = 0.0;
+        for (const hw::InstrCost &c : costs)
+            dma_us += c.dma_us;
+        lane.program =
+            add("program", "hw", request_us, lane.now_us, 0,
+                {{"instructions", std::to_string(instrs.size())},
+                 {"fpga_cycles", std::to_string(fpga_cycles)},
+                 {"dma_us", std::to_string(dma_us)}});
+    }
+    const size_t program = lane.program;
+    lane.spans[program].end_us = lane.now_us;
+    waited(program);
+
+    const auto instruction = [&](size_t k, double start_us, double end_us) {
+        add(hw::opcodeName(instrs[k].op), "hw.instr", start_us, end_us,
+            program,
+            {{"unit", hw::unitName(hw::unitOf(instrs[k].op))},
+             {"cycles", std::to_string(costs[k].cycles)},
+             {"dma_us", std::to_string(costs[k].dma_us)}});
+    };
+    if (ph.kind == Kind::kKeyLoad) {
+        instruction(ph.begin, grant_us, lane.now_us);
+        return;
+    }
+    // Each boundary is the run's start plus the cycles done so far; the
+    // last is the engine's own end of the run, computed the same way.
+    const auto at = [&](hw::Cycle cycles) {
+        return request_us + job.circuit->hw.cyclesToUs(cycles);
+    };
+    hw::Cycle done = 0;
+    for (size_t k = ph.begin; k < ph.end; ++k) {
+        const double start_us = at(done);
+        done += costs[k].cycles;
+        instruction(k, start_us, at(done));
+    }
+    if (done < ph.cycles)
+        add("arm-dispatch", "hw", at(done), lane.now_us, program,
+            {{"unit", hw::unitName(hw::Unit::kArmUnit)},
+             {"cycles", std::to_string(ph.cycles - done)}});
 }
 
 double
@@ -814,17 +903,33 @@ ExecutionService::finishJob(Lane &lane, Job &job)
     const double latency_us =
         job.arrival_us >= 0.0 ? end_us - job.arrival_us : service_us;
     latency_hist_->observe(latency_us);
-    if (obs::Tracer *tracer = obs::activeTracer()) {
+    obs::Tracer *const tracer = obs::activeTracer();
+    if (tracer != nullptr && !lane.spans.empty()) {
         if (job.arrival_us >= 0.0 && job.start_us > job.arrival_us)
-            serviceSpan(*tracer, "queue-wait", lane.index, job.arrival_us,
-                        job.start_us - job.arrival_us, job.session->name,
-                        job.seq);
-        char latency[32];
+            tracer->addSpan({"queue-wait", "service", obs::kModeledPid,
+                             static_cast<uint32_t>(lane.index),
+                             job.arrival_us, job.start_us - job.arrival_us,
+                             jobArgs(job.session->name, job.seq)});
+        // The request spans the job; every other span ends where the
+        // engine placed it, but never past its parent's end.
+        std::vector<PendingSpan> &spans = lane.spans;
+        char latency[32], busy[32];
         std::snprintf(latency, sizeof latency, "%.17g", latency_us);
-        serviceSpan(*tracer, job.op ? "request:op" : "request:circuit",
-                    lane.index, job.start_us, busy_us,
-                    job.session->name, job.seq, {{"latency_us", latency}});
+        std::snprintf(busy, sizeof busy, "%.17g", busy_us);
+        spans[0].span.args.emplace_back("latency_us", latency);
+        spans[0].span.args.emplace_back("busy_us", busy);
+        spans[0].span.dur_us = service_us;
+        spans[0].end_us = end_us;
+        for (PendingSpan &p : spans | std::views::drop(1)) {
+            p.span.dur_us = durationTo(
+                p.span.start_us, std::min(p.end_us, spans[p.parent].end_us));
+            p.end_us = p.span.start_us + p.span.dur_us;
+        }
+        for (PendingSpan &p : spans)
+            tracer->addSpan(std::move(p.span));
     }
+    lane.spans.clear();
+    lane.program = 0;
 
     const compiler::CircuitRunStats &t = job.runPrice().totals;
     stats_.fpga_cycles += t.fpga_cycles;
@@ -902,12 +1007,12 @@ ExecutionService::workerLoop()
             in_flight_ += batch.size();
             queue_depth_gauge_->set(static_cast<double>(queued_total_));
         }
-        runBatch(lane->index, *host, batch);
+        runBatch(*host, batch);
     }
 }
 
 void
-ExecutionService::runBatch(size_t track, Lane &host, std::vector<Job> &batch)
+ExecutionService::runBatch(Lane &host, std::vector<Job> &batch)
 {
     // Every job is a compiled circuit: the run reprograms the memory
     // file and binds the circuit's records segment by segment (the warm
@@ -919,16 +1024,9 @@ ExecutionService::runBatch(size_t track, Lane &host, std::vector<Job> &batch)
         cp = &host.cp.emplace(params_, config_.hw, nullptr, nullptr);
         host.attached = nullptr;
     };
-    obs::Tracer *const tracer = obs::activeTracer();
-    // Hardware spans land on the dispatched worker's trace track,
-    // starting at the engine's modeled start of each job.
-    obs::setTraceTrack(static_cast<uint32_t>(track));
-
     std::vector<bool> ok(batch.size(), false);
     for (size_t i = 0; i < batch.size(); ++i) {
         Job &job = batch[i];
-        if (tracer != nullptr)
-            obs::setModeledNowUs(job.start_us);
         if (host.attached != job.session) {
             cp->attachKeys(&job.session->rlk, &job.session->gkeys);
             host.attached = job.session;

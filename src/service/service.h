@@ -58,9 +58,16 @@
  * price (compiler::attributeCompiledCircuit): the engine replays the
  * cold or warm run's timeline of compute runs and DMA holds — operand
  * upload, each kKeyLoad at its instruction position, result download.
- * Workers contend for the DMA first come, first served; a job that
- * waits for it records a modeled "dma-wait" span. The price does not
- * depend on batch width.
+ * Workers contend for the DMA first come, first served. The price does
+ * not depend on batch width.
+ *
+ * The engine is the only source of modeled (obs::kModeledPid) trace
+ * spans, placed on its clock on the worker's track: a job's
+ * "queue-wait", its "request:*" span from start to end (args
+ * latency_us and the priced busy_us), and tiling that, the phases of
+ * its timeline ("upload:resident", "upload", per segment a "program"
+ * of instruction spans and "arm-dispatch", "download") and a
+ * "dma-wait" wherever it waited for the DMA engine.
  *
  * The engine dispatches as soon as work is queued (at start() for a
  * start_paused service), so every modeled figure — latency() (p50/p99
@@ -107,6 +114,7 @@
 #include "hw/coprocessor.h"
 #include "hw/isa.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace heat::service {
 
@@ -279,7 +287,8 @@ struct ServiceStats
      *  sums exactly to fpga_cycles for the jobs that reported unit
      *  attribution. */
     std::array<hw::Cycle, hw::kUnitCount> unit_cycles{};
-    /** Summed relinearization-key DMA time. */
+    /** Summed key-load DMA time (every kKeyLoad burst: relinearization
+     *  and Galois keys). */
     double dma_us = 0.0;
     /** Modeled Arm-side operand/result transfer time. */
     double host_us = 0.0;
@@ -656,6 +665,14 @@ class ExecutionService
         }
     };
 
+    /** A placed span of a job, ending at end_us inside spans[parent]. */
+    struct PendingSpan
+    {
+        obs::SpanRecord span;
+        double end_us = 0.0;
+        size_t parent = 0;
+    };
+
     /**
      * One worker: its place on the modeled clock and its batch in
      * simulation (engine state, mu_), its dispatched batches no thread
@@ -679,6 +696,10 @@ class ExecutionService
         size_t job = 0;
         size_t phase = 0;
         double waited_us = 0.0;
+        /** Traced: the job's spans (its request first) until it
+         *  finishes, and its open "program" span (0: none). */
+        std::vector<PendingSpan> spans;
+        size_t program = 0;
 
         // --- host (mu_) -----------------------------------------------
         std::deque<std::vector<Job>> pending;
@@ -709,6 +730,11 @@ class ExecutionService
     void formBatch(Lane &lane);
     /** Advance @p lane by one phase of its current job. */
     void stepLane(Lane &lane);
+    /** Trace @p ph, which @p lane requested at @p request_us, was
+     *  granted the DMA at @p grant_us, and ended at lane.now_us. */
+    void tracePhase(Lane &lane, const Job &job,
+                    const compiler::RunPhase &ph, double request_us,
+                    double grant_us);
     /** @return the first moment at or after @p request_us the DMA
      *  engine is free for @p us. */
     double firstFreeDma(double request_us, double us) const;
@@ -717,9 +743,8 @@ class ExecutionService
     void finishJob(Lane &lane, Job &job);
 
     void workerLoop();
-    /** Execute @p batch on @p host's coprocessor, tracing on @p track
-     *  (outside mu_). */
-    void runBatch(size_t track, Lane &host, std::vector<Job> &batch);
+    /** Execute @p batch on @p host's coprocessor (outside mu_). */
+    void runBatch(Lane &host, std::vector<Job> &batch);
 
     std::shared_ptr<const fv::FvParams> params_;
     ServiceConfig config_;

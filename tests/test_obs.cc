@@ -11,6 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <future>
+#include <map>
 #include <memory>
 #include <set>
 #include <span>
@@ -209,6 +213,44 @@ TEST(ObsTrace, ChromeTraceIsBalancedAndNested)
     EXPECT_GE(countOf(json, "\"ph\":\"M\""), 1u);
     EXPECT_EQ(countOf(json, "\"workload\":\"unit-test\""), 1u);
     EXPECT_EQ(countOf(json, "\"dropped_spans\":0"), 1u);
+}
+
+/** One Chrome trace event, as writeChromeTrace prints it. */
+struct TraceEvent
+{
+    char ph = 0;
+    uint32_t pid = 0;
+    uint32_t tid = 0;
+    double ts = 0.0;
+    std::string name;
+};
+
+/** The B/E events of a writeChromeTrace export, in file order. */
+std::vector<TraceEvent>
+durationEvents(const std::string &json)
+{
+    std::vector<TraceEvent> events;
+    std::istringstream lines(json);
+    for (std::string line; std::getline(lines, line);) {
+        const size_t ph = line.find("\"ph\":\"");
+        if (ph == std::string::npos ||
+            (line[ph + 6] != 'B' && line[ph + 6] != 'E'))
+            continue;
+        TraceEvent e;
+        e.ph = line[ph + 6];
+        const auto field = [&](const char *key) {
+            return line.c_str() + line.find(key) + std::strlen(key);
+        };
+        e.pid = static_cast<uint32_t>(std::strtoul(field("\"pid\":"),
+                                                   nullptr, 10));
+        e.tid = static_cast<uint32_t>(std::strtoul(field("\"tid\":"),
+                                                   nullptr, 10));
+        e.ts = std::strtod(field("\"ts\":"), nullptr);
+        const char *name = field("{\"name\":\"");
+        e.name.assign(name, std::strchr(name, '"'));
+        events.push_back(e);
+    }
+    return events;
 }
 
 /** One randomized key/encryptor universe over a small ring. */
@@ -423,18 +465,49 @@ TEST(ObsAttribution, CompileTimeAttributionMatchesFusedRunExactly)
     EXPECT_NEAR(timelineUs(per_instr.cold), us, 1e-9 * us);
 }
 
-/** (name, modeled duration) multiset of a tracer's modeled spans —
- *  absolute starts and DMA contention differ across worker counts
- *  (more workers overlap in modeled time), durations must not. */
-std::vector<std::pair<std::string, double>>
+/** One modeled span's shape: its name, its priced args, and its
+ *  duration where that is priced alone. */
+using SpanShape = std::tuple<std::string, std::string, double>;
+
+/** The shape multiset of a tracer's modeled spans. Absolute starts and
+ *  DMA contention differ across worker counts (more workers overlap in
+ *  modeled time), the priced tree must not: every span's args but the
+ *  job naming and its latency, and the duration of every span but the
+ *  request and program spans, which hold DMA waits (their priced
+ *  figures are the busy_us and fpga_cycles/dma_us args). */
+std::vector<SpanShape>
 modeledSpanShape(const obs::Tracer &tracer)
 {
-    std::vector<std::pair<std::string, double>> shape;
-    for (const obs::SpanRecord &s : tracer.spans())
-        if (s.pid == obs::kModeledPid && s.name != "dma-wait")
-            shape.emplace_back(s.name, s.dur_us);
+    std::vector<SpanShape> shape;
+    for (const obs::SpanRecord &s : tracer.spans()) {
+        if (s.pid != obs::kModeledPid || s.name == "dma-wait")
+            continue;
+        std::string args;
+        for (const auto &[k, v] : s.args)
+            if (k != "tenant" && k != "job" && k != "latency_us")
+                args += k + "=" + v + ";";
+        const bool holds_waits =
+            s.name.starts_with("request:") || s.name == "program";
+        shape.emplace_back(s.name, args, holds_waits ? 0.0 : s.dur_us);
+    }
     std::sort(shape.begin(), shape.end());
     return shape;
+}
+
+/** Equal names and args; durations equal up to the rounding of the
+ *  absolute boundaries they are placed between. */
+void
+expectSameShape(const std::vector<SpanShape> &a,
+                const std::vector<SpanShape> &b, size_t workers)
+{
+    ASSERT_EQ(a.size(), b.size()) << workers << " workers";
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(std::get<0>(a[i]), std::get<0>(b[i])) << workers;
+        EXPECT_EQ(std::get<1>(a[i]), std::get<1>(b[i])) << workers;
+        EXPECT_NEAR(std::get<2>(a[i]), std::get<2>(b[i]),
+                    1e-9 * std::get<2>(a[i]))
+            << std::get<0>(a[i]) << " at " << workers << " workers";
+    }
 }
 
 /** Every modeled span as (name, start, duration, track), sorted. */
@@ -456,7 +529,7 @@ TEST(ObsTrace, ModeledSpansDeterministicAcrossWorkerCounts)
     const std::vector<Ciphertext> inputs = {u.randomCipher(11),
                                             u.randomCipher(12)};
 
-    std::vector<std::vector<std::pair<std::string, double>>> shapes;
+    std::vector<std::vector<SpanShape>> shapes;
     hw::Cycle fpga_cycles = 0;
     const unsigned prev_threads = threadCount();
     for (const size_t workers : {1u, 2u, 4u}) {
@@ -496,14 +569,81 @@ TEST(ObsTrace, ModeledSpansDeterministicAcrossWorkerCounts)
     setThreadCount(prev_threads);
 
     ASSERT_FALSE(shapes[0].empty());
-    EXPECT_EQ(shapes[0], shapes[1]);
-    EXPECT_EQ(shapes[0], shapes[2]);
+    expectSameShape(shapes[0], shapes[1], 2);
+    expectSameShape(shapes[0], shapes[2], 4);
     // The trace reaches instruction depth: per-instruction unit spans
     // and the per-program span are both present.
-    bool saw_program = false;
-    for (const auto &[name, dur] : shapes[0])
-        saw_program = saw_program || name == "program";
-    EXPECT_TRUE(saw_program);
+    std::set<std::string> names;
+    for (const auto &[name, args, dur] : shapes[0])
+        names.insert(name);
+    EXPECT_TRUE(names.contains("program"));
+    EXPECT_TRUE(names.contains(hw::opcodeName(hw::Opcode::kNtt)));
+    EXPECT_TRUE(names.contains(hw::opcodeName(hw::Opcode::kKeyLoad)));
+    EXPECT_TRUE(names.contains("arm-dispatch"));
+}
+
+TEST(ObsTrace, ContendedServiceTraceNestsInRequestSpans)
+{
+    // Four workers start four untimed jobs at modeled time 0 and
+    // contend for the one DMA engine. Every modeled span still nests:
+    // on each worker's track the exported timestamps never go back,
+    // and each instruction, transfer, program and dma-wait span opens
+    // inside a request span.
+    Universe u(5);
+    const Circuit circuit = mixedCircuit(u);
+    const std::vector<Ciphertext> inputs = {u.randomCipher(21),
+                                            u.randomCipher(22)};
+    obs::Tracer tracer;
+    obs::Tracer *const prev = obs::setActiveTracer(&tracer);
+    {
+        service::ServiceConfig cfg;
+        cfg.workers = 4;
+        service::ExecutionService svc(u.params, u.rlk, cfg);
+        std::vector<std::future<std::vector<Ciphertext>>> results;
+        for (int r = 0; r < 8; ++r)
+            results.push_back(svc.submitCircuit(circuit, inputs));
+        for (auto &f : results)
+            f.get();
+        svc.drain();
+    }
+    obs::setActiveTracer(prev);
+
+    size_t dma_waits = 0;
+    for (const obs::SpanRecord &s : tracer.spans())
+        dma_waits += s.pid == obs::kModeledPid && s.name == "dma-wait";
+    EXPECT_GT(dma_waits, 0u) << "the run should contend for the DMA";
+
+    std::ostringstream os;
+    tracer.writeChromeTrace(os);
+    const std::vector<TraceEvent> events = durationEvents(os.str());
+    struct Track
+    {
+        double last_ts = -1.0;
+        std::vector<const TraceEvent *> open;
+    };
+    std::map<std::pair<uint32_t, uint32_t>, Track> tracks;
+    size_t modeled = 0;
+    for (const TraceEvent &e : events) {
+        Track &t = tracks[{e.pid, e.tid}];
+        EXPECT_GE(e.ts, t.last_ts) << e.name << " goes back in time";
+        t.last_ts = e.ts;
+        if (e.ph == 'B') {
+            if (e.pid == obs::kModeledPid) {
+                ++modeled;
+                EXPECT_TRUE(!t.open.empty() ||
+                            e.name.starts_with("request:"))
+                    << e.name << " outside any request span";
+            }
+            t.open.push_back(&e);
+        } else {
+            ASSERT_FALSE(t.open.empty());
+            EXPECT_GE(e.ts, t.open.back()->ts);
+            t.open.pop_back();
+        }
+    }
+    EXPECT_GT(modeled, 8u * 10);
+    for (const auto &[key, t] : tracks)
+        EXPECT_TRUE(t.open.empty());
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -687,9 +688,10 @@ struct Arrival
  * with weight 2), each with one pinned "database" ciphertext, then
  * release it under a tracer and wait for every result.
  */
-TracedRun
-runSchedule(ServiceRig &rig, size_t workers,
-            const std::vector<Arrival> &schedule)
+/** The resident PIR-style job of a schedule: a pinned "database"
+ *  ciphertext times the request's query. */
+std::shared_ptr<const compiler::CompiledCircuit>
+compilePir(const ServiceRig &rig)
 {
     compiler::CircuitBuilder b;
     const compiler::ValueId db = b.input();
@@ -698,8 +700,15 @@ runSchedule(ServiceRig &rig, size_t workers,
     compiler::CompilerOptions copts;
     copts.hw = rig.hw;
     copts.resident_inputs = {0};
-    auto pir = std::make_shared<const compiler::CompiledCircuit>(
+    return std::make_shared<const compiler::CompiledCircuit>(
         compiler::compileCircuit(rig.params, b.build(), copts));
+}
+
+TracedRun
+runSchedule(ServiceRig &rig, size_t workers,
+            const std::vector<Arrival> &schedule)
+{
+    const auto pir = compilePir(rig);
     fv::Encryptor encryptor(rig.params, rig.pk, 17);
     std::vector<Ciphertext> pool;
     for (int i = 0; i < 4; ++i)
@@ -863,35 +872,123 @@ TEST(Service, ModeledFiguresIndependentOfHostThreads)
 TEST(Service, LatencyDecomposesIntoWaitsAndBusySpans)
 {
     // Under load with three workers sharing one DMA engine, each job's
-    // latency is exactly its queue wait, its DMA waits and its busy
-    // (priced) span.
+    // latency is exactly its queue wait plus its request span, and the
+    // request span is exactly its DMA waits plus its phase spans —
+    // the transfers, instructions and Arm dispatches the engine placed
+    // inside it — which sum to its priced busy time.
     ServiceRig rig;
     const std::vector<Arrival> schedule =
         tenantMix(48, 0.3 * loneMultUs(rig));
     const TracedRun run = runSchedule(rig, 3, schedule);
-    std::vector<double> parts(schedule.size(), 0.0);
-    std::vector<double> latency(schedule.size(), -1.0);
+
+    // The priced busy time of each job kind (a resident job runs cold
+    // or warm).
+    const auto busyOf = [&](const compiler::CompiledCircuit &c) {
+        const compiler::CircuitAttribution a =
+            compiler::attributeCompiledCircuit(c);
+        return std::pair(a.cold.totals.modeledUs(rig.hw),
+                         a.warm.totals.modeledUs(rig.hw));
+    };
+    const auto add = busyOf(compiler::compileOpCircuit(
+        rig.params, compiler::NodeKind::kAdd, rig.hw));
+    const auto mult = busyOf(compiler::compileOpCircuit(
+        rig.params, compiler::NodeKind::kMult, rig.hw));
+    const auto pir = busyOf(*compilePir(rig));
+
+    std::vector<double> queued(schedule.size(), 0.0);
+    std::vector<const obs::SpanRecord *> requests(schedule.size(), nullptr);
+    std::vector<double> waits(schedule.size(), 0.0);
     size_t dma_waits = 0;
     for (const obs::SpanRecord &sp : run.spans) {
         if (sp.category != "service")
             continue;
         const size_t job = std::stoul(spanArg(sp, "job"));
         ASSERT_LT(job, schedule.size());
-        parts[job] += sp.dur_us;
-        dma_waits += sp.name == "dma-wait";
-        if (sp.name.starts_with("request:"))
-            latency[job] = std::stod(spanArg(sp, "latency_us"));
+        if (sp.name == "queue-wait") {
+            queued[job] += sp.dur_us;
+        } else if (sp.name == "dma-wait") {
+            waits[job] += sp.dur_us;
+            ++dma_waits;
+        } else {
+            ASSERT_TRUE(sp.name.starts_with("request:")) << sp.name;
+            requests[job] = &sp;
+        }
     }
     EXPECT_GT(dma_waits, 0u) << "the schedule should contend for the DMA";
+
     double total = 0.0;
+    uint64_t warm_runs = 0;
     for (size_t j = 0; j < schedule.size(); ++j) {
-        ASSERT_GE(latency[j], 0.0) << "job " << j << " has no request span";
-        EXPECT_NEAR(parts[j], latency[j], 1e-9 * latency[j]) << "job " << j;
-        total += latency[j];
+        ASSERT_NE(requests[j], nullptr) << "job " << j << " has no request";
+        const obs::SpanRecord &req = *requests[j];
+        const double latency = std::stod(spanArg(req, "latency_us"));
+        const double busy = std::stod(spanArg(req, "busy_us"));
+        EXPECT_NEAR(queued[j] + req.dur_us, latency, 1e-9 * latency)
+            << "job " << j;
+        total += latency;
+
+        // The job's phase spans: every span on its worker's track that
+        // lies inside the request span, bar its DMA waits.
+        const double end = req.start_us + req.dur_us;
+        double phases = 0.0;
+        for (const obs::SpanRecord &sp : run.spans) {
+            if (sp.track != req.track || sp.start_us < req.start_us ||
+                sp.start_us >= end || sp.category == "service")
+                continue;
+            EXPECT_LE(sp.start_us + sp.dur_us, end)
+                << sp.name << " leaves job " << j << "'s request span";
+            if (sp.category == "host" || sp.category == "hw.instr" ||
+                sp.name == "arm-dispatch")
+                phases += sp.dur_us;
+        }
+        EXPECT_NEAR(req.dur_us, waits[j] + phases, 1e-9 * req.dur_us)
+            << "job " << j;
+        EXPECT_NEAR(phases, busy, 1e-9 * busy) << "job " << j;
+
+        const auto [cold, warm] = schedule[j].kind == 0   ? add
+                                  : schedule[j].kind == 1 ? mult
+                                                          : pir;
+        EXPECT_TRUE(busy == cold || busy == warm) << "job " << j;
+        warm_runs += schedule[j].kind == 2 && busy == warm;
     }
+    EXPECT_EQ(warm_runs, run.snap.stats.resident_warm_runs);
     const double recorded = run.snap.latency.mean_us *
                             static_cast<double>(run.snap.latency.samples);
     EXPECT_NEAR(total, recorded, 1e-9 * recorded);
+}
+
+TEST(Service, TenantNamesRenderAsEscapedPrometheusLabels)
+{
+    // A tenant name is untrusted input: quotes, backslashes and
+    // newlines in it are escaped, so it can neither close its label
+    // block nor forge a series of its own.
+    ServiceRig rig;
+    ExecutionService svc(rig.params, rig.rlk, rig.serviceConfig(1));
+    svc.registerTenant("x\"} 1\nforged_total 99\n#", rig.rlk);
+    svc.registerTenant("y\\\"} 2\nforged_total 7\n#", rig.rlk);
+    const std::string text = svc.metrics().renderText();
+
+    std::vector<std::string> forged;
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+        EXPECT_FALSE(line.starts_with("forged_total")) << line;
+        if (line.find("forged_total") != std::string::npos)
+            forged.push_back(line);
+    }
+    // Each forged-looking name sits inside one label per counter.
+    std::vector<std::string> expected;
+    for (const std::string family :
+         {"heat_service_jobs_arrived_total", "heat_service_jobs_shed_total",
+          "heat_service_admission_rejected_total",
+          "heat_service_jobs_completed_total"}) {
+        expected.push_back(family +
+                           R"({tenant="x\"} 1\nforged_total 99\n#"} 0)");
+        expected.push_back(family +
+                           R"({tenant="y\\\"} 2\nforged_total 7\n#"} 0)");
+    }
+    std::sort(forged.begin(), forged.end());
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(forged, expected);
 }
 
 TEST(Service, SnapshotIsInternallyConsistentUnderLoad)
