@@ -3,8 +3,9 @@
  * google-benchmark micro suite for the software kernels underpinning
  * both the evaluator and the hardware model: modular reduction variants
  * (Barrett vs Shoup vs the paper's sliding window), NTT transforms
- * across degrees, HPS Lift/Scale per-coefficient kernels, and the
- * high-level evaluator operations on the paper's parameter set.
+ * across degrees, HPS Lift/Scale per-coefficient and fused batch
+ * kernels, and the high-level evaluator operations on the paper's
+ * parameter set.
  */
 
 #include <benchmark/benchmark.h>
@@ -285,6 +286,89 @@ BM_ScaleCoefficient(benchmark::State &state)
 }
 BENCHMARK(BM_ScaleCoefficient);
 
+/**
+ * The paper set's HPS batch operands at n = 4096: random q rows (the
+ * Lift's input), random full-base rows (the Scale's) and q-row outputs.
+ */
+struct HpsFixture
+{
+    HpsFixture()
+        : params(fv::FvParams::paper()),
+          q_rows(randomRows(*params->qBase())),
+          full_rows(randomRows(*params->fullBase())),
+          p_out(params->pBase()->size(),
+                std::vector<uint64_t>(params->degree())),
+          q_out(params->qBase()->size(),
+                std::vector<uint64_t>(params->degree()))
+    {
+        for (const auto &r : q_rows)
+            q_ptrs.push_back(r.data());
+        for (const auto &r : full_rows)
+            full_ptrs.push_back(r.data());
+        for (auto &r : p_out)
+            p_ptrs.push_back(r.data());
+        for (auto &r : q_out)
+            q_out_ptrs.push_back(r.data());
+    }
+
+    std::vector<std::vector<uint64_t>>
+    randomRows(const rns::RnsBase &base) const
+    {
+        Xoshiro256 rng(17);
+        std::vector<std::vector<uint64_t>> rows(
+            base.size(), std::vector<uint64_t>(params->degree()));
+        for (size_t i = 0; i < base.size(); ++i)
+            for (auto &x : rows[i])
+                x = rng.uniformBelow(base.modulus(i).value());
+        return rows;
+    }
+
+    /** Lift q -> p: one hps_convert call of @p k. */
+    void
+    lift(const simd::Kernels &k)
+    {
+        k.hps_convert(*params->liftConverter().batchPlan(), q_ptrs.data(),
+                      p_ptrs.data(), params->degree());
+    }
+
+    /** Scale Q -> q, Blocks 1-5: one hps_scale call of @p k. */
+    void
+    scale(const simd::Kernels &k)
+    {
+        k.hps_scale(*params->scaler().batchPlan(),
+                    params->scaleBackConverter().batchPlan(),
+                    full_ptrs.data(), q_out_ptrs.data(), nullptr,
+                    params->degree());
+    }
+
+    std::shared_ptr<const fv::FvParams> params;
+    std::vector<std::vector<uint64_t>> q_rows, full_rows, p_out, q_out;
+    std::vector<const uint64_t *> q_ptrs, full_ptrs;
+    std::vector<uint64_t *> p_ptrs, q_out_ptrs;
+};
+
+/**
+ * The fused HPS Lift or Scale pinned to one kernel table (registered
+ * per supported level from main, like BM_ForwardNttLevel).
+ */
+void
+BM_HpsLevel(benchmark::State &state, simd::Level level, bool scale)
+{
+    HpsFixture f;
+    const simd::Kernels &k = simd::kernelsFor(level);
+    for (auto _ : state) {
+        if (scale)
+            f.scale(k);
+        else
+            f.lift(k);
+        benchmark::DoNotOptimize(scale ? f.q_out_ptrs.data()
+                                       : f.p_ptrs.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(f.params->degree()));
+}
+
 /** Shared fixture for the paper-parameter evaluator benchmarks. */
 struct EvalFixture
 {
@@ -463,6 +547,17 @@ main(int argc, char **argv)
                 ->Arg(4096)
                 ->Arg(8192);
         }
+        for (const auto &[prefix, scale] :
+             {std::pair<const char *, bool>{"BM_HpsLiftLevel/", false},
+              std::pair<const char *, bool>{"BM_HpsScaleLevel/", true}}) {
+            const std::string name =
+                std::string(prefix) + simd::levelName(level);
+            benchmark::RegisterBenchmark(
+                name.c_str(),
+                [level, scale = scale](benchmark::State &state) {
+                    BM_HpsLevel(state, level, scale);
+                });
+        }
     }
 
     // Strip --json <path> before google-benchmark sees the arguments;
@@ -528,6 +623,36 @@ main(int argc, char **argv)
                     kSpeedupDegree, 1);
         json.record("ntt_inverse_simd_vs_scalar_speedup", inverse_speedup,
                     "x", kSpeedupDegree, 1);
+
+        // The same ratios for the fused HPS Lift and Scale (Blocks 1-5)
+        // at the paper set.
+        HpsFixture hps;
+        const size_t n = hps.params->degree();
+        const size_t moduli = hps.params->fullBase()->size();
+        const auto [lift_scalar, lift_active] = bestSecondsPerCall(
+            [&] { hps.lift(scalar); }, [&] { hps.lift(active); });
+        const auto [scale_scalar, scale_active] = bestSecondsPerCall(
+            [&] { hps.scale(scalar); }, [&] { hps.scale(active); });
+        benchmark::DoNotOptimize(hps.p_ptrs.data());
+        benchmark::DoNotOptimize(hps.q_out_ptrs.data());
+        const double lift_speedup = lift_scalar / lift_active;
+        const double scale_speedup = scale_scalar / scale_active;
+        heat::bench::printInfo("HPS lift scalar (n=4096)",
+                               lift_scalar * 1e6, "us");
+        heat::bench::printInfo("HPS lift dispatched (n=4096)",
+                               lift_active * 1e6, "us");
+        heat::bench::printInfo("hps_lift_simd_vs_scalar_speedup",
+                               lift_speedup, "x");
+        heat::bench::printInfo("HPS scale scalar (n=4096)",
+                               scale_scalar * 1e6, "us");
+        heat::bench::printInfo("HPS scale dispatched (n=4096)",
+                               scale_active * 1e6, "us");
+        heat::bench::printInfo("hps_scale_simd_vs_scalar_speedup",
+                               scale_speedup, "x");
+        json.record("hps_lift_simd_vs_scalar_speedup", lift_speedup, "x", n,
+                    moduli);
+        json.record("hps_scale_simd_vs_scalar_speedup", scale_speedup, "x",
+                    n, moduli);
     }
 
     // Disabled-instrumentation overhead of the OBS_SPAN macro on the

@@ -12,10 +12,9 @@ namespace heat::fv {
 namespace {
 
 /**
- * Coefficient-block size for the lift/scale batch kernels: large
- * enough to amortize the per-call scratch rows and constant setup,
- * small enough that the blocks of a single residue row stay cache
- * resident across the sop128 passes.
+ * Coefficient-block size of one parallelFor task over the lift/scale
+ * batch kernels: large enough to amortize the per-task row pointers,
+ * small enough to spread a polynomial over the worker threads.
  */
 constexpr size_t kCoeffGrain = 512;
 
@@ -187,25 +186,15 @@ Evaluator::scaleToQ(const ntt::RnsPoly &full_poly) const
     ntt::RnsPoly out(params_->qBase(level), n, ntt::PolyForm::kCoeff);
     if (path_ == ArithPath::kHps) {
         parallelFor(n, kCoeffGrain, [&](size_t begin, size_t end) {
-            const size_t len = end - begin;
+            // Scale and switch back to the q base in one pass.
             std::vector<const uint64_t *> in_rows(kq + kp);
             for (size_t i = 0; i < kq + kp; ++i)
                 in_rows[i] = full_poly.residue(i).data() + begin;
-            // Scratch rows for the intermediate p-base result of the
-            // scale, consumed directly by the back-conversion.
-            std::vector<uint64_t> mid(kp * len);
-            std::vector<uint64_t *> mid_rows(kp);
-            std::vector<const uint64_t *> mid_rows_const(kp);
-            for (size_t i = 0; i < kp; ++i) {
-                mid_rows[i] = mid.data() + i * len;
-                mid_rows_const[i] = mid_rows[i];
-            }
             std::vector<uint64_t *> out_rows(kq);
             for (size_t i = 0; i < kq; ++i)
                 out_rows[i] = out.residue(i).data() + begin;
-            scaler.scaleBatch(in_rows.data(), mid_rows.data(), len);
-            back.convertBatch(mid_rows_const.data(), out_rows.data(),
-                              len);
+            scaler.scaleBatch(in_rows.data(), out_rows.data(), end - begin,
+                              &back);
         });
         return out;
     }

@@ -1,7 +1,5 @@
 #include "hw/lift_unit.h"
 
-#include <algorithm>
-
 #include "common/panic.h"
 #include "hw/isa.h"
 
@@ -36,14 +34,11 @@ LiftUnit::run(MemoryFile &memory, PolyId id) const
         // input and its p rows, disjoint from them, the output.
         std::vector<const uint64_t *> in_rows(kq);
         std::vector<uint64_t *> out_rows(kp);
-        for (size_t begin = 0; begin < n; begin += kLiftScaleChunk) {
-            const size_t len = std::min(kLiftScaleChunk, n - begin);
-            for (size_t i = 0; i < kq; ++i)
-                in_rows[i] = full.data.data() + i * n + begin;
-            for (size_t i = 0; i < kp; ++i)
-                out_rows[i] = full.data.data() + (kq + i) * n + begin;
-            conv.convertBatch(in_rows.data(), out_rows.data(), len);
-        }
+        for (size_t i = 0; i < kq; ++i)
+            in_rows[i] = full.data.data() + i * n;
+        for (size_t i = 0; i < kp; ++i)
+            out_rows[i] = full.data.data() + (kq + i) * n;
+        conv.convertBatch(in_rows.data(), out_rows.data(), n);
     } else {
         std::vector<uint64_t> in(kq), out(kp);
         for (size_t j = 0; j < n; ++j) {

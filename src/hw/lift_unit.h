@@ -13,11 +13,12 @@
  * plus one streaming handoff (lift_beat = 8). Two cores split the
  * coefficients. Functionally the unit *is* rns::FastBaseConverter — the
  * software evaluator and the hardware model share the arithmetic, so
- * golden comparisons are bit-exact. The HPS functional path is
+ * golden comparisons are bit-exact. The HPS functional path is one
  * FastBaseConverter::convertBatch over the record's residue rows (q rows
- * in, p rows out) on the dispatched SIMD kernels, one coefficient chunk
- * at a time; the traditional architecture keeps the per-coefficient
- * BigInt CRT conversion.
+ * in, p rows out): the dispatched hps_convert kernel, which streams
+ * each vector of coefficients through Blocks 1-5 in registers. The
+ * traditional architecture keeps the per-coefficient BigInt CRT
+ * conversion.
  */
 
 #ifndef HEAT_HW_LIFT_UNIT_H
@@ -30,10 +31,6 @@
 #include "hw/memory_file.h"
 
 namespace heat::hw {
-
-/** Coefficients per batch-converter call of the Lift and Scale units:
- *  keeps the converters' scratch rows cache-sized. */
-inline constexpr size_t kLiftScaleChunk = 512;
 
 /** Lift q->Q: functional execution over a memory-file record + timing. */
 class LiftUnit

@@ -1,11 +1,7 @@
 #include "hw/scale_unit.h"
 
-#include <algorithm>
-
 #include "common/panic.h"
 #include "hw/isa.h"
-#include "hw/lift_unit.h"
-#include "simd/simd.h"
 
 namespace heat::hw {
 
@@ -50,27 +46,27 @@ ScaleUnit::run(MemoryFile &memory, PolyId src, PolyId dst,
                 "digit record shorter than the q base");
     }
 
+    // WordDecomp broadcast: digit d is result residue d reduced modulo
+    // every q channel, written with the result.
     std::vector<uint64_t *> out_rows(kq);
     for (size_t i = 0; i < kq; ++i)
         out_rows[i] = out.data.data() + i * n;
+    std::vector<uint64_t *> digit_rows;
+    for (PolyId d : digits) {
+        PolyRecord &dig = memory.record(d);
+        for (size_t c = 0; c < kq; ++c)
+            digit_rows.push_back(dig.data.data() + c * n);
+        for (auto &l : dig.layout)
+            l = Layout::kNatural;
+    }
     if (config_.lift_scale_arch == LiftScaleArch::kHps) {
-        // Per coefficient chunk: scale into scratch p-base rows, then
-        // switch them back to the q base in dst's rows.
-        std::vector<uint64_t> mid(kp * std::min(n, kLiftScaleChunk));
         std::vector<const uint64_t *> in_rows(kq + kp);
-        std::vector<uint64_t *> mid_rows(kp), res_rows(kq);
-        for (size_t begin = 0; begin < n; begin += kLiftScaleChunk) {
-            const size_t len = std::min(kLiftScaleChunk, n - begin);
-            for (size_t i = 0; i < kq + kp; ++i)
-                in_rows[i] = in.data.data() + i * n + begin;
-            for (size_t i = 0; i < kp; ++i)
-                mid_rows[i] = mid.data() + i * len;
-            for (size_t i = 0; i < kq; ++i)
-                res_rows[i] = out_rows[i] + begin;
-            scaler.scaleBatch(in_rows.data(), mid_rows.data(), len);
-            back.convertBatch(mid_rows.data(), res_rows.data(), len);
-        }
+        for (size_t i = 0; i < kq + kp; ++i)
+            in_rows[i] = in.data.data() + i * n;
+        scaler.scaleBatch(in_rows.data(), out_rows.data(), n, &back,
+                          digits.empty() ? nullptr : digit_rows.data());
     } else {
+        const auto &base = params_->qBase(level);
         std::vector<uint64_t> full(kq + kp), mid(kp), res(kq);
         for (size_t j = 0; j < n; ++j) {
             for (size_t i = 0; i < kq + kp; ++i)
@@ -79,23 +75,14 @@ ScaleUnit::run(MemoryFile &memory, PolyId src, PolyId dst,
             back.convertExact(mid, res);
             for (size_t i = 0; i < kq; ++i)
                 out_rows[i][j] = res[i];
+            for (size_t d = 0; d < digits.size(); ++d)
+                for (size_t c = 0; c < kq; ++c)
+                    digit_rows[d * kq + c][j] =
+                        base->modulus(c).reduce(res[d]);
         }
     }
     for (auto &l : out.layout)
         l = Layout::kNatural;
-
-    // WordDecomp broadcast: digit d is result residue d reduced modulo
-    // every q channel (values < 2^30: at most one subtraction).
-    const simd::Kernels &kern = simd::active();
-    const auto &base = params_->qBase(level);
-    for (size_t d = 0; d < digits.size(); ++d) {
-        PolyRecord &dig = memory.record(digits[d]);
-        for (size_t c = 0; c < kq; ++c)
-            kern.reduce_u32(dig.data.data() + c * n, out_rows[d], n,
-                            base->modulus(c));
-        for (auto &l : dig.layout)
-            l = Layout::kNatural;
-    }
 }
 
 void

@@ -12,11 +12,11 @@
  * all q channels — materializing the WordDecomp digit polynomials for
  * relinearization at zero extra cost ("cheap bit-level manipulation").
  *
- * The HPS functional path runs over residue rows on the dispatched SIMD
- * kernels: per coefficient chunk, ScaleRounder::scaleBatch into scratch
- * p-base rows and FastBaseConverter::convertBatch back into dst's q
- * rows; the digit broadcast is one u32 reduction per (digit, channel)
- * row and a mod-switch one ScaleRounder::scaleBatch call. The
+ * The HPS functional path is one ScaleRounder::scaleBatch over residue
+ * rows, chained into the scale-back converter: the dispatched hps_scale
+ * kernel streams each vector of coefficients through Blocks 1-5 in
+ * registers and writes dst's q rows and the digit broadcasts from
+ * them. A mod-switch is one scaleBatch without the chain. The
  * traditional architecture keeps the per-coefficient BigInt oracle.
  */
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
+#include <utility>
 
 namespace heat::obs {
 namespace {
@@ -238,9 +240,26 @@ std::string
 Registry::renderText() const
 {
     std::lock_guard<std::mutex> lock(mu_);
+    // Families in first-registration order, each family's ids in
+    // registration order: one HELP/TYPE header per family even when
+    // its series were registered between other families' (per-tenant
+    // counters of successive tenants).
+    std::map<std::string, size_t> rank;
+    std::vector<std::pair<size_t, const Entry *>> order;
+    order.reserve(entries_.size());
+    for (const auto &e : entries_) {
+        const size_t r =
+            rank.try_emplace(familyOf(e->name), rank.size()).first->second;
+        order.emplace_back(r, e.get());
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+
     std::ostringstream os;
     std::string last_family;
-    for (const auto &e : entries_) {
+    for (const auto &[r, e] : order) {
         const std::string family = familyOf(e->name);
         if (family != last_family) {
             if (!e->help.empty()) {

@@ -86,9 +86,10 @@ writeArgs(std::ostream &os,
     os << '}';
 }
 
+/** One trace event; @p id names the pair of an async ('b'/'e') one. */
 void
 writeEvent(std::ostream &os, char phase, const SpanRecord &s, double ts_us,
-           bool &first)
+           bool &first, uint64_t id = 0)
 {
     if (!first) {
         os << ",\n";
@@ -101,7 +102,10 @@ writeEvent(std::ostream &os, char phase, const SpanRecord &s, double ts_us,
        << jsonEscape(s.category.empty() ? std::string("heat") : s.category)
        << R"(","ph":")" << phase << R"(","pid":)" << s.pid << R"(,"tid":)"
        << s.track << R"(,"ts":)" << ts.str();
-    if (phase == 'B' && !s.args.empty()) {
+    if (id != 0) {
+        os << R"(,"id":)" << id;
+    }
+    if ((phase == 'B' || phase == 'b') && !s.args.empty()) {
         os << R"(,"args":)";
         writeArgs(os, s.args);
     }
@@ -248,7 +252,14 @@ Tracer::writeChromeTrace(
     };
 
     const SpanRecord *prev = nullptr;
+    uint64_t async_ids = 0;
     for (const SpanRecord &s : spans) {
+        if (s.async) {
+            ++async_ids;
+            writeEvent(os, 'b', s, s.start_us, first, async_ids);
+            writeEvent(os, 'e', s, s.start_us + s.dur_us, first, async_ids);
+            continue;
+        }
         if (prev != nullptr &&
             (prev->pid != s.pid || prev->track != s.track)) {
             // Track switch: close everything still open.

@@ -58,6 +58,10 @@ struct SpanRecord
     /** Optional key/value annotations, exported under "args". Values
      *  are emitted verbatim when numeric-looking, quoted otherwise. */
     std::vector<std::pair<std::string, std::string>> args;
+    /** Exported as a Chrome async `b`/`e` pair with an id of its own
+     *  instead of a B/E pair on the track's stack: for spans that may
+     *  overlap the track's others, such as a job's queue wait. */
+    bool async = false;
 };
 
 /**
@@ -83,7 +87,8 @@ class Tracer
 
     /**
      * Chrome trace_event "JSON Object Format": `traceEvents` with
-     * balanced B/E duration events per (pid, track), `M` metadata
+     * balanced B/E duration events per (pid, track), one async b/e
+     * pair per async span (ids 1, 2, ... in export order), `M` metadata
      * events naming processes/threads, and an `otherData` object
      * carrying @p other_data entries (the CLI stores per-unit cycle
      * attribution there for the CI checker).

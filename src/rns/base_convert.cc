@@ -3,7 +3,6 @@
 #include "common/bit_util.h"
 #include "common/panic.h"
 #include "obs/trace.h"
-#include "simd/simd.h"
 
 namespace heat::rns {
 
@@ -37,26 +36,34 @@ FastBaseConverter::FastBaseConverter(const RnsBase &from, const RnsBase &to)
             qstar_mod_[i][j] = from_.puncturedProduct(i).modUint64(b_j);
     }
 
-    // convertBatch eligibility: the lambda rows feed the sop128 kernel,
-    // so every source residue must fit a 32-bit lane and the term count
-    // the kernel's partial-sum headroom.
-    batch_eligible_ = from_.size() <= simd::kSopMaxTerms;
+    // The batch kernel needs every prime of both bases inside the
+    // 32-bit lanes and the source base within its term budget.
+    // recip_[i] <= 2^60 since q_i >= 2^(min_bits - 1).
+    bool eligible = from_.size() <= simd::kHpsMaxTerms;
     for (const auto &m : from_.moduli())
-        batch_eligible_ =
-            batch_eligible_ && simd::eligibleModulus(m.value());
-    if (batch_eligible_) {
-        crt_inv_shoup_.resize(from_.size());
-        for (size_t i = 0; i < from_.size(); ++i)
-            crt_inv_shoup_[i] =
-                from_.modulus(i).shoupPrecompute(from_.crtInverse(i));
-        qstar_col_.assign(to_.size(),
-                          std::vector<uint64_t>(from_.size(), 0));
-        q_mod_shoup_.resize(to_.size());
+        eligible = eligible && simd::eligibleModulus(m.value());
+    for (const auto &m : to_.moduli())
+        eligible = eligible && simd::eligibleModulus(m.value());
+    if (eligible) {
+        const size_t kq = from_.size();
+        simd::HpsConvertPlan &plan = plan_.emplace();
+        plan.from_size = kq;
+        plan.to_size = to_.size();
+        plan.frac_bits = frac_bits_;
+        plan.recip = recip_;
+        for (size_t i = 0; i < kq; ++i) {
+            const Modulus &q_i = from_.modulus(i);
+            plan.from_mod.push_back(simd::mod32Constants(q_i));
+            plan.tilde.push_back(from_.crtInverse(i));
+            plan.tilde_phi.push_back(
+                q_i.shoupPrecompute(from_.crtInverse(i)) >> 32);
+        }
         for (size_t j = 0; j < to_.size(); ++j) {
-            for (size_t i = 0; i < from_.size(); ++i)
-                qstar_col_[j][i] = qstar_mod_[i][j];
-            q_mod_shoup_[j] =
-                to_.modulus(j).shoupPrecompute(q_mod_[j]);
+            const uint64_t b_j = to_.modulus(j).value();
+            for (size_t i = 0; i < kq; ++i)
+                plan.weights.push_back(qstar_mod_[i][j]);
+            plan.weights.push_back((b_j - q_mod_[j]) % b_j);
+            plan.to_mod.push_back(simd::mod32Constants(to_.modulus(j)));
         }
     }
 }
@@ -112,50 +119,20 @@ FastBaseConverter::convertBatch(const uint64_t *const *in_rows,
                                 size_t count) const
 {
     OBS_SPAN("rns.convert_batch", "kernel");
-    const size_t kq = from_.size();
-    const size_t kb = to_.size();
-    if (!batch_eligible_) {
-        std::vector<uint64_t> in(kq);
-        std::vector<uint64_t> out(kb);
-        for (size_t c = 0; c < count; ++c) {
-            for (size_t i = 0; i < kq; ++i)
-                in[i] = in_rows[i][c];
-            convert(in, out);
-            for (size_t j = 0; j < kb; ++j)
-                out_rows[j][c] = out[j];
-        }
+    if (plan_) {
+        simd::active().hps_convert(*plan_, in_rows, out_rows, count);
         return;
     }
-
-    const simd::Kernels &k = simd::active();
-
-    // Block 1: lambda rows (Shoup and Barrett products are both
-    // canonical, so this matches computeLambdas bit for bit).
-    std::vector<uint64_t> lambda_data(kq * count);
-    const uint64_t *lambda_rows[simd::kSopMaxTerms];
-    for (size_t i = 0; i < kq; ++i) {
-        uint64_t *row = lambda_data.data() + i * count;
-        k.mul_shoup_out(row, in_rows[i], count, from_.modulus(i),
-                        from_.crtInverse(i), crt_inv_shoup_[i]);
-        lambda_rows[i] = row;
-    }
-
-    // Blocks 3/4: the rounded quotient v' per coefficient. v' is at
-    // most from_.size(), far below every destination prime.
-    std::vector<uint64_t> lo(count), hi(count), v(count), corr(count);
-    k.sop128(lambda_rows, recip_.data(), kq, count, lo.data(),
-             hi.data());
-    k.round_shift128(lo.data(), hi.data(), count, frac_bits_, v.data());
-
-    // Block 2 + correction per destination prime.
-    for (size_t j = 0; j < kb; ++j) {
-        const Modulus &b_j = to_.modulus(j);
-        k.sop128(lambda_rows, qstar_col_[j].data(), kq, count, lo.data(),
-                 hi.data());
-        k.reduce128_mod(lo.data(), hi.data(), out_rows[j], count, b_j);
-        k.mul_shoup_out(corr.data(), v.data(), count, b_j, q_mod_[j],
-                        q_mod_shoup_[j]);
-        k.sub_mod(out_rows[j], corr.data(), count, b_j.value());
+    const size_t kq = from_.size();
+    const size_t kb = to_.size();
+    std::vector<uint64_t> in(kq);
+    std::vector<uint64_t> out(kb);
+    for (size_t c = 0; c < count; ++c) {
+        for (size_t i = 0; i < kq; ++i)
+            in[i] = in_rows[i][c];
+        convert(in, out);
+        for (size_t j = 0; j < kb; ++j)
+            out_rows[j][c] = out[j];
     }
 }
 

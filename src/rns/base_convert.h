@@ -12,7 +12,10 @@
  *    are zero, so a 30x60-bit multiply suffices — the paper's Block 3
  *    trick). The conversion maps x in [0, q) to its *centered*
  *    representative in (-q/2, q/2] expressed in the target base, which is
- *    exactly what FV multiplication wants.
+ *    exactly what FV multiplication wants. convertBatch runs it as the
+ *    dispatched hps_convert kernel: per vector of coefficients, the
+ *    lambdas, v' and every output sum stay in registers, each output a
+ *    64-bit sum of products reduced once.
  *
  *  - exact conversion via BigInt CRT reconstruction (the "traditional"
  *    datapath and the golden model for tests).
@@ -22,10 +25,12 @@
 #define HEAT_RNS_BASE_CONVERT_H
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "rns/rns_base.h"
+#include "simd/simd.h"
 
 namespace heat::rns {
 
@@ -79,10 +84,9 @@ class FastBaseConverter
      *                row of count values (RnsPoly residue-major layout).
      * @param out_rows toBase().size() pointers receiving count values.
      *
-     * Bit-identical to count calls of convert(); uses the dispatched
-     * SIMD kernels when every source modulus fits the lane bound and
-     * the base fits the 128-bit sum-of-products term budget, else a
-     * per-coefficient gather/convert/scatter loop.
+     * Bit-identical to count calls of convert(). One call of the
+     * dispatched hps_convert kernel, with no scratch, when batchPlan()
+     * exists; else a per-coefficient gather/convert/scatter loop.
      */
     void convertBatch(const uint64_t *const *in_rows,
                       uint64_t *const *out_rows, size_t count) const;
@@ -100,6 +104,18 @@ class FastBaseConverter
     /** @return reciprocal table entry round(2^frac_bits / q_i). */
     uint64_t reciprocal(size_t i) const { return recip_[i]; }
 
+    /**
+     * @return the hps_convert kernel's constants, or nullptr when a
+     * prime of either base reaches simd::kLaneModulusBound or the
+     * source base exceeds simd::kHpsMaxTerms (the per-coefficient
+     * path then serves convertBatch).
+     */
+    const simd::HpsConvertPlan *
+    batchPlan() const
+    {
+        return plan_ ? &*plan_ : nullptr;
+    }
+
   private:
     RnsBase from_;
     RnsBase to_;
@@ -111,14 +127,7 @@ class FastBaseConverter
     /** q_mod_[j] = q mod b_j. */
     std::vector<uint64_t> q_mod_;
 
-    /** True when convertBatch may use the SIMD kernels. */
-    bool batch_eligible_ = false;
-    /** crt_inv_shoup_[i] = shoupPrecompute(q~_i) for the lambda rows. */
-    std::vector<uint64_t> crt_inv_shoup_;
-    /** qstar_col_[j] = {qstar_mod_[0][j], ..., qstar_mod_[kq-1][j]}. */
-    std::vector<std::vector<uint64_t>> qstar_col_;
-    /** q_mod_shoup_[j] = shoupPrecompute(q_mod_[j]) for v-corrections. */
-    std::vector<uint64_t> q_mod_shoup_;
+    std::optional<simd::HpsConvertPlan> plan_;
 };
 
 } // namespace heat::rns

@@ -3,7 +3,6 @@
 #include "common/bit_util.h"
 #include "common/panic.h"
 #include "obs/trace.h"
-#include "simd/simd.h"
 
 namespace heat::rns {
 
@@ -46,21 +45,23 @@ ScaleRounder::ScaleRounder(const RnsBase &q_base, const RnsBase &p_base,
         cj_[j] = c.modUint64(p_j);
     }
 
-    // scaleBatch runs through the sop128/reduce128 kernels when every
-    // full-base residue fits a 32-bit lane and the Block-2 term count
-    // (q residues + the coefficient's own p residue) fits the kernel's
-    // 64-bit partial-sum headroom.
-    batch_eligible_ = q_.size() + 1 <= simd::kSopMaxTerms;
+    // The batch kernel needs every full-base prime inside the 32-bit
+    // lanes and the q residues plus the own p residue within its term
+    // budget. rfrac_[i] <= 2^60 since rem < q_i.
+    bool eligible = q_.size() + 1 <= simd::kHpsMaxTerms;
     for (const auto &m : full_.moduli())
-        batch_eligible_ =
-            batch_eligible_ && simd::eligibleModulus(m.value());
-    if (batch_eligible_) {
-        wcol_.assign(p_.size(),
-                     std::vector<uint64_t>(q_.size() + 1, 0));
+        eligible = eligible && simd::eligibleModulus(m.value());
+    if (eligible) {
+        simd::HpsScalePlan &plan = plan_.emplace();
+        plan.q_size = q_.size();
+        plan.p_size = p_.size();
+        plan.frac_bits = kFracBits;
+        plan.frac = rfrac_;
         for (size_t j = 0; j < p_.size(); ++j) {
             for (size_t i = 0; i < q_.size(); ++i)
-                wcol_[j][i] = imod_[i][j];
-            wcol_[j][q_.size()] = cj_[j];
+                plan.weights.push_back(imod_[i][j]);
+            plan.weights.push_back(cj_[j]);
+            plan.p_mod.push_back(simd::mod32Constants(p_.modulus(j)));
         }
     }
 }
@@ -96,45 +97,44 @@ ScaleRounder::scale(std::span<const uint64_t> in,
 
 void
 ScaleRounder::scaleBatch(const uint64_t *const *in_rows,
-                         uint64_t *const *out_rows, size_t count) const
+                         uint64_t *const *out_rows, size_t count,
+                         const FastBaseConverter *back,
+                         uint64_t *const *broadcast_rows) const
 {
     OBS_SPAN("rns.scale_batch", "kernel");
-    const size_t kq = q_.size();
-    const size_t kp = p_.size();
-    if (!batch_eligible_) {
-        std::vector<uint64_t> in(full_.size());
-        std::vector<uint64_t> out(kp);
-        for (size_t c = 0; c < count; ++c) {
-            for (size_t i = 0; i < full_.size(); ++i)
-                in[i] = in_rows[i][c];
-            scale(in, out);
-            for (size_t j = 0; j < kp; ++j)
-                out_rows[j][c] = out[j];
-        }
+    panicIf(back != nullptr && back->fromBase().size() != p_.size(),
+            "back-conversion must start from the p base");
+    panicIf(back == nullptr && broadcast_rows != nullptr,
+            "a digit broadcast needs a back-conversion");
+    const simd::HpsConvertPlan *back_plan =
+        back != nullptr ? back->batchPlan() : nullptr;
+    if (plan_ && (back == nullptr || back_plan != nullptr)) {
+        simd::active().hps_scale(*plan_, back_plan, in_rows, out_rows,
+                                 broadcast_rows, count);
         return;
     }
 
-    const simd::Kernels &k = simd::active();
-    std::vector<uint64_t> lo(count), hi(count), rounded(count);
-
-    // Block 1: fractional sum-of-products and the round (shared by all
-    // output primes).
-    k.sop128(in_rows, rfrac_.data(), kq, count, lo.data(), hi.data());
-    k.round_shift128(lo.data(), hi.data(), count, kFracBits,
-                     rounded.data());
-
-    // Blocks 2-4 per output prime, on whole rows: the q-base rows plus
-    // the coefficient's own p_j row, weighted by the precomputed column.
-    const uint64_t *rows[simd::kSopMaxTerms];
-    for (size_t i = 0; i < kq; ++i)
-        rows[i] = in_rows[i];
-    for (size_t j = 0; j < kp; ++j) {
-        rows[kq] = in_rows[kq + j];
-        k.sop128(rows, wcol_[j].data(), kq + 1, count, lo.data(),
-                 hi.data());
-        k.add128_64(lo.data(), hi.data(), rounded.data(), count);
-        k.reduce128_mod(lo.data(), hi.data(), out_rows[j], count,
-                        p_.modulus(j));
+    const size_t kp = p_.size();
+    const size_t kb = back != nullptr ? back->toBase().size() : 0;
+    std::vector<uint64_t> in(full_.size()), mid(kp), res(kb);
+    for (size_t c = 0; c < count; ++c) {
+        for (size_t i = 0; i < full_.size(); ++i)
+            in[i] = in_rows[i][c];
+        scale(in, mid);
+        if (back == nullptr) {
+            for (size_t j = 0; j < kp; ++j)
+                out_rows[j][c] = mid[j];
+            continue;
+        }
+        back->convert(mid, res);
+        for (size_t d = 0; d < kb; ++d) {
+            out_rows[d][c] = res[d];
+            if (broadcast_rows == nullptr)
+                continue;
+            for (size_t ch = 0; ch < kb; ++ch)
+                broadcast_rows[d * kb + ch][c] =
+                    back->toBase().modulus(ch).reduce(res[d]);
+        }
     }
 }
 

@@ -18,17 +18,25 @@
  * identities making this work: p = 0 (mod q_j) kills both the CRT overflow
  * term gamma*t*p and the cross terms, so no explicit alpha correction is
  * needed for the p-base outputs.
+ *
+ * scaleBatch streams a block of coefficients through the same blocks as
+ * the hardware does, one pass per vector of coefficients: the dispatched
+ * hps_scale kernel computes Block 1 exactly, Blocks 2-4 as one 64-bit
+ * sum of products per p prime, and, given the back converter, Block 5
+ * and the WordDecomp digit broadcast from the same registers.
  */
 
 #ifndef HEAT_RNS_SCALE_ROUND_H
 #define HEAT_RNS_SCALE_ROUND_H
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "rns/base_convert.h"
 #include "rns/rns_base.h"
+#include "simd/simd.h"
 
 namespace heat::rns {
 
@@ -63,22 +71,32 @@ class ScaleRounder
     void scale(std::span<const uint64_t> in, std::span<uint64_t> out) const;
 
     /**
-     * Scale a block of @p count coefficients at once.
+     * Scale a block of @p count coefficients at once, optionally
+     * switching the result on to another base in the same pass.
      *
      * @param in_rows qBase().size() + pBase().size() pointers, one per
      *                full-base residue row, each holding count values
      *                (i.e. RnsPoly residue-major layout).
      * @param out_rows pBase().size() pointers receiving count scaled
-     *                 values each.
+     *                 values each; with @p back, back->toBase().size()
+     *                 pointers receiving the scaled values in that base.
+     * @param back optional converter from pBase() (Block 5: Scale's
+     *             p -> q switch).
+     * @param broadcast_rows optional, with @p back only: k * k rows
+     *        (k = back->toBase().size()); row d * k + c receives output
+     *        row d reduced modulo destination prime c (the WordDecomp
+     *        digit broadcast).
      *
-     * Bit-identical to count calls of scale(). When every full-base
-     * modulus fits the SIMD lane bound (and the base is small enough
-     * for the 128-bit sum-of-products kernels), the blocks run through
-     * the dispatched vector kernels; otherwise this degrades to a
+     * Bit-identical to count calls of scale() (then back->convert()).
+     * One call of the dispatched hps_scale kernel, with no scratch,
+     * when both plans exist (every prime below the SIMD lane bound,
+     * q base within simd::kHpsMaxTerms - 1); otherwise a
      * per-coefficient gather/scale/scatter loop.
      */
     void scaleBatch(const uint64_t *const *in_rows,
-                    uint64_t *const *out_rows, size_t count) const;
+                    uint64_t *const *out_rows, size_t count,
+                    const FastBaseConverter *back = nullptr,
+                    uint64_t *const *broadcast_rows = nullptr) const;
 
     /**
      * Exact reference (BigInt): y = round-half-up(t * centered(x) / q),
@@ -90,6 +108,18 @@ class ScaleRounder
 
     /** Fixed-point fractional bits used for the R_i constants. */
     static constexpr int kFracBits = 60;
+
+    /**
+     * @return the hps_scale kernel's constants, or nullptr when a
+     * full-base prime reaches simd::kLaneModulusBound or the q base
+     * exceeds simd::kHpsMaxTerms - 1 (the per-coefficient path then
+     * serves scaleBatch).
+     */
+    const simd::HpsScalePlan *
+    batchPlan() const
+    {
+        return plan_ ? &*plan_ : nullptr;
+    }
 
   private:
     RnsBase q_;
@@ -104,10 +134,7 @@ class ScaleRounder
     /** cj_[j] = [t * Q~_j * (p / q_j)] mod p_j. */
     std::vector<uint64_t> cj_;
 
-    /** True when scaleBatch may use the SIMD sum-of-products kernels. */
-    bool batch_eligible_ = false;
-    /** wcol_[j] = {imod_[0][j], ..., imod_[kq-1][j], cj_[j]}. */
-    std::vector<std::vector<uint64_t>> wcol_;
+    std::optional<simd::HpsScalePlan> plan_;
 };
 
 } // namespace heat::rns

@@ -909,7 +909,8 @@ ExecutionService::finishJob(Lane &lane, Job &job)
             tracer->addSpan({"queue-wait", "service", obs::kModeledPid,
                              static_cast<uint32_t>(lane.index),
                              job.arrival_us, job.start_us - job.arrival_us,
-                             jobArgs(job.session->name, job.seq)});
+                             jobArgs(job.session->name, job.seq),
+                             /*async=*/true});
         // The request spans the job; every other span ends where the
         // engine placed it, but never past its parent's end.
         std::vector<PendingSpan> &spans = lane.spans;

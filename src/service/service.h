@@ -63,7 +63,8 @@
  *
  * The engine is the only source of modeled (obs::kModeledPid) trace
  * spans, placed on its clock on the worker's track: a job's
- * "queue-wait", its "request:*" span from start to end (args
+ * "queue-wait" (an async span: waits overlap each other and the
+ * track's requests), its "request:*" span from start to end (args
  * latency_us and the priced busy_us), and tiling that, the phases of
  * its timeline ("upload:resident", "upload", per segment a "program"
  * of instruction spans and "arm-dispatch", "download") and a

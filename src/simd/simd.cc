@@ -8,6 +8,7 @@
 #include "common/panic.h"
 #include "ntt/ntt.h"
 #include "rns/modulus.h"
+#include "simd/hps_kernels.h"
 #include "simd/simd_internal.h"
 
 namespace heat::simd {
@@ -77,62 +78,42 @@ reduceU32Scalar(uint64_t *dst, const uint64_t *src, size_t n,
         dst[i] = q.reduce(src[i]);
 }
 
-void
-sop128Scalar(const uint64_t *const *rows, const uint64_t *weights,
-             size_t terms, size_t count, uint64_t *lo, uint64_t *hi)
+namespace {
+
+/** One 64-bit lane: the HPS kernels' scalar bodies. */
+struct ScalarLanes
 {
-    for (size_t j = 0; j < count; ++j) {
-        uint128_t acc = 0;
-        for (size_t i = 0; i < terms; ++i)
-            acc += mulWide64(rows[i][j], weights[i]);
-        lo[j] = static_cast<uint64_t>(acc);
-        hi[j] = static_cast<uint64_t>(acc >> 64);
-    }
+    using Reg = uint64_t;
+    static constexpr size_t kLanes = 1;
+
+    static Reg load(const uint64_t *p) { return *p; }
+    static void store(uint64_t *p, Reg x) { *p = x; }
+    static Reg set1(uint64_t x) { return x; }
+    static Reg add(Reg a, Reg b) { return a + b; }
+    static Reg sub(Reg a, Reg b) { return a - b; }
+    static Reg mul32(Reg a, Reg b) { return lo32(a) * lo32(b); }
+    static Reg srl32(Reg a) { return a >> 32; }
+    static Reg srl(Reg a, int s) { return a >> s; }
+    static Reg lo32(Reg a) { return a & 0xffffffffu; }
+    static Reg csub(Reg x, Reg k) { return x >= k ? x - k : x; }
+};
+
+} // namespace
+
+void
+hpsConvertScalar(const HpsConvertPlan &plan, const uint64_t *const *in_rows,
+                 uint64_t *const *out_rows, size_t begin, size_t end)
+{
+    Hps<ScalarLanes>::convertRows(plan, in_rows, out_rows, begin, end);
 }
 
 void
-add128_64Scalar(uint64_t *lo, uint64_t *hi, const uint64_t *add,
-                size_t count)
+hpsScaleScalar(const HpsScalePlan &plan, const HpsConvertPlan *back,
+               const uint64_t *const *in_rows, uint64_t *const *out_rows,
+               uint64_t *const *broadcast_rows, size_t begin, size_t end)
 {
-    for (size_t j = 0; j < count; ++j) {
-        const uint64_t s = lo[j] + add[j];
-        hi[j] += s < add[j] ? 1 : 0;
-        lo[j] = s;
-    }
-}
-
-void
-roundShift128Scalar(const uint64_t *lo, const uint64_t *hi, size_t count,
-                    int shift, uint64_t *out)
-{
-    panicIf(shift < 1 || shift > 127, "round_shift128 shift out of range");
-    const uint128_t half = uint128_t(1) << (shift - 1);
-    for (size_t j = 0; j < count; ++j) {
-        const uint128_t x = (uint128_t(hi[j]) << 64) | lo[j];
-        out[j] = static_cast<uint64_t>((x + half) >> shift);
-    }
-}
-
-void
-reduce128ModScalar(const uint64_t *lo, const uint64_t *hi, uint64_t *out,
-                   size_t count, const rns::Modulus &q)
-{
-    for (size_t j = 0; j < count; ++j)
-        out[j] = q.reduce128((uint128_t(hi[j]) << 64) | lo[j]);
-}
-
-Mod32Constants
-mod32Constants(const rns::Modulus &q)
-{
-    const uint64_t qv = q.value();
-    Mod32Constants c;
-    c.q = qv;
-    c.phi1 = static_cast<uint64_t>((uint128_t(1) << 32) / qv);
-    c.c32 = static_cast<uint64_t>((uint128_t(1) << 32) % qv);
-    c.phi_c32 = static_cast<uint64_t>((uint128_t(c.c32) << 32) / qv);
-    c.c64 = static_cast<uint64_t>((uint128_t(1) << 64) % qv);
-    c.phi_c64 = static_cast<uint64_t>((uint128_t(c.c64) << 32) / qv);
-    return c;
+    Hps<ScalarLanes>::scaleRows(plan, back, in_rows, out_rows,
+                                broadcast_rows, begin, end);
 }
 
 namespace {
@@ -158,13 +139,25 @@ scalarKernels()
         Level::kScalar,    nttForwardScalarEntry, nttInverseScalarEntry,
         addModScalar,      subModScalar,          negateModScalar,
         mulShoupScalar,    mulShoupOutScalar,     mulModScalar,
-        macModScalar,      reduceU32Scalar,       sop128Scalar,
-        add128_64Scalar,   roundShift128Scalar,   reduce128ModScalar,
+        macModScalar,      reduceU32Scalar,
+        Hps<ScalarLanes>::convertBatch, Hps<ScalarLanes>::scaleBatch,
     };
     return table;
 }
 
 } // namespace detail
+
+Mod32Constants
+mod32Constants(const rns::Modulus &q)
+{
+    const uint64_t qv = q.value();
+    Mod32Constants c;
+    c.q = qv;
+    c.phi1 = static_cast<uint64_t>((uint128_t(1) << 32) / qv);
+    c.c32 = static_cast<uint64_t>((uint128_t(1) << 32) % qv);
+    c.phi_c32 = static_cast<uint64_t>((uint128_t(c.c32) << 32) / qv);
+    return c;
+}
 
 const char *
 levelName(Level level)

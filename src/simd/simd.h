@@ -11,6 +11,13 @@
  * clamped to what the CPU and build support) and every entry produces
  * canonical outputs bit-identical to the scalar implementation.
  *
+ * The kernels: forward and inverse negacyclic NTTs; the dyadic residue
+ * loops (add, sub, negate, Shoup and pointwise multiply, MAC and the
+ * u32 digit reduction); and the fused HPS kernels, hps_convert (Lift
+ * q->p and the p->q back-conversion) and hps_scale (Scale Blocks 1-4,
+ * optionally chained into the back-conversion and the WordDecomp digit
+ * broadcast), each one in-register pass per vector of coefficients.
+ *
  * Vector paths use 32-bit Shoup/Harvey lazy reduction (one vpmuludq
  * per 64-bit product half), which bounds lane values by 2^32: only
  * moduli below kLaneModulusBound (2^30, the paper's RNS prime width)
@@ -31,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace heat::ntt {
 class NttTables;
@@ -84,6 +92,68 @@ eligibleModulus(uint64_t q)
 {
     return q < kLaneModulusBound;
 }
+
+/**
+ * Per-modulus constants for the 32-bit Shoup reduction chains of the
+ * vector kernels (mul_mod, reduce_u32 and the HPS plans). Cheap to
+ * build (three divisions). Only meaningful for q < kLaneModulusBound.
+ */
+struct Mod32Constants
+{
+    uint64_t q = 0;
+    uint64_t phi1 = 0;      ///< floor(2^32 / q): Shoup constant for w = 1
+    uint64_t c32 = 0;       ///< 2^32 mod q
+    uint64_t phi_c32 = 0;   ///< floor(c32 * 2^32 / q)
+};
+
+Mod32Constants mod32Constants(const rns::Modulus &q);
+
+/**
+ * Largest sum the HPS kernels take: source primes of a conversion, q
+ * primes + 1 of a scale (Table V rows 0-2; the per-coefficient paths
+ * cover wider bases).
+ */
+inline constexpr size_t kHpsMaxTerms = 32;
+
+/**
+ * Constants of one HPS base conversion from a base of from_size
+ * primes q_i to one of to_size primes b_j, precomputed by
+ * rns::FastBaseConverter. Every prime is below kLaneModulusBound.
+ */
+struct HpsConvertPlan
+{
+    size_t from_size = 0; ///< <= kHpsMaxTerms
+    size_t to_size = 0;
+    /** v' = round(sum_i lambda_i * recip[i] / 2^frac_bits);
+     *  33 <= frac_bits < 96. */
+    int frac_bits = 0;
+    std::vector<Mod32Constants> from_mod;
+    /** lambda_i = x_i * tilde[i] mod q_i, with tilde_phi[i] =
+     *  floor(tilde[i] * 2^32 / q_i). */
+    std::vector<uint64_t> tilde, tilde_phi;
+    std::vector<uint64_t> recip; ///< <= 2^60
+    /** to_size rows of from_size + 1: (q / q_i) mod b_j, then v''s
+     *  weight (b_j - q mod b_j) mod b_j. */
+    std::vector<uint64_t> weights;
+    std::vector<Mod32Constants> to_mod;
+};
+
+/**
+ * Constants of one HPS scale round(t x / q) from the full base q * p
+ * into p, precomputed by rns::ScaleRounder. Every prime is below
+ * kLaneModulusBound.
+ */
+struct HpsScalePlan
+{
+    size_t q_size = 0; ///< q_size + 1 <= kHpsMaxTerms
+    size_t p_size = 0;
+    int frac_bits = 0; ///< fixed point of frac, in [33, 96)
+    std::vector<uint64_t> frac; ///< R_i * 2^frac_bits, <= 2^60
+    /** p_size rows of q_size + 1: I_i mod p_j, then the weight of the
+     *  coefficient's own p_j residue. */
+    std::vector<uint64_t> weights;
+    std::vector<Mod32Constants> p_mod;
+};
 
 /**
  * One dispatch table. All entries are total functions: they accept
@@ -145,37 +215,38 @@ struct Kernels
                        const rns::Modulus &q);
 
     /**
-     * Exact 128-bit sum of products per lane:
-     *   (hi[j], lo[j]) = sum_i rows[i][j] * weights[i]
-     * for j in [0, count). Preconditions: rows values < 2^30,
-     * weights <= 2^60, terms <= kSopMaxTerms. This is the shared HPS
-     * lift/scale inner loop (ScaleRounder / FastBaseConverter).
+     * HPS base conversion, one pass per vector of coefficients:
+     * out_rows[j][c] = centered x_c mod b_j, with x_c the value whose
+     * residues are in_rows[i][c] (Lift q->p and Scale's p->q switch).
+     * In registers per vector: lambda_i = x_i * q~_i mod q_i (Shoup),
+     * v' = round(sum_i lambda_i * recip_i / 2^frac_bits) exactly, and
+     * each output sum_i lambda_i * (q*_i mod b_j) + v' * (b_j - q mod
+     * b_j) in a 64-bit accumulator, folded every 15 terms and reduced
+     * once. Bit-identical to FastBaseConverter::convert per
+     * coefficient. Preconditions: see HpsConvertPlan.
      */
-    void (*sop128)(const uint64_t *const *rows, const uint64_t *weights,
-                   size_t terms, size_t count, uint64_t *lo, uint64_t *hi);
-
-    /** 128-bit lane add: (hi[j], lo[j]) += add[j]. */
-    void (*add128_64)(uint64_t *lo, uint64_t *hi, const uint64_t *add,
-                      size_t count);
-
-    /**
-     * out[j] = (x[j] + 2^(shift-1)) >> shift for the 128-bit lanes
-     * x = (hi, lo); 1 <= shift <= 127 and the result must fit 64 bits.
-     */
-    void (*round_shift128)(const uint64_t *lo, const uint64_t *hi,
-                           size_t count, int shift, uint64_t *out);
+    void (*hps_convert)(const HpsConvertPlan &plan,
+                        const uint64_t *const *in_rows,
+                        uint64_t *const *out_rows, size_t count);
 
     /**
-     * out[j] = (hi[j] * 2^64 + lo[j]) mod q, canonical; requires
-     * hi[j] < 2^32 (Barrett-identical to Modulus::reduce128).
+     * HPS Scale (Fig. 9 Blocks 1-4), one pass per vector: y_j =
+     * round(t x / q) mod p_j from the q_size + p_size full-base
+     * in_rows, Block 1's fractional sum exact, Blocks 2-4 one 64-bit
+     * sum of products plus the rounded term. With @p back null,
+     * out_rows[j] receives y_j (p_size rows). Otherwise Block 5 runs
+     * in the same registers: out_rows receive the back->to_size rows
+     * of y switched by @p back (whose source base is the p base), and
+     * @p broadcast_rows, when non-null, the WordDecomp digits: row
+     * d * to_size + c holds output row d reduced mod destination
+     * prime c. Bit-identical to ScaleRounder::scale (then
+     * FastBaseConverter::convert) per coefficient.
      */
-    void (*reduce128_mod)(const uint64_t *lo, const uint64_t *hi,
-                          uint64_t *out, size_t count,
-                          const rns::Modulus &q);
+    void (*hps_scale)(const HpsScalePlan &plan, const HpsConvertPlan *back,
+                      const uint64_t *const *in_rows,
+                      uint64_t *const *out_rows,
+                      uint64_t *const *broadcast_rows, size_t count);
 };
-
-/** Maximum term count sop128 accepts (64-bit partial-sum headroom). */
-inline constexpr size_t kSopMaxTerms = 32;
 
 /** @return the active kernel table (HEAT_SIMD-aware, CPU-detected). */
 const Kernels &active();

@@ -19,6 +19,7 @@
 #include "ntt/ntt.h"
 #include "ntt/ntt_tables.h"
 #include "rns/modulus.h"
+#include "simd/hps_kernels.h"
 #include "simd/simd_internal.h"
 
 namespace heat::simd::detail {
@@ -49,14 +50,6 @@ csub(__m256i x, __m256i k)
 {
     const __m256i lt = _mm256_cmpgt_epi64(k, x);
     return _mm256_sub_epi64(x, _mm256_andnot_si256(lt, k));
-}
-
-/** Unsigned 64-bit a < b lane mask (sign-bias trick). */
-inline __m256i
-ltu64(__m256i a, __m256i b, __m256i bias)
-{
-    return _mm256_cmpgt_epi64(_mm256_xor_si256(b, bias),
-                              _mm256_xor_si256(a, bias));
 }
 
 /**
@@ -558,107 +551,27 @@ reduceU32Avx2(uint64_t *dst, const uint64_t *src, size_t n,
     reduceU32Scalar(dst + j, src + j, n - j, q);
 }
 
-void
-sop128Avx2(const uint64_t *const *rows, const uint64_t *weights,
-           size_t terms, size_t count, uint64_t *lo, uint64_t *hi)
+/** Four 64-bit lanes: the HPS kernels' AVX2 bodies. */
+struct Avx2Lanes
 {
-    const __m256i bias = set1(uint64_t(1) << 63);
-    const __m256i one = set1(1);
-    size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-        __m256i acc_lo = _mm256_setzero_si256();
-        __m256i acc_mid = _mm256_setzero_si256();
-        __m256i acc_hi = _mm256_setzero_si256();
-        for (size_t i = 0; i < terms; ++i) {
-            const __m256i v = load(rows[i] + j);
-            const __m256i wlo = set1(weights[i] & 0xffffffffu);
-            const __m256i whi = set1(weights[i] >> 32);
-            const __m256i plo = _mm256_mul_epu32(v, wlo);
-            const __m256i s = _mm256_add_epi64(acc_lo, plo);
-            const __m256i carry = ltu64(s, plo, bias);
-            acc_hi =
-                _mm256_add_epi64(acc_hi, _mm256_and_si256(carry, one));
-            acc_lo = s;
-            acc_mid =
-                _mm256_add_epi64(acc_mid, _mm256_mul_epu32(v, whi));
-        }
-        const __m256i mid_lo = _mm256_slli_epi64(acc_mid, 32);
-        const __m256i s = _mm256_add_epi64(acc_lo, mid_lo);
-        const __m256i carry = ltu64(s, mid_lo, bias);
-        acc_hi = _mm256_add_epi64(acc_hi, _mm256_and_si256(carry, one));
-        store(lo + j, s);
-        store(hi + j,
-              _mm256_add_epi64(acc_hi, _mm256_srli_epi64(acc_mid, 32)));
-    }
-    if (j < count) {
-        const uint64_t *tail_rows[kSopMaxTerms];
-        for (size_t i = 0; i < terms; ++i)
-            tail_rows[i] = rows[i] + j;
-        sop128Scalar(tail_rows, weights, terms, count - j, lo + j,
-                     hi + j);
-    }
-}
+    using Reg = __m256i;
+    static constexpr size_t kLanes = 4;
 
-void
-add128_64Avx2(uint64_t *lo, uint64_t *hi, const uint64_t *add,
-              size_t count)
-{
-    const __m256i bias = set1(uint64_t(1) << 63);
-    const __m256i one = set1(1);
-    size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-        const __m256i va = load(add + j);
-        const __m256i s = _mm256_add_epi64(load(lo + j), va);
-        const __m256i carry = ltu64(s, va, bias);
-        store(lo + j, s);
-        store(hi + j, _mm256_add_epi64(load(hi + j),
-                                       _mm256_and_si256(carry, one)));
+    static Reg load(const uint64_t *p) { return detail::load(p); }
+    static void store(uint64_t *p, Reg x) { detail::store(p, x); }
+    static Reg set1(uint64_t x) { return detail::set1(x); }
+    static Reg add(Reg a, Reg b) { return _mm256_add_epi64(a, b); }
+    static Reg sub(Reg a, Reg b) { return _mm256_sub_epi64(a, b); }
+    static Reg mul32(Reg a, Reg b) { return _mm256_mul_epu32(a, b); }
+    static Reg srl32(Reg a) { return _mm256_srli_epi64(a, 32); }
+    static Reg
+    srl(Reg a, int s)
+    {
+        return _mm256_srl_epi64(a, _mm_cvtsi32_si128(s));
     }
-    add128_64Scalar(lo + j, hi + j, add + j, count - j);
-}
-
-void
-roundShift128Avx2(const uint64_t *lo, const uint64_t *hi, size_t count,
-                  int shift, uint64_t *out)
-{
-    // Few ops per lane and one call per coefficient block: the scalar
-    // body keeps up with loads/stores here, so share it.
-    roundShift128Scalar(lo, hi, count, shift, out);
-}
-
-void
-reduce128ModAvx2(const uint64_t *lo, const uint64_t *hi, uint64_t *out,
-                 size_t count, const rns::Modulus &q)
-{
-    if (!eligibleModulus(q.value())) {
-        reduce128ModScalar(lo, hi, out, count, q);
-        return;
-    }
-    const Mod32Constants mc = mod32Constants(q);
-    const __m256i vq = set1(mc.q);
-    const __m256i v2q = set1(2 * mc.q);
-    const __m256i vphi1 = set1(mc.phi1);
-    const __m256i vc32 = set1(mc.c32);
-    const __m256i vphi_c32 = set1(mc.phi_c32);
-    const __m256i vc64 = set1(mc.c64);
-    const __m256i vphi_c64 = set1(mc.phi_c64);
-    const __m256i mask32 = set1(0xffffffffu);
-    size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-        const __m256i vhi = load(hi + j); // < 2^32 by contract
-        const __m256i vlo = load(lo + j);
-        const __m256i t = mulShoupLazy32(vhi, vc64, vphi_c64, vq);
-        const __m256i t2 = mulShoupLazy32(_mm256_srli_epi64(vlo, 32),
-                                          vc32, vphi_c32, vq);
-        const __m256i t3 =
-            reduceLazyBy1(_mm256_and_si256(vlo, mask32), vphi1, vq);
-        __m256i s = csub(_mm256_add_epi64(t, t2), v2q);
-        s = _mm256_add_epi64(s, t3); // < 4q < 2^32
-        const __m256i r = reduceLazyBy1(s, vphi1, vq);
-        store(out + j, csub(r, vq));
-    }
-    reduce128ModScalar(lo + j, hi + j, out + j, count - j, q);
-}
+    static Reg lo32(Reg a) { return _mm256_and_si256(a, set1(0xffffffffu)); }
+    static Reg csub(Reg x, Reg k) { return detail::csub(x, k); }
+};
 
 } // namespace
 
@@ -669,8 +582,8 @@ avx2Kernels()
         Level::kAvx2,    nttForwardAvx2, nttInverseAvx2,
         addModAvx2,      subModAvx2,     negateModAvx2,
         mulShoupAvx2,    mulShoupOutAvx2, mulModAvx2,
-        macModAvx2,      reduceU32Avx2,  sop128Avx2,
-        add128_64Avx2,   roundShift128Avx2, reduce128ModAvx2,
+        macModAvx2,      reduceU32Avx2,
+        Hps<Avx2Lanes>::convertBatch, Hps<Avx2Lanes>::scaleBatch,
     };
     return table;
 }

@@ -14,6 +14,7 @@
 #include "ntt/ntt.h"
 #include "ntt/ntt_tables.h"
 #include "rns/modulus.h"
+#include "simd/hps_kernels.h"
 #include "simd/simd_internal.h"
 
 namespace heat::simd::detail {
@@ -565,103 +566,27 @@ reduceU32Avx512(uint64_t *dst, const uint64_t *src, size_t n,
     reduceU32Scalar(dst + j, src + j, n - j, q);
 }
 
-void
-sop128Avx512(const uint64_t *const *rows, const uint64_t *weights,
-             size_t terms, size_t count, uint64_t *lo, uint64_t *hi)
+/** Eight 64-bit lanes: the HPS kernels' AVX-512 bodies. */
+struct Avx512Lanes
 {
-    const __m512i one = set1(1);
-    size_t j = 0;
-    for (; j + 8 <= count; j += 8) {
-        __m512i acc_lo = _mm512_setzero_si512();
-        __m512i acc_mid = _mm512_setzero_si512();
-        __m512i acc_hi = _mm512_setzero_si512();
-        for (size_t i = 0; i < terms; ++i) {
-            const __m512i v = load(rows[i] + j);
-            const __m512i wlo = set1(weights[i] & 0xffffffffu);
-            const __m512i whi = set1(weights[i] >> 32);
-            const __m512i plo = _mm512_mul_epu32(v, wlo);
-            const __m512i s = _mm512_add_epi64(acc_lo, plo);
-            const __mmask8 carry = _mm512_cmplt_epu64_mask(s, plo);
-            acc_hi = _mm512_mask_add_epi64(acc_hi, carry, acc_hi, one);
-            acc_lo = s;
-            acc_mid =
-                _mm512_add_epi64(acc_mid, _mm512_mul_epu32(v, whi));
-        }
-        const __m512i mid_lo = _mm512_slli_epi64(acc_mid, 32);
-        const __m512i s = _mm512_add_epi64(acc_lo, mid_lo);
-        const __mmask8 carry = _mm512_cmplt_epu64_mask(s, mid_lo);
-        acc_hi = _mm512_mask_add_epi64(acc_hi, carry, acc_hi, one);
-        store(lo + j, s);
-        store(hi + j,
-              _mm512_add_epi64(acc_hi, _mm512_srli_epi64(acc_mid, 32)));
-    }
-    if (j < count) {
-        const uint64_t *tail_rows[kSopMaxTerms];
-        for (size_t i = 0; i < terms; ++i)
-            tail_rows[i] = rows[i] + j;
-        sop128Scalar(tail_rows, weights, terms, count - j, lo + j,
-                     hi + j);
-    }
-}
+    using Reg = __m512i;
+    static constexpr size_t kLanes = 8;
 
-void
-add128_64Avx512(uint64_t *lo, uint64_t *hi, const uint64_t *add,
-                size_t count)
-{
-    const __m512i one = set1(1);
-    size_t j = 0;
-    for (; j + 8 <= count; j += 8) {
-        const __m512i va = load(add + j);
-        const __m512i s = _mm512_add_epi64(load(lo + j), va);
-        const __mmask8 carry = _mm512_cmplt_epu64_mask(s, va);
-        store(lo + j, s);
-        const __m512i h = load(hi + j);
-        store(hi + j, _mm512_mask_add_epi64(h, carry, h, one));
+    static Reg load(const uint64_t *p) { return detail::load(p); }
+    static void store(uint64_t *p, Reg x) { detail::store(p, x); }
+    static Reg set1(uint64_t x) { return detail::set1(x); }
+    static Reg add(Reg a, Reg b) { return _mm512_add_epi64(a, b); }
+    static Reg sub(Reg a, Reg b) { return _mm512_sub_epi64(a, b); }
+    static Reg mul32(Reg a, Reg b) { return _mm512_mul_epu32(a, b); }
+    static Reg srl32(Reg a) { return _mm512_srli_epi64(a, 32); }
+    static Reg
+    srl(Reg a, int s)
+    {
+        return _mm512_srl_epi64(a, _mm_cvtsi32_si128(s));
     }
-    add128_64Scalar(lo + j, hi + j, add + j, count - j);
-}
-
-void
-roundShift128Avx512(const uint64_t *lo, const uint64_t *hi, size_t count,
-                    int shift, uint64_t *out)
-{
-    // Same call as AVX2: memory-bound, the scalar body keeps up.
-    roundShift128Scalar(lo, hi, count, shift, out);
-}
-
-void
-reduce128ModAvx512(const uint64_t *lo, const uint64_t *hi, uint64_t *out,
-                   size_t count, const rns::Modulus &q)
-{
-    if (!eligibleModulus(q.value())) {
-        reduce128ModScalar(lo, hi, out, count, q);
-        return;
-    }
-    const Mod32Constants mc = mod32Constants(q);
-    const __m512i vq = set1(mc.q);
-    const __m512i v2q = set1(2 * mc.q);
-    const __m512i vphi1 = set1(mc.phi1);
-    const __m512i vc32 = set1(mc.c32);
-    const __m512i vphi_c32 = set1(mc.phi_c32);
-    const __m512i vc64 = set1(mc.c64);
-    const __m512i vphi_c64 = set1(mc.phi_c64);
-    const __m512i mask32 = set1(0xffffffffu);
-    size_t j = 0;
-    for (; j + 8 <= count; j += 8) {
-        const __m512i vhi = load(hi + j); // < 2^32 by contract
-        const __m512i vlo = load(lo + j);
-        const __m512i t = mulShoupLazy32(vhi, vc64, vphi_c64, vq);
-        const __m512i t2 = mulShoupLazy32(_mm512_srli_epi64(vlo, 32),
-                                          vc32, vphi_c32, vq);
-        const __m512i t3 =
-            reduceLazyBy1(_mm512_and_epi64(vlo, mask32), vphi1, vq);
-        __m512i s = csub(_mm512_add_epi64(t, t2), v2q);
-        s = _mm512_add_epi64(s, t3); // < 4q < 2^32
-        const __m512i r = reduceLazyBy1(s, vphi1, vq);
-        store(out + j, csub(r, vq));
-    }
-    reduce128ModScalar(lo + j, hi + j, out + j, count - j, q);
-}
+    static Reg lo32(Reg a) { return _mm512_and_epi64(a, set1(0xffffffffu)); }
+    static Reg csub(Reg x, Reg k) { return detail::csub(x, k); }
+};
 
 } // namespace
 
@@ -672,8 +597,8 @@ avx512Kernels()
         Level::kAvx512,  nttForwardAvx512, nttInverseAvx512,
         addModAvx512,    subModAvx512,     negateModAvx512,
         mulShoupAvx512,  mulShoupOutAvx512, mulModAvx512,
-        macModAvx512,    reduceU32Avx512,  sop128Avx512,
-        add128_64Avx512, roundShift128Avx512, reduce128ModAvx512,
+        macModAvx512,    reduceU32Avx512,
+        Hps<Avx512Lanes>::convertBatch, Hps<Avx512Lanes>::scaleBatch,
     };
     return table;
 }

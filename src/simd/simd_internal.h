@@ -30,32 +30,17 @@ void macModScalar(uint64_t *acc, const uint64_t *a, const uint64_t *b,
                   size_t n, const rns::Modulus &q);
 void reduceU32Scalar(uint64_t *dst, const uint64_t *src, size_t n,
                      const rns::Modulus &q);
-void sop128Scalar(const uint64_t *const *rows, const uint64_t *weights,
-                  size_t terms, size_t count, uint64_t *lo, uint64_t *hi);
-void add128_64Scalar(uint64_t *lo, uint64_t *hi, const uint64_t *add,
-                     size_t count);
-void roundShift128Scalar(const uint64_t *lo, const uint64_t *hi,
-                         size_t count, int shift, uint64_t *out);
-void reduce128ModScalar(const uint64_t *lo, const uint64_t *hi,
-                        uint64_t *out, size_t count, const rns::Modulus &q);
 
-/**
- * Per-modulus constants for the 32-bit Shoup reduction chains shared
- * by the vector mul_mod / reduce_u32 / reduce128_mod kernels. Cheap to
- * build (two divisions), computed once per kernel call and amortized
- * over the n-element loop. Only meaningful for q < kLaneModulusBound.
- */
-struct Mod32Constants
-{
-    uint64_t q = 0;
-    uint64_t phi1 = 0;      ///< floor(2^32 / q): Shoup constant for w = 1
-    uint64_t c32 = 0;       ///< 2^32 mod q
-    uint64_t phi_c32 = 0;   ///< floor(c32 * 2^32 / q)
-    uint64_t c64 = 0;       ///< 2^64 mod q
-    uint64_t phi_c64 = 0;   ///< floor(c64 * 2^32 / q)
-};
-
-Mod32Constants mod32Constants(const rns::Modulus &q);
+/** The scalar HPS kernels on coefficients [begin, end): every table's
+ *  loop tail. */
+void hpsConvertScalar(const HpsConvertPlan &plan,
+                      const uint64_t *const *in_rows,
+                      uint64_t *const *out_rows, size_t begin, size_t end);
+void hpsScaleScalar(const HpsScalePlan &plan, const HpsConvertPlan *back,
+                    const uint64_t *const *in_rows,
+                    uint64_t *const *out_rows,
+                    uint64_t *const *broadcast_rows, size_t begin,
+                    size_t end);
 
 // Table constructors, one per compiled-in ISA tier.
 const Kernels &scalarKernels();

@@ -140,6 +140,49 @@ TEST(ObsMetrics, RenderTextGroupsLabeledSeriesByFamily)
     EXPECT_EQ(countOf(text, "heat_lat_us_sum{tenant=\"a\"} 1.5"), 1u);
 }
 
+TEST(ObsMetrics, RenderTextOneHeaderPerFamilyAcrossTenants)
+{
+    // A service registers each tenant's counters together, so two
+    // tenants interleave the families in registration order. The text
+    // still types each family once, with all its samples under it.
+    fv::FvConfig cfg;
+    cfg.degree = 256;
+    cfg.plain_modulus = 257;
+    cfg.sigma = 3.2;
+    cfg.q_prime_count = 3;
+    const auto params = fv::FvParams::create(cfg);
+    fv::KeyGenerator keygen(params, 3);
+    const fv::RelinKeys rlk =
+        keygen.generateRelinKeys(keygen.generateSecretKey());
+    service::ExecutionService svc(params, rlk, service::ServiceConfig{});
+    svc.registerTenant("t1", rlk);
+    const std::string text = svc.metrics().renderText();
+
+    std::map<std::string, size_t> types;
+    std::string family;
+    size_t samples = 0;
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.starts_with("# TYPE ")) {
+            family = line.substr(7, line.find(' ', 7) - 7);
+            ++types[family];
+            continue;
+        }
+        if (line.starts_with("#"))
+            continue;
+        ++samples;
+        EXPECT_FALSE(family.empty()) << line;
+        // A sample belongs to the last typed family (histogram series
+        // add a suffix to its name).
+        EXPECT_TRUE(line.starts_with(family)) << line << " under " << family;
+    }
+    EXPECT_GT(samples, types.size());
+    for (const auto &[name, n] : types)
+        EXPECT_EQ(n, 1u) << name;
+    EXPECT_EQ(types.count("heat_service_jobs_arrived_total"), 1u);
+    EXPECT_EQ(countOf(text, "heat_service_jobs_arrived_total{tenant="), 2u);
+}
+
 TEST(ObsMetrics, SamplesExpandHistograms)
 {
     obs::Registry reg;

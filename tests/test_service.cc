@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -955,6 +956,74 @@ TEST(Service, LatencyDecomposesIntoWaitsAndBusySpans)
     const double recorded = run.snap.latency.mean_us *
                             static_cast<double>(run.snap.latency.samples);
     EXPECT_NEAR(total, recorded, 1e-9 * recorded);
+}
+
+TEST(Service, OpenLoopSpansNestPerTrack)
+{
+    // One worker under open-loop load: every job after the first
+    // waits while earlier ones run, so its queue wait overlaps other
+    // requests and other waits. Queue waits are async spans; every
+    // other span on a (pid, track) nests in or stays clear of the
+    // others, and the Chrome export pairs each async span once.
+    ServiceRig rig;
+    const std::vector<Arrival> schedule =
+        tenantMix(24, 0.3 * loneMultUs(rig));
+    const TracedRun run = runSchedule(rig, 1, schedule);
+
+    size_t waits = 0;
+    std::map<std::pair<uint32_t, uint32_t>, std::vector<obs::SpanRecord>>
+        tracks;
+    for (const obs::SpanRecord &sp : run.spans) {
+        if (sp.name == "queue-wait") {
+            EXPECT_TRUE(sp.async);
+            ++waits;
+        } else {
+            EXPECT_FALSE(sp.async) << sp.name;
+        }
+        if (sp.pid == obs::kModeledPid && !sp.async)
+            tracks[{sp.pid, sp.track}].push_back(sp);
+    }
+    EXPECT_GT(waits, schedule.size() / 2) << "the load should queue";
+    for (auto &[key, spans] : tracks) {
+        std::stable_sort(spans.begin(), spans.end(),
+                         [](const obs::SpanRecord &a,
+                            const obs::SpanRecord &b) {
+                             if (a.start_us != b.start_us)
+                                 return a.start_us < b.start_us;
+                             return a.dur_us > b.dur_us;
+                         });
+        std::vector<const obs::SpanRecord *> open;
+        for (const obs::SpanRecord &sp : spans) {
+            const double end = sp.start_us + sp.dur_us;
+            while (!open.empty() &&
+                   open.back()->start_us + open.back()->dur_us <=
+                       sp.start_us)
+                open.pop_back();
+            if (!open.empty()) {
+                EXPECT_LE(end, open.back()->start_us + open.back()->dur_us)
+                    << sp.name << " at " << sp.start_us
+                    << " partially overlaps " << open.back()->name;
+            }
+            open.push_back(&sp);
+        }
+    }
+
+    obs::Tracer tracer;
+    for (const obs::SpanRecord &sp : run.spans)
+        tracer.addSpan(sp);
+    std::ostringstream os;
+    tracer.writeChromeTrace(os);
+    const std::string json = os.str();
+    const auto count = [&](const std::string &needle) {
+        size_t n = 0;
+        for (size_t at = json.find(needle); at != std::string::npos;
+             at = json.find(needle, at + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(count(R"("ph":"b")"), waits);
+    EXPECT_EQ(count(R"("ph":"e")"), waits);
+    EXPECT_EQ(count(R"("ph":"B")"), count(R"("ph":"E")"));
 }
 
 TEST(Service, TenantNamesRenderAsEscapedPrometheusLabels)

@@ -4,16 +4,21 @@
  * must be bit-identical to the scalar table on random inputs, on
  * lazy-range edge values, and on moduli too wide for the 32-bit lane
  * paths (where the kernels must fall back to scalar internally). The
- * suite enumerates every level the host and build support, so on an
- * AVX-512 machine it exercises scalar vs AVX2 vs AVX-512.
+ * fused HPS kernels are held to the per-coefficient convert()/scale()
+ * and to the exact BigInt conversion and scale. The suite enumerates
+ * every level the host and build support, so on an AVX-512 machine it
+ * exercises scalar vs AVX2 vs AVX-512.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "fv/params.h"
 #include "ntt/ntt.h"
 #include "ntt/ntt_tables.h"
 #include "rns/base_convert.h"
@@ -138,91 +143,6 @@ TEST(SimdKernels, ElementwiseMatchScalarEverywhere)
                 diff([&](const Kernels &k, uint64_t *p) {
                     k.reduce_u32(p, src32.data(), n, q);
                 });
-            }
-        }
-    }
-}
-
-TEST(SimdKernels, WidePrecisionPrimitivesMatchScalar)
-{
-    Xoshiro256 rng(11);
-    const Kernels &scalar = simd::kernelsFor(Level::kScalar);
-    for (Level level : availableLevels()) {
-        const Kernels &vec = simd::kernelsFor(level);
-        for (size_t count : {size_t(13), size_t(256), size_t(1000)}) {
-            for (size_t terms : {size_t(1), size_t(5), simd::kSopMaxTerms}) {
-                // sop128 contract: values < 2^30, weights <= 2^60.
-                std::vector<std::vector<uint64_t>> data(terms);
-                std::vector<const uint64_t *> rows(terms);
-                std::vector<uint64_t> weights(terms);
-                for (size_t i = 0; i < terms; ++i) {
-                    data[i].resize(count);
-                    for (auto &x : data[i])
-                        x = rng.uniformBelow(uint64_t(1) << 30);
-                    rows[i] = data[i].data();
-                    weights[i] =
-                        rng.uniformBelow((uint64_t(1) << 60) + 1);
-                }
-                if (!data.empty() && count > 0) {
-                    data[0][0] = (uint64_t(1) << 30) - 1; // edge lane
-                    weights[0] = uint64_t(1) << 60;
-                }
-                std::vector<uint64_t> lo_s(count), hi_s(count);
-                std::vector<uint64_t> lo_v(count), hi_v(count);
-                scalar.sop128(rows.data(), weights.data(), terms, count,
-                              lo_s.data(), hi_s.data());
-                vec.sop128(rows.data(), weights.data(), terms, count,
-                           lo_v.data(), hi_v.data());
-                EXPECT_EQ(lo_s, lo_v) << simd::levelName(level);
-                EXPECT_EQ(hi_s, hi_v) << simd::levelName(level);
-
-                // add128_64 on the sop outputs.
-                std::vector<uint64_t> add(count);
-                for (auto &x : add)
-                    x = rng.next();
-                auto lo2 = lo_s, hi2 = hi_s;
-                scalar.add128_64(lo_s.data(), hi_s.data(), add.data(),
-                                 count);
-                vec.add128_64(lo2.data(), hi2.data(), add.data(), count);
-                EXPECT_EQ(lo_s, lo2);
-                EXPECT_EQ(hi_s, hi2);
-
-                // round_shift128 across representative shifts; keep hi
-                // small enough that the shifted result fits 64 bits.
-                for (int shift : {1, 59, 60, 61, 64, 89, 127}) {
-                    std::vector<uint64_t> lo(count), hi(count);
-                    std::vector<uint64_t> out_s(count), out_v(count);
-                    const int hi_bits = std::min(shift - 1, 32);
-                    for (size_t c = 0; c < count; ++c) {
-                        lo[c] = rng.next();
-                        hi[c] = hi_bits == 0
-                                    ? 0
-                                    : rng.uniformBelow(uint64_t(1)
-                                                       << hi_bits);
-                    }
-                    scalar.round_shift128(lo.data(), hi.data(), count,
-                                          shift, out_s.data());
-                    vec.round_shift128(lo.data(), hi.data(), count,
-                                       shift, out_v.data());
-                    EXPECT_EQ(out_s, out_v) << "shift=" << shift;
-                }
-
-                // reduce128_mod (hi < 2^32 contract) at narrow and wide
-                // moduli — wide must fall back to scalar internally.
-                for (uint64_t qv : kWidthModuli) {
-                    const Modulus q(qv);
-                    std::vector<uint64_t> lo(count), hi(count);
-                    std::vector<uint64_t> out_s(count), out_v(count);
-                    for (size_t c = 0; c < count; ++c) {
-                        lo[c] = rng.next();
-                        hi[c] = rng.uniformBelow(uint64_t(1) << 32);
-                    }
-                    scalar.reduce128_mod(lo.data(), hi.data(),
-                                         out_s.data(), count, q);
-                    vec.reduce128_mod(lo.data(), hi.data(), out_v.data(),
-                                      count, q);
-                    EXPECT_EQ(out_s, out_v) << "q=" << qv;
-                }
             }
         }
     }
@@ -365,104 +285,304 @@ TEST(SimdKernels, NttRoundTripThroughDispatch)
     }
 }
 
-TEST(SimdBatch, ScaleBatchMatchesPerCoefficientScale)
+/** Residue rows of one base: rows[i][c] < moduli[i]. */
+using Rows = std::vector<std::vector<uint64_t>>;
+
+/**
+ * @p count coefficients over @p base: coefficients 0-7 are 0 in every
+ * residue, 8-15 are q_i - 1 in every residue, 16-23 alternate the two
+ * by residue and the rest are random. The edge blocks fill every lane
+ * of both vector widths.
+ */
+Rows
+hpsInput(const rns::RnsBase &base, size_t count, Xoshiro256 &rng)
 {
-    Xoshiro256 rng(37);
-    const size_t degree = 4096;
-    auto primes = rns::generateNttPrimes(30, degree, 7);
-    const rns::RnsBase q_base(
-        std::vector<uint64_t>(primes.begin(), primes.begin() + 3));
-    const rns::RnsBase p_base(
-        std::vector<uint64_t>(primes.begin() + 3, primes.end()));
-    const rns::ScaleRounder rounder(q_base, p_base, 65537);
-
-    const size_t kq = q_base.size();
-    const size_t kp = p_base.size();
-    const size_t count = 777; // odd length exercises the lane tails
-    std::vector<std::vector<uint64_t>> in(kq + kp);
-    std::vector<const uint64_t *> in_rows(kq + kp);
-    for (size_t i = 0; i < kq + kp; ++i) {
-        in[i].resize(count);
-        const uint64_t qi = i < kq ? q_base.modulus(i).value()
-                                   : p_base.modulus(i - kq).value();
-        for (auto &x : in[i])
-            x = rng.uniformBelow(qi);
-        in_rows[i] = in[i].data();
+    Rows rows(base.size(), std::vector<uint64_t>(count));
+    for (size_t i = 0; i < base.size(); ++i) {
+        const uint64_t q = base.modulus(i).value();
+        for (size_t c = 0; c < count; ++c) {
+            if (c < 8)
+                rows[i][c] = 0;
+            else if (c < 16)
+                rows[i][c] = q - 1;
+            else if (c < 24)
+                rows[i][c] = (c + i) % 2 == 0 ? 0 : q - 1;
+            else
+                rows[i][c] = rng.uniformBelow(q);
+        }
     }
+    return rows;
+}
 
-    std::vector<uint64_t> expect_in(kq + kp), expect_out(kp);
-    std::vector<std::vector<uint64_t>> expect(kp,
-                                              std::vector<uint64_t>(count));
+std::vector<const uint64_t *>
+constRows(const Rows &rows)
+{
+    std::vector<const uint64_t *> out;
+    for (const auto &r : rows)
+        out.push_back(r.data());
+    return out;
+}
+
+std::vector<uint64_t *>
+mutRows(Rows &rows)
+{
+    std::vector<uint64_t *> out;
+    for (auto &r : rows)
+        out.push_back(r.data());
+    return out;
+}
+
+/** Runs @p one on every coefficient of @p in: the per-coefficient
+ *  oracle, gathered and scattered. */
+template <typename One>
+Rows
+perCoefficient(const Rows &in, size_t out_size, One one)
+{
+    const size_t count = in.empty() ? 0 : in[0].size();
+    Rows out(out_size, std::vector<uint64_t>(count));
+    std::vector<uint64_t> x(in.size()), y(out_size);
     for (size_t c = 0; c < count; ++c) {
-        for (size_t i = 0; i < kq + kp; ++i)
-            expect_in[i] = in[i][c];
-        rounder.scale(expect_in, expect_out);
-        for (size_t j = 0; j < kp; ++j)
-            expect[j][c] = expect_out[j];
+        for (size_t i = 0; i < in.size(); ++i)
+            x[i] = in[i][c];
+        one(x, y);
+        for (size_t j = 0; j < out_size; ++j)
+            out[j][c] = y[j];
     }
+    return out;
+}
 
-    LevelGuard guard;
-    for (Level level : availableLevels()) {
-        simd::setLevel(level);
-        std::vector<std::vector<uint64_t>> got(
-            kp, std::vector<uint64_t>(count));
-        std::vector<uint64_t *> out_rows(kp);
-        for (size_t j = 0; j < kp; ++j)
-            out_rows[j] = got[j].data();
-        rounder.scaleBatch(in_rows.data(), out_rows.data(), count);
-        for (size_t j = 0; j < kp; ++j)
-            EXPECT_EQ(expect[j], got[j])
-                << simd::levelName(level) << " j=" << j;
+/** Not multiples of either lane width, around the vector boundary. */
+const size_t kHpsCounts[] = {1, 5, 9, 24, 31, 517};
+
+/** @p n consecutive 30-bit NTT primes for n = 4096, split q | p. */
+std::pair<rns::RnsBase, rns::RnsBase>
+splitPrimes(size_t kq, size_t kp)
+{
+    const auto primes = rns::generateNttPrimes(30, 4096, kq + kp);
+    return {rns::RnsBase(std::vector<uint64_t>(primes.begin(),
+                                               primes.begin() + kq)),
+            rns::RnsBase(std::vector<uint64_t>(primes.begin() + kq,
+                                               primes.end()))};
+}
+
+/**
+ * hps_convert of every available level equals the per-coefficient
+ * convert() and the exact CRT conversion, bit for bit.
+ */
+void
+expectConvertMatches(const rns::FastBaseConverter &conv, uint64_t seed,
+                     const std::string &what)
+{
+    const simd::HpsConvertPlan *plan = conv.batchPlan();
+    ASSERT_NE(plan, nullptr) << what << " must take the fused path";
+    Xoshiro256 rng(seed);
+    const size_t kb = conv.toBase().size();
+    for (size_t count : kHpsCounts) {
+        const Rows in = hpsInput(conv.fromBase(), count, rng);
+        const Rows expect = perCoefficient(
+            in, kb, [&](const std::vector<uint64_t> &x,
+                        std::vector<uint64_t> &y) { conv.convert(x, y); });
+        EXPECT_EQ(expect, perCoefficient(in, kb,
+                                         [&](const std::vector<uint64_t> &x,
+                                             std::vector<uint64_t> &y) {
+                                             conv.convertExact(x, y);
+                                         }))
+            << what << " count=" << count;
+        for (Level level : availableLevels()) {
+            Rows got(kb, std::vector<uint64_t>(count));
+            simd::kernelsFor(level).hps_convert(
+                *plan, constRows(in).data(), mutRows(got).data(), count);
+            EXPECT_EQ(expect, got) << what << " " << simd::levelName(level)
+                                   << " count=" << count;
+        }
+    }
+}
+
+/**
+ * hps_scale of every available level equals the per-coefficient
+ * scale() and the exact BigInt scale; chained into @p back (when
+ * given), it equals scale() then convert(), and its digit broadcast
+ * the per-coefficient reductions.
+ */
+void
+expectScaleMatches(const rns::ScaleRounder &rounder,
+                   const rns::FastBaseConverter *back, uint64_t seed,
+                   const std::string &what)
+{
+    const simd::HpsScalePlan *plan = rounder.batchPlan();
+    ASSERT_NE(plan, nullptr) << what << " must take the fused path";
+    const simd::HpsConvertPlan *back_plan =
+        back != nullptr ? back->batchPlan() : nullptr;
+    ASSERT_EQ(back_plan == nullptr, back == nullptr) << what;
+    Xoshiro256 rng(seed);
+    const rns::RnsBase full =
+        rns::RnsBase::concat(rounder.qBase(), rounder.pBase());
+    const size_t kp = rounder.pBase().size();
+    const size_t kb = back != nullptr ? back->toBase().size() : kp;
+    for (size_t count : kHpsCounts) {
+        const Rows in = hpsInput(full, count, rng);
+        const Rows scaled = perCoefficient(
+            in, kp, [&](const std::vector<uint64_t> &x,
+                        std::vector<uint64_t> &y) { rounder.scale(x, y); });
+        EXPECT_EQ(scaled, perCoefficient(in, kp,
+                                         [&](const std::vector<uint64_t> &x,
+                                             std::vector<uint64_t> &y) {
+                                             rounder.scaleExact(x, y);
+                                         }))
+            << what << " count=" << count;
+        Rows expect = scaled;
+        Rows digits;
+        if (back != nullptr) {
+            expect = perCoefficient(
+                scaled, kb,
+                [&](const std::vector<uint64_t> &x,
+                    std::vector<uint64_t> &y) { back->convert(x, y); });
+            for (size_t d = 0; d < kb; ++d)
+                for (size_t ch = 0; ch < kb; ++ch) {
+                    digits.emplace_back(count);
+                    for (size_t c = 0; c < count; ++c)
+                        digits.back()[c] =
+                            back->toBase().modulus(ch).reduce(expect[d][c]);
+                }
+        }
+        for (Level level : availableLevels()) {
+            Rows got(kb, std::vector<uint64_t>(count));
+            Rows got_digits(digits.size(), std::vector<uint64_t>(count));
+            simd::kernelsFor(level).hps_scale(
+                *plan, back_plan, constRows(in).data(), mutRows(got).data(),
+                back != nullptr ? mutRows(got_digits).data() : nullptr,
+                count);
+            EXPECT_EQ(expect, got) << what << " " << simd::levelName(level)
+                                   << " count=" << count;
+            EXPECT_EQ(digits, got_digits)
+                << what << " " << simd::levelName(level)
+                << " count=" << count;
+        }
     }
 }
 
 TEST(SimdBatch, ConvertBatchMatchesPerCoefficientConvert)
 {
-    Xoshiro256 rng(41);
-    const size_t degree = 4096;
-    auto primes = rns::generateNttPrimes(30, degree, 6);
-    const rns::RnsBase from(
-        std::vector<uint64_t>(primes.begin(), primes.begin() + 3));
-    const rns::RnsBase to(
-        std::vector<uint64_t>(primes.begin() + 3, primes.end()));
-    const rns::FastBaseConverter conv(from, to);
-
-    const size_t kq = from.size();
-    const size_t kb = to.size();
-    const size_t count = 513;
-    std::vector<std::vector<uint64_t>> in(kq);
-    std::vector<const uint64_t *> in_rows(kq);
-    for (size_t i = 0; i < kq; ++i) {
-        in[i].resize(count);
-        for (auto &x : in[i])
-            x = rng.uniformBelow(from.modulus(i).value());
-        in_rows[i] = in[i].data();
+    // Every level's lift and back converters of the paper set, at
+    // t = 2 (the converters do not depend on t).
+    const auto params = fv::FvParams::paper(2);
+    for (size_t level = 0; level <= params->maxLevel(); ++level) {
+        expectConvertMatches(params->liftConverter(level), 41 + level,
+                             "lift level " + std::to_string(level));
+        expectConvertMatches(params->scaleBackConverter(level), 43 + level,
+                             "back level " + std::to_string(level));
     }
-
-    std::vector<uint64_t> expect_in(kq), expect_out(kb);
-    std::vector<std::vector<uint64_t>> expect(kb,
-                                              std::vector<uint64_t>(count));
-    for (size_t c = 0; c < count; ++c) {
-        for (size_t i = 0; i < kq; ++i)
-            expect_in[i] = in[i][c];
-        conv.convert(expect_in, expect_out);
-        for (size_t j = 0; j < kb; ++j)
-            expect[j][c] = expect_out[j];
+    // Table V rows 1-2: 12 and 24 q primes with 13 and 25 p primes;
+    // sums past 15 terms fold their accumulator.
+    for (size_t kq : {size_t(12), size_t(24)}) {
+        const auto [q, p] = splitPrimes(kq, kq + 1);
+        expectConvertMatches(rns::FastBaseConverter(q, p), kq,
+                             "lift " + std::to_string(kq));
+        expectConvertMatches(rns::FastBaseConverter(p, q), kq + 1,
+                             "back " + std::to_string(kq));
     }
+}
 
+TEST(SimdBatch, ScaleBatchMatchesPerCoefficientScale)
+{
+    for (uint64_t t : {uint64_t(2), uint64_t(257), uint64_t(65537)}) {
+        const auto params = fv::FvParams::paper(t);
+        const std::string tag = "t=" + std::to_string(t);
+        for (size_t level = 0; level <= params->maxLevel(); ++level) {
+            const std::string at = tag + " level " + std::to_string(level);
+            expectScaleMatches(params->scaler(level), nullptr, 47 + level,
+                               "scale " + at);
+            expectScaleMatches(params->scaler(level),
+                               &params->scaleBackConverter(level),
+                               53 + level, "scale+back " + at);
+            if (level < params->maxLevel())
+                expectScaleMatches(params->modSwitchRounder(level), nullptr,
+                                   59 + level, "mod-switch " + at);
+        }
+        for (size_t kq : {size_t(12), size_t(24)}) {
+            const auto [q, p] = splitPrimes(kq, kq + 1);
+            const rns::ScaleRounder rounder(q, p, t);
+            const rns::FastBaseConverter back(p, q);
+            const std::string rows = tag + " kq=" + std::to_string(kq);
+            expectScaleMatches(rounder, nullptr, kq, "scale " + rows);
+            expectScaleMatches(rounder, &back, kq + 1, "scale+back " + rows);
+        }
+        // The largest sum the kernel takes: its all-(q_i - 1) inputs
+        // pass 2^64 in an accumulator that never folds.
+        const auto [q, p] = splitPrimes(simd::kHpsMaxTerms - 1, 4);
+        expectScaleMatches(rns::ScaleRounder(q, p, t), nullptr, 67,
+                           tag + " kq=31");
+    }
+}
+
+TEST(SimdBatch, BatchCallsMatchPerCoefficientOnEveryLevel)
+{
+    // convertBatch / scaleBatch through the process-wide dispatcher,
+    // including bases past the kernels' limits (a 31-bit prime, or a
+    // q base over the term budget), which take the per-coefficient
+    // path.
+    const auto [q, p] = splitPrimes(3, 4);
+    const auto wide = rns::generateNttPrimes(31, 4096, 1);
+    const rns::RnsBase q_wide(std::vector<uint64_t>{
+        q.modulus(0).value(), q.modulus(1).value(), wide[0]});
+    const auto [q_big, p_big] = splitPrimes(simd::kHpsMaxTerms, 2);
+    const rns::FastBaseConverter convs[] = {
+        {q, p}, {q_wide, p}, {p, q_wide}};
+    const rns::ScaleRounder rounders[] = {
+        {q, p, 65537}, {q_wide, p, 65537}, {q_big, p_big, 2}};
+    EXPECT_NE(convs[0].batchPlan(), nullptr);
+    EXPECT_EQ(convs[1].batchPlan(), nullptr);
+    EXPECT_EQ(convs[2].batchPlan(), nullptr);
+    EXPECT_NE(rounders[0].batchPlan(), nullptr);
+    EXPECT_EQ(rounders[1].batchPlan(), nullptr);
+    EXPECT_EQ(rounders[2].batchPlan(), nullptr);
+
+    Xoshiro256 rng(61);
     LevelGuard guard;
-    for (Level level : availableLevels()) {
-        simd::setLevel(level);
-        std::vector<std::vector<uint64_t>> got(
-            kb, std::vector<uint64_t>(count));
-        std::vector<uint64_t *> out_rows(kb);
-        for (size_t j = 0; j < kb; ++j)
-            out_rows[j] = got[j].data();
-        conv.convertBatch(in_rows.data(), out_rows.data(), count);
-        for (size_t j = 0; j < kb; ++j)
-            EXPECT_EQ(expect[j], got[j])
-                << simd::levelName(level) << " j=" << j;
+    for (const auto &conv : convs) {
+        const Rows in = hpsInput(conv.fromBase(), 777, rng);
+        const size_t kb = conv.toBase().size();
+        const Rows expect = perCoefficient(
+            in, kb, [&](const std::vector<uint64_t> &x,
+                        std::vector<uint64_t> &y) { conv.convert(x, y); });
+        for (Level level : availableLevels()) {
+            simd::setLevel(level);
+            Rows got(kb, std::vector<uint64_t>(777));
+            conv.convertBatch(constRows(in).data(), mutRows(got).data(),
+                              777);
+            EXPECT_EQ(expect, got) << simd::levelName(level);
+        }
     }
+    for (const auto &rounder : rounders) {
+        const rns::RnsBase full =
+            rns::RnsBase::concat(rounder.qBase(), rounder.pBase());
+        const Rows in = hpsInput(full, 777, rng);
+        const size_t kp = rounder.pBase().size();
+        const Rows expect = perCoefficient(
+            in, kp, [&](const std::vector<uint64_t> &x,
+                        std::vector<uint64_t> &y) { rounder.scale(x, y); });
+        for (Level level : availableLevels()) {
+            simd::setLevel(level);
+            Rows got(kp, std::vector<uint64_t>(777));
+            rounder.scaleBatch(constRows(in).data(), mutRows(got).data(),
+                               777);
+            EXPECT_EQ(expect, got) << simd::levelName(level);
+        }
+    }
+    // A fused scale whose back converter is ineligible still matches.
+    const rns::FastBaseConverter back_wide(p, q_wide);
+    const Rows in = hpsInput(rns::RnsBase::concat(q, p), 777, rng);
+    const Rows expect = perCoefficient(
+        in, q_wide.size(),
+        [&](const std::vector<uint64_t> &x, std::vector<uint64_t> &y) {
+            std::vector<uint64_t> mid(p.size());
+            rounders[0].scale(x, mid);
+            back_wide.convert(mid, y);
+        });
+    Rows got(q_wide.size(), std::vector<uint64_t>(777));
+    rounders[0].scaleBatch(constRows(in).data(), mutRows(got).data(), 777,
+                           &back_wide);
+    EXPECT_EQ(expect, got);
 }
 
 } // namespace
