@@ -920,6 +920,113 @@ validateInputs(const fv::FvParams &params,
 }
 
 /**
+ * Plans when a segment binds and returns the records of its slot-log
+ * range, from the segment alone, so a program the verifier only warned
+ * about behaves as if the whole range were bound for the segment: a
+ * fresh record reads zero, and a touch after its release throws
+ * InvalidRecordError. A record the range allocates is bound before the
+ * uploads when one writes it or no instruction names it, else just
+ * before the first instruction naming it (dst, src0, src1 or extra). A
+ * record the range releases is returned after the downloads when one
+ * reads it or no instruction names it, else right after the last
+ * instruction naming it. The scratch persists across runs, so planning
+ * does not allocate once it has grown.
+ */
+class SegmentBinder
+{
+  public:
+    void
+    plan(const Segment &seg, std::span<const hw::SlotAction> range,
+         const hw::SlotLogShape &log)
+    {
+        constexpr uint32_t kNone = ~uint32_t(0);
+        const size_t records = log.records.size();
+        if (touch_.size() < records)
+            touch_.resize(records);
+        before_uploads.clear();
+        after_downloads.clear();
+        schedule.binds.clear();
+        schedule.returns.clear();
+        schedule.log = &log;
+
+        // Only the range's records are tracked; their entries are
+        // cleared again below, so every entry is clean between plans.
+        for (const hw::SlotAction &a : range)
+            if (a.id < records)
+                touch_[a.id] = Touch{kNone, kNone, true, false, false};
+        const auto tracked = [&](hw::PolyId id) {
+            return id < records && touch_[id].in_range;
+        };
+        for (const Transfer &up : seg.uploads)
+            if (tracked(up.slot))
+                touch_[up.slot].uploaded = true;
+        for (const Transfer &down : seg.downloads)
+            if (tracked(down.slot))
+                touch_[down.slot].downloaded = true;
+        const std::vector<hw::Instruction> &instrs = seg.program.instrs;
+        const auto named = [&](hw::PolyId id, uint32_t i) {
+            if (!tracked(id))
+                return;
+            Touch &t = touch_[id];
+            if (t.first == kNone)
+                t.first = i;
+            t.last = i;
+        };
+        for (uint32_t i = 0; i < instrs.size(); ++i) {
+            named(instrs[i].dst, i);
+            named(instrs[i].src0, i);
+            named(instrs[i].src1, i);
+            for (hw::PolyId id : instrs[i].extra)
+                named(id, i);
+        }
+
+        for (const hw::SlotAction &a : range) {
+            if (a.id >= records)
+                continue;
+            const Touch &t = touch_[a.id];
+            if (a.kind == hw::SlotAction::Kind::kAllocate) {
+                if (t.uploaded || t.first == kNone)
+                    before_uploads.push_back(a.id);
+                else
+                    schedule.binds.push_back({t.first, a.id});
+            } else if (a.kind == hw::SlotAction::Kind::kRelease) {
+                if (t.downloaded || t.last == kNone)
+                    after_downloads.push_back(a.id);
+                else
+                    schedule.returns.push_back({t.last, a.id});
+            }
+        }
+        for (const hw::SlotAction &a : range)
+            if (a.id < records)
+                touch_[a.id] = Touch{};
+
+        const auto byInstr = [](const hw::RecordSchedule::Event &x,
+                                const hw::RecordSchedule::Event &y) {
+            return x.instr != y.instr ? x.instr < y.instr : x.id < y.id;
+        };
+        std::sort(schedule.binds.begin(), schedule.binds.end(), byInstr);
+        std::sort(schedule.returns.begin(), schedule.returns.end(),
+                  byInstr);
+    }
+
+    std::vector<hw::PolyId> before_uploads;
+    std::vector<hw::PolyId> after_downloads;
+    hw::RecordSchedule schedule;
+
+  private:
+    struct Touch
+    {
+        uint32_t first = 0;
+        uint32_t last = 0;
+        bool in_range = false;
+        bool uploaded = false;
+        bool downloaded = false;
+    };
+
+    std::vector<Touch> touch_;
+};
+
+/**
  * The one executor, behind runCompiledCircuit, runCompiledCircuitWarm
  * and runCircuitOpByOp. @p inputs holds one pointer per circuit input
  * position; resident positions may be null on the warm path (their
@@ -939,13 +1046,13 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
     run.segments = compiled.segments.size();
 
     // Record ids are memory-file addresses. Range 0 of the slot log
-    // allocates the resident prefix; before segment s runs, the records
-    // range s + 1 allocates are bound, and after its downloads the
-    // buffers of those it releases go back to the pool.
+    // allocates the resident prefix; segment s binds and returns the
+    // records of range s + 1 as SegmentBinder plans.
     hw::MemoryFile &memory = cp.memory();
     const std::span<const hw::SlotAction> actions(compiled.slot_actions);
     const hw::SlotLogShape log =
         hw::shapeSlotLog(*compiled.params, actions);
+    memory.checkCapacity(log);
     std::vector<std::span<const hw::SlotAction>> ranges;
     size_t bound = 0;
     size_t most_bound = 0; // records bound at once
@@ -962,6 +1069,10 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
         for (const hw::SlotAction &a : ranges.back())
             bound -= a.kind == hw::SlotAction::Kind::kRelease;
     }
+    const auto bindShaped = [&](hw::PolyId id) {
+        if (id < log.records.size())
+            memory.bindRecord(id, log.records[id]);
+    };
     if (warm) {
         fatalIf(resident_count == 0,
                 "warm execution needs a circuit compiled with "
@@ -976,7 +1087,9 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
         // Keep no more pooled buffers than this run binds at once: a
         // larger earlier program's buffers do not outlive it.
         memory.reset(most_bound);
-        memory.bind(ranges[0], log);
+        for (const hw::SlotAction &a : ranges[0])
+            if (a.kind == hw::SlotAction::Kind::kAllocate)
+                bindShaped(a.id);
         // Pinned operands bypass the segment upload lists: they are
         // DMA'd straight into their prefix slots once, here, and then
         // stay bound through every warm rerun's resetToPinned().
@@ -993,30 +1106,43 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
         }
     }
 
+    // Downloaded polynomials by value; an input value's polynomials
+    // upload straight from the request's ciphertext.
     std::vector<std::vector<ntt::RnsPoly>> values(
         compiled.value_sizes.size());
-    for (size_t k = 0; k < compiled.inputs.size(); ++k) {
-        if (inputs[k] != nullptr)
-            values[compiled.inputs[k]] = {(*inputs[k])[0],
-                                          (*inputs[k])[1]};
-    }
+    std::vector<const fv::Ciphertext *> input_of(values.size(), nullptr);
+    for (size_t k = 0; k < compiled.inputs.size(); ++k)
+        input_of[compiled.inputs[k]] = inputs[k];
+    const auto valuePoly = [&](ValueId v,
+                               uint32_t p) -> const ntt::RnsPoly * {
+        if (p < values[v].size() && values[v][p].degree() != 0)
+            return &values[v][p];
+        return input_of[v] != nullptr && p < input_of[v]->size()
+                   ? &(*input_of[v])[p]
+                   : nullptr;
+    };
 
+    thread_local SegmentBinder binder;
     for (size_t s = 0; s < compiled.segments.size(); ++s) {
         const Segment &seg = compiled.segments[s];
-        memory.bind(ranges[s + 1], log);
+        binder.plan(seg, ranges[s + 1], log);
+        for (hw::PolyId id : binder.before_uploads)
+            bindShaped(id);
         for (const Transfer &up : seg.uploads) {
-            const ntt::RnsPoly &src =
+            const ntt::RnsPoly *src =
                 up.source == Transfer::Source::kConstant
-                    ? compiled.constants[up.index]
-                    : values[up.index][up.poly];
-            panicIf(src.degree() == 0, "upload source is not available");
-            cp.uploadInto(up.slot, src);
+                    ? &compiled.constants[up.index]
+                    : valuePoly(up.index, up.poly);
+            panicIf(src == nullptr || src->degree() == 0,
+                    "upload source is not available");
+            cp.uploadInto(up.slot, *src);
         }
         run.uploaded_polys += seg.uploads.size();
         const double upload_us =
             seg.uploads.empty() ? 0.0 : host.sendPolysUs(seg.uploads.size());
 
-        const hw::ExecStats es = cp.execute(seg.program, mode);
+        const hw::ExecStats es =
+            cp.execute(seg.program, mode, &binder.schedule);
         run.fpga_cycles += es.fpga_cycles;
         run.dma_us += es.dma_us;
         run.instructions += es.instructions;
@@ -1034,7 +1160,8 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
             // extended by a later lift of this fused program.
             store[down.poly] = memory.exportQBase(down.slot);
         }
-        memory.unbind(ranges[s + 1]);
+        for (hw::PolyId id : binder.after_downloads)
+            memory.returnRecord(id);
         run.downloaded_polys += seg.downloads.size();
         const double download_us =
             seg.downloads.empty() ? 0.0
@@ -1051,17 +1178,24 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
 
     std::vector<fv::Ciphertext> outputs;
     outputs.reserve(compiled.outputs.size());
-    for (ValueId out : compiled.outputs) {
-        const std::vector<ntt::RnsPoly> &store = values[out];
-        panicIf(store.size() != compiled.value_sizes[out],
-                "output value ", out, " was never materialized");
+    for (size_t k = 0; k < compiled.outputs.size(); ++k) {
+        const ValueId out = compiled.outputs[k];
+        // A value's last output takes its downloaded polynomials.
+        const bool last =
+            std::find(compiled.outputs.begin() + k + 1,
+                      compiled.outputs.end(), out) == compiled.outputs.end();
         fv::Ciphertext ct;
         ct.level = out < compiled.value_levels.size()
                        ? compiled.value_levels[out]
                        : 0;
-        for (const ntt::RnsPoly &poly : store) {
-            panicIf(poly.degree() == 0, "output polynomial missing");
-            ct.polys.push_back(poly);
+        for (uint32_t p = 0; p < compiled.value_sizes[out]; ++p) {
+            const ntt::RnsPoly *poly = valuePoly(out, p);
+            panicIf(poly == nullptr, "output value ", out,
+                    " was never materialized");
+            if (last && p < values[out].size() && poly == &values[out][p])
+                ct.polys.push_back(std::move(values[out][p]));
+            else
+                ct.polys.push_back(*poly);
         }
         outputs.push_back(std::move(ct));
     }

@@ -6,8 +6,10 @@
  * instructions: one 60-bit word (two coefficients) per cycle streamed
  * through the two multiplier/adder lanes, reusing the butterfly cores'
  * arithmetic (Fig. 4 datapath without the butterfly cross-connection).
- * Functionally each instruction is one dispatched heat::simd dyadic
- * kernel per residue row, bit-identical to the element-wise model.
+ * Functionally each instruction is one dispatched out-of-place
+ * heat::simd dyadic kernel per residue row (mul_mod_out, add_mod_out,
+ * sub_mod_out: the operands stream in and the result streams to dst,
+ * with no staging copy), bit-identical to the element-wise model.
  */
 
 #ifndef HEAT_HW_COEFF_UNIT_H

@@ -103,14 +103,38 @@ Coprocessor::instructionCycles(const Instruction &instr) const
 }
 
 ExecStats
-Coprocessor::execute(const Program &program, DispatchMode mode)
+Coprocessor::execute(const Program &program, DispatchMode mode,
+                     const RecordSchedule *schedule)
 {
+    // No borrow outlives this call: the lender (a tenant's keys) may
+    // be swapped before the next one.
+    struct EndBorrows
+    {
+        MemoryFile &memory;
+        ~EndBorrows() { memory.endBorrows(); }
+    } end_borrows{memory_};
+    static const RecordSchedule kNone;
+    const RecordSchedule &sched = schedule != nullptr ? *schedule : kNone;
+    panicIf(!sched.binds.empty() && sched.log == nullptr,
+            "record schedule binds without a slot-log shape");
+    size_t next_bind = 0;
+    size_t next_return = 0;
+
     const Cycle dispatch = static_cast<Cycle>(config_.dispatch_overhead);
     const bool fused = mode == DispatchMode::kFusedProgram;
     ExecStats stats;
     auto &unit_cycles = stats.unit_cycles;
     const auto arm = static_cast<size_t>(Unit::kArmUnit);
-    for (const Instruction &instr : program.instrs) {
+    for (size_t i = 0; i < program.instrs.size(); ++i) {
+        const Instruction &instr = program.instrs[i];
+        for (; next_bind < sched.binds.size() &&
+               sched.binds[next_bind].instr == i;
+             ++next_bind) {
+            const PolyId id = sched.binds[next_bind].id;
+            panicIf(id >= sched.log->records.size(), "record schedule "
+                    "binds record ", id, " outside its slot log");
+            memory_.bindRecord(id, sched.log->records[id]);
+        }
         exec(instr);
         const InstrCost cost = instructionCost(instr);
         stats.fpga_cycles += fused ? cost.cycles : cost.cycles + dispatch;
@@ -121,7 +145,15 @@ Coprocessor::execute(const Program &program, DispatchMode mode)
             stats.dispatch_cycles += dispatch;
             unit_cycles[arm] += dispatch;
         }
+        for (; next_return < sched.returns.size() &&
+               sched.returns[next_return].instr == i;
+             ++next_return)
+            memory_.returnRecord(sched.returns[next_return].id);
     }
+    panicIf(next_bind != sched.binds.size() ||
+                next_return != sched.returns.size(),
+            "record schedule is unsorted or names an instruction past "
+            "the program");
     if (fused && !program.instrs.empty()) {
         // The whole instruction stream was queued in one Arm dispatch.
         stats.fpga_cycles += dispatch;
@@ -190,9 +222,12 @@ Coprocessor::execTransform(const Instruction &instr)
 void
 Coprocessor::execCoeffOp(const Instruction &instr)
 {
+    // dst first: a borrowed destination takes its own copy before the
+    // operands are read, so dst == src0 reads that copy. The operands
+    // are read in place, lent key words included.
     PolyRecord &dst = memory_.record(instr.dst);
-    const PolyRecord &a = memory_.record(instr.src0);
-    const PolyRecord &b = memory_.record(instr.src1);
+    const PolyRecord &a = memory_.operand(instr.src0);
+    const PolyRecord &b = memory_.operand(instr.src1);
     panicIf(dst.base != a.base && instr.batch == 1,
             "batch-1 coeff op needs matching bases");
 
@@ -212,8 +247,8 @@ Coprocessor::execCoeffOp(const Instruction &instr)
         panicIf(a.layout[k] != b.layout[k],
                 "coeff op operand layout mismatch");
         std::span<uint64_t> d(dst.data.data() + k * n, n);
-        std::span<const uint64_t> x(a.data.data() + k * n, n);
-        std::span<const uint64_t> y(b.data.data() + k * n, n);
+        std::span<const uint64_t> x(a.words() + k * n, n);
+        std::span<const uint64_t> y(b.words() + k * n, n);
         const rns::Modulus &q = base->modulus(k);
         switch (instr.op) {
           case Opcode::kCoeffMul:
@@ -355,21 +390,13 @@ Coprocessor::execKeyLoad(const Instruction &instr)
     panicIf(digit >= keys->digitCount(), "key digit out of range");
     panicIf(instr.extra.size() != 2, "key load needs two buffer targets");
     for (int half = 0; half < 2; ++half) {
-        PolyRecord &buf = memory_.record(instr.extra[half]);
-        const ntt::RnsPoly &key = keys->keys[digit][half];
-        // A level-l buffer streams only the key's live-residue prefix
-        // (keys are generated once at level 0; truncation is valid
-        // because the key-switch gadget acts residue-wise).
-        panicIf(buf.data.size() > key.data().size(),
-                "key buffer larger than the stored key");
-        std::copy(key.data().begin(),
-                  key.data().begin() +
-                      static_cast<ptrdiff_t>(buf.data.size()),
-                  buf.data.begin());
-        // Keys are stored pre-transformed in DDR and stream in ready to
-        // use in the NTT domain.
-        for (auto &l : buf.layout)
-            l = Layout::kNttDomain;
+        // The buffer borrows the key's live-residue prefix (a level-l
+        // buffer streams only that: keys are generated once at level 0,
+        // and truncation is valid because the key-switch gadget acts
+        // residue-wise). Keys are stored pre-transformed in DDR and
+        // stream in ready to use in the NTT domain.
+        memory_.borrow(instr.extra[half], keys->keys[digit][half].data(),
+                       Layout::kNttDomain);
     }
 }
 

@@ -80,6 +80,28 @@ class CostModel
     DmaModel dma_;
 };
 
+/**
+ * When a program binds and returns memory-file records, each list
+ * sorted by instruction index: compiler::runCompiledImpl binds each
+ * record at its first touch and returns it after its last.
+ */
+struct RecordSchedule
+{
+    struct Event
+    {
+        /** Index into Program::instrs. */
+        uint32_t instr = 0;
+        PolyId id = kNoPoly;
+    };
+
+    /** Records bound just before their instruction runs, each at its
+     *  shape in *log. */
+    std::vector<Event> binds;
+    /** Records returned right after their instruction is priced. */
+    std::vector<Event> returns;
+    const SlotLogShape *log = nullptr;
+};
+
 /** One coprocessor instance. */
 class Coprocessor
 {
@@ -135,10 +157,14 @@ class Coprocessor
      * mode every instruction carries the Arm dispatch overhead (the
      * paper's measured Table II costs); in kFusedProgram mode the whole
      * instruction stream is queued with a single dispatch — the circuit
-     * compiler's fused execution model.
+     * compiler's fused execution model. @p schedule, when given, binds
+     * and returns records around the instructions it names. Key loads
+     * lend their buffers the key (MemoryFile::borrow); every borrow
+     * still live when the program ends, or throws, is copied in.
      */
     ExecStats execute(const Program &program,
-                      DispatchMode mode = DispatchMode::kPerInstruction);
+                      DispatchMode mode = DispatchMode::kPerInstruction,
+                      const RecordSchedule *schedule = nullptr);
 
     /** Cycle cost of one instruction (dispatch overhead included). */
     Cycle instructionCycles(const Instruction &instr) const;

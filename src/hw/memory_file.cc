@@ -69,12 +69,15 @@ MemoryFile::MemoryFile(std::shared_ptr<const fv::FvParams> params,
 }
 
 void
-MemoryFile::recycle(std::vector<uint64_t> &&buffer)
+MemoryFile::recycle(PolyRecord &rec)
 {
-    const size_t residues = buffer.capacity() / params_->degree();
+    bound_residues_ -= rec.layout.size();
+    rec.lent = nullptr;
+    rec.valid = false;
+    const size_t residues = rec.data.capacity() / params_->degree();
     if (residues >= pool_.size())
         pool_.resize(residues + 1);
-    pool_[residues].push_back(std::move(buffer));
+    pool_[residues].push_back(std::move(rec.data));
 }
 
 void
@@ -84,7 +87,7 @@ MemoryFile::returnRecordsFrom(size_t keep)
     // first: rebinding the same log gives every record its old buffer.
     while (records_.size() > keep) {
         if (records_.back().valid)
-            recycle(std::move(records_.back().data));
+            recycle(records_.back());
         records_.pop_back();
     }
 }
@@ -94,6 +97,7 @@ MemoryFile::reset(size_t pooled)
 {
     returnRecordsFrom(0);
     pinned_records_ = 0;
+    peak_bound_residues_ = 0;
     for (size_t r = pool_.size(); r-- > 0;) {
         pool_[r].resize(std::min(pool_[r].size(), pooled));
         pooled -= pool_[r].size();
@@ -119,59 +123,58 @@ MemoryFile::resetToPinned()
 }
 
 void
-MemoryFile::bind(std::span<const SlotAction> actions,
-                 const SlotLogShape &log)
+MemoryFile::checkCapacity(const SlotLogShape &log) const
 {
     fatalIf(log.peak_slots > capacity_,
             "slot-action log oversubscribes the memory file: peak ",
             log.peak_slots, " slots of ", capacity_);
-    for (const SlotAction &action : actions) {
-        if (action.kind != SlotAction::Kind::kAllocate ||
-            action.id >= log.records.size())
-            continue;
-        if (action.id >= records_.size())
-            records_.resize(action.id + 1);
-        PolyRecord &rec = records_[action.id];
-        panicIf(rec.valid, "record ", action.id, " is already bound");
-        const RecordShape &shape = log.records[action.id];
-        const size_t live = shapeResidues(*params_, shape);
-        rec.base = shape.extended ? BaseTag::kFull : shape.base;
-        rec.level = shape.level;
-        // An extended record's extension residues are the Lift's output.
-        rec.layout.assign(params_->qPrimeCount(shape.level), shape.layout);
-        rec.layout.resize(live,
-                          shape.extended ? Layout::kNatural : shape.layout);
-        for (size_t r = live; r < pool_.size(); ++r) {
-            if (!pool_[r].empty()) {
-                rec.data = std::move(pool_[r].back());
-                pool_[r].pop_back();
-                break;
-            }
-        }
-        rec.data.assign(live * params_->degree(), 0);
-        rec.valid = true;
-    }
 }
 
 void
-MemoryFile::unbind(std::span<const SlotAction> actions)
+MemoryFile::bindRecord(PolyId id, const RecordShape &shape)
 {
-    for (const SlotAction &action : actions) {
-        if (action.kind != SlotAction::Kind::kRelease)
-            continue;
-        PolyRecord &rec = record(action.id);
-        panicIf(action.id < pinned_records_,
-                "cannot release pinned polynomial ", action.id);
-        recycle(std::move(rec.data));
-        rec.valid = false;
+    if (id >= records_.size())
+        records_.resize(id + 1);
+    PolyRecord &rec = records_[id];
+    panicIf(rec.valid, "record ", id, " is already bound");
+    const size_t live = shapeResidues(*params_, shape);
+    rec.base = shape.extended ? BaseTag::kFull : shape.base;
+    rec.level = shape.level;
+    // An extended record's extension residues are the Lift's output.
+    rec.layout.assign(params_->qPrimeCount(shape.level), shape.layout);
+    rec.layout.resize(live, shape.extended ? Layout::kNatural : shape.layout);
+    for (size_t r = live; r < pool_.size(); ++r) {
+        if (!pool_[r].empty()) {
+            rec.data = std::move(pool_[r].back());
+            pool_[r].pop_back();
+            break;
+        }
     }
+    rec.data.assign(live * params_->degree(), 0);
+    rec.valid = true;
+    bound_residues_ += live;
+    peak_bound_residues_ = std::max(peak_bound_residues_, bound_residues_);
+}
+
+void
+MemoryFile::returnRecord(PolyId id)
+{
+    PolyRecord &rec = records_[operandIndex(id)];
+    panicIf(id < pinned_records_, "cannot release pinned polynomial ", id);
+    recycle(rec);
 }
 
 const PolyRecord &
-MemoryFile::record(PolyId id) const
+MemoryFile::operand(PolyId id) const
+{
+    return records_[operandIndex(id)];
+}
+
+size_t
+MemoryFile::operandIndex(PolyId id) const
 {
     if (id < records_.size() && records_[id].valid)
-        return records_[id];
+        return id;
     std::ostringstream oss;
     oss << "panic: invalid polynomial id " << id;
     if (id >= records_.size())
@@ -181,25 +184,57 @@ MemoryFile::record(PolyId id) const
     throw InvalidRecordError(oss.str(), id);
 }
 
+const PolyRecord &
+MemoryFile::record(PolyId id) const
+{
+    // A const read copies a borrow in too; only a non-const borrow()
+    // sets one, so a memory file defined const never writes here.
+    return const_cast<MemoryFile &>(*this).record(id);
+}
+
 PolyRecord &
 MemoryFile::record(PolyId id)
 {
-    return const_cast<PolyRecord &>(std::as_const(*this).record(id));
+    PolyRecord &rec = records_[operandIndex(id)];
+    if (rec.lent != nullptr) {
+        // Copy on access: the record's contents read the same after.
+        std::copy_n(rec.lent, rec.data.size(), rec.data.begin());
+        rec.lent = nullptr;
+    }
+    return rec;
+}
+
+void
+MemoryFile::borrow(PolyId id, std::span<const uint64_t> words,
+                   Layout layout)
+{
+    PolyRecord &rec = records_[operandIndex(id)];
+    panicIf(words.size() < rec.data.size(),
+            "lent words shorter than record ", id);
+    if (rec.lent == nullptr)
+        borrowed_.push_back(id);
+    rec.lent = words.data();
+    std::fill(rec.layout.begin(), rec.layout.end(), layout);
+}
+
+void
+MemoryFile::endBorrows()
+{
+    for (PolyId id : borrowed_) {
+        if (id < records_.size() && records_[id].valid)
+            record(id);
+    }
+    borrowed_.clear();
 }
 
 ntt::RnsPoly
 MemoryFile::exportQBase(PolyId id) const
 {
     const PolyRecord &rec = record(id);
-    const size_t words =
-        params_->qPrimeCount(rec.level) * params_->degree();
+    const auto &base = params_->qBase(rec.level);
+    const size_t words = base->size() * params_->degree();
     panicIf(rec.data.size() < words, "record smaller than the q base");
-    ntt::RnsPoly poly(params_->qBase(rec.level), params_->degree(),
-                      ntt::PolyForm::kCoeff);
-    std::copy(rec.data.begin(),
-              rec.data.begin() + static_cast<ptrdiff_t>(words),
-              poly.data().begin());
-    return poly;
+    return ntt::RnsPoly(base, params_->degree(), {rec.data.data(), words});
 }
 
 CountingAllocator::CountingAllocator(const fv::FvParams &params,
@@ -267,7 +302,13 @@ CountingAllocator::extendToFull(PolyId id, const char *what)
 void
 replaySlotActions(MemoryFile &memory, std::span<const SlotAction> actions)
 {
-    memory.bind(actions, shapeSlotLog(memory.params(), actions));
+    const SlotLogShape log = shapeSlotLog(memory.params(), actions);
+    memory.checkCapacity(log);
+    for (const SlotAction &action : actions) {
+        if (action.kind == SlotAction::Kind::kAllocate &&
+            action.id < log.records.size())
+            memory.bindRecord(action.id, log.records[action.id]);
+    }
 }
 
 } // namespace heat::hw

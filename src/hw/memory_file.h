@@ -17,8 +17,17 @@
  * already name their slots. The program emitters allocate from a
  * CountingAllocator at compile time, whose action log the verifier
  * proves sound, and a record id addresses the memory file's table. A
- * run binds each segment's records before it (final shape, zero-filled
- * buffer from a pool) and returns those it released after it.
+ * run binds each record a segment's slot-log range allocates just
+ * before the segment first touches it (final shape, zero-filled buffer
+ * from a LIFO pool) and returns each record the range releases right
+ * after its last touch, so it holds about the residues the modeled
+ * slots do (compiler::runCompiledImpl builds that schedule).
+ *
+ * A key load does not copy the key into its buffer records: it lends
+ * them the key's residues read-only (borrow()). Coefficient-wise
+ * operand reads take the lent words in place, as the hardware streams
+ * a key from DDR into the MAC; any other access copies them in first,
+ * and endBorrows() does so for every borrow left when a program ends.
  *
  * Each residue carries a layout tag mirroring the physical data order:
  * kNatural (coefficient order, what Lift/Scale stream), kPaired (the
@@ -140,7 +149,18 @@ struct PolyRecord
     std::vector<Layout> layout;
     /** Residue-major coefficient data. */
     std::vector<uint64_t> data;
+    /** Read-only words lent by MemoryFile::borrow(), or null. While
+     *  set, `data` is stale: only MemoryFile::operand() hands the
+     *  record out without copying them into `data` first. */
+    const uint64_t *lent = nullptr;
     bool valid = false;
+
+    /** @return the record's coefficient words: the lent ones while
+     *  borrowed. */
+    const uint64_t *words() const
+    {
+        return lent != nullptr ? lent : data.data();
+    }
 };
 
 /** The shape a slot-action log gives one record: its allocation,
@@ -202,23 +222,48 @@ class MemoryFile
      *  records past the pinned prefix, which stays bound. */
     void resetToPinned();
 
+    /** Throw FatalError when @p log's slot peak oversubscribes the
+     *  memory file: a log the verifier only warned about may. */
+    void checkCapacity(const SlotLogShape &log) const;
+
     /**
-     * Bind every record @p actions allocates at its final shape in
-     * @p log (the shape of the log @p actions is a range of), over a
-     * zero-filled buffer: the fill keeps a program the verifier only
-     * warned about from reading a buffer another run left behind.
-     * Throws FatalError when @p log oversubscribes the memory file;
-     * panics when a record is already bound.
+     * Bind record @p id at @p shape (a slot log's final shape for it)
+     * over a zero-filled buffer, the last one returned to the pool that
+     * fits: the fill keeps a program the verifier only warned about
+     * from reading a buffer another run left behind. Panics when the
+     * record is already bound.
      */
-    void bind(std::span<const SlotAction> actions, const SlotLogShape &log);
+    void bindRecord(PolyId id, const RecordShape &shape);
 
-    /** Return the buffers of the records @p actions releases to the
-     *  pool; they read as InvalidRecordError afterwards. */
-    void unbind(std::span<const SlotAction> actions);
+    /** Return bound record @p id's buffer to the pool (a borrow ends
+     *  uncopied); it reads as InvalidRecordError afterwards. Panics on
+     *  a pinned record. */
+    void returnRecord(PolyId id);
 
-    /** @return bound record @p id (else InvalidRecordError). */
+    /** @return bound record @p id (else InvalidRecordError), a
+     *  borrowed one after copying its lent words in. */
     PolyRecord &record(PolyId id);
     const PolyRecord &record(PolyId id) const;
+
+    /** @return bound record @p id (else InvalidRecordError) as it is:
+     *  read its coefficients through PolyRecord::words(). */
+    const PolyRecord &operand(PolyId id) const;
+
+    /**
+     * Lend bound record @p id the first data.size() words of @p words,
+     * read-only, and set every residue to @p layout: a key load. The
+     * lender must outlive the borrow, which ends at the record's next
+     * record() access, its return, or endBorrows().
+     */
+    void borrow(PolyId id, std::span<const uint64_t> words, Layout layout);
+
+    /** Copy the lent words of every record still borrowed into its
+     *  own buffer, so no borrow outlives the program that made it. */
+    void endBorrows();
+
+    /** @return the most residues bound at once since the last reset()
+     *  (records' live residues, the pinned prefix included). */
+    size_t peakBoundResidues() const { return peak_bound_residues_; }
 
     /** @return the level of @p id's record, or 0 when @p id does not
      *  name a bound record (level-0 costs for bare cost queries). */
@@ -243,7 +288,11 @@ class MemoryFile
     const fv::FvParams &params() const { return *params_; }
 
   private:
-    void recycle(std::vector<uint64_t> &&buffer);
+    /** @return @p id when it names a bound record, else throw
+     *  InvalidRecordError. */
+    size_t operandIndex(PolyId id) const;
+    /** Return @p rec's buffer to the pool and unbind it. */
+    void recycle(PolyRecord &rec);
     /** Return the buffers of the records from id @p keep on. */
     void returnRecordsFrom(size_t keep);
 
@@ -254,9 +303,13 @@ class MemoryFile
      *  resetToPinned(); see setPinnedRecords(). */
     size_t pinned_records_ = 0;
     std::vector<PolyRecord> records_;
+    /** Records borrow() lent words to since the last endBorrows(). */
+    std::vector<PolyId> borrowed_;
     /** Buffers of returned records by capacity in residues; a bind
      *  takes the last one returned of its size, else of the next. */
     std::vector<std::vector<std::vector<uint64_t>>> pool_;
+    size_t bound_residues_ = 0;
+    size_t peak_bound_residues_ = 0;
 };
 
 /**
@@ -334,7 +387,8 @@ class CountingAllocator
 };
 
 /** Bind every record of the whole log @p actions on @p memory (none
- *  is returned), as if every segment of its program ran at once. */
+ *  is returned), as if every segment of its program ran at once.
+ *  Throws FatalError when the log oversubscribes the memory file. */
 void replaySlotActions(MemoryFile &memory,
                        std::span<const SlotAction> actions);
 

@@ -15,6 +15,16 @@ RnsPoly::RnsPoly(std::shared_ptr<const rns::RnsBase> base, size_t n,
     data_.assign(base_->size() * n_, 0);
 }
 
+RnsPoly::RnsPoly(std::shared_ptr<const rns::RnsBase> base, size_t n,
+                 std::span<const uint64_t> data, PolyForm form)
+    : base_(std::move(base)), n_(n), form_(form)
+{
+    panicIf(!base_, "RnsPoly needs a base");
+    panicIf(data.size() != base_->size() * n_,
+            "RnsPoly data does not match its base and degree");
+    data_.assign(data.begin(), data.end());
+}
+
 std::span<uint64_t>
 RnsPoly::residue(size_t i)
 {

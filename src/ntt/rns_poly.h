@@ -40,6 +40,12 @@ class RnsPoly
     RnsPoly(std::shared_ptr<const rns::RnsBase> base, size_t n,
             PolyForm form = PolyForm::kCoeff);
 
+    /** Construct over @p base with degree @p n from the residue-major
+     *  @p data (base->size() * n words), copied once. */
+    RnsPoly(std::shared_ptr<const rns::RnsBase> base, size_t n,
+            std::span<const uint64_t> data,
+            PolyForm form = PolyForm::kCoeff);
+
     /** @return the RNS base. */
     const rns::RnsBase &base() const { return *base_; }
 

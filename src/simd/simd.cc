@@ -16,19 +16,21 @@ namespace heat::simd {
 namespace detail {
 
 void
-addModScalar(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
+addModOutScalar(uint64_t *dst, const uint64_t *a, const uint64_t *b,
+                size_t n, uint64_t q)
 {
     for (size_t i = 0; i < n; ++i) {
         const uint64_t s = a[i] + b[i];
-        a[i] = s >= q ? s - q : s;
+        dst[i] = s >= q ? s - q : s;
     }
 }
 
 void
-subModScalar(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
+subModOutScalar(uint64_t *dst, const uint64_t *a, const uint64_t *b,
+                size_t n, uint64_t q)
 {
     for (size_t i = 0; i < n; ++i)
-        a[i] = a[i] >= b[i] ? a[i] - b[i] : a[i] + q - b[i];
+        dst[i] = a[i] >= b[i] ? a[i] - b[i] : a[i] + q - b[i];
 }
 
 void
@@ -36,14 +38,6 @@ negateModScalar(uint64_t *a, size_t n, uint64_t q)
 {
     for (size_t i = 0; i < n; ++i)
         a[i] = a[i] == 0 ? 0 : q - a[i];
-}
-
-void
-mulShoupScalar(uint64_t *a, size_t n, const rns::Modulus &q, uint64_t w,
-               uint64_t w_shoup)
-{
-    for (size_t i = 0; i < n; ++i)
-        a[i] = q.mulShoup(a[i], w, w_shoup);
 }
 
 void
@@ -55,11 +49,11 @@ mulShoupOutScalar(uint64_t *dst, const uint64_t *src, size_t n,
 }
 
 void
-mulModScalar(uint64_t *a, const uint64_t *b, size_t n,
-             const rns::Modulus &q)
+mulModOutScalar(uint64_t *dst, const uint64_t *a, const uint64_t *b,
+                size_t n, const rns::Modulus &q)
 {
     for (size_t i = 0; i < n; ++i)
-        a[i] = q.mul(a[i], b[i]);
+        dst[i] = q.mul(a[i], b[i]);
 }
 
 void
@@ -119,6 +113,32 @@ hpsScaleScalar(const HpsScalePlan &plan, const HpsConvertPlan *back,
 namespace {
 
 void
+addModScalar(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
+{
+    addModOutScalar(a, a, b, n, q);
+}
+
+void
+subModScalar(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
+{
+    subModOutScalar(a, a, b, n, q);
+}
+
+void
+mulModScalar(uint64_t *a, const uint64_t *b, size_t n,
+             const rns::Modulus &q)
+{
+    mulModOutScalar(a, a, b, n, q);
+}
+
+void
+mulShoupScalar(uint64_t *a, size_t n, const rns::Modulus &q, uint64_t w,
+               uint64_t w_shoup)
+{
+    mulShoupOutScalar(a, a, n, q, w, w_shoup);
+}
+
+void
 nttForwardScalarEntry(uint64_t *a, const ntt::NttTables &tables)
 {
     ntt::forwardNttScalar({a, tables.degree()}, tables);
@@ -141,6 +161,7 @@ scalarKernels()
         mulShoupScalar,    mulShoupOutScalar,     mulModScalar,
         macModScalar,      reduceU32Scalar,
         Hps<ScalarLanes>::convertBatch, Hps<ScalarLanes>::scaleBatch,
+        addModOutScalar,   subModOutScalar,       mulModOutScalar,
     };
     return table;
 }

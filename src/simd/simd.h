@@ -13,7 +13,9 @@
  *
  * The kernels: forward and inverse negacyclic NTTs; the dyadic residue
  * loops (add, sub, negate, Shoup and pointwise multiply, MAC and the
- * u32 digit reduction); and the fused HPS kernels, hps_convert (Lift
+ * u32 digit reduction; add, sub, pointwise and Shoup multiply also out
+ * of place, one body per op whose in-place entry passes dst = a); and
+ * the fused HPS kernels, hps_convert (Lift
  * q->p and the p->q back-conversion) and hps_scale (Scale Blocks 1-4,
  * optionally chained into the back-conversion and the WordDecomp digit
  * broadcast), each one in-register pass per vector of coefficients.
@@ -246,6 +248,19 @@ struct Kernels
                       const uint64_t *const *in_rows,
                       uint64_t *const *out_rows,
                       uint64_t *const *broadcast_rows, size_t count);
+
+    /**
+     * Out-of-place dyadic kernels: dst[i] = (a[i] op b[i]) mod q with
+     * inputs in [0, q), the body of add_mod, sub_mod and mul_mod (whose
+     * entries pass dst = a). @p dst may alias @p a or @p b; otherwise
+     * it must not overlap either.
+     */
+    void (*add_mod_out)(uint64_t *dst, const uint64_t *a, const uint64_t *b,
+                        size_t n, uint64_t q);
+    void (*sub_mod_out)(uint64_t *dst, const uint64_t *a, const uint64_t *b,
+                        size_t n, uint64_t q);
+    void (*mul_mod_out)(uint64_t *dst, const uint64_t *a, const uint64_t *b,
+                        size_t n, const rns::Modulus &q);
 };
 
 /** @return the active kernel table (HEAT_SIMD-aware, CPU-detected). */

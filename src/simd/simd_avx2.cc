@@ -402,19 +402,27 @@ nttInverseAvx2(uint64_t *a, const ntt::NttTables &tables)
 }
 
 void
-addModAvx2(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
+addModOutAvx2(uint64_t *dst, const uint64_t *a, const uint64_t *b, size_t n,
+              uint64_t q)
 {
     const __m256i vq = set1(q);
     size_t j = 0;
     for (; j + 4 <= n; j += 4) {
         const __m256i s = _mm256_add_epi64(load(a + j), load(b + j));
-        store(a + j, csub(s, vq));
+        store(dst + j, csub(s, vq));
     }
-    addModScalar(a + j, b + j, n - j, q);
+    addModOutScalar(dst + j, a + j, b + j, n - j, q);
 }
 
 void
-subModAvx2(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
+addModAvx2(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
+{
+    addModOutAvx2(a, a, b, n, q);
+}
+
+void
+subModOutAvx2(uint64_t *dst, const uint64_t *a, const uint64_t *b, size_t n,
+              uint64_t q)
 {
     const __m256i vq = set1(q);
     size_t j = 0;
@@ -423,9 +431,15 @@ subModAvx2(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
         const __m256i vb = load(b + j);
         const __m256i lt = _mm256_cmpgt_epi64(vb, va);
         const __m256i d = _mm256_sub_epi64(va, vb);
-        store(a + j, _mm256_add_epi64(d, _mm256_and_si256(lt, vq)));
+        store(dst + j, _mm256_add_epi64(d, _mm256_and_si256(lt, vq)));
     }
-    subModScalar(a + j, b + j, n - j, q);
+    subModOutScalar(dst + j, a + j, b + j, n - j, q);
+}
+
+void
+subModAvx2(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
+{
+    subModOutAvx2(a, a, b, n, q);
 }
 
 void
@@ -484,11 +498,11 @@ mulModLazy(__m256i va, __m256i vb, __m256i vq, __m256i vphi1,
 }
 
 void
-mulModAvx2(uint64_t *a, const uint64_t *b, size_t n,
-           const rns::Modulus &q)
+mulModOutAvx2(uint64_t *dst, const uint64_t *a, const uint64_t *b, size_t n,
+              const rns::Modulus &q)
 {
     if (!eligibleModulus(q.value())) {
-        mulModScalar(a, b, n, q);
+        mulModOutScalar(dst, a, b, n, q);
         return;
     }
     const Mod32Constants mc = mod32Constants(q);
@@ -501,9 +515,15 @@ mulModAvx2(uint64_t *a, const uint64_t *b, size_t n,
     for (; j + 4 <= n; j += 4) {
         const __m256i r = mulModLazy(load(a + j), load(b + j), vq,
                                      vphi1, vc32, vphi_c32, mask32);
-        store(a + j, csub(r, vq));
+        store(dst + j, csub(r, vq));
     }
-    mulModScalar(a + j, b + j, n - j, q);
+    mulModOutScalar(dst + j, a + j, b + j, n - j, q);
+}
+
+void
+mulModAvx2(uint64_t *a, const uint64_t *b, size_t n, const rns::Modulus &q)
+{
+    mulModOutAvx2(a, a, b, n, q);
 }
 
 void
@@ -584,6 +604,7 @@ avx2Kernels()
         mulShoupAvx2,    mulShoupOutAvx2, mulModAvx2,
         macModAvx2,      reduceU32Avx2,
         Hps<Avx2Lanes>::convertBatch, Hps<Avx2Lanes>::scaleBatch,
+        addModOutAvx2,  subModOutAvx2,  mulModOutAvx2,
     };
     return table;
 }

@@ -419,19 +419,27 @@ nttInverseAvx512(uint64_t *a, const ntt::NttTables &tables)
 }
 
 void
-addModAvx512(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
+addModOutAvx512(uint64_t *dst, const uint64_t *a, const uint64_t *b, size_t n,
+                uint64_t q)
 {
     const __m512i vq = set1(q);
     size_t j = 0;
     for (; j + 8 <= n; j += 8) {
         const __m512i s = _mm512_add_epi64(load(a + j), load(b + j));
-        store(a + j, csub(s, vq));
+        store(dst + j, csub(s, vq));
     }
-    addModScalar(a + j, b + j, n - j, q);
+    addModOutScalar(dst + j, a + j, b + j, n - j, q);
 }
 
 void
-subModAvx512(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
+addModAvx512(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
+{
+    addModOutAvx512(a, a, b, n, q);
+}
+
+void
+subModOutAvx512(uint64_t *dst, const uint64_t *a, const uint64_t *b, size_t n,
+                uint64_t q)
 {
     const __m512i vq = set1(q);
     size_t j = 0;
@@ -440,9 +448,15 @@ subModAvx512(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
         const __m512i vb = load(b + j);
         const __mmask8 lt = _mm512_cmplt_epu64_mask(va, vb);
         const __m512i d = _mm512_sub_epi64(va, vb);
-        store(a + j, _mm512_mask_add_epi64(d, lt, d, vq));
+        store(dst + j, _mm512_mask_add_epi64(d, lt, d, vq));
     }
-    subModScalar(a + j, b + j, n - j, q);
+    subModOutScalar(dst + j, a + j, b + j, n - j, q);
+}
+
+void
+subModAvx512(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
+{
+    subModOutAvx512(a, a, b, n, q);
 }
 
 void
@@ -499,11 +513,11 @@ mulModLazy(__m512i va, __m512i vb, __m512i vq, __m512i vphi1,
 }
 
 void
-mulModAvx512(uint64_t *a, const uint64_t *b, size_t n,
-             const rns::Modulus &q)
+mulModOutAvx512(uint64_t *dst, const uint64_t *a, const uint64_t *b, size_t n,
+                const rns::Modulus &q)
 {
     if (!eligibleModulus(q.value())) {
-        mulModScalar(a, b, n, q);
+        mulModOutScalar(dst, a, b, n, q);
         return;
     }
     const Mod32Constants mc = mod32Constants(q);
@@ -516,9 +530,15 @@ mulModAvx512(uint64_t *a, const uint64_t *b, size_t n,
     for (; j + 8 <= n; j += 8) {
         const __m512i r = mulModLazy(load(a + j), load(b + j), vq,
                                      vphi1, vc32, vphi_c32, mask32);
-        store(a + j, csub(r, vq));
+        store(dst + j, csub(r, vq));
     }
-    mulModScalar(a + j, b + j, n - j, q);
+    mulModOutScalar(dst + j, a + j, b + j, n - j, q);
+}
+
+void
+mulModAvx512(uint64_t *a, const uint64_t *b, size_t n, const rns::Modulus &q)
+{
+    mulModOutAvx512(a, a, b, n, q);
 }
 
 void
@@ -599,6 +619,7 @@ avx512Kernels()
         mulShoupAvx512,  mulShoupOutAvx512, mulModAvx512,
         macModAvx512,    reduceU32Avx512,
         Hps<Avx512Lanes>::convertBatch, Hps<Avx512Lanes>::scaleBatch,
+        addModOutAvx512,  subModOutAvx512,  mulModOutAvx512,
     };
     return table;
 }

@@ -17,15 +17,15 @@ namespace heat::simd::detail {
 // these for ineligible moduli and for sub-lane-width loop tails, so a
 // vector kernel's output is the scalar output by construction wherever
 // it does not vectorize.
-void addModScalar(uint64_t *a, const uint64_t *b, size_t n, uint64_t q);
-void subModScalar(uint64_t *a, const uint64_t *b, size_t n, uint64_t q);
+void addModOutScalar(uint64_t *dst, const uint64_t *a, const uint64_t *b,
+                     size_t n, uint64_t q);
+void subModOutScalar(uint64_t *dst, const uint64_t *a, const uint64_t *b,
+                     size_t n, uint64_t q);
 void negateModScalar(uint64_t *a, size_t n, uint64_t q);
-void mulShoupScalar(uint64_t *a, size_t n, const rns::Modulus &q,
-                    uint64_t w, uint64_t w_shoup);
 void mulShoupOutScalar(uint64_t *dst, const uint64_t *src, size_t n,
                        const rns::Modulus &q, uint64_t w, uint64_t w_shoup);
-void mulModScalar(uint64_t *a, const uint64_t *b, size_t n,
-                  const rns::Modulus &q);
+void mulModOutScalar(uint64_t *dst, const uint64_t *a, const uint64_t *b,
+                     size_t n, const rns::Modulus &q);
 void macModScalar(uint64_t *acc, const uint64_t *a, const uint64_t *b,
                   size_t n, const rns::Modulus &q);
 void reduceU32Scalar(uint64_t *dst, const uint64_t *src, size_t n,

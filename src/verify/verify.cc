@@ -542,11 +542,17 @@ class Verifier
     // --- phase 4: segment action ranges ----------------------------------
 
     /**
-     * The executor binds the records a segment's slot-action range
-     * allocates before the segment runs and returns those it releases
-     * after the segment's downloads. The ranges must tile the log after
-     * the resident prefix, and every touch of a record (downloads
-     * included) must fall between its binding and returning segments.
+     * The executor binds each record a segment's slot-action range
+     * allocates at the segment's first touch of it (before the uploads
+     * when one writes it, else just before the first instruction naming
+     * it) and returns each record the range releases at the segment's
+     * last touch of it (after the downloads when one reads it, else
+     * right after the last instruction naming it); a record the segment
+     * does not touch is bound at its start or returned at its end. So
+     * the ranges must tile the log after the resident prefix, and every
+     * touch of a record (downloads included) must fall between its
+     * binding and returning segments: a touch in an earlier segment
+     * finds it unbound, one in a later segment finds it returned.
      */
     void
     checkSegmentRanges()

@@ -25,12 +25,7 @@ class TestRecords
     hw::PolyId
     zero(hw::BaseTag base, size_t level = 0)
     {
-        const hw::SlotAction action{hw::SlotAction::Kind::kAllocate, next_,
-                                    base, hw::Layout::kNatural, level};
-        hw::SlotLogShape log;
-        log.records.resize(next_ + 1);
-        log.records[next_] = {base, false, level, hw::Layout::kNatural};
-        memory_.bind({&action, 1}, log);
+        memory_.bindRecord(next_, {base, false, level, hw::Layout::kNatural});
         return next_++;
     }
 

@@ -345,6 +345,119 @@ TEST(Compiler, RunsReturnTheRecordsEarlierSegmentsRelease)
                  hw::InvalidRecordError);
 }
 
+TEST(Compiler, RunsBindAboutTheModeledSlots)
+{
+    // A segment binds each record just before its first touch and
+    // returns it right after its last, so the residues bound at once
+    // stay near the slot log's peak. Binding a segment's whole range
+    // up front held every record of the mult and depth-4 programs.
+    Universe u(53);
+    CircuitBuilder depth4;
+    const ValueId x = depth4.input();
+    const ValueId y = depth4.input();
+    ValueId acc = depth4.mult(x, y);
+    for (int d = 1; d < 4; ++d)
+        acc = depth4.mult(acc, acc);
+    depth4.output(acc);
+    CompilerOptions options;
+    options.hw = u.config;
+    options.noise_check = compiler::NoiseCheck::kOff;
+    const std::vector<Ciphertext> inputs = {u.randomCipher(3),
+                                            u.randomCipher(4)};
+    const std::pair<const char *, CompiledCircuit> cases[] = {
+        {"mult", compiler::compileOpCircuit(u.params, compiler::NodeKind::kMult,
+                                            u.config)},
+        {"depth4", compiler::compileCircuit(u.params, depth4.build(),
+                                            options)}};
+    for (const auto &[name, compiled] : cases) {
+        hw::Coprocessor cp(u.params, u.config, &u.rlk);
+        // Twice: the second run binds over pooled buffers.
+        for (int run = 0; run < 2; ++run) {
+            EXPECT_EQ(compiler::runCompiledCircuit(cp, compiled, inputs),
+                      compiler::evaluateCircuit(*u.evaluator, &u.rlk,
+                                                compiled.circuit, inputs))
+                << name;
+            EXPECT_GT(cp.memory().peakBoundResidues(), 0u) << name;
+            EXPECT_LE(cp.memory().peakBoundResidues(),
+                      2 * compiled.peak_slots)
+                << name << " peak slots " << compiled.peak_slots;
+        }
+    }
+}
+
+/**
+ * A one-segment-then-one program no verifier saw: segment 0 adds a
+ * fresh record into itself before anything writes it (r2 = r0 + r2,
+ * r2 bound at that first touch) and downloads (r2, r1) as the output;
+ * its range releases r2, which segment 1 then reads.
+ */
+CompiledCircuit
+handBuiltProgram(const Universe &u, bool touch_after_release)
+{
+    using hw::SlotAction;
+    CompiledCircuit c;
+    c.params = u.params;
+    c.hw = u.config;
+    c.inputs = {0};
+    c.outputs = {1};
+    c.value_sizes = {2, 2};
+    c.value_levels = {0, 0};
+    const auto alloc = [](hw::PolyId id) {
+        return SlotAction{SlotAction::Kind::kAllocate, id, hw::BaseTag::kQ,
+                          hw::Layout::kNatural, 0};
+    };
+    c.slot_actions = {alloc(0), alloc(1), alloc(2),
+                      {SlotAction::Kind::kRelease, 2, hw::BaseTag::kQ,
+                       hw::Layout::kNatural, 0}};
+    hw::Instruction add;
+    add.op = hw::Opcode::kCoeffAdd;
+    add.dst = 2;
+    add.src0 = 0;
+    add.src1 = 2;
+    compiler::Segment seg;
+    seg.uploads = {{compiler::Transfer::Source::kValue, 0, 0, 0},
+                   {compiler::Transfer::Source::kValue, 0, 1, 1}};
+    seg.program.instrs = {add};
+    seg.downloads = {{compiler::Transfer::Source::kValue, 1, 0, 2},
+                     {compiler::Transfer::Source::kValue, 1, 1, 1}};
+    seg.action_end = c.slot_actions.size();
+    c.segments.push_back(seg);
+    if (touch_after_release) {
+        compiler::Segment late;
+        hw::Instruction read = add;
+        read.dst = 0;
+        read.src0 = 0;
+        read.src1 = 2;
+        late.program.instrs = {read};
+        late.action_end = c.slot_actions.size();
+        c.segments.push_back(late);
+    }
+    return c;
+}
+
+TEST(Compiler, UnverifiedProgramsReadFreshRecordsAsZero)
+{
+    // Binding at first touch behaves as binding the whole range did:
+    // a fresh record reads zero, also over a pooled buffer another run
+    // filled, and a record its range released is gone for later
+    // segments.
+    Universe u(59);
+    const std::vector<Ciphertext> inputs = {u.randomCipher(5)};
+    hw::Coprocessor cp(u.params, u.config, &u.rlk);
+    const CompiledCircuit program = handBuiltProgram(u, false);
+    for (int run = 0; run < 2; ++run)
+        EXPECT_EQ(compiler::runCompiledCircuit(cp, program, inputs),
+                  inputs)
+            << "run " << run;
+
+    try {
+        compiler::runCompiledCircuit(cp, handBuiltProgram(u, true), inputs);
+        FAIL() << "a touch after release must throw";
+    } catch (const hw::InvalidRecordError &e) {
+        EXPECT_EQ(e.id(), 2u);
+    }
+}
+
 TEST(Compiler, ResidentInputsBeyondTheMemoryFileAreFatal)
 {
     // Eight resident level-0 pairs need 48 slots; the memory file

@@ -112,17 +112,23 @@ TEST(MemoryFile, SlotLogShapesBindFinalRecords)
     // A record is bound at its final shape: the q record a Lift
     // extends spans the full base, its extension residues natural.
     MemoryFile mem(params, HwConfig::paper());
-    mem.bind(log, shape);
+    replaySlotActions(mem, log);
     EXPECT_EQ(mem.record(a).base, BaseTag::kFull);
     EXPECT_EQ(mem.record(a).layout.size(), 13u);
     EXPECT_EQ(mem.record(a).data.size(), 13 * params->degree());
     EXPECT_EQ(mem.record(b).layout,
               std::vector<Layout>(13, Layout::kNttDomain));
 
-    // Returning the released record's buffer unbinds it.
-    mem.unbind(log);
+    EXPECT_EQ(mem.peakBoundResidues(), 26u);
+
+    // Returning the released record's buffer unbinds it; the bound
+    // high-water mark holds until a reset.
+    mem.returnRecord(b);
     EXPECT_NO_THROW(mem.record(a));
     EXPECT_THROW(mem.record(b), InvalidRecordError);
+    EXPECT_EQ(mem.peakBoundResidues(), 26u);
+    mem.reset();
+    EXPECT_EQ(mem.peakBoundResidues(), 0u);
 }
 
 TEST(MemoryFile, InvalidRecordAccessNamesTheRecord)
@@ -146,7 +152,7 @@ TEST(MemoryFile, InvalidRecordAccessNamesTheRecord)
     }
 
     // Returned record: same typed error, different cause in the message.
-    mem.unbind(alloc.actions());
+    mem.returnRecord(a);
     try {
         mem.record(a);
         FAIL() << "returned-record access must throw";

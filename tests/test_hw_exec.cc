@@ -15,6 +15,7 @@
 #include "common/random.h"
 #include "compiler/circuit.h"
 #include "compiler/compiler.h"
+#include "fv/keygen.h"
 #include "fv/params.h"
 #include "hw/coprocessor.h"
 #include "memory_support.h"
@@ -255,6 +256,91 @@ TEST(HwExec, KeyLoadWithoutKeysPanics)
     Program p;
     p.instrs = {load};
     EXPECT_THROW(rig.cp->execute(p), PanicError);
+}
+
+/** The words of a key half a level-0 buffer streams: all of them. */
+std::vector<uint64_t>
+keyWords(const fv::RelinKeys &rlk, size_t digit, int half)
+{
+    return rlk.keys[digit][half].data();
+}
+
+TEST(HwExec, KeyLoadLeavesNoBorrowAfterExecute)
+{
+    // A key load lends its buffers the key; execute() copies in every
+    // borrow left when the program ends, so the buffers then hold the
+    // key and the lender may be swapped or freed.
+    ExecRig rig;
+    fv::KeyGenerator keygen(rig.params, 5);
+    const fv::RelinKeys rlk =
+        keygen.generateRelinKeys(keygen.generateSecretKey());
+    rig.cp->attachKeys(&rlk, nullptr);
+    const PolyId k0 = rig.recs->zero(BaseTag::kQ);
+    const PolyId k1 = rig.recs->zero(BaseTag::kQ);
+    Instruction load = ExecRig::instr(Opcode::kKeyLoad, kNoPoly);
+    load.aux = keyLoadAux(0, 1);
+    load.extra = {k0, k1};
+    rig.run({load});
+
+    const MemoryFile &memory = rig.cp->memory();
+    for (int half = 0; half < 2; ++half) {
+        const PolyRecord &buf = memory.operand(load.extra[half]);
+        EXPECT_EQ(buf.lent, nullptr) << "half " << half;
+        EXPECT_EQ(buf.data, keyWords(rlk, 1, half)) << "half " << half;
+        EXPECT_EQ(buf.layout,
+                  std::vector<Layout>(buf.layout.size(), Layout::kNttDomain));
+    }
+}
+
+TEST(HwExec, WritingALoadedKeyBufferLeavesTheKey)
+{
+    // A CoeffMul into one loaded key buffer and an inverse NTT on the
+    // other write the buffers, not the tenant's stored key: a second
+    // load of the same digit, in the same program, reads the original.
+    ExecRig rig;
+    fv::KeyGenerator keygen(rig.params, 6);
+    const fv::RelinKeys rlk =
+        keygen.generateRelinKeys(keygen.generateSecretKey());
+    const fv::RelinKeys stored = rlk;
+    rig.cp->attachKeys(&rlk, nullptr);
+
+    const ntt::RnsPoly x = rig.randomQPoly(20);
+    const PolyId ix = rig.recs->upload(x);
+    PolyId k[4];
+    for (PolyId &id : k)
+        id = rig.recs->zero(BaseTag::kQ);
+    Instruction first = ExecRig::instr(Opcode::kKeyLoad, kNoPoly);
+    first.aux = keyLoadAux(0, 0);
+    first.extra = {k[0], k[1]};
+    Instruction second = first;
+    second.extra = {k[2], k[3]};
+    // The key buffers are NTT-domain: set x's layout to match.
+    for (Layout &l : rig.cp->memory().record(ix).layout)
+        l = Layout::kNttDomain;
+    rig.run({first, ExecRig::instr(Opcode::kCoeffMul, k[0], k[0], ix),
+             ExecRig::instr(Opcode::kIntt, k[1]), second});
+
+    for (size_t d = 0; d < rlk.digitCount(); ++d)
+        for (int half = 0; half < 2; ++half)
+            EXPECT_EQ(rlk.keys[d][half], stored.keys[d][half])
+                << "digit " << d << " half " << half;
+    const MemoryFile &memory = rig.cp->memory();
+    EXPECT_EQ(memory.record(k[2]).data, keyWords(stored, 0, 0));
+    EXPECT_EQ(memory.record(k[3]).data, keyWords(stored, 0, 1));
+
+    const size_t n = rig.params->degree();
+    const std::vector<uint64_t> key0 = keyWords(stored, 0, 0);
+    const std::vector<uint64_t> &prod = memory.record(k[0]).data;
+    for (size_t r = 0; r < x.residueCount(); ++r) {
+        const rns::Modulus &q = rig.params->qBase()->modulus(r);
+        for (size_t j = 0; j < n; ++j)
+            ASSERT_EQ(prod[r * n + j], q.mul(key0[r * n + j],
+                                             x.residue(r)[j]))
+                << r << ", " << j;
+    }
+    ntt::RnsPoly key1 = stored.keys[0][1];
+    key1.toCoeff(rig.params->qContext());
+    EXPECT_EQ(memory.record(k[1]).data, key1.data());
 }
 
 TEST(HwExec, BatchOneTouchesOnlyExtensionResidues)

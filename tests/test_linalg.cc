@@ -273,6 +273,45 @@ TEST(LinalgMatVec, SixteenBySixteen)
               mv.reference(v));
 }
 
+TEST(LinalgMatVec, PaperSetRunBindsAboutTheModeledSlots)
+{
+    // The paper set at t = 65537 spills the hoisted 16x16 matvec over
+    // 16 segments. Each binds a record just before its first touch and
+    // returns it right after its last, so the residues bound at once
+    // stay near the slot log's peak.
+    const auto params = fv::FvParams::paper(65537);
+    fv::KeyGenerator keygen(params, 41);
+    const fv::SecretKey sk = keygen.generateSecretKey();
+    const fv::RelinKeys rlk = keygen.generateRelinKeys(sk);
+    fv::Encryptor encryptor(params, keygen.generatePublicKey(sk), 42);
+    const fv::BatchEncoder encoder(params);
+    Xoshiro256 rng(43);
+    const size_t d = 16;
+    std::vector<std::vector<uint64_t>> m(d, std::vector<uint64_t>(d));
+    for (auto &row : m)
+        for (uint64_t &x : row)
+            x = rng.uniformBelow(params->plainModulus());
+    linalg::MatVec mv(params, m);
+    const fv::GaloisKeys gkeys =
+        keygen.generateGaloisKeys(sk, mv.requiredGaloisElements());
+    compiler::CompilerOptions options;
+    options.hw = hw::HwConfig::paper();
+    const auto compiled = mv.compile(options);
+    ASSERT_GT(compiled->segments.size(), 1u);
+
+    std::vector<uint64_t> v(d);
+    for (uint64_t &x : v)
+        x = rng.uniformBelow(params->plainModulus());
+    const std::vector<Ciphertext> inputs = {
+        encryptor.encrypt(mv.encodeVector(v))};
+    hw::Coprocessor cp(params, options.hw, &rlk, &gkeys);
+    const std::vector<Ciphertext> out =
+        compiler::runCompiledCircuit(cp, *compiled, inputs);
+    fv::Decryptor decryptor(params, fv::SecretKey{sk.s_ntt});
+    EXPECT_EQ(mv.decodeResult(decryptor.decrypt(out[0])), mv.reference(v));
+    EXPECT_LE(cp.memory().peakBoundResidues(), 2 * compiled->peak_slots);
+}
+
 /** Count instructions of @p op across all segments. */
 size_t
 countOps(const compiler::CompiledCircuit &compiled, hw::Opcode op,

@@ -148,6 +148,83 @@ TEST(SimdKernels, ElementwiseMatchScalarEverywhere)
     }
 }
 
+TEST(SimdKernels, OutOfPlaceDyadicMatchOracleUnderAliasing)
+{
+    // add/sub/mul_mod_out against per-element 128-bit arithmetic, with
+    // dst distinct from the operands, equal to a and equal to b: a
+    // prime below 2^30 takes the vector body, 2^30 + 3 (prime) and a
+    // 60-bit modulus the scalar fallback. The lengths leave every lane
+    // count's loop tail non-empty.
+    const uint64_t moduli[] = {(uint64_t(1) << 20) - 3,
+                               (uint64_t(1) << 30) - 35,
+                               (uint64_t(1) << 30) + 3,
+                               (uint64_t(1) << 60) - 93};
+    const size_t lengths[] = {1, 3, 5, 7, 9, 13, 17, 4099};
+    enum class Alias
+    {
+        kNone,
+        kDstIsA,
+        kDstIsB
+    };
+    Xoshiro256 rng(29);
+    for (Level level : availableLevels()) {
+        const Kernels &k = simd::kernelsFor(level);
+        for (uint64_t qv : moduli) {
+            const Modulus q(qv);
+            for (size_t n : lengths) {
+                std::vector<uint64_t> a(n), b(n);
+                for (size_t i = 0; i < n; ++i) {
+                    a[i] = rng.uniformBelow(qv);
+                    b[i] = rng.uniformBelow(qv);
+                }
+                a[0] = qv - 1;
+                b[0] = n > 1 ? qv - 1 : 0;
+                std::vector<uint64_t> add(n), sub(n), mul(n);
+                for (size_t i = 0; i < n; ++i) {
+                    add[i] = (a[i] + b[i]) % qv;
+                    sub[i] = (a[i] + qv - b[i]) % qv;
+                    mul[i] = static_cast<uint64_t>(
+                        static_cast<unsigned __int128>(a[i]) * b[i] % qv);
+                }
+                for (Alias alias :
+                     {Alias::kNone, Alias::kDstIsA, Alias::kDstIsB}) {
+                    const auto check = [&](auto &&run,
+                                           const std::vector<uint64_t> &want,
+                                           const char *op) {
+                        std::vector<uint64_t> x = a, y = b, d(n, 7);
+                        uint64_t *dst = alias == Alias::kDstIsA   ? x.data()
+                                        : alias == Alias::kDstIsB ? y.data()
+                                                                  : d.data();
+                        run(dst, x.data(), y.data());
+                        EXPECT_EQ(std::vector<uint64_t>(dst, dst + n), want)
+                            << op << " " << simd::levelName(level)
+                            << " q=" << qv << " n=" << n << " alias="
+                            << static_cast<int>(alias);
+                        if (alias != Alias::kDstIsA) {
+                            EXPECT_EQ(x, a) << op << ": a was written";
+                        }
+                        if (alias != Alias::kDstIsB) {
+                            EXPECT_EQ(y, b) << op << ": b was written";
+                        }
+                    };
+                    check([&](uint64_t *d, const uint64_t *x,
+                              const uint64_t *y) {
+                        k.add_mod_out(d, x, y, n, qv);
+                    }, add, "add_mod_out");
+                    check([&](uint64_t *d, const uint64_t *x,
+                              const uint64_t *y) {
+                        k.sub_mod_out(d, x, y, n, qv);
+                    }, sub, "sub_mod_out");
+                    check([&](uint64_t *d, const uint64_t *x,
+                              const uint64_t *y) {
+                        k.mul_mod_out(d, x, y, n, q);
+                    }, mul, "mul_mod_out");
+                }
+            }
+        }
+    }
+}
+
 /**
  * Every power-of-two degree from 8 (below the AVX-512 chunk: its
  * scalar fallback) to 16384. Odd log2 degrees take the vector
