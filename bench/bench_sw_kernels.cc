@@ -4,8 +4,8 @@
  * both the evaluator and the hardware model: modular reduction variants
  * (Barrett vs Shoup vs the paper's sliding window), NTT transforms
  * across degrees, HPS Lift/Scale per-coefficient and fused batch
- * kernels, and the high-level evaluator operations on the paper's
- * parameter set.
+ * kernels, the dyadic residue loops, and the high-level evaluator
+ * operations on the paper's parameter set.
  */
 
 #include <benchmark/benchmark.h>
@@ -251,6 +251,86 @@ BENCHMARK(BM_DyadicAdd)
     ->Args({4096, 4})
     ->Args({8192, 1})
     ->Args({8192, 4});
+
+/** Random operands of the dyadic kernels under a 30-bit prime. */
+struct DyadicOperands
+{
+    explicit DyadicOperands(size_t n)
+        : q(prime30()), a(n), b(n), src32(n), dst(n)
+    {
+        Xoshiro256 rng(18);
+        for (size_t i = 0; i < n; ++i) {
+            a[i] = rng.uniformBelow(q.value());
+            b[i] = rng.uniformBelow(q.value());
+            src32[i] = rng.next() >> 32;
+        }
+        w = rng.uniformBelow(q.value());
+        w_shoup = q.shoupPrecompute(w);
+    }
+
+    rns::Modulus q;
+    uint64_t w = 0, w_shoup = 0;
+    std::vector<uint64_t> a, b, src32;
+    std::vector<uint64_t> dst; ///< the output; mac_mod's accumulator
+};
+
+/** One dyadic entry of a table, run once on the operands. */
+using DyadicRun = void (*)(const simd::Kernels &, DyadicOperands &);
+
+/** The seven dyadic entries, by Kernels member name. */
+const std::pair<const char *, DyadicRun> kDyadicEntries[] = {
+    {"add_mod_out",
+     [](const simd::Kernels &k, DyadicOperands &o) {
+         k.add_mod_out(o.dst.data(), o.a.data(), o.b.data(), o.a.size(),
+                       o.q.value());
+     }},
+    {"sub_mod_out",
+     [](const simd::Kernels &k, DyadicOperands &o) {
+         k.sub_mod_out(o.dst.data(), o.a.data(), o.b.data(), o.a.size(),
+                       o.q.value());
+     }},
+    {"negate_mod",
+     [](const simd::Kernels &k, DyadicOperands &o) {
+         k.negate_mod(o.dst.data(), o.dst.size(), o.q.value());
+     }},
+    {"mul_shoup_out",
+     [](const simd::Kernels &k, DyadicOperands &o) {
+         k.mul_shoup_out(o.dst.data(), o.a.data(), o.a.size(), o.q, o.w,
+                         o.w_shoup);
+     }},
+    {"mul_mod_out",
+     [](const simd::Kernels &k, DyadicOperands &o) {
+         k.mul_mod_out(o.dst.data(), o.a.data(), o.b.data(), o.a.size(),
+                       o.q);
+     }},
+    {"mac_mod",
+     [](const simd::Kernels &k, DyadicOperands &o) {
+         k.mac_mod(o.dst.data(), o.a.data(), o.b.data(), o.a.size(), o.q);
+     }},
+    {"reduce_u32",
+     [](const simd::Kernels &k, DyadicOperands &o) {
+         k.reduce_u32(o.dst.data(), o.src32.data(), o.src32.size(), o.q);
+     }},
+};
+
+/**
+ * One dyadic entry pinned to one kernel table at n = 4096 (registered
+ * per supported level from main, like BM_ForwardNttLevel).
+ */
+void
+BM_DyadicLevel(benchmark::State &state, simd::Level level, DyadicRun run)
+{
+    constexpr size_t kDegree = 4096;
+    DyadicOperands o(kDegree);
+    const simd::Kernels &k = simd::kernelsFor(level);
+    for (auto _ : state) {
+        run(k, o);
+        benchmark::DoNotOptimize(o.dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(kDegree));
+}
 
 void
 BM_LiftCoefficient(benchmark::State &state)
@@ -547,6 +627,15 @@ main(int argc, char **argv)
                 ->Arg(4096)
                 ->Arg(8192);
         }
+        for (const auto &[kernel, run] : kDyadicEntries) {
+            const std::string name = std::string("BM_DyadicLevel/") +
+                                     kernel + "/" + simd::levelName(level);
+            benchmark::RegisterBenchmark(
+                name.c_str(),
+                [level, run = run](benchmark::State &state) {
+                    BM_DyadicLevel(state, level, run);
+                });
+        }
         for (const auto &[prefix, scale] :
              {std::pair<const char *, bool>{"BM_HpsLiftLevel/", false},
               std::pair<const char *, bool>{"BM_HpsScaleLevel/", true}}) {
@@ -653,6 +742,27 @@ main(int argc, char **argv)
                     moduli);
         json.record("hps_scale_simd_vs_scalar_speedup", scale_speedup, "x",
                     n, moduli);
+
+        // And for the dyadic multiply, out of place: a vector loop that
+        // fell through to its scalar tail would still be bit-identical,
+        // but would read ~1x here.
+        DyadicOperands dy(kSpeedupDegree);
+        const auto mul = [&](const simd::Kernels &k) {
+            k.mul_mod_out(dy.dst.data(), dy.a.data(), dy.b.data(),
+                          kSpeedupDegree, dy.q);
+        };
+        const auto [mul_scalar, mul_active] = bestSecondsPerCall(
+            [&] { mul(scalar); }, [&] { mul(active); });
+        benchmark::DoNotOptimize(dy.dst.data());
+        const double mul_speedup = mul_scalar / mul_active;
+        heat::bench::printInfo("dyadic mul scalar (n=8192)",
+                               mul_scalar * 1e6, "us");
+        heat::bench::printInfo("dyadic mul dispatched (n=8192)",
+                               mul_active * 1e6, "us");
+        heat::bench::printInfo("dyadic_mul_simd_vs_scalar_speedup",
+                               mul_speedup, "x");
+        json.record("dyadic_mul_simd_vs_scalar_speedup", mul_speedup, "x",
+                    kSpeedupDegree, 1);
     }
 
     // Disabled-instrumentation overhead of the OBS_SPAN macro on the

@@ -8,8 +8,8 @@
 #include "common/panic.h"
 #include "ntt/ntt.h"
 #include "rns/modulus.h"
-#include "simd/hps_kernels.h"
 #include "simd/simd_internal.h"
+#include "simd/vector_kernels.h"
 
 namespace heat::simd {
 
@@ -113,32 +113,6 @@ hpsScaleScalar(const HpsScalePlan &plan, const HpsConvertPlan *back,
 namespace {
 
 void
-addModScalar(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
-{
-    addModOutScalar(a, a, b, n, q);
-}
-
-void
-subModScalar(uint64_t *a, const uint64_t *b, size_t n, uint64_t q)
-{
-    subModOutScalar(a, a, b, n, q);
-}
-
-void
-mulModScalar(uint64_t *a, const uint64_t *b, size_t n,
-             const rns::Modulus &q)
-{
-    mulModOutScalar(a, a, b, n, q);
-}
-
-void
-mulShoupScalar(uint64_t *a, size_t n, const rns::Modulus &q, uint64_t w,
-               uint64_t w_shoup)
-{
-    mulShoupOutScalar(a, a, n, q, w, w_shoup);
-}
-
-void
 nttForwardScalarEntry(uint64_t *a, const ntt::NttTables &tables)
 {
     ntt::forwardNttScalar({a, tables.degree()}, tables);
@@ -156,12 +130,18 @@ const Kernels &
 scalarKernels()
 {
     static const Kernels table = {
-        Level::kScalar,    nttForwardScalarEntry, nttInverseScalarEntry,
-        addModScalar,      subModScalar,          negateModScalar,
-        mulShoupScalar,    mulShoupOutScalar,     mulModScalar,
-        macModScalar,      reduceU32Scalar,
-        Hps<ScalarLanes>::convertBatch, Hps<ScalarLanes>::scaleBatch,
-        addModOutScalar,   subModOutScalar,       mulModOutScalar,
+        .level = Level::kScalar,
+        .ntt_forward = nttForwardScalarEntry,
+        .ntt_inverse = nttInverseScalarEntry,
+        .add_mod_out = addModOutScalar,
+        .sub_mod_out = subModOutScalar,
+        .negate_mod = negateModScalar,
+        .mul_shoup_out = mulShoupOutScalar,
+        .mul_mod_out = mulModOutScalar,
+        .mac_mod = macModScalar,
+        .reduce_u32 = reduceU32Scalar,
+        .hps_convert = Hps<ScalarLanes>::convertBatch,
+        .hps_scale = Hps<ScalarLanes>::scaleBatch,
     };
     return table;
 }

@@ -12,22 +12,28 @@
  * canonical outputs bit-identical to the scalar implementation.
  *
  * The kernels: forward and inverse negacyclic NTTs; the dyadic residue
- * loops (add, sub, negate, Shoup and pointwise multiply, MAC and the
- * u32 digit reduction; add, sub, pointwise and Shoup multiply also out
- * of place, one body per op whose in-place entry passes dst = a); and
- * the fused HPS kernels, hps_convert (Lift
- * q->p and the p->q back-conversion) and hps_scale (Scale Blocks 1-4,
+ * loops (add, sub and pointwise multiply out of place, whose in-place
+ * members pass dst = a; negate, Shoup multiply, MAC and the u32 digit
+ * reduction); and the fused HPS kernels, hps_convert (Lift q->p and
+ * the p->q back-conversion) and hps_scale (Scale Blocks 1-4,
  * optionally chained into the back-conversion and the WordDecomp digit
  * broadcast), each one in-register pass per vector of coefficients.
  *
  * Vector paths use 32-bit Shoup/Harvey lazy reduction (one vpmuludq
  * per 64-bit product half), which bounds lane values by 2^32: only
  * moduli below kLaneModulusBound (2^30, the paper's RNS prime width)
- * vectorize. Every kernel checks its modulus and falls back to the
- * scalar body for wider primes, so callers never need to branch. The
+ * vectorize. Every multiplying kernel checks its modulus and falls
+ * back to the scalar body for wider primes (add, sub and negate need
+ * no bound), so callers never need to branch. The
  * vector NTTs vectorise every stage: the stages narrower than a vector
  * run in registers on two-vector chunks, the wider ones two stages to a
  * load/store pass.
+ *
+ * The scalar table has bodies of its own (simd.cc), the oracle the
+ * tests hold the others to. The AVX2 and AVX-512 tables share one
+ * body per kernel, written over a lane type in vector_kernels.h; each
+ * ISA file supplies only its lane primitives, its in-register NTT
+ * stages and a one-line table.
  *
  * The AVX2/AVX-512 translation units are compiled with per-file
  * `-mavx2`/`-mavx512f`; nothing else in the library is built with
@@ -180,30 +186,31 @@ struct Kernels
      */
     void (*ntt_inverse)(uint64_t *a, const ntt::NttTables &tables);
 
-    /** a[i] = (a[i] + b[i]) mod q; inputs in [0, q). Any modulus. */
-    void (*add_mod)(uint64_t *a, const uint64_t *b, size_t n, uint64_t q);
-
-    /** a[i] = (a[i] - b[i]) mod q; inputs in [0, q). Any modulus. */
-    void (*sub_mod)(uint64_t *a, const uint64_t *b, size_t n, uint64_t q);
+    /**
+     * Dyadic kernels: dst[i] = (a[i] op b[i]) mod q with inputs in
+     * [0, q); add and sub take any modulus. @p dst may alias @p a or
+     * @p b; otherwise it must not overlap either.
+     */
+    void (*add_mod_out)(uint64_t *dst, const uint64_t *a, const uint64_t *b,
+                        size_t n, uint64_t q);
+    void (*sub_mod_out)(uint64_t *dst, const uint64_t *a, const uint64_t *b,
+                        size_t n, uint64_t q);
 
     /** a[i] = -a[i] mod q; inputs in [0, q). Any modulus. */
     void (*negate_mod)(uint64_t *a, size_t n, uint64_t q);
 
     /**
-     * a[i] = a[i] * w mod q with w in [0, q) and w_shoup =
-     * Modulus::shoupPrecompute(w). Inputs in [0, q).
+     * dst[i] = src[i] * w mod q with w in [0, q) and w_shoup =
+     * Modulus::shoupPrecompute(w). Inputs in [0, q); @p dst may be
+     * @p src.
      */
-    void (*mul_shoup)(uint64_t *a, size_t n, const rns::Modulus &q,
-                      uint64_t w, uint64_t w_shoup);
-
-    /** Out-of-place variant: dst[i] = src[i] * w mod q. */
     void (*mul_shoup_out)(uint64_t *dst, const uint64_t *src, size_t n,
                           const rns::Modulus &q, uint64_t w,
                           uint64_t w_shoup);
 
-    /** a[i] = a[i] * b[i] mod q; inputs in [0, q). */
-    void (*mul_mod)(uint64_t *a, const uint64_t *b, size_t n,
-                    const rns::Modulus &q);
+    /** dst[i] = a[i] * b[i] mod q, aliasing as add_mod_out. */
+    void (*mul_mod_out)(uint64_t *dst, const uint64_t *a, const uint64_t *b,
+                        size_t n, const rns::Modulus &q);
 
     /** acc[i] = (acc[i] + a[i] * b[i]) mod q; inputs in [0, q). */
     void (*mac_mod)(uint64_t *acc, const uint64_t *a, const uint64_t *b,
@@ -249,18 +256,37 @@ struct Kernels
                       uint64_t *const *out_rows,
                       uint64_t *const *broadcast_rows, size_t count);
 
-    /**
-     * Out-of-place dyadic kernels: dst[i] = (a[i] op b[i]) mod q with
-     * inputs in [0, q), the body of add_mod, sub_mod and mul_mod (whose
-     * entries pass dst = a). @p dst may alias @p a or @p b; otherwise
-     * it must not overlap either.
-     */
-    void (*add_mod_out)(uint64_t *dst, const uint64_t *a, const uint64_t *b,
-                        size_t n, uint64_t q);
-    void (*sub_mod_out)(uint64_t *dst, const uint64_t *a, const uint64_t *b,
-                        size_t n, uint64_t q);
-    void (*mul_mod_out)(uint64_t *dst, const uint64_t *a, const uint64_t *b,
-                        size_t n, const rns::Modulus &q);
+    // In place: the out-of-place entries with dst = a.
+
+    /** a[i] = (a[i] + b[i]) mod q; inputs in [0, q). Any modulus. */
+    void
+    add_mod(uint64_t *a, const uint64_t *b, size_t n, uint64_t q) const
+    {
+        add_mod_out(a, a, b, n, q);
+    }
+
+    /** a[i] = (a[i] - b[i]) mod q; inputs in [0, q). Any modulus. */
+    void
+    sub_mod(uint64_t *a, const uint64_t *b, size_t n, uint64_t q) const
+    {
+        sub_mod_out(a, a, b, n, q);
+    }
+
+    /** a[i] = a[i] * w mod q; see mul_shoup_out. */
+    void
+    mul_shoup(uint64_t *a, size_t n, const rns::Modulus &q, uint64_t w,
+              uint64_t w_shoup) const
+    {
+        mul_shoup_out(a, a, n, q, w, w_shoup);
+    }
+
+    /** a[i] = a[i] * b[i] mod q; inputs in [0, q). */
+    void
+    mul_mod(uint64_t *a, const uint64_t *b, size_t n,
+            const rns::Modulus &q) const
+    {
+        mul_mod_out(a, a, b, n, q);
+    }
 };
 
 /** @return the active kernel table (HEAT_SIMD-aware, CPU-detected). */

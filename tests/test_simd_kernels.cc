@@ -54,10 +54,13 @@ struct LevelGuard
 };
 
 /** Fixed odd moduli per required width; primality is irrelevant for
- * the elementwise kernels (Barrett handles any modulus). */
+ * the elementwise kernels (Barrett handles any modulus). The two
+ * around 2^30 straddle eligibleModulus; "scalar fallback" is that of
+ * the multiplying kernels (add, sub and negate vectorize any width). */
 const uint64_t kWidthModuli[] = {
     (uint64_t(1) << 20) - 3,  // 20-bit — vector path
-    (uint64_t(1) << 30) - 35, // 30-bit boundary — scalar fallback
+    (uint64_t(1) << 30) - 35, // 30-bit, below the bound — vector path
+    (uint64_t(1) << 30) + 3,  // 31-bit, just past the bound — scalar fallback
     (uint64_t(1) << 50) - 27, // 50-bit — scalar fallback
     (uint64_t(1) << 60) - 93, // 60-bit — scalar fallback
     (uint64_t(1) << 62) - 57, // 62-bit, Modulus's ceiling
