@@ -4,7 +4,8 @@
  * both the evaluator and the hardware model: modular reduction variants
  * (Barrett vs Shoup vs the paper's sliding window), NTT transforms
  * across degrees, HPS Lift/Scale per-coefficient and fused batch
- * kernels, the dyadic residue loops, and the high-level evaluator
+ * kernels, the dyadic residue loops, the set-up work (twiddle tables,
+ * Gaussian sampling, encryption) and the high-level evaluator
  * operations on the paper's parameter set.
  */
 
@@ -19,12 +20,14 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/bit_util.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "fv/encryptor.h"
 #include "fv/evaluator.h"
 #include "fv/keygen.h"
 #include "fv/params.h"
+#include "fv/sampler.h"
 #include "ntt/ntt.h"
 #include "ntt/rns_poly.h"
 #include "rns/base_convert.h"
@@ -118,6 +121,46 @@ BM_InverseNtt(benchmark::State &state)
     }
 }
 BENCHMARK(BM_InverseNtt)->Arg(4096);
+
+void
+BM_NttTablesBuild(benchmark::State &state)
+{
+    const size_t n = static_cast<size_t>(state.range(0));
+    const rns::Modulus q(rns::generateNttPrimes(30, n, 1)[0]);
+    for (auto _ : state) {
+        ntt::NttTables tables(q, n);
+        benchmark::DoNotOptimize(tables.rootPowers());
+    }
+}
+BENCHMARK(BM_NttTablesBuild)->Arg(1024)->Arg(4096)->Arg(16384);
+
+/**
+ * The twiddle tables by their definition, one power per entry and one
+ * 128-bit division per Shoup constant: the baseline of the
+ * ntt_tables_vs_pow_speedup record.
+ */
+struct PowPerEntryTables
+{
+    PowPerEntryTables(const rns::Modulus &q, size_t n)
+        : root(n), root_shoup(n), inv_root(n), inv_root_shoup(n)
+    {
+        const int log_n = log2Floor(n);
+        const uint64_t psi = rns::findPrimitiveRoot(q.value(), n);
+        const uint64_t psi_inv = q.inverse(psi);
+        const auto shoup = [&q](uint64_t w) {
+            return static_cast<uint64_t>((uint128_t(w) << 64) / q.value());
+        };
+        for (size_t i = 0; i < n; ++i) {
+            const uint64_t e = reverseBits(i, log_n);
+            root[i] = q.pow(psi, e);
+            root_shoup[i] = shoup(root[i]);
+            inv_root[i] = q.pow(psi_inv, e);
+            inv_root_shoup[i] = shoup(inv_root[i]);
+        }
+    }
+
+    std::vector<uint64_t> root, root_shoup, inv_root, inv_root_shoup;
+};
 
 /** A Kernels entry for one NTT direction (ntt_forward or ntt_inverse). */
 using NttEntry = void (*simd::Kernels::*)(uint64_t *,
@@ -498,6 +541,31 @@ BM_EvaluatorAdd(benchmark::State &state)
 BENCHMARK(BM_EvaluatorAdd)->Unit(benchmark::kMillisecond);
 
 void
+BM_SampleGaussianQ(benchmark::State &state)
+{
+    auto &f = EvalFixture::instance();
+    fv::Sampler sampler(f.params, 10);
+    for (auto _ : state) {
+        ntt::RnsPoly e = sampler.gaussianQ();
+        benchmark::DoNotOptimize(e.data().data());
+    }
+}
+BENCHMARK(BM_SampleGaussianQ)->Unit(benchmark::kMicrosecond);
+
+void
+BM_EncryptPaper(benchmark::State &state)
+{
+    auto &f = EvalFixture::instance();
+    fv::Plaintext m;
+    m.coeffs.assign(f.params->degree(), 1);
+    for (auto _ : state) {
+        fv::Ciphertext c = f.encryptor.encrypt(m);
+        benchmark::DoNotOptimize(c.polys.data());
+    }
+}
+BENCHMARK(BM_EncryptPaper)->Unit(benchmark::kMicrosecond);
+
+void
 BM_EvaluatorMultHps(benchmark::State &state)
 {
     auto &f = EvalFixture::instance();
@@ -567,28 +635,27 @@ struct NttOperand
 };
 
 /**
- * Best-of-reps seconds per call of @p first and of @p second, timed
- * with a plain steady_clock loop so their ratio can be emitted as a
- * single JSON record for a CI gate. Reps alternate between the two,
- * so a slow phase of a shared host lands on both sides of the ratio
- * instead of one.
+ * Best-of-reps seconds per call of @p first and of @p second (@p iters
+ * calls per rep), timed with a plain steady_clock loop so their ratio
+ * can be emitted as a single JSON record for a CI gate. Reps alternate
+ * between the two, so a slow phase of a shared host lands on both
+ * sides of the ratio instead of one.
  */
 template <typename First, typename Second>
 std::pair<double, double>
-bestSecondsPerCall(First &&first, Second &&second)
+bestSecondsPerCall(First &&first, Second &&second, int iters = 200)
 {
-    constexpr int kWarmup = 20;
-    constexpr int kIters = 200;
+    const int warmup = std::max(1, iters / 10);
     constexpr int kReps = 5;
-    const auto time = [](auto &run) {
+    const auto time = [iters](auto &run) {
         const auto start = std::chrono::steady_clock::now();
-        for (int i = 0; i < kIters; ++i)
+        for (int i = 0; i < iters; ++i)
             run();
         const auto stop = std::chrono::steady_clock::now();
         return std::chrono::duration<double>(stop - start).count() /
-               kIters;
+               iters;
     };
-    for (int i = 0; i < kWarmup; ++i) {
+    for (int i = 0; i < warmup; ++i) {
         first();
         second();
     }
@@ -763,6 +830,34 @@ main(int argc, char **argv)
                                mul_speedup, "x");
         json.record("dyadic_mul_simd_vs_scalar_speedup", mul_speedup, "x",
                     kSpeedupDegree, 1);
+    }
+
+    // Set-up: one 30-bit prime's twiddle tables by running products
+    // against one power per entry, for the CI >= 3x gate. A
+    // same-process ratio, so the runner's speed cancels.
+    {
+        constexpr size_t kTablesDegree = 4096;
+        const rns::Modulus q(rns::generateNttPrimes(30, kTablesDegree, 1)[0]);
+        const auto [built_s, pow_s] = bestSecondsPerCall(
+            [&] {
+                ntt::NttTables tables(q, kTablesDegree);
+                benchmark::DoNotOptimize(tables.rootPowers());
+            },
+            [&] {
+                PowPerEntryTables tables(q, kTablesDegree);
+                benchmark::DoNotOptimize(tables.root.data());
+            },
+            /*iters=*/10);
+        const double tables_speedup = pow_s / built_s;
+        heat::bench::printHeader("set-up");
+        heat::bench::printInfo("NTT tables, running products (n=4096)",
+                               built_s * 1e6, "us");
+        heat::bench::printInfo("NTT tables, pow per entry (n=4096)",
+                               pow_s * 1e6, "us");
+        heat::bench::printInfo("ntt_tables_vs_pow_speedup", tables_speedup,
+                               "x");
+        json.record("ntt_tables_vs_pow_speedup", tables_speedup, "x",
+                    kTablesDegree, 1);
     }
 
     // Disabled-instrumentation overhead of the OBS_SPAN macro on the

@@ -16,12 +16,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Xoshiro256::Xoshiro256(uint64_t seed)
@@ -29,22 +23,6 @@ Xoshiro256::Xoshiro256(uint64_t seed)
     uint64_t s = seed;
     for (auto &word : state_)
         word = splitmix64(s);
-}
-
-uint64_t
-Xoshiro256::next()
-{
-    const uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
 }
 
 uint64_t

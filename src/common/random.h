@@ -26,7 +26,21 @@ class Xoshiro256
     explicit Xoshiro256(uint64_t seed = 0x9E3779B97F4A7C15ull);
 
     /** @return next 64 uniformly random bits. */
-    uint64_t next();
+    uint64_t
+    next()
+    {
+        const uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const uint64_t t = state_[1] << 17;
+
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+
+        return result;
+    }
 
     /** @return uniformly random value in [0, bound) (bound > 0). */
     uint64_t uniformBelow(uint64_t bound);
@@ -35,6 +49,12 @@ class Xoshiro256
     double uniformDouble();
 
   private:
+    static uint64_t
+    rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<uint64_t, 4> state_;
 };
 

@@ -1,6 +1,6 @@
 #include "fv/encryptor.h"
 
-#include "common/panic.h"
+#include "fv/evaluator.h"
 
 namespace heat::fv {
 
@@ -13,19 +13,7 @@ Encryptor::Encryptor(std::shared_ptr<const FvParams> params, PublicKey pk,
 ntt::RnsPoly
 Encryptor::scalePlainToQ(const Plaintext &plain) const
 {
-    fatalIf(plain.coeffs.size() > params_->degree(),
-            "plaintext has more coefficients than the ring degree");
-    const auto &base = params_->qBase();
-    const auto &delta = params_->deltaResidues();
-    ntt::RnsPoly poly(base, params_->degree(), ntt::PolyForm::kCoeff);
-    const uint64_t t = params_->plainModulus();
-    for (size_t i = 0; i < base->size(); ++i) {
-        const rns::Modulus &q_i = base->modulus(i);
-        auto r = poly.residue(i);
-        for (size_t j = 0; j < plain.coeffs.size(); ++j)
-            r[j] = q_i.mul(delta[i], plain.coeffs[j] % t);
-    }
-    return poly;
+    return Evaluator(params_).scaledPlain(plain);
 }
 
 Ciphertext

@@ -35,7 +35,8 @@ class Encryptor
 
     /**
      * Embed a plaintext into R_q scaled by Delta, as a noiseless
-     * "ciphertext half" (used for plaintext addition and tests).
+     * "ciphertext half" (used for plaintext addition and tests); the
+     * level-0 Evaluator::scaledPlain.
      */
     ntt::RnsPoly scalePlainToQ(const Plaintext &plain) const;
 

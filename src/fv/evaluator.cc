@@ -67,14 +67,26 @@ Evaluator::scaledPlain(const Plaintext &plain, size_t level) const
 {
     fatalIf(plain.coeffs.size() > params_->degree(), "plaintext too long");
     const auto &base = params_->qBase(level);
+    const auto &delta = params_->deltaResidues(level);
     ntt::RnsPoly poly(base, params_->degree(), ntt::PolyForm::kCoeff);
     const uint64_t t = params_->plainModulus();
+    const size_t count = plain.coeffs.size();
+    // m mod t once; each residue is then one Shoup multiply by its
+    // Delta_l mod q_i (m mod t < q_i whenever t <= q_i).
+    std::vector<uint64_t> m(count);
+    for (size_t j = 0; j < count; ++j)
+        m[j] = plain.coeffs[j] % t;
+    const simd::Kernels &kernels = simd::active();
     for (size_t i = 0; i < base->size(); ++i) {
         const rns::Modulus &q_i = base->modulus(i);
-        const uint64_t d = params_->deltaResidues(level)[i];
-        auto r = poly.residue(i);
-        for (size_t j = 0; j < plain.coeffs.size(); ++j)
-            r[j] = q_i.mul(d, plain.coeffs[j] % t);
+        uint64_t *r = poly.residue(i).data();
+        if (t <= q_i.value()) {
+            kernels.mul_shoup_out(r, m.data(), count, q_i, delta[i],
+                                  q_i.shoupPrecompute(delta[i]));
+            continue;
+        }
+        for (size_t j = 0; j < count; ++j)
+            r[j] = q_i.mul(delta[i], m[j]);
     }
     return poly;
 }

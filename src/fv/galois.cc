@@ -6,19 +6,6 @@
 
 namespace heat::fv {
 
-uint64_t
-GaloisKeys::fingerprint() const
-{
-    // Seed differs from RelinKeys::fingerprint's FNV offset so an empty
-    // Galois set and an empty relin set don't collide.
-    uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const auto &[g, rlk] : keys) {
-        h = (h ^ g) * 0x100000001b3ull;
-        h = (h ^ rlk.fingerprint()) * 0x100000001b3ull;
-    }
-    return h;
-}
-
 bool
 isValidGaloisElement(uint32_t g, size_t degree)
 {

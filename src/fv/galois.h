@@ -34,11 +34,6 @@ struct GaloisKeys
     {
         return keys.count(galois_element) != 0;
     }
-
-    /** Content hash over every element's key set (see
-     *  RelinKeys::fingerprint); an empty key set hashes to a fixed
-     *  non-zero seed so "no keys" is still a distinct identity. */
-    uint64_t fingerprint() const;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "fv/keygen.h"
 
 #include "common/panic.h"
+#include "simd/simd.h"
 
 namespace heat::fv {
 
@@ -21,17 +22,22 @@ KeyGenerator::generateSecretKey()
 PublicKey
 KeyGenerator::generatePublicKey(const SecretKey &sk)
 {
+    // p0 = -(a*s + e), p1 = a, all in the NTT domain.
+    auto [p0, a] = maskedPair(sk);
+    return PublicKey{std::move(p0), std::move(a)};
+}
+
+std::array<ntt::RnsPoly, 2>
+KeyGenerator::maskedPair(const SecretKey &sk)
+{
     ntt::RnsPoly a = sampler_.uniformQ();
     ntt::RnsPoly e = sampler_.gaussianQ();
     a.toNtt(params_->qContext());
     e.toNtt(params_->qContext());
-
-    // p0 = -(a*s + e), p1 = a, all in the NTT domain.
-    ntt::RnsPoly p0 = a;
-    p0.mulPointwiseInPlace(sk.s_ntt);
-    p0.addInPlace(e);
-    p0.negateInPlace();
-    return PublicKey{std::move(p0), std::move(a)};
+    // -(a s + e), built in e's buffer.
+    e.addMulPointwise(a, sk.s_ntt);
+    e.negateInPlace();
+    return {std::move(e), std::move(a)};
 }
 
 ntt::RnsPoly
@@ -51,25 +57,15 @@ KeyGenerator::makeKeySwitchKeys(const SecretKey &sk,
     keys.kind = DecompKind::kRnsDigits;
     keys.keys.reserve(digits);
     for (size_t i = 0; i < digits; ++i) {
-        ntt::RnsPoly a = sampler_.uniformQ();
-        ntt::RnsPoly e = sampler_.gaussianQ();
-        a.toNtt(params_->qContext());
-        e.toNtt(params_->qContext());
-
         // key0_i = -(a s + e) + f_i * target with f_i the CRT unit
         // vector: f_i = q~_i q*_i mod q is 1 mod q_i and 0 mod every
         // other prime, so only residue i of the target survives.
-        ntt::RnsPoly key0 = a;
-        key0.mulPointwiseInPlace(sk.s_ntt);
-        key0.addInPlace(e);
-        key0.negateInPlace();
-        std::vector<uint64_t> unit(digits, 0);
-        unit[i] = 1;
-        ntt::RnsPoly f_target = target_ntt;
-        f_target.mulScalarInPlace(unit);
-        key0.addInPlace(f_target);
-
-        keys.keys.push_back({std::move(key0), std::move(a)});
+        std::array<ntt::RnsPoly, 2> key = maskedPair(sk);
+        simd::active().add_mod(key[0].residue(i).data(),
+                               target_ntt.residue(i).data(),
+                               params_->degree(),
+                               params_->qBase()->modulus(i).value());
+        keys.keys.push_back(std::move(key));
     }
     return keys;
 }
@@ -85,13 +81,13 @@ KeyGenerator::generateGaloisKeys(const SecretKey &sk,
                                  const std::vector<uint32_t> &elements)
 {
     const size_t n = params_->degree();
+    ntt::RnsPoly s_coeff = sk.s_ntt;
+    s_coeff.toCoeff(params_->qContext());
     GaloisKeys gkeys;
     for (uint32_t g : elements) {
         if (gkeys.has(g))
             continue;
         // Build s(x^g) in NTT form: permute the coefficient-form secret.
-        ntt::RnsPoly s_coeff = sk.s_ntt;
-        s_coeff.toCoeff(params_->qContext());
         ntt::RnsPoly s_g(params_->qBase(), n, ntt::PolyForm::kCoeff);
         for (size_t k = 0; k < s_coeff.residueCount(); ++k) {
             applyGaloisToResidue(s_coeff.residue(k), s_g.residue(k), g,
@@ -135,15 +131,7 @@ KeyGenerator::generatePositionalRelinKeys(const SecretKey &sk,
     rlk.keys.reserve(digits);
     mp::BigInt w_pow(1);
     for (size_t i = 0; i < digits; ++i) {
-        ntt::RnsPoly a = sampler_.uniformQ();
-        ntt::RnsPoly e = sampler_.gaussianQ();
-        a.toNtt(params_->qContext());
-        e.toNtt(params_->qContext());
-
-        ntt::RnsPoly key0 = a;
-        key0.mulPointwiseInPlace(sk.s_ntt);
-        key0.addInPlace(e);
-        key0.negateInPlace();
+        std::array<ntt::RnsPoly, 2> key = maskedPair(sk);
 
         // f_i = w^i mod q as a scalar in RNS.
         std::vector<uint64_t> f(q_base.size());
@@ -151,9 +139,9 @@ KeyGenerator::generatePositionalRelinKeys(const SecretKey &sk,
             f[k] = w_pow.modUint64(q_base.modulus(k).value());
         ntt::RnsPoly f_s2 = s2;
         f_s2.mulScalarInPlace(f);
-        key0.addInPlace(f_s2);
+        key[0].addInPlace(f_s2);
 
-        rlk.keys.push_back({std::move(key0), std::move(a)});
+        rlk.keys.push_back(std::move(key));
         w_pow = (w_pow << digit_bits).mod(q_base.product());
     }
     return rlk;

@@ -7,6 +7,7 @@
 #ifndef HEAT_FV_KEYGEN_H
 #define HEAT_FV_KEYGEN_H
 
+#include <array>
 #include <memory>
 
 #include "fv/galois.h"
@@ -61,6 +62,12 @@ class KeyGenerator
     GaloisKeys generateRotationKeys(const SecretKey &sk);
 
   private:
+    /**
+     * Sample a uniform a and a Gaussian e and return {-(a s + e), a},
+     * both in NTT form over q: the pair every key is built from.
+     */
+    std::array<ntt::RnsPoly, 2> maskedPair(const SecretKey &sk);
+
     /** s^2 in NTT form over q. */
     ntt::RnsPoly squareSecret(const SecretKey &sk) const;
 

@@ -2,39 +2,6 @@
 
 namespace heat::fv {
 
-namespace {
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-inline uint64_t
-fnvMix(uint64_t h, uint64_t word)
-{
-    // Mix 8 bytes at a time; full-word FNV-1a keeps the hash cheap
-    // while still covering every residue bit.
-    return (h ^ word) * kFnvPrime;
-}
-
-} // namespace
-
-uint64_t
-RelinKeys::fingerprint() const
-{
-    uint64_t h = kFnvOffset;
-    h = fnvMix(h, static_cast<uint64_t>(kind));
-    h = fnvMix(h, static_cast<uint64_t>(digit_bits));
-    h = fnvMix(h, keys.size());
-    for (const auto &pair : keys) {
-        for (const auto &poly : pair) {
-            h = fnvMix(h, poly.residueCount());
-            h = fnvMix(h, poly.degree());
-            for (uint64_t word : poly.data())
-                h = fnvMix(h, word);
-        }
-    }
-    return h;
-}
-
 size_t
 RelinKeys::byteSize() const
 {

@@ -89,15 +89,6 @@ struct RelinKeys
 
     /** Serialized size in bytes (30-bit residues in 32-bit words). */
     size_t byteSize() const;
-
-    /**
-     * Content hash (FNV-1a over kind, digit layout and every residue
-     * word) identifying this key set. The serving layer uses it as a
-     * session key-set identity: a worker whose coprocessor holds keys
-     * with a different fingerprint must re-attach before executing, and
-     * cached ciphertexts keyed by fingerprint never survive a key swap.
-     */
-    uint64_t fingerprint() const;
 };
 
 } // namespace heat::fv

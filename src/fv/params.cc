@@ -24,6 +24,16 @@ defaultPPrimeCount(const FvConfig &config)
            config.prime_bits;
 }
 
+/** @return {0, 1, ..., count - 1}. */
+std::vector<size_t>
+prefixIndices(size_t count)
+{
+    std::vector<size_t> indices(count);
+    for (size_t i = 0; i < count; ++i)
+        indices[i] = i;
+    return indices;
+}
+
 } // namespace
 
 FvParams::FvParams(const FvConfig &config) : config_(config)
@@ -49,8 +59,11 @@ FvParams::FvParams(const FvConfig &config) : config_(config)
     full_ = std::make_shared<const rns::RnsBase>(
         rns::RnsBase::concat(*q_, *p_));
 
-    q_context_ = ntt::NttContext(*q_, config_.degree);
+    // One twiddle ROM per prime: the q context is the full context's
+    // q prefix, as every level's contexts are.
     full_context_ = ntt::NttContext(*full_, config_.degree);
+    q_context_ = ntt::NttContext::select(full_context_,
+                                         prefixIndices(q_->size()));
 
     lift_ = rns::FastBaseConverter(*q_, *p_);
     scale_back_ = rns::FastBaseConverter(*p_, *q_);
@@ -85,10 +98,8 @@ FvParams::levelData(size_t level) const
         // Reuse level 0's twiddle ROMs: the live q primes are a prefix
         // of the level-0 q base and the p primes sit after ALL level-0
         // q primes in the full context.
-        std::vector<size_t> q_indices(live);
-        for (size_t i = 0; i < live; ++i)
-            q_indices[i] = i;
-        data->q_context = ntt::NttContext::select(q_context_, q_indices);
+        const std::vector<size_t> q_indices = prefixIndices(live);
+        data->q_context = ntt::NttContext::select(full_context_, q_indices);
         std::vector<size_t> full_indices(q_indices);
         for (size_t i = 0; i < p_->size(); ++i)
             full_indices.push_back(config_.q_prime_count + i);

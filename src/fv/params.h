@@ -106,7 +106,9 @@ class FvParams
     const std::shared_ptr<const rns::RnsBase> &fullBase(
         size_t level = 0) const;
 
-    /** @return NTT context over the level's q base. */
+    /** @return NTT context over the level's q base. Its tables are
+     *  fullContext()'s: each prime's twiddles are built once per
+     *  parameter set and shared by every level. */
     const ntt::NttContext &qContext(size_t level = 0) const;
 
     /** @return NTT context over the level's full base. */

@@ -1,19 +1,61 @@
 #include "fv/sampler.h"
 
+#include <bit>
 #include <cmath>
-
-#include "common/panic.h"
 
 namespace heat::fv {
 
-Sampler::Sampler(std::shared_ptr<const FvParams> params, uint64_t seed)
-    : params_(std::move(params)), rng_(seed)
+namespace {
+
+/** Draws at or above this are redrawn by Xoshiro256::uniformBelow. */
+uint64_t
+rejectionLimit(uint64_t bound)
 {
-    buildCdt(params_->sigma());
+    return UINT64_MAX - UINT64_MAX % bound;
 }
 
+/** The first draw below @p limit, taken as uniformBelow takes it. */
+uint64_t
+drawBelow(Xoshiro256 &rng, uint64_t limit)
+{
+    uint64_t v;
+    do {
+        v = rng.next();
+    } while (v >= limit);
+    return v;
+}
+
+/**
+ * Write the signed values @p e (|e| <= max_abs) into every residue of
+ * @p poly, residue-major. Where max_abs < q_i a negative e is e + q_i,
+ * with no division or branch.
+ */
 void
-Sampler::buildCdt(double sigma)
+writeSigned(ntt::RnsPoly &poly, const std::vector<int64_t> &e,
+            uint64_t max_abs)
+{
+    const size_t n = poly.degree();
+    uint64_t *out = poly.data().data();
+    for (size_t i = 0; i < poly.residueCount(); ++i, out += n) {
+        const uint64_t q = poly.base().modulus(i).value();
+        if (max_abs < q) {
+            for (size_t j = 0; j < n; ++j) {
+                const uint64_t negative = e[j] < 0;
+                out[j] = static_cast<uint64_t>(e[j]) + (q & (0 - negative));
+            }
+            continue;
+        }
+        for (size_t j = 0; j < n; ++j) {
+            const uint64_t mag =
+                static_cast<uint64_t>(e[j] < 0 ? -e[j] : e[j]) % q;
+            out[j] = e[j] < 0 && mag != 0 ? q - mag : mag;
+        }
+    }
+}
+
+} // namespace
+
+GaussianCdt::GaussianCdt(double sigma)
 {
     // Tail cut at 12 sigma: the mass beyond is ~exp(-72) < 2^-100.
     const int tail = static_cast<int>(std::ceil(12.0 * sigma));
@@ -37,39 +79,40 @@ Sampler::buildCdt(double sigma)
                              : static_cast<uint64_t>(v);
     }
     cdt_.back() = uint64_t(1) << 63;
+
+    padded_ = cdt_;
+    padded_.resize(std::bit_ceil(cdt_.size()), uint64_t(1) << 63);
+}
+
+Sampler::Sampler(std::shared_ptr<const FvParams> params, uint64_t seed)
+    : params_(std::move(params)), rng_(seed), cdt_(params_->sigma())
+{
 }
 
 int64_t
 Sampler::gaussianScalar()
 {
     const uint64_t r = rng_.next();
-    const uint64_t u = r >> 1;          // 63 uniform bits
-    const bool negative = r & 1;
-
-    // Binary search the smallest k with cdt_[k] > u.
-    size_t lo = 0, hi = cdt_.size() - 1;
-    while (lo < hi) {
-        size_t mid = (lo + hi) / 2;
-        if (cdt_[mid] > u)
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    int64_t mag = static_cast<int64_t>(lo);
-    return negative ? -mag : mag;
+    const int64_t sign = -static_cast<int64_t>(r & 1); // 0 or -1
+    const int64_t mag = static_cast<int64_t>(cdt_.search(r >> 1));
+    return (mag ^ sign) - sign;
 }
 
 ntt::RnsPoly
 Sampler::uniformQ()
 {
     const auto &base = params_->qBase();
-    ntt::RnsPoly poly(base, params_->degree(), ntt::PolyForm::kCoeff);
+    const size_t n = params_->degree();
+    ntt::RnsPoly poly(base, n, ntt::PolyForm::kCoeff);
     // CRT is a bijection, so independently uniform residues represent a
-    // uniformly random element of [0, q).
-    for (size_t i = 0; i < base->size(); ++i) {
-        const uint64_t q_i = base->modulus(i).value();
-        for (auto &x : poly.residue(i))
-            x = rng_.uniformBelow(q_i);
+    // uniformly random element of [0, q). Each draw consumes the stream
+    // as uniformBelow(q_i) does.
+    uint64_t *out = poly.data().data();
+    for (size_t i = 0; i < base->size(); ++i, out += n) {
+        const rns::Modulus &q_i = base->modulus(i);
+        const uint64_t limit = rejectionLimit(q_i.value());
+        for (size_t j = 0; j < n; ++j)
+            out[j] = q_i.reduce(drawBelow(rng_, limit));
     }
     return poly;
 }
@@ -77,36 +120,27 @@ Sampler::uniformQ()
 ntt::RnsPoly
 Sampler::ternaryQ()
 {
-    const auto &base = params_->qBase();
-    ntt::RnsPoly poly(base, params_->degree(), ntt::PolyForm::kCoeff);
-    for (size_t j = 0; j < params_->degree(); ++j) {
-        const uint64_t v = rng_.uniformBelow(3); // 0, 1, 2 -> -1, 0, 1
-        for (size_t i = 0; i < base->size(); ++i) {
-            const rns::Modulus &q_i = base->modulus(i);
-            uint64_t r = 0;
-            if (v == 1)
-                r = 1;
-            else if (v == 0)
-                r = q_i.value() - 1;
-            poly.residue(i)[j] = r;
-        }
-    }
+    const size_t n = params_->degree();
+    // uniformBelow(3) per coefficient: 0, 1, 2 -> -1, 1, 0.
+    constexpr int64_t kValue[3] = {-1, 1, 0};
+    const uint64_t limit = rejectionLimit(3);
+    std::vector<int64_t> e(n);
+    for (size_t j = 0; j < n; ++j)
+        e[j] = kValue[drawBelow(rng_, limit) % 3];
+    ntt::RnsPoly poly(params_->qBase(), n, ntt::PolyForm::kCoeff);
+    writeSigned(poly, e, 1);
     return poly;
 }
 
 ntt::RnsPoly
 Sampler::gaussianQ()
 {
-    const auto &base = params_->qBase();
-    ntt::RnsPoly poly(base, params_->degree(), ntt::PolyForm::kCoeff);
-    for (size_t j = 0; j < params_->degree(); ++j) {
-        const int64_t e = gaussianScalar();
-        for (size_t i = 0; i < base->size(); ++i) {
-            const uint64_t q_i = base->modulus(i).value();
-            const uint64_t mag = static_cast<uint64_t>(e < 0 ? -e : e) % q_i;
-            poly.residue(i)[j] = e < 0 ? (mag == 0 ? 0 : q_i - mag) : mag;
-        }
-    }
+    const size_t n = params_->degree();
+    std::vector<int64_t> e(n);
+    for (size_t j = 0; j < n; ++j)
+        e[j] = gaussianScalar();
+    ntt::RnsPoly poly(params_->qBase(), n, ntt::PolyForm::kCoeff);
+    writeSigned(poly, e, cdt_.entries().size() - 1);
     return poly;
 }
 

@@ -21,13 +21,29 @@ NttTables::NttTables(const rns::Modulus &modulus, size_t n)
     inv_root_powers_.resize(n);
     inv_root_shoup_.resize(n);
 
+    // Walk psi^j and psi^-j as running products, one Shoup multiply by
+    // the fixed psi or psi^-1 each (no division), and store them at
+    // i = bitrev(j), kept by a bit-reversed counter.
     const uint64_t psi_inv = modulus.inverse(psi_);
-    for (size_t i = 0; i < n; ++i) {
-        const uint64_t e = reverseBits(i, log_n_);
-        root_powers_[i] = modulus.pow(psi_, e);
-        root_shoup_[i] = modulus.shoupPrecompute(root_powers_[i]);
-        inv_root_powers_[i] = modulus.pow(psi_inv, e);
-        inv_root_shoup_[i] = modulus.shoupPrecompute(inv_root_powers_[i]);
+    const uint64_t psi_shoup = modulus.shoupPrecompute(psi_);
+    const uint64_t psi_inv_shoup = modulus.shoupPrecompute(psi_inv);
+    uint64_t power = 1;
+    uint64_t inv_power = 1;
+    size_t i = 0;
+    for (size_t j = 0; j < n; ++j) {
+        root_powers_[i] = power;
+        root_shoup_[i] = modulus.shoupPrecompute(power);
+        inv_root_powers_[i] = inv_power;
+        inv_root_shoup_[i] = modulus.shoupPrecompute(inv_power);
+        power = modulus.mulShoup(power, psi_, psi_shoup);
+        inv_power = modulus.mulShoup(inv_power, psi_inv, psi_inv_shoup);
+        // i = bitrev(j + 1): add one at the top bit, carrying downward.
+        size_t bit = n >> 1;
+        while (i & bit) {
+            i ^= bit;
+            bit >>= 1;
+        }
+        i |= bit;
     }
 
     inv_degree_ = modulus.inverse(n % modulus.value());

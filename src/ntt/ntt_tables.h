@@ -7,6 +7,13 @@
  * (Sec. V-A4). The software library makes the same trade: tables of
  * psi^bitrev(i) with Shoup precomputations so the NTT inner loop is one
  * mulhi, one mullo and a conditional subtraction per butterfly.
+ *
+ * Building a table is set-up work, paid once per prime: the powers are
+ * running products psi^j (one Shoup multiply each, stored at bitrev(j))
+ * and their Shoup constants come from a Barrett quotient, so no entry
+ * costs a modular exponentiation or a 128-bit division. A parameter
+ * set builds each prime's table once and shares it between its q and
+ * full contexts and every level (NttContext::select).
  */
 
 #ifndef HEAT_NTT_NTT_TABLES_H

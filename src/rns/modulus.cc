@@ -35,17 +35,6 @@ Modulus::Modulus(uint64_t value)
 }
 
 uint64_t
-Modulus::reduce(uint64_t x) const
-{
-    // Barrett: q_hat = floor(x * floor(2^64/q) / 2^64) <= floor(x/q).
-    uint64_t quot = mulHigh64(x, barrett64_);
-    uint64_t r = x - quot * value_;
-    while (r >= value_)
-        r -= value_;
-    return r;
-}
-
-uint64_t
 Modulus::reduce128(uint128_t x) const
 {
     // Two-word Barrett reduction (SEAL-style). Let x = x1*2^64 + x0 and
@@ -73,7 +62,14 @@ uint64_t
 Modulus::shoupPrecompute(uint64_t w) const
 {
     panicIf(w >= value_, "shoupPrecompute operand out of range");
-    return static_cast<uint64_t>((uint128_t(w) << 64) / value_);
+    // floor(w * 2^64 / q) without a 128-bit division: with m =
+    // floor(2^128 / q), floor(w * m / 2^64) is the quotient or one
+    // below it (w < q < 2^62). The remainder w * 2^64 - quot * q lies in
+    // [0, 2q), so its low word, -quot * q, tells which.
+    const uint64_t quot =
+        w * barrett128_hi_ + mulHigh64(w, barrett128_lo_);
+    const uint64_t rem = 0 - quot * value_;
+    return rem >= value_ ? quot + 1 : quot;
 }
 
 uint64_t

@@ -46,7 +46,14 @@ class Modulus
     int bits() const { return bits_; }
 
     /** @return x mod q for any 64-bit x (Barrett reduction). */
-    uint64_t reduce(uint64_t x) const;
+    uint64_t
+    reduce(uint64_t x) const
+    {
+        // quot = floor(x * floor(2^64/q) / 2^64) is floor(x/q) or one
+        // below it, so one conditional subtraction finishes.
+        const uint64_t r = x - mulHigh64(x, barrett64_) * value_;
+        return r >= value_ ? r - value_ : r;
+    }
 
     /** @return x mod q for a 128-bit x (two-level Barrett reduction). */
     uint64_t reduce128(uint128_t x) const;

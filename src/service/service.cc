@@ -96,8 +96,6 @@ ExecutionService::registerTenant(std::string name, fv::RelinKeys rlk,
                 "Galois key for element ", g,
                 " does not match the parameter set");
     }
-    const uint64_t fingerprint =
-        rlk.fingerprint() ^ (gkeys.fingerprint() * 0x9e3779b97f4a7c15ull);
 
     // Mint the per-tenant counter handles before taking mu_ (the
     // registry has its own mutex; keeping the acquisitions disjoint
@@ -127,7 +125,6 @@ ExecutionService::registerTenant(std::string name, fv::RelinKeys rlk,
     s.weight = weight;
     s.rlk = std::move(rlk);
     s.gkeys = std::move(gkeys);
-    s.key_fingerprint = fingerprint;
     s.arrivals_ctr = &arrivals;
     s.shed_ctr = &shed;
     s.admission_rejected_ctr = &rejected;

@@ -553,8 +553,6 @@ class ExecutionService
         uint32_t weight = 1;
         fv::RelinKeys rlk;
         fv::GaloisKeys gkeys;
-        /** Combined content hash of both key sets (fv fingerprints). */
-        uint64_t key_fingerprint = 0;
         /** Pinned resident operands, indexed by PinnedHandle (mu_). */
         std::vector<std::shared_ptr<const fv::Ciphertext>> pinned;
         /** This tenant's FIFO of jobs not yet dispatched (mu_). */

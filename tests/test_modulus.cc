@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/random.h"
 #include "rns/modulus.h"
 #include "rns/prime_gen.h"
@@ -26,6 +29,9 @@ TEST_P(ModulusParamTest, ReduceMatchesPercent)
         uint64_t x = rng.next();
         EXPECT_EQ(m.reduce(x), x % m.value());
     }
+    for (uint64_t x : {uint64_t(0), m.value() - 1, m.value(),
+                       UINT64_MAX - m.value(), UINT64_MAX})
+        EXPECT_EQ(m.reduce(x), x % m.value());
 }
 
 TEST_P(ModulusParamTest, Reduce128MatchesReference)
@@ -64,6 +70,24 @@ TEST_P(ModulusParamTest, ShoupMatchesMul)
             EXPECT_EQ(m.mulShoup(a, w, w_shoup), m.mul(a, w));
         }
     }
+}
+
+TEST_P(ModulusParamTest, ShoupPrecomputeMatchesDivision)
+{
+    Modulus m(GetParam());
+    Xoshiro256 rng(GetParam() + 5);
+    std::vector<uint64_t> ws = {0, 1, m.value() / 2, m.value() - 1};
+    for (int iter = 0; iter < 2000; ++iter)
+        ws.push_back(rng.uniformBelow(m.value()));
+    // Inverses of powers of two (the NTT's n^-1) put w * 2^64 / q just
+    // above an integer, where a Barrett quotient is one short.
+    for (uint64_t k = 2; k <= (uint64_t(1) << 20); k *= 2)
+        if (k % m.value() != 0)
+            ws.push_back(m.inverse(k % m.value()));
+    for (uint64_t w : ws)
+        EXPECT_EQ(m.shoupPrecompute(w),
+                  static_cast<uint64_t>((uint128_t(w) << 64) / m.value()))
+            << "w = " << w;
 }
 
 TEST_P(ModulusParamTest, AddSubNegate)
