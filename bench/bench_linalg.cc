@@ -21,6 +21,10 @@
  * hoisted fused run on the simulated coprocessor over the software
  * evaluator's hoisted path (compiler::evaluateCircuit) on the same
  * request, best of several runs each in this process; CI bounds it.
+ *
+ * `hoisted_transform_instructions` counts the NTT and INTT instructions
+ * of the hoisted fused program; CI gates it exactly, so a lowering that
+ * transforms back what the next operation transforms again shows.
  */
 
 #include <algorithm>
@@ -138,6 +142,15 @@ main(int argc, char **argv)
     }
     const double host_ratio = hw_host_ms / sw_host_ms;
 
+    // The transforms the fused program keeps: the NTT-domain dataflow
+    // leaves the digits', c0's and the first product's forward NTTs
+    // and the output's inverse ones.
+    size_t transforms = 0;
+    for (const compiler::Segment &seg : hoisted.segments)
+        for (const hw::Instruction &instr : seg.program.instrs)
+            transforms += instr.op == hw::Opcode::kNtt ||
+                          instr.op == hw::Opcode::kIntt;
+
     const auto ops_per_sec = [&](const compiler::CircuitRunStats &s) {
         return static_cast<double>(nodes) /
                s.modeledUs(hoisted_opts.hw) * 1e6;
@@ -158,6 +171,8 @@ main(int argc, char **argv)
     bench::printInfo("unhoisted instructions",
                      static_cast<double>(unhoisted.instructionCount()),
                      "");
+    bench::printInfo("hoisted NTT + INTT instructions",
+                     static_cast<double>(transforms), "");
     bench::printInfo("hoisted memory-file peak",
                      static_cast<double>(hoisted.peak_slots), "slots");
     bench::printInfo("hoisted fused host time (simulator)", hw_host_ms,
@@ -178,6 +193,8 @@ main(int argc, char **argv)
                     "x", n, moduli);
     reporter.record("fused_vs_opbyop_speedup",
                     hoisted_ops / op_by_op_ops, "x", n, moduli);
+    reporter.record("hoisted_transform_instructions",
+                    static_cast<double>(transforms), "count", n, moduli);
     reporter.record("hoisted_hw_host_ms", hw_host_ms, "ms", n, moduli);
     reporter.record("hoisted_sw_host_ms", sw_host_ms, "ms", n, moduli);
     reporter.record("hoisted_hw_vs_sw_host_ratio", host_ratio, "x", n,

@@ -32,11 +32,301 @@ namespace {
 /** Sentinel "used by the output download set" (after every node). */
 constexpr size_t kUseAtEnd = std::numeric_limits<size_t>::max();
 
+using hw::Layout;
+
+/** Domain per polynomial of a value (a 3-element value is natural). */
+using Forms = std::array<Layout, 3>;
+
+constexpr Forms kAllNatural = {Layout::kNatural, Layout::kNatural,
+                               Layout::kNatural};
+
+/** Where a rotation reads c0. */
+enum class C0From : uint8_t
+{
+    kOperand,   ///< the rotated value's own c0, in its domain
+    kGroupCopy, ///< the hoist group's NTT-domain copy of c0
+    kNewCopy,   ///< a group copy this rotation makes (one forward NTT)
+};
+
+/** What a rotation's domain plan needs to know of its hoist group. */
+struct HoistState
+{
+    /** The rotation shares its group's digits (hoisting on, >= 2
+     *  rotations of one value). */
+    bool shared = false;
+    /** The group's digits exist already (no decompose here). */
+    bool digits = false;
+    /** The group's NTT-domain c0 copy exists already. */
+    bool c0_copy = false;
+};
+
+/**
+ * One node's domain plan: the operand polynomials converted to natural
+ * layout first, the domains of the result, and the transforms those
+ * choices cost (the decision-independent ones — Mult's, the digits' —
+ * are left out).
+ */
+struct DomainStep
+{
+    /** Bit 2a + p: polynomial p of operand a is transformed to natural
+     *  layout in place before the node is emitted. */
+    uint8_t to_natural = 0;
+    std::array<Layout, 2> out{Layout::kNatural, Layout::kNatural};
+    /** MultPlain / rotation: the emitter leaves its result NTT-domain. */
+    bool ntt_out = false;
+    C0From c0 = C0From::kOperand;
+    uint32_t transforms = 0;
+};
+
+constexpr uint8_t
+toNaturalBit(int operand, int poly)
+{
+    return static_cast<uint8_t>(1u << (2 * operand + poly));
+}
+
+/** @return whether @p node is a rotation by the identity automorphism
+ *  (a copy: no key switch). */
+bool
+isIdentityRotation(const CircuitNode &node, size_t degree)
+{
+    return isRotationNode(node.kind) && rotationElement(node, degree) == 1;
+}
+
+/**
+ * The domain rule of one node, shared by the planner's dry runs and the
+ * lowering, so the transforms a plan is chosen by are the transforms
+ * emitted. @p x and @p y are the current forms of the node's operands
+ * (y = x for one operand), @p ntt the planner's choice for the node,
+ * @p group a key-switching rotation's hoist group. Consumers that read
+ * natural layout convert lazily, in place, so a value converts once
+ * however many natural uses follow.
+ */
+DomainStep
+planDomains(const CircuitNode &node, size_t degree, const Forms &x,
+            const Forms &y, bool ntt, const HoistState &group)
+{
+    constexpr Layout kN = Layout::kNatural;
+    constexpr Layout kT = Layout::kNttDomain;
+    DomainStep st;
+    const auto toNatural = [&](int operand, int poly, const Forms &f) {
+        const uint8_t bit = toNaturalBit(operand, poly);
+        if (f[poly] == kT && (st.to_natural & bit) == 0) {
+            st.to_natural |= bit;
+            ++st.transforms;
+        }
+    };
+    switch (node.kind) {
+      case NodeKind::kAdd:
+      case NodeKind::kSub: {
+        // Both polynomials of a pair in the NTT domain stay there; a
+        // mixed pair meets in natural layout.
+        const bool same = node.args[0] == node.args[1];
+        for (int p = 0; p < 2; ++p) {
+            if (ntt && x[p] == kT && y[p] == kT) {
+                st.out[p] = kT;
+                continue;
+            }
+            toNatural(0, p, x);
+            if (!same)
+                toNatural(1, p, y);
+        }
+        break;
+      }
+      case NodeKind::kNegate:
+        for (int p = 0; p < 2; ++p) {
+            if (ntt && x[p] == kT)
+                st.out[p] = kT;
+            else
+                toNatural(0, p, x);
+        }
+        break;
+      case NodeKind::kAddPlain:
+        toNatural(0, 0, x); // Delta*m is natural
+        st.out[1] = x[1];
+        break;
+      case NodeKind::kMultPlain:
+        st.ntt_out = ntt;
+        for (int p = 0; p < 2; ++p) {
+            st.transforms += (x[p] == kN) + !ntt;
+            st.out[p] = ntt ? kT : kN;
+        }
+        break;
+      case NodeKind::kRotate:
+      case NodeKind::kRotateColumns: {
+        if (isIdentityRotation(node, degree)) {
+            st.out = {x[0], x[1]};
+            break;
+        }
+        if (!group.shared || !group.digits)
+            toNatural(0, 1, x); // the decompose streams c1 natural
+        Layout c0 = x[0];
+        if (group.shared && group.c0_copy) {
+            st.c0 = C0From::kGroupCopy;
+            c0 = kT;
+        }
+        st.ntt_out = ntt;
+        if (!ntt) {
+            st.transforms += 2;
+        } else {
+            st.out = {kT, kT};
+            if (c0 == kN) {
+                ++st.transforms;
+                if (group.shared)
+                    st.c0 = C0From::kNewCopy;
+            }
+        }
+        break;
+      }
+      case NodeKind::kMult:
+      case NodeKind::kSquare:
+      case NodeKind::kModSwitch:
+      case NodeKind::kRotateSum: {
+        const bool same = node.args[0] == node.args[1];
+        for (int p = 0; p < 2; ++p) {
+            toNatural(0, p, x);
+            if (nodeArgCount(node.kind) > 1 && !same)
+                toNatural(1, p, y);
+        }
+        break;
+      }
+      case NodeKind::kInput:
+      case NodeKind::kRelin:
+        break;
+    }
+    return st;
+}
+
+/**
+ * Chooses, for the fused lowering, which MultPlain, rotation and
+ * Add/Sub/Negate results stay in the NTT domain. Starting from the
+ * all-natural choice, it flips one node at a time in program order and
+ * keeps a flip when a dry run of planDomains over the whole circuit
+ * (outputs converted back at the end) counts no more transforms than
+ * before. The count therefore never exceeds the all-natural
+ * lowering's; the no-worse flips are kept because they let later ones
+ * pay (a sum of NTT-domain products converts once). Spills and reloads
+ * keep a value's domain, so the count does not depend on slot pressure.
+ */
+class DomainPlanner
+{
+  public:
+    DomainPlanner(const Circuit &circuit, size_t degree,
+                  const std::vector<uint32_t> &hoist_sizes, bool hoist)
+        : circuit_(circuit), degree_(degree), hoist_sizes_(hoist_sizes),
+          hoist_(hoist)
+    {
+    }
+
+    /** @return the NTT-domain choice per node. */
+    std::vector<bool>
+    choose()
+    {
+        const size_t n = circuit_.nodes.size();
+        std::vector<bool> ntt(n, false);
+        // Only MultPlain and key-switching rotations make NTT-domain
+        // results; without one, every choice is all natural.
+        std::vector<size_t> candidates;
+        bool source = false;
+        for (size_t i = 0; i < n; ++i) {
+            const CircuitNode &node = circuit_.nodes[i];
+            switch (node.kind) {
+              case NodeKind::kMultPlain:
+                source = true;
+                candidates.push_back(i);
+                break;
+              case NodeKind::kRotate:
+              case NodeKind::kRotateColumns:
+                if (!isIdentityRotation(node, degree_)) {
+                    source = true;
+                    candidates.push_back(i);
+                }
+                break;
+              case NodeKind::kAdd:
+              case NodeKind::kSub:
+              case NodeKind::kNegate:
+                candidates.push_back(i);
+                break;
+              default:
+                break;
+            }
+        }
+        if (!source)
+            return ntt;
+        uint64_t best = transforms(ntt);
+        for (size_t i : candidates) {
+            ntt[i] = true;
+            const uint64_t cost = transforms(ntt);
+            if (cost <= best)
+                best = cost;
+            else
+                ntt[i] = false;
+        }
+        return ntt;
+    }
+
+  private:
+    /** Dry run: the decision-dependent transforms of the lowering. */
+    uint64_t
+    transforms(const std::vector<bool> &ntt)
+    {
+        const size_t n = circuit_.nodes.size();
+        forms_.assign(n, kAllNatural);
+        digits_.assign(n, false);
+        c0_copy_.assign(n, false);
+        uint64_t count = 0;
+        for (size_t i = 0; i < n; ++i) {
+            const CircuitNode &node = circuit_.nodes[i];
+            if (node.kind == NodeKind::kInput ||
+                node.kind == NodeKind::kRelin)
+                continue;
+            const ValueId a = node.args[0];
+            const ValueId b =
+                nodeArgCount(node.kind) > 1 ? node.args[1] : a;
+            HoistState group;
+            if (hoist_ && hoist_sizes_[i] >= 2 &&
+                !isIdentityRotation(node, degree_))
+                group = {true, digits_[a], c0_copy_[a]};
+            const DomainStep st = planDomains(node, degree_, forms_[a],
+                                              forms_[b], ntt[i], group);
+            count += st.transforms;
+            for (int p = 0; p < 2; ++p) {
+                if (st.to_natural & toNaturalBit(0, p))
+                    forms_[a][p] = Layout::kNatural;
+                if (st.to_natural & toNaturalBit(1, p))
+                    forms_[b][p] = Layout::kNatural;
+            }
+            forms_[i] = {st.out[0], st.out[1], Layout::kNatural};
+            if (group.shared) {
+                digits_[a] = true;
+                c0_copy_[a] = c0_copy_[a] || st.c0 == C0From::kNewCopy;
+            }
+        }
+        for (ValueId out : circuit_.outputs) {
+            for (Layout &f : forms_[out]) {
+                count += f == Layout::kNttDomain;
+                f = Layout::kNatural;
+            }
+        }
+        return count;
+    }
+
+    const Circuit &circuit_;
+    size_t degree_;
+    const std::vector<uint32_t> &hoist_sizes_;
+    bool hoist_;
+    std::vector<Forms> forms_;
+    std::vector<bool> digits_;
+    std::vector<bool> c0_copy_;
+};
+
 /** Compile-time state of one circuit value. */
 struct ValueState
 {
     /** Memory-file slots (valid while resident). */
     std::vector<hw::PolyId> slots;
+    /** Domain of each polynomial, on chip and in a host copy alike
+     *  (spills and reloads keep it). */
+    Forms domain = kAllNatural;
     /** Slots hold the value on chip. */
     bool resident = false;
     /** A current host copy exists (inputs always; spills afterwards). */
@@ -85,6 +375,11 @@ class CircuitCompiler
         circuit_.validate();
         checkNoise();
         analyze();
+        ntt_out_.assign(circuit_.nodes.size(), false);
+        if (!op_by_op_)
+            ntt_out_ = DomainPlanner(circuit_, params_->degree(),
+                                     hoist_sizes_, hoist_rotations_)
+                           .choose();
         pinResidentInputs();
         openSegment();
 
@@ -102,17 +397,7 @@ class CircuitCompiler
             tagNewInstructions(static_cast<ValueId>(i));
         }
 
-        // Only still-live outputs travel back; spilled outputs already
-        // have a current host copy.
-        for (ValueId out : circuit_.outputs) {
-            const ValueState &vs = values_[out];
-            if (!vs.resident)
-                continue;
-            for (uint32_t p = 0; p < vs.slots.size(); ++p)
-                currentSegment().downloads.push_back(
-                    Transfer{Transfer::Source::kValue, out, p,
-                             vs.slots[p]});
-        }
+        downloadOutputs();
 
         while (!segments_.empty() && segments_.back().uploads.empty() &&
                segments_.back().downloads.empty() &&
@@ -332,11 +617,12 @@ class CircuitCompiler
         vs.slots.clear();
         alloc_.setLevel(levels_[v]);
         for (uint32_t p = 0; p < size; ++p) {
-            const hw::PolyId slot = alloc_.allocate(
-                hw::BaseTag::kQ, hw::Layout::kNatural, label);
+            const hw::PolyId slot =
+                alloc_.allocate(hw::BaseTag::kQ, vs.domain[p], label);
             vs.slots.push_back(slot);
             currentSegment().uploads.push_back(
-                Transfer{Transfer::Source::kValue, v, p, slot});
+                Transfer{Transfer::Source::kValue, v, p, slot,
+                         vs.domain[p]});
         }
         if (vs.ever_resident)
             out_.reloaded_polys += size;
@@ -394,15 +680,8 @@ class CircuitCompiler
             return false;
 
         ValueState &vs = values_[victim];
-        if (!vs.host) {
-            for (uint32_t p = 0; p < vs.slots.size(); ++p)
-                currentSegment().downloads.push_back(
-                    Transfer{Transfer::Source::kValue, victim, p,
-                             vs.slots[p]});
-            out_.spilled_polys += vs.slots.size();
-            vs.host = true;
-            vs.host_ready_segment = currentSegmentIndex() + 1;
-        }
+        if (!vs.host)
+            downloadValue(victim);
         for (hw::PolyId slot : vs.slots)
             alloc_.release(slot);
         vs.slots.clear();
@@ -422,14 +701,77 @@ class CircuitCompiler
         ValueState &vs = values_[v];
         panicIf(!vs.resident, "demoting a non-resident operand");
         if (!vs.host) {
+            downloadValue(v);
+            openSegment();
+        }
+    }
+
+    /** Spill store: append downloads of resident @p v, in its domain,
+     *  to the current segment; the host copy serves the next one. */
+    void
+    downloadValue(ValueId v)
+    {
+        ValueState &vs = values_[v];
+        for (uint32_t p = 0; p < vs.slots.size(); ++p)
+            currentSegment().downloads.push_back(
+                Transfer{Transfer::Source::kValue, v, p, vs.slots[p],
+                         vs.domain[p]});
+        out_.spilled_polys += vs.slots.size();
+        vs.host = true;
+        vs.host_ready_segment = currentSegmentIndex() + 1;
+    }
+
+    /**
+     * Transform polynomial @p p of resident @p v to natural layout in
+     * place, if it is NTT-domain. A host copy of the value holds the
+     * old domain, so it no longer counts as current: a later spill
+     * stores the natural form.
+     */
+    void
+    toNatural(ValueId v, uint32_t p)
+    {
+        ValueState &vs = values_[v];
+        if (vs.domain[p] == Layout::kNatural)
+            return;
+        panicIf(!vs.resident || pinned_value_[v],
+                "converting value ", v, " off chip or pinned");
+        hw::OpEmitter em(*params_, alloc_, currentSegment().program);
+        em.toNatural(vs.slots[p]);
+        vs.domain[p] = Layout::kNatural;
+        vs.host = false;
+    }
+
+    /**
+     * Download every circuit output in natural layout. A resident
+     * output converts in place; a spilled one whose host copy is
+     * NTT-domain is reloaded (a fresh segment when it was spilled in
+     * this one) and converted first. Spilled natural outputs already
+     * have their host copy.
+     */
+    void
+    downloadOutputs()
+    {
+        const size_t end = circuit_.nodes.size();
+        for (ValueId out : circuit_.outputs) {
+            ValueState &vs = values_[out];
+            const bool ntt = std::find(vs.domain.begin(), vs.domain.end(),
+                                       Layout::kNttDomain) !=
+                             vs.domain.end();
+            if (!vs.resident && !ntt)
+                continue;
+            const ValueId keep[] = {out};
+            ensureResident(out, keep, end);
+            for (uint32_t p = 0; p < vs.slots.size(); ++p)
+                toNatural(out, p);
             for (uint32_t p = 0; p < vs.slots.size(); ++p)
                 currentSegment().downloads.push_back(
-                    Transfer{Transfer::Source::kValue, v, p,
+                    Transfer{Transfer::Source::kValue, out, p,
                              vs.slots[p]});
-            out_.spilled_polys += vs.slots.size();
-            vs.host = true;
-            vs.host_ready_segment = currentSegmentIndex() + 1;
-            openSegment();
+            if (!pinned_value_[out]) {
+                // Later reloads may take its slots; this copy is final.
+                vs.host = true;
+                vs.host_ready_segment = currentSegmentIndex() + 1;
+            }
         }
     }
 
@@ -438,34 +780,42 @@ class CircuitCompiler
     /** Encode (once per level) and stage (per use) a plaintext
      *  constant. Constants are level-specific: a level-l consumer needs
      *  the plaintext embedded in R_{q_l} (and scaled by Delta_l for
-     *  AddPlain), so the pool is keyed by (plain index, level). */
+     *  AddPlain), so the pool is keyed by (plain index, level). A fused
+     *  lowering encodes MultPlain's embedding NTT-form with the level's
+     *  q context, so no program transforms a constant. */
     hw::PolyId
     stageConstant(const CircuitNode &node, size_t node_index,
                   std::span<const ValueId> pinned)
     {
         const size_t level = levels_[node_index];
-        auto &cache = node.kind == NodeKind::kAddPlain
-                          ? plain_const_add_
-                          : plain_const_mul_;
+        const bool add = node.kind == NodeKind::kAddPlain;
+        const Layout layout = add || op_by_op_ ? Layout::kNatural
+                                               : Layout::kNttDomain;
+        auto &cache = add ? plain_const_add_ : plain_const_mul_;
         auto [it, fresh] =
             cache.try_emplace({node.plain, level}, -1);
         if (fresh) {
             const fv::Plaintext &plain = circuit_.plains[node.plain];
-            out_.constants.push_back(
-                node.kind == NodeKind::kAddPlain
-                    ? evaluator_.scaledPlain(plain, level)
-                    : evaluator_.embeddedPlain(plain, level));
+            if (add) {
+                out_.constants.push_back(
+                    evaluator_.scaledPlain(plain, level));
+            } else {
+                ntt::RnsPoly poly = evaluator_.embeddedPlain(plain, level);
+                if (layout == Layout::kNttDomain)
+                    poly.toNtt(params_->qContext(level));
+                out_.constants.push_back(std::move(poly));
+            }
             it->second = static_cast<int32_t>(out_.constants.size() - 1);
         }
 
         const size_t live = alloc_.liveResidues(hw::BaseTag::kQ, level);
         makeRoom(live, pinned, node_index);
         alloc_.setLevel(level);
-        const hw::PolyId slot = alloc_.allocate(
-            hw::BaseTag::kQ, hw::Layout::kNatural, "plaintext constant");
+        const hw::PolyId slot = alloc_.allocate(hw::BaseTag::kQ, layout,
+                                                "plaintext constant");
         currentSegment().uploads.push_back(
             Transfer{Transfer::Source::kConstant,
-                     static_cast<uint32_t>(it->second), 0, slot});
+                     static_cast<uint32_t>(it->second), 0, slot, layout});
         return slot;
     }
 
@@ -486,7 +836,29 @@ class CircuitCompiler
         /** Shared key-switch digit slots a hoist group's first member
          *  materialized (committed to hoist_digits_ on success). */
         std::vector<hw::PolyId> hoist_digits;
+        /** A hoist group's NTT-domain c0 copy made by this rotation
+         *  (committed to hoist_c0_ on success). */
+        hw::PolyId hoist_c0 = hw::kNoPoly;
+        /** The rotated value handed its slots to its hoist group (its
+         *  c0 record became the group's copy, c1's was released). */
+        bool retired = false;
     };
+
+    /** @return node @p i's domain plan over the current value forms. */
+    DomainStep
+    planNode(size_t i) const
+    {
+        const CircuitNode &node = circuit_.nodes[i];
+        const ValueId a = node.args[0];
+        const ValueId b = nodeArgCount(node.kind) > 1 ? node.args[1] : a;
+        HoistState group;
+        if (hoist_rotations_ && hoist_sizes_[i] >= 2 &&
+            !isIdentityRotation(node, params_->degree()))
+            group = {true, hoist_digits_.count(a) > 0,
+                     hoist_c0_.count(a) > 0};
+        return planDomains(node, params_->degree(), values_[a].domain,
+                           values_[b].domain, ntt_out_[i], group);
+    }
 
     void
     emitNode(size_t i)
@@ -497,12 +869,26 @@ class CircuitCompiler
         for (int a = 0; a < nodeArgCount(node.kind); ++a)
             operands.push_back(node.args[a]);
 
-        for (ValueId v : operands)
-            ensureResident(v, operands, i);
+        // A rotation reading its group's digits and c0 copy needs
+        // nothing else of the rotated value, which may be gone already
+        // (releaseToHoistGroup).
+        const DomainStep plan = planNode(i);
+        const bool operand_needed =
+            !(isRotationNode(node.kind) && plan.c0 == C0From::kGroupCopy);
+        if (operand_needed) {
+            for (ValueId v : operands)
+                ensureResident(v, operands, i);
+        }
 
         hw::PolyId plain_slot = hw::kNoPoly;
         if (node.plain >= 0)
             plain_slot = stageConstant(node, i, operands);
+
+        for (size_t k = 0; k < operands.size(); ++k)
+            for (uint32_t p = 0; p < 2; ++p)
+                if (plan.to_natural &
+                    toNaturalBit(static_cast<int>(k), static_cast<int>(p)))
+                    toNatural(operands[k], p);
 
         // Consume flags: an operand whose last use this is may be
         // overwritten, aliased into the result, or released by the
@@ -536,16 +922,22 @@ class CircuitCompiler
         // below captures the level, so rollbacks keep it.)
         alloc_.setLevel(levels_[operands[0]]);
 
+        // A rotation making its hoist group's c0 copy may retire the
+        // rotated value into the group when every later use of the
+        // value reads the group's records only.
+        const bool retire = plan.c0 == C0From::kNewCopy &&
+                            onlyHoistedUsesAfter(operands[0], i);
+
         // Retry loop: a failed allocation rolls the partial emission
         // back, frees slots one step at a time and tries again.
         EmitResult emitted;
         for (;;) {
             const hw::CountingAllocator alloc_snapshot = alloc_;
             const size_t n_instrs = currentSegment().program.instrs.size();
-            const hw::PolyId zero_snapshot = zero_;
+            const hw::OpEmitter::ZeroSlots zero_snapshot = zero_;
             try {
-                emitted = emitOp(i, node, operands, plain_slot,
-                                 consume_a, consume_b);
+                emitted = emitOp(i, node, operands, plain_slot, plan,
+                                 retire, consume_a, consume_b);
                 break;
             } catch (const hw::SlotPressureError &e) {
                 alloc_ = alloc_snapshot;
@@ -595,19 +987,34 @@ class CircuitCompiler
         }
 
         // Hoist-group bookkeeping: commit freshly-materialized shared
-        // digits, and release them after the group's last rotation.
+        // digits and c0 copy, and release them after the group's last
+        // rotation.
         if (isRotationNode(node.kind) && hoist_sizes_[i] >= 2 &&
             hoist_rotations_) {
+            const ValueId x = operands[0];
+            if (emitted.retired) {
+                values_[x].slots.clear();
+                values_[x].resident = false;
+            }
             if (!emitted.hoist_digits.empty())
-                hoist_digits_[operands[0]] = emitted.hoist_digits;
-            uint32_t &remaining = hoist_remaining_[operands[0]];
+                hoist_digits_[x] = emitted.hoist_digits;
+            if (emitted.hoist_c0 != hw::kNoPoly)
+                hoist_c0_[x] = emitted.hoist_c0;
+            uint32_t &remaining = hoist_remaining_[x];
             if (--remaining == 0) {
-                const auto it = hoist_digits_.find(operands[0]);
+                const auto it = hoist_digits_.find(x);
                 if (it != hoist_digits_.end()) {
                     for (hw::PolyId d : it->second)
                         alloc_.release(d);
                     hoist_digits_.erase(it);
                 }
+                const auto c0 = hoist_c0_.find(x);
+                if (c0 != hoist_c0_.end()) {
+                    alloc_.release(c0->second);
+                    hoist_c0_.erase(c0);
+                }
+            } else {
+                releaseToHoistGroup(x, i);
             }
         }
 
@@ -620,6 +1027,7 @@ class CircuitCompiler
         if (!emitted.result.empty()) {
             ValueState &vs = values_[i];
             vs.slots = emitted.result;
+            vs.domain = {plan.out[0], plan.out[1], Layout::kNatural};
             vs.resident = true;
             vs.ever_resident = true;
         }
@@ -680,6 +1088,43 @@ class CircuitCompiler
             retireIfUnused(relin_node, i);
     }
 
+    /**
+     * Once the digits and the NTT-domain c0 copy of @p x's hoist group
+     * exist and only the group's key-switching rotations still read
+     * @p x, its own slots serve nobody: release them (the value lives
+     * on in the group's records).
+     */
+    void
+    releaseToHoistGroup(ValueId x, size_t node)
+    {
+        ValueState &vs = values_[x];
+        if (!vs.resident || !hoist_digits_.count(x) || !hoist_c0_.count(x) ||
+            !onlyHoistedUsesAfter(x, node))
+            return;
+        for (hw::PolyId slot : vs.slots)
+            alloc_.release(slot);
+        vs.slots.clear();
+        vs.resident = false;
+    }
+
+    /** @return whether unpinned @p x is read after @p node only by
+     *  key-switching rotations (its hoist group), not as an output. */
+    bool
+    onlyHoistedUsesAfter(ValueId x, size_t node) const
+    {
+        if (pinned_value_[x] || !values_[x].resident)
+            return false;
+        for (size_t use : values_[x].uses) {
+            if (use <= node)
+                continue;
+            if (use == kUseAtEnd ||
+                !isRotationNode(circuit_.nodes[use].kind) ||
+                isIdentityRotation(circuit_.nodes[use], params_->degree()))
+                return false;
+        }
+        return true;
+    }
+
     /** Attribute every instruction not yet tagged to @p node: called
      *  right after emitNode(i), so the delta since the previous sync —
      *  including spill traffic and reloads the node's emission forced,
@@ -723,9 +1168,10 @@ class CircuitCompiler
             vs.slots.clear();
             vs.resident = false;
         }
-        if (zero_ != hw::kNoPoly)
-            alloc_.release(zero_);
-        zero_ = hw::kNoPoly;
+        for (hw::PolyId zero : {zero_.natural, zero_.ntt})
+            if (zero != hw::kNoPoly)
+                alloc_.release(zero);
+        zero_ = {};
         openSegment();
     }
 
@@ -744,10 +1190,13 @@ class CircuitCompiler
     EmitResult
     emitOp(size_t i, const CircuitNode &node,
            std::span<const ValueId> operands, hw::PolyId plain_slot,
-           bool consume_a, bool consume_b)
+           const DomainStep &plan, bool retire, bool consume_a,
+           bool consume_b)
     {
         hw::OpEmitter em(*params_, alloc_, currentSegment().program);
-        em.setZeroSlotId(zero_);
+        em.setZeroSlots(zero_);
+        const Forms &forms = values_[operands[0]].domain;
+        const hw::Domains domains = {forms[0], forms[1]};
 
         EmitResult out;
         const auto asVector = [](std::array<hw::PolyId, 2> r) {
@@ -763,16 +1212,17 @@ class CircuitCompiler
                 pair(operands[0]), pair(operands[1]), consume_a));
             break;
           case NodeKind::kNegate:
-            out.result =
-                asVector(em.emitNegate(pair(operands[0]), consume_a));
+            out.result = asVector(
+                em.emitNegate(pair(operands[0]), consume_a, domains));
             break;
           case NodeKind::kAddPlain:
             out.result = asVector(em.emitAddPlain(
-                pair(operands[0]), plain_slot, consume_a));
+                pair(operands[0]), plain_slot, consume_a, forms[1]));
             break;
           case NodeKind::kMultPlain:
             out.result = asVector(em.emitMultPlain(
-                pair(operands[0]), plain_slot, consume_a));
+                pair(operands[0]), plain_slot, consume_a, domains,
+                /*plain_ntt=*/!op_by_op_, plan.ntt_out));
             break;
           case NodeKind::kMult:
           case NodeKind::kSquare: {
@@ -807,29 +1257,49 @@ class CircuitCompiler
           case NodeKind::kRotate:
           case NodeKind::kRotateColumns: {
             const uint32_t g = rotationElement(node, params_->degree());
-            const std::array<hw::PolyId, 2> a = pair(operands[0]);
+            const ValueId x = operands[0];
+            std::array<hw::PolyId, 2> a = {hw::kNoPoly, hw::kNoPoly};
+            if (values_[x].resident)
+                a = pair(x);
+            Layout c0_domain = forms[0];
+            if (plan.c0 == C0From::kGroupCopy) {
+                a[0] = hoist_c0_.at(x);
+                c0_domain = Layout::kNttDomain;
+            }
             if (g == 1) {
                 // Identity rotation (steps congruent to zero): a fresh
                 // copy, no key-switch, no shared digits consumed.
-                out.result = {em.copyPoly(a[0]), em.copyPoly(a[1])};
+                out.result = {em.copyPoly(a[0], forms[0]),
+                              em.copyPoly(a[1], forms[1])};
             } else if (hoist_sizes_[i] < 2) {
-                out.result = asVector(em.emitApplyGalois(a, g));
+                out.result = asVector(
+                    em.emitApplyGalois(a, g, c0_domain, plan.ntt_out));
             } else if (!hoist_rotations_) {
                 // Hoisted numerics without the sharing: the bit-exact
                 // baseline the hoisting benchmark compares against.
-                out.result =
-                    asVector(em.emitApplyGaloisHoistedSingle(a, g));
+                out.result = asVector(em.emitApplyGaloisHoistedSingle(
+                    a, g, c0_domain, plan.ntt_out));
             } else {
-                const auto it = hoist_digits_.find(operands[0]);
-                if (it == hoist_digits_.end()) {
-                    out.hoist_digits =
-                        em.emitDecomposeNtt(a[1]);
-                    out.result = asVector(
-                        em.emitHoistedGalois(a, out.hoist_digits, g));
-                } else {
-                    out.result = asVector(
-                        em.emitHoistedGalois(a, it->second, g));
+                const auto it = hoist_digits_.find(x);
+                const std::vector<hw::PolyId> &digits =
+                    it != hoist_digits_.end()
+                        ? it->second
+                        : (out.hoist_digits = em.emitDecomposeNtt(a[1]));
+                if (plan.c0 == C0From::kNewCopy && retire) {
+                    // The value's own c0 record becomes the group's
+                    // copy, transformed in place; c1 is done with.
+                    em.toNttDomain(a[0]);
+                    alloc_.release(a[1]);
+                    out.hoist_c0 = a[0];
+                    out.retired = true;
+                    c0_domain = Layout::kNttDomain;
+                } else if (plan.c0 == C0From::kNewCopy) {
+                    out.hoist_c0 = em.emitNttCopy(a[0]);
+                    a[0] = out.hoist_c0;
+                    c0_domain = Layout::kNttDomain;
                 }
+                out.result = asVector(em.emitHoistedGalois(
+                    a, digits, g, c0_domain, plan.ntt_out));
             }
             break;
           }
@@ -845,7 +1315,7 @@ class CircuitCompiler
             panic("node kind cannot be emitted directly");
         }
 
-        zero_ = em.zeroSlotId();
+        zero_ = em.zeroSlots();
         return out;
     }
 
@@ -868,7 +1338,10 @@ class CircuitCompiler
     /** Constant-pool index per (plain index, ciphertext level). */
     std::map<std::pair<int32_t, size_t>, int32_t> plain_const_add_;
     std::map<std::pair<int32_t, size_t>, int32_t> plain_const_mul_;
-    hw::PolyId zero_ = hw::kNoPoly;
+    hw::OpEmitter::ZeroSlots zero_;
+    /** Per node: its result stays NTT-domain (DomainPlanner; all false
+     *  op by op). */
+    std::vector<bool> ntt_out_;
 
     /** One segment and host round trip per node (see endRoundTrip). */
     bool op_by_op_;
@@ -885,6 +1358,8 @@ class CircuitCompiler
     std::map<ValueId, uint32_t> hoist_remaining_;
     /** Live shared NTT-domain digit slots, keyed by rotated input. */
     std::map<ValueId, std::vector<hw::PolyId>> hoist_digits_;
+    /** Live shared NTT-domain c0 copies, keyed by rotated input. */
+    std::map<ValueId, hw::PolyId> hoist_c0_;
 };
 
 } // namespace
@@ -1135,6 +1610,10 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
                     : valuePoly(up.index, up.poly);
             panicIf(src == nullptr || src->degree() == 0,
                     "upload source is not available");
+            panicIf((src->form() == ntt::PolyForm::kNtt) !=
+                        (up.layout == hw::Layout::kNttDomain),
+                    "upload source is not in the domain its transfer "
+                    "declares");
             cp.uploadInto(up.slot, *src);
         }
         run.uploaded_polys += seg.uploads.size();

@@ -26,6 +26,17 @@
  * baseline is one more lowering policy of the same compiler
  * (compileCircuitOpByOp): one segment per node.
  *
+ * A fused lowering keeps linear ops in the NTT domain: every value
+ * polynomial is natural or NTT-domain, MultPlain and the rotations may
+ * leave their results NTT-domain, Add/Sub/Negate work in either, and a
+ * consumer that reads natural layout (Lift, ModSwitch, a rotation's c1
+ * decompose, RotateSum, AddPlain's c0, a circuit output) converts a
+ * value lazily, once. The choice is made per node so that no circuit
+ * transforms more than its all-natural lowering (compiler.cc's
+ * DomainPlanner). Spills and reloads keep a value's domain, which each
+ * Transfer declares; MultPlain constants are encoded NTT-form at
+ * compile time. The op-by-op lowering stays all-natural.
+ *
  * A compiled circuit has one static price, attributeCompiledCircuit
  * (attribution.h): its cold and warm runs at either dispatch mode,
  * without executing. runCompiledCircuit's own run accounting
@@ -153,6 +164,10 @@ struct Transfer
     uint32_t poly = 0;
     /** Memory-file slot. */
     hw::PolyId slot = hw::kNoPoly;
+    /** Domain the polynomial travels in: kNttDomain for an NTT-form
+     *  constant and for a value spilled (and reloaded) in the NTT
+     *  domain, else kNatural. Circuit inputs and outputs are natural. */
+    hw::Layout layout = hw::Layout::kNatural;
 
     bool operator==(const Transfer &o) const = default;
 };
@@ -186,7 +201,10 @@ struct CompiledCircuit
     std::vector<Segment> segments;
     /** Allocation log: resident prefix, then each segment's range. */
     std::vector<hw::SlotAction> slot_actions;
-    /** Host-encoded plaintext operands (uploaded like inputs). */
+    /** Host-encoded plaintext operands (uploaded like inputs). A fused
+     *  lowering stores MultPlain's constants NTT-form (transformed at
+     *  compile time); AddPlain's, and every op-by-op constant, are
+     *  natural. */
     std::vector<ntt::RnsPoly> constants;
 
     /**

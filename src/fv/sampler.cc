@@ -140,7 +140,7 @@ Sampler::gaussianQ()
     for (size_t j = 0; j < n; ++j)
         e[j] = gaussianScalar();
     ntt::RnsPoly poly(params_->qBase(), n, ntt::PolyForm::kCoeff);
-    writeSigned(poly, e, cdt_.entries().size() - 1);
+    writeSigned(poly, e, static_cast<uint64_t>(tailBound()));
     return poly;
 }
 

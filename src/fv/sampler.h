@@ -88,11 +88,12 @@ class Sampler
      */
     int64_t gaussianScalar();
 
-    /** @return the CDT tail cut (maximum magnitude). */
+    /** @return the CDT tail cut: the largest magnitude a draw can
+     *  return (one less than the table size). */
     int64_t
     tailBound() const
     {
-        return static_cast<int64_t>(cdt_.entries().size());
+        return static_cast<int64_t>(cdt_.entries().size()) - 1;
     }
 
   private:

@@ -76,16 +76,21 @@ Coprocessor::Coprocessor(std::shared_ptr<const fv::FvParams> params,
 void
 Coprocessor::uploadInto(PolyId id, const ntt::RnsPoly &poly)
 {
-    // A q-base operand may be written into a record a later Lift of
-    // the program extends (bound at the full base); the extension
-    // residues stay zero until that Lift writes them.
+    // The record was bound, zero-filled, in the same segment just
+    // before: only the operand's words are copied. A q-base operand may
+    // be written into a record a later Lift of the program extends
+    // (bound at the full base); the extension residues keep their zeros
+    // until that Lift writes them. The operand's form travels with it,
+    // so an NTT-domain spill reloads NTT-domain.
     PolyRecord &rec = memory_.record(id);
     panicIf(poly.data().size() > rec.data.size(),
             "uploadInto: operand larger than the record");
     std::copy(poly.data().begin(), poly.data().end(), rec.data.begin());
-    std::fill(rec.data.begin() + poly.data().size(), rec.data.end(), 0);
-    for (auto &l : rec.layout)
-        l = Layout::kNatural;
+    const Layout layout = poly.form() == ntt::PolyForm::kNtt
+                              ? Layout::kNttDomain
+                              : Layout::kNatural;
+    std::fill_n(rec.layout.begin(),
+                std::min(poly.residueCount(), rec.layout.size()), layout);
 }
 
 InstrCost

@@ -149,7 +149,12 @@ class Coprocessor
         gkeys_ = gkeys;
     }
 
-    /** Overwrite an existing record with fresh operand data. */
+    /**
+     * Write operand @p poly into bound record @p id, whose buffer the
+     * bind zero-filled: only the operand's words are copied, and its
+     * residues take the layout of poly.form() (kNtt: NTT domain, else
+     * natural).
+     */
     void uploadInto(PolyId id, const ntt::RnsPoly &poly);
 
     /**

@@ -234,7 +234,12 @@ MemoryFile::exportQBase(PolyId id) const
     const auto &base = params_->qBase(rec.level);
     const size_t words = base->size() * params_->degree();
     panicIf(rec.data.size() < words, "record smaller than the q base");
-    return ntt::RnsPoly(base, params_->degree(), {rec.data.data(), words});
+    // A spilled NTT-domain record keeps its domain on the host, so it
+    // reloads (Coprocessor::uploadInto) without a transform.
+    const bool ntt_domain = rec.layout[0] == Layout::kNttDomain;
+    return ntt::RnsPoly(base, params_->degree(), {rec.data.data(), words},
+                        ntt_domain ? ntt::PolyForm::kNtt
+                                   : ntt::PolyForm::kCoeff);
 }
 
 CountingAllocator::CountingAllocator(const fv::FvParams &params,

@@ -275,9 +275,11 @@ class MemoryFile
     }
 
     /**
-     * Read the q-base view of a record (coefficient form): its first kq
-     * residues — the whole of a q-base record, and of a record a later
-     * Lift extends (bound at the full base) what a DMA download streams.
+     * Read the q-base view of a record: its first kq residues — the
+     * whole of a q-base record, and of a record a later Lift extends
+     * (bound at the full base) what a DMA download streams. The result
+     * is tagged ntt::PolyForm::kNtt when the record is NTT-domain, else
+     * kCoeff.
      */
     ntt::RnsPoly exportQBase(PolyId id) const;
 

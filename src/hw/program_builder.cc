@@ -29,29 +29,39 @@ OpEmitter::OpEmitter(const fv::FvParams &params, CountingAllocator &alloc,
 }
 
 PolyId
-OpEmitter::zeroSlot()
+OpEmitter::zeroSlot(Layout domain)
 {
-    if (zero_ == kNoPoly) {
+    PolyId &zero = domain == Layout::kNttDomain ? zero_.ntt : zero_.natural;
+    if (zero == kNoPoly) {
         // Always allocated at level 0: a full-size zero record is a
         // valid zero at every level (coeff ops read the live prefix),
         // so one shared constant serves the whole program regardless of
         // how deep the mod-switched regions go.
         const size_t level = alloc_.level();
         alloc_.setLevel(0);
-        zero_ = alloc_.allocate(BaseTag::kQ, Layout::kNatural,
-                                "zero constant");
+        zero = alloc_.allocate(BaseTag::kQ, domain,
+                               domain == Layout::kNttDomain
+                                   ? "NTT-domain zero constant"
+                                   : "zero constant");
         alloc_.setLevel(level);
     }
-    return zero_;
+    return zero;
 }
 
 PolyId
-OpEmitter::copyPoly(PolyId src)
+OpEmitter::copyPoly(PolyId src, Layout domain)
 {
-    const PolyId z = zeroSlot();
-    const PolyId c =
-        alloc_.allocate(BaseTag::kQ, Layout::kNatural, "operand copy");
+    const PolyId z = zeroSlot(domain);
+    const PolyId c = alloc_.allocate(BaseTag::kQ, domain, "operand copy");
     p_.instrs.push_back(make(Opcode::kCoeffAdd, c, src, z, 0));
+    return c;
+}
+
+PolyId
+OpEmitter::emitNttCopy(PolyId src)
+{
+    const PolyId c = copyPoly(src);
+    emitForward(c, false);
     return c;
 }
 
@@ -110,16 +120,18 @@ OpEmitter::emitSub(std::array<PolyId, 2> a, std::array<PolyId, 2> b,
 }
 
 std::array<PolyId, 2>
-OpEmitter::emitNegate(std::array<PolyId, 2> a, bool consume)
+OpEmitter::emitNegate(std::array<PolyId, 2> a, bool consume,
+                      Domains domains)
 {
     // The coefficient unit has no dedicated negation: subtract from the
     // zero register instead (bit-exact with fv::Evaluator's negate,
-    // since (0 - x) mod q and -x mod q share the representative).
-    const PolyId z = zeroSlot();
+    // since (0 - x) mod q and -x mod q share the representative, in
+    // either domain).
     std::array<PolyId, 2> out = a;
     for (int i = 0; i < 2; ++i) {
+        const PolyId z = zeroSlot(domains[i]);
         if (!consume)
-            out[i] = alloc_.allocate(BaseTag::kQ, Layout::kNatural,
+            out[i] = alloc_.allocate(BaseTag::kQ, domains[i],
                                      "Negate result");
         p_.instrs.push_back(make(Opcode::kCoeffSub, out[i], z, a[i], 0));
     }
@@ -128,7 +140,7 @@ OpEmitter::emitNegate(std::array<PolyId, 2> a, bool consume)
 
 std::array<PolyId, 2>
 OpEmitter::emitAddPlain(std::array<PolyId, 2> a, PolyId plain,
-                        bool consume)
+                        bool consume, Layout c1_domain)
 {
     // Only c0 changes: ct + Delta*m touches the first polynomial.
     if (consume) {
@@ -138,26 +150,38 @@ OpEmitter::emitAddPlain(std::array<PolyId, 2> a, PolyId plain,
     const PolyId c0 = alloc_.allocate(BaseTag::kQ, Layout::kNatural,
                                       "AddPlain result");
     p_.instrs.push_back(make(Opcode::kCoeffAdd, c0, a[0], plain, 0));
-    const PolyId c1 = copyPoly(a[1]);
+    const PolyId c1 = copyPoly(a[1], c1_domain);
     return {c0, c1};
 }
 
 std::array<PolyId, 2>
 OpEmitter::emitMultPlain(std::array<PolyId, 2> a, PolyId plain,
-                         bool consume)
+                         bool consume, Domains domains, bool plain_ntt,
+                         bool ntt_out)
 {
-    // NTT-domain pointwise products over the q base, mirroring
-    // fv::Evaluator::multiplyPlain. The plain slot is transformed in
-    // place; the ciphertext polynomials round-trip through the NTT.
-    emitForward(plain, /*full=*/false);
+    // NTT-domain pointwise products over the q base, the arithmetic of
+    // fv::Evaluator::multiplyPlain. A natural plain slot is transformed
+    // in place; a natural operand is transformed (a copy of it unless
+    // consumed), an NTT-domain one is multiplied as it is.
+    if (!plain_ntt)
+        emitForward(plain, /*full=*/false);
     std::array<PolyId, 2> out = a;
     for (int i = 0; i < 2; ++i) {
-        if (!consume)
-            out[i] = copyPoly(a[i]);
-        emitForward(out[i], /*full=*/false);
-        p_.instrs.push_back(
-            make(Opcode::kCoeffMul, out[i], out[i], plain, 0));
-        emitInverse(out[i], /*full=*/false);
+        if (domains[i] == Layout::kNttDomain) {
+            if (!consume)
+                out[i] = alloc_.allocate(BaseTag::kQ, Layout::kNttDomain,
+                                         "MultPlain result");
+            p_.instrs.push_back(
+                make(Opcode::kCoeffMul, out[i], a[i], plain, 0));
+        } else {
+            if (!consume)
+                out[i] = copyPoly(a[i]);
+            emitForward(out[i], /*full=*/false);
+            p_.instrs.push_back(
+                make(Opcode::kCoeffMul, out[i], out[i], plain, 0));
+        }
+        if (!ntt_out)
+            emitInverse(out[i], /*full=*/false);
     }
     return out;
 }
@@ -380,13 +404,52 @@ OpEmitter::emitModSwitch(std::array<PolyId, 2> a, bool consume)
 }
 
 std::array<PolyId, 2>
+OpEmitter::finishGalois(PolyId c0, Layout c0_domain, PolyId acc0,
+                        PolyId acc1, uint32_t galois_element, bool ntt_out)
+{
+    // c0' = tau_g(c0) + sum_i D_i(tau_g(c1)) key0_i, c1' = the key1 sum.
+    // tau_g permutes either domain, so the sum is formed in c0's domain
+    // when that is what the result needs: a natural c0 is permuted and
+    // forward-transformed for an NTT-domain result, an NTT-domain c0
+    // joins acc0 before one inverse transform for a natural one.
+    const auto permuteC0 = [&]() {
+        const PolyId p0 =
+            alloc_.allocate(BaseTag::kQ, c0_domain, "Galois c0");
+        Instruction perm0 = make(Opcode::kAutomorph, p0, c0);
+        perm0.aux = galois_element;
+        p_.instrs.push_back(perm0);
+        return p0;
+    };
+    PolyId p0 = kNoPoly;
+    if (ntt_out) {
+        p0 = permuteC0();
+        if (c0_domain == Layout::kNatural)
+            emitForward(p0, false);
+        p_.instrs.push_back(make(Opcode::kCoeffAdd, p0, p0, acc0, 0));
+    } else if (c0_domain == Layout::kNttDomain) {
+        p0 = permuteC0();
+        p_.instrs.push_back(make(Opcode::kCoeffAdd, p0, p0, acc0, 0));
+        emitInverse(p0, false);
+        emitInverse(acc1, false);
+    } else {
+        emitInverse(acc0, false);
+        emitInverse(acc1, false);
+        p0 = permuteC0();
+        p_.instrs.push_back(make(Opcode::kCoeffAdd, p0, p0, acc0, 0));
+    }
+    alloc_.release(acc0);
+    return {p0, acc1};
+}
+
+std::array<PolyId, 2>
 OpEmitter::emitApplyGalois(std::array<PolyId, 2> a,
-                           uint32_t galois_element)
+                           uint32_t galois_element, Layout c0_domain,
+                           bool ntt_out)
 {
     // tau_1 is the identity: no key-switch, no key required — just a
     // fresh copy, matching fv::Evaluator::applyGalois bit for bit.
     if (galois_element == 1)
-        return {copyPoly(a[0]), copyPoly(a[1])};
+        return {copyPoly(a[0], c0_domain), copyPoly(a[1])};
 
     const size_t digit_count = params_.rnsDigitCount(alloc_.level());
 
@@ -442,19 +505,8 @@ OpEmitter::emitApplyGalois(std::array<PolyId, 2> a,
     alloc_.release(key0);
     alloc_.release(key1);
     alloc_.release(tmp);
-
-    emitInverse(acc0, false);
-    emitInverse(acc1, false);
-
-    // c0' = tau_g(c0) + sum_i D_i(tau_g(c1)) key0_i, c1' = the key1 sum.
-    PolyId p0 =
-        alloc_.allocate(BaseTag::kQ, Layout::kNatural, "Galois c0");
-    Instruction perm0 = make(Opcode::kAutomorph, p0, a[0]);
-    perm0.aux = galois_element;
-    p_.instrs.push_back(perm0);
-    p_.instrs.push_back(make(Opcode::kCoeffAdd, p0, p0, acc0, 0));
-    alloc_.release(acc0);
-    return {p0, acc1};
+    return finishGalois(a[0], c0_domain, acc0, acc1, galois_element,
+                        ntt_out);
 }
 
 std::vector<PolyId>
@@ -480,13 +532,14 @@ OpEmitter::emitDecomposeNtt(PolyId c1)
 std::array<PolyId, 2>
 OpEmitter::emitHoistedGalois(std::array<PolyId, 2> a,
                              const std::vector<PolyId> &digits_ntt,
-                             uint32_t galois_element)
+                             uint32_t galois_element, Layout c0_domain,
+                             bool ntt_out)
 {
     // Identity rotations never join the key-switch (fv::Evaluator's
     // hoisted path returns its input unchanged for element 1, so the
     // bit-exact lowering is a plain copy that ignores the digits).
     if (galois_element == 1)
-        return {copyPoly(a[0]), copyPoly(a[1])};
+        return {copyPoly(a[0], c0_domain), copyPoly(a[1])};
 
     // The kq shared digit records dominate the slot budget, so the
     // tail runs lean: no separate MAC temporary (the permutation
@@ -540,28 +593,20 @@ OpEmitter::emitHoistedGalois(std::array<PolyId, 2> a,
     alloc_.release(key0);
     alloc_.release(key1);
     alloc_.release(perm);
-
-    emitInverse(acc0, false);
-    emitInverse(acc1, false);
-    PolyId p0 =
-        alloc_.allocate(BaseTag::kQ, Layout::kNatural, "Galois c0");
-    Instruction perm0 = make(Opcode::kAutomorph, p0, a[0]);
-    perm0.aux = galois_element;
-    p_.instrs.push_back(perm0);
-    p_.instrs.push_back(make(Opcode::kCoeffAdd, p0, p0, acc0, 0));
-    alloc_.release(acc0);
-    return {p0, acc1};
+    return finishGalois(a[0], c0_domain, acc0, acc1, galois_element,
+                        ntt_out);
 }
 
 std::array<PolyId, 2>
 OpEmitter::emitApplyGaloisHoistedSingle(std::array<PolyId, 2> a,
-                                        uint32_t galois_element)
+                                        uint32_t galois_element,
+                                        Layout c0_domain, bool ntt_out)
 {
-    if (galois_element == 1)
-        return {copyPoly(a[0]), copyPoly(a[1])}; // identity, no digits
+    if (galois_element == 1) // identity, no digits
+        return {copyPoly(a[0], c0_domain), copyPoly(a[1])};
     std::vector<PolyId> digits = emitDecomposeNtt(a[1]);
-    const std::array<PolyId, 2> out =
-        emitHoistedGalois(a, digits, galois_element);
+    const std::array<PolyId, 2> out = emitHoistedGalois(
+        a, digits, galois_element, c0_domain, ntt_out);
     for (PolyId d : digits)
         alloc_.release(d);
     return out;
@@ -571,11 +616,11 @@ std::array<PolyId, 2>
 OpEmitter::emitRotateSum(std::array<PolyId, 2> a)
 {
     const size_t n = params_.degree();
-    // Mirrors fv::Evaluator::sumAllSlots: accumulate over the row
-    // orbit with power-of-two rotations, then fold in the conjugate
-    // column. Every rotation uses the unhoisted schedule — each one
-    // rotates the freshly-updated accumulator, so there is nothing to
-    // hoist.
+    // fv::Evaluator::sumAllSlots' schedule, all natural: accumulate
+    // over the row orbit with power-of-two rotations, then fold in the
+    // conjugate column. Every rotation uses the unhoisted schedule —
+    // each one rotates the freshly-updated accumulator, so there is
+    // nothing to hoist.
     std::array<PolyId, 2> acc = {copyPoly(a[0]), copyPoly(a[1])};
     const auto fold = [&](uint32_t g) {
         const std::array<PolyId, 2> rotated = emitApplyGalois(acc, g);

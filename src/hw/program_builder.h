@@ -32,6 +32,13 @@
 
 namespace heat::hw {
 
+/** Domain of each polynomial of a 2-element ciphertext: kNatural
+ *  (coefficient order) or kNttDomain (evaluation order). */
+using Domains = std::array<Layout, 2>;
+
+inline constexpr Domains kNaturalPair = {Layout::kNatural,
+                                         Layout::kNatural};
+
 /**
  * Composable per-op program emitters.
  *
@@ -43,10 +50,22 @@ namespace heat::hw {
  * them into its result, or release them mid-schedule (Mult/Square
  * release all consumed operand slots; the element-wise ops alias them).
  *
- * Data conventions match the serving path: ciphertext polynomials
- * enter and leave every operation over the q base in natural
- * (coefficient) layout, so any emitter output can feed any emitter
- * input — the property the circuit compiler's fusion relies on.
+ * Data conventions: ciphertext polynomials live over the q base, each
+ * in one of two domains — natural (coefficient) layout or the NTT
+ * domain — and the caller says which (Domains). The linear emitters
+ * take either: Add, Sub and Negate work in any domain (both operands
+ * of a polynomial in the same one), MultPlain skips the forward
+ * transform of an NTT-domain operand, and a rotation reads c0 in
+ * either domain. Each of MultPlain and the rotations can leave its
+ * result in the NTT domain (ntt_out) instead of transforming it back,
+ * because the arithmetic is exact mod each q_i: the inverse NTT of a
+ * sum of NTT-domain products is the sum of the inverse-transformed
+ * products, so an INTT deferred to the next consumer that needs
+ * natural layout changes no bit. Lift (Mult/Square), ModSwitch,
+ * RotateSum, AddPlain's c0 and a rotation's c1 decompose read natural
+ * layout only, and every emitter's defaults (all natural, ntt_out
+ * false) give the all-natural schedule in which any output feeds any
+ * input. Converting between domains is the caller's: toNatural().
  */
 class OpEmitter
 {
@@ -64,28 +83,39 @@ class OpEmitter
                                   std::array<PolyId, 2> b,
                                   bool consume_a = false);
 
-    /** Negation: c_i = -a_i (subtraction from the zero register). */
+    /** Negation: c_i = -a_i (subtraction from the zero register of
+     *  a_i's domain); the result keeps @p domains. */
     std::array<PolyId, 2> emitNegate(std::array<PolyId, 2> a,
-                                     bool consume = false);
+                                     bool consume = false,
+                                     Domains domains = kNaturalPair);
 
     /**
      * Plaintext addition: c_0 = a_0 + plain, c_1 = a_1, where @p plain
      * holds the host-encoded Delta*m polynomial
-     * (fv::Evaluator::scaledPlain). The plain slot is left resident.
+     * (fv::Evaluator::scaledPlain) and a_0 is natural. a_1 keeps its
+     * domain @p c1_domain. The plain slot is left resident.
      */
     std::array<PolyId, 2> emitAddPlain(std::array<PolyId, 2> a,
-                                       PolyId plain, bool consume = false);
+                                       PolyId plain, bool consume = false,
+                                       Layout c1_domain = Layout::kNatural);
 
     /**
      * Plaintext multiplication: both ciphertext polynomials are
      * NTT-multiplied by @p plain, the host-encoded unscaled embedding
-     * (fv::Evaluator::embeddedPlain), uploaded in natural layout. The
-     * plain slot is transformed in place (single-use) and left
-     * resident; the caller releases it.
+     * (fv::Evaluator::embeddedPlain). With @p plain_ntt the constant
+     * was uploaded already transformed; otherwise it arrives in natural
+     * layout and is transformed in place (single-use). Either way it is
+     * left resident; the caller releases it. Operands in the NTT domain
+     * (@p domains) skip their forward transform; with @p ntt_out the
+     * products stay in the NTT domain, otherwise they are transformed
+     * back (fv::Evaluator::multiplyPlain's schedule).
      */
     std::array<PolyId, 2> emitMultPlain(std::array<PolyId, 2> a,
                                         PolyId plain,
-                                        bool consume = false);
+                                        bool consume = false,
+                                        Domains domains = kNaturalPair,
+                                        bool plain_ntt = false,
+                                        bool ntt_out = false);
 
     /** Result of a tensor-and-scale (Mult/Square without relin). */
     struct MultResult
@@ -136,12 +166,20 @@ class OpEmitter
                                         bool consume = true);
 
     // --- Galois automorphisms (rotations) -------------------------------
+    //
+    // Every rotation reads c1 in natural layout (its WordDecomp digits
+    // stream coefficient order) and c0 in @p c0_domain. With ntt_out
+    // the result is (tau_g(c0) + acc0, acc1) in the NTT domain: the
+    // key-switch accumulators skip their inverse transforms and
+    // tau_g(c0) is the NTT-domain index-mapped read of c0 (a natural
+    // c0 is permuted, then forward-transformed once). Without it both
+    // polynomials come back natural.
 
     /**
      * Apply tau_g to a 2-element ciphertext and key-switch back to the
      * original secret with the Galois keys for @p galois_element
      * (which the executing coprocessor must hold). The input slots are
-     * left untouched; the result is fresh. Bit-exact with
+     * left untouched; the result is fresh. Same bits as
      * fv::Evaluator::applyGalois: kAutomorph passes over c1 broadcast
      * the WordDecomp digits of tau_g(c1) during writeback (the Scale
      * unit's reduce lanes, one digit lane per pass so only one digit
@@ -151,8 +189,9 @@ class OpEmitter
      * key-switch instructions and no key requirement; the hoisted
      * variants below behave the same way.
      */
-    std::array<PolyId, 2> emitApplyGalois(std::array<PolyId, 2> a,
-                                          uint32_t galois_element);
+    std::array<PolyId, 2> emitApplyGalois(
+        std::array<PolyId, 2> a, uint32_t galois_element,
+        Layout c0_domain = Layout::kNatural, bool ntt_out = false);
 
     /**
      * Hoisting front half: WordDecomp digits of @p c1 (identity
@@ -168,12 +207,15 @@ class OpEmitter
      * per digit an NTT-domain permutation (kAutomorph) plus the key
      * MAC, so the decompose and the digits' forward NTTs are paid once
      * per ciphertext instead of once per rotation (HEAX/Halevi-Shoup
-     * hoisting). Digits are left resident. Bit-exact with
-     * fv::Evaluator::applyGaloisHoisted.
+     * hoisting). Reads only c0 = @p a[0] (a[1] may be kNoPoly): a hoist
+     * group may pass an NTT-domain copy of c0 made once
+     * (emitNttCopy) in place of the ciphertext. Digits are left
+     * resident. Same bits as fv::Evaluator::applyGaloisHoisted.
      */
     std::array<PolyId, 2> emitHoistedGalois(
         std::array<PolyId, 2> a, const std::vector<PolyId> &digits_ntt,
-        uint32_t galois_element);
+        uint32_t galois_element, Layout c0_domain = Layout::kNatural,
+        bool ntt_out = false);
 
     /**
      * Hoisted-numerics rotation without sharing: decompose, rotate
@@ -182,10 +224,21 @@ class OpEmitter
      * schedule, none of the savings.
      */
     std::array<PolyId, 2> emitApplyGaloisHoistedSingle(
-        std::array<PolyId, 2> a, uint32_t galois_element);
+        std::array<PolyId, 2> a, uint32_t galois_element,
+        Layout c0_domain = Layout::kNatural, bool ntt_out = false);
+
+    /** Fresh NTT-domain copy of natural-layout @p src (one forward
+     *  transform): a hoist group's shared c0. */
+    PolyId emitNttCopy(PolyId src);
+
+    /** Transform NTT-domain @p id back to natural layout in place. */
+    void toNatural(PolyId id) { emitInverse(id, false); }
+
+    /** Transform natural-layout @p id to the NTT domain in place. */
+    void toNttDomain(PolyId id) { emitForward(id, false); }
 
     /**
-     * Rotate-and-add sum across all batching slots, mirroring
+     * Rotate-and-add sum across all batching slots, following
      * fv::Evaluator::sumAllSlots instruction for instruction: log-many
      * power-of-two row rotations, then the column swap. The executing
      * coprocessor needs the Galois keys for elements 3^(2^k) and 2n-1
@@ -194,20 +247,30 @@ class OpEmitter
      */
     std::array<PolyId, 2> emitRotateSum(std::array<PolyId, 2> a);
 
-    /** Fresh natural-layout q copy of @p src (CoeffAdd with zero). */
-    PolyId copyPoly(PolyId src);
+    /** Fresh q copy of @p src in @p domain (CoeffAdd with that
+     *  domain's zero). */
+    PolyId copyPoly(PolyId src, Layout domain = Layout::kNatural);
+
+    /** The shared all-zero q polynomials, one per domain (kNoPoly
+     *  until first used). */
+    struct ZeroSlots
+    {
+        PolyId natural = kNoPoly;
+        PolyId ntt = kNoPoly;
+    };
 
     /**
-     * The shared all-zero q polynomial (allocated on first use; freshly
-     * allocated records are zeroed, and the slot is only ever read).
+     * The shared all-zero q polynomial of @p domain (allocated on first
+     * use; freshly allocated records are zeroed, the NTT of zero is
+     * zero, and the slot is only ever read).
      */
-    PolyId zeroSlot();
+    PolyId zeroSlot(Layout domain = Layout::kNatural);
 
-    /** @return the cached zero slot id, or kNoPoly if none was made. */
-    PolyId zeroSlotId() const { return zero_; }
+    /** @return the cached zero slots. */
+    ZeroSlots zeroSlots() const { return zero_; }
 
     /** Pre-seed the zero slot cache (compiler snapshot/rollback). */
-    void setZeroSlotId(PolyId id) { zero_ = id; }
+    void setZeroSlots(ZeroSlots zero) { zero_ = zero; }
 
   private:
     /** Emit REARRANGE+NTT (or INTT+REARRANGE) for both batches. */
@@ -227,10 +290,21 @@ class OpEmitter
     MultResult finishTensor(PolyId s0, PolyId s1, PolyId s2,
                             bool want_digits, bool want_c2);
 
+    /**
+     * A rotation's tail once the key-switch accumulators (NTT domain)
+     * are done: c0' = tau_g(@p c0) + acc0, c1' = acc1, left in the NTT
+     * domain with @p ntt_out, else both transformed back. Releases
+     * acc0.
+     */
+    std::array<PolyId, 2> finishGalois(PolyId c0, Layout c0_domain,
+                                       PolyId acc0, PolyId acc1,
+                                       uint32_t galois_element,
+                                       bool ntt_out);
+
     const fv::FvParams &params_;
     CountingAllocator &alloc_;
     Program &p_;
-    PolyId zero_ = kNoPoly;
+    ZeroSlots zero_;
 };
 
 } // namespace heat::hw

@@ -34,6 +34,13 @@ layoutSetName(hw::LayoutSet set)
     return set < std::size(kNames) ? kNames[set] : "?";
 }
 
+/** @return "layout natural", "layout ntt-domain", ... */
+std::string
+layoutText(Layout layout)
+{
+    return std::string("layout ") + layoutSetName(hw::layoutBit(layout));
+}
+
 /**
  * Abstract state of one memory-file record, built from the slot-action
  * log the way the executor binds records (hw::shapeSlotLog): records
@@ -722,6 +729,10 @@ class Verifier
         for (compiler::ValueId v : c_.inputs)
             if (v < host.size())
                 host[v] = true;
+        // Inputs arrive natural; a download sets its polynomial's form.
+        host_form_.assign(c_.circuit.nodes.size(),
+                          {Layout::kNatural, Layout::kNatural,
+                           Layout::kNatural});
 
         for (size_t s = 0; s < c_.segments.size(); ++s) {
             const compiler::Segment &seg = c_.segments[s];
@@ -755,6 +766,12 @@ class Verifier
             return;
         }
         size_t live = rec->q_live;
+        if (t.layout != Layout::kNatural && t.layout != Layout::kNttDomain)
+            diagTransfer(Invariant::kLayout, s, t.slot,
+                         "upload declares a layout no host polynomial "
+                         "travels in",
+                         "layout natural or ntt-domain",
+                         layoutText(t.layout));
         if (t.source == Transfer::Source::kValue) {
             if (t.index >= c_.value_levels.size()) {
                 diagTransfer(Invariant::kShape, s, t.slot,
@@ -775,6 +792,14 @@ class Verifier
                              "level " + std::to_string(value_level),
                              "level " + std::to_string(rec->level));
             live = params_.qPrimeCount(value_level);
+            // A reload lands in the domain its spill stored.
+            const Layout stored = hostForm(t.index, t.poly);
+            if (t.layout != stored)
+                diagTransfer(Invariant::kLayout, s, t.slot,
+                             "upload of value " + std::to_string(t.index) +
+                                 " declares a domain other than the one "
+                                 "its host copy holds",
+                             layoutText(stored), layoutText(t.layout));
         } else {
             if (t.index >= c_.constants.size()) {
                 diagTransfer(Invariant::kShape, s, t.slot,
@@ -793,13 +818,32 @@ class Verifier
                              std::to_string(rec->q_live) + " residues",
                              std::to_string(residues) + " residues");
             live = std::min(residues, rec->residues());
+            const Layout form =
+                c_.constants[t.index].form() == ntt::PolyForm::kNtt
+                    ? Layout::kNttDomain
+                    : Layout::kNatural;
+            if (t.layout != form)
+                diagTransfer(Invariant::kLayout, s, t.slot,
+                             "constant " + std::to_string(t.index) +
+                                 " is uploaded as another domain than "
+                                 "its encoded form",
+                             layoutText(form), layoutText(t.layout));
         }
-        // uploadInto(): operand data lands in coefficient order and
-        // any lift-extension residues are cleared.
+        // uploadInto(): operand data lands in the domain it travels in;
+        // any lift-extension residues keep the zeros of the bind.
         for (size_t k = 0; k < rec->residues(); ++k) {
-            rec->layout[k] = Layout::kNatural;
+            rec->layout[k] = k < live ? t.layout : Layout::kNatural;
             rec->written[k] = k < live;
         }
+    }
+
+    /** @return the domain of the host copy of value @p v's polynomial
+     *  @p poly (natural for an input, else its last download's). */
+    Layout
+    hostForm(size_t v, uint32_t poly) const
+    {
+        return v < host_form_.size() && poly < 3 ? host_form_[v][poly]
+                                                 : Layout::kNatural;
     }
 
     void
@@ -831,6 +875,24 @@ class Verifier
                          "level " +
                              std::to_string(c_.value_levels[t.index]),
                          "level " + std::to_string(rec->level));
+        // MemoryFile::exportQBase tags the host polynomial with the
+        // record's domain: every q residue must be in the one the
+        // transfer declares.
+        for (size_t k = 0; k < std::min(rec->q_live, rec->residues());
+             ++k) {
+            if (rec->layout[k] != t.layout) {
+                diagTransfer(Invariant::kLayout, s, t.slot,
+                             "download of a record in another domain "
+                             "than its transfer declares (residue " +
+                                 std::to_string(k) + ")",
+                             layoutText(t.layout),
+                             layoutText(rec->layout[k]));
+                break;
+            }
+        }
+        if (t.source == Transfer::Source::kValue &&
+            t.index < host_form_.size() && t.poly < 3)
+            host_form_[t.index][t.poly] = t.layout;
     }
 
     // --- per-instruction interpretation ----------------------------------
@@ -1403,6 +1465,13 @@ class Verifier
                              " is never downloaded (dead at program "
                              "end)",
                          "a download transfer", "none");
+                else if (hostForm(v, p) != Layout::kNatural)
+                    diag(Invariant::kLayout,
+                         "declared output value " + std::to_string(v) +
+                             " polynomial " + std::to_string(p) +
+                             " is downloaded NTT-domain",
+                         layoutText(Layout::kNatural),
+                         layoutText(hostForm(v, p)));
             }
         }
     }
@@ -1425,6 +1494,8 @@ class Verifier
     VerifyResult result_;
 
     std::vector<RecState> recs_;
+    /** Domain of each value polynomial's host copy (interpretSegments). */
+    std::vector<std::array<Layout, 3>> host_form_;
     // Touch positions indexed by record id (kNoIndex = never touched;
     // ids are dense, so flat tables beat hashing on the verify path
     // every compile and admission pays for).

@@ -27,7 +27,11 @@
  *    before its record's first use — the static guarantee that lets
  *    physical slot reuse never alias live data;
  *  - per-residue layout typestate (natural / paired / NTT domain) is
- *    consistent with what every ISA op consumes and produces;
+ *    consistent with what every ISA op consumes and produces, and with
+ *    the domain every transfer declares: an upload lands in its
+ *    constant's encoded form or in the domain its value's spill stored,
+ *    a download streams the domain it declares, and every declared
+ *    output leaves in natural layout;
  *  - level and basis shapes agree: kq - l digit counts through
  *    Lift/Scale/ModSwitch/Relin, records bound at their extended shape,
  *    mod-switch destinations one level deeper than their sources;

@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
+#include <map>
 #include <memory>
+#include <string>
 #include <span>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "fv/params.h"
 #include "hw/coprocessor.h"
 #include "service/service.h"
+#include "verify/verify.h"
 
 namespace heat {
 namespace {
@@ -559,6 +563,237 @@ TEST(Differential, ServiceMatchesEvaluatorUnderRandomLoad)
         EXPECT_EQ(u.decryptor->decrypt(got),
                   u.decryptor->decrypt(expected[i]));
     }
+}
+
+/** @return the NTT and INTT instructions of @p compiled. */
+size_t
+transformCount(const compiler::CompiledCircuit &compiled)
+{
+    size_t count = 0;
+    for (const compiler::Segment &seg : compiled.segments)
+        for (const hw::Instruction &instr : seg.program.instrs)
+            count += instr.op == hw::Opcode::kNtt ||
+                     instr.op == hw::Opcode::kIntt;
+    return count;
+}
+
+/**
+ * The transforms of the all-natural fused lowering of @p compiled's
+ * circuit: its op-by-op lowering's (the same per-node schedules, every
+ * rotation decomposing alone), less the digit transforms a hoist group
+ * shares when @p hoist is on.
+ */
+size_t
+allNaturalTransforms(const Universe &u,
+                     const compiler::CompiledCircuit &compiled, bool hoist)
+{
+    const compiler::Circuit &circuit = compiled.circuit;
+    size_t count = transformCount(
+        compiler::compileCircuitOpByOp(u.params, circuit, u.config));
+    if (!hoist)
+        return count;
+    const std::vector<uint32_t> sizes =
+        compiler::rotationHoistGroupSizes(circuit);
+    std::map<compiler::ValueId, size_t> key_switching;
+    for (size_t i = 0; i < circuit.nodes.size(); ++i) {
+        const compiler::CircuitNode &node = circuit.nodes[i];
+        if (compiler::isRotationNode(node.kind) && sizes[i] >= 2 &&
+            compiler::rotationElement(node, u.params->degree()) != 1)
+            ++key_switching[node.args[0]];
+    }
+    for (const auto &[x, rotations] : key_switching)
+        count -= (rotations - 1) *
+                 u.params->qPrimeCount(compiled.value_levels[x]);
+    return count;
+}
+
+/** A seeded random DAG over the linear ops, rotations, Mult and (odd
+ *  seeds) ModSwitch, with shared subexpressions and several outputs. */
+compiler::Circuit
+randomLinearCircuit(const Universe &u, uint64_t seed)
+{
+    Xoshiro256 rng(seed);
+    compiler::CircuitBuilder b;
+    std::vector<compiler::ValueId> vals;
+    std::vector<size_t> levels;
+    const uint64_t inputs = 1 + rng.uniformBelow(3);
+    for (uint64_t k = 0; k < inputs; ++k) {
+        vals.push_back(b.input());
+        levels.push_back(0);
+    }
+    // Half the picks come from the newest values (long chains), half
+    // from all of them (shared subexpressions).
+    const auto pick = [&]() -> size_t {
+        if (rng.uniformBelow(2) == 0)
+            return vals.size() - 1 -
+                   rng.uniformBelow(std::min<size_t>(4, vals.size()));
+        return rng.uniformBelow(vals.size());
+    };
+    const auto partner = [&](size_t a) {
+        std::vector<size_t> same;
+        for (size_t k = 0; k < vals.size(); ++k)
+            if (levels[k] == levels[a])
+                same.push_back(k);
+        return vals[same[rng.uniformBelow(same.size())]];
+    };
+    constexpr int32_t kSteps[] = {1, -1, 2, 3};
+    size_t mults = 0;
+    for (uint64_t k = 0, nodes = 8 + rng.uniformBelow(14); k < nodes;
+         ++k) {
+        const size_t a = pick();
+        const compiler::ValueId x = vals[a];
+        size_t level = levels[a];
+        compiler::ValueId v = compiler::kNoValue;
+        switch (rng.uniformBelow(16)) {
+          case 0:
+          case 1:
+          case 2:
+            v = b.add(x, partner(a));
+            break;
+          case 3:
+          case 4:
+            v = b.sub(x, partner(a));
+            break;
+          case 5:
+            v = b.negate(x);
+            break;
+          case 6:
+          case 7:
+            v = b.addPlain(x, u.randomPlain(rng.next()));
+            break;
+          case 11:
+          case 12:
+            v = b.rotate(x, kSteps[rng.uniformBelow(4)]);
+            break;
+          case 13:
+            v = b.rotateColumns(x);
+            break;
+          case 14:
+            if (mults < 2) {
+                ++mults;
+                v = b.mult(x, partner(a));
+                break;
+            }
+            [[fallthrough]];
+          case 15:
+            if (seed % 2 == 1 && level < u.params->maxLevel()) {
+                ++level;
+                v = b.modSwitch(x);
+                break;
+            }
+            [[fallthrough]];
+          default:
+            v = b.multPlain(x, u.randomPlain(rng.next()));
+            break;
+        }
+        vals.push_back(v);
+        levels.push_back(level);
+    }
+    // Outputs are computed values, never a bare input.
+    const size_t first_node = inputs;
+    std::vector<compiler::ValueId> outputs = {vals.back()};
+    for (uint64_t k = 0, more = rng.uniformBelow(3); k < more; ++k) {
+        const compiler::ValueId v =
+            vals[first_node + rng.uniformBelow(vals.size() - first_node)];
+        if (std::find(outputs.begin(), outputs.end(), v) == outputs.end())
+            outputs.push_back(v);
+    }
+    for (compiler::ValueId v : outputs)
+        b.output(v);
+    return b.build();
+}
+
+TEST(Differential, RandomLinearCircuitsMatchEveryLowering)
+{
+    // Fused lowerings keep linear ops in the NTT domain and transform
+    // only where a consumer needs natural layout. Over seeded random
+    // DAGs — hoisting and automatic mod-switching each on and off,
+    // memory files from the tightest that compiles to 84 slots, so
+    // NTT-domain values spill and reload — every lowering must match
+    // evaluateCircuit bit for bit, verify clean under kReject, and
+    // transform no more than the all-natural lowering.
+    Universe u(91);
+    constexpr uint64_t kCircuits = 40;
+    size_t ntt_reloads = 0;
+    size_t ntt_values = 0;
+    for (uint64_t seed = 0; seed < kCircuits; ++seed) {
+        SCOPED_TRACE("circuit seed " + std::to_string(seed));
+        const compiler::Circuit circuit = randomLinearCircuit(u, seed);
+        std::vector<Ciphertext> inputs;
+        for (size_t k = 0; k < circuit.inputs.size(); ++k)
+            inputs.push_back(
+                u.encryptor->encrypt(u.randomPlain(1000 * seed + k)));
+        hw::Coprocessor cp(u.params, u.config, &u.rlk, &u.gkeys);
+        EXPECT_EQ(compiler::runCircuitOpByOp(cp, u.params, circuit, inputs),
+                  compiler::evaluateCircuit(*u.evaluator, &u.rlk, circuit,
+                                            inputs, &u.gkeys))
+            << "op by op";
+
+        // Automatic level assignment plans circuits without explicit
+        // mod-switches (noise_pass.h), the even seeds.
+        const bool flat = seed % 2 == 0;
+        for (const bool hoist : {true, false}) {
+            for (const bool auto_ms : {false, true}) {
+                if (auto_ms && !flat)
+                    continue;
+                SCOPED_TRACE(std::string("hoist ") + (hoist ? "on" : "off") +
+                             ", auto_mod_switch " + (auto_ms ? "on" : "off"));
+                compiler::CompilerOptions options;
+                options.hw = u.config;
+                options.hoist_rotations = hoist;
+                options.auto_mod_switch = auto_ms;
+                options.noise_check = compiler::NoiseCheck::kOff;
+                options.verify = compiler::VerifyCheck::kReject;
+                // 84 slots down to the tightest file that compiles.
+                std::vector<compiler::CompiledCircuit> lowered;
+                for (size_t per_rpau = 84 / u.config.n_rpaus; per_rpau > 0;
+                     --per_rpau) {
+                    options.hw.slots_per_rpau = per_rpau;
+                    try {
+                        lowered.push_back(compiler::compileCircuit(
+                            u.params, circuit, options));
+                    } catch (const FatalError &e) {
+                        ASSERT_NE(std::string(e.what()).find("does not fit"),
+                                  std::string::npos)
+                            << e.what();
+                        break;
+                    }
+                }
+                ASSERT_FALSE(lowered.empty());
+                const size_t natural =
+                    allNaturalTransforms(u, lowered.front(), hoist);
+                const std::vector<Ciphertext> reference =
+                    compiler::evaluateCircuit(*u.evaluator, &u.rlk,
+                                              lowered.front().circuit,
+                                              inputs, &u.gkeys);
+                for (size_t k : {size_t(0), lowered.size() / 2,
+                                 lowered.size() - 1}) {
+                    const compiler::CompiledCircuit &compiled = lowered[k];
+                    SCOPED_TRACE("capacity " +
+                                 std::to_string(compiled.hw.n_rpaus *
+                                                compiled.hw.slots_per_rpau));
+                    EXPECT_TRUE(verify::verifyCompiledCircuit(compiled).ok());
+                    EXPECT_LE(transformCount(compiled), natural);
+                    hw::Coprocessor run(u.params, compiled.hw, &u.rlk,
+                                        &u.gkeys);
+                    EXPECT_EQ(compiler::runCompiledCircuit(run, compiled,
+                                                           inputs),
+                              reference);
+                    for (const compiler::Segment &seg : compiled.segments)
+                        for (const compiler::Transfer &t : seg.uploads)
+                            ntt_reloads +=
+                                t.source ==
+                                    compiler::Transfer::Source::kValue &&
+                                t.layout == hw::Layout::kNttDomain;
+                    ntt_values += transformCount(compiled) < natural;
+                }
+            }
+        }
+    }
+    // The cases exercise what they are for: NTT-domain values that
+    // save transforms, and NTT-domain spills that reload.
+    EXPECT_GT(ntt_values, 0u);
+    EXPECT_GT(ntt_reloads, 0u);
 }
 
 } // namespace

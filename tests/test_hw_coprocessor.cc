@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/panic.h"
+#include "common/random.h"
 #include "compiler/attribution.h"
 #include "compiler/circuit.h"
 #include "compiler/compiler.h"
@@ -276,6 +277,51 @@ TEST(MemoryFile, ImportExportRoundTrip)
     }
     PolyId id = recs.upload(poly);
     EXPECT_EQ(mem.exportQBase(id).data(), poly.data());
+}
+
+TEST(Coprocessor, UploadCopiesOnlyTheOperandAndKeepsItsDomain)
+{
+    // A full-base record rebound over a pooled buffer that held nonzero
+    // words: the bind zero-fills it, so a q-base upload that copies only
+    // its own words leaves the extension residues zero.
+    SmallRig rig;
+    Coprocessor cp(rig.params, rig.config);
+    MemoryFile &mem = cp.memory();
+    const RecordShape lifted{BaseTag::kQ, /*extended=*/true, 0,
+                             Layout::kNatural};
+    mem.bindRecord(0, lifted);
+    std::fill(mem.record(0).data.begin(), mem.record(0).data.end(), 7);
+    mem.returnRecord(0);
+    mem.bindRecord(1, lifted);
+
+    const size_t n = rig.params->degree();
+    ntt::RnsPoly poly(rig.params->qBase(), n);
+    Xoshiro256 rng(11);
+    for (size_t i = 0; i < poly.residueCount(); ++i)
+        for (auto &x : poly.residue(i))
+            x = rng.uniformBelow(rig.params->qBase()->modulus(i).value());
+    cp.uploadInto(1, poly);
+    const PolyRecord &rec = mem.record(1);
+    const size_t kq = poly.residueCount();
+    ASSERT_EQ(rec.layout.size(), rig.params->fullBase()->size());
+    EXPECT_TRUE(std::equal(poly.data().begin(), poly.data().end(),
+                           rec.data.begin()));
+    EXPECT_TRUE(std::all_of(rec.data.begin() + kq * n, rec.data.end(),
+                            [](uint64_t x) { return x == 0; }));
+    for (Layout l : rec.layout)
+        EXPECT_EQ(l, Layout::kNatural);
+    EXPECT_EQ(mem.exportQBase(1).form(), ntt::PolyForm::kCoeff);
+
+    // A second upload of an NTT-form polynomial leaves the record
+    // NTT-domain, and the download carries the domain back.
+    ntt::RnsPoly ntt_poly = poly;
+    ntt_poly.toNtt(rig.params->qContext());
+    cp.uploadInto(1, ntt_poly);
+    for (size_t k = 0; k < kq; ++k)
+        EXPECT_EQ(mem.record(1).layout[k], Layout::kNttDomain)
+            << "residue " << k;
+    EXPECT_EQ(mem.exportQBase(1).form(), ntt::PolyForm::kNtt);
+    EXPECT_EQ(mem.exportQBase(1), ntt_poly);
 }
 
 TEST(CompiledMult, MatchesTableIIInstructionMix)

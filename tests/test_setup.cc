@@ -123,9 +123,11 @@ TEST(GaussianCdt, ScalarSamplesEqualBinarySearchOracle)
     const auto params = FvParams::paper(2);
     Sampler sampler(params, 2024);
     const GaussianCdt cdt(params->sigma());
-    // The sampler's tail bound is the CDT's size, as it always was:
-    // ceil(12 * 102) + 1 entries.
-    EXPECT_EQ(sampler.tailBound(), 1225);
+    // The sampler's tail bound is the largest magnitude a draw can
+    // return: ceil(12 * 102) = 1224, one less than the CDT's size.
+    EXPECT_EQ(sampler.tailBound(), 1224);
+    EXPECT_EQ(static_cast<size_t>(sampler.tailBound()) + 1,
+              cdt.entries().size());
     Xoshiro256 rng(2024);
     for (int k = 0; k < 1000000; ++k) {
         const uint64_t r = rng.next();

@@ -148,6 +148,53 @@ residentCircuit()
     return compiler::compileCircuit(params, b.build(), options);
 }
 
+/** Plaintext selections summed in reverse on a shrunken memory file:
+ *  the NTT-domain products stay live across the build-up, so some
+ *  spill and reload NTT-domain, and the sum leaves through an inverse
+ *  transform before its download. */
+CompiledCircuit
+nttSpillCircuit()
+{
+    auto params = smallParams();
+    compiler::CircuitBuilder b;
+    const compiler::ValueId x = b.input();
+    std::vector<compiler::ValueId> products;
+    for (uint64_t k = 0; k < 6; ++k)
+        products.push_back(b.multPlain(x, randomPlain(*params, 60 + k)));
+    compiler::ValueId acc = products.back();
+    for (size_t k = products.size() - 1; k-- > 0;)
+        acc = b.add(acc, products[k]);
+    b.output(acc);
+    CompilerOptions options;
+    options.hw = smallHw(*params);
+    options.hw.slots_per_rpau = 6;
+    return compiler::compileCircuit(params, b.build(), options);
+}
+
+/** One plaintext multiplication lowered op by op: its constant is
+ *  uploaded natural and transformed in the program. */
+CompiledCircuit
+opByOpMultPlainCircuit()
+{
+    auto params = smallParams();
+    compiler::CircuitBuilder b;
+    b.output(b.multPlain(b.input(), randomPlain(*params, 70)));
+    return compiler::compileCircuitOpByOp(params, b.build(),
+                                          smallHw(*params));
+}
+
+/** @return the first upload of @p c matching @p pred, or nullptr. */
+template <typename Pred>
+Transfer *
+findUpload(CompiledCircuit &c, Pred pred)
+{
+    for (compiler::Segment &seg : c.segments)
+        for (Transfer &t : seg.uploads)
+            if (pred(t))
+                return &t;
+    return nullptr;
+}
+
 /** @return a mutable pointer to the first instruction matching @p pred
  *  across all segments, or nullptr. */
 template <typename Pred>
@@ -188,6 +235,10 @@ TEST(Verify, UnmutatedCircuitsVerifyClean)
     heat::testing::expectVerifiesClean(spillCircuit(), "spilling dot");
     heat::testing::expectVerifiesClean(residentCircuit(),
                                        "resident PIR");
+    heat::testing::expectVerifiesClean(nttSpillCircuit(),
+                                       "NTT-domain spills");
+    heat::testing::expectVerifiesClean(opByOpMultPlainCircuit(),
+                                       "op-by-op MultPlain");
 }
 
 TEST(Verify, ReportNamesCleanPrograms)
@@ -672,6 +723,107 @@ TEST(Verify, CatchesOperandInUnusedField)
     in->src0 = in->dst;
     const Diagnostic d = expectViolation(c, Invariant::kShape);
     EXPECT_EQ(d.op, Opcode::kNtt);
+}
+
+// 23. An output downloaded while NTT-domain: the inverse transform
+//     before the output download is dropped, first with the download
+//     still declaring natural layout, then declaring the NTT domain
+//     (a host copy the caller would decrypt as coefficients).
+TEST(Verify, CatchesOutputDownloadedInTheNttDomain)
+{
+    for (const bool declare_ntt : {false, true}) {
+        CompiledCircuit c = nttSpillCircuit();
+        compiler::Segment &last = c.segments.back();
+        ASSERT_FALSE(last.downloads.empty());
+        Transfer &out = last.downloads.back();
+        auto &instrs = last.program.instrs;
+        const auto intt = std::find_if(
+            instrs.begin(), instrs.end(), [&](const Instruction &i) {
+                return i.op == Opcode::kIntt && i.dst == out.slot;
+            });
+        ASSERT_NE(intt, instrs.end());
+        // INTT then REARRANGE back to natural order.
+        ASSERT_LT(intt + 1, instrs.end());
+        ASSERT_EQ((intt + 1)->op, Opcode::kRearrange);
+        instrs.erase(intt, intt + 2);
+        if (declare_ntt)
+            out.layout = hw::Layout::kNttDomain;
+        expectViolation(c, Invariant::kLayout);
+    }
+}
+
+// 24. A reload whose layout differs from its spill's: an NTT-domain
+//     spill declared natural on its way back.
+TEST(Verify, CatchesReloadInAnotherDomainThanItsSpill)
+{
+    CompiledCircuit c = nttSpillCircuit();
+    Transfer *reload = findUpload(c, [](const Transfer &t) {
+        return t.source == Transfer::Source::kValue &&
+               t.layout == hw::Layout::kNttDomain;
+    });
+    ASSERT_NE(reload, nullptr) << "the circuit must reload NTT-domain";
+    reload->layout = hw::Layout::kNatural;
+    expectViolation(c, Invariant::kLayout);
+    // No host polynomial travels in the NTT engine's paired order.
+    reload->layout = hw::Layout::kPaired;
+    expectViolation(c, Invariant::kLayout);
+}
+
+// 25. An NTT-form constant consumed as natural: its transfer declares
+//     natural layout, or the pool holds it natural consistently with
+//     that, so the MultPlain product reads mismatched operands.
+TEST(Verify, CatchesNttFormConstantConsumedAsNatural)
+{
+    {
+        CompiledCircuit c = residentCircuit();
+        Transfer *t = findUpload(c, [](const Transfer &u) {
+            return u.source == Transfer::Source::kConstant;
+        });
+        ASSERT_NE(t, nullptr);
+        ASSERT_EQ(t->layout, hw::Layout::kNttDomain);
+        t->layout = hw::Layout::kNatural;
+        expectViolation(c, Invariant::kLayout);
+    }
+    CompiledCircuit c = residentCircuit();
+    Transfer *t = findUpload(c, [](const Transfer &u) {
+        return u.source == Transfer::Source::kConstant;
+    });
+    ASSERT_NE(t, nullptr);
+    c.constants[t->index].toCoeff(c.params->qContext());
+    for (compiler::Segment &seg : c.segments)
+        for (Transfer &u : seg.uploads)
+            if (u.source == Transfer::Source::kConstant &&
+                u.index == t->index)
+                u.layout = hw::Layout::kNatural;
+    const Diagnostic d = expectViolation(c, Invariant::kLayout);
+    EXPECT_TRUE(d.has_op);
+    EXPECT_EQ(d.op, Opcode::kCoeffMul);
+}
+
+// 26. The reverse: a natural constant (op by op, transformed in the
+//     program) uploaded NTT-form, declared so or not.
+TEST(Verify, CatchesNaturalConstantConsumedAsNttForm)
+{
+    {
+        CompiledCircuit c = opByOpMultPlainCircuit();
+        Transfer *t = findUpload(c, [](const Transfer &u) {
+            return u.source == Transfer::Source::kConstant;
+        });
+        ASSERT_NE(t, nullptr);
+        ASSERT_EQ(t->layout, hw::Layout::kNatural);
+        t->layout = hw::Layout::kNttDomain;
+        expectViolation(c, Invariant::kLayout);
+    }
+    CompiledCircuit c = opByOpMultPlainCircuit();
+    Transfer *t = findUpload(c, [](const Transfer &u) {
+        return u.source == Transfer::Source::kConstant;
+    });
+    ASSERT_NE(t, nullptr);
+    c.constants[t->index].toNtt(c.params->qContext());
+    t->layout = hw::Layout::kNttDomain;
+    const Diagnostic d = expectViolation(c, Invariant::kLayout);
+    EXPECT_TRUE(d.has_op);
+    EXPECT_EQ(d.op, Opcode::kRearrange);
 }
 
 // --- diagnostics carry their coordinates ---------------------------------
