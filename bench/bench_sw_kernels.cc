@@ -4,7 +4,8 @@
  * both the evaluator and the hardware model: modular reduction variants
  * (Barrett vs Shoup vs the paper's sliding window), NTT transforms
  * across degrees, HPS Lift/Scale per-coefficient and fused batch
- * kernels, the dyadic residue loops, the set-up work (twiddle tables,
+ * kernels, the dyadic residue loops, the NTT-domain automorphism, the
+ * set-up work (twiddle tables,
  * Gaussian sampling, encryption) and the high-level evaluator
  * operations on the paper's parameter set.
  */
@@ -25,6 +26,7 @@
 #include "common/random.h"
 #include "fv/encryptor.h"
 #include "fv/evaluator.h"
+#include "fv/galois.h"
 #include "fv/keygen.h"
 #include "fv/params.h"
 #include "fv/sampler.h"
@@ -375,6 +377,40 @@ BM_DyadicLevel(benchmark::State &state, simd::Level level, DyadicRun run)
                             static_cast<int64_t>(kDegree));
 }
 
+/** A random residue and the NTT-domain map of tau_3 (one rotation). */
+struct AutomorphOperands
+{
+    explicit AutomorphOperands(size_t n) : in(n), out(n)
+    {
+        const std::vector<size_t> wide = fv::galoisNttIndexMap(n, 3);
+        map.assign(wide.begin(), wide.end());
+        Xoshiro256 rng(19);
+        for (auto &x : in)
+            x = rng.next();
+    }
+
+    std::vector<uint64_t> in, out;
+    std::vector<uint32_t> map;
+};
+
+/**
+ * automorph_ntt pinned to one kernel table (registered per supported
+ * level from main, like BM_ForwardNttLevel).
+ */
+void
+BM_AutomorphNttLevel(benchmark::State &state, simd::Level level)
+{
+    const size_t n = static_cast<size_t>(state.range(0));
+    AutomorphOperands o(n);
+    const simd::Kernels &k = simd::kernelsFor(level);
+    for (auto _ : state) {
+        k.automorph_ntt(o.out.data(), o.in.data(), o.map.data(), n);
+        benchmark::DoNotOptimize(o.out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+
 void
 BM_LiftCoefficient(benchmark::State &state)
 {
@@ -703,6 +739,14 @@ main(int argc, char **argv)
                     BM_DyadicLevel(state, level, run);
                 });
         }
+        benchmark::RegisterBenchmark(
+            (std::string("BM_AutomorphNttLevel/") + simd::levelName(level))
+                .c_str(),
+            [level](benchmark::State &state) {
+                BM_AutomorphNttLevel(state, level);
+            })
+            ->Arg(1024)
+            ->Arg(4096);
         for (const auto &[prefix, scale] :
              {std::pair<const char *, bool>{"BM_HpsLiftLevel/", false},
               std::pair<const char *, bool>{"BM_HpsScaleLevel/", true}}) {
@@ -830,6 +874,30 @@ main(int argc, char **argv)
                                mul_speedup, "x");
         json.record("dyadic_mul_simd_vs_scalar_speedup", mul_speedup, "x",
                     kSpeedupDegree, 1);
+
+        // And for the NTT-domain automorphism, block loads and lane
+        // permutes against the scalar gather, on an L1-resident residue
+        // (20 KB of operands): from n = 4096 both bodies wait on the
+        // cache hierarchy alike, and the ratio would measure that.
+        constexpr size_t kAutomorphDegree = 1024;
+        AutomorphOperands au(kAutomorphDegree);
+        const auto automorph = [&](const simd::Kernels &k) {
+            k.automorph_ntt(au.out.data(), au.in.data(), au.map.data(),
+                            kAutomorphDegree);
+        };
+        const auto [automorph_scalar, automorph_active] = bestSecondsPerCall(
+            [&] { automorph(scalar); }, [&] { automorph(active); },
+            /*iters=*/2000);
+        benchmark::DoNotOptimize(au.out.data());
+        const double automorph_speedup = automorph_scalar / automorph_active;
+        heat::bench::printInfo("NTT-domain automorph scalar (n=1024)",
+                               automorph_scalar * 1e6, "us");
+        heat::bench::printInfo("NTT-domain automorph dispatched (n=1024)",
+                               automorph_active * 1e6, "us");
+        heat::bench::printInfo("automorph_ntt_simd_vs_scalar_speedup",
+                               automorph_speedup, "x");
+        json.record("automorph_ntt_simd_vs_scalar_speedup",
+                    automorph_speedup, "x", kAutomorphDegree, 1);
     }
 
     // Set-up: one 30-bit prime's twiddle tables by running products

@@ -1399,26 +1399,31 @@ validateInputs(const fv::FvParams &params,
  * range, from the segment alone, so a program the verifier only warned
  * about behaves as if the whole range were bound for the segment: a
  * fresh record reads zero, and a touch after its release throws
- * InvalidRecordError. A record the range allocates is bound before the
- * uploads when one writes it or no instruction names it, else just
- * before the first instruction naming it (dst, src0, src1 or extra). A
- * record the range releases is returned after the downloads when one
- * reads it or no instruction names it, else right after the last
- * instruction naming it. The scratch persists across runs, so planning
- * does not allocate once it has grown.
+ * InvalidRecordError. A record the range allocates is bound at its
+ * first upload when one writes it, before the uploads when no
+ * instruction names it, else just before the first instruction naming
+ * it (dst, src0, src1 or extra). A bind skips the zero fill when that
+ * first touch overwrites the whole record before reading it
+ * (hw::overwritesRecord, or an upload of as many words), so no word of
+ * the buffer's old contents can be read. A record the range releases
+ * is returned after the downloads when one reads it or no instruction
+ * names it, else right after the last instruction naming it. The
+ * scratch persists across runs, so planning does not allocate once it
+ * has grown.
  */
 class SegmentBinder
 {
   public:
     void
-    plan(const Segment &seg, std::span<const hw::SlotAction> range,
-         const hw::SlotLogShape &log)
+    plan(const fv::FvParams &params, const Segment &seg,
+         std::span<const hw::SlotAction> range, const hw::SlotLogShape &log)
     {
         constexpr uint32_t kNone = ~uint32_t(0);
         const size_t records = log.records.size();
         if (touch_.size() < records)
             touch_.resize(records);
         before_uploads.clear();
+        upload_binds.clear();
         after_downloads.clear();
         schedule.binds.clear();
         schedule.returns.clear();
@@ -1458,18 +1463,30 @@ class SegmentBinder
         for (const hw::SlotAction &a : range) {
             if (a.id >= records)
                 continue;
-            const Touch &t = touch_[a.id];
+            Touch &t = touch_[a.id];
             if (a.kind == hw::SlotAction::Kind::kAllocate) {
-                if (t.uploaded || t.first == kNone)
+                if (t.uploaded)
+                    t.bind_at_upload = true;
+                else if (t.first == kNone)
                     before_uploads.push_back(a.id);
                 else
-                    schedule.binds.push_back({t.first, a.id});
+                    schedule.binds.push_back(
+                        {t.first, a.id,
+                         !hw::overwritesRecord(params, instrs[t.first], a.id,
+                                               log)});
             } else if (a.kind == hw::SlotAction::Kind::kRelease) {
                 if (t.downloaded || t.last == kNone)
                     after_downloads.push_back(a.id);
                 else
                     schedule.returns.push_back({t.last, a.id});
             }
+        }
+        for (const Transfer &up : seg.uploads) {
+            const bool bind =
+                tracked(up.slot) && touch_[up.slot].bind_at_upload;
+            upload_binds.push_back(bind);
+            if (bind)
+                touch_[up.slot].bind_at_upload = false;
         }
         for (const hw::SlotAction &a : range)
             if (a.id < records)
@@ -1484,7 +1501,10 @@ class SegmentBinder
                   byInstr);
     }
 
+    /** Records bound, zero-filled, before the uploads. */
     std::vector<hw::PolyId> before_uploads;
+    /** Per upload: whether it binds its record first. */
+    std::vector<bool> upload_binds;
     std::vector<hw::PolyId> after_downloads;
     hw::RecordSchedule schedule;
 
@@ -1496,6 +1516,7 @@ class SegmentBinder
         bool in_range = false;
         bool uploaded = false;
         bool downloaded = false;
+        bool bind_at_upload = false;
     };
 
     std::vector<Touch> touch_;
@@ -1600,10 +1621,11 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
     thread_local SegmentBinder binder;
     for (size_t s = 0; s < compiled.segments.size(); ++s) {
         const Segment &seg = compiled.segments[s];
-        binder.plan(seg, ranges[s + 1], log);
+        binder.plan(*compiled.params, seg, ranges[s + 1], log);
         for (hw::PolyId id : binder.before_uploads)
             bindShaped(id);
-        for (const Transfer &up : seg.uploads) {
+        for (size_t u = 0; u < seg.uploads.size(); ++u) {
+            const Transfer &up = seg.uploads[u];
             const ntt::RnsPoly *src =
                 up.source == Transfer::Source::kConstant
                     ? &compiled.constants[up.index]
@@ -1614,6 +1636,15 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
                         (up.layout == hw::Layout::kNttDomain),
                     "upload source is not in the domain its transfer "
                     "declares");
+            if (binder.upload_binds[u]) {
+                // An operand as long as the record overwrites it whole.
+                const hw::RecordShape &shape = log.records[up.slot];
+                memory.bindRecord(
+                    up.slot, shape,
+                    src->data().size() <
+                        hw::shapeResidues(*compiled.params, shape) *
+                            compiled.params->degree());
+            }
             cp.uploadInto(up.slot, *src);
         }
         run.uploaded_polys += seg.uploads.size();

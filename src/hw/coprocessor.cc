@@ -76,12 +76,13 @@ Coprocessor::Coprocessor(std::shared_ptr<const fv::FvParams> params,
 void
 Coprocessor::uploadInto(PolyId id, const ntt::RnsPoly &poly)
 {
-    // The record was bound, zero-filled, in the same segment just
-    // before: only the operand's words are copied. A q-base operand may
-    // be written into a record a later Lift of the program extends
-    // (bound at the full base); the extension residues keep their zeros
-    // until that Lift writes them. The operand's form travels with it,
-    // so an NTT-domain spill reloads NTT-domain.
+    // The record was bound in the same segment just before, zero-filled
+    // unless the operand covers it: only the operand's words are
+    // copied. A q-base operand may be written into a record a later
+    // Lift of the program extends (bound at the full base); the
+    // extension residues keep their zeros until that Lift writes them.
+    // The operand's form travels with it, so an NTT-domain spill
+    // reloads NTT-domain.
     PolyRecord &rec = memory_.record(id);
     panicIf(poly.data().size() > rec.data.size(),
             "uploadInto: operand larger than the record");
@@ -135,10 +136,11 @@ Coprocessor::execute(const Program &program, DispatchMode mode,
         for (; next_bind < sched.binds.size() &&
                sched.binds[next_bind].instr == i;
              ++next_bind) {
-            const PolyId id = sched.binds[next_bind].id;
-            panicIf(id >= sched.log->records.size(), "record schedule "
-                    "binds record ", id, " outside its slot log");
-            memory_.bindRecord(id, sched.log->records[id]);
+            const RecordSchedule::Event &bind = sched.binds[next_bind];
+            panicIf(bind.id >= sched.log->records.size(), "record schedule "
+                    "binds record ", bind.id, " outside its slot log");
+            memory_.bindRecord(bind.id, sched.log->records[bind.id],
+                               bind.fill);
         }
         exec(instr);
         const InstrCost cost = instructionCost(instr);
@@ -272,14 +274,19 @@ Coprocessor::execCoeffOp(const Instruction &instr)
     }
 }
 
-const std::vector<size_t> &
+const std::vector<uint32_t> &
 Coprocessor::galoisNttMap(uint32_t g)
 {
     auto it = galois_maps_.find(g);
-    if (it == galois_maps_.end())
-        it = galois_maps_
-                 .emplace(g, fv::galoisNttIndexMap(params_->degree(), g))
-                 .first;
+    if (it == galois_maps_.end()) {
+        const size_t n = params_->degree();
+        const std::vector<size_t> wide = fv::galoisNttIndexMap(n, g);
+        std::vector<uint32_t> map(wide.begin(), wide.end());
+        panicIf(!simd::isBlockwiseMap(map.data(), n),
+                "NTT-domain automorphism map of element ", g,
+                " is not blockwise");
+        it = galois_maps_.emplace(g, std::move(map)).first;
+    }
     return it->second;
 }
 
@@ -333,14 +340,13 @@ Coprocessor::execAutomorph(const Instruction &instr)
     // hardware's index-mapped BRAM read, out[j] = in[map[j]] with one
     // map for every residue and level and no sign flips. With no digit
     // broadcast and dst != src0 it gathers straight into dst.
+    const simd::Kernels &kern = simd::active();
     if (ntt_domain) {
-        const std::vector<size_t> &map = galoisNttMap(g);
+        const std::vector<uint32_t> &map = galoisNttMap(g);
         PolyRecord &dst = memory_.record(instr.dst);
         for (size_t k = 0; k < kq; ++k) {
-            const uint64_t *in = src.data.data() + k * n;
-            uint64_t *out = dst.data.data() + k * n;
-            for (size_t j = 0; j < n; ++j)
-                out[j] = in[map[j]];
+            kern.automorph_ntt(dst.data.data() + k * n,
+                               src.data.data() + k * n, map.data(), n);
             dst.layout[k] = producedLayout(opInfo(instr.op), layout);
         }
         return;
@@ -348,16 +354,16 @@ Coprocessor::execAutomorph(const Instruction &instr)
 
     // Coefficient order: the permuted residues, materialized before any
     // write so dst may share banks with the digit targets.
-    std::vector<uint64_t> permuted(kq * n);
+    permuted_.resize(kq * n);
     for (size_t k = 0; k < kq; ++k) {
         std::span<const uint64_t> in(src.data.data() + k * n, n);
-        std::span<uint64_t> out(permuted.data() + k * n, n);
+        std::span<uint64_t> out(permuted_.data() + k * n, n);
         fv::applyGaloisToResidue(in, out, g, base->modulus(k));
     }
 
     if (instr.dst != kNoPoly) {
         PolyRecord &dst = memory_.record(instr.dst);
-        std::copy(permuted.begin(), permuted.end(), dst.data.begin());
+        std::copy_n(permuted_.begin(), kq * n, dst.data.begin());
         for (size_t k = 0; k < kq; ++k)
             dst.layout[k] = producedLayout(opInfo(instr.op), layout);
     }
@@ -365,14 +371,13 @@ Coprocessor::execAutomorph(const Instruction &instr)
     // WordDecomp broadcast during writeback (same reduce lanes as the
     // Scale instruction): digit d is the permuted residue d reduced
     // modulo every q channel.
-    const simd::Kernels &kern = simd::active();
     for (size_t d = 0; d < instr.extra.size(); ++d) {
         if (instr.extra[d] == kNoPoly)
             continue;
         PolyRecord &dig = memory_.record(instr.extra[d]);
         for (size_t c = 0; c < kq; ++c)
             kern.reduce_u32(dig.data.data() + c * n,
-                            permuted.data() + d * n, n, base->modulus(c));
+                            permuted_.data() + d * n, n, base->modulus(c));
         for (auto &l : dig.layout)
             l = Layout::kNatural;
     }

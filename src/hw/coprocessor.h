@@ -92,6 +92,9 @@ struct RecordSchedule
         /** Index into Program::instrs. */
         uint32_t instr = 0;
         PolyId id = kNoPoly;
+        /** Binds only: zero-fill the buffer (false when the instruction
+         *  overwrites the record whole, hw::overwritesRecord). */
+        bool fill = true;
     };
 
     /** Records bound just before their instruction runs, each at its
@@ -151,9 +154,9 @@ class Coprocessor
 
     /**
      * Write operand @p poly into bound record @p id, whose buffer the
-     * bind zero-filled: only the operand's words are copied, and its
-     * residues take the layout of poly.form() (kNtt: NTT domain, else
-     * natural).
+     * bind zero-filled unless the operand covers it: only the operand's
+     * words are copied, and its residues take the layout of poly.form()
+     * (kNtt: NTT domain, else natural).
      */
     void uploadInto(PolyId id, const ntt::RnsPoly &poly);
 
@@ -185,9 +188,11 @@ class Coprocessor
     void execAutomorph(const Instruction &instr);
     void execKeyLoad(const Instruction &instr);
 
-    /** The NTT-domain index map of tau_g (fv::galoisNttIndexMap), built
-     *  on first use and kept for the coprocessor's lifetime. */
-    const std::vector<size_t> &galoisNttMap(uint32_t g);
+    /** The NTT-domain index map of tau_g (fv::galoisNttIndexMap) as
+     *  32-bit indices, built on first use, checked blockwise
+     *  (simd::isBlockwiseMap, which simd::Kernels::automorph_ntt
+     *  relies on) and kept for the coprocessor's lifetime. */
+    const std::vector<uint32_t> &galoisNttMap(uint32_t g);
 
     std::shared_ptr<const fv::FvParams> params_;
     HwConfig config_;
@@ -195,7 +200,10 @@ class Coprocessor
     CostModel cost_;
     const fv::RelinKeys *rlk_;
     const fv::GaloisKeys *gkeys_;
-    std::unordered_map<uint32_t, std::vector<size_t>> galois_maps_;
+    std::unordered_map<uint32_t, std::vector<uint32_t>> galois_maps_;
+    /** A coefficient-order automorphism's permuted residues, reused
+     *  across calls. */
+    std::vector<uint64_t> permuted_;
 };
 
 } // namespace heat::hw

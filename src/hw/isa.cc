@@ -1,6 +1,9 @@
 #include "hw/isa.h"
 
+#include <algorithm>
 #include <sstream>
+
+#include "hw/rpau.h"
 
 namespace heat::hw {
 
@@ -90,6 +93,50 @@ Program::listing() const
             << disassemble(instrs[i]) << "\n";
     }
     return oss.str();
+}
+
+bool
+overwritesRecord(const fv::FvParams &params, const Instruction &instr,
+                 PolyId id, const SlotLogShape &log)
+{
+    if (id >= log.records.size())
+        return false;
+    const OpInfo &info = opInfo(instr.op);
+    const auto writes = [](Role role) {
+        return role == Role::kWritten || role == Role::kOptional;
+    };
+    bool written = false;
+    for (const auto &[field, role] :
+         {std::pair{instr.dst, info.dst}, std::pair{instr.src0, info.src0},
+          std::pair{instr.src1, info.src1}}) {
+        if (field != id)
+            continue;
+        if (!writes(role))
+            return false;
+        written = true;
+    }
+    if (std::find(instr.extra.begin(), instr.extra.end(), id) !=
+        instr.extra.end()) {
+        if (info.extra == ExtraRole::kKeyBuffers)
+            return true;
+        if (info.extra == ExtraRole::kNone)
+            return false;
+        written = true;
+    }
+    if (!written)
+        return false;
+
+    const RecordShape &shape = log.records[id];
+    const size_t live = shapeResidues(params, shape);
+    const size_t kq = params.qPrimeCount(shape.level);
+    if (info.batched) {
+        return (instr.batch == 0 || instr.batch == 1) &&
+               residuesOfBatch(instr.batch, kq, live).size() == live;
+    }
+    if (instr.src0 >= log.records.size())
+        return false;
+    return live <= std::min(
+                       kq, params.qPrimeCount(log.records[instr.src0].level));
 }
 
 } // namespace heat::hw

@@ -350,6 +350,19 @@ operandOf(const Instruction &instr, Operand which)
 }
 
 /**
+ * Whether @p instr overwrites every live residue of record @p id, at
+ * its slot-log shape log.records[id], before reading any: it names
+ * @p id only in roles its OpInfo row writes (Role::kWritten or
+ * kOptional, digit lanes, key buffers), and those writes cover the
+ * record. Key buffers are lent whole (MemoryFile::borrow); a batched
+ * opcode writes its batch of the record (residuesOfBatch); any other
+ * writes the q view of the record up to its source's q base (src0's
+ * level). A bind just before such an instruction needs no zero fill.
+ */
+bool overwritesRecord(const fv::FvParams &params, const Instruction &instr,
+                      PolyId id, const SlotLogShape &log);
+
+/**
  * How the Arm dispatches a program to the coprocessor.
  *
  * The paper's measured per-instruction times (Table II) include the

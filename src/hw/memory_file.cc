@@ -8,8 +8,6 @@
 
 namespace heat::hw {
 
-namespace {
-
 size_t
 shapeResidues(const fv::FvParams &params, const RecordShape &shape)
 {
@@ -18,8 +16,6 @@ shapeResidues(const fv::FvParams &params, const RecordShape &shape)
                ? q
                : q + params.pBase()->size();
 }
-
-} // namespace
 
 SlotLogShape
 shapeSlotLog(const fv::FvParams &params, std::span<const SlotAction> actions)
@@ -131,7 +127,7 @@ MemoryFile::checkCapacity(const SlotLogShape &log) const
 }
 
 void
-MemoryFile::bindRecord(PolyId id, const RecordShape &shape)
+MemoryFile::bindRecord(PolyId id, const RecordShape &shape, bool fill)
 {
     if (id >= records_.size())
         records_.resize(id + 1);
@@ -150,7 +146,10 @@ MemoryFile::bindRecord(PolyId id, const RecordShape &shape)
             break;
         }
     }
-    rec.data.assign(live * params_->degree(), 0);
+    if (fill)
+        rec.data.assign(live * params_->degree(), 0);
+    else
+        rec.data.resize(live * params_->degree());
     rec.valid = true;
     bound_residues_ += live;
     peak_bound_residues_ = std::max(peak_bound_residues_, bound_residues_);

@@ -18,10 +18,11 @@
  * CountingAllocator at compile time, whose action log the verifier
  * proves sound, and a record id addresses the memory file's table. A
  * run binds each record a segment's slot-log range allocates just
- * before the segment first touches it (final shape, zero-filled buffer
- * from a LIFO pool) and returns each record the range releases right
- * after its last touch, so it holds about the residues the modeled
- * slots do (compiler::runCompiledImpl builds that schedule).
+ * before the segment first touches it (final shape, buffer from a LIFO
+ * pool, zero-filled unless that touch overwrites it whole) and returns
+ * each record the range releases right after its last touch, so it
+ * holds about the residues the modeled slots do
+ * (compiler::runCompiledImpl builds that schedule).
  *
  * A key load does not copy the key into its buffer records: it lends
  * them the key's residues read-only (borrow()). Coefficient-wise
@@ -173,6 +174,9 @@ struct RecordShape
     Layout layout = Layout::kNatural;
 };
 
+/** @return the live residues (slots) of a record at @p shape. */
+size_t shapeResidues(const fv::FvParams &params, const RecordShape &shape);
+
 /** What a slot-action log asks of a memory file: each record's final
  *  shape, by id, and the log's slot high-water mark. */
 struct SlotLogShape
@@ -228,12 +232,15 @@ class MemoryFile
 
     /**
      * Bind record @p id at @p shape (a slot log's final shape for it)
-     * over a zero-filled buffer, the last one returned to the pool that
-     * fits: the fill keeps a program the verifier only warned about
-     * from reading a buffer another run left behind. Panics when the
+     * over the last buffer returned to the pool that fits, zero-filled:
+     * the fill keeps a program the verifier only warned about from
+     * reading a buffer another run left behind. Pass @p fill false only
+     * when the record's first touch overwrites every live word before
+     * anything reads one (hw::overwritesRecord, or an upload of a whole
+     * record): the buffer then keeps what it held. Panics when the
      * record is already bound.
      */
-    void bindRecord(PolyId id, const RecordShape &shape);
+    void bindRecord(PolyId id, const RecordShape &shape, bool fill = true);
 
     /** Return bound record @p id's buffer to the pool (a borrow ends
      *  uncopied); it reads as InvalidRecordError afterwards. Panics on

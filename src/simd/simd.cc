@@ -1,6 +1,8 @@
 #include "simd/simd.h"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 
@@ -72,6 +74,14 @@ reduceU32Scalar(uint64_t *dst, const uint64_t *src, size_t n,
         dst[i] = q.reduce(src[i]);
 }
 
+void
+automorphNttScalar(uint64_t *out, const uint64_t *in, const uint32_t *map,
+                   size_t n)
+{
+    for (size_t j = 0; j < n; ++j)
+        out[j] = in[map[j]];
+}
+
 namespace {
 
 /** One 64-bit lane: the HPS kernels' scalar bodies. */
@@ -140,6 +150,7 @@ scalarKernels()
         .mul_mod_out = mulModOutScalar,
         .mac_mod = macModScalar,
         .reduce_u32 = reduceU32Scalar,
+        .automorph_ntt = automorphNttScalar,
         .hps_convert = Hps<ScalarLanes>::convertBatch,
         .hps_scale = Hps<ScalarLanes>::scaleBatch,
     };
@@ -157,7 +168,25 @@ mod32Constants(const rns::Modulus &q)
     c.phi1 = static_cast<uint64_t>((uint128_t(1) << 32) / qv);
     c.c32 = static_cast<uint64_t>((uint128_t(1) << 32) % qv);
     c.phi_c32 = static_cast<uint64_t>((uint128_t(c.c32) << 32) / qv);
+    c.bits = 64 - std::countl_zero(qv);
+    if (eligibleModulus(qv))
+        c.mu = static_cast<uint64_t>((uint64_t(1) << (2 * c.bits)) / qv);
     return c;
+}
+
+bool
+isBlockwiseMap(const uint32_t *map, size_t n)
+{
+    for (size_t j = 0; j < n; ++j) {
+        if (map[j] >= n)
+            return false;
+        for (size_t block = 2; block <= std::min(n, kMaxLanes); block *= 2) {
+            const uint32_t first = map[j & ~(block - 1)];
+            if ((map[j] ^ first) >= block)
+                return false;
+        }
+    }
+    return true;
 }
 
 const char *

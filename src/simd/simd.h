@@ -14,15 +14,18 @@
  * The kernels: forward and inverse negacyclic NTTs; the dyadic residue
  * loops (add, sub and pointwise multiply out of place, whose in-place
  * members pass dst = a; negate, Shoup multiply, MAC and the u32 digit
- * reduction); and the fused HPS kernels, hps_convert (Lift q->p and
- * the p->q back-conversion) and hps_scale (Scale Blocks 1-4,
- * optionally chained into the back-conversion and the WordDecomp digit
- * broadcast), each one in-register pass per vector of coefficients.
+ * reduction); the NTT-domain automorphism (automorph_ntt, one block
+ * load and one in-register lane permute per vector); and the fused HPS
+ * kernels, hps_convert (Lift q->p and the p->q back-conversion) and
+ * hps_scale (Scale Blocks 1-4, optionally chained into the
+ * back-conversion and the WordDecomp digit broadcast), each one
+ * in-register pass per vector of coefficients.
  *
  * Vector paths use 32-bit Shoup/Harvey lazy reduction (one vpmuludq
- * per 64-bit product half), which bounds lane values by 2^32: only
- * moduli below kLaneModulusBound (2^30, the paper's RNS prime width)
- * vectorize. Every multiplying kernel checks its modulus and falls
+ * per 64-bit product half) and, for the pointwise product, a 32-bit
+ * Barrett reduction (three vpmuludq), which bound lane values by 2^32:
+ * only moduli below kLaneModulusBound (2^30, the paper's RNS prime
+ * width) vectorize. Every multiplying kernel checks its modulus and falls
  * back to the scalar body for wider primes (add, sub and negate need
  * no bound), so callers never need to branch. The
  * vector NTTs vectorise every stage: the stages narrower than a vector
@@ -102,9 +105,10 @@ eligibleModulus(uint64_t q)
 }
 
 /**
- * Per-modulus constants for the 32-bit Shoup reduction chains of the
- * vector kernels (mul_mod, reduce_u32 and the HPS plans). Cheap to
- * build (three divisions). Only meaningful for q < kLaneModulusBound.
+ * Per-modulus constants for the 32-bit Shoup and Barrett reduction
+ * chains of the vector kernels (mul_mod, reduce_u32 and the HPS plans).
+ * Cheap to build (four divisions). Only meaningful for q <
+ * kLaneModulusBound.
  */
 struct Mod32Constants
 {
@@ -112,9 +116,27 @@ struct Mod32Constants
     uint64_t phi1 = 0;      ///< floor(2^32 / q): Shoup constant for w = 1
     uint64_t c32 = 0;       ///< 2^32 mod q
     uint64_t phi_c32 = 0;   ///< floor(c32 * 2^32 / q)
+    int bits = 0;           ///< k = bit length of q
+    uint64_t mu = 0;        ///< floor(2^2k / q): Barrett constant, < 2^31
 };
 
 Mod32Constants mod32Constants(const rns::Modulus &q);
+
+/** Lanes of the widest table (AVX-512's eight 64-bit lanes). */
+inline constexpr size_t kMaxLanes = 8;
+
+/**
+ * Whether @p map (n entries, n a power of two) is an automorph_ntt
+ * map: every entry is below n, and for each B = 2, 4, .. up to
+ * min(n, kMaxLanes), every aligned block of B entries names sources in
+ * one aligned block of B. In bit-reversed NTT order every
+ * fv::galoisNttIndexMap has this form: within an aligned block only
+ * the low b bits of j vary, and they are the top b bits of the
+ * exponent 2 bitrev(j) + 1; the low bits of its product with g modulo
+ * 2n depend only on the low bits of the factors, so they are fixed,
+ * and bit-reversed again they are the source's high bits.
+ */
+bool isBlockwiseMap(const uint32_t *map, size_t n);
 
 /**
  * Largest sum the HPS kernels take: source primes of a conversion, q
@@ -222,6 +244,15 @@ struct Kernels
      */
     void (*reduce_u32)(uint64_t *dst, const uint64_t *src, size_t n,
                        const rns::Modulus &q);
+
+    /**
+     * out[j] = in[map[j]] for j < n: the NTT-domain automorphism, an
+     * index-mapped read. @p map must be blockwise (isBlockwiseMap), so
+     * a vector table moves each vector as one aligned block load and
+     * one in-register lane permute. @p out must not overlap @p in.
+     */
+    void (*automorph_ntt)(uint64_t *out, const uint64_t *in,
+                          const uint32_t *map, size_t n);
 
     /**
      * HPS base conversion, one pass per vector of coefficients:

@@ -66,6 +66,20 @@ struct Avx2Lanes
         const Reg zero = _mm256_cmpeq_epi64(a, _mm256_setzero_si256());
         return _mm256_andnot_si256(zero, _mm256_sub_epi64(q, a));
     }
+    // 64-bit lane s is 32-bit lanes 2s, 2s + 1: one index pair per lane
+    // (permutevar8x32 reads the low three bits of each index).
+    static Reg
+    permute(Reg x, const uint32_t *idx)
+    {
+        const __m128i s =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(idx));
+        const Reg twice = _mm256_permutevar8x32_epi32(
+            _mm256_castsi128_si256(_mm_add_epi32(s, s)),
+            _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3));
+        const Reg pairs = _mm256_add_epi32(
+            twice, _mm256_setr_epi32(0, 1, 0, 1, 0, 1, 0, 1));
+        return _mm256_permutevar8x32_epi32(x, pairs);
+    }
 };
 
 using Avx2Ntt = Ntt<Avx2Lanes>;

@@ -59,6 +59,14 @@ struct Avx512Lanes
         const __mmask8 nz = _mm512_test_epi64_mask(a, a);
         return _mm512_maskz_sub_epi64(nz, q, a);
     }
+    // permutexvar reads the low three bits of each index.
+    static Reg
+    permute(Reg x, const uint32_t *idx)
+    {
+        const __m512i i = _mm512_cvtepu32_epi64(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(idx)));
+        return _mm512_permutexvar_epi64(i, x);
+    }
 };
 
 using Avx512Ntt = Ntt<Avx512Lanes>;

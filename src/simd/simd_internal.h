@@ -30,6 +30,8 @@ void macModScalar(uint64_t *acc, const uint64_t *a, const uint64_t *b,
                   size_t n, const rns::Modulus &q);
 void reduceU32Scalar(uint64_t *dst, const uint64_t *src, size_t n,
                      const rns::Modulus &q);
+void automorphNttScalar(uint64_t *out, const uint64_t *in,
+                        const uint32_t *map, size_t n);
 
 /** The scalar HPS kernels on coefficients [begin, end): every table's
  *  loop tail. */

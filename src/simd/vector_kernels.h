@@ -3,8 +3,9 @@
  * Every kernel of the vector tables, written once over a lane type and
  * instantiated by each table's translation unit under its own ISA
  * flags: the 32-bit Shoup/Harvey chains (Shoup<V>), the negacyclic
- * NTTs (Ntt<V>), the dyadic residue loops (Dyadic<V>), the fused HPS
- * kernels (Hps<V>) and the table that points at them
+ * NTTs (Ntt<V>), the dyadic residue loops and the Barrett product
+ * (Dyadic<V>), the NTT-domain automorphism (Automorph<V>), the fused
+ * HPS kernels (Hps<V>) and the table that points at them
  * (vectorKernels<V>). Internal; include simd/simd.h instead.
  *
  * A lane type V holds kLanes 64-bit lanes in a Reg and provides, as
@@ -17,7 +18,9 @@
  *    a & (2^32 - 1);
  *  - csub(x, k): x >= k ? x - k : x, for x, k < 2^63;
  *  - subMod(a, b, q): a - b mod q, for a, b < q;
- *  - negMod(a, q): -a mod q, for a < q.
+ *  - negMod(a, q): -a mod q, for a < q;
+ *  - permute(x, idx): lane i takes x's lane idx[i] mod kLanes, for
+ *    kLanes 32-bit indices at idx.
  * Hps<V> uses the rows up to csub only, so ScalarLanes (the scalar
  * table's HPS body) and Pair<V> supply just those. Ntt<V> also needs
  * an NttTail<V> specialization: the stages narrower than a vector run
@@ -34,6 +37,11 @@
  *    values differ from the scalar oracle's by multiples of q, but
  *    every kernel normalizes its outputs, so results are bit-identical.
  *    Wider moduli and sub-vector tails run the scalar bodies.
+ *  - Barrett product (HAC 14.42 in base 2): with k = bitlen(q), so
+ *    2^(k-1) <= q < 2^k, x = ab < 2^2k and mu = floor(2^2k / q) < 2^31,
+ *    quot = ((x >> (k-1)) mu) >> (k+1) is floor(x / q) or up to two
+ *    less, so x - quot q lies in [0, 3q). x >> (k-1) < 2^(k+1) <= 2^31
+ *    and quot < 2^(k+1), so every factor fits mul32.
  *  - HPS: lambda_i = Shoup(x_i * q~_i) is canonical, < 2^30.
  *  - round(sum_i x_i w_i / 2^f) with w_i <= 2^60 splits each weight
  *    into 32-bit halves: M = sum x_i w_hi + sum (x_i w_lo >> 32) <=
@@ -487,11 +495,29 @@ struct Dyadic
         mulShoupOutScalar(dst + j, src + j, n - j, q, w, w_shoup);
     }
 
-    /** a * b mod q, canonical; a, b < q < 2^30, so the product is exact. */
-    static Reg
-    mulMod(Reg a, Reg b, const Mod &m)
+    /** One prime's Barrett constants: q and mu in every lane, k. */
+    struct Barrett
     {
-        return V::csub(S::reduceLazy64(V::mul32(a, b), m), m.q);
+        Reg q, mu;
+        int bits;
+    };
+
+    static Barrett
+    barrett(const rns::Modulus &q)
+    {
+        const Mod32Constants m = mod32Constants(q);
+        return {V::set1(m.q), V::set1(m.mu), m.bits};
+    }
+
+    /** a * b mod q, canonical, for a, b < q < 2^30: three mul32s. */
+    static Reg
+    mulMod(Reg a, Reg b, const Barrett &m)
+    {
+        const Reg x = V::mul32(a, b);
+        const Reg quot =
+            V::srl(V::mul32(V::srl(x, m.bits - 1), m.mu), m.bits + 1);
+        const Reg r = V::sub(x, V::mul32(quot, m.q)); // [0, 3q)
+        return V::csub(V::csub(r, m.q), m.q);
     }
 
     static void
@@ -502,7 +528,7 @@ struct Dyadic
             mulModOutScalar(dst, a, b, n, q);
             return;
         }
-        const Mod m = S::lanes(mod32Constants(q));
+        const Barrett m = barrett(q);
         size_t j = 0;
         for (; j + V::kLanes <= n; j += V::kLanes)
             V::store(dst + j, mulMod(V::load(a + j), V::load(b + j), m));
@@ -517,7 +543,7 @@ struct Dyadic
             macModScalar(acc, a, b, n, q);
             return;
         }
-        const Mod m = S::lanes(mod32Constants(q));
+        const Barrett m = barrett(q);
         size_t j = 0;
         for (; j + V::kLanes <= n; j += V::kLanes) {
             const Reg p = mulMod(V::load(a + j), V::load(b + j), m);
@@ -541,6 +567,29 @@ struct Dyadic
             V::store(dst + j, V::csub(r, m.q));
         }
         reduceU32Scalar(dst + j, src + j, n - j, q);
+    }
+};
+
+/**
+ * The NTT-domain automorphism (Kernels::automorph_ntt): per vector, the
+ * aligned source block its blockwise map names (isBlockwiseMap), one
+ * load and one lane permute. Degrees below kLanes run the scalar
+ * gather.
+ */
+template <class V>
+struct Automorph
+{
+    static void
+    ntt(uint64_t *out, const uint64_t *in, const uint32_t *map, size_t n)
+    {
+        if (n < V::kLanes) {
+            automorphNttScalar(out, in, map, n);
+            return;
+        }
+        constexpr uint32_t kBlock = ~uint32_t(V::kLanes - 1);
+        for (size_t j = 0; j < n; j += V::kLanes)
+            V::store(out + j,
+                     V::permute(V::load(in + (map[j] & kBlock)), map + j));
     }
 };
 
@@ -717,6 +766,7 @@ vectorKernels(Level level)
         .mul_mod_out = Dyadic<V>::mulModOut,
         .mac_mod = Dyadic<V>::macMod,
         .reduce_u32 = Dyadic<V>::reduceU32,
+        .automorph_ntt = Automorph<V>::ntt,
         .hps_convert = Hps<V>::convertBatch,
         .hps_scale = Hps<V>::scaleBatch,
     };

@@ -1452,13 +1452,29 @@ class Verifier
     void
     checkOutputs()
     {
+        // An output that is a non-resident circuit input needs no
+        // download: its host copy is the request's ciphertext, which no
+        // device write changes (a resident one's may be absent on a
+        // warm run).
+        std::vector<bool> host_input(c_.value_sizes.size(), false);
+        for (size_t pos = 0; pos < c_.inputs.size(); ++pos)
+            if (c_.inputs[pos] < host_input.size())
+                host_input[c_.inputs[pos]] = true;
+        for (uint32_t pos : c_.resident_inputs)
+            if (pos < c_.inputs.size() &&
+                c_.inputs[pos] < host_input.size())
+                host_input[c_.inputs[pos]] = false;
+
         for (size_t o = 0; o < c_.outputs.size(); ++o) {
             const compiler::ValueId v = c_.outputs[o];
             if (v >= c_.value_sizes.size())
                 continue; // structural diagnostics already emitted
             const uint32_t polys = c_.value_sizes[v];
             for (uint32_t p = 0; p < polys; ++p) {
-                if (!downloadExists(v, p))
+                const bool downloaded = downloadExists(v, p);
+                if (!downloaded && host_input[v])
+                    continue;
+                if (!downloaded)
                     diag(Invariant::kOutput,
                          "declared output value " + std::to_string(v) +
                              " polynomial " + std::to_string(p) +

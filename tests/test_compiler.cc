@@ -458,6 +458,60 @@ TEST(Compiler, UnverifiedProgramsReadFreshRecordsAsZero)
     }
 }
 
+TEST(Compiler, BareInputOutputsCompileUnderReject)
+{
+    // An output that is a circuit input needs no download: the executor
+    // returns the request's ciphertext. Op by op, fused, and fused on
+    // the tightest memory file that compiles, the program verifies
+    // clean (this binary compiles under kReject) and output 1 is x.
+    Universe u(61);
+    CircuitBuilder b;
+    const ValueId x = b.input();
+    const ValueId y = b.input();
+    b.output(b.add(x, y));
+    b.output(x);
+    const Circuit circuit = b.build();
+    const std::vector<Ciphertext> inputs = {
+        u.encryptor->encrypt(u.randomPlain(1)),
+        u.encryptor->encrypt(u.randomPlain(2))};
+    const std::vector<Ciphertext> want = {
+        u.evaluator->add(inputs[0], inputs[1]), inputs[0]};
+
+    std::vector<CompiledCircuit> lowered = {
+        compiler::compileCircuitOpByOp(u.params, circuit, u.config)};
+    CompilerOptions options;
+    options.hw = u.config;
+    options.verify = compiler::VerifyCheck::kReject;
+    for (size_t per_rpau = 84 / u.config.n_rpaus; per_rpau > 0;
+         --per_rpau) {
+        options.hw.slots_per_rpau = per_rpau;
+        try {
+            CompiledCircuit compiled =
+                compiler::compileCircuit(u.params, circuit, options);
+            if (lowered.size() < 3)
+                lowered.push_back(std::move(compiled));
+            else
+                lowered.back() = std::move(compiled);
+        } catch (const FatalError &e) {
+            ASSERT_NE(std::string(e.what()).find("does not fit"),
+                      std::string::npos)
+                << e.what();
+            break;
+        }
+    }
+    ASSERT_EQ(lowered.size(), 3u);
+    for (const CompiledCircuit &compiled : lowered) {
+        testing::expectVerifiesClean(compiled);
+        hw::Coprocessor cp(u.params, compiled.hw, &u.rlk);
+        EXPECT_EQ(compiler::runCompiledCircuit(cp, compiled, inputs), want)
+            << "capacity "
+            << compiled.hw.n_rpaus * compiled.hw.slots_per_rpau;
+    }
+    hw::Coprocessor cp(u.params, u.config, &u.rlk);
+    EXPECT_EQ(compiler::runCircuitOpByOp(cp, u.params, circuit, inputs),
+              want);
+}
+
 TEST(Compiler, ResidentInputsBeyondTheMemoryFileAreFatal)
 {
     // Eight resident level-0 pairs need 48 slots; the memory file

@@ -689,12 +689,10 @@ randomLinearCircuit(const Universe &u, uint64_t seed)
         vals.push_back(v);
         levels.push_back(level);
     }
-    // Outputs are computed values, never a bare input.
-    const size_t first_node = inputs;
+    // The last value, then up to two more, bare inputs included.
     std::vector<compiler::ValueId> outputs = {vals.back()};
     for (uint64_t k = 0, more = rng.uniformBelow(3); k < more; ++k) {
-        const compiler::ValueId v =
-            vals[first_node + rng.uniformBelow(vals.size() - first_node)];
+        const compiler::ValueId v = vals[rng.uniformBelow(vals.size())];
         if (std::find(outputs.begin(), outputs.end(), v) == outputs.end())
             outputs.push_back(v);
     }
@@ -716,9 +714,14 @@ TEST(Differential, RandomLinearCircuitsMatchEveryLowering)
     constexpr uint64_t kCircuits = 40;
     size_t ntt_reloads = 0;
     size_t ntt_values = 0;
+    size_t bare_outputs = 0;
     for (uint64_t seed = 0; seed < kCircuits; ++seed) {
         SCOPED_TRACE("circuit seed " + std::to_string(seed));
         const compiler::Circuit circuit = randomLinearCircuit(u, seed);
+        for (compiler::ValueId v : circuit.outputs)
+            bare_outputs += std::find(circuit.inputs.begin(),
+                                      circuit.inputs.end(),
+                                      v) != circuit.inputs.end();
         std::vector<Ciphertext> inputs;
         for (size_t k = 0; k < circuit.inputs.size(); ++k)
             inputs.push_back(
@@ -791,9 +794,11 @@ TEST(Differential, RandomLinearCircuitsMatchEveryLowering)
         }
     }
     // The cases exercise what they are for: NTT-domain values that
-    // save transforms, and NTT-domain spills that reload.
+    // save transforms, NTT-domain spills that reload, and outputs that
+    // are bare inputs.
     EXPECT_GT(ntt_values, 0u);
     EXPECT_GT(ntt_reloads, 0u);
+    EXPECT_GT(bare_outputs, 0u);
 }
 
 } // namespace

@@ -324,6 +324,107 @@ TEST(Coprocessor, UploadCopiesOnlyTheOperandAndKeepsItsDomain)
     EXPECT_EQ(mem.exportQBase(1), ntt_poly);
 }
 
+/**
+ * One segment whose records are first touched by: a batch-0 CoeffMul
+ * that overwrites record 2 (records 0 and 1 hold the uploaded input),
+ * a KeyLoad that lends records 3 and 4 a relinearization key, an
+ * in-place NTT of record 5 (it reads first) and a CoeffAdd of record 6
+ * with dst == src0 (it reads first). The output value downloads the
+ * five in that order.
+ */
+compiler::CompiledCircuit
+firstTouchProgram(const SmallRig &rig)
+{
+    compiler::CompiledCircuit c;
+    c.params = rig.params;
+    c.hw = rig.config;
+    c.inputs = {0};
+    c.outputs = {1};
+    c.value_sizes = {2, 5};
+    c.value_levels = {0, 0};
+    for (PolyId id = 0; id < 7; ++id)
+        c.slot_actions.push_back({SlotAction::Kind::kAllocate, id,
+                                  BaseTag::kQ,
+                                  id == 5 ? Layout::kPaired
+                                          : Layout::kNatural,
+                                  0});
+    const auto instr = [](Opcode op, PolyId dst, PolyId src0,
+                          PolyId src1) {
+        Instruction in;
+        in.op = op;
+        in.dst = dst;
+        in.src0 = src0;
+        in.src1 = src1;
+        return in;
+    };
+    const Instruction mul = instr(Opcode::kCoeffMul, 2, 0, 1);
+    Instruction load = instr(Opcode::kKeyLoad, kNoPoly, kNoPoly, kNoPoly);
+    load.aux = keyLoadAux(0, 0);
+    load.extra = {3, 4};
+    const Instruction ntt = instr(Opcode::kNtt, 5, kNoPoly, kNoPoly);
+    const Instruction add = instr(Opcode::kCoeffAdd, 6, 6, 0);
+    compiler::Segment seg;
+    seg.uploads = {{compiler::Transfer::Source::kValue, 0, 0, 0},
+                   {compiler::Transfer::Source::kValue, 0, 1, 1}};
+    seg.program.instrs = {mul, load, ntt, add};
+    for (uint32_t p = 0; p < 5; ++p)
+        seg.downloads.push_back(
+            {compiler::Transfer::Source::kValue, 1, p, PolyId(2 + p)});
+    seg.action_end = c.slot_actions.size();
+    c.segments.push_back(seg);
+    return c;
+}
+
+TEST(Coprocessor, BindsSkipOnlyTheFillTheirFirstTouchOverwrites)
+{
+    SmallRig rig;
+    const compiler::CompiledCircuit program = firstTouchProgram(rig);
+    const std::vector<Ciphertext> inputs = {
+        rig.encryptor->encrypt(rig.somePlain(3))};
+
+    // The rule, from the OpInfo roles: CoeffMul's dst and the key
+    // buffers are overwritten whole; NTT and CoeffAdd with dst == src0
+    // read their record first.
+    const SlotLogShape log =
+        shapeSlotLog(*rig.params, program.slot_actions);
+    const std::vector<Instruction> &instrs =
+        program.segments[0].program.instrs;
+    EXPECT_TRUE(overwritesRecord(*rig.params, instrs[0], 2, log));
+    EXPECT_TRUE(overwritesRecord(*rig.params, instrs[1], 3, log));
+    EXPECT_TRUE(overwritesRecord(*rig.params, instrs[1], 4, log));
+    EXPECT_FALSE(overwritesRecord(*rig.params, instrs[2], 5, log));
+    EXPECT_FALSE(overwritesRecord(*rig.params, instrs[3], 6, log));
+    EXPECT_FALSE(overwritesRecord(*rig.params, instrs[0], 0, log));
+
+    Coprocessor clean(rig.params, rig.config, &rig.rlk);
+    const std::vector<Ciphertext> want =
+        compiler::runCompiledCircuit(clean, program, inputs);
+
+    // A pool of buffers that hold nonzero words, at least as large as
+    // every record, then the same program.
+    Coprocessor cp(rig.params, rig.config, &rig.rlk);
+    MemoryFile &mem = cp.memory();
+    for (PolyId id = 0; id < 8; ++id) {
+        mem.bindRecord(id, {BaseTag::kFull, false, 0, Layout::kNatural});
+        std::fill(mem.record(id).data.begin(), mem.record(id).data.end(),
+                  5);
+    }
+    mem.reset();
+    const std::vector<Ciphertext> got =
+        compiler::runCompiledCircuit(cp, program, inputs);
+    ASSERT_EQ(got.size(), 1u);
+    ASSERT_EQ(got[0].size(), 5u);
+    EXPECT_EQ(got, want);
+    // The two that read first read zeros: an NTT of zero, and 0 + x.
+    const auto zero = [](const ntt::RnsPoly &p) {
+        return std::all_of(p.data().begin(), p.data().end(),
+                           [](uint64_t x) { return x == 0; });
+    };
+    EXPECT_TRUE(zero(got[0][3]));
+    EXPECT_EQ(got[0][4], inputs[0][0]);
+    EXPECT_FALSE(zero(got[0][0]));
+}
+
 TEST(CompiledMult, MatchesTableIIInstructionMix)
 {
     auto params = fv::FvParams::paper();

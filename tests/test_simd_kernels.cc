@@ -5,7 +5,10 @@
  * lazy-range edge values, and on moduli too wide for the 32-bit lane
  * paths (where the kernels must fall back to scalar internally). The
  * fused HPS kernels are held to the per-coefficient convert()/scale()
- * and to the exact BigInt conversion and scale. The suite enumerates
+ * and to the exact BigInt conversion and scale, the Barrett product to
+ * 128-bit arithmetic at every prime width its shifts depend on, and the
+ * block-permuting NTT-domain automorphism to the scalar gather. The
+ * suite enumerates
  * every level the host and build support, so on an AVX-512 machine it
  * exercises scalar vs AVX2 vs AVX-512.
  */
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "fv/galois.h"
 #include "fv/params.h"
 #include "ntt/ntt.h"
 #include "ntt/ntt_tables.h"
@@ -224,6 +228,147 @@ TEST(SimdKernels, OutOfPlaceDyadicMatchOracleUnderAliasing)
                     }, mul, "mul_mod_out");
                 }
             }
+        }
+    }
+}
+
+bool
+isPrime(uint64_t x)
+{
+    if (x < 2)
+        return false;
+    for (uint64_t d = 2; d * d <= x; ++d)
+        if (x % d == 0)
+            return false;
+    return true;
+}
+
+TEST(SimdKernels, BarrettProductMatchesOracleAtEveryWidth)
+{
+    // mul_mod_out, mac_mod and mul_mod against 128-bit arithmetic for
+    // the smallest and the largest prime of every width from 3 to 30
+    // bits: the bit length k sets the Barrett shifts, and mu is largest
+    // just above 2^(k-1). Primes below 2^8 take every operand pair;
+    // the others 0, 1 and q - 1 against each other in the first lanes,
+    // then random operands. The lengths leave loop tails non-empty.
+    Xoshiro256 rng(37);
+    std::vector<uint64_t> primes;
+    for (int bits = 3; bits <= 30; ++bits) {
+        uint64_t lo = (uint64_t(1) << (bits - 1)) + 1;
+        uint64_t hi = (uint64_t(1) << bits) - 1;
+        while (!isPrime(lo))
+            ++lo;
+        while (!isPrime(hi))
+            --hi;
+        primes.push_back(lo);
+        if (hi != lo)
+            primes.push_back(hi);
+    }
+    for (uint64_t qv : primes) {
+        const Modulus q(qv);
+        std::vector<uint64_t> a, b;
+        if (qv < 256) {
+            for (uint64_t x = 0; x < qv; ++x)
+                for (uint64_t y = 0; y < qv; ++y) {
+                    a.push_back(x);
+                    b.push_back(y);
+                }
+        } else {
+            const uint64_t edges[] = {0, 1, qv - 1};
+            for (uint64_t x : edges)
+                for (uint64_t y : edges) {
+                    a.push_back(x);
+                    b.push_back(y);
+                }
+            for (int i = 0; i < 1000; ++i) {
+                a.push_back(rng.uniformBelow(qv));
+                b.push_back(rng.uniformBelow(qv));
+            }
+            a.push_back(qv - 1);
+            b.push_back(qv - 2);
+        }
+        const size_t n = a.size();
+        std::vector<uint64_t> acc(n), mul(n), mac(n);
+        for (size_t i = 0; i < n; ++i) {
+            acc[i] = rng.uniformBelow(qv);
+            mul[i] = static_cast<uint64_t>(
+                static_cast<unsigned __int128>(a[i]) * b[i] % qv);
+            mac[i] = (acc[i] + mul[i]) % qv;
+        }
+        for (Level level : availableLevels()) {
+            const Kernels &k = simd::kernelsFor(level);
+            for (size_t len : {n, n - 1, n - 3}) {
+                const auto head = [len](const std::vector<uint64_t> &v) {
+                    return std::vector<uint64_t>(v.begin(),
+                                                 v.begin() + len);
+                };
+                std::vector<uint64_t> out(len, 7);
+                k.mul_mod_out(out.data(), a.data(), b.data(), len, q);
+                EXPECT_EQ(out, head(mul)) << "mul_mod_out "
+                                          << simd::levelName(level)
+                                          << " q=" << qv << " n=" << len;
+                std::vector<uint64_t> sum = head(acc);
+                k.mac_mod(sum.data(), a.data(), b.data(), len, q);
+                EXPECT_EQ(sum, head(mac)) << "mac_mod "
+                                          << simd::levelName(level)
+                                          << " q=" << qv << " n=" << len;
+                std::vector<uint64_t> x = head(a);
+                k.mul_mod(x.data(), b.data(), len, q);
+                EXPECT_EQ(x, head(mul)) << "mul_mod "
+                                        << simd::levelName(level)
+                                        << " q=" << qv << " n=" << len;
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, AutomorphNttMatchesScalarGather)
+{
+    // Every table's automorph_ntt against out[j] = in[map[j]] over
+    // fv::galoisNttIndexMap at every power-of-two degree from 2 (below
+    // every vector width: the scalar fallback) to 16384, for every odd
+    // g < 2n up to n = 256 and a sample above. Every such map is
+    // blockwise; one with two entries swapped across blocks is not.
+    Xoshiro256 rng(41);
+    for (size_t n = 2; n <= 16384; n *= 2) {
+        std::vector<uint32_t> elements;
+        if (n <= 256) {
+            for (uint32_t g = 1; g < 2 * n; g += 2)
+                elements.push_back(g);
+        } else {
+            const uint64_t mask = 2 * n - 1;
+            for (uint64_t g : {uint64_t(3), uint64_t(5), uint64_t(7),
+                               uint64_t(9), 2 * n - 1, uint64_t(243),
+                               uint64_t(12345) & mask,
+                               (rng.next() & mask) | 1})
+                elements.push_back(static_cast<uint32_t>(g));
+        }
+        std::vector<uint64_t> in(n);
+        for (auto &x : in)
+            x = rng.next();
+        for (uint32_t g : elements) {
+            const std::vector<size_t> wide = fv::galoisNttIndexMap(n, g);
+            const std::vector<uint32_t> map(wide.begin(), wide.end());
+            ASSERT_TRUE(simd::isBlockwiseMap(map.data(), n))
+                << "n=" << n << " g=" << g;
+            std::vector<uint64_t> want(n);
+            for (size_t j = 0; j < n; ++j)
+                want[j] = in[map[j]];
+            for (Level level : availableLevels()) {
+                std::vector<uint64_t> got(n, 7);
+                simd::kernelsFor(level).automorph_ntt(got.data(), in.data(),
+                                                      map.data(), n);
+                EXPECT_EQ(got, want) << simd::levelName(level)
+                                     << " n=" << n << " g=" << g;
+            }
+        }
+        if (n >= 4) {
+            std::vector<uint32_t> swapped(n);
+            for (size_t j = 0; j < n; ++j)
+                swapped[j] = static_cast<uint32_t>(j);
+            std::swap(swapped[1], swapped[n / 2]);
+            EXPECT_FALSE(simd::isBlockwiseMap(swapped.data(), n))
+                << "n=" << n;
         }
     }
 }
