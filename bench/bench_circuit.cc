@@ -132,7 +132,7 @@ main(int argc, char **argv)
     compiler::runCompiledCircuit(cp, compiled, inputs, &fused_stats);
 
     // --- static-verifier overhead ---------------------------------------
-    // The abstract interpreter runs on every compile (kWarn/kReject)
+    // The abstract interpreter runs on every compile (unless kOff)
     // and every service admission; it must stay a small fraction of
     // the compile it guards. Compiles and verifies alternate in
     // blocks, and the overhead is the median of the blocks' ratios, so

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <string_view>
 #include <utility>
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/panic.h"
 #include "compiler/attribution.h"
@@ -1396,8 +1394,8 @@ validateInputs(const fv::FvParams &params,
 
 /**
  * Plans when a segment binds and returns the records of its slot-log
- * range, from the segment alone, so a program the verifier only warned
- * about behaves as if the whole range were bound for the segment: a
+ * range, from the segment alone, so a program that skipped the
+ * verifier behaves as if the whole range were bound for the segment: a
  * fresh record reads zero, and a touch after its release throws
  * InvalidRecordError. A record the range allocates is bound at its
  * first upload when one writes it, before the uploads when no
@@ -1730,49 +1728,22 @@ runCold(hw::Coprocessor &cp, const CompiledCircuit &compiled,
 }
 
 /** The passes every lowering ends with: node attribution, then the
- *  static verifier as @p check asks. */
+ *  static verifier unless @p check is kOff (a violation throws). */
 CompiledCircuit
 finishCompile(CompiledCircuit out, VerifyCheck check)
 {
     out.node_cycles = attributeCompiledCircuit(out).node_cycles;
-    if (check != VerifyCheck::kOff) {
+    if (check == VerifyCheck::kReject) {
         const verify::VerifyResult result =
             verify::verifyCompiledCircuit(out);
-        if (!result.ok()) {
-            fatalIf(check == VerifyCheck::kReject,
-                    "compiled circuit failed static verification\n",
-                    result.report());
-            std::fprintf(stderr,
-                         "compileCircuit: warning: static verifier: %s",
-                         result.report().c_str());
-        }
+        if (!result.ok())
+            fatal("compiled circuit failed static verification\n",
+                  result.report());
     }
     return out;
 }
 
 } // namespace
-
-VerifyCheck
-defaultVerifyCheck()
-{
-    static const VerifyCheck check = [] {
-        const char *env = std::getenv("HEAT_VERIFY");
-        if (env == nullptr)
-            return VerifyCheck::kWarn;
-        const std::string_view v(env);
-        if (v == "off")
-            return VerifyCheck::kOff;
-        if (v == "reject")
-            return VerifyCheck::kReject;
-        if (v != "warn")
-            std::fprintf(stderr,
-                         "HEAT_VERIFY: unknown value \"%s\" (want "
-                         "off|warn|reject); using warn\n",
-                         env);
-        return VerifyCheck::kWarn;
-    }();
-    return check;
-}
 
 CompiledCircuit
 compileCircuit(std::shared_ptr<const fv::FvParams> params,
@@ -1811,7 +1782,6 @@ compileOpCircuit(std::shared_ptr<const fv::FvParams> params, NodeKind kind,
     CompilerOptions options;
     options.hw = config;
     options.noise_check = NoiseCheck::kOff;
-    options.verify = VerifyCheck::kOff;
     return compileCircuit(std::move(params), b.build(), options);
 }
 

@@ -69,24 +69,17 @@ enum class NoiseCheck : uint8_t
 };
 
 /**
- * What compileCircuit does with the static verifier's verdict
- * (verify/verify.h): every compilation can prove its own program
- * respects the memory-file, layout, level and key invariants the
- * runtime assumes.
+ * Whether a compilation (or a service admission) runs the static
+ * verifier (verify/verify.h), which proves the program respects the
+ * memory-file, layout, level and key invariants the runtime assumes.
+ * A program is verified or refused: there is no mode that runs one the
+ * verifier rejected.
  */
 enum class VerifyCheck : uint8_t
 {
-    kOff,   ///< skip the pass entirely
-    kWarn,  ///< run it; print the diagnostic table to stderr
-    kReject ///< run it; throw FatalError carrying the table
+    kOff,   ///< skip the pass: the caller verifies the artifact itself
+    kReject ///< run it; throw FatalError carrying the diagnostic table
 };
-
-/**
- * @return the process default for CompilerOptions::verify — kWarn, or
- * the HEAT_VERIFY environment override ("off" / "warn" / "reject"),
- * read once.
- */
-VerifyCheck defaultVerifyCheck();
 
 /** Compilation tunables. */
 struct CompilerOptions
@@ -115,12 +108,12 @@ struct CompilerOptions
      * Static verification of the compiled artifact (verify/verify.h):
      * after lowering, an abstract interpreter proves the emitted
      * program's slot, layout, level, key and liveness invariants. The
-     * pass costs a few percent of compile time; the default warns so a
-     * miscompiled program is named at compile time instead of decrypting
-     * to garbage. Overridable per process with HEAT_VERIFY=off|warn|
-     * reject (the sanitizer CI leg runs under reject).
+     * pass costs a few percent of compile time; by default a violation
+     * throws, so a miscompiled program is named at compile time instead
+     * of decrypting to garbage. kOff is for callers that verify the
+     * artifact elsewhere (the service's admission, `heat_cli verify`).
      */
-    VerifyCheck verify = defaultVerifyCheck();
+    VerifyCheck verify = VerifyCheck::kReject;
     /**
      * Automatic level assignment (noise_pass.h, insertModSwitches):
      * before lowering, walk the DAG and insert kModSwitch drops at the
@@ -283,10 +276,11 @@ CompiledCircuit compileCircuit(std::shared_ptr<const fv::FvParams> params,
 
 /**
  * Compile the one-node circuit add(x, y) (@p kind kAdd) or mult(x, y)
- * (kMult) over level-0 inputs for @p config, with the noise and
- * verifier passes off. This is the one lowering of a single operation:
- * ExecutionService::submit(Op) serves it, and the paper-table benches
- * price it (attributeCompiledCircuit at kPerInstruction).
+ * (kMult) over level-0 inputs for @p config, with the noise pass off
+ * and the verifier rejecting. This is the one lowering of a single
+ * operation: ExecutionService::submit(Op) serves it, and the
+ * paper-table benches price it (attributeCompiledCircuit at
+ * kPerInstruction).
  */
 CompiledCircuit compileOpCircuit(std::shared_ptr<const fv::FvParams> params,
                                  NodeKind kind, const hw::HwConfig &config);
@@ -300,8 +294,8 @@ CompiledCircuit compileOpCircuit(std::shared_ptr<const fv::FvParams> params,
  * producer's segment, as in compileOpCircuit's mult(x, y). Rotations
  * keep the hoisted numerics of their group without the sharing, so the
  * results are bit-identical to compileCircuit's. No level assignment
- * and no noise check; the static verifier runs as defaultVerifyCheck()
- * says. runCircuitOpByOp runs this artifact; its kPerInstruction
+ * and no noise check; the static verifier rejects a violation.
+ * runCircuitOpByOp runs this artifact; its kPerInstruction
  * attributeCompiledCircuit price is that run's stats.
  */
 CompiledCircuit compileCircuitOpByOp(

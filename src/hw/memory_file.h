@@ -227,13 +227,13 @@ class MemoryFile
     void resetToPinned();
 
     /** Throw FatalError when @p log's slot peak oversubscribes the
-     *  memory file: a log the verifier only warned about may. */
+     *  memory file: a log that skipped the verifier may. */
     void checkCapacity(const SlotLogShape &log) const;
 
     /**
      * Bind record @p id at @p shape (a slot log's final shape for it)
      * over the last buffer returned to the pool that fits, zero-filled:
-     * the fill keeps a program the verifier only warned about from
+     * the fill keeps a program that skipped the verifier from
      * reading a buffer another run left behind. Pass @p fill false only
      * when the record's first touch overwrites every live word before
      * anything reads one (hw::overwritesRecord, or an upload of a whole

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "compiler/attribution.h"
+#include "fv/serialize.h"
 #include "obs/trace.h"
 #include "verify/verify.h"
 
@@ -46,11 +47,12 @@ ExecutionService::ExecutionService(
                    /*weight=*/1);
 
     // Compile the single-op circuits once; this also proves each fits
-    // the memory file before any worker starts. They are level-0 slot
-    // schedules with no rotations, so any session's keys work; the
-    // configured compiler options are not applied, so a served op
-    // always returns a level-0 ciphertext. Admission verifies each on
-    // its first submission, like any other compiled circuit.
+    // the memory file and passes the verifier before any worker
+    // starts. They are level-0 slot schedules with no rotations, so any
+    // session's keys work; the configured compiler options are not
+    // applied, so a served op always returns a level-0 ciphertext.
+    // Admission still verifies each on its first submission, like any
+    // other compiled circuit.
     for (const Op op : {Op::kAdd, Op::kMult}) {
         op_circuits_[static_cast<size_t>(op)] =
             std::make_shared<const compiler::CompiledCircuit>(
@@ -215,8 +217,8 @@ ExecutionService::submitCircuit(TenantId tenant,
     options.hw = config_.hw;
     options.noise_check = compiler::NoiseCheck::kOff;
     // Same division of labor for the static verifier: admission runs
-    // it (verifySubmission) with this service's policy and cache, so
-    // the compile-time pass would only duplicate the work.
+    // it (admitCircuit) with this service's policy and cache, so the
+    // compile-time pass would only duplicate the work.
     options.verify = compiler::VerifyCheck::kOff;
     options.resident_inputs.clear();
     auto compiled = std::make_shared<const compiler::CompiledCircuit>(
@@ -256,12 +258,11 @@ void
 ExecutionService::checkCompiled(
     const Session &s, const compiler::CompiledCircuit &compiled) const
 {
-    const fv::FvConfig &theirs = compiled.params->config();
-    const fv::FvConfig &ours = params_->config();
-    fatalIf(theirs.degree != ours.degree ||
-                theirs.plain_modulus != ours.plain_modulus ||
-                theirs.q_prime_count != ours.q_prime_count ||
-                theirs.prime_bits != ours.prime_bits,
+    // The verifier's slot proof and the static price were computed
+    // under the artifact's parameters, extension base included.
+    fatalIf(compiled.params != params_ &&
+                fv::paramsFingerprint(*compiled.params) !=
+                    fv::paramsFingerprint(*params_),
             "compiled circuit targets a different parameter set");
     fatalIf(!(compiled.hw == config_.hw),
             "compiled circuit targets a different hardware "
@@ -311,48 +312,34 @@ std::shared_ptr<const compiler::CircuitAttribution>
 ExecutionService::admitCircuit(
     const std::shared_ptr<const compiler::CompiledCircuit> &compiled)
 {
-    std::shared_ptr<const compiler::CircuitAttribution> price;
-    bool verified = config_.verify == compiler::VerifyCheck::kOff;
     {
         std::lock_guard<std::mutex> lock(mu_);
         const auto it = circuits_.find(compiled.get());
         if (it != circuits_.end() &&
-            it->second.circuit.lock().get() == compiled.get()) {
-            price = it->second.price;
-            verified = verified || it->second.verified;
-        }
+            it->second.circuit.lock().get() == compiled.get())
+            return it->second.price; // this exact object was admitted
     }
-    if (price != nullptr && verified)
-        return price; // this exact object was admitted before
 
-    if (!verified) {
+    const bool verifies = config_.verify == compiler::VerifyCheck::kReject;
+    if (verifies) {
         const verify::VerifyResult result =
             verify::verifyCompiledCircuit(*compiled);
-        verified = result.ok();
-        if (!verified) {
-            if (config_.verify == compiler::VerifyCheck::kReject) {
-                {
-                    std::lock_guard<std::mutex> lock(mu_);
-                    ++stats_.verify_rejected;
-                }
-                throw AdmissionRejectedError(
-                    "admission rejected: compiled circuit failed static "
-                    "verification\n" +
-                    result.report());
+        if (!result.ok()) {
+            {
+                std::lock_guard<std::mutex> lock(mu_);
+                ++stats_.verify_rejected;
             }
-            // A warned circuit stays unverified: resubmits re-warn.
-            std::fprintf(stderr,
-                         "ExecutionService: warning: static verifier: %s",
-                         result.report().c_str());
+            throw AdmissionRejectedError(
+                "admission rejected: compiled circuit failed static "
+                "verification\n" +
+                result.report());
         }
     }
-
-    if (price == nullptr)
-        price = std::make_shared<const compiler::CircuitAttribution>(
-            compiler::attributeCompiledCircuit(*compiled));
+    auto price = std::make_shared<const compiler::CircuitAttribution>(
+        compiler::attributeCompiledCircuit(*compiled));
 
     std::lock_guard<std::mutex> lock(mu_);
-    if (verified && config_.verify != compiler::VerifyCheck::kOff)
+    if (verifies)
         ++stats_.circuits_verified;
     if (circuits_.size() >= 256) {
         // Drop entries whose circuit objects are gone (their addresses
@@ -361,7 +348,7 @@ ExecutionService::admitCircuit(
             it = it->second.circuit.expired() ? circuits_.erase(it)
                                               : std::next(it);
     }
-    circuits_[compiled.get()] = CircuitEntry{compiled, verified, price};
+    circuits_[compiled.get()] = CircuitEntry{compiled, price};
     return price;
 }
 

@@ -188,13 +188,13 @@ struct ServiceConfig
      * resident path's pinned-prefix suffix, which the verifier checks
      * as part of the whole program — is proven against the memory-file,
      * layout, level and key invariants before any worker executes it.
-     * kWarn prints the diagnostic table and admits; kReject throws
-     * AdmissionRejectedError synchronously. Verification verdicts are
-     * cached per compiled-circuit object, so the compile-once
+     * kReject (default) throws AdmissionRejectedError synchronously on
+     * a violation; kOff admits without the pass. Only admitted circuits
+     * are cached, per compiled-circuit object, so the compile-once
      * submit-many pattern (and every warm resident resubmit) pays the
-     * pass once.
+     * pass once and a refused circuit is refused again on resubmit.
      */
-    compiler::VerifyCheck verify = compiler::defaultVerifyCheck();
+    compiler::VerifyCheck verify = compiler::VerifyCheck::kReject;
 };
 
 /** Delivered through the futures of jobs cancelled by shutdown(). */
@@ -576,8 +576,6 @@ class ExecutionService
     {
         /** Witness: an address reused by a new allocation fails it. */
         std::weak_ptr<const compiler::CompiledCircuit> circuit;
-        /** Cleared by the static verifier under this service's policy. */
-        bool verified = false;
         std::shared_ptr<const compiler::CircuitAttribution> price;
     };
 

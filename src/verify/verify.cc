@@ -88,17 +88,19 @@ class Verifier
     {
         if (!structurallySound())
             return std::move(result_);
-        // Pre-size the id-indexed tables: the log's allocation count
-        // bounds every well-formed record id (touchSlot still grows
-        // past it for out-of-range ids in broken programs).
+        // Size the id-indexed tables once: the log's allocation count
+        // bounds every well-formed record id. An id at or past it is
+        // never allocated (phase 2 refuses it), so it is not tracked
+        // and every later use reports it unallocated; an untrusted id
+        // never sizes a table.
         size_t allocs = 0;
         for (const hw::SlotAction &a : c_.slot_actions)
             if (a.kind == hw::SlotAction::Kind::kAllocate)
                 ++allocs;
-        recs_.reserve(allocs);
-        first_touch_.resize(allocs, kNoIndex);
-        last_touch_.resize(allocs, kNoIndex);
-        first_ext_touch_.resize(allocs, kNoIndex);
+        recs_.resize(allocs);
+        first_touch_.assign(allocs, kNoIndex);
+        last_touch_.assign(allocs, kNoIndex);
+        first_ext_touch_.assign(allocs, kNoIndex);
         checkGaloisElements();
         collectTouches();
         replayActions();
@@ -309,11 +311,8 @@ class Verifier
                 // the row's full-base operand and a batch-1
                 // instruction's registers reach them.
                 const auto ext = [&](PolyId id) {
-                    if (id == kNoPoly)
-                        return;
-                    size_t &first = touchSlot(first_ext_touch_, id);
-                    if (first == kNoIndex)
-                        first = p;
+                    if (tracked(id) && first_ext_touch_[id] == kNoIndex)
+                        first_ext_touch_[id] = p;
                 };
                 const hw::OpInfo &info = hw::opInfo(in.op);
                 ext(hw::operandOf(in, info.full_base));
@@ -327,33 +326,29 @@ class Verifier
         }
     }
 
-    /** Position of @p id in @p table, growing it on demand (record
-     *  ids are small and dense; kNoIndex marks "never touched"). */
-    static size_t &
-    touchSlot(std::vector<size_t> &table, PolyId id)
+    /** @return whether @p id indexes the id tables (kNoPoly and ids
+     *  past the log's allocation count do not). */
+    bool
+    tracked(PolyId id) const
     {
-        if (id >= table.size())
-            table.resize(id + 1, kNoIndex);
-        return table[id];
+        return id < recs_.size();
     }
 
     void
     touch(PolyId id, size_t pos)
     {
-        if (id == kNoPoly)
+        if (!tracked(id))
             return;
-        size_t &first = touchSlot(first_touch_, id);
-        if (first == kNoIndex) // positions are monotone
-            first = pos;
-        touchLast(id, pos);
+        if (first_touch_[id] == kNoIndex) // positions are monotone
+            first_touch_[id] = pos;
+        last_touch_[id] = pos;
     }
 
     void
     touchLast(PolyId id, size_t pos)
     {
-        if (id == kNoPoly)
-            return;
-        touchSlot(last_touch_, id) = pos;
+        if (tracked(id))
+            last_touch_[id] = pos;
     }
 
     /** @return the recorded position, or kNoIndex when never touched. */
@@ -380,6 +375,14 @@ class Verifier
             const SlotAction &act = c_.slot_actions[a];
             switch (act.kind) {
               case SlotAction::Kind::kAllocate: {
+                if (!tracked(act.id)) {
+                    diagAction(Invariant::kSlotLog, a, act.id,
+                               "slot log allocates a record id past its "
+                               "allocation count",
+                               "id < " + std::to_string(recs_.size()),
+                               "id " + std::to_string(act.id));
+                    break;
+                }
                 if (act.id != next_id)
                     diagAction(Invariant::kSlotLog, a, act.id,
                                "slot log allocates out of sequence "
@@ -422,8 +425,6 @@ class Verifier
                     // order, fully defined.
                     rec.written.fill(true);
                 }
-                if (act.id >= recs_.size())
-                    recs_.resize(act.id + 1);
                 recs_[act.id] = std::move(rec);
                 next_id = std::max(next_id, act.id) + 1;
                 break;

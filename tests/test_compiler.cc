@@ -481,7 +481,6 @@ TEST(Compiler, BareInputOutputsCompileUnderReject)
         compiler::compileCircuitOpByOp(u.params, circuit, u.config)};
     CompilerOptions options;
     options.hw = u.config;
-    options.verify = compiler::VerifyCheck::kReject;
     for (size_t per_rpau = 84 / u.config.n_rpaus; per_rpau > 0;
          --per_rpau) {
         options.hw.slots_per_rpau = per_rpau;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "compiler/attribution.h"
 #include "compiler/circuit.h"
 #include "compiler/compiler.h"
 #include "fv/decryptor.h"
@@ -607,8 +608,9 @@ allNaturalTransforms(const Universe &u,
     return count;
 }
 
-/** A seeded random DAG over the linear ops, rotations, Mult and (odd
- *  seeds) ModSwitch, with shared subexpressions and several outputs. */
+/** A seeded random DAG over the linear ops, rotations, Mult, Square
+ *  and (odd seeds) ModSwitch, with shared subexpressions and several
+ *  outputs. */
 compiler::Circuit
 randomLinearCircuit(const Universe &u, uint64_t seed)
 {
@@ -671,7 +673,8 @@ randomLinearCircuit(const Universe &u, uint64_t seed)
           case 14:
             if (mults < 2) {
                 ++mults;
-                v = b.mult(x, partner(a));
+                v = rng.uniformBelow(2) == 0 ? b.mult(x, partner(a))
+                                             : b.square(x);
                 break;
             }
             [[fallthrough]];
@@ -709,12 +712,21 @@ TEST(Differential, RandomLinearCircuitsMatchEveryLowering)
     // memory files from the tightest that compiles to 84 slots, so
     // NTT-domain values spill and reload — every lowering must match
     // evaluateCircuit bit for bit, verify clean under kReject, and
-    // transform no more than the all-natural lowering.
+    // transform no more than the all-natural lowering. A sample also
+    // goes through the service under its default policy.
     Universe u(91);
     constexpr uint64_t kCircuits = 40;
     size_t ntt_reloads = 0;
     size_t ntt_values = 0;
     size_t bare_outputs = 0;
+    size_t squares = 0;
+    struct Served
+    {
+        std::shared_ptr<const compiler::CompiledCircuit> compiled;
+        std::vector<Ciphertext> inputs;
+        std::vector<Ciphertext> reference;
+    };
+    std::vector<Served> served;
     for (uint64_t seed = 0; seed < kCircuits; ++seed) {
         SCOPED_TRACE("circuit seed " + std::to_string(seed));
         const compiler::Circuit circuit = randomLinearCircuit(u, seed);
@@ -722,6 +734,8 @@ TEST(Differential, RandomLinearCircuitsMatchEveryLowering)
             bare_outputs += std::find(circuit.inputs.begin(),
                                       circuit.inputs.end(),
                                       v) != circuit.inputs.end();
+        for (const compiler::CircuitNode &node : circuit.nodes)
+            squares += node.kind == compiler::NodeKind::kSquare;
         std::vector<Ciphertext> inputs;
         for (size_t k = 0; k < circuit.inputs.size(); ++k)
             inputs.push_back(
@@ -731,6 +745,16 @@ TEST(Differential, RandomLinearCircuitsMatchEveryLowering)
                   compiler::evaluateCircuit(*u.evaluator, &u.rlk, circuit,
                                             inputs, &u.gkeys))
             << "op by op";
+        if (seed % 7 == 0) {
+            compiler::CompilerOptions options;
+            options.hw = u.config;
+            Served &s = served.emplace_back();
+            s.compiled = std::make_shared<const compiler::CompiledCircuit>(
+                compiler::compileCircuit(u.params, circuit, options));
+            s.inputs = inputs;
+            s.reference = compiler::evaluateCircuit(
+                *u.evaluator, &u.rlk, circuit, inputs, &u.gkeys);
+        }
 
         // Automatic level assignment plans circuits without explicit
         // mod-switches (noise_pass.h), the even seeds.
@@ -746,7 +770,6 @@ TEST(Differential, RandomLinearCircuitsMatchEveryLowering)
                 options.hoist_rotations = hoist;
                 options.auto_mod_switch = auto_ms;
                 options.noise_check = compiler::NoiseCheck::kOff;
-                options.verify = compiler::VerifyCheck::kReject;
                 // 84 slots down to the tightest file that compiles.
                 std::vector<compiler::CompiledCircuit> lowered;
                 for (size_t per_rpau = 84 / u.config.n_rpaus; per_rpau > 0;
@@ -793,12 +816,42 @@ TEST(Differential, RandomLinearCircuitsMatchEveryLowering)
             }
         }
     }
+    // Through admission on 1 and 3 workers, under a default config:
+    // nothing refused, outputs bit-exact, and the modeled cycles are
+    // each job's static cold price.
+    for (const size_t workers : {1u, 3u}) {
+        SCOPED_TRACE("service workers " + std::to_string(workers));
+        service::ServiceConfig cfg;
+        cfg.workers = workers;
+        cfg.hw = u.config;
+        service::ExecutionService svc(u.params, u.rlk, u.gkeys, cfg);
+        constexpr size_t kRepeats = 2;
+        std::vector<std::future<std::vector<Ciphertext>>> futures;
+        hw::Cycle priced = 0;
+        for (const Served &s : served) {
+            for (size_t r = 0; r < kRepeats; ++r)
+                futures.push_back(svc.submitCompiled(s.compiled, s.inputs));
+            priced += kRepeats * compiler::attributeCompiledCircuit(
+                                     *s.compiled)
+                                     .cold.totals.fpga_cycles;
+        }
+        for (size_t i = 0; i < futures.size(); ++i)
+            EXPECT_EQ(futures[i].get(), served[i / kRepeats].reference)
+                << "submission " << i;
+        svc.drain();
+        const service::ServiceStats st = svc.stats();
+        EXPECT_EQ(st.verify_rejected + st.admission_rejected, 0u);
+        EXPECT_EQ(st.circuits_verified, served.size());
+        EXPECT_EQ(st.circuits_completed, futures.size());
+        EXPECT_EQ(st.fpga_cycles, priced);
+    }
     // The cases exercise what they are for: NTT-domain values that
-    // save transforms, NTT-domain spills that reload, and outputs that
-    // are bare inputs.
+    // save transforms, NTT-domain spills that reload, outputs that are
+    // bare inputs, and squares.
     EXPECT_GT(ntt_values, 0u);
     EXPECT_GT(ntt_reloads, 0u);
     EXPECT_GT(bare_outputs, 0u);
+    EXPECT_GT(squares, 0u);
 }
 
 } // namespace

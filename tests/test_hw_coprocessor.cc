@@ -171,7 +171,7 @@ TEST(MemoryFile, InvalidRecordAccessNamesTheRecord)
 
 TEST(MemoryFile, OversubscribedLogIsFatal)
 {
-    // A log the verifier only warned about can ask for more slots than
+    // A log that skipped the verifier can ask for more slots than
     // the memory file holds: binding it is a typed error.
     auto params = fv::FvParams::paper();
     // 84 slots / 13 per full poly = 6 polys fit, the 7th does not.

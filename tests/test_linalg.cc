@@ -25,7 +25,6 @@
 #include "hw/coprocessor.h"
 #include "linalg/linalg.h"
 #include "service/service.h"
-#include "verify_support.h"
 
 namespace heat {
 namespace {

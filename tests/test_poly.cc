@@ -32,7 +32,6 @@
 #include "mp/primality.h"
 #include "poly/poly.h"
 #include "service/service.h"
-#include "verify_support.h"
 
 namespace heat {
 namespace {

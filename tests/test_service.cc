@@ -36,7 +36,6 @@
 #include "hw/coprocessor.h"
 #include "obs/trace.h"
 #include "service/service.h"
-#include "verify_support.h"
 
 namespace heat::service {
 namespace {
@@ -98,7 +97,6 @@ TEST(Service, OpCircuitsAreVerifiedOnceForAnySubmitCount)
     // admission verifies each once, however many ops follow.
     ServiceRig rig;
     ServiceConfig cfg = rig.serviceConfig(2);
-    cfg.verify = compiler::VerifyCheck::kReject;
     ExecutionService svc(rig.params, rig.rlk, cfg);
     EXPECT_EQ(svc.stats().circuits_verified, 0u);
     fv::Encryptor encryptor(rig.params, rig.pk, 5);
@@ -484,6 +482,36 @@ TEST(Service, RejectsCircuitWhoseGaloisKeysTheTenantLacks)
     std::future<std::vector<Ciphertext>> fut =
         svc.submitCompiled(rotator, compiled, inputs);
     EXPECT_EQ(fut.get(), reference);
+}
+
+TEST(Service, RejectsCircuitCompiledForAnotherExtensionBase)
+{
+    // Same n, t and q primes, two more p primes: the verifier's slot
+    // proof and the static price were computed for the wider base, so
+    // admission must refuse the artifact rather than run it.
+    ServiceRig rig;
+    ExecutionService svc(rig.params, rig.rlk, rig.serviceConfig(1));
+
+    fv::FvConfig wider = rig.params->config();
+    wider.p_prime_count = rig.params->pBase()->size() + 2;
+    const auto wider_params = fv::FvParams::create(wider);
+    ASSERT_TRUE(*wider_params->qBase() == *rig.params->qBase());
+    compiler::CompilerOptions copts;
+    copts.hw = rig.hw;
+    compiler::CircuitBuilder b;
+    const compiler::ValueId x = b.input();
+    const compiler::ValueId y = b.input();
+    b.output(b.mult(x, y));
+    auto compiled = std::make_shared<const compiler::CompiledCircuit>(
+        compiler::compileCircuit(wider_params, b.build(), copts));
+
+    fv::Encryptor encryptor(rig.params, rig.pk, 53);
+    EXPECT_THROW(svc.submitCompiled(
+                     kDefaultTenant, compiled,
+                     {encryptor.encrypt(rig.randomPlain(1)),
+                      encryptor.encrypt(rig.randomPlain(2))}),
+                 FatalError);
+    EXPECT_EQ(svc.stats().circuits_verified, 0u);
 }
 
 TEST(Service, RejectsSessionKeysForInvalidGaloisElements)

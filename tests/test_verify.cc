@@ -2,8 +2,8 @@
  * @file
  * Mutation-testing suite for the static program verifier
  * (verify/verify.h). Every unmutated compiled circuit must verify
- * clean (zero false positives — the whole repo's compile paths run
- * under verify=kReject via verify_support.h), and each systematic
+ * clean (zero false positives — every compile path in the repo runs
+ * the verifier and rejects by default), and each systematic
  * corruption class applied to a known-good CompiledCircuit must be
  * caught with a Diagnostic of the right invariant family: the verifier
  * has to bite, not just run.
@@ -826,6 +826,47 @@ TEST(Verify, CatchesNaturalConstantConsumedAsNttForm)
     EXPECT_EQ(d.op, Opcode::kRearrange);
 }
 
+// 27-29. A huge record id (as an untrusted submitCompiled artifact may
+//        name) is reported unallocated, not used to size the verifier's
+//        id-indexed tables (that would ask for tens of GiB).
+constexpr hw::PolyId kHugeRecord = 0xFFFFFFF0u;
+
+TEST(Verify, CatchesHugeRecordIdInInstructionOperand)
+{
+    CompiledCircuit c = multCircuit();
+    Instruction *in = findInstr(
+        c, [](const Instruction &i) { return i.src0 != hw::kNoPoly; });
+    ASSERT_NE(in, nullptr);
+    in->src0 = kHugeRecord;
+    const Diagnostic d = expectViolation(c, Invariant::kDefBeforeUse);
+    EXPECT_EQ(d.record, kHugeRecord);
+}
+
+TEST(Verify, CatchesHugeRecordIdInUploadSlot)
+{
+    CompiledCircuit c = multCircuit();
+    Transfer *t = findUpload(c, [](const Transfer &) { return true; });
+    ASSERT_NE(t, nullptr);
+    t->slot = kHugeRecord;
+    const Diagnostic d = expectViolation(c, Invariant::kDefBeforeUse);
+    EXPECT_EQ(d.record, kHugeRecord);
+}
+
+TEST(Verify, CatchesHugeRecordIdInSlotAction)
+{
+    for (const SlotAction::Kind kind :
+         {SlotAction::Kind::kAllocate, SlotAction::Kind::kRelease}) {
+        CompiledCircuit c = multCircuit();
+        const auto it = std::find_if(
+            c.slot_actions.begin(), c.slot_actions.end(),
+            [kind](const SlotAction &a) { return a.kind == kind; });
+        ASSERT_NE(it, c.slot_actions.end());
+        it->id = kHugeRecord;
+        const Diagnostic d = expectViolation(c, Invariant::kSlotLog);
+        EXPECT_EQ(d.record, kHugeRecord);
+    }
+}
+
 // --- diagnostics carry their coordinates ---------------------------------
 
 TEST(Verify, DiagnosticRendersLocation)
@@ -850,14 +891,16 @@ TEST(Verify, CompilerRejectModeThrowsOnViolation)
 {
     // compileCircuit itself never produces a violating artifact, so
     // exercise the policy through the service admission path below and
-    // the option default here: under this suite's environment
-    // (verify_support.h) the default is kReject.
-    CompilerOptions options;
-    EXPECT_EQ(options.verify, compiler::VerifyCheck::kReject);
+    // the defaults here: compilation and admission both reject.
+    EXPECT_EQ(CompilerOptions{}.verify, compiler::VerifyCheck::kReject);
+    EXPECT_EQ(service::ServiceConfig{}.verify,
+              compiler::VerifyCheck::kReject);
 }
 
 TEST(Verify, ServiceRejectsMutatedSubmission)
 {
+    // Under the default policy a refused circuit is not cached: the
+    // same object is verified and refused again on resubmit.
     auto params = smallParams();
     fv::KeyGenerator keygen(params, 7);
     const fv::SecretKey sk = keygen.generateSecretKey();
@@ -868,7 +911,6 @@ TEST(Verify, ServiceRejectsMutatedSubmission)
     service::ServiceConfig cfg;
     cfg.workers = 1;
     cfg.hw = smallHw(*params);
-    cfg.verify = compiler::VerifyCheck::kReject;
     service::ExecutionService svc(params, std::move(rlk), cfg);
 
     compiler::CircuitBuilder b;
@@ -880,18 +922,19 @@ TEST(Verify, ServiceRejectsMutatedSubmission)
     auto mutated = std::make_shared<compiler::CompiledCircuit>(
         compiler::compileCircuit(params, b.build(), options));
     mutated->peak_slots += 1; // the tamper
-    std::vector<fv::Ciphertext> inputs;
-    inputs.push_back(
-        encryptor.encrypt(randomPlain(*params, 1)));
-    inputs.push_back(
-        encryptor.encrypt(randomPlain(*params, 2)));
-
-    EXPECT_THROW(
-        svc.submitCompiled(
-            std::shared_ptr<const compiler::CompiledCircuit>(mutated),
-            std::move(inputs)),
-        service::AdmissionRejectedError);
-    EXPECT_EQ(svc.stats().verify_rejected, 1u);
+    const std::shared_ptr<const compiler::CompiledCircuit> submitted =
+        mutated;
+    for (uint64_t attempt = 1; attempt <= 2; ++attempt) {
+        std::vector<fv::Ciphertext> inputs;
+        inputs.push_back(encryptor.encrypt(randomPlain(*params, 1)));
+        inputs.push_back(encryptor.encrypt(randomPlain(*params, 2)));
+        EXPECT_THROW(svc.submitCompiled(submitted, std::move(inputs)),
+                     service::AdmissionRejectedError);
+        EXPECT_EQ(svc.stats().verify_rejected, attempt);
+    }
+    EXPECT_EQ(svc.stats().circuits_verified, 0u);
+    EXPECT_EQ(svc.stats().ops_completed + svc.stats().circuits_completed,
+              0u);
 }
 
 TEST(Verify, ServiceCachesVerificationVerdict)
@@ -906,7 +949,6 @@ TEST(Verify, ServiceCachesVerificationVerdict)
     service::ServiceConfig cfg;
     cfg.workers = 1;
     cfg.hw = smallHw(*params);
-    cfg.verify = compiler::VerifyCheck::kReject;
     service::ExecutionService svc(params, std::move(rlk), cfg);
 
     compiler::CircuitBuilder b;

@@ -1,21 +1,10 @@
 /**
  * @file
- * Shared static-verification support for the test suites.
- *
- * Including this header does two things:
- *
- *  1. At static-initialization time (before any test runs) it pins the
- *     process default verification policy to kReject unless the caller
- *     already set HEAT_VERIFY. Every compiler::compileCircuit in the
- *     including binary — and every ExecutionService admission — then
- *     runs the heat::verify abstract interpreter and throws on any
- *     invariant violation, so a compiler change that breaks an
- *     invariant fails the existing suites loudly instead of decrypting
- *     to garbage somewhere downstream.
- *
- *  2. It provides expectVerifiesClean() for suites that hold a
- *     CompiledCircuit and want the structured diagnostic table in the
- *     gtest failure message.
+ * Shared static-verification support for the test suites:
+ * expectVerifiesClean() for suites that hold a CompiledCircuit and
+ * want the structured diagnostic table in the gtest failure message.
+ * (Every compileCircuit and every ExecutionService admission already
+ * rejects a violating program by default.)
  */
 
 #ifndef HEAT_TESTS_VERIFY_SUPPORT_H
@@ -23,20 +12,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "compiler/compiler.h"
 #include "verify/verify.h"
 
 namespace heat::testing {
-
-/** Runs before main(): default this binary to verify-and-reject. The
- *  explicit environment still wins (HEAT_VERIFY=off|warn|reject), so
- *  CI legs can override per process. */
-inline const bool kVerifyRejectInstalled = [] {
-    ::setenv("HEAT_VERIFY", "reject", /*overwrite=*/0);
-    return true;
-}();
 
 /** Run the static verifier over @p compiled and fail the current test
  *  with the full diagnostic table if any invariant is violated. */
